@@ -6,11 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Ablation A2 (a DESIGN.md call-out): the explicit engine expands only
-/// the frontier R_k \ R_{k-1} each round, justified by the idempotence
-/// of per-thread closures.  This harness runs both modes on the same
-/// systems, checks the per-round sets agree exactly, and reports the
-/// work saved.
+/// Ablation A2 (see BUILDING.md, "Model reconstructions"): the
+/// explicit engine expands only the frontier R_k \ R_{k-1} each round,
+/// justified by the idempotence of per-thread closures.  This harness
+/// runs both modes on the same systems, checks the per-round sets agree
+/// exactly, and reports the work saved.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -120,6 +120,6 @@ int main() {
       "conclude instead.  Safe?/FCR?/bug verdicts are expected to match\n"
       "the paper exactly; kmax values match where the models are the\n"
       "paper's own pushdown systems and sit in the same small-k regime\n"
-      "elsewhere (reconstructed models; see DESIGN.md).\n");
+      "elsewhere (reconstructed models; see BUILDING.md).\n");
   return 0;
 }

@@ -27,7 +27,7 @@
 ///   examples.
 /// * `constrain e` filters assignments by evaluating e over the *post*
 ///   state (a simplification of primed-variable constraints; documented
-///   in DESIGN.md).
+///   in BUILDING.md, "Model reconstructions").
 ///
 //===----------------------------------------------------------------------===//
 

@@ -10,7 +10,6 @@
 #include <algorithm>
 
 #include "core/CbaEngine.h"
-#include "core/Generators.h"
 #include "core/ObservationSequence.h"
 #include "core/ZOverapprox.h"
 #include "pds/CpdsIO.h"
@@ -28,26 +27,10 @@ public:
   ExplicitRunner(const Cpds &C, const SafetyProperty &Prop,
                  const RunOptions &Opts, bool UseScheme1, bool UseAlg3)
       : C(C), Prop(Prop), Opts(Opts), UseScheme1(UseScheme1),
-        UseAlg3(UseAlg3), Engine(C, Opts.Limits), Gen(C) {
+        UseAlg3(UseAlg3), Engine(C, Opts.Limits),
+        Generators(C, Opts.Limits) {
     Engine.setExpandAll(Opts.ExpandAll);
     Engine.setParallel(Opts.Pool);
-    if (UseAlg3) {
-      // The generator test compares against G cap Z, an overapproximation
-      // of the reachable generators (Sec. 4.1.3).  Entries are removed as
-      // they are reached; the test passes when none remain.  Z ranges
-      // over the abstract domain |Q| x prod(|Sigma_i|+1), which can dwarf
-      // the concretely reachable set (Boolean-program translations have
-      // thousands of frame symbols per thread), so its exploration runs
-      // under the same budget as the engine.
-      LimitTracker ZLimits(Opts.Limits);
-      std::vector<VisibleState> Z = computeZ(C, &ZLimits);
-      // A complete Z always contains the initial abstract state;
-      // emptiness therefore signals budget exhaustion.  Without the
-      // overapproximation the generator test can never pass -- claiming
-      // coverage against a truncated Z would be unsound.
-      ZComplete = !Z.empty();
-      PendingGenerators = Gen.intersect(Z);
-    }
   }
 
   ExplicitCombinedResult run() {
@@ -79,7 +62,7 @@ public:
       // Alg. 3, line 4: a new plateau of (T(R_k)) plus the generator
       // test G cap Z <= T(R_k).
       if (UseAlg3 && !R.TkCollapse && TkSizes.newPlateauAtLatest() &&
-          generatorsCovered())
+          Generators.coveredBy(Engine))
         R.TkCollapse = Engine.bound() - 1;
 
       if (concluded(R))
@@ -142,25 +125,12 @@ private:
     return Out;
   }
 
-  bool generatorsCovered() {
-    if (!ZComplete)
-      return false;
-    // Monotone: reached entries stay reached, so satisfied entries are
-    // dropped and only the remainder is retested at later plateaus.
-    std::erase_if(PendingGenerators, [&](const VisibleState &V) {
-      return Engine.visibleReached(V);
-    });
-    return PendingGenerators.empty();
-  }
-
   const Cpds &C;
   const SafetyProperty &Prop;
   const RunOptions &Opts;
   bool UseScheme1, UseAlg3;
   CbaEngine Engine;
-  GeneratorSet Gen;
-  bool ZComplete = true;
-  std::vector<VisibleState> PendingGenerators;
+  GeneratorTest Generators;
   ObservationTracker RkSizes, TkSizes;
 };
 

@@ -16,7 +16,8 @@
 ///
 /// G is purely syntactic and can be huge (all other threads' entries are
 /// unconstrained), so it is never materialised; membership is evaluated
-/// as a predicate, and G cap Z is obtained by filtering the finite set Z.
+/// as a predicate, and G cap Z is obtained by filtering the finite set Z
+/// (core/ZOverapprox filters Z's packed words before unpacking any).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,19 +39,23 @@ class GeneratorSet {
 public:
   explicit GeneratorSet(const Cpds &C);
 
-  /// True iff \p V is a generator (Eq. 2).
-  bool contains(const VisibleState &V) const {
+  /// True iff <\p Q | \p Tops[0..n)> is a generator (Eq. 2).
+  bool contains(QState Q, const Sym *Tops) const {
     for (unsigned I = 0; I < NumThreads; ++I) {
       // (q, eps) must be the target of a pop edge of Delta_i ...
-      if (!PopTargetFlag[I][V.Q])
+      if (!PopTargetFlag[I][Q])
         continue;
       // ... and s_i is eps or a symbol some push writes underneath its
       // new top (the emerging candidates E of Alg. 2).
-      Sym S = V.Tops[I];
+      Sym S = Tops[I];
       if (S == EpsSym || EmergingFlag[I][S])
         return true;
     }
     return false;
+  }
+
+  bool contains(const VisibleState &V) const {
+    return contains(V.Q, V.Tops.data());
   }
 
   /// Filters \p Candidates (e.g. the overapproximation Z) down to the

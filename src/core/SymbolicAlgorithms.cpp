@@ -7,7 +7,6 @@
 
 #include "core/SymbolicAlgorithms.h"
 
-#include "core/Generators.h"
 #include "core/ObservationSequence.h"
 #include "core/SymbolicEngine.h"
 #include "core/ZOverapprox.h"
@@ -26,15 +25,7 @@ SymbolicRunResult runAlg3SymbolicImpl(const Cpds &C,
   SymbolicRunResult R;
   SymbolicEngine Engine(C, Opts.Limits);
   Engine.setParallel(Opts.Pool);
-  GeneratorSet Gen(C);
-  // Z runs under the same budget as the engine (its abstract domain can
-  // dwarf the concretely reachable set); an exhausted exploration comes
-  // back empty -- a complete Z always holds the initial abstract state --
-  // and permanently disables the generator test below.
-  LimitTracker ZLimits(Opts.Limits);
-  std::vector<VisibleState> Z = computeZ(C, &ZLimits);
-  bool ZComplete = !Z.empty();
-  std::vector<VisibleState> Pending = Gen.intersect(Z);
+  GeneratorTest Generators(C, Opts.Limits);
   ObservationTracker TkSizes;
 
   auto CheckViolations = [&]() {
@@ -47,14 +38,6 @@ SymbolicRunResult runAlg3SymbolicImpl(const Cpds &C,
         return;
       }
     }
-  };
-  auto GeneratorsCovered = [&]() {
-    if (!ZComplete)
-      return false; // Covering a truncated Z proves nothing.
-    std::erase_if(Pending, [&](const VisibleState &V) {
-      return Engine.visibleReached(V);
-    });
-    return Pending.empty();
   };
 
   TkSizes.record(Engine.visibleSize()); // |T(S_0)|
@@ -79,7 +62,8 @@ SymbolicRunResult runAlg3SymbolicImpl(const Cpds &C,
       R.SFixpoint = Engine.bound() - 1;
 
     // Alg. 3 line 4 over T(S_k).
-    if (!R.TkCollapse && TkSizes.newPlateauAtLatest() && GeneratorsCovered())
+    if (!R.TkCollapse && TkSizes.newPlateauAtLatest() &&
+        Generators.coveredBy(Engine))
       R.TkCollapse = Engine.bound() - 1;
 
     if (R.SFixpoint || R.TkCollapse)

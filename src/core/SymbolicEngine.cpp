@@ -336,7 +336,10 @@ SymbolicEngine::advanceRoundSerial(std::vector<SymbolicState> &NewFrontier) {
 
 void SymbolicEngine::computePendingSat(PendingSat &P,
                                        uint32_t Worker) const {
-  P.Worker = Worker;
+  // A prefilled key keeps the prefetching worker: its saturate span
+  // carries the prefetch's timestamps, so it belongs on that track.
+  if (!P.Prefilled)
+    P.Worker = Worker;
   // Everything here reads only state frozen for the round: the
   // bottom-transformed PDSs, the DfaStore arena and the retained
   // saturations (both only append, in the serial commit), and the pds

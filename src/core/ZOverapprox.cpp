@@ -10,55 +10,78 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "core/Generators.h"
 #include "obs/Trace.h"
 #include "pds/VisibleSet.h"
 #include "support/FlatHash.h"
 
 using namespace cuba;
 
-std::vector<VisibleState> cuba::computeZ(const Cpds &C,
-                                         LimitTracker *Limits) {
-  assert(C.frozen() && "computeZ requires a frozen CPDS");
-  // Serial BFS, so the span (and its visible-count arg, added at every
-  // exit) is deterministic at any `--jobs`.
-  obs::ScopedSpan Span("z-overapprox", obs::Trace::CatDet);
-  VisiblePacker Packer(C);
+namespace {
 
-  // Exploration accumulates into Queue (every state enters it exactly
-  // once, so it doubles as the result buffer); membership is a packed
-  // flat set when the CPDS's visible states fit in one word, falling
-  // back to a node-based set for very wide systems.
-  FlatSet<uint64_t> PackedSeen;
-  std::unordered_set<VisibleState, VisibleStateHash> WideSeen;
-  auto FirstVisit = [&](const VisibleState &V) {
-    return Packer.packable() ? PackedSeen.insert(Packer.pack(V))
-                             : WideSeen.insert(V).second;
-  };
+/// Breadth-first exploration of M_n on packed words.  Every state enters
+/// \p Queue exactly once, so on success it holds Z in discovery order.
+/// Successors are generated in abstractSuccessors' order and charged as
+/// computeZ documents, so a budget runs out at exactly the charge the
+/// VisibleState BFS would stop at.  Returns false on exhaustion.
+bool explorePacked(const Cpds &C, const VisiblePacker &Packer,
+                   LimitTracker *Limits, std::vector<uint64_t> &Queue) {
+  FlatSet<uint64_t> Seen;
+  uint64_t Init = Packer.pack(project(C.initialState()));
+  Seen.insert(Init);
+  Queue.push_back(Init);
 
-  // Size the membership table and result buffer from the (finite)
-  // visible-state domain |Q| * prod(|Sigma_i| + 1), capped so very wide
-  // systems don't pre-commit absurd allocations.
-  uint64_t Domain = C.numSharedStates();
-  for (unsigned I = 0; I < C.numThreads() && Domain < (1u << 16); ++I)
-    Domain *= C.thread(I).numSymbols() + 1;
-  size_t Hint = static_cast<size_t>(std::min<uint64_t>(Domain, 1u << 16));
-  if (Packer.packable())
-    PackedSeen.reserve(Hint);
+  const unsigned QShift = Packer.sharedShift();
+  const uint64_t BelowQ = (uint64_t(1) << QShift) - 1;
+  std::vector<uint64_t> Succs;
+  for (size_t Head = 0; Head < Queue.size(); ++Head) {
+    uint64_t W = Queue[Head];
+    QState Q = static_cast<QState>(W >> QShift);
+    for (unsigned I = 0; I < C.numThreads(); ++I) {
+      const Pds &P = C.thread(I);
+      unsigned Shift = Packer.topShift(I);
+      uint64_t TopMask = Packer.topMask(I);
+      uint64_t Rest = W & BelowQ & ~TopMask; // Q and thread I's top cleared.
+      Succs.clear();
+      for (uint32_t AI : P.actionsFrom(Q, static_cast<Sym>((W & TopMask) >>
+                                                           Shift))) {
+        // Line 6 of Alg. 2: (q, w) |-> (q', T(w')); a push's T(w') is the
+        // new top r0, the symbol underneath is cut off.
+        const Action &A = P.actions()[AI];
+        uint64_t To = Rest | uint64_t(A.DstQ) << QShift;
+        Succs.push_back(To | uint64_t(A.Dst0) << Shift); // Eps for pops.
+        // Lines 7-9: an empty target word exposes any candidate in E.
+        if (A.targetLength() == 0)
+          for (Sym Rho : P.emergingSymbols())
+            Succs.push_back(To | uint64_t(Rho) << Shift);
+      }
+      // The logical footprint: the result buffer plus the membership
+      // table.  The exploration is serial, so charging live is safe.
+      if (Limits &&
+          (!Limits->chargeStep(Succs.size() + 1) ||
+           !Limits->checkMemory(Queue.size() * sizeof(uint64_t) +
+                                Seen.memoryBytes())))
+        return false;
+      for (uint64_t S : Succs) {
+        if (!Seen.insert(S))
+          continue;
+        if (Limits && !Limits->chargeState())
+          return false;
+        Queue.push_back(S);
+      }
+    }
+  }
+  return true;
+}
 
-  std::vector<VisibleState> Queue;
-  Queue.reserve(Hint);
+/// The same exploration over VisibleState values, for systems whose
+/// visible states do not fit in one word.
+bool exploreWide(const Cpds &C, LimitTracker *Limits,
+                 std::vector<VisibleState> &Queue) {
+  std::unordered_set<VisibleState, VisibleStateHash> Seen;
   VisibleState Init = project(C.initialState());
-  FirstVisit(Init);
+  Seen.insert(Init);
   Queue.push_back(std::move(Init));
-
-  // Logical footprint of the exploration: the result buffer plus the
-  // membership structure.  computeZ is serial, so charging live is safe.
-  auto LiveBytes = [&]() -> uint64_t {
-    uint64_t Seen = Packer.packable()
-                        ? PackedSeen.memoryBytes()
-                        : WideSeen.size() * (sizeof(VisibleState) + 16);
-    return Queue.size() * sizeof(VisibleState) + Seen;
-  };
 
   std::vector<VisibleState> Succs;
   for (size_t Head = 0; Head < Queue.size(); ++Head) {
@@ -66,27 +89,84 @@ std::vector<VisibleState> cuba::computeZ(const Cpds &C,
       Succs.clear();
       // Queue may grow (and move) below; index per iteration.
       C.abstractSuccessors(Queue[Head], I, Succs);
-      if (Limits && !Limits->chargeStep(Succs.size() + 1)) {
-        Span.arg("exhausted", 1);
-        return {}; // Budget exhausted: no usable overapproximation.
-      }
-      if (Limits && !Limits->checkMemory(LiveBytes())) {
-        Span.arg("exhausted", 1);
-        return {};
-      }
+      if (Limits &&
+          (!Limits->chargeStep(Succs.size() + 1) ||
+           !Limits->checkMemory(Queue.size() * sizeof(VisibleState) +
+                                Seen.size() * (sizeof(VisibleState) + 16))))
+        return false;
       for (VisibleState &S : Succs) {
-        if (!FirstVisit(S))
+        if (!Seen.insert(S).second)
           continue;
-        if (Limits && !Limits->chargeState()) {
-          Span.arg("exhausted", 1);
-          return {};
-        }
+        if (Limits && !Limits->chargeState())
+          return false;
         Queue.push_back(std::move(S));
       }
     }
   }
+  return true;
+}
 
-  Span.arg("visible", Queue.size());
-  std::sort(Queue.begin(), Queue.end());
-  return Queue;
+/// The one exploration behind both entry points: Z, filtered down to
+/// \p Keep's members when non-null, sorted; nullopt on exhaustion.
+std::optional<std::vector<VisibleState>>
+exploreZ(const Cpds &C, LimitTracker *Limits, const GeneratorSet *Keep) {
+  assert(C.frozen() && "computeZ requires a frozen CPDS");
+  // Serial BFS, so the span (and its visible-count arg, added at every
+  // exit) is deterministic at any `--jobs`.
+  obs::ScopedSpan Span("z-overapprox", obs::Trace::CatDet);
+  VisiblePacker Packer(C);
+  std::vector<VisibleState> Out;
+  if (Packer.packable()) {
+    std::vector<uint64_t> Words;
+    if (!explorePacked(C, Packer, Limits, Words)) {
+      Span.arg("exhausted", 1);
+      return std::nullopt;
+    }
+    Span.arg("visible", Words.size());
+    if (Keep) {
+      std::vector<Sym> Tops(C.numThreads());
+      std::erase_if(Words, [&](uint64_t W) {
+        QState Q = Packer.unpack(W, Tops.data());
+        return !Keep->contains(Q, Tops.data());
+      });
+    }
+    std::sort(Words.begin(), Words.end()); // Packed order == state order.
+    Out.reserve(Words.size());
+    for (uint64_t W : Words)
+      Out.push_back(Packer.unpack(W));
+    return Out;
+  }
+  if (!exploreWide(C, Limits, Out)) {
+    Span.arg("exhausted", 1);
+    return std::nullopt;
+  }
+  Span.arg("visible", Out.size());
+  if (Keep)
+    std::erase_if(Out,
+                  [&](const VisibleState &V) { return !Keep->contains(V); });
+  std::sort(Out.begin(), Out.end());
+  return Out;
+}
+
+} // namespace
+
+std::vector<VisibleState> cuba::computeZ(const Cpds &C,
+                                         LimitTracker *Limits) {
+  return exploreZ(C, Limits, nullptr).value_or(std::vector<VisibleState>());
+}
+
+std::optional<std::vector<VisibleState>>
+cuba::computeGeneratorsInZ(const Cpds &C, const GeneratorSet &G,
+                           LimitTracker *Limits) {
+  return exploreZ(C, Limits, &G);
+}
+
+void GeneratorTest::build() {
+  LimitTracker ZLimits(Limits);
+  std::optional<std::vector<VisibleState>> GZ =
+      computeGeneratorsInZ(C, GeneratorSet(C), &ZLimits);
+  Built = true;
+  Complete = GZ.has_value();
+  if (Complete)
+    Pending = std::move(*GZ);
 }

@@ -14,11 +14,18 @@
 /// T(R) is a subset of Z, so G cap Z overapproximates the reachable
 /// generators, which is what Alg. 3's convergence test needs.
 ///
+/// The exploration runs on packed visible words (pds/VisibleSet.h)
+/// whenever the CPDS's visible states fit in 64 bits: a successor is its
+/// source word with the Q field and the moving thread's top field
+/// rewritten, so no state is materialised until the result is unpacked.
+/// Wider systems fall back to a VisibleState BFS over abstractSuccessors.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CUBA_CORE_ZOVERAPPROX_H
 #define CUBA_CORE_ZOVERAPPROX_H
 
+#include <optional>
 #include <vector>
 
 #include "pds/Cpds.h"
@@ -26,16 +33,63 @@
 
 namespace cuba {
 
+class GeneratorSet;
+
 /// Computes Z by exhaustive exploration of M_n; the result is sorted.
 /// The domain is finite (|Q| * prod |Sigma_i + 1|) so this terminates
 /// without a budget, but it can be astronomically larger than the
 /// concretely reachable set (Boolean-program translations put thousands
 /// of frame symbols in each Sigma_i), so callers that answer under a
-/// ResourceLimits budget must pass \p Limits.  On exhaustion the result
-/// is empty -- unambiguous, because a completed exploration always
-/// contains the projected initial state.
+/// ResourceLimits budget must pass \p Limits.  The exploration charges
+/// chargeStep(successors + 1) per (state, thread) and chargeState per
+/// new state.  On exhaustion the result is empty -- unambiguous, because
+/// a completed exploration always contains the projected initial state.
 std::vector<VisibleState> computeZ(const Cpds &C,
                                    LimitTracker *Limits = nullptr);
+
+/// G cap Z: the exploration (and charges) of computeZ, keeping only the
+/// generators.  Membership is tested on the packed words, so only
+/// G cap Z is ever unpacked.  Sorted, and equal to
+/// G.intersect(computeZ(C)) when the budget suffices; nullopt when it
+/// does not (G cap Z can be empty, so emptiness signals nothing here).
+std::optional<std::vector<VisibleState>>
+computeGeneratorsInZ(const Cpds &C, const GeneratorSet &G,
+                     LimitTracker *Limits = nullptr);
+
+/// Alg. 3's generator test (line 4), G cap Z <= T(R_k), for the explicit
+/// and symbolic runners.  Only this test reads Z, and it runs only at a
+/// new plateau of T(R_k), so G cap Z is built on the first call: a run
+/// that finds its bug before any plateau never explores M_n.  The
+/// exploration gets its own LimitTracker over the run's budget, so it
+/// never moves the engine's trajectory; if that tracker runs out, the
+/// test never passes (covering a truncated Z would be unsound).
+class GeneratorTest {
+public:
+  GeneratorTest(const Cpds &C, const ResourceLimits &Limits)
+      : C(C), Limits(Limits) {}
+
+  /// True when \p E has reached every state of G cap Z.  Monotone:
+  /// reached entries stay reached, so they are dropped and only the
+  /// remainder is retested at later plateaus.
+  template <typename EngineT> bool coveredBy(const EngineT &E) {
+    if (!Built)
+      build();
+    if (!Complete)
+      return false;
+    std::erase_if(Pending,
+                  [&](const VisibleState &V) { return E.visibleReached(V); });
+    return Pending.empty();
+  }
+
+private:
+  void build();
+
+  const Cpds &C;
+  ResourceLimits Limits;
+  bool Built = false;
+  bool Complete = false;
+  std::vector<VisibleState> Pending;
+};
 
 } // namespace cuba
 

@@ -9,11 +9,10 @@
 /// Programmatic builders for every benchmark of the paper's evaluation
 /// (Table 2) plus the running examples of Figs. 1 and 2.  The original
 /// artefact site is offline; these models are faithful reconstructions
-/// from the paper and its cited sources (see DESIGN.md, "Substitutions").
-/// Models given as pushdown programs in the paper (Figs. 1 and 2) are
-/// reproduced action by action; program-level benchmarks are written as
-/// Boolean programs in src/models/*.bp.inc and compiled through the
-/// frontend, exercising the full pipeline.
+/// from the paper and its cited sources (see BUILDING.md, "Model
+/// reconstructions").  Models given as pushdown programs in the paper
+/// (Figs. 1 and 2, Stefan-1) are reproduced action by action; the
+/// program-level benchmarks are built as CPDSs from their descriptions.
 ///
 //===----------------------------------------------------------------------===//
 

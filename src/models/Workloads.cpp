@@ -7,7 +7,8 @@
 ///
 /// \file
 /// Suites 4, 5 and 7 of Table 2, reconstructed from their descriptions
-/// (see DESIGN.md).  Structural targets taken from the paper:
+/// (see BUILDING.md, "Model reconstructions").  Structural targets
+/// taken from the paper:
 ///
 /// * BST-Insert: all threads recursive, FCR holds (descent steps are
 ///   gated on a round-robin turn token, so stacks grow only across

@@ -25,17 +25,18 @@ VisiblePacker::VisiblePacker(const Cpds &C) {
     Total += FieldBits.back();
   }
   Packable = Total <= 64;
+  // The last thread's top is the least significant field.
+  TopShift.resize(FieldBits.size());
+  for (size_t I = FieldBits.size(); I-- > 0;) {
+    TopShift[I] = QShift;
+    QShift += FieldBits[I];
+  }
 }
 
 VisibleState VisiblePacker::unpack(uint64_t Bits) const {
-  assert(Packable && "packer misuse");
   VisibleState V;
   V.Tops.resize(FieldBits.size());
-  for (size_t I = FieldBits.size(); I-- > 0;) {
-    V.Tops[I] = static_cast<Sym>(Bits & ((1ull << FieldBits[I]) - 1));
-    Bits >>= FieldBits[I];
-  }
-  V.Q = static_cast<QState>(Bits);
+  V.Q = unpack(Bits, V.Tops.data());
   return V;
 }
 

@@ -57,9 +57,33 @@ public:
 
   VisibleState unpack(uint64_t Bits) const;
 
+  /// Decodes \p Bits into \p Tops[0..numThreads()) and returns its shared
+  /// state, without allocating; requires packable().
+  QState unpack(uint64_t Bits, Sym *Tops) const {
+    assert(Packable && "packer misuse");
+    for (size_t I = 0; I < FieldBits.size(); ++I)
+      Tops[I] = static_cast<Sym>((Bits & topMask(I)) >> TopShift[I]);
+    return static_cast<QState>(Bits >> QShift);
+  }
+
+  /// Bit offset of the shared-state field, the most significant one.
+  /// Always below 64: Q keeps at least one bit.
+  unsigned sharedShift() const { return QShift; }
+
+  /// Bit offset of thread \p I's top field.
+  unsigned topShift(unsigned I) const { return TopShift[I]; }
+
+  /// Thread \p I's top field, in place: clearing these bits and or-ing in
+  /// `S << topShift(I)` rewrites that thread's top to S.
+  uint64_t topMask(unsigned I) const {
+    return ((uint64_t(1) << FieldBits[I]) - 1) << TopShift[I];
+  }
+
 private:
   bool Packable = false;
   std::vector<unsigned> FieldBits; // Per-thread top width; Q gets the rest.
+  std::vector<unsigned> TopShift;  // Per-thread top offset.
+  unsigned QShift = 0;             // Sum of FieldBits.
 };
 
 /// The set T(R_k) with the round each visible state was first seen in.

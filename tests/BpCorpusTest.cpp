@@ -233,6 +233,43 @@ TEST(BpCorpus, CliAcceptsBoundaryFlagValues) {
   EXPECT_EQ(Out.find("invalid"), std::string::npos) << Out;
 }
 
+TEST(BpCorpus, ZIsExploredOnlyWhenTheGeneratorTestRuns) {
+  // Alg. 3 reads G cap Z only at a new plateau of T(R_k), so runCuba
+  // explores Z at the first such plateau.  The buggy models hit their bug
+  // before any plateau and never explore it; the safe ones explore it
+  // exactly once.
+  struct Case {
+    const char *Model;
+    int ExitCode; // 0 safe, 1 bug.
+    size_t ZSpans;
+  };
+  const Case Cases[] = {
+      {"lock_race.bp", 1, 0},        {"recursion_race.bp", 1, 0},
+      {"three_stations.bp", 1, 0},   {"bluetooth_v1.bp", 1, 0},
+      {"helper_result.bp", 0, 1},    {"atomic_handoff.bp", 0, 1},
+      {"recursion_tower.bp", 0, 1},
+  };
+  std::string TracePath =
+      std::string(::testing::TempDir()) + "corpus_z_trace.json";
+  for (const Case &C : Cases) {
+    auto [Rc, Out] = runTool("--trace-out " + TracePath + " " +
+                             CUBA_CORPUS_DIR + "/" + C.Model);
+    EXPECT_EQ(Rc, C.ExitCode) << C.Model << ":\n" << Out;
+    std::ifstream In(TracePath);
+    std::stringstream SS;
+    SS << In.rdbuf();
+    std::string Trace = SS.str();
+    size_t Spans = 0;
+    for (size_t Pos = 0;
+         (Pos = Trace.find("\"name\": \"z-overapprox\"", Pos)) !=
+         std::string::npos;
+         ++Pos)
+      ++Spans;
+    EXPECT_EQ(Spans, C.ZSpans) << C.Model;
+  }
+  std::remove(TracePath.c_str());
+}
+
 //===----------------------------------------------------------------------===//
 // Golden fuzz MISMATCH repro lines
 //===----------------------------------------------------------------------===//

@@ -13,7 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <set>
+#include <sstream>
 
+#include "bp/Translate.h"
 #include "core/Algorithms.h"
 #include "core/CbaEngine.h"
 #include "core/FcrCheck.h"
@@ -22,6 +27,8 @@
 #include "core/ZOverapprox.h"
 #include "models/Models.h"
 #include "pds/CpdsIO.h"
+#include "pds/VisibleSet.h"
+#include "testing/RandomCpds.h"
 
 using namespace cuba;
 
@@ -183,6 +190,105 @@ TEST(CbaEngine, ExhaustsOnNonFcrSystem) {
 // Z and the generator set (Ex. 13 / Ex. 14 / Fig. 3)
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// The VisibleState BFS over Cpds::abstractSuccessors that the packed
+/// exploration replaced, with the charges computeZ documents: one
+/// chargeStep(successors + 1) per (state, thread), one chargeState per
+/// new state.  Sorted; empty on exhaustion.
+std::vector<VisibleState> referenceZ(const Cpds &C,
+                                     LimitTracker *Limits = nullptr) {
+  std::vector<VisibleState> Queue = {project(C.initialState())};
+  std::set<VisibleState> Seen(Queue.begin(), Queue.end());
+  std::vector<VisibleState> Succs;
+  for (size_t Head = 0; Head < Queue.size(); ++Head) {
+    for (unsigned I = 0; I < C.numThreads(); ++I) {
+      Succs.clear();
+      C.abstractSuccessors(Queue[Head], I, Succs);
+      if (Limits && !Limits->chargeStep(Succs.size() + 1))
+        return {};
+      for (VisibleState &S : Succs) {
+        if (!Seen.insert(S).second)
+          continue;
+        if (Limits && !Limits->chargeState())
+          return {};
+        Queue.push_back(std::move(S));
+      }
+    }
+  }
+  std::sort(Queue.begin(), Queue.end());
+  return Queue;
+}
+
+/// computeZ and computeGeneratorsInZ against the reference on \p C.
+void expectZMatchesReference(const Cpds &C, const std::string &Name) {
+  std::vector<VisibleState> Z = computeZ(C);
+  EXPECT_EQ(Z, referenceZ(C)) << Name;
+  GeneratorSet G(C);
+  std::optional<std::vector<VisibleState>> GZ = computeGeneratorsInZ(C, G);
+  ASSERT_TRUE(GZ.has_value()) << Name;
+  EXPECT_EQ(*GZ, G.intersect(Z)) << Name;
+}
+
+/// Steps the step budget, then the state budget, from 1 up to what the
+/// reference needs: both entries must run out exactly where the
+/// reference does, with their trackers stopped at the same counts.
+void expectSameBudgetTrajectory(const Cpds &C, const std::string &Name) {
+  LimitTracker Need(ResourceLimits::unlimited());
+  ASSERT_FALSE(referenceZ(C, &Need).empty()) << Name;
+  GeneratorSet G(C);
+  for (bool StepAxis : {true, false}) {
+    uint64_t Total = StepAxis ? Need.steps() : Need.states();
+    for (uint64_t B = 1; B <= Total; ++B) {
+      ResourceLimits L = ResourceLimits::unlimited();
+      (StepAxis ? L.MaxSteps : L.MaxStates) = B;
+      std::string At = Name + (StepAxis ? " steps " : " states ") +
+                       std::to_string(B);
+      LimitTracker Ref(L), Packed(L), Gen(L);
+      bool Complete = !referenceZ(C, &Ref).empty();
+      EXPECT_EQ(Complete, B == Total) << At;
+      EXPECT_EQ(!computeZ(C, &Packed).empty(), Complete) << At;
+      EXPECT_EQ(computeGeneratorsInZ(C, G, &Gen).has_value(), Complete)
+          << At;
+      for (const LimitTracker *T : {&Packed, &Gen}) {
+        EXPECT_EQ(T->steps(), Ref.steps()) << At;
+        EXPECT_EQ(T->states(), Ref.states()) << At;
+      }
+    }
+  }
+}
+
+/// A CPDS whose visible states need 73 bits: one bit of shared state and
+/// eight threads with 300-symbol alphabets (9 bits of top each).  Thread
+/// 0 runs a push / pop / restart cycle, so Z has generators; thread 1 can
+/// fire once, out of the shared state thread 0 leaves behind; the other
+/// threads never move.
+CpdsFile buildWideCpds() {
+  CpdsFile F;
+  Cpds &C = F.System;
+  QState Q0 = C.addSharedState("q0");
+  QState Q1 = C.addSharedState("q1");
+  for (unsigned T = 0; T < 8; ++T) {
+    unsigned I = C.addThread("t" + std::to_string(T));
+    Pds &P = C.thread(I);
+    std::vector<Sym> S;
+    for (unsigned K = 0; K < 300; ++K)
+      S.push_back(P.addSymbol("s" + std::to_string(K)));
+    if (T == 0) {
+      P.addAction({Q0, S[0], Q1, S[1], S[299], "push"});
+      P.addAction({Q1, S[1], Q0, EpsSym, EpsSym, "pop"});
+      P.addAction({Q0, S[299], Q0, S[0], EpsSym, "restart"});
+    } else if (T == 1) {
+      P.addAction({Q1, S[0], Q1, S[298], EpsSym, "step"});
+    }
+    C.setInitialStack(I, {S[0]});
+  }
+  EXPECT_TRUE(static_cast<bool>(C.freeze()));
+  return F;
+}
+
+} // namespace
+
 TEST(ZOverapprox, Fig1MatchesEx13) {
   CpdsFile F = models::buildFig1();
   const Cpds &C = F.System;
@@ -237,6 +343,71 @@ TEST(ZOverapprox, BudgetExhaustionReturnsEmpty) {
   // A sufficient budget reproduces the unlimited result.
   LimitTracker Ample(ResourceLimits{10'000, 1'000'000, 0, 0});
   EXPECT_EQ(computeZ(F.System, &Ample), computeZ(F.System));
+  // The budget Z needs on Fig. 1, as the VisibleState BFS charged it:
+  // 24 steps, and 7 states (Z's 8 minus the uncharged initial
+  // one).  One unit less on either axis runs out.
+  EXPECT_EQ(Ample.steps(), 24u);
+  EXPECT_EQ(Ample.states(), 7u);
+  for (uint64_t Steps : {24u - 1, 24u}) {
+    LimitTracker T(ResourceLimits{0, Steps, 0, 0});
+    EXPECT_EQ(computeZ(F.System, &T).empty(), Steps < 24u);
+  }
+  for (uint64_t States : {6u, 7u}) {
+    LimitTracker T(ResourceLimits{States, 0, 0, 0});
+    EXPECT_EQ(computeZ(F.System, &T).empty(), States < 7u);
+  }
+  // Every budget below those stops the packed exploration at the same
+  // charge as the reference BFS.
+  expectSameBudgetTrajectory(F.System, "fig1");
+}
+
+TEST(ZOverapprox, PackedMatchesReferenceOnPaperModels) {
+  expectZMatchesReference(models::buildFig1().System, "fig1");
+  expectZMatchesReference(models::buildFig2().System, "fig2");
+  for (const auto &Row : models::table2Instances())
+    expectZMatchesReference(Row.File.System, Row.Suite + " " + Row.Config);
+}
+
+TEST(ZOverapprox, PackedMatchesReferenceOnCorpus) {
+  std::vector<std::filesystem::path> Paths;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(CUBA_CORPUS_DIR))
+    if (Entry.path().extension() == ".bp")
+      Paths.push_back(Entry.path());
+  std::sort(Paths.begin(), Paths.end());
+  EXPECT_GE(Paths.size(), 11u) << "corpus shrank below 11 models";
+  for (const auto &P : Paths) {
+    std::ifstream In(P);
+    std::stringstream SS;
+    SS << In.rdbuf();
+    auto File = bp::compileBooleanProgram(SS.str());
+    ASSERT_TRUE(File) << P << ": " << File.error().str();
+    expectZMatchesReference(File->System, P.filename().string());
+  }
+}
+
+TEST(ZOverapprox, PackedMatchesReferenceOnRandomCpds) {
+  for (uint64_t Seed = 1; Seed <= 100; ++Seed) {
+    CpdsFile F = cuba::testing::generateRandomCpds(
+        Seed, cuba::testing::cornerShapeOptions(Seed));
+    std::string Name = "seed " + std::to_string(Seed);
+    expectZMatchesReference(F.System, Name);
+    if (Seed <= 10)
+      expectSameBudgetTrajectory(F.System, Name);
+    if (HasFailure())
+      break;
+  }
+}
+
+TEST(ZOverapprox, WideSystemsTakeTheVisibleStateFallback) {
+  // Too wide for one word: Z comes from the VisibleState BFS, with the
+  // same result, generator filter and budget trajectory.
+  CpdsFile F = buildWideCpds();
+  ASSERT_FALSE(VisiblePacker(F.System).packable());
+  expectZMatchesReference(F.System, "wide");
+  expectSameBudgetTrajectory(F.System, "wide");
+  GeneratorSet G(F.System);
+  EXPECT_FALSE(computeGeneratorsInZ(F.System, G)->empty());
 }
 
 //===----------------------------------------------------------------------===//

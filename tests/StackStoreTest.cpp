@@ -191,6 +191,36 @@ TEST(VisiblePacker, PackingPreservesOrder) {
     EXPECT_EQ(Packed[I].second, All[I]) << "order diverges at " << I;
 }
 
+TEST(VisiblePacker, FieldShiftsRewriteOneField) {
+  // Z's packed exploration derives a successor by rewriting the Q field
+  // and one top field of its source word in place; that must equal
+  // packing the rewritten state.
+  Cpds C = makeCpds();
+  VisiblePacker P(C);
+  const uint64_t BelowQ = (uint64_t(1) << P.sharedShift()) - 1;
+  for (QState Q = 0; Q < 5; ++Q)
+    for (Sym A = 0; A <= 3; ++A)
+      for (Sym B = 0; B <= 6; ++B) {
+        VisibleState V;
+        V.Q = Q;
+        V.Tops = {A, B};
+        uint64_t W = P.pack(V);
+        Sym Tops[2];
+        EXPECT_EQ(P.unpack(W, Tops), Q);
+        EXPECT_EQ(Tops[0], A);
+        EXPECT_EQ(Tops[1], B);
+        for (unsigned I = 0; I < 2; ++I) {
+          VisibleState Succ = V;
+          Succ.Q = 4 - Q;
+          Succ.Tops[I] = (I == 0 ? 3 : 6) - V.Tops[I];
+          uint64_t Rewritten = (W & BelowQ & ~P.topMask(I)) |
+                               uint64_t(Succ.Q) << P.sharedShift() |
+                               uint64_t(Succ.Tops[I]) << P.topShift(I);
+          EXPECT_EQ(Rewritten, P.pack(Succ));
+        }
+      }
+}
+
 TEST(VisibleRoundSet, KeepsEarliestRoundAndSortsPerRound) {
   Cpds C = makeCpds();
   VisibleRoundSet S(C);

@@ -244,6 +244,72 @@ TEST_F(TraceDeterminismTest, SpansNestProperlyPerThreadTrack) {
   }
 }
 
+TEST_F(TraceDeterminismTest, PrefetchedSaturationStaysOnItsWorkersTrack) {
+  // A saturation adopted from the previous round's prefetch is emitted by
+  // the consuming round's commit with the prefetch's timestamps, so it
+  // must stay on the track of the worker that prefetched it.  A worker
+  // runs its tasks one at a time, so the task spans (saturate, extract)
+  // on any one track never overlap; a prefetched span drawn on the
+  // consuming worker's track lands on whatever that worker was running
+  // a round earlier.  Repeated across pool sizes, since which worker
+  // claims which task is up to the scheduler.
+  CpdsFile Bluetooth = models::buildBluetooth(3, 2, 2);
+  uint64_t Prefetched = 0;
+  for (int Rep = 0; Rep < 3; ++Rep) {
+    for (exec::ThreadPool *Pool : {&Pool2, &Pool8}) {
+      std::string Doc = runSymbolic(Bluetooth.System, Pool).Trace;
+      std::vector<std::vector<ParsedSpan>> TaskSpans;
+      uint64_t SpeculateTs = 0; // Start of the current round's batch.
+      size_t Pos = 0;
+      while (Pos < Doc.size()) {
+        size_t Eol = Doc.find('\n', Pos);
+        if (Eol == std::string::npos)
+          Eol = Doc.size();
+        std::string Line = Doc.substr(Pos, Eol - Pos);
+        Pos = Eol + 1;
+        auto Named = [&](const char *Name) {
+          return Line.rfind(std::string("{\"name\": \"") + Name + "\"", 0) ==
+                 0;
+        };
+        bool Speculate = Named("speculate");
+        bool Saturate = Named("saturate");
+        bool Extract = Named("extract");
+        if (!Speculate && !Saturate && !Extract)
+          continue;
+        ParsedSpan S;
+        S.Ts = fieldOf(Line, "\"ts\": ");
+        S.Dur = fieldOf(Line, "\"dur\": ");
+        S.Tid = static_cast<uint32_t>(fieldOf(Line, "\"tid\": "));
+        if (Speculate) {
+          SpeculateTs = S.Ts;
+          continue;
+        }
+        // Spans are emitted in commit order: a saturation that started
+        // before this round's batch was prefetched by the previous one.
+        if (Saturate && S.Ts < SpeculateTs)
+          ++Prefetched;
+        if (S.Tid >= TaskSpans.size())
+          TaskSpans.resize(S.Tid + 1);
+        TaskSpans[S.Tid].push_back(S);
+      }
+      for (size_t Tid = 0; Tid < TaskSpans.size(); ++Tid) {
+        std::vector<ParsedSpan> &Track = TaskSpans[Tid];
+        std::sort(Track.begin(), Track.end(),
+                  [](const ParsedSpan &A, const ParsedSpan &B) {
+                    return A.Ts < B.Ts;
+                  });
+        for (size_t I = 1; I < Track.size(); ++I)
+          EXPECT_LE(Track[I - 1].Ts + Track[I - 1].Dur, Track[I].Ts + 1)
+              << "task spans overlap on track " << Tid << " at ts="
+              << Track[I].Ts << " (jobs " << Pool->jobs() << ")";
+      }
+      if (HasFailure())
+        return;
+    }
+  }
+  EXPECT_GT(Prefetched, 0u) << "no prefetched saturation was adopted";
+}
+
 TEST_F(TraceDeterminismTest, WorkerAttributionAppearsAthigherJobCounts) {
   // With 8 jobs on a model with enough pending groups, at least one
   // saturate/extract span must be attributed to a non-driver worker --
