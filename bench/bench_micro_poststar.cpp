@@ -61,11 +61,11 @@ void BM_PostStarTower(benchmark::State &State) {
 }
 BENCHMARK(BM_PostStarTower)->Arg(4)->Arg(16)->Arg(64);
 
-/// An infinite input language over the tower alphabet: a0 b0* (one
-/// overwrite head plus a pumpable tail), shaped like the rooted
-/// languages the symbolic engine feeds its transactions.
+/// An infinite input language over the tower's bottom-lifted alphabet:
+/// a0 b0* (one overwrite head plus a pumpable tail), shaped like the
+/// rooted languages the symbolic engine feeds its transactions.
 CanonicalDfa makeTowerLanguage(const Pds &P) {
-  Nfa A(P.numSymbols());
+  Nfa A(P.bottom());
   uint32_t S0 = A.addState(), S1 = A.addState();
   A.setInitial(S0);
   A.addEdge(S0, P.symbolByName("a0"), S1);

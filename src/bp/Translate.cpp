@@ -7,7 +7,7 @@
 
 #include "bp/Translate.h"
 
-#include <cstring>
+#include <iterator>
 #include <unordered_map>
 
 #include "bp/Parser.h"
@@ -30,13 +30,23 @@ struct BoolSet {
                                        : BoolSet{true, false}; }
   static BoolSet both() { return {true, true}; }
 
-  std::vector<bool> values() const {
-    std::vector<bool> V;
+  /// The possible values, false first, enumerated in place.
+  struct Values {
+    bool V[2] = {false, false};
+    uint8_t N = 0;
+    const bool *begin() const { return V; }
+    const bool *end() const { return V + N; }
+    size_t size() const { return N; }
+    bool operator[](size_t I) const { return V[I]; }
+  };
+
+  Values values() const {
+    Values R;
     if (Can0)
-      V.push_back(false);
+      R.V[R.N++] = false;
     if (Can1)
-      V.push_back(true);
-    return V;
+      R.V[R.N++] = true;
+    return R;
   }
 };
 
@@ -217,6 +227,29 @@ private:
   std::unordered_map<std::string, unsigned> LabelPc;
 };
 
+/// The rule labels the translation emits, in RuleNames order.
+enum class Rule : uint8_t {
+  Skip, Goto, Br1, Br0, Assume, AssertOk, AssertFail, Assign,
+  Bind, Ret, Lock, Unlock, Source, Sanitize, Sink, Call
+};
+constexpr const char *RuleNames[] = {
+    "skip",   "goto",      "br1",         "br0",
+    "assume", "assert-ok", "assert-fail", "assign",
+    "bind",   "ret",       "lock",        "unlock",
+    "source", "sanitize",  "sink",        "call",
+};
+static_assert(std::size(RuleNames) == static_cast<size_t>(Rule::Call) + 1,
+              "one name per rule label");
+
+/// One flattened function's slice of a thread's frame-symbol table:
+/// frame (pc, locals) sits at Base + (pc << LocalBits) + locals.
+struct FuncSlot {
+  const FlatFunction *Flat;
+  const std::string *Name;
+  size_t Base;
+  unsigned LocalBits;
+};
+
 /// The CPDS emission context.
 class Emitter {
 public:
@@ -261,6 +294,7 @@ public:
 
     if (auto R = checkSize(); !R)
       return R.error();
+    indexFunctions();
     buildSharedStates();
     for (size_t T = 0; T < P.ThreadEntries.size(); ++T)
       if (auto R = buildThread(static_cast<unsigned>(T)); !R)
@@ -289,6 +323,18 @@ private:
       return Error("translated system would be too large (" +
                    std::to_string(Rules) + " rule slots); reduce the "
                    "number of variables");
+    // Every thread's alphabet is one symbol per (function, pc, locals)
+    // frame.  The saturations pack symbol ids, the bottom marker one past
+    // the alphabet included, into 21-bit fields.
+    uint64_t Frames = 0;
+    for (auto &[Name, Flat] : Flats)
+      Frames += Flat.Ops.size() << Flat.F->AllLocals.size();
+    if (!P.ThreadEntries.empty() && Frames + 1 >= (1u << 21))
+      return Error("thread " + P.ThreadEntries[0] +
+                   ".1: alphabet too large (" + std::to_string(Frames) +
+                   " frame symbols plus the bottom marker reach the 2^21 "
+                   "limit of the saturations); reduce the number of locals "
+                   "or statements");
     return {};
   }
 
@@ -349,25 +395,36 @@ private:
     cuba_unreachable("covered switch over ExprKind");
   }
 
-  /// Stack symbol of (function, pc, locals) in thread \p T's alphabet.
-  Sym frameSym(unsigned T, const std::string &Func, unsigned Pc,
-               uint32_t Locals) {
-    auto &Map = FrameSyms[T];
-    uint64_t Key = (static_cast<uint64_t>(FuncIndex.at(Func)) << 40) |
-                   (static_cast<uint64_t>(Pc) << 16) | Locals;
-    auto It = Map.find(Key);
-    if (It != Map.end())
-      return It->second;
-    std::string Name = Func + "." + std::to_string(Pc);
-    const FlatFunction &Flat = Flats.at(Func);
-    if (!Flat.F->AllLocals.empty()) {
+  /// Stack symbol of (\p F, pc, locals) in the current thread's
+  /// alphabet, created on first use.
+  Sym frameSym(const FuncSlot &F, unsigned Pc, uint32_t Locals) {
+    assert(Pc < F.Flat->Ops.size() && Locals < (1u << F.LocalBits) &&
+           "frame outside its function");
+    Sym &S =
+        FrameTable[F.Base + (static_cast<size_t>(Pc) << F.LocalBits) + Locals];
+    if (S != EpsSym)
+      return S;
+    std::string Name = *F.Name + "." + std::to_string(Pc);
+    if (F.LocalBits) {
       Name += ".";
-      for (size_t B = 0; B < Flat.F->AllLocals.size(); ++B)
+      for (unsigned B = 0; B < F.LocalBits; ++B)
         Name += (Locals >> B) & 1 ? '1' : '0';
     }
-    Sym S = File.System.thread(T).addSymbol(std::move(Name));
-    Map.emplace(Key, S);
+    S = Cur->addSymbol(std::move(Name));
     return S;
+  }
+
+  /// Lays out one FuncSlot per flattened function, in Flats order (the
+  /// emission order, which fixes the symbol numbering).
+  void indexFunctions() {
+    size_t Base = 0;
+    for (auto &[Name, Flat] : Flats) {
+      unsigned LocalBits = static_cast<unsigned>(Flat.F->AllLocals.size());
+      FuncIndex.emplace(Name, static_cast<unsigned>(Funcs.size()));
+      Funcs.push_back({&Flat, &Name, Base, LocalBits});
+      Base += Flat.Ops.size() << LocalBits;
+    }
+    NumFrames = Base;
   }
 
   ErrorOr<void> buildThread(unsigned T) {
@@ -377,85 +434,80 @@ private:
     unsigned Idx = File.System.addThread(Entry + "." + std::to_string(T + 1));
     assert(Idx == T && "thread indices must align with entries");
     (void)Idx;
-    FrameSyms.emplace(T, std::unordered_map<uint64_t, Sym>());
-    FuncIndex.clear();
-    unsigned FI = 0;
-    for (auto &[Name, Flat] : Flats)
-      FuncIndex.emplace(Name, FI++);
+    Cur = &File.System.thread(T);
+    FrameTable.assign(NumFrames, EpsSym);
+    for (size_t R = 0; R < std::size(RuleNames); ++R)
+      RuleLabels[R] = Cur->internLabel(RuleNames[R]);
 
     unsigned NumShared = 1u << SharedBitCount;
-    for (auto &[Name, Flat] : Flats) {
-      unsigned LocalBits = static_cast<unsigned>(Flat.F->AllLocals.size());
-      for (unsigned Pc = 0; Pc < Flat.Ops.size(); ++Pc)
-        for (uint32_t L = 0; L < (1u << LocalBits); ++L)
+    for (const FuncSlot &F : Funcs)
+      for (unsigned Pc = 0; Pc < F.Flat->Ops.size(); ++Pc)
+        for (uint32_t L = 0; L < (1u << F.LocalBits); ++L)
           for (uint32_t Q = 0; Q < NumShared; ++Q)
-            emitOp(T, Name, Flat, Pc, Q, L);
-    }
-    File.System.setInitialStack(T, {frameSym(T, Entry, 0, 0)});
+            emitOp(T, F, Pc, Q, L);
+    File.System.setInitialStack(T, {frameSym(func(Entry), 0, 0)});
     return {};
   }
 
-  /// Returns the new action's index in thread \p T's delta, or
+  const FuncSlot &func(const std::string &Name) const {
+    return Funcs[FuncIndex.at(Name)];
+  }
+
+  /// Returns the new action's index in the current thread's delta, or
   /// UINT32_MAX when the testing hook swallowed it.
-  uint32_t addRule(unsigned T, uint32_t Q, Sym Src, uint32_t Q2, Sym Dst0,
-                   Sym Dst1, const char *Label) {
+  uint32_t addRule(uint32_t Q, Sym Src, uint32_t Q2, Sym Dst0, Sym Dst1,
+                   Rule R) {
     if (bp_testing::InjectDropAssignRule && !DroppedAssign &&
-        std::strcmp(Label, "assign") == 0) {
+        R == Rule::Assign) {
       DroppedAssign = true;
       return UINT32_MAX;
     }
-    Action A;
-    A.SrcQ = Q;
-    A.SrcSym = Src;
-    A.DstQ = Q2;
-    A.Dst0 = Dst0;
-    A.Dst1 = Dst1;
-    A.Label = Label;
-    return File.System.thread(T).addAction(std::move(A));
+    return Cur->addAction(Action{Q, Src, Q2, Dst0, Dst1,
+                                 RuleLabels[static_cast<size_t>(R)]});
   }
 
-  void emitOp(unsigned T, const std::string &Func, const FlatFunction &Flat,
-              unsigned Pc, uint32_t Q, uint32_t L) {
-    const FlatOp &Op = Flat.Ops[Pc];
-    Sym Here = frameSym(T, Func, Pc, L);
+  void emitOp(unsigned T, const FuncSlot &F, unsigned Pc, uint32_t Q,
+              uint32_t L) {
+    const FlatOp &Op = F.Flat->Ops[Pc];
+    Sym Here = frameSym(F, Pc, L);
     auto Next = [&](unsigned ToPc, uint32_t L2) {
-      return frameSym(T, Func, ToPc, L2);
+      return frameSym(F, ToPc, L2);
     };
 
     switch (Op.Kind) {
     case FlatOp::K::Skip:
-      addRule(T, Q, Here, Q, Next(Pc + 1, L), EpsSym, "skip");
+      addRule(Q, Here, Q, Next(Pc + 1, L), EpsSym, Rule::Skip);
       return;
     case FlatOp::K::Goto:
       for (unsigned To : Op.Targets)
-        addRule(T, Q, Here, Q, Next(To, L), EpsSym, "goto");
+        addRule(Q, Here, Q, Next(To, L), EpsSym, Rule::Goto);
       return;
     case FlatOp::K::Branch: {
       BoolSet V = evalExpr(*Op.S->Cond, Q, L);
       if (V.Can1)
-        addRule(T, Q, Here, Q, Next(Op.Targets[0], L), EpsSym, "br1");
+        addRule(Q, Here, Q, Next(Op.Targets[0], L), EpsSym, Rule::Br1);
       if (V.Can0)
-        addRule(T, Q, Here, Q, Next(Op.Targets[1], L), EpsSym, "br0");
+        addRule(Q, Here, Q, Next(Op.Targets[1], L), EpsSym, Rule::Br0);
       return;
     }
     case FlatOp::K::Assume: {
       if (evalExpr(*Op.S->Cond, Q, L).Can1)
-        addRule(T, Q, Here, Q, Next(Pc + 1, L), EpsSym, "assume");
+        addRule(Q, Here, Q, Next(Pc + 1, L), EpsSym, Rule::Assume);
       return;
     }
     case FlatOp::K::Assert: {
       BoolSet V = evalExpr(*Op.S->Cond, Q, L);
       if (V.Can1)
-        addRule(T, Q, Here, Q, Next(Pc + 1, L), EpsSym, "assert-ok");
+        addRule(Q, Here, Q, Next(Pc + 1, L), EpsSym, Rule::AssertOk);
       if (V.Can0)
-        addRule(T, Q, Here, ErrState, Here, EpsSym, "assert-fail");
+        addRule(Q, Here, ErrState, Here, EpsSym, Rule::AssertFail);
       return;
     }
     case FlatOp::K::Assign:
-      emitAssign(T, Func, Op, Pc, Q, L, Here);
+      emitAssign(F, Op, Pc, Q, L, Here);
       return;
     case FlatOp::K::Call:
-      emitCall(T, Func, Op, Q, L, Here);
+      emitCall(F, Op, Q, L, Here);
       return;
     case FlatOp::K::Bind: {
       // x := $ret at the return site of `x := call f(...)`.
@@ -464,27 +516,27 @@ private:
       int Slot = Op.S->TargetSlots[0];
       uint32_t Q2 = IsShared ? setBit(Q, Slot, Ret) : Q;
       uint32_t L2 = IsShared ? L : setBit(L, Slot, Ret);
-      addRule(T, Q, Here, Q2, Next(Pc + 1, L2), EpsSym, "bind");
+      addRule(Q, Here, Q2, Next(Pc + 1, L2), EpsSym, Rule::Bind);
       return;
     }
     case FlatOp::K::Return: {
       if (Op.S && Op.S->RetValue) {
         for (bool V : evalExpr(*Op.S->RetValue, Q, L).values())
-          addRule(T, Q, Here, setBit(Q, retBit(T), V), EpsSym, EpsSym,
-                  "ret");
+          addRule(Q, Here, setBit(Q, retBit(T), V), EpsSym, EpsSym,
+                  Rule::Ret);
       } else {
-        addRule(T, Q, Here, Q, EpsSym, EpsSym, "ret");
+        addRule(Q, Here, Q, EpsSym, EpsSym, Rule::Ret);
       }
       return;
     }
     case FlatOp::K::Lock:
       if (LockBit >= 0 && !bit(Q, LockBit))
-        addRule(T, Q, Here, setBit(Q, LockBit, true), Next(Pc + 1, L),
-                EpsSym, "lock");
+        addRule(Q, Here, setBit(Q, LockBit, true), Next(Pc + 1, L),
+                EpsSym, Rule::Lock);
       return;
     case FlatOp::K::Unlock:
-      addRule(T, Q, Here, setBit(Q, LockBit, false), Next(Pc + 1, L),
-              EpsSym, "unlock");
+      addRule(Q, Here, setBit(Q, LockBit, false), Next(Pc + 1, L),
+              EpsSym, Rule::Unlock);
       return;
     case FlatOp::K::Taint:
       emitTaint(T, Op, Pc, Q, L, Here, Next(Pc + 1, L));
@@ -497,9 +549,9 @@ private:
     (void)Pc;
     (void)L;
     int Fact = Op.S->TaintSlot;
-    const char *Label = Op.S->Kind == StmtKind::Source     ? "source"
-                        : Op.S->Kind == StmtKind::Sanitize ? "sanitize"
-                                                           : "sink";
+    Rule Label = Op.S->Kind == StmtKind::Source     ? Rule::Source
+                 : Op.S->Kind == StmtKind::Sanitize ? Rule::Sanitize
+                                                    : Rule::Sink;
     uint32_t Q2 = Q;
     if (Opts.FoldTaint) {
       int FoldBit = FoldBitBase + Fact;
@@ -508,7 +560,7 @@ private:
       else if (Op.S->Kind == StmtKind::Sanitize)
         Q2 = setBit(Q, FoldBit, false);
     }
-    uint32_t AI = addRule(T, Q, Here, Q2, NextSym, EpsSym, Label);
+    uint32_t AI = addRule(Q, Here, Q2, NextSym, EpsSym, Label);
     if (!Opts.Taint)
       return;
     if (!Opts.FoldTaint && AI != UINT32_MAX &&
@@ -528,33 +580,27 @@ private:
       Opts.Taint->Sinks.push_back({T, Here, Fact});
   }
 
-  void emitAssign(unsigned T, const std::string &Func, const FlatOp &Op,
-                  unsigned Pc, uint32_t Q, uint32_t L, Sym Here) {
-    const Stmt &S = *Op.S;
-    size_t N = S.AssignTargets.size();
-    // Enumerate one chosen value per target (nondeterministic
-    // expressions contribute both); the parallel assignment applies all
-    // of them to the pre-state at once.
-    std::vector<std::vector<bool>> Choices(N);
+  /// Calls \p Fn once per choice of one value for each of \p Exprs at
+  /// (\p Q, \p L) -- nondeterministic expressions contribute both --
+  /// with the chosen values in order, the first expression varying
+  /// fastest.  The buffers are members, reused across calls, so
+  /// emission does not allocate per rule.
+  template <typename FnT>
+  void forEachChoice(const std::vector<ExprPtr> &Exprs, uint32_t Q,
+                     uint32_t L, FnT Fn) {
+    size_t N = Exprs.size();
+    Choices.resize(N);
+    ChoiceIdx.assign(N, 0);
+    Chosen.resize(N);
     for (size_t I = 0; I < N; ++I)
-      Choices[I] = evalExpr(*S.AssignValues[I], Q, L).values();
-    std::vector<size_t> Idx(N, 0);
+      Choices[I] = evalExpr(*Exprs[I], Q, L).values();
     while (true) {
-      uint32_t Q2 = Q, L2 = L;
-      for (size_t I = 0; I < N; ++I) {
-        bool V = Choices[I][Idx[I]];
-        if (S.TargetIsShared[I])
-          Q2 = setBit(Q2, S.TargetSlots[I], V);
-        else
-          L2 = setBit(L2, S.TargetSlots[I], V);
-      }
-      // `constrain e` filters on the post state.
-      if (!S.Constrain || evalExpr(*S.Constrain, Q2, L2).Can1)
-        addRule(T, Q, Here, Q2, frameSym(T, Func, Pc + 1, L2), EpsSym,
-                "assign");
+      for (size_t I = 0; I < N; ++I)
+        Chosen[I] = Choices[I][ChoiceIdx[I]];
+      Fn(Chosen);
       size_t I = 0;
-      while (I < N && ++Idx[I] == Choices[I].size()) {
-        Idx[I] = 0;
+      while (I < N && ++ChoiceIdx[I] == Choices[I].size()) {
+        ChoiceIdx[I] = 0;
         ++I;
       }
       if (I == N)
@@ -562,32 +608,36 @@ private:
     }
   }
 
-  void emitCall(unsigned T, const std::string &Func, const FlatOp &Op,
-                uint32_t Q, uint32_t L, Sym Here) {
+  void emitAssign(const FuncSlot &F, const FlatOp &Op, unsigned Pc,
+                  uint32_t Q, uint32_t L, Sym Here) {
     const Stmt &S = *Op.S;
-    const FlatFunction &Callee = Flats.at(S.Callee);
-    size_t N = S.CallArgs.size();
-    std::vector<std::vector<bool>> Choices(N);
-    for (size_t I = 0; I < N; ++I)
-      Choices[I] = evalExpr(*S.CallArgs[I], Q, L).values();
-    std::vector<size_t> Idx(N, 0);
-    while (true) {
-      uint32_t CalleeLocals = 0;
-      for (size_t I = 0; I < N; ++I)
-        CalleeLocals =
-            setBit(CalleeLocals, static_cast<int>(I), Choices[I][Idx[I]]);
-      Sym EntrySym = frameSym(T, S.Callee, 0, CalleeLocals);
-      Sym RetSym = frameSym(T, Func, Op.Targets[0], L);
-      addRule(T, Q, Here, Q, EntrySym, RetSym, "call");
-      size_t I = 0;
-      while (I < N && ++Idx[I] == Choices[I].size()) {
-        Idx[I] = 0;
-        ++I;
+    // The parallel assignment applies every chosen value to the
+    // pre-state at once.
+    forEachChoice(S.AssignValues, Q, L, [&](const std::vector<uint8_t> &V) {
+      uint32_t Q2 = Q, L2 = L;
+      for (size_t I = 0; I < V.size(); ++I) {
+        if (S.TargetIsShared[I])
+          Q2 = setBit(Q2, S.TargetSlots[I], V[I]);
+        else
+          L2 = setBit(L2, S.TargetSlots[I], V[I]);
       }
-      if (I == N || N == 0)
-        break;
-    }
-    (void)Callee;
+      // `constrain e` filters on the post state.
+      if (!S.Constrain || evalExpr(*S.Constrain, Q2, L2).Can1)
+        addRule(Q, Here, Q2, frameSym(F, Pc + 1, L2), EpsSym, Rule::Assign);
+    });
+  }
+
+  void emitCall(const FuncSlot &F, const FlatOp &Op, uint32_t Q, uint32_t L,
+                Sym Here) {
+    const FuncSlot &Callee = func(Op.S->Callee);
+    forEachChoice(Op.S->CallArgs, Q, L, [&](const std::vector<uint8_t> &V) {
+      uint32_t CalleeLocals = 0;
+      for (size_t I = 0; I < V.size(); ++I)
+        CalleeLocals = setBit(CalleeLocals, static_cast<int>(I), V[I]);
+      Sym EntrySym = frameSym(Callee, 0, CalleeLocals);
+      Sym RetSym = frameSym(F, Op.Targets[0], L);
+      addRule(Q, Here, Q, EntrySym, RetSym, Rule::Call);
+    });
   }
 
   const Program &P;
@@ -601,8 +651,19 @@ private:
   int FoldBitBase = 0;
   QState ErrState = 0;
   std::unordered_map<std::string, FlatFunction> Flats;
+  /// One slot per flattened function, in emission order.
+  std::vector<FuncSlot> Funcs;
   std::unordered_map<std::string, unsigned> FuncIndex;
-  std::unordered_map<unsigned, std::unordered_map<uint64_t, Sym>> FrameSyms;
+  size_t NumFrames = 0;
+  /// The thread being emitted, its frame symbols (EpsSym until
+  /// created) and its interned rule labels.
+  Pds *Cur = nullptr;
+  std::vector<Sym> FrameTable;
+  LabelId RuleLabels[std::size(RuleNames)] = {};
+  /// forEachChoice's reusable buffers.
+  std::vector<BoolSet::Values> Choices;
+  std::vector<size_t> ChoiceIdx;
+  std::vector<uint8_t> Chosen;
 };
 
 } // namespace

@@ -593,8 +593,8 @@ CbaEngine::traceToVisible(const VisibleState &V) const {
       break;
     }
     Step.Thread = I.Thread;
-    const Action &A = C.thread(I.Thread).actions()[I.ActionIdx];
-    Step.Label = A.Label.empty() ? "step" : A.Label;
+    const std::string &Label = C.thread(I.Thread).label(I.ActionIdx);
+    Step.Label = Label.empty() ? "step" : Label;
     Trace.push_back(std::move(Step));
     Cur = I.Parent;
   }

@@ -7,7 +7,6 @@
 
 #include "core/FcrCheck.h"
 
-#include "psa/BottomTransform.h"
 #include "psa/PostStar.h"
 
 using namespace cuba;
@@ -15,33 +14,20 @@ using namespace cuba;
 std::pair<bool, bool>
 cuba::threadShortStackReachabilityFinite(const Pds &P, uint32_t NumShared,
                                          LimitTracker *Limits) {
-  // Work in the bottom-transformed system: original stacks w correspond
-  // to w _bot, which both removes empty-stack rules (a post*
-  // prerequisite) and preserves language finiteness (words only grow by
-  // the one trailing marker).
-  BottomedPds B = eliminateEmptyStackRules(P, NumShared);
-
-  // Start set Q x Sigma^{<=1}, lifted: <q | _bot> and <q | s _bot>.
-  PAutomaton Start(NumShared, B.P.numSymbols());
-  uint32_t Mid = Start.addState();
-  uint32_t Fin = Start.addState();
-  Start.setAccepting(Fin);
-  for (QState Q = 0; Q < NumShared; ++Q) {
-    Start.addEdge(Q, B.Bottom, Fin);
-    for (Sym S = 1; S <= P.numSymbols(); ++S)
-      Start.addEdge(Q, S, Mid);
-  }
-  Start.addEdge(Mid, B.Bottom, Fin);
-
-  PostStarResult R = postStar(B.P, Start, Limits);
+  // Work in the bottom-lifted system: original stacks w are read as
+  // w bot, which lets post* fire the empty-stack rules on the marker and
+  // preserves language finiteness (words only grow by the one trailing
+  // marker).  P is saturated in place; nothing is copied.
+  PostStarResult R =
+      postStar(P, shortStackAutomaton(NumShared, P.bottom()), Limits);
   if (!R.Complete)
     return {false, false};
 
-  // R(Q x Sigma^{<=1}) is the union over all shared roots.
-  std::vector<QState> Roots;
+  // R(Q x Sigma^{<=1}) is the union over all shared roots, read off the
+  // saturated automaton itself.
+  Nfa &Lang = R.Automaton.nfa();
   for (QState Q = 0; Q < NumShared; ++Q)
-    Roots.push_back(Q);
-  Nfa Lang = R.Automaton.rootedNfa(Roots);
+    Lang.setInitial(Q);
   return {Lang.isLanguageFinite(), true};
 }
 

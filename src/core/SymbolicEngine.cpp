@@ -39,10 +39,6 @@ SymbolicEngine::SymbolicEngine(const Cpds &C, const ResourceLimits &Limits)
   assert(C.frozen() && "SymbolicEngine requires a frozen CPDS");
   if (C.numThreads() > SymbolicState{}.Langs.inlineCapacity())
     PerStateExtraBytes = C.numThreads() * sizeof(DfaId);
-  for (unsigned I = 0; I < C.numThreads(); ++I)
-    Bottomed.push_back(
-        eliminateEmptyStackRules(C.thread(I), C.numSharedStates()));
-
   // The initial symbolic state: each thread's language is the lifted
   // initial stack (one word, ending in the bottom marker).
   GlobalState Init = C.initialState();
@@ -51,9 +47,9 @@ SymbolicEngine::SymbolicEngine(const Cpds &C, const ResourceLimits &Limits)
   for (unsigned I = 0; I < C.numThreads(); ++I) {
     // Stacks are stored bottom-first; automata read top-first.
     std::vector<Sym> Word(Init.Stacks[I].rbegin(), Init.Stacks[I].rend());
-    Word.push_back(Bottomed[I].Bottom);
-    S.Langs.push_back(Store.intern(
-        singleWordLanguage(Bottomed[I].P.numSymbols(), Word)));
+    Sym Bottom = C.thread(I).bottom();
+    Word.push_back(Bottom);
+    S.Langs.push_back(Store.intern(singleWordLanguage(Bottom, Word)));
   }
   addState(std::move(S), 0, UINT32_MAX, &Frontier);
 }
@@ -72,7 +68,7 @@ const std::vector<Sym> &SymbolicEngine::topsOf(unsigned Thread, DfaId Lang) {
   // bottom marker on top encodes the empty original stack.
   const CanonicalDfa &D = Store.get(Lang);
   std::vector<Sym> Tops;
-  Sym Bottom = Bottomed[Thread].Bottom;
+  Sym Bottom = C.thread(Thread).bottom();
   if (D.Start != CanonicalDfa::NoState) {
     if (D.Accepting[D.Start])
       Tops.push_back(EpsSym); // Unreachable with lifted words; general.
@@ -291,7 +287,7 @@ bool SymbolicEngine::expand(const SymbolicState &S, unsigned I,
     uint64_t StepsBefore = Limits.steps();
     uint64_t Ts0 = obs::Trace::nowNs();
     SharedSaturationResult R = sharedPostStar(
-        Bottomed[I].P, C.numSharedStates(), Store.get(Lang), &Limits);
+        C.thread(I), C.numSharedStates(), Store.get(Lang), &Limits);
     uint64_t Ts1 = obs::Trace::nowNs();
     if (!R.Complete)
       return false;
@@ -340,11 +336,11 @@ void SymbolicEngine::computePendingSat(PendingSat &P,
   // carries the prefetch's timestamps, so it belongs on that track.
   if (!P.Prefilled)
     P.Worker = Worker;
-  // Everything here reads only state frozen for the round: the
-  // bottom-transformed PDSs, the DfaStore arena and the retained
-  // saturations (both only append, in the serial commit), and the pds
-  // structure.  The budget is a local unlimited recorder -- the commit
-  // replays its pop count against the real tracker in serial order.
+  // Everything here reads only state frozen for the round: the CPDS,
+  // the DfaStore arena and the retained saturations (both only append,
+  // in the serial commit).  The budget is a local unlimited recorder --
+  // the commit replays its pop count against the real tracker in serial
+  // order.
   const SharedSaturation *Sat;
   if (P.CachedSat != UINT32_MAX) {
     Sat = &SharedSats[P.CachedSat].Sat;
@@ -363,7 +359,7 @@ void SymbolicEngine::computePendingSat(PendingSat &P,
     LimitTracker Recorder(RL);
     P.TsBegin = obs::Trace::nowNs();
     SharedSaturationResult R = sharedPostStar(
-        Bottomed[P.Thread].P, C.numSharedStates(), Store.get(P.InLang),
+        C.thread(P.Thread), C.numSharedStates(), Store.get(P.InLang),
         &Recorder);
     P.TsEnd = obs::Trace::nowNs();
     assert((R.Complete || RL.MaxBytes) &&
@@ -399,7 +395,7 @@ void SymbolicEngine::computePrefetch(PrefetchedSat &P,
   LimitTracker Recorder(RL);
   P.TsBegin = obs::Trace::nowNs();
   SharedSaturationResult R = sharedPostStar(
-      Bottomed[P.Thread].P, C.numSharedStates(), Store.get(P.InLang),
+      C.thread(P.Thread), C.numSharedStates(), Store.get(P.InLang),
       &Recorder);
   P.TsEnd = obs::Trace::nowNs();
   P.BaseSteps = Recorder.steps();

@@ -11,9 +11,10 @@
 /// sets S_k are sets of *symbolic states* <q | A_1..A_n>: a shared state
 /// plus one regular stack language per thread (the Qadeer-Rehof
 /// aggregate).  One round expands each frontier symbolic state by each
-/// thread i: a post* saturation of thread i's (bottom-transformed) PDS
-/// from the rooted language yields, for every shared state q' reachable
-/// in that transaction, a successor symbolic state.
+/// thread i: a post* saturation of thread i's PDS (read with its
+/// built-in bottom marker, Pds::bottom) from the rooted language yields,
+/// for every shared state q' reachable in that transaction, a successor
+/// symbolic state.
 ///
 /// Stack languages are stored as canonical minimal DFAs over the
 /// bottom-extended alphabets, hash-consed into 32-bit DfaIds by a
@@ -87,7 +88,6 @@
 #include "fa/DfaStore.h"
 #include "pds/Cpds.h"
 #include "pds/VisibleSet.h"
-#include "psa/BottomTransform.h"
 #include "psa/SaturationEngine.h"
 #include "support/FlatHash.h"
 #include "support/Limits.h"
@@ -411,10 +411,6 @@ private:
   const Cpds &C;
   LimitTracker Limits;
   unsigned Bound = 0;
-
-  /// Bottom-transformed per-thread PDSs (the engine works entirely over
-  /// the extended alphabets).
-  std::vector<BottomedPds> Bottomed;
 
   /// The hash-consing arena all per-thread languages live in.
   DfaStore Store;

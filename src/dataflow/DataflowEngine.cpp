@@ -50,17 +50,11 @@ DataflowEngine::DataflowEngine(const Cpds &C, const TaintInfo &Taint,
          "the side table must come from the same (base) translation");
   FoldErr = static_cast<QState>(1) << (SharedBits + Taint.FactNames.size());
 
-  for (unsigned I = 0; I < C.numThreads(); ++I)
-    Bottomed.push_back(
-        eliminateEmptyStackRules(C.thread(I), C.numSharedStates()));
-
-  // Per-action rule weights over the transformed deltas: the bottom
-  // transform copies the original actions in order (and taint rules are
-  // overwrite-shaped, never empty-stack), so the frontend's indices are
-  // valid as-is; appended rules default to identity.
+  // Per-action rule weights, indexed by the frontend's action indices;
+  // rules without a taint effect default to identity.
   RuleTf.resize(C.numThreads());
   for (unsigned I = 0; I < C.numThreads(); ++I)
-    RuleTf[I].assign(Bottomed[I].P.actions().size(), TaintTf{});
+    RuleTf[I].assign(C.thread(I).actions().size(), TaintTf{});
   for (const TaintActionWeight &W : Taint.Weights) {
     assert(W.Thread < RuleTf.size() &&
            W.Action < RuleTf[W.Thread].size() && "stale taint side table");
@@ -75,9 +69,9 @@ DataflowEngine::DataflowEngine(const Cpds &C, const TaintInfo &Taint,
   for (unsigned I = 0; I < C.numThreads(); ++I) {
     // Stacks are stored bottom-first; automata read top-first.
     std::vector<Sym> Word(Init.Stacks[I].rbegin(), Init.Stacks[I].rend());
-    Word.push_back(Bottomed[I].Bottom);
-    S.Langs.push_back(
-        Store.intern(singleWordLanguage(Bottomed[I].P.numSymbols(), Word)));
+    Sym Bottom = C.thread(I).bottom();
+    Word.push_back(Bottom);
+    S.Langs.push_back(Store.intern(singleWordLanguage(Bottom, Word)));
   }
   addState(std::move(S), 0, UINT32_MAX, &Frontier);
 }
@@ -95,7 +89,7 @@ const std::vector<Sym> &DataflowEngine::topsOf(unsigned Thread, DfaId Lang) {
   // the bottom marker on top encodes the empty original stack.
   const CanonicalDfa &D = Store.get(Lang);
   std::vector<Sym> Tops;
-  Sym Bottom = Bottomed[Thread].Bottom;
+  Sym Bottom = C.thread(Thread).bottom();
   if (D.Start != CanonicalDfa::NoState) {
     if (D.Accepting[D.Start])
       Tops.push_back(EpsSym);
@@ -205,7 +199,7 @@ uint32_t DataflowEngine::saturate(unsigned I, DfaId Lang) {
 
   uint64_t StepsBefore = Limits.steps();
   WeightedSaturatorT<TaintDomain> Sat(
-      Bottomed[I].P, C.numSharedStates(), Store.get(Lang), &Limits,
+      C.thread(I), C.numSharedStates(), Store.get(Lang), &Limits,
       TaintDomain(std::move(Tab), std::move(TfBy)));
   WeightedResult<TaintDomain> R = Sat.run();
   PopsPerSat.observe(Limits.steps() - StepsBefore);

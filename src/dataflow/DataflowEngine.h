@@ -54,7 +54,6 @@
 #include "fa/Nfa.h"
 #include "pds/Cpds.h"
 #include "pds/State.h"
-#include "psa/BottomTransform.h"
 #include "psa/WeightedPostStar.h"
 #include "support/FlatHash.h"
 #include "support/Limits.h"
@@ -236,10 +235,9 @@ private:
   QState BaseErr = 0;
   QState FoldErr = 0;
 
-  std::vector<BottomedPds> Bottomed;
-  /// Per-thread rule weights (action index -> (Kill, Gen)), over the
-  /// bottom-transformed deltas (the transform preserves the original
-  /// action indices).
+  /// Per-thread rule weights (action index -> (Kill, Gen)).  The
+  /// saturator fires empty-stack rules on the bottom marker under their
+  /// original action indices, so one table serves both readings.
   std::vector<std::vector<TaintTf>> RuleTf;
 
   DfaStore Store;

@@ -299,7 +299,7 @@ private:
         // A rule label: `label : ( ... ) -> ( ... )`.
         if (auto R = expect(TokKind::Colon, "':' after the rule label"); !R)
           return R.error();
-        if (auto R = parseRule(P, TI, std::string(*Word)); !R)
+        if (auto R = parseRule(P, TI, *Word); !R)
           return R.error();
       }
     }
@@ -331,9 +331,10 @@ private:
     return S;
   }
 
-  ErrorOr<void> parseRule(Pds &P, unsigned /*ThreadIdx*/, std::string Label) {
+  ErrorOr<void> parseRule(Pds &P, unsigned /*ThreadIdx*/,
+                          std::string_view Label) {
     Action A;
-    A.Label = std::move(Label);
+    A.Label = P.internLabel(Label);
     if (auto R = expect(TokKind::LParen, "'('"); !R)
       return R.error();
     auto Q = sharedRef();
@@ -379,7 +380,7 @@ private:
     }
     if (auto R = expect(TokKind::RParen, "')'"); !R)
       return R.error();
-    P.addAction(std::move(A));
+    P.addAction(A);
     return {};
   }
 
@@ -484,11 +485,13 @@ std::string cuba::printCpds(const CpdsFile &File) {
         Out += " " + P.symbolName(*It);
       Out += "\n";
     }
-    for (const Action &A : P.actions()) {
+    for (uint32_t AI = 0; AI < P.actions().size(); ++AI) {
+      const Action &A = P.actions()[AI];
+      const std::string &Label = P.label(AI);
       Out += "  ";
       // Labels are diagnostic only; drop any that would not re-lex.
-      if (!A.Label.empty() && isIdentifier(A.Label))
-        Out += A.Label + ": ";
+      if (!Label.empty() && isIdentifier(Label))
+        Out += Label + ": ";
       Out += "(" + C.sharedStateName(A.SrcQ) + ", " +
              (A.SrcSym == EpsSym ? "eps" : P.symbolName(A.SrcSym)) + ") -> (" +
              C.sharedStateName(A.DstQ) + ", " + targetWord(P, A) + ")\n";

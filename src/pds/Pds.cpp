@@ -9,65 +9,99 @@
 
 #include <algorithm>
 
+#include "support/Hashing.h"
+
 using namespace cuba;
+
+/// Finds the lowest id I with Names[I] == \p Name through \p Index,
+/// which maps a name hash to the lowest id carrying that hash.  A hash
+/// shared by two distinct names falls back to scanning past the owner,
+/// so the answer is exact either way.  Returns \p NotFound on a miss.
+static uint32_t findName(const std::vector<std::string> &Names,
+                         const FlatMap<uint64_t, uint32_t> &Index,
+                         std::string_view Name, uint32_t NotFound) {
+  const uint32_t *Owner = Index.find(hashString(Name));
+  if (!Owner)
+    return NotFound;
+  for (size_t I = *Owner; I < Names.size(); ++I)
+    if (Names[I] == Name)
+      return static_cast<uint32_t>(I);
+  return NotFound;
+}
 
 Sym Pds::addSymbol(std::string Name) {
   assert(!Frozen && "cannot add symbols after freeze()");
+  Sym S = static_cast<Sym>(SymNames.size());
+  SymIndex.tryEmplace(hashString(Name), S);
   SymNames.push_back(std::move(Name));
-  return static_cast<Sym>(SymNames.size() - 1);
+  return S;
 }
 
 Sym Pds::symbolByName(std::string_view Name) const {
-  for (size_t I = 1; I < SymNames.size(); ++I)
-    if (SymNames[I] == Name)
-      return static_cast<Sym>(I);
-  return EpsSym;
+  return findName(SymNames, SymIndex, Name, EpsSym);
 }
 
-uint32_t Pds::addAction(Action A) {
+LabelId Pds::internLabel(std::string_view Name) {
+  if (Name.empty())
+    return 0;
+  LabelId L = findName(LabelNames, LabelIndex, Name, UINT32_MAX);
+  if (L != UINT32_MAX)
+    return L;
+  L = static_cast<LabelId>(LabelNames.size());
+  LabelIndex.tryEmplace(hashString(Name), L);
+  LabelNames.emplace_back(Name);
+  return L;
+}
+
+uint32_t Pds::addAction(const Action &A) {
   assert(!Frozen && "cannot add actions after freeze()");
-  Delta.push_back(std::move(A));
+  assert(A.Label < LabelNames.size() && "label not interned in this PDS");
+  Delta.push_back(A);
   return static_cast<uint32_t>(Delta.size() - 1);
 }
 
-/// Returns true when \p S names a symbol of this alphabet or epsilon.
-static bool symbolInRange(Sym S, uint32_t NumSymbols) {
-  return S <= NumSymbols;
+uint32_t Pds::addAction(const NamedAction &A) {
+  return addAction(
+      Action{A.SrcQ, A.SrcSym, A.DstQ, A.Dst0, A.Dst1, internLabel(A.Label)});
 }
 
 ErrorOr<void> Pds::freeze(uint32_t NumSharedStates) {
   assert(!Frozen && "freeze() called twice");
   uint32_t NumSyms = numSymbols();
-  for (const Action &A : Delta) {
+  for (uint32_t I = 0; I < Delta.size(); ++I) {
+    const Action &A = Delta[I];
+    auto Fail = [&](const char *What) {
+      return Error("action '" + label(I) + "': " + What);
+    };
     if (A.SrcQ >= NumSharedStates || A.DstQ >= NumSharedStates)
-      return Error("action '" + A.Label + "': shared state out of range");
-    if (!symbolInRange(A.SrcSym, NumSyms) || !symbolInRange(A.Dst0, NumSyms) ||
-        !symbolInRange(A.Dst1, NumSyms))
-      return Error("action '" + A.Label + "': stack symbol out of range");
+      return Fail("shared state out of range");
+    if (A.SrcSym > NumSyms || A.Dst0 > NumSyms || A.Dst1 > NumSyms)
+      return Fail("stack symbol out of range");
     // Target words are written left-packed: (Dst0, Dst1) may not be
     // (eps, s), which would encode a word with a hole in it.
     if (A.Dst0 == EpsSym && A.Dst1 != EpsSym)
-      return Error("action '" + A.Label + "': malformed target word");
+      return Fail("malformed target word");
     // Case (b) of the semantics: actions from the empty stack may write at
     // most one symbol.
     if (A.SrcSym == EpsSym && A.targetLength() > 1)
-      return Error("action '" + A.Label +
-                   "': empty-stack action must write at most one symbol");
+      return Fail("empty-stack action must write at most one symbol");
   }
 
-  // Two passes: count per-source fan-out first, so every bucket is
-  // allocated exactly once at its final size.
-  BySource.assign(static_cast<size_t>(NumSharedStates) * (NumSyms + 1), {});
-  std::vector<uint32_t> Fanout(BySource.size(), 0);
+  // CSR build: count per-source fan-out, prefix-sum to bucket ends, then
+  // place the indices back to front, which leaves every bucket in Delta
+  // order and SourceStart[key] at its bucket's start.
   auto SourceKey = [NumSyms](const Action &A) {
     return static_cast<size_t>(A.SrcQ) * (NumSyms + 1) + A.SrcSym;
   };
+  size_t NumKeys = static_cast<size_t>(NumSharedStates) * (NumSyms + 1);
+  SourceStart.assign(NumKeys + 1, 0);
   for (const Action &A : Delta)
-    ++Fanout[SourceKey(A)];
-  for (size_t Key = 0; Key < BySource.size(); ++Key)
-    BySource[Key].reserve(Fanout[Key]);
-  for (uint32_t I = 0; I < Delta.size(); ++I)
-    BySource[SourceKey(Delta[I])].push_back(I);
+    ++SourceStart[SourceKey(A)];
+  for (size_t Key = 1; Key <= NumKeys; ++Key)
+    SourceStart[Key] += SourceStart[Key - 1];
+  SourceActions.resize(Delta.size());
+  for (uint32_t I = static_cast<uint32_t>(Delta.size()); I-- > 0;)
+    SourceActions[--SourceStart[SourceKey(Delta[I])]] = I;
 
   // Build-then-query sorted vectors for the syntactic sets used by the
   // generator test (Eq. 2) and the Z overapproximation (Alg. 2).

@@ -9,7 +9,13 @@
 /// Sequential pushdown systems (PDS) as defined in Sec. 2.1 of the paper:
 /// a PDS is (Q, Sigma, Delta, qI) with actions (q, w) -> (q', w') where
 /// |w| <= 1 and |w'| <= 2.  Stack symbols are dense 32-bit ids local to
-/// each PDS; id 0 is reserved for the empty word epsilon.
+/// each PDS; id 0 is reserved for the empty word epsilon, and id
+/// numSymbols() + 1 is the built-in bottom-of-stack marker the
+/// saturations read the empty stack through.
+///
+/// A Pds is a handful of flat arrays built once and never copied: the
+/// action list, a CSR index from (shared state, top symbol) to action
+/// indices, and a table of distinct action labels.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,10 +24,13 @@
 
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/ErrorOr.h"
+#include "support/FlatHash.h"
 
 namespace cuba {
 
@@ -31,6 +40,9 @@ using QState = uint32_t;
 using Sym = uint32_t;
 /// Reserved symbol id for the empty word epsilon.
 inline constexpr Sym EpsSym = 0;
+/// Index into a Pds's table of distinct action labels; 0 is the empty
+/// label.
+using LabelId = uint32_t;
 
 /// Classification of PDS actions by the shape of (w, w'), following the
 /// semantics cases of Sec. 2.1.  Actions with a non-empty source symbol
@@ -47,16 +59,17 @@ enum class ActionKind : uint8_t {
 /// One pushdown action (q, SrcSym) -> (q', Dst0 Dst1).  For target words
 /// shorter than two symbols the unused slots hold EpsSym; for a push,
 /// Dst0 is the newly pushed top and Dst1 the symbol written underneath it
-/// (the rho0 / rho1 of the paper).
+/// (the rho0 / rho1 of the paper).  Trivially copyable: the label text
+/// lives in the owning Pds (Pds::label).
 struct Action {
   QState SrcQ = 0;
   Sym SrcSym = EpsSym;
   QState DstQ = 0;
   Sym Dst0 = EpsSym;
   Sym Dst1 = EpsSym;
-  /// Optional label for diagnostics and printing (f1, b2, ... in the
-  /// paper's figures).
-  std::string Label;
+  /// Label for diagnostics and printing (f1, b2, ... in the paper's
+  /// figures), as an id into the owning Pds's label table.
+  LabelId Label = 0;
 
   ActionKind kind() const {
     if (SrcSym == EpsSym)
@@ -74,6 +87,17 @@ struct Action {
   }
 };
 
+/// An action spelled with its label text, so models and tests can write
+/// P.addAction({q, s, q', r0, r1, "name"}).
+struct NamedAction {
+  QState SrcQ = 0;
+  Sym SrcSym = EpsSym;
+  QState DstQ = 0;
+  Sym Dst0 = EpsSym;
+  Sym Dst1 = EpsSym;
+  std::string_view Label;
+};
+
 /// A sequential pushdown system.  The shared-state set Q is owned by the
 /// enclosing Cpds (all threads share it); a Pds owns its stack alphabet
 /// and its pushdown program Delta.
@@ -81,9 +105,14 @@ struct Action {
 /// Typical construction: addSymbol() for each stack symbol, addAction()
 /// for each rule, then freeze(NumSharedStates) once, which validates the
 /// rules and builds the (q, top) -> actions index used by the engines.
+/// Move-only: every engine works on the one instance its Cpds owns.
 class Pds {
 public:
   Pds() = default;
+  Pds(Pds &&) = default;
+  Pds &operator=(Pds &&) = default;
+  Pds(const Pds &) = delete;
+  Pds &operator=(const Pds &) = delete;
 
   /// Registers a stack symbol named \p Name and returns its id (>= 1).
   Sym addSymbol(std::string Name);
@@ -94,19 +123,41 @@ public:
     return static_cast<uint32_t>(SymNames.size()) - 1;
   }
 
+  /// The bottom-of-stack marker, one past the alphabet.  Saturations of
+  /// the bottom-lifted system read the stack w as the word w followed by
+  /// bottom(), over the alphabet 1..bottom(); a transition labelled
+  /// bottom() at shared state q fires the empty-stack rules of q (see
+  /// rulesOn / liftedAction).  It is not a symbol of the PDS itself.
+  Sym bottom() const { return numSymbols() + 1; }
+
   const std::string &symbolName(Sym S) const {
     assert(S < SymNames.size() && "symbol out of range");
     return SymNames[S];
   }
 
-  /// Finds a symbol by name; returns EpsSym when not present ("eps"
-  /// itself maps to EpsSym).
+  /// Finds a symbol by name; the lowest id wins when names repeat.
+  /// Returns EpsSym when not present ("eps" itself maps to EpsSym).
+  /// A hash lookup, not a scan.
   Sym symbolByName(std::string_view Name) const;
 
-  /// Appends an action to Delta; returns its index.
-  uint32_t addAction(Action A);
+  /// Returns the id of label \p Name, adding it to the label table on
+  /// first use.  The empty name is id 0.
+  LabelId internLabel(std::string_view Name);
+
+  /// Appends an action to Delta; returns its index.  \p A's label must
+  /// come from internLabel() on this Pds.
+  uint32_t addAction(const Action &A);
+
+  /// Appends an action whose label is given as text.
+  uint32_t addAction(const NamedAction &A);
 
   const std::vector<Action> &actions() const { return Delta; }
+
+  /// The label text of action \p ActionIdx ("" when it has none).
+  const std::string &label(uint32_t ActionIdx) const {
+    assert(ActionIdx < Delta.size() && "action index out of range");
+    return LabelNames[Delta[ActionIdx].Label];
+  }
 
   /// Validates all actions against \p NumSharedStates and this alphabet,
   /// then builds the source index.  Must be called before actionsFrom().
@@ -114,13 +165,39 @@ public:
 
   bool frozen() const { return Frozen; }
 
-  /// Indices of the actions whose source is (\p Q, \p Top); \p Top is
-  /// EpsSym for the empty stack.  Requires freeze().
-  const std::vector<uint32_t> &actionsFrom(QState Q, Sym Top) const {
+  /// Indices of the actions whose source is (\p Q, \p Top), in Delta
+  /// order; \p Top is EpsSym for the empty stack.  Requires freeze().
+  std::span<const uint32_t> actionsFrom(QState Q, Sym Top) const {
     assert(Frozen && "Pds::freeze() must run before queries");
+    assert(Top <= numSymbols() && "top symbol out of range");
     size_t Key = static_cast<size_t>(Q) * (numSymbols() + 1) + Top;
-    assert(Key < BySource.size() && "source state out of range");
-    return BySource[Key];
+    assert(Key + 1 < SourceStart.size() && "source state out of range");
+    return {SourceActions.data() + SourceStart[Key],
+            SourceStart[Key + 1] - SourceStart[Key]};
+  }
+
+  /// The rules a saturation fires on a transition (\p Q, \p Top) of the
+  /// bottom-lifted system: actionsFrom(Q, Top), except that Top ==
+  /// bottom() selects the empty-stack rules.  Read each through
+  /// liftedAction().
+  std::span<const uint32_t> rulesOn(QState Q, Sym Top) const {
+    return actionsFrom(Q, Top == bottom() ? EpsSym : Top);
+  }
+
+  /// Action \p ActionIdx as the bottom-lifted system reads it: the
+  /// empty-stack rules become rules on the marker,
+  ///   (q, eps) -> (q', eps)   as   (q, bot) -> (q', bot),
+  ///   (q, eps) -> (q', s)     as   (q, bot) -> (q', s bot),
+  /// and every other action is returned unchanged.  The lifted system's
+  /// runs correspond one to one with the original's (stack w is w bot),
+  /// so reachability and language finiteness carry over.
+  Action liftedAction(uint32_t ActionIdx) const {
+    Action A = Delta[ActionIdx];
+    if (A.SrcSym == EpsSym) {
+      A.SrcSym = bottom();
+      (A.Dst0 == EpsSym ? A.Dst0 : A.Dst1) = bottom();
+    }
+    return A;
   }
 
   /// The set E of "emerging" symbols: every symbol written directly
@@ -143,8 +220,17 @@ public:
 
 private:
   std::vector<std::string> SymNames = {"eps"};
+  /// Name hash -> lowest symbol id with that hash (ids >= 1).
+  FlatMap<uint64_t, Sym> SymIndex;
+  std::vector<std::string> LabelNames = {""};
+  /// Name hash -> lowest label id with that hash (non-empty names).
+  FlatMap<uint64_t, LabelId> LabelIndex;
   std::vector<Action> Delta;
-  std::vector<std::vector<uint32_t>> BySource;
+  /// CSR source index: the actions from source key (q, top) =
+  /// q * (numSymbols() + 1) + top are
+  /// SourceActions[SourceStart[key] .. SourceStart[key + 1]).
+  std::vector<uint32_t> SourceStart;
+  std::vector<uint32_t> SourceActions;
   std::vector<Sym> Emerging;
   std::vector<QState> PopTargets;
   bool Frozen = false;

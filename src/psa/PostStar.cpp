@@ -34,42 +34,48 @@ struct Trans {
 /// transitions.
 class Saturator {
 public:
-  Saturator(const Pds &P, const PAutomaton &In, LimitTracker *Limits)
-      : P(P), Limits(Limits), Result(In), NumShared(In.numShared()) {
+  Saturator(const Pds &P, PAutomaton In, LimitTracker *Limits)
+      : P(P), Limits(Limits), Result(std::move(In)),
+        NumShared(Result.numShared()) {
     uint32_t N = Result.nfa().numStates();
     EpsIn.resize(N);
     OutRel.resize(N);
   }
 
   PostStarResult run() {
-    // Resolved once: the registry lookup costs a string hash, which is
-    // too expensive for the per-transition hot loop.  The handle bumps a
-    // thread-local shard, so concurrent saturations (the symbolic
-    // engine's parallel transactions) never contend.
+    // Resolved once: the registry lookup costs a string hash.  The handle
+    // bumps a thread-local shard, so concurrent saturations never
+    // contend; the count is published once per saturation.
     static Statistic TransCounter("poststar.transitions");
     seedFromInput();
     Seeding = false;
+    uint64_t Pops = 0;
     while (!Worklist.empty()) {
       if (Limits && !Limits->chargeStep()) {
         Complete = false;
         break;
       }
       Trans T = unkey(Worklist.pop());
-      ++TransCounter;
+      ++Pops;
       if (T.Label != EpsSym)
         processSymbolTransition(T);
       else
         processEpsilonTransition(T);
     }
+    TransCounter += Pops;
     return {std::move(Result), Complete};
   }
 
 private:
-  /// Packs a transition into a set key.  State and label counts in this
-  /// project are far below 2^21 (asserted), so the packing is lossless.
+  /// Packs a transition into a set key.  Always-on guard: past 2^21
+  /// states or labels the packed fields would alias and distinct
+  /// transitions would silently merge -- a wrong answer.  Fail loudly
+  /// instead (the Boolean-program translation rejects alphabets that
+  /// large up front).
   static uint64_t key(const Trans &T) {
-    assert(T.From < (1u << 21) && T.To < (1u << 21) && T.Label < (1u << 21) &&
-           "automaton too large for transition packing");
+    if ((T.From | T.Label | T.To) >= (1u << 21))
+      cuba_unreachable(
+          "post* automaton exceeds the 21-bit transition packing");
     return (static_cast<uint64_t>(T.From) << 42) |
            (static_cast<uint64_t>(T.Label) << 21) | T.To;
   }
@@ -139,11 +145,12 @@ private:
     // so range-for iterators could dangle on reallocation.
     for (size_t K = 0; K < EpsIn[T.From].size(); ++K)
       enqueue({EpsIn[T.From][K], T.Label, T.To});
-    // PDS rules fire only from shared states.
+    // PDS rules fire only from shared states; a bottom-marker transition
+    // fires the empty-stack rules, lifted onto the marker.
     if (T.From >= NumShared)
       return;
-    for (uint32_t AI : P.actionsFrom(T.From, T.Label)) {
-      const Action &A = P.actions()[AI];
+    for (uint32_t AI : P.rulesOn(T.From, T.Label)) {
+      Action A = P.liftedAction(AI);
       switch (A.kind()) {
       case ActionKind::Pop:
         enqueue({A.DstQ, EpsSym, T.To});
@@ -159,8 +166,7 @@ private:
       }
       case ActionKind::EmptyChange:
       case ActionKind::EmptyPush:
-        cuba_unreachable("post* requires the bottom transform to have "
-                         "removed empty-stack rules");
+        cuba_unreachable("lifted actions never read the empty stack");
       }
     }
   }
@@ -194,10 +200,10 @@ private:
 
 } // namespace
 
-PostStarResult cuba::postStar(const Pds &P, const PAutomaton &In,
+PostStarResult cuba::postStar(const Pds &P, PAutomaton In,
                               LimitTracker *Limits) {
   assert(P.frozen() && "post* requires a frozen PDS");
-  Saturator S(P, In, Limits);
+  Saturator S(P, std::move(In), Limits);
   return S.run();
 }
 
@@ -219,16 +225,18 @@ PAutomaton cuba::singleStateAutomaton(uint32_t NumShared, uint32_t NumSymbols,
   return A;
 }
 
-PAutomaton cuba::shortStackAutomaton(uint32_t NumShared, uint32_t NumSymbols) {
-  PAutomaton A(NumShared, NumSymbols);
+PAutomaton cuba::shortStackAutomaton(uint32_t NumShared, Sym Bottom) {
+  PAutomaton A(NumShared, Bottom);
+  uint32_t Mid = A.addState();
   uint32_t Fin = A.addState();
   A.setAccepting(Fin);
   for (QState Q = 0; Q < NumShared; ++Q) {
-    // Accept <q | eps> ...
-    A.setAccepting(Q);
-    // ... and <q | s> for every symbol s.
-    for (Sym S = 1; S <= NumSymbols; ++S)
-      A.addEdge(Q, S, Fin);
+    // Accept <q | bot> ...
+    A.addEdge(Q, Bottom, Fin);
+    // ... and <q | s bot> for every symbol s.
+    for (Sym S = 1; S < Bottom; ++S)
+      A.addEdge(Q, S, Mid);
   }
+  A.addEdge(Mid, Bottom, Fin);
   return A;
 }

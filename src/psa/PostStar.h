@@ -20,6 +20,14 @@
 ///   (p,y) -> (p',y1 y2)  adds (p', y1, s) and (s, y2, q) for the helper
 ///                        state s = s(p',y1)        [push]
 ///
+/// Empty-stack rules fire on the bottom marker (Pds::bottom()): popping
+/// (p, bot, q) fires p's empty-stack rules as the bottom-lifted system
+/// reads them (Pds::liftedAction), i.e. (p,eps) -> (p',eps) adds
+/// (p', bot, q) and (p,eps) -> (p',y1) adds (p', y1, s) and (s, bot, q).
+/// An input automaton whose words end in bot therefore saturates the PDS
+/// with its empty-stack rules in place; one that never mentions bot
+/// never fires them.
+///
 /// Epsilon edges (which only ever originate at shared states) are closed
 /// by symmetric composition: (x, eps, p) + (p, y, q) => (x, y, q), applied
 /// both when the epsilon edge and when the target transition is popped,
@@ -45,12 +53,14 @@ struct PostStarResult {
 };
 
 /// Computes post* of the configurations accepted by \p In under PDS \p P.
+/// The result automaton grows out of \p In, so callers that no longer
+/// need the input should move it in.
 ///
-/// Preconditions: \p P is frozen, contains no empty-stack rules (apply
-/// eliminateEmptyStackRules first), and \p In has no epsilon edges and no
-/// transitions into shared states.  \p Limits may be null for unbounded
-/// runs.
-PostStarResult postStar(const Pds &P, const PAutomaton &In,
+/// Preconditions: \p P is frozen, and \p In has no epsilon edges and no
+/// transitions into shared states; its alphabet reaches P.bottom() when
+/// its words carry the bottom marker.  \p Limits may be null for
+/// unbounded runs.
+PostStarResult postStar(const Pds &P, PAutomaton In,
                         LimitTracker *Limits = nullptr);
 
 /// Builds the PSA accepting exactly the single PDS state <q | w>
@@ -58,10 +68,11 @@ PostStarResult postStar(const Pds &P, const PAutomaton &In,
 PAutomaton singleStateAutomaton(uint32_t NumShared, uint32_t NumSymbols,
                                 QState Q, const std::vector<Sym> &TopFirst);
 
-/// Builds the PSA accepting Q x Sigma^{<=1}: every shared state paired
-/// with every stack of size at most one.  This is the start set of the
-/// FCR test (Sec. 5, Lemma 16).
-PAutomaton shortStackAutomaton(uint32_t NumShared, uint32_t NumSymbols);
+/// Builds the PSA accepting Q x Sigma^{<=1} lifted onto the bottom marker
+/// \p Bottom: <q | bot> and <q | s bot> for every shared state q and
+/// symbol 1 <= s < Bottom.  This is the start set of the FCR test
+/// (Sec. 5, Lemma 16), over a PDS P with Bottom == P.bottom().
+PAutomaton shortStackAutomaton(uint32_t NumShared, Sym Bottom);
 
 } // namespace cuba
 

@@ -300,8 +300,9 @@ struct SharedSaturationResult {
 
 /// Saturates the multi-rooted input built from \p Lang (which must be
 /// non-empty) under \p P for all of \p NumShared roots at once.
-/// Preconditions match postStar: \p P is frozen and free of empty-stack
-/// rules (apply eliminateEmptyStackRules first).  \p Limits may be null
+/// \p P is frozen and \p Lang ranges over its bottom-lifted alphabet
+/// 1..P.bottom() (or just 1..P.numSymbols()); empty-stack rules fire on
+/// bottom-marker transitions, as in postStar.  \p Limits may be null
 /// for unbounded runs; one step is charged per worklist pop.
 SharedSaturationResult sharedPostStar(const Pds &P, uint32_t NumShared,
                                       const CanonicalDfa &Lang,

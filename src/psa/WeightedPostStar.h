@@ -27,6 +27,14 @@
 /// the exit edge carries the whole derivation weight), and at the two
 /// epsilon-composition directions documented in Semiring.h.
 ///
+/// Input languages range over the bottom-lifted alphabet 1..P.bottom()
+/// and spell a stack w as w bot (an input over 1..P.numSymbols() never
+/// reaches the empty stack).  Popping a transition labelled bot
+/// fires the empty-stack rules of its source in place, read through
+/// Pds::liftedAction ((q,eps) -> (q',eps) as an overwrite of bot,
+/// (q,eps) -> (q',s) as the push of s onto bot), with the rule weight of
+/// the original action index.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CUBA_PSA_WEIGHTEDPOSTSTAR_H
@@ -102,10 +110,12 @@ public:
     assert(P.frozen() && "shared post* requires a frozen PDS");
     assert(Lang.Start != CanonicalDfa::NoState &&
            "shared post* input language must be non-empty");
-    assert(Lang.NumSymbols == P.numSymbols() &&
-           "input language must range over the PDS stack alphabet");
+    assert(Lang.NumSymbols >= P.numSymbols() &&
+           Lang.NumSymbols <= P.bottom() &&
+           "input language must range over the PDS alphabet, plus at most "
+           "the bottom marker");
     Rel.NumShared = NumShared;
-    Rel.NumSymbols = P.numSymbols();
+    Rel.NumSymbols = Lang.NumSymbols;
     Rel.Dom = std::move(Dom);
     Rel.Dom.init(NumShared);
 
@@ -157,8 +167,10 @@ public:
   }
 
   WeightedResult<Domain> run() {
+    // Published once per saturation, not once per pop.
     static Statistic PopCounter("saturation.pops",
                                 /*Deterministic=*/false);
+    uint64_t Pops = 0;
     while (!Worklist.empty()) {
       if (Limits && !Limits->chargeStep()) {
         Complete = false;
@@ -168,7 +180,7 @@ public:
         Complete = false;
         break;
       }
-      ++PopCounter;
+      ++Pops;
       uint32_t T = Worklist.pop();
       InQueue[T] = 0;
       // Move the pending delta into the active row, then propagate it.
@@ -178,6 +190,7 @@ public:
       else
         processEpsilon(T);
     }
+    PopCounter += Pops;
     return {std::move(Rel), Complete};
   }
 
@@ -245,11 +258,12 @@ private:
         addTransition(Rel.TFrom[E], Label, To, TmpRow);
     }
     // PDS rules fire only from shared states, for exactly the roots the
-    // triggering transition is active for.
+    // triggering transition is active for; a bottom-marker transition
+    // fires the empty-stack rules, lifted onto the marker.
     if (From >= NumShared)
       return;
-    for (uint32_t AI : P.actionsFrom(From, Label)) {
-      const Action &A = P.actions()[AI];
+    for (uint32_t AI : P.rulesOn(From, Label)) {
+      Action A = P.liftedAction(AI);
       switch (A.kind()) {
       case ActionKind::Pop:
         addTransition(A.DstQ, EpsSym, To,
@@ -269,8 +283,7 @@ private:
       }
       case ActionKind::EmptyChange:
       case ActionKind::EmptyPush:
-        cuba_unreachable("shared post* requires the bottom transform to "
-                         "have removed empty-stack rules");
+        cuba_unreachable("lifted actions never read the empty stack");
       }
     }
   }

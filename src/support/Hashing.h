@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 
 namespace cuba {
 
@@ -46,6 +47,18 @@ template <typename It> uint64_t hashRange(It First, It Last) {
   uint64_t H = 0x42ULL;
   for (It I = First; I != Last; ++I)
     H = hashCombine(H, static_cast<uint64_t>(*I));
+  return H;
+}
+
+/// FNV-1a over the bytes of \p S.  Unlike std::hash it is fixed across
+/// platforms and library versions, so it may key committed fingerprints
+/// as well as in-memory name indexes.
+inline uint64_t hashString(std::string_view S) {
+  uint64_t H = 0xcbf29ce484222325ULL;
+  for (unsigned char C : S) {
+    H ^= C;
+    H *= 0x100000001b3ULL;
+  }
   return H;
 }
 

@@ -95,8 +95,8 @@ CpdsFile cuba::testing::generateRandomCpds(uint64_t Seed,
         }
       }
       if (Rng.chance(0.5))
-        A.Label = "r" + std::to_string(R);
-      P.addAction(std::move(A));
+        A.Label = P.internLabel("r" + std::to_string(R));
+      P.addAction(A);
     }
   }
 

@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -36,6 +37,7 @@
 #include "bp/Translate.h"
 #include "core/CubaDriver.h"
 #include "pds/CpdsIO.h"
+#include "support/Hashing.h"
 
 using namespace cuba;
 
@@ -110,6 +112,38 @@ TEST(BpCorpus, GoldenVerdicts) {
       EXPECT_EQ(R.Run.outcome(), Outcome::Proved) << M.Path;
       EXPECT_FALSE(R.Run.BugBound.has_value()) << M.Path;
     }
+  }
+}
+
+TEST(BpCorpus, TranslationsMatchGoldenHashes) {
+  // A 64-bit FNV-1a fingerprint of every model's printCpds text pins the
+  // translation itself: symbol numbering, rule order, labels and the
+  // property.  A change that renumbers, reorders or drops anything fails
+  // here even when every verdict survives; one that does so on purpose
+  // must update these values (cuba --emit-cpds prints the same text).
+  const std::map<std::string, uint64_t> Golden = {
+      {"atomic_handoff.bp", 0x6d0882ef85e78a37ull},
+      {"bluetooth_v1.bp", 0xb4c0759091eaa26full},
+      {"bluetooth_v3.bp", 0x96f60185b07b2ca5ull},
+      {"constrain_pair.bp", 0xbafcf3136e71729dull},
+      {"goto_retry.bp", 0xc27f18065a39fb42ull},
+      {"helper_result.bp", 0xf0d6365dc01fe93bull},
+      {"lock_protocol.bp", 0xc9116023e3fae431ull},
+      {"lock_race.bp", 0x46d45cc38124c02bull},
+      {"recursion_race.bp", 0x3dbab181c2625356ull},
+      {"recursion_tower.bp", 0x3cb376b09bc68897ull},
+      {"three_stations.bp", 0x523c81bfc87d8597ull},
+  };
+  std::vector<CorpusModel> Models = loadCorpus();
+  EXPECT_EQ(Models.size(), Golden.size());
+  for (const CorpusModel &M : Models) {
+    std::string Name = std::filesystem::path(M.Path).filename().string();
+    auto F = bp::compileBooleanProgram(M.Source);
+    ASSERT_TRUE(F) << M.Path << ": " << F.error().str();
+    auto It = Golden.find(Name);
+    ASSERT_NE(It, Golden.end()) << Name << " has no golden hash";
+    EXPECT_EQ(hashString(printCpds(*F)), It->second)
+        << Name << ": the translation changed";
   }
 }
 

@@ -392,6 +392,32 @@ TEST(BpTranslate, TranslatedSystemShape) {
   EXPECT_EQ(C.sharedStateName(C.initialShared()), "b0");
 }
 
+TEST(BpTranslate, RejectsAlphabetPastTheSaturationPacking) {
+  // One thread, no shared bits, ten locals and 2,100 statements: 2,101
+  // pcs x 2^10 locals = 2,151,424 frame symbols.  That fits the rule-slot
+  // bound (one shared valuation), but the symbols plus the bottom marker
+  // would overflow the saturations' 21-bit label fields, so translation
+  // must refuse before emitting a single rule.
+  std::string Src = "void w() {\n  decl a, b, c, d, e, f, g, h, i, j;\n";
+  for (int I = 0; I < 2100; ++I)
+    Src += "  skip;\n";
+  Src += "}\nvoid main() { thread_create(w); }\n";
+  auto F = compileBooleanProgram(Src);
+  ASSERT_FALSE(F);
+  EXPECT_NE(F.error().message().find("alphabet too large"), std::string::npos)
+      << F.error().str();
+  EXPECT_NE(F.error().message().find("2151424 frame symbols"),
+            std::string::npos)
+      << F.error().str();
+
+  // The same frame with a short body stays in range.
+  std::string Small = "void w() {\n  decl a, b, c, d, e, f, g, h, i, j;\n";
+  for (int I = 0; I < 20; ++I)
+    Small += "  skip;\n";
+  Small += "}\nvoid main() { thread_create(w); }\n";
+  EXPECT_TRUE(compileBooleanProgram(Small));
+}
+
 //===----------------------------------------------------------------------===//
 // AST printer: print/parse round-trips
 //===----------------------------------------------------------------------===//

@@ -105,8 +105,9 @@ TEST(Differential, SymbolicHeavyPreset) {
 // The oracle also holds on the hand-built paper models, tying the
 // randomized harness back to the known-good benchmarks.
 TEST(Differential, PaperModels) {
-  for (CpdsFile File :
-       {models::buildFig1(), models::buildFig2(), models::buildDekker()}) {
+  CpdsFile Models[] = {models::buildFig1(), models::buildFig2(),
+                       models::buildDekker()};
+  for (const CpdsFile &File : Models) {
     OracleOptions O = quickOracle();
     O.MaxK = 5;
     OracleReport Rep = runDifferentialOracle(File, O);

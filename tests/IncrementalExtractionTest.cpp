@@ -24,10 +24,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 
+#include "ReferencePostStar.h"
 #include "core/SymbolicEngine.h"
 #include "fa/Canonicalize.h"
-#include "psa/BottomTransform.h"
 #include "psa/SaturationEngine.h"
 #include "support/Statistic.h"
 #include "support/StringUtils.h"
@@ -45,28 +46,11 @@ uint64_t baseSeed() {
   return 1;
 }
 
-/// The lifted initial stack language (bottom marker last in reading
-/// order) -- the engine-realistic input shape.
-CanonicalDfa liftedWordLanguage(const BottomedPds &B, const Stack &Init) {
-  Nfa A(B.P.numSymbols());
-  uint32_t Cur = A.addState();
-  A.setInitial(Cur);
-  for (auto It = Init.rbegin(); It != Init.rend(); ++It) {
-    uint32_t Next = A.addState();
-    A.addEdge(Cur, *It, Next);
-    Cur = Next;
-  }
-  uint32_t Next = A.addState();
-  A.addEdge(Cur, B.Bottom, Next);
-  A.setAccepting(Next);
-  return canonicalizeNfa(A);
-}
-
-/// A random non-empty canonical language over the bottomed alphabet
+/// A random non-empty canonical language over the bottom-lifted alphabet
 /// (adversarial input shape, including empty-word acceptance so the
 /// self-accept key component is exercised).
-CanonicalDfa randomLanguage(SplitMix64 &Rng, const BottomedPds &B) {
-  uint32_t NSyms = B.P.numSymbols();
+CanonicalDfa randomLanguage(SplitMix64 &Rng, const Pds &P) {
+  uint32_t NSyms = P.bottom();
   for (int Attempt = 0; Attempt < 16; ++Attempt) {
     unsigned NStates = static_cast<unsigned>(Rng.range(1, 6));
     Nfa A(NSyms);
@@ -85,33 +69,40 @@ CanonicalDfa randomLanguage(SplitMix64 &Rng, const BottomedPds &B) {
     if (D.Start != CanonicalDfa::NoState)
       return D;
   }
-  return liftedWordLanguage(B, {});
+  return reference::liftedWordLanguage(P, {});
 }
 
 struct Instance {
-  Pds P; // Bottomed thread PDS.
+  /// The generated system, shared by its threads' instances: the thread
+  /// PDS saturates in place, with its built-in bottom marker.
+  std::shared_ptr<const CpdsFile> File;
+  unsigned Thread = 0;
   uint32_t NumShared = 0;
   CanonicalDfa Lang;
   uint64_t Seed = 0;
+
+  const Pds &pds() const { return File->System.thread(Thread); }
 };
 
 std::vector<Instance> makeInstances(uint64_t Base, unsigned Count) {
   std::vector<Instance> Out;
   for (uint64_t Seed = Base; Out.size() < Count; ++Seed) {
-    CpdsFile File = cuba::testing::generateRandomCpds(
-        Seed, cuba::testing::cornerShapeOptions(Seed));
-    const Cpds &C = File.System;
+    auto File = std::make_shared<const CpdsFile>(
+        cuba::testing::generateRandomCpds(
+            Seed, cuba::testing::cornerShapeOptions(Seed)));
+    const Cpds &C = File->System;
     SplitMix64 Rng(Seed * 0x9e3779b97f4a7c15ull + 0x1e);
     for (unsigned I = 0; I < C.numThreads() && Out.size() < Count; ++I) {
-      BottomedPds B =
-          eliminateEmptyStackRules(C.thread(I), C.numSharedStates());
+      const Pds &P = C.thread(I);
       Instance Inst;
+      Inst.File = File;
+      Inst.Thread = I;
       Inst.NumShared = C.numSharedStates();
       Inst.Seed = Seed;
-      Inst.Lang = (Out.size() % 2 == 0)
-                      ? liftedWordLanguage(B, C.initialState().Stacks[I])
-                      : randomLanguage(Rng, B);
-      Inst.P = std::move(B.P);
+      Inst.Lang =
+          (Out.size() % 2 == 0)
+              ? reference::liftedWordLanguage(P, C.initialState().Stacks[I])
+              : randomLanguage(Rng, P);
       Out.push_back(std::move(Inst));
     }
   }
@@ -144,7 +135,7 @@ constexpr unsigned NumInstances = 120;
 TEST(IncrementalExtraction, CachedMatchesPlainAndRepeatsSkipEverything) {
   for (const Instance &Inst : makeInstances(baseSeed(), NumInstances)) {
     SharedSaturationResult R =
-        sharedPostStar(Inst.P, Inst.NumShared, Inst.Lang);
+        sharedPostStar(Inst.pds(), Inst.NumShared, Inst.Lang);
     ASSERT_TRUE(R.Complete);
     const SharedSaturation &Sat = R.Sat;
     SharedSaturation::ExtractionCache Cache;
@@ -177,7 +168,7 @@ TEST(IncrementalExtraction, CachedMatchesPlainAndRepeatsSkipEverything) {
 TEST(IncrementalExtraction, OverlayFlowMatchesSerialFlow) {
   for (const Instance &Inst : makeInstances(baseSeed() + 5150, 40)) {
     SharedSaturationResult R =
-        sharedPostStar(Inst.P, Inst.NumShared, Inst.Lang);
+        sharedPostStar(Inst.pds(), Inst.NumShared, Inst.Lang);
     ASSERT_TRUE(R.Complete);
     const SharedSaturation &Sat = R.Sat;
 

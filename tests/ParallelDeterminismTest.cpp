@@ -229,9 +229,9 @@ TEST_F(ParallelDeterminismTest, PaperModelsMatchAcrossJobCounts) {
   // Bluetooth driver (both the narrow and the wide configuration) and
   // Fig. 1, with a budget loose enough to run all MaxK rounds.
   const ResourceLimits Loose{200'000, 50'000'000, 8, 0};
-  for (CpdsFile File :
-       {models::buildFig1(), models::buildBluetooth(3, 1, 1),
-        models::buildBluetooth(3, 2, 2)}) {
+  CpdsFile Models[] = {models::buildFig1(), models::buildBluetooth(3, 1, 1),
+                       models::buildBluetooth(3, 2, 2)};
+  for (const CpdsFile &File : Models) {
     ExplicitTrace E1 = runExplicit(File.System, Loose, nullptr);
     expectSameExplicit(E1, runExplicit(File.System, Loose, &Pool2), 0,
                        "model");
@@ -295,8 +295,8 @@ TEST_F(ParallelDeterminismTest, EvictionScheduleMatchesAcrossJobCounts) {
   // enough to keep evicting.
   ResourceLimits ModelEvict{200'000, 50'000'000, 8, 0};
   ModelEvict.MaxCacheBytes = 8 * 1024;
-  for (CpdsFile File :
-       {models::buildFig1(), models::buildBluetooth(3, 2, 2)}) {
+  CpdsFile Models[] = {models::buildFig1(), models::buildBluetooth(3, 2, 2)};
+  for (const CpdsFile &File : Models) {
     SymbolicTrace S1 = runSymbolic(File.System, ModelEvict, nullptr);
     expectSameSymbolic(S1, runSymbolic(File.System, ModelEvict, &Pool2), 0,
                        "model-evict");

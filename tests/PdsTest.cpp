@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "models/Models.h"
 #include "pds/Cpds.h"
@@ -22,19 +25,19 @@ using namespace cuba;
 //===----------------------------------------------------------------------===//
 
 TEST(Action, KindClassification) {
-  EXPECT_EQ((Action{0, 1, 0, EpsSym, EpsSym, ""}).kind(), ActionKind::Pop);
-  EXPECT_EQ((Action{0, 1, 0, 2, EpsSym, ""}).kind(), ActionKind::Overwrite);
-  EXPECT_EQ((Action{0, 1, 0, 2, 3, ""}).kind(), ActionKind::Push);
-  EXPECT_EQ((Action{0, EpsSym, 0, EpsSym, EpsSym, ""}).kind(),
+  EXPECT_EQ((Action{0, 1, 0, EpsSym, EpsSym}).kind(), ActionKind::Pop);
+  EXPECT_EQ((Action{0, 1, 0, 2, EpsSym}).kind(), ActionKind::Overwrite);
+  EXPECT_EQ((Action{0, 1, 0, 2, 3}).kind(), ActionKind::Push);
+  EXPECT_EQ((Action{0, EpsSym, 0, EpsSym, EpsSym}).kind(),
             ActionKind::EmptyChange);
-  EXPECT_EQ((Action{0, EpsSym, 0, 2, EpsSym, ""}).kind(),
+  EXPECT_EQ((Action{0, EpsSym, 0, 2, EpsSym}).kind(),
             ActionKind::EmptyPush);
 }
 
 TEST(Action, TargetLength) {
-  EXPECT_EQ((Action{0, 1, 0, EpsSym, EpsSym, ""}).targetLength(), 0u);
-  EXPECT_EQ((Action{0, 1, 0, 2, EpsSym, ""}).targetLength(), 1u);
-  EXPECT_EQ((Action{0, 1, 0, 2, 3, ""}).targetLength(), 2u);
+  EXPECT_EQ((Action{0, 1, 0, EpsSym, EpsSym}).targetLength(), 0u);
+  EXPECT_EQ((Action{0, 1, 0, 2, EpsSym}).targetLength(), 1u);
+  EXPECT_EQ((Action{0, 1, 0, 2, 3}).targetLength(), 2u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -104,6 +107,51 @@ TEST(Pds, SymbolByName) {
   EXPECT_EQ(P.symbolByName("eps"), EpsSym);
   EXPECT_EQ(P.symbolByName("nosuch"), EpsSym);
   EXPECT_EQ(P.symbolName(A), "alpha");
+}
+
+TEST(Pds, SymbolByNameFirstMatchWinsAndUnknownIsEps) {
+  // The hash index answers exactly like a scan from id 1: repeated names
+  // resolve to their lowest id, and names never added (including
+  // prefixes and near-misses of added ones) resolve to EpsSym.
+  Pds P;
+  Sym A = P.addSymbol("frame.3.01");
+  Sym B = P.addSymbol("frame.3.10");
+  Sym A2 = P.addSymbol("frame.3.01");
+  EXPECT_NE(A, A2);
+  EXPECT_EQ(P.symbolByName("frame.3.01"), A);
+  EXPECT_EQ(P.symbolByName("frame.3.10"), B);
+  EXPECT_EQ(P.symbolByName("frame.3"), EpsSym);
+  EXPECT_EQ(P.symbolByName("frame.3.011"), EpsSym);
+  EXPECT_EQ(P.symbolByName(""), EpsSym);
+  EXPECT_EQ(P.symbolByName("eps"), EpsSym);
+  // Many names: every one still resolves to its own id.
+  std::vector<Sym> Ids;
+  for (unsigned I = 0; I < 5000; ++I)
+    Ids.push_back(P.addSymbol("s" + std::to_string(I)));
+  for (unsigned I = 0; I < 5000; ++I)
+    ASSERT_EQ(P.symbolByName("s" + std::to_string(I)), Ids[I]);
+  EXPECT_EQ(P.symbolByName("s5000"), EpsSym);
+}
+
+TEST(Pds, LabelsAreInternedPerPds) {
+  Pds P;
+  Sym A = P.addSymbol("a");
+  uint32_t I0 = P.addAction({0, A, 0, EpsSym, EpsSym, "pop"});
+  uint32_t I1 = P.addAction({0, A, 0, A, EpsSym, "keep"});
+  uint32_t I2 = P.addAction({0, A, 0, EpsSym, EpsSym, "pop"});
+  uint32_t I3 = P.addAction({0, A, 0, A, EpsSym, ""});
+  EXPECT_EQ(P.label(I0), "pop");
+  EXPECT_EQ(P.label(I1), "keep");
+  EXPECT_EQ(P.label(I3), "");
+  // One table entry per distinct name; actions carry only its id.
+  EXPECT_EQ(P.actions()[I0].Label, P.actions()[I2].Label);
+  EXPECT_NE(P.actions()[I0].Label, P.actions()[I1].Label);
+  EXPECT_EQ(P.actions()[I3].Label, 0u);
+  EXPECT_EQ(P.internLabel("keep"), P.actions()[I1].Label);
+  // A pre-interned id builds the same action without naming it again.
+  Action Keep{0, A, 0, A, EpsSym, P.internLabel("keep")};
+  EXPECT_EQ(P.label(P.addAction(Keep)), "keep");
+  static_assert(std::is_trivially_copyable_v<Action>);
 }
 
 //===----------------------------------------------------------------------===//

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include "psa/BottomTransform.h"
+#include <tuple>
+
+#include "ReferencePostStar.h"
 #include "psa/PAutomaton.h"
 #include "psa/PostStar.h"
 
@@ -162,12 +164,15 @@ TEST(PostStar, RespectsStepLimits) {
 }
 
 TEST(PostStar, ShortStackAutomatonShape) {
-  PAutomaton A = shortStackAutomaton(2, 2);
+  // Two symbols, so the bottom marker is 3: the lifted Q x Sigma^{<=1}.
+  PAutomaton A = shortStackAutomaton(2, 3);
   for (QState Q = 0; Q < 2; ++Q) {
-    EXPECT_TRUE(A.accepts(Q, {}));
-    EXPECT_TRUE(A.accepts(Q, {1}));
-    EXPECT_TRUE(A.accepts(Q, {2}));
-    EXPECT_FALSE(A.accepts(Q, {1, 1}));
+    EXPECT_TRUE(A.accepts(Q, {3}));
+    EXPECT_TRUE(A.accepts(Q, {1, 3}));
+    EXPECT_TRUE(A.accepts(Q, {2, 3}));
+    EXPECT_FALSE(A.accepts(Q, {}));
+    EXPECT_FALSE(A.accepts(Q, {1}));
+    EXPECT_FALSE(A.accepts(Q, {1, 1, 3}));
   }
 }
 
@@ -224,56 +229,79 @@ TEST(PAutomaton, TopSymbolsBottomMarkerMapsToEps) {
 }
 
 TEST(BottomTransform, LiftsRulesAndStacks) {
+  // The built-in marker: the empty-stack column read on bottom(), each
+  // rule exactly as the classical transform (the reference copy)
+  // rewrites it.
   Pds P;
   Sym A = P.addSymbol("a");
   P.addAction({0, EpsSym, 1, EpsSym, EpsSym, "ec"});
   P.addAction({0, EpsSym, 0, A, EpsSym, "ep"});
   P.addAction({1, A, 0, EpsSym, EpsSym, "pop"});
-  BottomedPds B = eliminateEmptyStackRules(P, 2);
-  EXPECT_EQ(B.P.numSymbols(), 2u);
-  EXPECT_EQ(B.Bottom, 2u);
-  ASSERT_EQ(B.P.actions().size(), 3u);
-  // (0,eps)->(1,eps) becomes (0,_bot)->(1,_bot).
-  EXPECT_EQ(B.P.actions()[0].SrcSym, B.Bottom);
-  EXPECT_EQ(B.P.actions()[0].Dst0, B.Bottom);
-  EXPECT_EQ(B.P.actions()[0].kind(), ActionKind::Overwrite);
-  // (0,eps)->(0,a) becomes (0,_bot)->(0, a _bot).
-  EXPECT_EQ(B.P.actions()[1].kind(), ActionKind::Push);
-  EXPECT_EQ(B.P.actions()[1].Dst0, A);
-  EXPECT_EQ(B.P.actions()[1].Dst1, B.Bottom);
+  ASSERT_TRUE(P.freeze(2));
+  EXPECT_EQ(P.bottom(), 2u);
+  auto Col = P.rulesOn(0, P.bottom());
+  EXPECT_EQ(std::vector<uint32_t>(Col.begin(), Col.end()),
+            (std::vector<uint32_t>{0, 1}));
+  EXPECT_TRUE(P.rulesOn(1, P.bottom()).empty());
+  EXPECT_EQ(P.rulesOn(1, A).size(), 1u);
+  // (0,eps)->(1,eps) reads as (0,_bot)->(1,_bot).
+  EXPECT_EQ(P.liftedAction(0).SrcSym, P.bottom());
+  EXPECT_EQ(P.liftedAction(0).Dst0, P.bottom());
+  EXPECT_EQ(P.liftedAction(0).kind(), ActionKind::Overwrite);
+  // (0,eps)->(0,a) reads as (0,_bot)->(0, a _bot).
+  EXPECT_EQ(P.liftedAction(1).kind(), ActionKind::Push);
+  EXPECT_EQ(P.liftedAction(1).Dst0, A);
+  EXPECT_EQ(P.liftedAction(1).Dst1, P.bottom());
   // Ordinary rules are untouched.
-  EXPECT_EQ(B.P.actions()[2].kind(), ActionKind::Pop);
+  EXPECT_EQ(P.liftedAction(2).kind(), ActionKind::Pop);
+
+  reference::BottomedPds B = reference::eliminateEmptyStackRules(P, 2);
+  EXPECT_EQ(B.P.numSymbols(), 2u);
+  EXPECT_EQ(B.Bottom, P.bottom());
+  ASSERT_EQ(B.P.actions().size(), P.actions().size());
+  for (uint32_t I = 0; I < P.actions().size(); ++I) {
+    Action L = P.liftedAction(I), R = B.P.actions()[I];
+    EXPECT_EQ(std::tie(L.SrcQ, L.SrcSym, L.DstQ, L.Dst0, L.Dst1),
+              std::tie(R.SrcQ, R.SrcSym, R.DstQ, R.Dst0, R.Dst1));
+    EXPECT_EQ(B.P.label(I), P.label(I));
+  }
 
   Stack W = {A}; // Top at back.
-  Stack L = B.lift(W);
-  ASSERT_EQ(L.size(), 2u);
-  EXPECT_EQ(L.front(), B.Bottom);
-  EXPECT_EQ(L.back(), A);
+  Stack Lifted = B.lift(W);
+  ASSERT_EQ(Lifted.size(), 2u);
+  EXPECT_EQ(Lifted.front(), P.bottom());
+  EXPECT_EQ(Lifted.back(), A);
 }
 
 TEST(BottomTransform, PostStarOnTransformedSystemTracksEmptyStackRuns) {
   // Original: <q0|eps> -ep-> <q0|a> -pop-> <q1|eps> -ec'...  Build:
   //   (0,eps)->(0,a); (0,a)->(1,eps); (1,eps)->(0,eps)
+  // and saturate it in place from the lifted <q0 | _bot>.
   Pds P;
   Sym A = P.addSymbol("a");
   P.addAction({0, EpsSym, 0, A, EpsSym, "ep"});
   P.addAction({0, A, 1, EpsSym, EpsSym, "pop"});
   P.addAction({1, EpsSym, 0, EpsSym, EpsSym, "ec"});
-  BottomedPds B = eliminateEmptyStackRules(P, 2);
+  ASSERT_TRUE(P.freeze(2));
+  Sym Bot = P.bottom();
 
-  PAutomaton Init =
-      singleStateAutomaton(2, B.P.numSymbols(), 0, {B.Bottom});
-  PostStarResult R = postStar(B.P, Init);
+  PAutomaton Init = singleStateAutomaton(2, Bot, 0, {Bot});
+  PostStarResult R = postStar(P, Init);
   ASSERT_TRUE(R.Complete);
   // <q0 | _bot>, <q0 | a _bot>, <q1 | _bot> all reachable; the lifted
   // system loops forever between them.
-  EXPECT_TRUE(R.Automaton.accepts(0, {B.Bottom}));
-  EXPECT_TRUE(R.Automaton.accepts(0, {A, B.Bottom}));
-  EXPECT_TRUE(R.Automaton.accepts(1, {B.Bottom}));
-  EXPECT_FALSE(R.Automaton.accepts(1, {A, B.Bottom}));
+  EXPECT_TRUE(R.Automaton.accepts(0, {Bot}));
+  EXPECT_TRUE(R.Automaton.accepts(0, {A, Bot}));
+  EXPECT_TRUE(R.Automaton.accepts(1, {Bot}));
+  EXPECT_FALSE(R.Automaton.accepts(1, {A, Bot}));
   // Finiteness: the language is finite here.
   Nfa L = R.Automaton.rootedNfa({0, 1});
   EXPECT_TRUE(L.isLanguageFinite());
+
+  // Without the marker in the input the empty-stack rules never fire.
+  PostStarResult NoBot = postStar(P, singleStateAutomaton(2, Bot, 0, {A}));
+  EXPECT_TRUE(NoBot.Automaton.accepts(1, {}));
+  EXPECT_FALSE(NoBot.Automaton.accepts(0, {}));
 }
 
 TEST(PostStar, UnboundedGrowthYieldsInfiniteLanguage) {

@@ -26,13 +26,13 @@
 #include <string>
 #include <vector>
 
+#include "ReferencePostStar.h"
 #include "core/Algorithms.h"
 #include "core/SymbolicAlgorithms.h"
 #include "exec/ThreadPool.h"
 #include "fa/Canonicalize.h"
 #include "models/Models.h"
 #include "pds/CpdsIO.h"
-#include "psa/BottomTransform.h"
 #include "psa/SaturationEngine.h"
 #include "support/FaultInject.h"
 
@@ -213,25 +213,15 @@ TEST(Robustness, SharedPostStarHonorsStepAndByteBudgets) {
   CpdsFile F = models::buildFig1();
   const Cpds &C = F.System;
   for (unsigned T = 0; T < C.numThreads(); ++T) {
-    BottomedPds B = eliminateEmptyStackRules(C.thread(T), C.numSharedStates());
+    // The thread saturates in place, with its built-in bottom marker.
+    const Pds &P = C.thread(T);
     // The lifted initial stack, as the engine itself saturates it.
-    Nfa A(B.P.numSymbols());
-    uint32_t Cur = A.addState();
-    A.setInitial(Cur);
-    const Stack Init = C.initialState().Stacks[T]; // initialState() is by-value
-    for (auto It = Init.rbegin(); It != Init.rend(); ++It) {
-      uint32_t Next = A.addState();
-      A.addEdge(Cur, *It, Next);
-      Cur = Next;
-    }
-    uint32_t Next = A.addState();
-    A.addEdge(Cur, B.Bottom, Next);
-    A.setAccepting(Next);
-    CanonicalDfa Lang = canonicalizeNfa(A);
+    CanonicalDfa Lang =
+        reference::liftedWordLanguage(P, C.initialState().Stacks[T]);
 
     LimitTracker Free((ResourceLimits::unlimited()));
     SharedSaturationResult Full =
-        sharedPostStar(B.P, C.numSharedStates(), Lang, &Free);
+        sharedPostStar(P, C.numSharedStates(), Lang, &Free);
     ASSERT_TRUE(Full.Complete);
     uint64_t Pops = Free.steps();
     uint64_t Peak = Free.peakBytes();
@@ -243,7 +233,7 @@ TEST(Robustness, SharedPostStarHonorsStepAndByteBudgets) {
     // means unlimited, so the ladder starts at one.)
     for (uint64_t S = 1; S < Pops; ++S) {
       LimitTracker L(ResourceLimits{0, S, 0, 0});
-      SharedSaturationResult R = sharedPostStar(B.P, C.numSharedStates(),
+      SharedSaturationResult R = sharedPostStar(P, C.numSharedStates(),
                                                 Lang, &L);
       EXPECT_FALSE(R.Complete) << "thread " << T << " steps " << S;
       EXPECT_EQ(L.reason(), ExhaustKind::Steps);
@@ -261,7 +251,7 @@ TEST(Robustness, SharedPostStarHonorsStepAndByteBudgets) {
 
     LimitTracker Exact(ResourceLimits{0, Pops, 0, 0});
     SharedSaturationResult Again =
-        sharedPostStar(B.P, C.numSharedStates(), Lang, &Exact);
+        sharedPostStar(P, C.numSharedStates(), Lang, &Exact);
     EXPECT_TRUE(Again.Complete);
     EXPECT_TRUE(SameRelation(Again.Sat, Full.Sat));
 
@@ -272,7 +262,7 @@ TEST(Robustness, SharedPostStarHonorsStepAndByteBudgets) {
     Starved.MaxBytes = Peak - 1;
     LimitTracker LS(Starved);
     SharedSaturationResult Cut =
-        sharedPostStar(B.P, C.numSharedStates(), Lang, &LS);
+        sharedPostStar(P, C.numSharedStates(), Lang, &LS);
     EXPECT_FALSE(Cut.Complete) << "thread " << T;
     EXPECT_EQ(LS.reason(), ExhaustKind::Memory);
 
@@ -280,7 +270,7 @@ TEST(Robustness, SharedPostStarHonorsStepAndByteBudgets) {
     Enough.MaxBytes = Peak;
     LimitTracker LE(Enough);
     SharedSaturationResult Ok =
-        sharedPostStar(B.P, C.numSharedStates(), Lang, &LE);
+        sharedPostStar(P, C.numSharedStates(), Lang, &LE);
     EXPECT_TRUE(Ok.Complete) << "thread " << T;
     EXPECT_TRUE(SameRelation(Ok.Sat, Full.Sat));
 
@@ -292,7 +282,7 @@ TEST(Robustness, SharedPostStarHonorsStepAndByteBudgets) {
       RL.MaxBytes = Bytes;
       LimitTracker LT(RL);
       SharedSaturationResult R =
-          sharedPostStar(B.P, C.numSharedStates(), Lang, &LT);
+          sharedPostStar(P, C.numSharedStates(), Lang, &LT);
       EXPECT_FALSE(R.Complete && !WasComplete)
           << "thread " << T << " bytes " << Bytes
           << ": completeness not monotone in the budget";

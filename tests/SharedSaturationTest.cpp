@@ -25,11 +25,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 
 #include "ReferencePostStar.h"
 #include "ReferenceSharedSaturation.h"
 #include "fa/Canonicalize.h"
-#include "psa/BottomTransform.h"
 #include "psa/SaturationEngine.h"
 #include "support/StringUtils.h"
 #include "testing/RandomCpds.h"
@@ -48,28 +48,10 @@ uint64_t baseSeed() {
   return 1;
 }
 
-/// The canonical single-word language the engine starts threads from:
-/// the lifted initial stack (bottom marker last in reading order).
-CanonicalDfa liftedWordLanguage(const BottomedPds &B, const Stack &Init) {
-  Nfa A(B.P.numSymbols());
-  uint32_t Cur = A.addState();
-  A.setInitial(Cur);
-  // Stacks are stored bottom-first; automata read top-first.
-  for (auto It = Init.rbegin(); It != Init.rend(); ++It) {
-    uint32_t Next = A.addState();
-    A.addEdge(Cur, *It, Next);
-    Cur = Next;
-  }
-  uint32_t Next = A.addState();
-  A.addEdge(Cur, B.Bottom, Next);
-  A.setAccepting(Next);
-  return canonicalizeNfa(A);
-}
-
-/// A random non-empty canonical language over exactly the bottomed
-/// alphabet (the saturation requires the full PDS alphabet).
-CanonicalDfa randomLanguage(SplitMix64 &Rng, const BottomedPds &B) {
-  uint32_t NSyms = B.P.numSymbols();
+/// A random non-empty canonical language over exactly the thread's
+/// bottom-lifted alphabet 1..bottom().
+CanonicalDfa randomLanguage(SplitMix64 &Rng, const Pds &P) {
+  uint32_t NSyms = P.bottom();
   for (int Attempt = 0; Attempt < 16; ++Attempt) {
     unsigned NStates = static_cast<unsigned>(Rng.range(1, 6));
     Nfa A(NSyms);
@@ -89,7 +71,7 @@ CanonicalDfa randomLanguage(SplitMix64 &Rng, const BottomedPds &B) {
       return D;
   }
   // Fall back to the lifted empty stack -- never empty.
-  return liftedWordLanguage(B, {});
+  return reference::liftedWordLanguage(P, {});
 }
 
 /// Compares shared extraction against the per-root reference for every
@@ -101,10 +83,14 @@ unsigned compareRoots(const Pds &P, uint32_t NumShared,
                       bool Report) {
   SharedSaturationResult R = sharedPostStar(P, NumShared, Lang);
   EXPECT_TRUE(R.Complete);
+  // The reference saturates the classical bottomed copy, as the engine
+  // did before the marker was built in.
+  reference::BottomedPds B =
+      reference::eliminateEmptyStackRules(P, NumShared);
   unsigned Mismatches = 0;
   for (QState Root : Roots) {
     auto Shared = R.Sat.extractRoot(Root);
-    auto Reference = reference::perRootPostStar(P, NumShared, Lang, Root);
+    auto Reference = reference::perRootPostStar(B.P, NumShared, Lang, Root);
     if (Shared == Reference)
       continue;
     ++Mismatches;
@@ -120,11 +106,16 @@ unsigned compareRoots(const Pds &P, uint32_t NumShared,
 }
 
 struct Instance {
-  Pds P; // Bottomed thread PDS.
+  /// The generated system, shared by its threads' instances: the thread
+  /// PDS saturates in place, with its built-in bottom marker.
+  std::shared_ptr<const CpdsFile> File;
+  unsigned Thread = 0;
   uint32_t NumShared = 0;
   CanonicalDfa Lang;
   std::vector<QState> Roots;
   uint64_t Seed = 0;
+
+  const Pds &pds() const { return File->System.thread(Thread); }
 };
 
 /// Materialises (thread, language, root-set) instances from the random
@@ -132,20 +123,23 @@ struct Instance {
 std::vector<Instance> makeInstances(uint64_t Base, unsigned Count) {
   std::vector<Instance> Out;
   for (uint64_t Seed = Base; Out.size() < Count; ++Seed) {
-    CpdsFile File = cuba::testing::generateRandomCpds(
-        Seed, cuba::testing::cornerShapeOptions(Seed));
-    const Cpds &C = File.System;
+    auto File = std::make_shared<const CpdsFile>(
+        cuba::testing::generateRandomCpds(
+            Seed, cuba::testing::cornerShapeOptions(Seed)));
+    const Cpds &C = File->System;
     SplitMix64 Rng(Seed * 0x9e3779b97f4a7c15ull + 0x5a);
     for (unsigned I = 0; I < C.numThreads() && Out.size() < Count; ++I) {
-      BottomedPds B =
-          eliminateEmptyStackRules(C.thread(I), C.numSharedStates());
+      const Pds &P = C.thread(I);
       Instance Inst;
+      Inst.File = File;
+      Inst.Thread = I;
       Inst.NumShared = C.numSharedStates();
       Inst.Seed = Seed;
       // Alternate engine-realistic and adversarial languages.
-      Inst.Lang = (Out.size() % 2 == 0)
-                      ? liftedWordLanguage(B, C.initialState().Stacks[I])
-                      : randomLanguage(Rng, B);
+      Inst.Lang =
+          (Out.size() % 2 == 0)
+              ? reference::liftedWordLanguage(P, C.initialState().Stacks[I])
+              : randomLanguage(Rng, P);
       // Root sets alternate between every shared root and a random
       // non-empty subset.
       if (Out.size() % 3 == 0) {
@@ -158,7 +152,6 @@ std::vector<Instance> makeInstances(uint64_t Base, unsigned Count) {
         for (QState Q = 0; Q < Inst.NumShared; ++Q)
           Inst.Roots.push_back(Q);
       }
-      Inst.P = std::move(B.P);
       Out.push_back(std::move(Inst));
     }
   }
@@ -176,7 +169,7 @@ constexpr unsigned NumInstances = 160;
 
 TEST(SharedSaturation, ExtractionMatchesPerRootReference) {
   for (const Instance &Inst : makeInstances(baseSeed(), NumInstances)) {
-    compareRoots(Inst.P, Inst.NumShared, Inst.Lang, Inst.Roots, Inst.Seed,
+    compareRoots(Inst.pds(), Inst.NumShared, Inst.Lang, Inst.Roots, Inst.Seed,
                  /*Report=*/true);
     if (::testing::Test::HasFailure())
       break; // One instance's divergence is enough diagnostics.
@@ -192,7 +185,7 @@ TEST(SharedSaturation, ExtractionMatchesPerRootReference) {
 TEST(SharedSaturation, RootViewContainsInputLanguage) {
   for (const Instance &Inst : makeInstances(baseSeed() + 7777, 40)) {
     SharedSaturationResult R =
-        sharedPostStar(Inst.P, Inst.NumShared, Inst.Lang);
+        sharedPostStar(Inst.pds(), Inst.NumShared, Inst.Lang);
     ASSERT_TRUE(R.Complete);
     for (QState Root : Inst.Roots) {
       auto Rows = R.Sat.extractRoot(Root);
@@ -226,7 +219,7 @@ TEST(SharedSaturation, BudgetTruncationIsDetected) {
   Instance Inst = makeInstances(baseSeed() + 424242, 1).front();
   LimitTracker Free((ResourceLimits::unlimited()));
   SharedSaturationResult Full =
-      sharedPostStar(Inst.P, Inst.NumShared, Inst.Lang, &Free);
+      sharedPostStar(Inst.pds(), Inst.NumShared, Inst.Lang, &Free);
   ASSERT_TRUE(Full.Complete);
   uint64_t Pops = Free.steps();
   ASSERT_GT(Pops, 0u);
@@ -238,13 +231,13 @@ TEST(SharedSaturation, BudgetTruncationIsDetected) {
   Tight.MaxMillis = 0;
   LimitTracker Short(Tight);
   SharedSaturationResult Cut =
-      sharedPostStar(Inst.P, Inst.NumShared, Inst.Lang, &Short);
+      sharedPostStar(Inst.pds(), Inst.NumShared, Inst.Lang, &Short);
   EXPECT_FALSE(Cut.Complete);
   EXPECT_TRUE(Short.exhausted());
 
   LimitTracker Exact(ResourceLimits{0, Pops, 0, 0});
   SharedSaturationResult Ok =
-      sharedPostStar(Inst.P, Inst.NumShared, Inst.Lang, &Exact);
+      sharedPostStar(Inst.pds(), Inst.NumShared, Inst.Lang, &Exact);
   EXPECT_TRUE(Ok.Complete);
 }
 
@@ -260,13 +253,17 @@ TEST(SharedSaturation, BudgetTruncationIsDetected) {
 namespace {
 
 /// Runs both engines on one instance under equal budgets and asserts
-/// word-for-word equality of the retained relations and charges.
+/// word-for-word equality of the retained relations and charges.  The
+/// production engine saturates the thread in place; the pre-refactor
+/// engine saturates the classical bottomed copy.
 void expectBitIdentical(const Instance &Inst, const ResourceLimits &RL) {
   LimitTracker ProdLimits(RL), RefLimits(RL);
   SharedSaturationResult Prod =
-      sharedPostStar(Inst.P, Inst.NumShared, Inst.Lang, &ProdLimits);
+      sharedPostStar(Inst.pds(), Inst.NumShared, Inst.Lang, &ProdLimits);
+  reference::BottomedPds B =
+      reference::eliminateEmptyStackRules(Inst.pds(), Inst.NumShared);
   reference::RefSaturation Ref = reference::refSharedPostStar(
-      Inst.P, Inst.NumShared, Inst.Lang, &RefLimits);
+      B.P, Inst.NumShared, Inst.Lang, &RefLimits);
 
   ASSERT_EQ(Prod.Complete, Ref.Complete) << "seed " << Inst.Seed;
   ASSERT_EQ(ProdLimits.steps(), RefLimits.steps()) << "seed " << Inst.Seed;
@@ -307,7 +304,7 @@ TEST(SharedSaturation, BitIdenticalUnderTruncatingBudgets) {
   for (const Instance &Inst : makeInstances(baseSeed() + 31337, 24)) {
     LimitTracker Free((ResourceLimits::unlimited()));
     SharedSaturationResult Full =
-        sharedPostStar(Inst.P, Inst.NumShared, Inst.Lang, &Free);
+        sharedPostStar(Inst.pds(), Inst.NumShared, Inst.Lang, &Free);
     ASSERT_TRUE(Full.Complete);
     uint64_t Pops = Free.steps();
     for (uint64_t Budget : {uint64_t(1), Pops / 2, Pops}) {
@@ -334,7 +331,7 @@ TEST(SharedSaturation, ComparisonCatchesInjectedUnderSaturation) {
   psa_testing::InjectDropMaskGrowth = true;
   unsigned Mismatching = 0;
   for (const Instance &Inst : Instances)
-    if (compareRoots(Inst.P, Inst.NumShared, Inst.Lang, Inst.Roots,
+    if (compareRoots(Inst.pds(), Inst.NumShared, Inst.Lang, Inst.Roots,
                      Inst.Seed, /*Report=*/false) > 0)
       ++Mismatching;
   psa_testing::InjectDropMaskGrowth = false;
