@@ -7,9 +7,10 @@
 ///
 /// \file
 /// Experiment E3: the FCR determination of Fig. 4.  For each thread of
-/// the Fig. 1 and Fig. 2 systems, builds the pushdown store automaton
-/// of R(Q x Sigma^{<=1}) by post* saturation and reports whether its
-/// useful part is loop-free (language finite).  Fig. 1's threads pass
+/// the Fig. 1 and Fig. 2 systems, saturates the pushdown store automaton
+/// of R(Q x Sigma^{<=1}) and reports whether its useful part is
+/// loop-free (language finite); checkFcr stores only the automaton's
+/// push-helper level and tests that for a cycle.  Fig. 1's threads pass
 /// (FCR holds); Fig. 2's threads have pumpable loops (FCR fails).  The
 /// per-thread verdicts for the whole Table 2 suite follow.
 ///

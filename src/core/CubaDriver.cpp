@@ -29,6 +29,8 @@ DriverResult cuba::runCuba(const Cpds &C, const SafetyProperty &Prop,
       FcrResult Res = checkFcr(C, &FcrLimits);
       Span.arg("holds", Res.Holds);
       Span.arg("complete", Res.Complete);
+      Span.arg("helpers", Res.Helpers);
+      Span.arg("steps", FcrLimits.steps());
       return Res;
     } catch (const std::bad_alloc &) {
       FcrResult Failed;

@@ -91,8 +91,9 @@ public:
   /// True when the language is finite.  Precisely: the language is
   /// infinite iff some strongly connected component of the useful-state
   /// subgraph contains a non-epsilon edge (a pumpable cycle).  This is
-  /// the loop-freeness test of the FCR check (Sec. 5, Fig. 4);
-  /// epsilon-only cycles do not pump word length and are ignored.
+  /// the loop-freeness test of the FCR check (Sec. 5, Fig. 4) as the
+  /// differential oracle runs it; epsilon-only cycles do not pump word
+  /// length and are ignored.
   bool isLanguageFinite() const;
 
   /// Subset construction (after epsilon-closure) into a complete DFA.

@@ -9,8 +9,10 @@
 /// The classical post* saturation (Bouajjani-Esparza-Maler 1997; Schwoon
 /// 2000): given a PDS P and a PSA recognising a regular set C of PDS
 /// states, computes a PSA recognising post*(C), the set of states
-/// reachable from C.  This underlies both the FCR test (Sec. 5) and the
-/// symbolic engine's per-context transaction (Sec. 6, App. E).
+/// reachable from C.  The verifier itself saturates through the shared
+/// post* of psa/SaturationEngine and the helper-level FCR saturation of
+/// core/FcrCheck; this single-automaton one is the reference the
+/// differential oracle and the tests hold them to.
 ///
 /// The saturation processes a worklist of automaton transitions.  Popping
 /// (p, y, q) with y != eps fires the PDS rules with head (p, y):
@@ -71,7 +73,9 @@ PAutomaton singleStateAutomaton(uint32_t NumShared, uint32_t NumSymbols,
 /// Builds the PSA accepting Q x Sigma^{<=1} lifted onto the bottom marker
 /// \p Bottom: <q | bot> and <q | s bot> for every shared state q and
 /// symbol 1 <= s < Bottom.  This is the start set of the FCR test
-/// (Sec. 5, Lemma 16), over a PDS P with Bottom == P.bottom().
+/// (Sec. 5, Lemma 16), over a PDS P with Bottom == P.bottom(); checkFcr
+/// leaves it implicit, and the differential oracle runs post* from it
+/// to check checkFcr's per-thread answers.
 PAutomaton shortStackAutomaton(uint32_t NumShared, Sym Bottom);
 
 } // namespace cuba

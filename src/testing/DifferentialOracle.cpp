@@ -15,6 +15,7 @@
 #include "core/CubaDriver.h"
 #include "core/FcrCheck.h"
 #include "core/SymbolicEngine.h"
+#include "psa/PostStar.h"
 
 using namespace cuba;
 using namespace cuba::testing;
@@ -164,6 +165,42 @@ cuba::testing::runDifferentialOracle(const CpdsFile &File,
                                [](bool B) { return B; });
   if (F1.Holds != (F1.Complete && AllFinite))
     Mismatch("checkFcr verdict disagrees with its per-thread results");
+  // Each thread's answer must match the automaton test checkFcr stands
+  // for: classic post* of the lifted short-stack start set, then
+  // finiteness of its language over all shared roots.  The saturations
+  // must also agree below the verdict: checkFcr stores exactly the
+  // classic automaton's transitions into push helpers, the states the
+  // start set does not have.
+  if (F1.Complete && F1.ThreadFinite.size() == C.numThreads()) {
+    for (unsigned I = 0; I < C.numThreads(); ++I) {
+      const Pds &P = C.thread(I);
+      PAutomaton Start = shortStackAutomaton(C.numSharedStates(), P.bottom());
+      uint32_t FirstHelper = Start.nfa().numStates();
+      LimitTracker L(Opts.Limits);
+      PostStarResult R = postStar(P, std::move(Start), &L);
+      if (!R.Complete)
+        continue;
+      Nfa &Lang = R.Automaton.nfa();
+      for (QState Q = 0; Q < C.numSharedStates(); ++Q)
+        Lang.setInitial(Q);
+      bool Finite = Lang.isLanguageFinite();
+      if (Finite != F1.ThreadFinite[I])
+        Mismatch("checkFcr thread " + std::to_string(I) + ": " +
+                 (F1.ThreadFinite[I] ? "finite" : "infinite") +
+                 ", the automaton test says " +
+                 (Finite ? "finite" : "infinite"));
+      uint64_t HelperEdges = 0;
+      for (uint32_t S = 0; S < Lang.numStates(); ++S)
+        for (const Nfa::Edge &E : Lang.edgesFrom(S))
+          HelperEdges += E.To >= FirstHelper;
+      LimitTracker TL(Opts.Limits);
+      FcrThreadResult T = threadShortStackReachabilityFinite(P, &TL);
+      if (T.Complete && T.Edges != HelperEdges)
+        Mismatch("checkFcr thread " + std::to_string(I) + ": " +
+                 std::to_string(T.Edges) + " edges into push helpers, " +
+                 "classic post* has " + std::to_string(HelperEdges));
+    }
+  }
 
   // Phase 4: the two top-level procedures must agree whenever both
   // conclude within budget.

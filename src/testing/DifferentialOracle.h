@@ -20,7 +20,10 @@
 ///    bound and visible-state count of the explicit engine's R_K, for
 ///    all three storage variants,
 ///  * FCR consistency: checkFcr is deterministic, an incomplete check
-///    never claims FCR, and the per-thread verdicts match Holds,
+///    never claims FCR, the per-thread verdicts match Holds, and each
+///    matches the classic automaton test (post* of the short-stack start
+///    set, then language finiteness) wherever that test completes, down
+///    to the number of saturated transitions into push helpers,
 ///  * driver agreement: when both the explicit-combined and the symbolic
 ///    top-level procedures conclude within budget, their verdicts and
 ///    bug bounds coincide.

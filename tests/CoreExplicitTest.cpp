@@ -21,6 +21,7 @@
 #include "bp/Translate.h"
 #include "core/Algorithms.h"
 #include "core/CbaEngine.h"
+#include "core/CubaDriver.h"
 #include "core/FcrCheck.h"
 #include "core/Generators.h"
 #include "core/ObservationSequence.h"
@@ -561,6 +562,97 @@ TEST(Fcr, Table2VerdictsMatchThePaper) {
 TEST(Fcr, StefanIsNotFcrDekkerIs) {
   EXPECT_FALSE(checkFcr(models::buildStefan1(2).System).Holds);
   EXPECT_TRUE(checkFcr(models::buildDekker().System).Holds);
+}
+
+namespace {
+
+/// The FCR verdict of a one-thread system over shared states 0 and 1
+/// with the rules \p Rules, run without a budget.
+FcrResult fcrOfRules(const std::string &Rules) {
+  auto F = parseCpds("shared 2\nthread P {\n  alphabet a b c f m n r\n" +
+                     Rules + "}\n");
+  if (!F) {
+    ADD_FAILURE() << F.error().str();
+    return {};
+  }
+  FcrResult R = checkFcr(F->System);
+  EXPECT_TRUE(R.Complete);
+  EXPECT_EQ(R.ThreadFinite.size(), 1u);
+  return R;
+}
+
+} // namespace
+
+TEST(Fcr, DirectRecursionIsInfinite) {
+  EXPECT_FALSE(fcrOfRules("(0, a) -> (0, a a)\n").Holds);
+}
+
+TEST(Fcr, RecursionThatClosesThroughAReturnIsInfinite) {
+  // r pushes n, n becomes m, m calls f returning to r, and f returns:
+  // every lap leaves one more r.  The return is the epsilon edge
+  // (0, eps, h(0, f)), which the saturation pops before the helper edge
+  // (h(0, f), r, h(0, n)) exists; the loop closes only when that helper
+  // edge is composed with it.
+  FcrResult R = fcrOfRules("(0, m) -> (0, f r)\n"
+                           "(0, f) -> (0, eps)\n"
+                           "(0, r) -> (0, n r)\n"
+                           "(0, n) -> (0, m)\n");
+  EXPECT_FALSE(R.Holds);
+  EXPECT_EQ(R.Helpers, 2u);
+}
+
+TEST(Fcr, CallReturnLoopIsFinite) {
+  // m calls f and f returns to m, forever: the stack never exceeds two
+  // symbols.  The loop closes through the pop's epsilon edge, and the
+  // helper graph has no edge at all.
+  FcrResult R = fcrOfRules("(0, m) -> (1, f m)\n"
+                           "(1, f) -> (0, eps)\n");
+  EXPECT_TRUE(R.Holds);
+  EXPECT_EQ(R.Helpers, 1u);
+}
+
+TEST(Fcr, RecursionEnteredThroughAnEmptyStackPushIsInfinite) {
+  // The empty stack pushes r at 1, and r recurses; the empty-stack push
+  // and the recursive one share the helper h(1, r).
+  FcrResult R = fcrOfRules("(0, eps) -> (1, r)\n"
+                           "(1, r) -> (1, r c)\n");
+  EXPECT_FALSE(R.Holds);
+  EXPECT_EQ(R.Helpers, 1u);
+}
+
+TEST(Fcr, BudgetChargesOneStepPerActionWithoutPushes) {
+  // No push rules: the seed pass is the whole saturation, one step per
+  // action.
+  auto F = parseCpds("shared 2\nthread P {\n  alphabet a b\n  stack a\n"
+                     "  (0, a) -> (1, b)\n"
+                     "  (1, b) -> (0, eps)\n"
+                     "  (0, eps) -> (1, eps)\n"
+                     "}\n");
+  ASSERT_TRUE(F) << F.error().str();
+  const Cpds &C = F->System;
+  uint64_t NumActions = C.thread(0).actions().size();
+  ResourceLimits L = ResourceLimits::unlimited();
+
+  L.MaxSteps = NumActions;
+  LimitTracker Enough(L);
+  FcrResult R = checkFcr(C, &Enough);
+  EXPECT_TRUE(R.Complete);
+  EXPECT_TRUE(R.Holds);
+  EXPECT_EQ(Enough.steps(), NumActions);
+
+  L.MaxSteps = NumActions - 1;
+  LimitTracker Short(L);
+  R = checkFcr(C, &Short);
+  EXPECT_FALSE(R.Complete);
+  EXPECT_FALSE(R.Holds);
+
+  // Under that budget runCuba cannot establish FCR and routes to the
+  // symbolic engine.
+  DriverOptions O;
+  O.Run.Limits = L;
+  DriverResult D = runCuba(C, F->Property, O);
+  EXPECT_FALSE(D.Fcr.Complete);
+  EXPECT_EQ(D.Used, ApproachKind::Symbolic);
 }
 
 //===----------------------------------------------------------------------===//
