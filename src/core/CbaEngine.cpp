@@ -13,57 +13,23 @@
 #include "exec/ParallelRound.h"
 #include "obs/Trace.h"
 #include "support/Statistic.h"
-#include "support/Unreachable.h"
 
 using namespace cuba;
 
 CbaEngine::CbaEngine(const Cpds &C, const ResourceLimits &Limits)
-    : C(C), Limits(Limits), VisibleSeen(C) {
+    : C(C), Limits(Limits), Rows(1 + C.numThreads()), VisibleSeen(C) {
   assert(C.frozen() && "CbaEngine requires a frozen CPDS");
   TopsBuf.resize(C.numThreads());
-  PerStateBytes = sizeof(PackedGlobalState) + sizeof(StateInfo) +
-                  sizeof(uint32_t) /* LocalMark */;
-  NumShards = core::commitShardCount();
-  Index.resize(NumShards);
-  ShardCommitted.assign(NumShards, 0);
-  RoundStartCommitted = ShardCommitted;
-  PackedGlobalState Init = packState(C.initialState(), Store);
-  if (Init.Stacks.size() > Init.Stacks.inlineCapacity())
-    PerStateBytes += Init.Stacks.size() * sizeof(StackId);
-  uint64_t H = PackedGlobalStateHash{}(Init);
-  auto [Slot, New] = shardFor(H).tryEmplaceHashed(Init, H, 0);
-  (void)Slot;
-  assert(New && "fresh index already holds the initial state");
+  RowBuf.resize(Rows.width());
+  packRow(C.initialState(), Store, RowBuf.data());
+  auto [Id, New] = Rows.intern(RowBuf.data(), Rows.hash(RowBuf.data()));
+  assert(New && Id == 0 && "fresh table already holds the initial state");
   (void)New;
-  noteCommitted(core::shardOf(H, NumShards));
-  appendState(std::move(Init), 0, UINT32_MAX, 0, 0);
+  appendState(Id, 0, UINT32_MAX, 0, 0);
+  recordVisible(RowBuf.data(), 0);
   this->Limits.chargeState();
   this->Limits.checkMemory(stateBytes() + Store.memoryBytes());
   Frontier.push_back(0);
-}
-
-uint32_t CbaEngine::appendState(PackedGlobalState &&S, unsigned Round,
-                                uint32_t Parent, unsigned Thread,
-                                uint32_t ActionIdx) {
-  uint32_t Id = static_cast<uint32_t>(States.size());
-  for (unsigned I = 0; I < TopsBuf.size(); ++I)
-    TopsBuf[I] = Store.topOf(S.Stacks[I]);
-  VisibleSeen.insertTops(S.Q, TopsBuf.data(), Round);
-  States.push_back(std::move(S));
-  Info.push_back({Round, Parent, Thread, ActionIdx});
-  LocalMark.push_back(0);
-  return Id;
-}
-
-uint32_t CbaEngine::appendStateBatched(PackedGlobalState &&S, unsigned Round,
-                                       uint32_t Parent, unsigned Thread,
-                                       uint32_t ActionIdx, uint64_t VisWord) {
-  uint32_t Id = static_cast<uint32_t>(States.size());
-  VisBatch.push_back(VisWord);
-  States.push_back(std::move(S));
-  Info.push_back({Round, Parent, Thread, ActionIdx});
-  LocalMark.push_back(0);
-  return Id;
 }
 
 void CbaEngine::setParallel(exec::ThreadPool *P) {
@@ -92,31 +58,30 @@ CbaEngine::closeUnderThread(unsigned I, const std::vector<uint32_t> &Seeds,
 
   for (size_t Head = 0; Head < QueueBuf.size(); ++Head) {
     uint32_t Id = QueueBuf[Head];
-    // By value: the arena may grow (and move) while successors are added.
-    PackedGlobalState S = States[Id];
-    SuccsBuf.clear();
-    C.threadSuccessorsInterned(S, I, Store, SuccsBuf);
-    if (!Limits.chargeStep(SuccsBuf.size() + 1))
+    loadRow(Id, RowBuf);
+    StepsBuf.clear();
+    C.threadSteps(RowBuf[0], RowBuf[1 + I], I, Store,
+                  [&](uint32_t AI, QState Q, StackId W) {
+                    StepsBuf.push_back({AI, Q, W});
+                  });
+    if (!Limits.chargeStep(StepsBuf.size() + 1))
       return RoundStatus::Exhausted;
-    for (auto &[V, ActionIdx] : SuccsBuf) {
-      uint64_t H = PackedGlobalStateHash{}(V);
-      unsigned Shard = core::shardOf(H, NumShards);
-      auto [Slot, New] =
-          Index[Shard].tryEmplaceHashed(V, H,
-                                        static_cast<uint32_t>(States.size()));
+    for (const Step &S : StepsBuf) {
+      RowBuf[0] = S.Q;
+      RowBuf[1 + I] = S.W;
+      auto [SeenId, New] =
+          Rows.intern(RowBuf.data(), Rows.hash(RowBuf.data()));
       if (New) {
-        noteCommitted(Shard);
         // Genuinely new: first reached with Bound+1 contexts.
-        uint32_t NewId =
-            appendState(std::move(V), Bound + 1, Id, I, ActionIdx);
-        LocalMark[NewId] = Epoch;
-        NewFrontier.push_back(NewId);
-        QueueBuf.push_back(NewId);
+        appendState(SeenId, Bound + 1, Id, I, S.ActionIdx);
+        recordVisible(RowBuf.data(), Bound + 1);
+        LocalMark[SeenId] = Epoch;
+        NewFrontier.push_back(SeenId);
+        QueueBuf.push_back(SeenId);
         if (!chargeNewState())
           return RoundStatus::Exhausted;
         continue;
       }
-      uint32_t SeenId = *Slot;
       if (LocalMark[SeenId] == Epoch)
         continue;
       LocalMark[SeenId] = Epoch;
@@ -150,25 +115,32 @@ void CbaEngine::deriveChunk(unsigned Worker, ChunkOut &Out, unsigned I,
   SC.TopsBuf.resize(NThreads);
   for (size_t P = Begin; P < End; ++P) {
     uint32_t ParentId = Level[P];
-    // By value: cheap (ids), and independent of arena relocation.
-    PackedGlobalState S = States[ParentId];
-    SC.SuccsBuf.clear();
-    C.threadSuccessorsVia(S, I, SC.Overlay, SC.SuccsBuf);
+    loadRow(ParentId, SC.Row);
+    SC.Steps.clear();
+    C.threadSteps(SC.Row[0], SC.Row[1 + I], I, SC.Overlay,
+                  [&](uint32_t AI, QState Q, StackId W) {
+                    SC.Steps.push_back({AI, Q, W});
+                  });
     Out.Parents.emplace_back(ParentId,
-                             static_cast<uint32_t>(SC.SuccsBuf.size()));
-    for (auto &[V, ActionIdx] : SC.SuccsBuf) {
+                             static_cast<uint32_t>(SC.Steps.size()));
+    if (Packable)
+      for (unsigned T = 0; T < NThreads; ++T)
+        SC.TopsBuf[T] = SC.Overlay.topOf(SC.Row[1 + T]);
+    for (const Step &S : SC.Steps) {
       uint32_t Known = UINT32_MAX;
       uint64_t Hash = 0;
       uint8_t HasHash = 0;
-      // Only thread I's stack can be new; a base-id stack makes the
-      // whole state probeable against the frozen index -- and its hash
-      // stays valid at the commit (translate() is then the identity),
-      // so the commit probe reuses it.
-      if (V.Stacks[I] < BaseSize) {
-        Hash = PackedGlobalStateHash{}(V);
+      // Only thread I's stack can be new; a base-id stack makes the row
+      // probeable against the frozen table -- and its hash stays valid
+      // at the commit (translate() is then the identity), so the commit
+      // reuses it.
+      if (S.W < BaseSize) {
+        SC.Row[0] = S.Q;
+        SC.Row[1 + I] = S.W;
+        Hash = Rows.hash(SC.Row.data());
         HasHash = 1;
-        if (const uint32_t *Found = shardFor(Hash).findHashed(V, Hash)) {
-          uint32_t Id = *Found;
+        uint32_t Id = Rows.find(SC.Row.data(), Hash);
+        if (Id != StateRows::NoRow) {
           // Marked in an earlier (committed) level: the serial BFS
           // skips it here too.  Old states (discovered in an earlier
           // round) are never re-traversed; their mark is inert, so the
@@ -181,21 +153,21 @@ void CbaEngine::deriveChunk(unsigned Worker, ChunkOut &Out, unsigned I,
       }
       Candidate Cand;
       Cand.KnownId = Known;
-      Cand.ActionIdx = ActionIdx;
+      Cand.ActionIdx = S.ActionIdx;
       if (Known == UINT32_MAX) {
+        Cand.Q = S.Q;
+        Cand.W = S.W;
         Cand.Hash = Hash;
         Cand.HasHash = HasHash;
         if (Packable) {
           // Tops are translation-invariant, so the visible word can be
           // packed against the overlay now and inserted as-is later.
-          for (unsigned T = 0; T < NThreads; ++T)
-            SC.TopsBuf[T] = SC.Overlay.topOf(V.Stacks[T]);
-          Cand.VisWord = Packer.pack(V.Q, SC.TopsBuf.data(), NThreads);
+          SC.TopsBuf[I] = SC.Overlay.topOf(S.W);
+          Cand.VisWord = Packer.pack(S.Q, SC.TopsBuf.data(), NThreads);
           Cand.HasVis = 1;
         }
-        Cand.S = std::move(V);
       }
-      Out.Cands.push_back(std::move(Cand));
+      Out.Cands.push_back(Cand);
     }
     Out.CandEnd.push_back(static_cast<uint32_t>(Out.Cands.size()));
   }
@@ -261,203 +233,69 @@ CbaEngine::closeUnderThreadParallel(unsigned I,
   return RoundStatus::Ok;
 }
 
-/// Fresh-candidate count below which the shard passes run inline: at
-/// this size the fork-join handoff costs more than the probes it would
-/// spread.  A constant, not jobs-derived -- both code paths compute the
-/// same resolution, so the gate only affects scheduling.
-static constexpr size_t MinParallelFresh = 64;
-
-void CbaEngine::resolveShardCandidates(size_t FreshCount) {
-  auto Resolve = [&](unsigned S) {
-    StateIndexMap &M = Index[S];
-    for (uint32_t Seq : ShardSeqs[S]) {
-      Candidate &Cand = *SeqCands[Seq];
-      auto [Slot, New] =
-          M.tryEmplaceHashed(Cand.S, Cand.Hash, TentativeTag | Seq);
-      if (New) {
-        ResKind[Seq] = ResNewFirst;
-      } else if (*Slot & TentativeTag) {
-        // A lower seq in this shard already claimed the state this
-        // level; per-shard lists are in seq order, so first-wins here
-        // is exactly the serial dedup outcome.
-        ResKind[Seq] = ResDup;
-        ResVal[Seq] = *Slot & ~TentativeTag;
-      } else {
-        ResKind[Seq] = ResExisting;
-        ResVal[Seq] = *Slot;
-      }
-    }
-  };
-  if (FreshCount >= MinParallelFresh && NumShards > 1)
-    exec::parallelFor(*Pool, NumShards, 1,
-                      [&](unsigned, size_t S) {
-                        Resolve(static_cast<unsigned>(S));
-                      });
-  else
-    for (unsigned S = 0; S < NumShards; ++S)
-      Resolve(S);
-}
-
-void CbaEngine::fixupShardCandidates(size_t FreshCount) {
-  auto Fixup = [&](unsigned S) {
-    StateIndexMap &M = Index[S];
-    for (uint32_t Seq : ShardSeqs[S]) {
-      if (ResKind[Seq] != ResNewFirst)
-        continue;
-      uint32_t Id = FinalIds[Seq];
-      if (Id != UINT32_MAX) {
-        // Accepted: the key now lives in the state arena (the commit
-        // moved it), so re-probe with it.
-        uint32_t *Val = M.findHashed(States[Id], SeqCands[Seq]->Hash);
-        assert(Val && "accepted entry vanished from its shard");
-        *Val = Id;
-      } else {
-        // Past the budget stop: the tentative insert must leave no
-        // trace, or a later run of this engine would dedup against a
-        // state that was never committed.
-        bool Erased = M.erase(SeqCands[Seq]->S);
-        assert(Erased && "rejected entry vanished from its shard");
-        (void)Erased;
-      }
-    }
-  };
-  if (FreshCount >= MinParallelFresh && NumShards > 1)
-    exec::parallelFor(*Pool, NumShards, 1,
-                      [&](unsigned, size_t S) {
-                        Fixup(static_cast<unsigned>(S));
-                      });
-  else
-    for (unsigned S = 0; S < NumShards; ++S)
-      Fixup(S);
-}
-
 CbaEngine::RoundStatus CbaEngine::commitLevel(unsigned I,
                                               std::vector<uint32_t> &NewFrontier,
                                               std::vector<uint32_t> &Next,
                                               size_t NumChunks) {
   obs::ScopedSpan Commit("commit-level", obs::Trace::CatWall);
-
-  // Phase A (serial): flatten the chunks' candidates into one stream in
-  // serial order, translating each fresh candidate's thread stack out
-  // of its worker overlay -- StackId interning order is candidate order,
-  // i.e. exactly the serial schedule -- and hashing the candidates
-  // whose stacks were not all base ids (worker hashes only hold when
-  // translate() is the identity).
-  SeqCands.clear();
-  ResKind.clear();
-  if (ShardSeqs.size() != NumShards)
-    ShardSeqs.resize(NumShards);
-  for (std::vector<uint32_t> &SS : ShardSeqs)
-    SS.clear();
-  size_t FreshCount = 0;
+  // One serial pass in candidate order (chunk index order == level
+  // order), replaying the serial BFS exactly: the same step charge per
+  // parent, the same interning order -- so the same state ids, StackId
+  // assignment and budget stop -- and the same first-seen bookkeeping.
+  size_t NumCands = 0;
+  for (size_t Chunk = 0; Chunk < NumChunks; ++Chunk)
+    NumCands += ChunksBuf[Chunk].Cands.size();
+  Commit.arg("cands", NumCands);
+  Next.clear();
   for (size_t Chunk = 0; Chunk < NumChunks; ++Chunk) {
     ChunkOut &CO = ChunksBuf[Chunk];
     StackOverlay &OV = Scratch->get(CO.Worker).Overlay;
-    for (Candidate &Cand : CO.Cands) {
-      uint32_t Seq = static_cast<uint32_t>(SeqCands.size());
-      SeqCands.push_back(&Cand);
-      if (Cand.KnownId != UINT32_MAX) {
-        ResKind.push_back(ResKnown);
-        continue;
-      }
-      Cand.S.Stacks[I] = OV.translate(Cand.S.Stacks[I], Store);
-      if (!Cand.HasHash) {
-        Cand.Hash = PackedGlobalStateHash{}(Cand.S);
-        Cand.HasHash = 1;
-      }
-      ResKind.push_back(ResFresh);
-      ShardSeqs[core::shardOf(Cand.Hash, NumShards)].push_back(Seq);
-      ++FreshCount;
-    }
-  }
-  Commit.arg("cands", SeqCands.size());
-  Commit.arg("fresh", FreshCount);
-  ResVal.assign(SeqCands.size(), 0);
-  FinalIds.assign(SeqCands.size(), UINT32_MAX);
-  StopSeq = UINT32_MAX;
-  assert(States.size() + SeqCands.size() < TentativeTag &&
-         "state ids would collide with the tentative tag");
-
-  // Phase B (parallel): workers probe and tentatively insert disjoint
-  // shards.  Pure function of the frozen maps plus the per-shard seq
-  // lists, so the schedule cannot leak into the outcome.
-  resolveShardCandidates(FreshCount);
-
-  // Phase C (serial, no hashing or probing): replay charges, state id
-  // assignment and first-seen bookkeeping in exactly the serial order,
-  // stopping precisely where the serial run's budget would.
-  RoundStatus St = RoundStatus::Ok;
-  uint32_t Seq = 0;
-  Next.clear();
-  for (size_t Chunk = 0; Chunk < NumChunks && St == RoundStatus::Ok;
-       ++Chunk) {
-    ChunkOut &CO = ChunksBuf[Chunk];
     size_t CandBegin = 0;
     for (size_t P = 0; P < CO.Parents.size(); ++P) {
       auto [ParentId, SuccCount] = CO.Parents[P];
       size_t CandEnd = CO.CandEnd[P];
-      if (!Limits.chargeStep(SuccCount + 1)) {
-        StopSeq = Seq;
-        St = RoundStatus::Exhausted;
-        break;
-      }
-      for (size_t CI = CandBegin; CI < CandEnd && St == RoundStatus::Ok;
-           ++CI, ++Seq) {
-        Candidate &Cand = *SeqCands[Seq];
-        uint32_t Id;
-        switch (ResKind[Seq]) {
-        case ResKnown:
-          Id = Cand.KnownId;
-          break;
-        case ResExisting:
-          Id = ResVal[Seq];
-          break;
-        case ResDup:
-          Id = FinalIds[ResVal[Seq]];
-          assert(Id != UINT32_MAX &&
-                 "dup resolved to a candidate past the stop point");
-          break;
-        case ResNewFirst: {
-          uint32_t NewId =
-              Cand.HasVis
-                  ? appendStateBatched(std::move(Cand.S), Bound + 1, ParentId,
-                                       I, Cand.ActionIdx, Cand.VisWord)
-                  : appendState(std::move(Cand.S), Bound + 1, ParentId, I,
-                                Cand.ActionIdx);
-          FinalIds[Seq] = NewId;
-          noteCommitted(core::shardOf(Cand.Hash, NumShards));
-          LocalMark[NewId] = Epoch;
-          NewFrontier.push_back(NewId);
-          Next.push_back(NewId);
-          if (!chargeNewState()) {
-            StopSeq = Seq + 1;
-            St = RoundStatus::Exhausted;
+      if (!Limits.chargeStep(SuccCount + 1))
+        return RoundStatus::Exhausted;
+      bool RowLoaded = false;
+      for (size_t CI = CandBegin; CI < CandEnd; ++CI) {
+        const Candidate &Cand = CO.Cands[CI];
+        uint32_t Id = Cand.KnownId;
+        if (Id == UINT32_MAX) {
+          if (!RowLoaded) {
+            loadRow(ParentId, RowBuf);
+            RowLoaded = true;
           }
-          continue;
-        }
-        default:
-          cuba_unreachable("unresolved candidate after the shard pass");
+          RowBuf[0] = Cand.Q;
+          RowBuf[1 + I] = OV.translate(Cand.W, Store);
+          uint64_t H = Cand.HasHash ? Cand.Hash : Rows.hash(RowBuf.data());
+          auto [SeenId, New] = Rows.intern(RowBuf.data(), H);
+          if (New) {
+            appendState(SeenId, Bound + 1, ParentId, I, Cand.ActionIdx);
+            if (Cand.HasVis)
+              VisBatch.push_back(Cand.VisWord);
+            else
+              recordVisible(RowBuf.data(), Bound + 1);
+            LocalMark[SeenId] = Epoch;
+            NewFrontier.push_back(SeenId);
+            Next.push_back(SeenId);
+            if (!chargeNewState())
+              return RoundStatus::Exhausted;
+            continue;
+          }
+          Id = SeenId;
         }
         if (LocalMark[Id] == Epoch)
           continue;
         LocalMark[Id] = Epoch;
-        // ResKnown candidates were only kept with Round > Bound; the
-        // others re-check, since a fresh stack can still equal an old
-        // state's.
+        // Known candidates were only kept with Round > Bound; fresh ones
+        // re-check, since a fresh stack can still equal an old state's.
         if (Info[Id].Round > Bound)
           Next.push_back(Id);
       }
-      if (St != RoundStatus::Ok)
-        break;
       CandBegin = CandEnd;
     }
   }
-
-  // Phase D (parallel): finalize the tentative entries -- accepted ones
-  // get their final id, entries past the stop are rolled back.  Runs on
-  // every exit path so the maps only ever expose committed ids.
-  fixupShardCandidates(FreshCount);
-  return St;
+  return RoundStatus::Ok;
 }
 
 CbaEngine::RoundStatus CbaEngine::advance() {
@@ -465,15 +303,7 @@ CbaEngine::RoundStatus CbaEngine::advance() {
   static obs::Histogram RoundMicros("cba.round_micros",
                                     /*Deterministic=*/false);
   static obs::Gauge BytesHwm("cba.bytes.hwm");
-  // How unevenly this round's new states spread over the commit shards:
-  // max-shard share as a percentage of a perfectly even spread (100 =
-  // balanced, NumShards*100 = everything in one shard).  A deterministic
-  // function of committed state, identical at any --jobs and on the
-  // serial path (both use the same sharded index).
-  static obs::Histogram ShardImbalance("cba.commit.shard_imbalance_pct",
-                                       /*Deterministic=*/true);
   ++Rounds;
-  RoundStartCommitted = ShardCommitted;
   auto T0 = std::chrono::steady_clock::now();
   obs::ScopedSpan Round("round", obs::Trace::CatDet);
   Round.arg("k", Bound);
@@ -482,7 +312,7 @@ CbaEngine::RoundStatus CbaEngine::advance() {
   // the round would mix multiple context switches.
   std::vector<uint32_t> Seeds;
   if (ExpandAll) {
-    Seeds.resize(States.size());
+    Seeds.resize(Rows.size());
     for (uint32_t Id = 0; Id < Seeds.size(); ++Id)
       Seeds[Id] = Id;
   } else {
@@ -498,14 +328,6 @@ CbaEngine::RoundStatus CbaEngine::advance() {
     Round.arg("states", Limits.states());
     Round.arg("peak_bytes", Limits.peakBytes());
     BytesHwm.recordMax(stateBytes() + CommittedArenaBytes);
-    uint64_t Total = 0, Max = 0;
-    for (unsigned S = 0; S < NumShards; ++S) {
-      uint64_t D = ShardCommitted[S] - RoundStartCommitted[S];
-      Total += D;
-      Max = std::max(Max, D);
-    }
-    if (Total > 0)
-      ShardImbalance.observe(Max * NumShards * 100 / Total);
     RoundMicros.observe(static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - T0)
@@ -545,35 +367,32 @@ std::vector<GlobalState> CbaEngine::frontier() const {
   std::vector<GlobalState> Out;
   Out.reserve(Frontier.size());
   for (uint32_t Id : Frontier)
-    Out.push_back(unpackState(States[Id], Store));
+    Out.push_back(unpackRow(Rows.row(Id), C.numThreads(), Store));
   return Out;
 }
 
 bool CbaEngine::stateReached(const GlobalState &S) const {
-  PackedGlobalState P;
-  P.Q = S.Q;
-  for (const Stack &W : S.Stacks) {
-    StackId Id;
-    if (!Store.findInterned(W, Id))
+  std::vector<uint32_t> Row(Rows.width());
+  Row[0] = S.Q;
+  for (size_t I = 0; I < S.Stacks.size(); ++I)
+    if (!Store.findInterned(S.Stacks[I], Row[1 + I]))
       return false; // A never-interned stack cannot be part of any state.
-    P.Stacks.push_back(Id);
-  }
-  uint64_t H = PackedGlobalStateHash{}(P);
-  return shardFor(H).findHashed(P, H) != nullptr;
+  return Rows.find(Row.data(), Rows.hash(Row.data())) != StateRows::NoRow;
 }
 
 std::vector<TraceStep>
 CbaEngine::traceToVisible(const VisibleState &V) const {
   // Find the earliest-discovered state projecting to V; ids are ordered
   // by discovery, so the first match wins.
+  const unsigned NThreads = C.numThreads();
   uint32_t Best = UINT32_MAX;
-  for (uint32_t Id = 0; Id < States.size(); ++Id) {
-    const PackedGlobalState &S = States[Id];
-    if (S.Q != V.Q)
+  for (uint32_t Id = 0; Id < Rows.size(); ++Id) {
+    const uint32_t *Row = Rows.row(Id);
+    if (Row[0] != V.Q)
       continue;
     bool Match = true;
-    for (unsigned I = 0; I < S.Stacks.size() && Match; ++I)
-      Match = Store.topOf(S.Stacks[I]) == V.Tops[I];
+    for (unsigned I = 0; I < NThreads && Match; ++I)
+      Match = Store.topOf(Row[1 + I]) == V.Tops[I];
     if (!Match)
       continue;
     if (Best == UINT32_MAX || Info[Id].Round < Info[Best].Round)
@@ -586,7 +405,7 @@ CbaEngine::traceToVisible(const VisibleState &V) const {
   std::vector<TraceStep> Trace;
   for (uint32_t Cur = Best;;) {
     TraceStep Step;
-    Step.State = unpackState(States[Cur], Store);
+    Step.State = unpackRow(Rows.row(Cur), NThreads, Store);
     const StateInfo &I = Info[Cur];
     if (I.Parent == UINT32_MAX) {
       Trace.push_back(std::move(Step)); // The initial state, no label.

@@ -22,13 +22,14 @@
 /// closure can diverge, which the resource budget turns into an
 /// "exhausted" result.
 ///
-/// Data plane: states live in a dense arena of PackedGlobalState (one
-/// interned 32-bit stack id per thread, see pds/StackStore.h) and are
-/// deduplicated through a flat open-addressing index, so deriving,
-/// hashing and storing a successor costs O(threads) words rather than a
-/// deep copy of every stack.  Per-closure visited sets are epoch stamps
-/// on the dense state ids -- no per-round hashing at all.  T(R_k) is
-/// kept packed in single words (pds/VisibleSet.h).
+/// Data plane: a state is a row [q, w1..wn] of interned 32-bit stack
+/// ids (pds/StackStore.h) in one hash-consing StateRows table
+/// (support/StateRows.h) that assigns dense state ids.  A successor is
+/// its parent row with q and one stack id patched, so deriving, hashing
+/// and storing it costs O(threads) words and no allocation of its own.
+/// Per-closure visited sets are epoch stamps on the dense state ids --
+/// no per-round hashing at all.  T(R_k) is kept packed in single words
+/// (pds/VisibleSet.h).
 ///
 /// Frontier optimisation: only states first reached in round k are
 /// expanded in round k+1; closures of older states were already expanded
@@ -39,17 +40,13 @@
 /// Parallel rounds (setParallel): the serial merged BFS is exactly
 /// level-synchronous -- the queue is the concatenation of BFS levels,
 /// each processed in the append order of the previous one -- so a round
-/// can fan a level's successor derivation out across workers (each with
-/// a StackOverlay over the frozen arena) and then commit the per-chunk
-/// candidate lists in level order.  The commit itself is sharded: the
-/// dedup index is partitioned by state-hash range (core/CommitShards.h,
-/// a fixed jobs-independent count), so after a cheap serial pass
-/// translates overlay stacks and hashes fresh candidates, workers probe
-/// and tentatively insert disjoint shards in parallel, and a serial
-/// id-assignment pass replays every order-sensitive effect (state id
-/// assignment, budget charges, first-seen bookkeeping) in exactly the
-/// serial sequence -- rolling tentative entries back if the budget
-/// stops it early.  Results are bit-identical to a serial run for any
+/// fans a level's successor derivation out across workers (each with a
+/// StackOverlay over the frozen stack arena, probing the frozen state
+/// table) and then commits the level in one serial pass over the
+/// per-chunk candidate lists in level order: it translates overlay
+/// stacks, interns rows in candidate order and charges the budget at
+/// exactly the serial run's points.  State ids, budget figures and
+/// first-seen rounds are therefore bit-identical to a serial run for any
 /// job count; see ParallelDeterminismTest and BUILDING.md.
 ///
 //===----------------------------------------------------------------------===//
@@ -60,13 +57,12 @@
 #include <memory>
 #include <vector>
 
-#include "core/CommitShards.h"
 #include "exec/WorkerLocal.h"
 #include "pds/Cpds.h"
 #include "pds/StackStore.h"
 #include "pds/VisibleSet.h"
-#include "support/FlatHash.h"
 #include "support/Limits.h"
+#include "support/StateRows.h"
 
 namespace cuba {
 
@@ -95,7 +91,7 @@ public:
   RoundStatus advance();
 
   /// |R_k| for the current bound.
-  size_t reachedSize() const { return States.size(); }
+  size_t reachedSize() const { return Rows.size(); }
 
   /// |T(R_k)| for the current bound.
   size_t visibleSize() const { return VisibleSeen.size(); }
@@ -137,8 +133,8 @@ public:
   const LimitTracker &limits() const { return Limits; }
 
   /// Logical byte footprint of the engine-owned stores (stack arena,
-  /// state arena, metadata, dedup index, visible set), derived from
-  /// element counts so the figure is deterministic at any `--jobs`.
+  /// state table, metadata, visible set), derived from element counts
+  /// so the figure is deterministic at any `--jobs`.
   uint64_t memoryUsage() const {
     return stateBytes() + Store.memoryBytes() +
            static_cast<uint64_t>(VisibleSeen.size()) * VisibleEntryBytes;
@@ -162,22 +158,30 @@ private:
     uint32_t ActionIdx = 0;
   };
 
+  /// One thread step out of a state: the action and the patched words.
+  struct Step {
+    uint32_t ActionIdx;
+    QState Q;
+    StackId W;
+  };
+
   RoundStatus closeUnderThread(unsigned I, const std::vector<uint32_t> &Seeds,
                                std::vector<uint32_t> &NewFrontier);
 
-  /// One successor surfaced by the parallel derive phase.  Known
-  /// candidates name a state that was already stored when the level's
-  /// derive began; new candidates carry the derived state, whose thread
-  /// stack may be an overlay id until the commit translates it.
-  /// Workers precompute what the serial commit would otherwise hash:
-  /// the state's dedup hash (valid only when every stack is a base id,
-  /// i.e. translate() is the identity) and the packed visible word
-  /// (tops are translation-invariant, so it is valid whenever the
-  /// system packs at all).
+  /// One successor surfaced by the parallel derive phase: its parent's
+  /// row with q' and thread I's stack w' patched in.  Known candidates
+  /// name a state that was already stored when the level's derive began;
+  /// for new ones, w' may be an overlay id until the commit translates
+  /// it.  Workers precompute what the serial commit would otherwise
+  /// hash: the row hash (valid only when w' is a base id, i.e.
+  /// translate() is the identity) and the packed visible word (tops are
+  /// translation-invariant, so it is valid whenever the system packs at
+  /// all).
   struct Candidate {
-    PackedGlobalState S;
     uint64_t Hash = 0;
     uint64_t VisWord = 0;
+    QState Q = 0;
+    StackId W = 0;
     uint32_t ActionIdx = 0;
     uint32_t KnownId = UINT32_MAX;
     uint8_t HasHash = 0;
@@ -202,7 +206,8 @@ private:
   struct DeriveScratch {
     StackOverlay Overlay;
     uint64_t Gen = 0;
-    std::vector<std::pair<PackedGlobalState, uint32_t>> SuccsBuf;
+    std::vector<Step> Steps;
+    std::vector<uint32_t> Row;
     std::vector<Sym> TopsBuf;
   };
 
@@ -213,20 +218,31 @@ private:
                                        std::vector<uint32_t> &NewFrontier);
 
   /// Derives successors of Level[Begin..End) by thread \p I into \p Out,
-  /// reading only state frozen for the level (arena, index, marks).
+  /// reading only state frozen for the level (arenas, table, marks).
   void deriveChunk(unsigned Worker, ChunkOut &Out, unsigned I,
                    const std::vector<uint32_t> &Level, size_t Begin,
                    size_t End);
 
-  /// Stores the (fresh) state \p S with the given discovery metadata and
-  /// records its visible projection; returns its new id.  The caller has
-  /// already claimed the index slot.
-  uint32_t appendState(PackedGlobalState &&S, unsigned Round, uint32_t Parent,
-                       unsigned Thread, uint32_t ActionIdx);
+  /// Commits one derived level in a single serial pass, in candidate
+  /// order: per parent, the step charge; per candidate, the overlay
+  /// translation, the intern and, for a new state, its metadata and
+  /// charges.  Appends the next level's ids to \p Next.
+  RoundStatus commitLevel(unsigned I, std::vector<uint32_t> &NewFrontier,
+                          std::vector<uint32_t> &Next, size_t NumChunks);
 
-  /// Byte footprint of the per-state stores alone: a pure function of
-  /// the per-shard committed counts (LogicalIndexBytes), so it is safe
-  /// to probe at every state commit — unlike the stack arena and
+  /// Records the discovery metadata of the freshly interned state \p Id;
+  /// the caller records its visible projection.
+  void appendState(uint32_t Id, unsigned Round, uint32_t Parent,
+                   unsigned Thread, uint32_t ActionIdx) {
+    assert(Id == Info.size() && "state ids must be dense");
+    (void)Id;
+    Info.push_back({Round, Parent, Thread, ActionIdx});
+    LocalMark.push_back(0);
+  }
+
+  /// Byte footprint of the per-state stores alone: the state table plus
+  /// the per-id metadata, a pure function of the state count, so it is
+  /// safe to probe at every state commit -- unlike the stack arena and
   /// visible set, whose mid-closure contents differ between the serial
   /// and parallel paths (the serial BFS interns successor stacks per
   /// pop and inserts visible words immediately; the parallel path
@@ -234,8 +250,8 @@ private:
   /// through CommittedArenaBytes, refreshed only at closure boundaries
   /// where the paths agree.
   uint64_t stateBytes() const {
-    return static_cast<uint64_t>(States.size()) * PerStateBytes +
-           LogicalIndexBytes;
+    return Rows.memoryBytes() +
+           static_cast<uint64_t>(Rows.size()) * PerStateBytes;
   }
 
   /// Charges one new state against both the count and byte budgets.
@@ -254,96 +270,40 @@ private:
     return Limits.checkMemory(stateBytes() + CommittedArenaBytes);
   }
 
-  /// appendState for the parallel commit's packed fast path: the
-  /// worker-precomputed visible word \p VisWord is deferred into
-  /// VisBatch instead of being unpacked and re-packed per state; the
-  /// commit flushes the batch (one reserve, then plain probes) before
-  /// it returns.
-  uint32_t appendStateBatched(PackedGlobalState &&S, unsigned Round,
-                              uint32_t Parent, unsigned Thread,
-                              uint32_t ActionIdx, uint64_t VisWord);
+  /// Records the visible projection of state row \p Row, first seen in
+  /// round \p Round.
+  void recordVisible(const uint32_t *Row, unsigned Round) {
+    for (unsigned T = 0; T < TopsBuf.size(); ++T)
+      TopsBuf[T] = Store.topOf(Row[1 + T]);
+    VisibleSeen.insertTops(Row[0], TopsBuf.data(), Round);
+  }
+
+  /// Loads state \p Id's row into \p Row (an intern may move the table,
+  /// so successors are patched into this copy).
+  void loadRow(uint32_t Id, std::vector<uint32_t> &Row) const {
+    const uint32_t *R = Rows.row(Id);
+    Row.assign(R, R + Rows.width());
+  }
 
   /// Logical bytes per packed visible entry (word + first-seen round).
   static constexpr uint64_t VisibleEntryBytes = 16;
+  /// Logical bytes of per-id metadata per stored state (Info, LocalMark).
+  static constexpr uint64_t PerStateBytes =
+      sizeof(StateInfo) + sizeof(uint32_t);
 
   const Cpds &C;
   LimitTracker Limits;
   unsigned Bound = 0;
   bool ExpandAll = false;
-  /// Logical bytes per stored state (arena slot, metadata, local mark,
-  /// plus any out-of-line stack-id storage); fixed per system.
-  uint64_t PerStateBytes = 0;
   /// Stack-arena + visible-set bytes as of the last closure boundary.
   uint64_t CommittedArenaBytes = 0;
 
-  using StateIndexMap =
-      FlatMap<PackedGlobalState, uint32_t, PackedGlobalStateHash>;
-
-  /// The shard holding hash \p H's entries.
-  StateIndexMap &shardFor(uint64_t H) {
-    return Index[core::shardOf(H, NumShards)];
-  }
-  const StateIndexMap &shardFor(uint64_t H) const {
-    return Index[core::shardOf(H, NumShards)];
-  }
-
-  /// Folds one serially accepted entry of shard \p S into the logical
-  /// index footprint.  Budget charges read LogicalIndexBytes, never the
-  /// shards' physical capacity: a parallel commit inserts tentative
-  /// entries for the whole level before the serial pass decides where
-  /// the budget stops, and that speculation must not be budget-visible.
-  void noteCommitted(unsigned S) {
-    LogicalIndexBytes -= StateIndexMap::logicalBytesFor(ShardCommitted[S]);
-    ++ShardCommitted[S];
-    LogicalIndexBytes += StateIndexMap::logicalBytesFor(ShardCommitted[S]);
-  }
-
-  /// Per-candidate resolution from the parallel shard pass.
-  enum ResolutionKind : uint8_t {
-    ResKnown,    ///< Dedup-resolved at derive time (KnownId).
-    ResFresh,    ///< Awaiting the shard pass.
-    ResNewFirst, ///< First occurrence of a new state (tentative insert).
-    ResDup,      ///< Later occurrence; ResVal is the first's seq.
-    ResExisting, ///< Matched a previously committed state; ResVal is id.
-  };
-
-  /// Tag bit marking a shard-map value as a tentative seq, not an id.
-  static constexpr uint32_t TentativeTag = 0x80000000u;
-
-  /// Phase B of the sharded commit: resolve every ResFresh candidate
-  /// against its shard, in seq order per shard (workers touch disjoint
-  /// shards, so the pass is race-free and its output independent of the
-  /// schedule).  \p FreshCount gates pool dispatch.
-  void resolveShardCandidates(size_t FreshCount);
-
-  /// Phase D of the sharded commit: rewrite accepted tentative entries
-  /// to their final ids and erase entries past the budget stop, again
-  /// per shard.
-  void fixupShardCandidates(size_t FreshCount);
-
-  RoundStatus commitLevel(unsigned I, std::vector<uint32_t> &NewFrontier,
-                          std::vector<uint32_t> &Next, size_t NumChunks);
-
   /// The interning arena all stack ids below refer to.
   StackStore Store;
-  /// R_k as a dense arena: state id -> interned state / metadata.
-  std::vector<PackedGlobalState> States;
+  /// R_k: one row [q, w1..wn] per state, dense ids in discovery order.
+  StateRows Rows;
+  /// Per-state discovery metadata, indexed by state id.
   std::vector<StateInfo> Info;
-  /// Dedup-index shard count, fixed at construction (never derived from
-  /// the job count; see core/CommitShards.h).
-  unsigned NumShards;
-  /// state -> id dedup index, sharded by state-hash range.  Both round
-  /// paths use the same sharded structure, so byte accounting cannot
-  /// depend on --jobs.
-  std::vector<StateIndexMap> Index;
-  /// Serially accepted entries per shard (drives LogicalIndexBytes and
-  /// the per-round imbalance histogram).
-  std::vector<uint32_t> ShardCommitted;
-  /// ShardCommitted at the start of the current round.
-  std::vector<uint32_t> RoundStartCommitted;
-  /// Sum over shards of logicalBytesFor(committed): the index footprint
-  /// the byte budget sees.
-  uint64_t LogicalIndexBytes = 0;
   /// Ids of the states first reached in the current round.
   std::vector<uint32_t> Frontier;
   /// T(R_k) with first-seen rounds, packed.
@@ -356,8 +316,9 @@ private:
   uint32_t Epoch = 0;
 
   /// Scratch buffers reused across rounds.
-  std::vector<std::pair<PackedGlobalState, uint32_t>> SuccsBuf;
+  std::vector<Step> StepsBuf;
   std::vector<uint32_t> QueueBuf;
+  std::vector<uint32_t> RowBuf;
   std::vector<Sym> TopsBuf;
 
   /// Parallel execution (null/absent on the serial path).
@@ -369,17 +330,6 @@ private:
   /// Visible words of states appended by the current parallel commit,
   /// flushed in one batch per closure.
   std::vector<uint64_t> VisBatch;
-
-  /// Sharded-commit scratch, rebuilt per level: the level's candidates
-  /// flattened in serial order (pointers into ChunksBuf), their
-  /// resolution, assigned final ids, the per-shard work lists, and the
-  /// first seq the budget rejected (UINT32_MAX when none).
-  std::vector<Candidate *> SeqCands;
-  std::vector<uint8_t> ResKind;
-  std::vector<uint32_t> ResVal;
-  std::vector<uint32_t> FinalIds;
-  std::vector<std::vector<uint32_t>> ShardSeqs;
-  uint32_t StopSeq = UINT32_MAX;
 };
 
 } // namespace cuba

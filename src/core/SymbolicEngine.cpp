@@ -34,34 +34,33 @@ static CanonicalDfa singleWordLanguage(uint32_t NumSymbols,
 }
 
 SymbolicEngine::SymbolicEngine(const Cpds &C, const ResourceLimits &Limits)
-    : C(C), Limits(Limits), VisibleSeen(C), TopsCache(C.numThreads()),
+    : C(C), Limits(Limits), Rows(1 + C.numThreads()), VisibleSeen(C),
+      VisTuples(1 + C.numThreads()), TopsCache(C.numThreads()),
       SatCache(C.numThreads()), PrefetchIdx(C.numThreads()) {
   assert(C.frozen() && "SymbolicEngine requires a frozen CPDS");
-  if (C.numThreads() > SymbolicState{}.Langs.inlineCapacity())
-    PerStateExtraBytes = C.numThreads() * sizeof(DfaId);
+  ParentBuf.resize(Rows.width());
+  SuccBuf.resize(Rows.width());
+  TupleBuf.resize(VisTuples.width());
   // The initial symbolic state: each thread's language is the lifted
   // initial stack (one word, ending in the bottom marker).
   GlobalState Init = C.initialState();
-  SymbolicState S;
-  S.Q = Init.Q;
+  SuccBuf[0] = Init.Q;
   for (unsigned I = 0; I < C.numThreads(); ++I) {
     // Stacks are stored bottom-first; automata read top-first.
     std::vector<Sym> Word(Init.Stacks[I].rbegin(), Init.Stacks[I].rend());
     Sym Bottom = C.thread(I).bottom();
     Word.push_back(Bottom);
-    S.Langs.push_back(Store.intern(singleWordLanguage(Bottom, Word)));
+    SuccBuf[1 + I] = Store.intern(singleWordLanguage(Bottom, Word));
   }
-  addState(std::move(S), 0, UINT32_MAX, &Frontier);
+  addState(SuccBuf.data(), 0, UINT32_MAX, &Frontier);
 }
 
-const std::vector<Sym> &SymbolicEngine::topsOf(unsigned Thread, DfaId Lang) {
+uint32_t SymbolicEngine::topSetOf(unsigned Thread, DfaId Lang) {
   TopsCacheEntry &Cache = TopsCache[Thread];
-  if (Cache.Filled.size() < Store.size()) {
-    Cache.Filled.resize(Store.size(), 0);
-    Cache.Tops.resize(Store.size());
-  }
-  if (Cache.Filled[Lang])
-    return Cache.Tops[Lang];
+  if (Cache.SetOf.size() < Store.size())
+    Cache.SetOf.resize(Store.size(), 0);
+  if (Cache.SetOf[Lang])
+    return Cache.SetOf[Lang] - 1;
 
   // All canonical states are useful, so every edge leaving the start
   // lies on an accepting path; its label is a reachable top.  The
@@ -81,22 +80,33 @@ const std::vector<Sym> &SymbolicEngine::topsOf(unsigned Thread, DfaId Lang) {
   }
   std::sort(Tops.begin(), Tops.end());
   Tops.erase(std::unique(Tops.begin(), Tops.end()), Tops.end());
-  Cache.Filled[Lang] = 1;
-  Cache.Tops[Lang] = std::move(Tops);
-  return Cache.Tops[Lang];
+  auto [It, New] = Cache.SetIds.try_emplace(
+      Tops, static_cast<uint32_t>(Cache.Sets.size()));
+  if (New)
+    Cache.Sets.push_back(std::move(Tops));
+  Cache.SetOf[Lang] = It->second + 1;
+  return It->second;
 }
 
-void SymbolicEngine::recordVisible(const SymbolicState &S, unsigned Round) {
-  // T(tau) = {q} x T(A_1) x ... x T(A_n)  (App. E, formula (4)).
+void SymbolicEngine::recordVisible(const uint32_t *Row, unsigned Round) {
+  // T(tau) = {q} x T(A_1) x ... x T(A_n)  (App. E, formula (4)),
+  // enumerated once per tuple of top sets: a repeated tuple's words are
+  // all recorded already, at a round no later than this one.
   unsigned N = C.numThreads();
+  TupleBuf[0] = Row[0];
+  for (unsigned I = 0; I < N; ++I)
+    TupleBuf[1 + I] = topSetOf(I, Row[1 + I]);
+  if (!VisTuples.intern(TupleBuf.data(), VisTuples.hash(TupleBuf.data()))
+           .second)
+    return;
   VisibleState V;
-  V.Q = S.Q;
+  V.Q = Row[0];
   V.Tops.assign(N, EpsSym);
   // Iterative odometer over the per-thread top sets.
   std::vector<const std::vector<Sym> *> Sets;
   Sets.reserve(N);
   for (unsigned I = 0; I < N; ++I) {
-    Sets.push_back(&topsOf(I, S.Langs[I]));
+    Sets.push_back(&TopsCache[I].Sets[TupleBuf[1 + I]]);
     if (Sets.back()->empty())
       return; // Empty language row: no visible states (cannot happen).
   }
@@ -116,19 +126,22 @@ void SymbolicEngine::recordVisible(const SymbolicState &S, unsigned Round) {
 }
 
 std::pair<bool, bool>
-SymbolicEngine::addState(SymbolicState S, unsigned Round, uint32_t Producer,
-                         std::vector<SymbolicState> *NewFrontier) {
+SymbolicEngine::addState(const uint32_t *Row, unsigned Round,
+                         uint32_t Producer,
+                         std::vector<uint32_t> *NewFrontier) {
   static Statistic StateCounter("symbolic.states");
-  uint32_t Mask = Producer == UINT32_MAX ? 0u : (1u << Producer);
-  auto [Slot, New] = States.tryEmplace(S, Mask);
+  // The initial state's UINT32_MAX producer has no bit.
+  uint32_t Mask = producerBit(Producer);
+  auto [Id, New] = Rows.intern(Row, Rows.hash(Row));
   if (!New) {
-    *Slot |= Mask;
+    Producers[Id] |= Mask;
     return {false, true};
   }
+  Producers.push_back(Mask);
   ++StateCounter;
-  recordVisible(S, Round);
+  recordVisible(Row, Round);
   if (NewFrontier)
-    NewFrontier->push_back(std::move(S));
+    NewFrontier->push_back(Id);
   // Both the state count and the byte budget are charged here: addState
   // runs only in serial commit order (even in parallel rounds), and
   // every memoryUsage() term is a function of serially committed state,
@@ -138,19 +151,18 @@ SymbolicEngine::addState(SymbolicState S, unsigned Round, uint32_t Producer,
   return {true, Limits.checkMemory(memoryUsage())};
 }
 
-bool SymbolicEngine::addSuccessor(const SymbolicState &S, unsigned I,
-                                  QState Q2, DfaId Lang,
-                                  std::vector<SymbolicState> &NewFrontier) {
-  SymbolicState Succ;
-  Succ.Q = Q2;
-  Succ.Langs = S.Langs;
-  Succ.Langs[I] = Lang;
-  return addState(std::move(Succ), Bound + 1, I, &NewFrontier).second;
+bool SymbolicEngine::addSuccessor(const uint32_t *S, unsigned I, QState Q2,
+                                  DfaId Lang,
+                                  std::vector<uint32_t> &NewFrontier) {
+  std::copy(S, S + Rows.width(), SuccBuf.begin());
+  SuccBuf[0] = Q2;
+  SuccBuf[1 + I] = Lang;
+  return addState(SuccBuf.data(), Bound + 1, I, &NewFrontier).second;
 }
 
 bool SymbolicEngine::replayTransaction(const Transaction &TR,
-                                       const SymbolicState &S, unsigned I,
-                                       std::vector<SymbolicState> &NewFrontier) {
+                                       const uint32_t *S, unsigned I,
+                                       std::vector<uint32_t> &NewFrontier) {
   if (!Limits.chargeStep(TR.BaseSteps))
     return false;
   for (const Transaction::Succ &Succ : TR.Succs) {
@@ -211,14 +223,14 @@ void SymbolicEngine::extractRootPending(
 }
 
 bool SymbolicEngine::commitRootExtraction(
-    uint32_t SatIdx, PendingExtraction &P, const SymbolicState &S, unsigned I,
-    std::vector<SymbolicState> &NewFrontier) {
+    uint32_t SatIdx, PendingExtraction &P, const uint32_t *S, unsigned I,
+    std::vector<uint32_t> &NewFrontier) {
   static obs::Histogram Fanout("symbolic.extraction_fanout");
   static Statistic SkippedUnchanged("extract.skipped_unchanged");
   Fanout.observe(P.Succs.size());
   if (obs::Trace::enabled()) {
     obs::SpanArg Args[] = {{"thread", I},
-                           {"root", S.Q},
+                           {"root", S[0]},
                            {"fanout", P.Succs.size()}};
     obs::Trace::span("extract", obs::Trace::CatDet, P.Worker, P.TsBegin,
                      P.TsEnd, Args, 3);
@@ -247,13 +259,13 @@ bool SymbolicEngine::commitRootExtraction(
              static_cast<uint64_t>(TR.Succs.size()) *
                  sizeof(Transaction::Succ);
   Transactions.push_back(std::move(TR));
-  SS.Roots.tryEmplace(S.Q,
+  SS.Roots.tryEmplace(S[0],
                       static_cast<uint32_t>(Transactions.size() - 1));
   return true;
 }
 
-bool SymbolicEngine::expand(const SymbolicState &S, unsigned I,
-                            std::vector<SymbolicState> &NewFrontier) {
+bool SymbolicEngine::expand(const uint32_t *S, unsigned I,
+                            std::vector<uint32_t> &NewFrontier) {
   // Resolved once: the registry lookup costs a string hash, which is
   // too expensive now that cache hits make expand() itself cheap.
   static Statistic TransCounter("symbolic.transactions");
@@ -264,7 +276,7 @@ bool SymbolicEngine::expand(const SymbolicState &S, unsigned I,
   // transaction.  Unreachable through the real pipeline (rooted
   // languages are non-empty by construction), but cheap, and it keeps
   // the engine well-defined under the fa_testing minimize mutation.
-  DfaId Lang = S.Langs[I];
+  DfaId Lang = S[1 + I];
   if (Store.get(Lang).Start == CanonicalDfa::NoState)
     return true;
 
@@ -277,7 +289,7 @@ bool SymbolicEngine::expand(const SymbolicState &S, unsigned I,
   if (const uint32_t *Found = SatCache[I].find(Lang)) {
     SatIdx = *Found;
     SharedSats[SatIdx].LastUsed = Bound; // Generation touch (eviction).
-    if (const uint32_t *Rec = SharedSats[SatIdx].Roots.find(S.Q)) {
+    if (const uint32_t *Rec = SharedSats[SatIdx].Roots.find(S[0])) {
       ++HitCounter;
       return replayTransaction(Transactions[*Rec], S, I, NewFrontier);
     }
@@ -300,27 +312,29 @@ bool SymbolicEngine::expand(const SymbolicState &S, unsigned I,
   // budget-charging commit.
   PendingExtraction P;
   extractRootPending(SharedSats[SatIdx].Sat, &SharedSats[SatIdx].Extract,
-                     /*Overlay=*/nullptr, S.Q, P);
+                     /*Overlay=*/nullptr, S[0], P);
   return commitRootExtraction(SatIdx, P, S, I, NewFrontier);
 }
 
 SymbolicEngine::RoundStatus
-SymbolicEngine::advanceRoundSerial(std::vector<SymbolicState> &NewFrontier) {
+SymbolicEngine::advanceRoundSerial(std::vector<uint32_t> &NewFrontier) {
   // The "commit" span covers the round's whole expansion sequence (the
   // serial path has no separate speculative phase); its expansion count
   // mirrors the parallel commit's exactly, including the truncation
   // point on exhaustion, so the det trace stays jobs-identical.
   obs::ScopedSpan Commit("commit", obs::Trace::CatDet);
   uint64_t Expansions = 0;
-  for (const SymbolicState &S : Frontier) {
-    uint32_t Produced = *States.find(S);
+  for (uint32_t Id : Frontier) {
+    const uint32_t *Row = Rows.row(Id);
+    std::copy(Row, Row + Rows.width(), ParentBuf.begin());
+    uint32_t Produced = Producers[Id];
     for (unsigned I = 0; I < C.numThreads(); ++I) {
       // Skip the producer thread: its post* is transitively closed, so
       // re-expanding yields only language-subsumed rows.
-      if (Produced & (1u << I))
+      if (Produced & producerBit(I))
         continue;
       ++Expansions;
-      if (!expand(S, I, NewFrontier)) {
+      if (!expand(ParentBuf.data(), I, NewFrontier)) {
         Commit.arg("expansions", Expansions);
         return RoundStatus::Exhausted;
       }
@@ -405,7 +419,7 @@ void SymbolicEngine::computePrefetch(PrefetchedSat &P,
 }
 
 SymbolicEngine::RoundStatus
-SymbolicEngine::advanceRoundParallel(std::vector<SymbolicState> &NewFrontier) {
+SymbolicEngine::advanceRoundParallel(std::vector<uint32_t> &NewFrontier) {
   static Statistic TransCounter("symbolic.transactions");
   static Statistic HitCounter("symbolic.transactions.cached");
   // Pipeline figures are wall-side: the prefetch path only exists on
@@ -431,18 +445,18 @@ SymbolicEngine::advanceRoundParallel(std::vector<SymbolicState> &NewFrontier) {
   std::vector<PendingSat> Pending;
   std::vector<FlatMap<DfaId, uint32_t>> FreshIdx(C.numThreads());
   uint64_t AdoptedNow = 0;
-  for (const SymbolicState &S : Frontier) {
-    uint32_t Produced = *States.find(S);
+  for (uint32_t Id : Frontier) {
+    const uint32_t *S = Rows.row(Id);
     for (unsigned I = 0; I < C.numThreads(); ++I) {
-      if (Produced & (1u << I))
+      if (Producers[Id] & producerBit(I))
         continue;
-      DfaId Lang = S.Langs[I];
+      DfaId Lang = S[1 + I];
       if (Store.get(Lang).Start == CanonicalDfa::NoState)
         continue;
       uint32_t SatIdx = UINT32_MAX;
       if (const uint32_t *Found = SatCache[I].find(Lang)) {
         SatIdx = *Found;
-        if (SharedSats[SatIdx].Roots.contains(S.Q))
+        if (SharedSats[SatIdx].Roots.contains(S[0]))
           continue; // Full hit: replays at the commit.
       }
       auto [Slot, New] = FreshIdx[I].tryEmplace(
@@ -474,28 +488,28 @@ SymbolicEngine::advanceRoundParallel(std::vector<SymbolicState> &NewFrontier) {
       }
       PendingSat &PS = Pending[*Slot];
       auto [RSlot, RNew] = PS.RootIdx.tryEmplace(
-          S.Q, static_cast<uint32_t>(PS.Roots.size()));
+          S[0], static_cast<uint32_t>(PS.Roots.size()));
       (void)RSlot;
       if (RNew)
-        PS.Roots.push_back(S.Q);
+        PS.Roots.push_back(S[0]);
     }
   }
 
   // Pipeline selection: the saturation keys the next round's
   // successors will inherit but this round won't produce -- masked-out
-  // expansions (P, S.Langs[P]) for P in S's producer mask -- ride
-  // along with this round's speculative batch as prefetch tasks.  Keys
+  // expansions (P, A_P) for P in the producer mask of <q | A_1..A_n> --
+  // ride along with this round's speculative batch as prefetch tasks.  Keys
   // already retained, already in this batch, or with an empty language
   // are excluded; the rest is a deterministic function of committed
   // state, so what gets adopted next round is too.
   std::vector<PrefetchedSat> NextPrefetch;
   std::vector<FlatMap<DfaId, uint32_t>> NextIdx(C.numThreads());
-  for (const SymbolicState &S : Frontier) {
-    uint32_t Produced = *States.find(S);
+  for (uint32_t Id : Frontier) {
+    const uint32_t *S = Rows.row(Id);
     for (unsigned P = 0; P < C.numThreads(); ++P) {
-      if (!(Produced & (1u << P)))
+      if (!(Producers[Id] & producerBit(P)))
         continue;
-      DfaId Lang = S.Langs[P];
+      DfaId Lang = S[1 + P];
       if (Store.get(Lang).Start == CanonicalDfa::NoState)
         continue;
       if (SatCache[P].find(Lang) || FreshIdx[P].find(Lang))
@@ -545,21 +559,24 @@ SymbolicEngine::advanceRoundParallel(std::vector<SymbolicState> &NewFrontier) {
   // serial order) and successor registration, exactly as expand() would.
   obs::ScopedSpan Commit("commit", obs::Trace::CatDet);
   uint64_t Expansions = 0;
-  for (const SymbolicState &S : Frontier) {
-    uint32_t Produced = *States.find(S);
+  for (uint32_t Id : Frontier) {
+    const uint32_t *Row = Rows.row(Id);
+    std::copy(Row, Row + Rows.width(), ParentBuf.begin());
+    const uint32_t *S = ParentBuf.data();
+    uint32_t Produced = Producers[Id];
     for (unsigned I = 0; I < C.numThreads(); ++I) {
-      if (Produced & (1u << I))
+      if (Produced & producerBit(I))
         continue;
       ++TransCounter;
       ++Expansions;
-      DfaId Lang = S.Langs[I];
+      DfaId Lang = S[1 + I];
       if (Store.get(Lang).Start == CanonicalDfa::NoState)
         continue;
       uint32_t SatIdx = UINT32_MAX;
       if (const uint32_t *Found = SatCache[I].find(Lang)) {
         SatIdx = *Found;
         SharedSats[SatIdx].LastUsed = Bound; // Generation touch.
-        if (const uint32_t *Rec = SharedSats[SatIdx].Roots.find(S.Q)) {
+        if (const uint32_t *Rec = SharedSats[SatIdx].Roots.find(S[0])) {
           // Recorded before the round, or committed earlier within it:
           // the serial hit path (shared with expand(), so the two
           // charge schedules cannot drift apart).
@@ -590,7 +607,7 @@ SymbolicEngine::advanceRoundParallel(std::vector<SymbolicState> &NewFrontier) {
       }
       // Fresh root: the rest of the sequence is the code expand()
       // itself runs.
-      PendingExtraction &PE = PS.Extr[*PS.RootIdx.find(S.Q)];
+      PendingExtraction &PE = PS.Extr[*PS.RootIdx.find(S[0])];
       if (!commitRootExtraction(SatIdx, PE, S, I, NewFrontier)) {
         Commit.arg("expansions", Expansions);
         return RoundStatus::Exhausted;
@@ -689,7 +706,7 @@ SymbolicEngine::RoundStatus SymbolicEngine::advance() {
   Round.arg("k", Bound);
   Round.arg("frontier", Frontier.size());
 
-  std::vector<SymbolicState> NewFrontier;
+  std::vector<uint32_t> NewFrontier;
   RoundStatus St = Pool ? advanceRoundParallel(NewFrontier)
                         : advanceRoundSerial(NewFrontier);
 

@@ -21,10 +21,14 @@
 /// DfaStore arena, so symbolic states are deduplicated by exact language
 /// equality (a cheap sufficient alternative to the doubly-exponential
 /// automata-equivalence convergence test the paper rules out for
-/// Scheme 1) with O(threads) equality and hashing.  Expansion by a
-/// thread that produced the state is skipped: the production was itself
-/// a post* closure, so re-running the same thread adds only subsumed
-/// rows.
+/// Scheme 1).  A symbolic state is a row [q, A_1..A_n] of DfaIds in a
+/// hash-consing StateRows table (support/StateRows.h), with O(threads)
+/// equality and hashing; a successor is its parent row with q and one
+/// language patched.  Expansion by a thread that produced the state is
+/// skipped: the production was itself a post* closure, so re-running
+/// the same thread adds only subsumed rows.  Producer sets are bit masks
+/// over threads 0..31; a wider thread has no bit and so is never
+/// skipped, which costs a redundant expansion and nothing else.
 ///
 /// Saturation layer: a transaction's successors depend only on
 /// (expanding thread, shared root q, thread i's language), and the
@@ -44,10 +48,15 @@
 ///
 /// The visible projections T(S_k) are computed per App. E, formula (4):
 /// the product of per-thread top-symbol sets extracted from the
-/// automata, with the bottom marker reported as the empty stack.
+/// automata, with the bottom marker reported as the empty stack.  Top
+/// sets are interned to small per-thread ids, and a product is
+/// enumerated only the first time its tuple (q, top set_1..top set_n)
+/// appears: rounds only grow and the visible set keeps the earliest
+/// round, so a repeated tuple's words are already recorded at a round no
+/// later than the current one.
 ///
 /// Parallel rounds (setParallel): a round's transactions only interact
-/// through the States / DfaStore interning and the budget, and their
+/// through the state-table / DfaStore interning and the budget, and their
 /// *content* depends only on (thread, shared root, input language).  The
 /// parallel path computes each distinct uncached (thread, input DfaId)
 /// key's work speculatively across workers -- the shared saturation plus
@@ -64,7 +73,7 @@
 ///
 /// Round pipelining: a successor produced by thread P inherits every
 /// other thread's language, so the saturation keys round k+1 will need
-/// beyond round k's own are (P, S.Langs[P]) for P in S's producer mask
+/// beyond round k's own are (P, A_P) for P in S's producer mask
 /// -- exactly the expansions the mask rules out this round, known
 /// before any of round k+1 exists.  Parallel rounds append those keys
 /// to round k's speculative batch as uncharged prefetch tasks
@@ -82,6 +91,7 @@
 #ifndef CUBA_CORE_SYMBOLICENGINE_H
 #define CUBA_CORE_SYMBOLICENGINE_H
 
+#include <map>
 #include <vector>
 
 #include "exec/ThreadPool.h"
@@ -91,29 +101,9 @@
 #include "psa/SaturationEngine.h"
 #include "support/FlatHash.h"
 #include "support/Limits.h"
-#include "support/SmallVec.h"
+#include "support/StateRows.h"
 
 namespace cuba {
-
-/// A symbolic state <q | A_1..A_n> with interned canonical per-thread
-/// stack languages (over the bottom-extended alphabets).  All ids come
-/// from the owning engine's DfaStore, so equality and hashing are
-/// O(threads) id comparisons.
-struct SymbolicState {
-  QState Q = 0;
-  SmallVec<DfaId, 4> Langs;
-
-  bool operator==(const SymbolicState &) const = default;
-};
-
-struct SymbolicStateHash {
-  uint64_t operator()(const SymbolicState &S) const {
-    uint64_t H = hashCombine(0x517, S.Q);
-    for (DfaId Id : S.Langs)
-      H = hashCombine(H, Id);
-    return H;
-  }
-};
 
 /// Round-by-round symbolic CBA exploration; the interface mirrors
 /// CbaEngine so the Alg. 3 driver can run over either engine.
@@ -130,7 +120,7 @@ public:
   RoundStatus advance();
 
   /// Number of symbolic states stored (|S_k|).
-  size_t symbolicStateCount() const { return States.size(); }
+  size_t symbolicStateCount() const { return Rows.size(); }
 
   /// |T(S_k)|.
   size_t visibleSize() const { return VisibleSeen.size(); }
@@ -170,13 +160,13 @@ public:
   uint64_t retainedSatBytes() const { return SatBytes; }
 
   /// Logical byte footprint of the engine-owned stores (language arena,
-  /// state index, retained saturations, transaction records, visible
-  /// set), derived from element counts so the figure is deterministic
-  /// at any `--jobs`.
+  /// state table and producer masks, retained saturations, transaction
+  /// records, visible tuples and set), derived from element counts so
+  /// the figure is deterministic at any `--jobs`.
   uint64_t memoryUsage() const {
-    return Store.memoryBytes() + States.memoryBytes() +
-           static_cast<uint64_t>(States.size()) * PerStateExtraBytes +
-           SatBytes + TrBytes +
+    return Store.memoryBytes() + Rows.memoryBytes() +
+           static_cast<uint64_t>(Rows.size()) * sizeof(uint32_t) +
+           VisTuples.memoryBytes() + SatBytes + TrBytes +
            static_cast<uint64_t>(VisibleSeen.size()) * VisibleEntryBytes;
   }
 
@@ -308,10 +298,12 @@ private:
     uint32_t Worker = 0;
   };
 
-  /// Expands symbolic state \p S by thread \p I; new successors are
-  /// pushed onto NewFrontier.  Returns false on budget exhaustion.
-  bool expand(const SymbolicState &S, unsigned I,
-              std::vector<SymbolicState> &NewFrontier);
+  /// Expands the symbolic state with row \p S (a caller-owned copy:
+  /// interning successors may move the table) by thread \p I; new
+  /// successors' ids are pushed onto NewFrontier.  Returns false on
+  /// budget exhaustion.
+  bool expand(const uint32_t *S, unsigned I,
+              std::vector<uint32_t> &NewFrontier);
 
   /// Installs a completed saturation under (thread \p I, \p Lang) with
   /// \p BaseSteps still to be charged to the first extracted root's
@@ -343,16 +335,16 @@ private:
   /// two bit-identical by construction.  Returns false on exhaustion,
   /// leaving the root unrecorded with the successor prefix registered.
   bool commitRootExtraction(uint32_t SatIdx, PendingExtraction &P,
-                            const SymbolicState &S, unsigned I,
-                            std::vector<SymbolicState> &NewFrontier);
+                            const uint32_t *S, unsigned I,
+                            std::vector<uint32_t> &NewFrontier);
 
   /// The serial round loop (the original expand() sequence).
-  RoundStatus advanceRoundSerial(std::vector<SymbolicState> &NewFrontier);
+  RoundStatus advanceRoundSerial(std::vector<uint32_t> &NewFrontier);
 
   /// The parallel round: speculative per-(thread, DfaId) saturations and
   /// extractions, then a serial ordered replay.  Observable behaviour
   /// identical to advanceRoundSerial.
-  RoundStatus advanceRoundParallel(std::vector<SymbolicState> &NewFrontier);
+  RoundStatus advanceRoundParallel(std::vector<uint32_t> &NewFrontier);
 
   /// Computes \p P's saturation (unless cached) and per-root
   /// extractions against the frozen arena (parallel phase; must not
@@ -365,29 +357,30 @@ private:
   /// saturation half of computePendingSat, run one round early.
   void computePrefetch(PrefetchedSat &P, uint32_t Worker) const;
 
-  /// Registers \p S (if new) at round \p Round, recording its visible
-  /// projections; \p Producer is the expanding thread (UINT32_MAX for
-  /// the initial state).  Returns {isNew, budgetOk}.
-  std::pair<bool, bool> addState(SymbolicState S, unsigned Round,
+  /// Registers the row \p Row (if new) at round \p Round, recording its
+  /// visible projections; \p Producer is the expanding thread
+  /// (UINT32_MAX for the initial state).  Returns {isNew, budgetOk}.
+  std::pair<bool, bool> addState(const uint32_t *Row, unsigned Round,
                                  uint32_t Producer,
-                                 std::vector<SymbolicState> *NewFrontier);
+                                 std::vector<uint32_t> *NewFrontier);
 
-  /// Registers the successor of \p S produced by thread \p I reaching
-  /// shared state \p Q2 with language \p Lang; returns false on budget
-  /// exhaustion.
-  bool addSuccessor(const SymbolicState &S, unsigned I, QState Q2,
-                    DfaId Lang, std::vector<SymbolicState> &NewFrontier);
+  /// Registers the successor of row \p S produced by thread \p I
+  /// reaching shared state \p Q2 with language \p Lang: \p S with two
+  /// words patched.  Returns false on budget exhaustion.
+  bool addSuccessor(const uint32_t *S, unsigned I, QState Q2, DfaId Lang,
+                    std::vector<uint32_t> &NewFrontier);
 
   /// Replays the recorded transaction \p TR as an expansion of \p S by
   /// thread \p I -- the cache-hit charge schedule (lump-sum base, then
   /// one charge per successor, each interleaved with registration).
   /// Shared by the serial hit path and the parallel commit so the two
   /// cannot drift apart.  Returns false on budget exhaustion.
-  bool replayTransaction(const Transaction &TR, const SymbolicState &S,
-                         unsigned I, std::vector<SymbolicState> &NewFrontier);
+  bool replayTransaction(const Transaction &TR, const uint32_t *S,
+                         unsigned I, std::vector<uint32_t> &NewFrontier);
 
-  /// Records the visible projections T(tau) of a symbolic state.
-  void recordVisible(const SymbolicState &S, unsigned Round);
+  /// Records the visible projections T(tau) of the symbolic state row
+  /// \p Row, unless its tuple of top sets was recorded before.
+  void recordVisible(const uint32_t *Row, unsigned Round);
 
   /// Generation-based cache eviction, run only at serial round
   /// boundaries (end of advance(), before the bound increments): while
@@ -399,14 +392,13 @@ private:
   /// bit-identical at any `--jobs` (pinned by ParallelDeterminismTest).
   void evictSaturations();
 
-  /// Per-thread top set of an interned stack language (bottom marker
-  /// reported as EpsSym); cached densely by id.  The returned reference
-  /// lives inside TopsCache[Thread] and is invalidated by a later
-  /// topsOf call for the SAME thread once the arena has grown (the
-  /// dense cache then resizes); callers may hold references across
-  /// calls for other threads only, which is exactly the recordVisible
-  /// pattern.
-  const std::vector<Sym> &topsOf(unsigned Thread, DfaId Lang);
+  /// The interned id of thread \p Thread's top set of the stack
+  /// language \p Lang (bottom marker reported as EpsSym); cached densely
+  /// by DfaId.  The set itself is TopsCache[Thread].Sets[id].
+  uint32_t topSetOf(unsigned Thread, DfaId Lang);
+
+  /// The producer-mask bit of thread \p I; threads past 31 have none.
+  static uint32_t producerBit(unsigned I) { return I < 32 ? 1u << I : 0u; }
 
   const Cpds &C;
   LimitTracker Limits;
@@ -415,18 +407,28 @@ private:
   /// The hash-consing arena all per-thread languages live in.
   DfaStore Store;
 
-  /// All symbolic states with the set of threads that produced them
-  /// (as a bitmask); states are expanded once, by every thread not in
-  /// their producer mask.
-  FlatMap<SymbolicState, uint32_t, SymbolicStateHash> States;
-  std::vector<SymbolicState> Frontier;
+  /// All symbolic states, one row [q, A_1..A_n] per dense id, with the
+  /// set of threads that produced each (Producers, a bitmask indexed by
+  /// id); states are expanded once, by every thread not in their mask.
+  StateRows Rows;
+  std::vector<uint32_t> Producers;
+  /// Ids of the states first reached in the current round.
+  std::vector<uint32_t> Frontier;
   VisibleRoundSet VisibleSeen;
+  /// Every (q, top set_1..top set_n) tuple whose product recordVisible
+  /// has enumerated.
+  StateRows VisTuples;
+  /// Row scratch: the parent of the expansion being committed, its
+  /// successor and a visible tuple.
+  std::vector<uint32_t> ParentBuf, SuccBuf, TupleBuf;
 
-  /// Top-set cache: per thread, indexed densely by DfaId (grown lazily
-  /// to the arena size; Filled marks computed entries).
+  /// Top-set cache: per thread, the distinct top sets (Sets, interned
+  /// through SetIds) and each DfaId's set id plus one (SetOf, grown
+  /// lazily to the arena size; 0 marks an entry not yet computed).
   struct TopsCacheEntry {
-    std::vector<std::vector<Sym>> Tops;
-    std::vector<uint8_t> Filled;
+    std::vector<uint32_t> SetOf;
+    std::vector<std::vector<Sym>> Sets;
+    std::map<std::vector<Sym>, uint32_t> SetIds;
   };
   std::vector<TopsCacheEntry> TopsCache;
 
@@ -446,9 +448,6 @@ private:
 
   /// Logical bytes per packed visible entry (word + first-seen round).
   static constexpr uint64_t VisibleEntryBytes = 16;
-  /// Out-of-line language-id storage per stored state (nonzero only
-  /// when the thread count exceeds the SmallVec inline capacity).
-  uint64_t PerStateExtraBytes = 0;
   /// Running byte counts of the retained saturations and transaction
   /// records (kept incrementally so memoryUsage() is O(1)).
   uint64_t SatBytes = 0;

@@ -139,7 +139,9 @@ std::pair<bool, bool>
 DataflowEngine::addState(DataflowState S, unsigned Round, uint32_t Producer,
                          std::vector<DataflowState> *NewFrontier) {
   static Statistic StateCounter("dataflow.states");
-  uint32_t Mask = Producer == UINT32_MAX ? 0u : (1u << Producer);
+  // Producer bits exist for threads 0..31 only; a wider producer is
+  // not recorded, so that thread merely re-expands the state once more.
+  uint32_t Mask = Producer < 32 ? 1u << Producer : 0u;
   auto [Slot, New] = States.tryEmplace(S, Mask);
   if (!New) {
     *Slot |= Mask;
@@ -420,7 +422,7 @@ DataflowEngine::RoundStatus DataflowEngine::advance() {
       // Skip the producer thread: the weighted saturation is exact and
       // transitively closed, so re-expanding yields only subsumed
       // successors -- the same argument as the boolean engines'.
-      if (Produced & (1u << I))
+      if (I < 32 && (Produced & (1u << I)))
         continue;
       if (!expand(S, I, NewFrontier)) {
         Finish(NewFrontier.size());

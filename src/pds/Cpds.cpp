@@ -110,12 +110,6 @@ void Cpds::threadSuccessorsWithActions(
   }
 }
 
-void Cpds::threadSuccessorsInterned(
-    const PackedGlobalState &S, unsigned I, StackStore &Store,
-    std::vector<std::pair<PackedGlobalState, uint32_t>> &Out) const {
-  threadSuccessorsVia(S, I, Store, Out);
-}
-
 void Cpds::abstractSuccessors(const VisibleState &V, unsigned I,
                               std::vector<VisibleState> &Out) const {
   assert(Frozen && "freeze() must run before abstractSuccessors()");

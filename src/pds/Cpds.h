@@ -105,32 +105,24 @@ public:
       const GlobalState &S, unsigned I,
       std::vector<std::pair<GlobalState, uint32_t>> &Out) const;
 
-  /// The interned counterpart of threadSuccessorsWithActions: stacks are
-  /// StackStore ids, so each successor is derived with O(1) stack work
-  /// (a pop is a field load; pushes share the untouched suffix) instead
-  /// of a deep copy of every thread's stack.
-  void threadSuccessorsInterned(
-      const PackedGlobalState &S, unsigned I, StackStore &Store,
-      std::vector<std::pair<PackedGlobalState, uint32_t>> &Out) const;
-
-  /// threadSuccessorsInterned generalised over the interning arena:
-  /// \p StoreT is StackStore on the serial path and StackOverlay in the
-  /// parallel derive phase, where workers must not write the shared
-  /// arena.  Identical derivation either way (the overlay resolves
-  /// already-interned nodes to their real ids).
-  template <typename StoreT>
-  void threadSuccessorsVia(
-      const PackedGlobalState &S, unsigned I, StoreT &Store,
-      std::vector<std::pair<PackedGlobalState, uint32_t>> &Out) const {
-    assert(Frozen && "freeze() must run before threadSuccessors()");
+  /// The interned counterpart of threadSuccessorsWithActions: calls
+  /// \p Emit(action index, q', w') for every enabled action of thread
+  /// \p I in shared state \p Q on the interned stack \p W.  Each successor
+  /// stack costs O(1) (a pop is a field load; pushes share the untouched
+  /// suffix), and the caller patches q' and w' into a copy of the parent
+  /// state row.  \p StoreT is StackStore on the serial paths and
+  /// StackOverlay in the parallel derive, where workers must not write
+  /// the shared arena; the overlay resolves already-interned nodes to
+  /// their real ids, so the derivation is identical either way.
+  template <typename StoreT, typename EmitFn>
+  void threadSteps(QState Q, StackId W, unsigned I, StoreT &Store,
+                   EmitFn Emit) const {
+    assert(Frozen && "freeze() must run before threadSteps()");
     assert(I < Threads.size() && "thread index out of range");
     const Pds &P = Threads[I];
-    StackId W = S.Stacks[I];
-    for (uint32_t AI : P.actionsFrom(S.Q, Store.topOf(W))) {
+    for (uint32_t AI : P.actionsFrom(Q, Store.topOf(W))) {
       const Action &A = P.actions()[AI];
-      PackedGlobalState Succ = S;
-      Succ.Q = A.DstQ;
-      StackId &WS = Succ.Stacks[I];
+      StackId WS = W;
       switch (A.kind()) {
       case ActionKind::Pop:
         WS = Store.pop(W);
@@ -148,7 +140,7 @@ public:
         WS = Store.push(W, A.Dst0);
         break;
       }
-      Out.emplace_back(std::move(Succ), AI);
+      Emit(AI, A.DstQ, WS);
     }
   }
 

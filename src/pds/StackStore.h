@@ -18,8 +18,9 @@
 ///     comparison O(threads) instead of O(total stack depth).
 ///
 /// Ids are dense and stable: nodes are only ever appended, so ids remain
-/// valid across arena growth.  PackedGlobalState is the interned
-/// counterpart of GlobalState used by the explicit engine's hot loops.
+/// valid across arena growth.  The explicit engine stores a global state
+/// as a state row [q, w1..wn] of stack ids (support/StateRows.h);
+/// packRow / unpackRow convert between rows and GlobalState.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,7 +30,6 @@
 #include "pds/State.h"
 #include "support/FaultInject.h"
 #include "support/FlatHash.h"
-#include "support/SmallVec.h"
 
 namespace cuba {
 
@@ -195,44 +195,24 @@ private:
   FlatMap<uint64_t, StackId> Intern;
 };
 
-/// A global state <q | w1..wn> with interned stacks: the explicit
-/// engine's working representation.  Equality and hashing are O(threads);
-/// all stack ids must come from the same StackStore.
-struct PackedGlobalState {
-  QState Q = 0;
-  SmallVec<StackId, 4> Stacks;
-
-  bool operator==(const PackedGlobalState &Other) const {
-    return Q == Other.Q && Stacks == Other.Stacks;
-  }
-};
-
-struct PackedGlobalStateHash {
-  uint64_t operator()(const PackedGlobalState &S) const {
-    uint64_t H = splitMix64(S.Q);
-    for (StackId Id : S.Stacks)
-      H = hashCombine(H, Id);
-    return H;
-  }
-};
-
-/// Interns every stack of \p S into \p Store.
-inline PackedGlobalState packState(const GlobalState &S, StackStore &Store) {
-  PackedGlobalState P;
-  P.Q = S.Q;
-  for (const Stack &W : S.Stacks)
-    P.Stacks.push_back(Store.intern(W));
-  return P;
+/// Writes the state row [q, w1..wn] of \p S (support/StateRows.h) into
+/// \p Row, which holds 1 + S.Stacks.size() words, interning every stack
+/// into \p Store.
+inline void packRow(const GlobalState &S, StackStore &Store, uint32_t *Row) {
+  Row[0] = S.Q;
+  for (size_t I = 0; I < S.Stacks.size(); ++I)
+    Row[1 + I] = Store.intern(S.Stacks[I]);
 }
 
-/// Rebuilds the explicit GlobalState named by \p P.
-inline GlobalState unpackState(const PackedGlobalState &P,
-                               const StackStore &Store) {
+/// Rebuilds the explicit GlobalState named by the \p NumThreads-thread
+/// state row \p Row.
+inline GlobalState unpackRow(const uint32_t *Row, unsigned NumThreads,
+                             const StackStore &Store) {
   GlobalState S;
-  S.Q = P.Q;
-  S.Stacks.reserve(P.Stacks.size());
-  for (StackId Id : P.Stacks)
-    S.Stacks.push_back(Store.materialise(Id));
+  S.Q = Row[0];
+  S.Stacks.reserve(NumThreads);
+  for (unsigned I = 0; I < NumThreads; ++I)
+    S.Stacks.push_back(Store.materialise(Row[1 + I]));
   return S;
 }
 

@@ -68,35 +68,22 @@ public:
 
   /// Inserts (Key, Value) if absent.  Returns {slot value pointer, true
   /// when newly inserted}; an existing mapping is left untouched.
-  std::pair<V *, bool> tryEmplace(const K &Key, V Value = V()) {
-    return tryEmplaceHashed(Key, Hash(Key), std::move(Value));
-  }
-
-  /// tryEmplace with the key's hash precomputed (\p H must equal
-  /// HashFn()(Key)).  The engines' parallel derive phases hash their
-  /// candidates on the workers so the serial commit only probes.
   ///
   /// Probes before growing: a duplicate probe must leave the capacity
   /// untouched even at the load threshold, or memoryBytes() would
-  /// depend on the probe schedule (which differs between the engines'
-  /// serial and parallel paths) rather than on the insertion count.
-  std::pair<V *, bool> tryEmplaceHashed(const K &Key, uint64_t H,
-                                        V Value = V()) {
-    assert(H == Hash(Key) && "prehashed insert with a stale hash");
+  /// depend on the probe schedule rather than on the insertion count.
+  std::pair<V *, bool> tryEmplace(const K &Key, V Value = V()) {
+    uint64_t H = Hash(Key);
+    size_t I = 0;
     if (!Ctrl.empty()) {
-      size_t I = findSlotHashed(Key, H);
+      I = findSlotHashed(Key, H);
       if (Ctrl[I] == Occupied)
         return {&Vals[I], false};
-      if (Size + 1 <= Ctrl.size() - Ctrl.size() / 4) {
-        Ctrl[I] = Occupied;
-        Keys[I] = Key;
-        Vals[I] = std::move(Value);
-        ++Size;
-        return {&Vals[I], true};
-      }
     }
-    growIfNeeded();
-    size_t I = findSlotHashed(Key, H);
+    if (Ctrl.empty() || Size + 1 > Ctrl.size() - Ctrl.size() / 4) {
+      rehash(Ctrl.empty() ? 16 : Ctrl.size() * 2);
+      I = findSlotHashed(Key, H);
+    }
     Ctrl[I] = Occupied;
     Keys[I] = Key;
     Vals[I] = std::move(Value);
@@ -113,19 +100,6 @@ public:
   }
   const V *find(const K &Key) const {
     return const_cast<FlatMap *>(this)->find(Key);
-  }
-
-  /// find with the key's hash precomputed (\p H must equal
-  /// HashFn()(Key)).
-  V *findHashed(const K &Key, uint64_t H) {
-    assert(H == Hash(Key) && "prehashed probe with a stale hash");
-    if (Ctrl.empty())
-      return nullptr;
-    size_t I = findSlotHashed(Key, H);
-    return Ctrl[I] == Occupied ? &Vals[I] : nullptr;
-  }
-  const V *findHashed(const K &Key, uint64_t H) const {
-    return const_cast<FlatMap *>(this)->findHashed(Key, H);
   }
 
   bool contains(const K &Key) const { return find(Key) != nullptr; }
@@ -173,22 +147,11 @@ public:
   }
 
   /// Logical footprint of the backing arrays.  Capacity is a
-  /// deterministic function of the insertion count (growIfNeeded depends
-  /// only on Size), so this figure is reproducible across runs and
+  /// deterministic function of the insertion count (growth depends only
+  /// on Size), so this figure is reproducible across runs and
   /// usable for the MaxBytes budget.
   uint64_t memoryBytes() const {
     return static_cast<uint64_t>(Ctrl.size()) * (1 + sizeof(K) + sizeof(V));
-  }
-
-  /// The footprint memoryBytes() reports after \p N distinct insertions.
-  /// The capacity trajectory depends only on the insertion count, so
-  /// callers can account for entries they have accepted without
-  /// consulting the table -- the engines' sharded commits charge the
-  /// budget this way while tentative entries are still in flight.
-  static uint64_t logicalBytesFor(size_t N) {
-    return N == 0 ? 0
-                  : static_cast<uint64_t>(capacityFor(N)) *
-                        (1 + sizeof(K) + sizeof(V));
   }
 
 private:
@@ -201,13 +164,6 @@ private:
     while (Cap - Cap / 4 < N)
       Cap <<= 1;
     return Cap;
-  }
-
-  void growIfNeeded() {
-    if (Ctrl.empty())
-      rehash(16);
-    else if (Size + 1 > Ctrl.size() - Ctrl.size() / 4)
-      rehash(Ctrl.size() * 2);
   }
 
   /// The slot holding \p Key, or the empty slot terminating its probe
@@ -247,8 +203,8 @@ private:
   size_t Size = 0;
 };
 
-/// Probe-table core shared by the hash-consing arenas (fa/DfaStore and
-/// Nfa::determinize's subset interner): open addressing over dense
+/// Probe-table core shared by the hash-consing arenas (fa/DfaStore,
+/// support/StateRows and fa/SubsetInterner): open addressing over dense
 /// 32-bit ids whose entry storage lives with the caller.  The caller
 /// keeps one stored 64-bit hash per id (so probe chains compare one
 /// word before touching the entry) and supplies the entry-equality

@@ -7,10 +7,9 @@
 ///
 /// \file
 /// A vector with inline storage for small element counts (the LLVM
-/// SmallVector idea, restricted to trivially copyable elements).  Global
-/// states hold one 32-bit interned stack id per thread; nearly every
-/// CPDS has few threads, so states stay allocation-free and contiguous,
-/// and copying a state to derive a successor is a few word moves.
+/// SmallVector idea, restricted to trivially copyable elements).  The
+/// dataflow engine's states hold one 32-bit language id per thread in
+/// one; with few threads they stay allocation-free and contiguous.
 ///
 //===----------------------------------------------------------------------===//
 

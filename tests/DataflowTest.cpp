@@ -242,6 +242,27 @@ TEST(DataflowOracle, CrossThreadLeak) {
   EXPECT_TRUE(Rep.Leak);
 }
 
+TEST(DataflowOracle, CrossThreadLeakPastThirtyTwoThreads) {
+  // CrossThreadLeak with the sink thread created first and the source
+  // thread last, behind Dead threads that never move: at 33 threads
+  // the source is thread 32, past the weighted engine's 32 producer-mask
+  // bits, and the sink thread must still expand the state it produced.
+  auto Build = [](unsigned Dead) {
+    std::string Src = "decl x;\n\nvoid u() {\n  skip;\n  sink(x);\n}\n\n"
+                      "void d() {\n  assume(0);\n}\n\n"
+                      "void t() {\n  source(x);\n}\n\n"
+                      "void main() {\n  thread_create(&u);\n";
+    for (unsigned I = 0; I < Dead; ++I)
+      Src += "  thread_create(&d);\n";
+    return Src + "  thread_create(&t);\n}\n\n";
+  };
+  for (unsigned Dead : {30u, 31u}) {
+    DataflowOracleReport Rep = runOn(Build(Dead));
+    EXPECT_TRUE(Rep.ok()) << Dead + 2 << " threads: " << Rep.str();
+    EXPECT_TRUE(Rep.Leak) << Dead + 2 << " threads";
+  }
+}
+
 TEST(DataflowOracle, InterproceduralFlow) {
   // The source sits in a callee; the summary must survive the return.
   DataflowOracleReport Rep =

@@ -22,7 +22,6 @@
 
 #include "core/Algorithms.h"
 #include "core/CbaEngine.h"
-#include "core/CommitShards.h"
 #include "core/SymbolicAlgorithms.h"
 #include "core/SymbolicEngine.h"
 #include "exec/ThreadPool.h"
@@ -149,6 +148,28 @@ void expectSameSymbolic(const SymbolicTrace &Serial, const SymbolicTrace &Par,
   EXPECT_EQ(Serial.Steps, Par.Steps) << Tag << " seed " << Seed;
   EXPECT_EQ(Serial.States, Par.States) << Tag << " seed " << Seed;
   EXPECT_EQ(Serial.PeakBytes, Par.PeakBytes) << Tag << " seed " << Seed;
+}
+
+/// Budgets whose stop point falls mid-level, inside a commit: awkward
+/// (prime-ish) state and step caps, and byte caps, on top of FuzzLimits.
+std::vector<ResourceLimits> midCommitBudgets() {
+  std::vector<ResourceLimits> Budgets;
+  for (uint64_t MaxStates : {23ull, 137ull}) {
+    ResourceLimits L = FuzzLimits;
+    L.MaxStates = MaxStates;
+    Budgets.push_back(L);
+  }
+  {
+    ResourceLimits L = FuzzLimits;
+    L.MaxSteps = 311;
+    Budgets.push_back(L);
+  }
+  for (uint64_t MaxBytes : {24ull * 1024, 48ull * 1024}) {
+    ResourceLimits L = FuzzLimits;
+    L.MaxBytes = MaxBytes;
+    Budgets.push_back(L);
+  }
+  return Budgets;
 }
 
 class ParallelDeterminismTest : public ::testing::Test {
@@ -306,70 +327,75 @@ TEST_F(ParallelDeterminismTest, EvictionScheduleMatchesAcrossJobCounts) {
 }
 
 TEST_F(ParallelDeterminismTest, ShardStressDegenerateShardCountsMatch) {
-  // The sharded-commit stress pin: under a forced shard count of 1 every
-  // state lands in the same shard (the fully serialized worst case for a
-  // sharded commit -- an adversarial hash distribution cannot do worse),
-  // and under 64 shards tiny instances scatter one state per shard
-  // (maximal cross-shard id-assignment traffic).  Both degenerate
-  // configurations must stay bit-identical to jobs-1, including budget
-  // accounting: the shard count feeds the index's logical memoryBytes().
-  for (unsigned Shards : {1u, 64u}) {
-    core::ScopedCommitShardOverride Override(Shards);
-    for (uint64_t Seed = 201; Seed <= 224; ++Seed) {
-      CpdsFile File = cuba::testing::generateRandomCpds(
-          Seed, cuba::testing::cornerShapeOptions(Seed));
-      for (const ResourceLimits &L : {FuzzLimits, TinyLimits}) {
-        const char *Tag =
-            L.MaxStates == TinyLimits.MaxStates ? "shard-tiny" : "shard-fuzz";
-        ExplicitTrace E1 = runExplicit(File.System, L, nullptr);
-        expectSameExplicit(E1, runExplicit(File.System, L, &Pool2), Seed, Tag);
-        expectSameExplicit(E1, runExplicit(File.System, L, &Pool8), Seed, Tag);
-      }
-      if (HasFailure())
-        break;
+  // The commit-stress pin: corner-shape instances whose levels are tiny
+  // (one parent, a handful of candidates) or wide, at jobs 1 / 2 / 8, so
+  // chunking ranges from one candidate per worker to one chunk per
+  // level.  The serial level commit must stay bit-identical to jobs-1,
+  // including budget accounting.
+  for (uint64_t Seed = 201; Seed <= 224; ++Seed) {
+    CpdsFile File = cuba::testing::generateRandomCpds(
+        Seed, cuba::testing::cornerShapeOptions(Seed));
+    for (const ResourceLimits &L : {FuzzLimits, TinyLimits}) {
+      const char *Tag =
+          L.MaxStates == TinyLimits.MaxStates ? "shard-tiny" : "shard-fuzz";
+      ExplicitTrace E1 = runExplicit(File.System, L, nullptr);
+      expectSameExplicit(E1, runExplicit(File.System, L, &Pool2), Seed, Tag);
+      expectSameExplicit(E1, runExplicit(File.System, L, &Pool8), Seed, Tag);
     }
+    if (HasFailure())
+      break;
   }
 }
 
 TEST_F(ParallelDeterminismTest, ShardStressMidCommitExhaustionMatches) {
-  // Budget exhaustion landing *inside* a commit, under both degenerate
-  // shard counts: the cross-shard id-assignment pass must stop at
-  // exactly the serial charge -- same exhaustion round, same Steps /
-  // States / PeakBytes -- whether the charge that trips the limit is a
-  // step, a state, or a memory charge.  The step/state budgets are
-  // deliberately awkward (prime-ish, mid-level) so the stop point falls
-  // mid-level rather than on a round boundary.
-  std::vector<ResourceLimits> Budgets;
-  for (uint64_t MaxStates : {23ull, 137ull}) {
-    ResourceLimits L = FuzzLimits;
-    L.MaxStates = MaxStates;
-    Budgets.push_back(L);
-  }
-  {
-    ResourceLimits L = FuzzLimits;
-    L.MaxSteps = 311;
-    Budgets.push_back(L);
-  }
-  for (uint64_t MaxBytes : {24ull * 1024, 48ull * 1024}) {
-    ResourceLimits L = FuzzLimits;
-    L.MaxBytes = MaxBytes;
-    Budgets.push_back(L);
-  }
-  for (unsigned Shards : {1u, 64u}) {
-    core::ScopedCommitShardOverride Override(Shards);
-    for (uint64_t Seed = 201; Seed <= 216; ++Seed) {
-      CpdsFile File = cuba::testing::generateRandomCpds(
-          Seed, cuba::testing::cornerShapeOptions(Seed));
-      for (const ResourceLimits &L : Budgets) {
-        ExplicitTrace E1 = runExplicit(File.System, L, nullptr);
-        expectSameExplicit(E1, runExplicit(File.System, L, &Pool2), Seed,
-                           "shard-exhaust");
-        expectSameExplicit(E1, runExplicit(File.System, L, &Pool8), Seed,
-                           "shard-exhaust");
-      }
-      if (HasFailure())
-        break;
+  // Budget exhaustion landing *inside* a level's commit: the serial
+  // commit pass must stop at exactly the serial charge -- same
+  // exhaustion round, same Steps / States / PeakBytes -- whether the
+  // charge that trips the limit is a step, a state, or a memory charge.
+  // The step/state budgets are deliberately awkward (prime-ish,
+  // mid-level) so the stop point falls mid-level rather than on a round
+  // boundary.
+  std::vector<ResourceLimits> Budgets = midCommitBudgets();
+  for (uint64_t Seed = 201; Seed <= 216; ++Seed) {
+    CpdsFile File = cuba::testing::generateRandomCpds(
+        Seed, cuba::testing::cornerShapeOptions(Seed));
+    for (const ResourceLimits &L : Budgets) {
+      ExplicitTrace E1 = runExplicit(File.System, L, nullptr);
+      expectSameExplicit(E1, runExplicit(File.System, L, &Pool2), Seed,
+                         "shard-exhaust");
+      expectSameExplicit(E1, runExplicit(File.System, L, &Pool8), Seed,
+                         "shard-exhaust");
     }
+    if (HasFailure())
+      break;
+  }
+}
+
+TEST_F(ParallelDeterminismTest, WideSystemsMatch) {
+  // Five to eight threads: wider than the corner shapes (at most four),
+  // so every state row and visible tuple spans more words than the old
+  // four-slot inline state layout held.
+  std::vector<ResourceLimits> Budgets = {FuzzLimits, TinyLimits};
+  for (const ResourceLimits &L : midCommitBudgets())
+    Budgets.push_back(L);
+  for (uint64_t Seed = 301; Seed <= 324; ++Seed) {
+    cuba::testing::RandomCpdsOptions O =
+        cuba::testing::cornerShapeOptions(Seed);
+    O.MinThreads = 5;
+    O.MaxThreads = 8;
+    CpdsFile File = cuba::testing::generateRandomCpds(Seed, O);
+    for (const ResourceLimits &L : Budgets) {
+      ExplicitTrace E1 = runExplicit(File.System, L, nullptr);
+      expectSameExplicit(E1, runExplicit(File.System, L, &Pool2), Seed,
+                         "wide");
+      expectSameExplicit(E1, runExplicit(File.System, L, &Pool8), Seed,
+                         "wide");
+      SymbolicTrace S1 = runSymbolic(File.System, L, nullptr);
+      expectSameSymbolic(S1, runSymbolic(File.System, L, &Pool8), Seed,
+                         "wide");
+    }
+    if (HasFailure())
+      break;
   }
 }
 

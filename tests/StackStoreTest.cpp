@@ -18,6 +18,7 @@
 
 #include "pds/StackStore.h"
 #include "pds/VisibleSet.h"
+#include "support/StateRows.h"
 
 using namespace cuba;
 
@@ -113,18 +114,20 @@ TEST(StackStore, PackUnpackGlobalState) {
   GlobalState G;
   G.Q = 3;
   G.Stacks = {{1, 2}, {}, {5}};
-  PackedGlobalState P = packState(G, S);
-  EXPECT_EQ(P.Q, 3u);
-  ASSERT_EQ(P.Stacks.size(), 3u);
-  EXPECT_EQ(S.topOf(P.Stacks[0]), 2u);
-  EXPECT_EQ(P.Stacks[1], EmptyStackId);
-  GlobalState Back = unpackState(P, S);
+  uint32_t P[4];
+  packRow(G, S, P);
+  EXPECT_EQ(P[0], 3u);
+  EXPECT_EQ(S.topOf(P[1]), 2u);
+  EXPECT_EQ(P[2], EmptyStackId);
+  EXPECT_EQ(S.topOf(P[3]), 5u);
+  GlobalState Back = unpackRow(P, 3, S);
   EXPECT_EQ(Back, G);
 
-  // Equal states pack to equal representations with equal hashes.
-  PackedGlobalState P2 = packState(G, S);
-  EXPECT_TRUE(P == P2);
-  EXPECT_EQ(PackedGlobalStateHash()(P), PackedGlobalStateHash()(P2));
+  // Equal states pack to equal rows with equal hashes.
+  uint32_t P2[4];
+  packRow(G, S, P2);
+  EXPECT_TRUE(std::equal(P, P + 4, P2));
+  EXPECT_EQ(StateRows::hashRow(P, 4), StateRows::hashRow(P2, 4));
 }
 
 //===----------------------------------------------------------------------===//

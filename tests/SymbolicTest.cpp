@@ -192,6 +192,63 @@ TEST(CubaDriver, Table2SafetyVerdictsMatchThePaper) {
   }
 }
 
+namespace {
+
+/// A 33-thread system whose bug needs thread 32 to hand over to thread 0:
+/// thread 32 moves q0 -> q1, thread 0 moves q1 -> q2 (the bad state),
+/// and thread 1 pushes without bound in the unreachable q3, so FCR fails
+/// and runCuba takes the symbolic engine, while the explicit engine can
+/// still enumerate every R_k.  Every thread has one symbol and starts on
+/// it; the other threads never move.
+CpdsFile buildThirtyThreeThreads() {
+  CpdsFile F;
+  Cpds &C = F.System;
+  QState Q0 = C.addSharedState("q0");
+  QState Q1 = C.addSharedState("q1");
+  QState Q2 = C.addSharedState("q2");
+  QState Q3 = C.addSharedState("q3");
+  for (unsigned T = 0; T < 33; ++T) {
+    unsigned I = C.addThread("t" + std::to_string(T));
+    Pds &P = C.thread(I);
+    Sym A = P.addSymbol("a");
+    if (T == 0)
+      P.addAction({Q1, A, Q2, A, EpsSym, "bad"});
+    else if (T == 1)
+      P.addAction({Q3, A, Q3, A, A, "recurse"});
+    else if (T == 32)
+      P.addAction({Q0, A, Q1, A, EpsSym, "handover"});
+    C.setInitialStack(I, {A});
+  }
+  EXPECT_TRUE(static_cast<bool>(C.freeze()));
+  VisiblePattern Bad;
+  Bad.Q = Q2;
+  Bad.Tops.assign(33, std::nullopt);
+  F.Property.addBadPattern(std::move(Bad));
+  return F;
+}
+
+} // namespace
+
+TEST(CubaDriver, ThreadsPastThirtyOneStillExpandTheirSuccessors) {
+  // Producer masks have 32 bits.  A state thread 32 produced must still
+  // be expanded by thread 0: the bug is two contexts away.
+  CpdsFile F = buildThirtyThreeThreads();
+  DriverOptions O;
+  O.Run = fastOptions(6);
+  DriverResult R = runCuba(F.System, F.Property, O);
+  EXPECT_FALSE(R.Fcr.Holds);
+  EXPECT_EQ(R.Used, ApproachKind::Symbolic);
+  EXPECT_EQ(R.Run.outcome(), Outcome::BugFound);
+  ASSERT_TRUE(R.Run.BugBound.has_value());
+  EXPECT_EQ(*R.Run.BugBound, 2u);
+
+  // The explicit engine agrees on the bound (it keeps no producer mask).
+  O.Force = ApproachKind::ExplicitCombined;
+  DriverResult E = runCuba(F.System, F.Property, O);
+  ASSERT_TRUE(E.Run.BugBound.has_value());
+  EXPECT_EQ(*E.Run.BugBound, 2u);
+}
+
 //===----------------------------------------------------------------------===//
 // Property sweep: on every FCR model, the explicit and symbolic engines
 // must discover exactly the same visible states in exactly the same
@@ -210,6 +267,12 @@ CpdsFile buildBt1() { return models::buildBluetooth(1, 1, 1); }
 CpdsFile buildBt3() { return models::buildBluetooth(3, 1, 1); }
 CpdsFile buildBst11() { return models::buildBstInsert(1, 1); }
 CpdsFile buildCrawler() { return models::buildFileCrawler(2); }
+// Systems wider than four threads.
+CpdsFile buildBst23() { return models::buildBstInsert(2, 3); }
+CpdsFile buildBst33() { return models::buildBstInsert(3, 3); }
+CpdsFile buildBt322() { return models::buildBluetooth(3, 2, 2); }
+CpdsFile buildBt123() { return models::buildBluetooth(1, 2, 3); }
+CpdsFile buildCrawler4() { return models::buildFileCrawler(4); }
 
 const EngineAgreementCase AgreementCases[] = {
     {"Fig1", &models::buildFig1, 7},
@@ -218,6 +281,11 @@ const EngineAgreementCase AgreementCases[] = {
     {"Bst11", &buildBst11, 6},
     {"FileCrawler", &buildCrawler, 6},
     {"Dekker", &models::buildDekker, 6},
+    {"Bst23", &buildBst23, 6},
+    {"Bst33", &buildBst33, 6},
+    {"Bluetooth322", &buildBt322, 6},
+    {"Bluetooth123", &buildBt123, 6},
+    {"FileCrawler4", &buildCrawler4, 6},
 };
 
 } // namespace
