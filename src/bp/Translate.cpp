@@ -8,9 +8,12 @@
 #include "bp/Translate.h"
 
 #include <iterator>
+#include <optional>
 #include <unordered_map>
 
 #include "bp/Parser.h"
+#include "obs/Metrics.h"
+#include "obs/Trace.h"
 #include "support/Unreachable.h"
 
 using namespace cuba;
@@ -241,14 +244,28 @@ constexpr const char *RuleNames[] = {
 static_assert(std::size(RuleNames) == static_cast<size_t>(Rule::Call) + 1,
               "one name per rule label");
 
-/// One flattened function's slice of a thread's frame-symbol table:
-/// frame (pc, locals) sits at Base + (pc << LocalBits) + locals.
+/// One flattened function and its slice of the frame-key space: frame
+/// (pc, locals) has key Base + (pc << LocalBits) + locals.
 struct FuncSlot {
-  const FlatFunction *Flat;
-  const std::string *Name;
-  size_t Base;
-  unsigned LocalBits;
+  FlatFunction Flat;
+  size_t Base = 0;
+  unsigned LocalBits = 0;
 };
+
+/// A stack frame: function (index into the Emitter's Funcs), program
+/// point and local valuation.
+struct Frame {
+  unsigned Func;
+  unsigned Pc;
+  uint32_t Locals;
+};
+
+/// Bound on the (frame, shared valuation) pairs summed over threads:
+/// each is one rule slot, a source (q, frame) the emitter evaluates.
+constexpr uint64_t MaxRuleSlots = 4'000'000;
+/// The saturations pack symbol ids, the bottom marker one past the
+/// alphabet included, into 21-bit fields.
+constexpr uint64_t MaxAlphabet = 1u << 21;
 
 /// The CPDS emission context.
 class Emitter {
@@ -282,19 +299,37 @@ public:
       Opts.Taint->SharedBits = static_cast<unsigned>(FoldBitBase);
     }
 
+    size_t Base = 0;
     for (const Function &F : P.Functions) {
       if (F.Name == "main")
         continue;
-      Flattener Fl(F);
-      auto R = Fl.run();
+      auto R = Flattener(F).run();
       if (!R)
         return R.error();
-      Flats.emplace(F.Name, R.take());
+      unsigned LocalBits = static_cast<unsigned>(F.AllLocals.size());
+      FuncIndex.emplace(F.Name, static_cast<unsigned>(Funcs.size()));
+      Funcs.push_back({R.take(), Base, LocalBits});
+      Base += Funcs.back().Flat.Ops.size() << LocalBits;
     }
 
-    if (auto R = checkSize(); !R)
-      return R.error();
-    indexFunctions();
+    // Every thread reaches its entry frame, so threads x 2^bits rule
+    // slots is an exact floor of the reached count: refuse here, before
+    // 2^bits is computed or a single shared state built.
+    uint64_t Threads = P.ThreadEntries.size();
+    if (SharedBitCount >= 32 || (Threads << SharedBitCount) > MaxRuleSlots)
+      return Error("translated system would be too large (" +
+                   std::to_string(Threads) + " threads x 2^" +
+                   std::to_string(SharedBitCount) +
+                   " shared valuations exceed " +
+                   std::to_string(MaxRuleSlots) +
+                   " rule slots); reduce the number of shared variables "
+                   "or threads");
+    NumShared = 1u << SharedBitCount;
+
+    // One entry per possible frame: 4 bytes x pcs x 2^locals, at most
+    // 4 KiB per statement under Sema's 10-local limit.
+    FrameTable.assign(Base, EpsSym);
+
     buildSharedStates();
     for (size_t T = 0; T < P.ThreadEntries.size(); ++T)
       if (auto R = buildThread(static_cast<unsigned>(T)); !R)
@@ -311,36 +346,8 @@ public:
   }
 
 private:
-  ErrorOr<void> checkSize() {
-    uint64_t NumShared = 1ull << SharedBitCount;
-    uint64_t Rules = 0;
-    for (auto &[Name, Flat] : Flats) {
-      uint64_t Locals = 1ull << Flat.F->AllLocals.size();
-      Rules += Flat.Ops.size() * Locals * NumShared;
-    }
-    Rules *= P.ThreadEntries.size();
-    if (Rules > 4'000'000)
-      return Error("translated system would be too large (" +
-                   std::to_string(Rules) + " rule slots); reduce the "
-                   "number of variables");
-    // Every thread's alphabet is one symbol per (function, pc, locals)
-    // frame.  The saturations pack symbol ids, the bottom marker one past
-    // the alphabet included, into 21-bit fields.
-    uint64_t Frames = 0;
-    for (auto &[Name, Flat] : Flats)
-      Frames += Flat.Ops.size() << Flat.F->AllLocals.size();
-    if (!P.ThreadEntries.empty() && Frames + 1 >= (1u << 21))
-      return Error("thread " + P.ThreadEntries[0] +
-                   ".1: alphabet too large (" + std::to_string(Frames) +
-                   " frame symbols plus the bottom marker reach the 2^21 "
-                   "limit of the saturations); reduce the number of locals "
-                   "or statements");
-    return {};
-  }
-
   void buildSharedStates() {
-    unsigned N = 1u << SharedBitCount;
-    for (unsigned V = 0; V < N; ++V) {
+    for (uint32_t V = 0; V < NumShared; ++V) {
       std::string Name = "b";
       for (unsigned B = 0; B < SharedBitCount; ++B)
         Name += (V >> B) & 1 ? '1' : '0';
@@ -395,62 +402,97 @@ private:
     cuba_unreachable("covered switch over ExprKind");
   }
 
-  /// Stack symbol of (\p F, pc, locals) in the current thread's
-  /// alphabet, created on first use.
-  Sym frameSym(const FuncSlot &F, unsigned Pc, uint32_t Locals) {
-    assert(Pc < F.Flat->Ops.size() && Locals < (1u << F.LocalBits) &&
+  /// The frame table entry of (\p Fn, \p Pc, \p Locals).
+  Sym &frameSlot(unsigned Fn, unsigned Pc, uint32_t Locals) {
+    const FuncSlot &F = Funcs[Fn];
+    assert(Pc < F.Flat.Ops.size() && Locals < (1u << F.LocalBits) &&
            "frame outside its function");
-    Sym &S =
-        FrameTable[F.Base + (static_cast<size_t>(Pc) << F.LocalBits) + Locals];
-    if (S != EpsSym)
-      return S;
-    std::string Name = *F.Name + "." + std::to_string(Pc);
-    if (F.LocalBits) {
-      Name += ".";
-      for (unsigned B = 0; B < F.LocalBits; ++B)
-        Name += (Locals >> B) & 1 ? '1' : '0';
+    return FrameTable[F.Base + (static_cast<size_t>(Pc) << F.LocalBits) +
+                      Locals];
+  }
+
+  /// Stack symbol of frame (\p Fn, \p Pc, \p Locals) in the current
+  /// thread's alphabet.  A frame seen for the first time takes the next
+  /// id and joins the thread's worklist, so ids follow discovery order.
+  Sym frameSym(unsigned Fn, unsigned Pc, uint32_t Locals) {
+    Sym &S = frameSlot(Fn, Pc, Locals);
+    if (S == EpsSym) {
+      Frames.push_back({Fn, Pc, Locals});
+      S = static_cast<Sym>(Frames.size());
+      chargeFrame();
     }
-    S = Cur->addSymbol(std::move(Name));
     return S;
   }
 
-  /// Lays out one FuncSlot per flattened function, in Flats order (the
-  /// emission order, which fixes the symbol numbering).
-  void indexFunctions() {
-    size_t Base = 0;
-    for (auto &[Name, Flat] : Flats) {
-      unsigned LocalBits = static_cast<unsigned>(Flat.F->AllLocals.size());
-      FuncIndex.emplace(Name, static_cast<unsigned>(Funcs.size()));
-      Funcs.push_back({&Flat, &Name, Base, LocalBits});
-      Base += Flat.Ops.size() << LocalBits;
+  std::string frameName(const Frame &Fr) const {
+    const FuncSlot &F = Funcs[Fr.Func];
+    std::string Name = F.Flat.F->Name + "." + std::to_string(Fr.Pc);
+    if (F.LocalBits) {
+      Name += ".";
+      for (unsigned B = 0; B < F.LocalBits; ++B)
+        Name += (Fr.Locals >> B) & 1 ? '1' : '0';
     }
-    NumFrames = Base;
+    return Name;
   }
 
+  /// Charges the frame just reached against the size limits.  The first
+  /// breach is kept; buildThread reports it once the frame being
+  /// emitted is done.
+  void chargeFrame() {
+    RuleSlots += NumShared;
+    if (Refusal)
+      return;
+    if (RuleSlots > MaxRuleSlots)
+      Refusal = Error("translated system would be too large (" +
+                      std::to_string(RuleSlots) +
+                      " rule slots reached); reduce the number of "
+                      "variables");
+    else if (Frames.size() + 1 >= MaxAlphabet)
+      Refusal = Error("thread " + CurName + ": alphabet too large (" +
+                      std::to_string(Frames.size()) +
+                      " frame symbols plus the bottom marker reach the 2^21 "
+                      "limit of the saturations); reduce the number of "
+                      "locals or statements");
+  }
+
+  /// Emits thread \p T: a worklist of frames seeded with the entry
+  /// frame, each popped frame's rules over every shared valuation.
   ErrorOr<void> buildThread(unsigned T) {
     const std::string &Entry = P.ThreadEntries[T];
     // '.' rather than '#': the thread name must survive the .cpds text
     // format, where '#' starts a comment (--emit-cpds output re-parses).
-    unsigned Idx = File.System.addThread(Entry + "." + std::to_string(T + 1));
+    CurName = Entry + "." + std::to_string(T + 1);
+    unsigned Idx = File.System.addThread(CurName);
     assert(Idx == T && "thread indices must align with entries");
     (void)Idx;
     Cur = &File.System.thread(T);
-    FrameTable.assign(NumFrames, EpsSym);
+    Frames.clear();
     for (size_t R = 0; R < std::size(RuleNames); ++R)
       RuleLabels[R] = Cur->internLabel(RuleNames[R]);
 
-    unsigned NumShared = 1u << SharedBitCount;
-    for (const FuncSlot &F : Funcs)
-      for (unsigned Pc = 0; Pc < F.Flat->Ops.size(); ++Pc)
-        for (uint32_t L = 0; L < (1u << F.LocalBits); ++L)
-          for (uint32_t Q = 0; Q < NumShared; ++Q)
-            emitOp(T, F, Pc, Q, L);
-    File.System.setInitialStack(T, {frameSym(func(Entry), 0, 0)});
+    Sym EntrySym = frameSym(FuncIndex.at(Entry), 0, 0);
+    if (Opts.AllFrames)
+      for (unsigned Fn = 0; Fn < Funcs.size(); ++Fn)
+        for (unsigned Pc = 0; Pc < Funcs[Fn].Flat.Ops.size(); ++Pc)
+          for (uint32_t L = 0; L < (1u << Funcs[Fn].LocalBits); ++L)
+            frameSym(Fn, Pc, L);
+    for (size_t I = 0; I < Frames.size() && !Refusal; ++I) {
+      Frame Fr = Frames[I]; // Emission appends to Frames.
+      for (uint32_t Q = 0; Q < NumShared; ++Q)
+        emitOp(T, Fr, static_cast<Sym>(I + 1), Q);
+    }
+    if (Refusal)
+      return *Refusal;
+    // Name the symbols only now, so a refused program never builds the
+    // names, and clear the table entries for the next thread.
+    for (const Frame &Fr : Frames) {
+      Sym S = Cur->addSymbol(frameName(Fr));
+      assert(S == frameSlot(Fr.Func, Fr.Pc, Fr.Locals) && "ids out of order");
+      (void)S;
+      frameSlot(Fr.Func, Fr.Pc, Fr.Locals) = EpsSym;
+    }
+    File.System.setInitialStack(T, {EntrySym});
     return {};
-  }
-
-  const FuncSlot &func(const std::string &Name) const {
-    return Funcs[FuncIndex.at(Name)];
   }
 
   /// Returns the new action's index in the current thread's delta, or
@@ -466,12 +508,14 @@ private:
                                  RuleLabels[static_cast<size_t>(R)]});
   }
 
-  void emitOp(unsigned T, const FuncSlot &F, unsigned Pc, uint32_t Q,
-              uint32_t L) {
-    const FlatOp &Op = F.Flat->Ops[Pc];
-    Sym Here = frameSym(F, Pc, L);
+  /// Emits the rules of frame \p Fr, whose symbol is \p Here, at shared
+  /// valuation \p Q.
+  void emitOp(unsigned T, const Frame &Fr, Sym Here, uint32_t Q) {
+    const FlatOp &Op = Funcs[Fr.Func].Flat.Ops[Fr.Pc];
+    unsigned Pc = Fr.Pc;
+    uint32_t L = Fr.Locals;
     auto Next = [&](unsigned ToPc, uint32_t L2) {
-      return frameSym(F, ToPc, L2);
+      return frameSym(Fr.Func, ToPc, L2);
     };
 
     switch (Op.Kind) {
@@ -504,10 +548,10 @@ private:
       return;
     }
     case FlatOp::K::Assign:
-      emitAssign(F, Op, Pc, Q, L, Here);
+      emitAssign(Fr, Op, Q, Here);
       return;
     case FlatOp::K::Call:
-      emitCall(F, Op, Q, L, Here);
+      emitCall(Fr, Op, Q, Here);
       return;
     case FlatOp::K::Bind: {
       // x := $ret at the return site of `x := call f(...)`.
@@ -539,15 +583,13 @@ private:
               EpsSym, Rule::Unlock);
       return;
     case FlatOp::K::Taint:
-      emitTaint(T, Op, Pc, Q, L, Here, Next(Pc + 1, L));
+      emitTaint(T, Op, Q, Here, Next(Pc + 1, L));
       return;
     }
   }
 
-  void emitTaint(unsigned T, const FlatOp &Op, unsigned Pc, uint32_t Q,
-                 uint32_t L, Sym Here, Sym NextSym) {
-    (void)Pc;
-    (void)L;
+  void emitTaint(unsigned T, const FlatOp &Op, uint32_t Q, Sym Here,
+                 Sym NextSym) {
     int Fact = Op.S->TaintSlot;
     Rule Label = Op.S->Kind == StmtKind::Source     ? Rule::Source
                  : Op.S->Kind == StmtKind::Sanitize ? Rule::Sanitize
@@ -574,8 +616,8 @@ private:
         W.Kill = 1u << Fact;
       Opts.Taint->Weights.push_back(W);
     }
-    // One sink record per (thread, frame): the emission loop revisits
-    // this op once per shared valuation Q.
+    // One sink record per (thread, frame): the emission loop visits
+    // each frame once per shared valuation Q.
     if (Op.S->Kind == StmtKind::Sink && Q == 0)
       Opts.Taint->Sinks.push_back({T, Here, Fact});
   }
@@ -608,9 +650,9 @@ private:
     }
   }
 
-  void emitAssign(const FuncSlot &F, const FlatOp &Op, unsigned Pc,
-                  uint32_t Q, uint32_t L, Sym Here) {
+  void emitAssign(const Frame &Fr, const FlatOp &Op, uint32_t Q, Sym Here) {
     const Stmt &S = *Op.S;
+    uint32_t L = Fr.Locals;
     // The parallel assignment applies every chosen value to the
     // pre-state at once.
     forEachChoice(S.AssignValues, Q, L, [&](const std::vector<uint8_t> &V) {
@@ -623,19 +665,20 @@ private:
       }
       // `constrain e` filters on the post state.
       if (!S.Constrain || evalExpr(*S.Constrain, Q2, L2).Can1)
-        addRule(Q, Here, Q2, frameSym(F, Pc + 1, L2), EpsSym, Rule::Assign);
+        addRule(Q, Here, Q2, frameSym(Fr.Func, Fr.Pc + 1, L2), EpsSym,
+                Rule::Assign);
     });
   }
 
-  void emitCall(const FuncSlot &F, const FlatOp &Op, uint32_t Q, uint32_t L,
-                Sym Here) {
-    const FuncSlot &Callee = func(Op.S->Callee);
+  void emitCall(const Frame &Fr, const FlatOp &Op, uint32_t Q, Sym Here) {
+    unsigned Callee = FuncIndex.at(Op.S->Callee);
+    uint32_t L = Fr.Locals;
     forEachChoice(Op.S->CallArgs, Q, L, [&](const std::vector<uint8_t> &V) {
       uint32_t CalleeLocals = 0;
       for (size_t I = 0; I < V.size(); ++I)
         CalleeLocals = setBit(CalleeLocals, static_cast<int>(I), V[I]);
       Sym EntrySym = frameSym(Callee, 0, CalleeLocals);
-      Sym RetSym = frameSym(F, Op.Targets[0], L);
+      Sym RetSym = frameSym(Fr.Func, Op.Targets[0], L);
       addRule(Q, Here, Q, EntrySym, RetSym, Rule::Call);
     });
   }
@@ -650,14 +693,21 @@ private:
   int LockBit = -1;
   int FoldBitBase = 0;
   QState ErrState = 0;
-  std::unordered_map<std::string, FlatFunction> Flats;
-  /// One slot per flattened function, in emission order.
+  uint32_t NumShared = 0;
+  /// One slot per flattened function, in program order.
   std::vector<FuncSlot> Funcs;
   std::unordered_map<std::string, unsigned> FuncIndex;
-  size_t NumFrames = 0;
-  /// The thread being emitted, its frame symbols (EpsSym until
-  /// created) and its interned rule labels.
+  /// Rule slots reached so far, over all threads, and the first size
+  /// limit they broke.
+  uint64_t RuleSlots = 0;
+  std::optional<Error> Refusal;
+  /// The thread being emitted: its name and PDS, its frames in id order
+  /// (Frames[S - 1] is symbol S; the unemitted tail is the worklist),
+  /// their ids by frame key (EpsSym until reached) and its interned rule
+  /// labels.
+  std::string CurName;
   Pds *Cur = nullptr;
+  std::vector<Frame> Frames;
   std::vector<Sym> FrameTable;
   LabelId RuleLabels[std::size(RuleNames)] = {};
   /// forEachChoice's reusable buffers.
@@ -671,17 +721,26 @@ private:
 ErrorOr<CpdsFile> cuba::bp::translateProgram(const Program &P,
                                              const SemaInfo &Info,
                                              const TranslateOptions &Opts) {
-  Emitter E(P, Info, Opts);
-  return E.run();
+  static obs::Counter Frames("bp.frames");
+  static obs::Counter Actions("bp.actions");
+  obs::ScopedSpan Span("translate", obs::Trace::CatDet);
+  auto File = Emitter(P, Info, Opts).run();
+  if (!File)
+    return File;
+  uint64_t NumFrames = 0, NumActions = 0;
+  for (unsigned T = 0; T < File->System.numThreads(); ++T) {
+    NumFrames += File->System.thread(T).numSymbols();
+    NumActions += File->System.thread(T).actions().size();
+  }
+  Frames += NumFrames;
+  Actions += NumActions;
+  Span.arg("frames", NumFrames);
+  Span.arg("actions", NumActions);
+  return File;
 }
 
-ErrorOr<CpdsFile> cuba::bp::translateProgram(const Program &P,
-                                             const SemaInfo &Info) {
-  TranslateOptions Opts;
-  return translateProgram(P, Info, Opts);
-}
-
-ErrorOr<CpdsFile> cuba::bp::compileBooleanProgram(std::string_view Source) {
+ErrorOr<CpdsFile> cuba::bp::compileBooleanProgram(std::string_view Source,
+                                                  const TranslateOptions &Opts) {
   auto Prog = parseProgram(Source);
   if (!Prog)
     return Prog.error();
@@ -689,5 +748,5 @@ ErrorOr<CpdsFile> cuba::bp::compileBooleanProgram(std::string_view Source) {
   auto Info = analyzeProgram(P);
   if (!Info)
     return Info.error();
-  return translateProgram(P, *Info);
+  return translateProgram(P, *Info, Opts);
 }

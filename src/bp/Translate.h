@@ -10,16 +10,23 @@
 /// semantics).  Encoding:
 ///
 /// * Shared state = valuation of the shared variables, plus the hidden
-///   bits $ret (return-value register, present when any function returns
-///   bool) and $lock (global mutex for lock/unlock/atomic), plus a
-///   dedicated `err` state entered on assertion failure.  The safety
-///   property of the result is "err is unreachable".
+///   bits $ret (return-value registers, one bit per thread, present when
+///   any function returns bool) and $lock (global mutex for
+///   lock/unlock/atomic), plus a dedicated `err` state entered on
+///   assertion failure.  The safety property of the result is "err is
+///   unreachable".
 /// * Stack symbol = (function, program point, valuation of the
 ///   function's parameters and locals); one PDS per created thread.
+///   Only the frames a thread can reach are emitted: a worklist seeded
+///   with the thread's entry frame emits each frame's rules over every
+///   shared valuation and queues the frames those rules write, so symbol
+///   ids follow discovery order and other threads' entries and uncalled
+///   helpers cost nothing.  Reachability ignores the shared state, so a
+///   reached frame may still have no run that gets there.
 /// * Calls push the callee's entry frame over the caller's return-site
 ///   frame (arguments are copied into the callee's parameter slots);
-///   returns pop, with `return e` latching e into $ret, which a
-///   `x := call f(...)` statement reads at its return site.
+///   returns pop, with `return e` latching e into the thread's $ret bit,
+///   which a `x := call f(...)` statement reads at its return site.
 /// * `atomic { ... }` is sugar for lock; ...; unlock -- mutual exclusion
 ///   against other atomic sections, the usual Boolean-program reading.
 /// * Shared variables and locals start at 0; nondeterministic initial
@@ -28,6 +35,12 @@
 /// * `constrain e` filters assignments by evaluating e over the *post*
 ///   state (a simplification of primed-variable constraints; documented
 ///   in BUILDING.md, "Model reconstructions").
+///
+/// Size limits, checked as frames are reached: at most 4,000,000 rule
+/// slots (reached frame x shared valuation pairs, summed over threads)
+/// and fewer than 2^21 frames plus the bottom marker per thread.
+/// threads x 2^bits is an exact floor of the slot count, checked before
+/// any shared state is built.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,8 +60,9 @@ namespace cuba::bp_testing {
 /// translate-side analogue of testing::OracleOptions::InjectDropVisible:
 /// when true, translateProgram silently drops the first `assign` rule it
 /// would emit, simulating a lost transfer function.  The dual-compile
-/// comparison in testing/BpOracle must flag this on any program that
-/// assigns.  Not thread-safe; reset to false after use.
+/// comparison in testing/BpOracle must flag this on any program whose
+/// threads can reach an assignment.  Not thread-safe; reset to false
+/// after use.
 extern bool InjectDropAssignRule;
 
 } // namespace cuba::bp_testing
@@ -99,6 +113,10 @@ struct TranslateOptions {
   /// are only recorded when !FoldTaint (the folded system carries them
   /// in its control state); fact names and sink sites always are.
   TaintInfo *Taint = nullptr;
+  /// Testing only: emit every (function, pc, locals) frame, reachable
+  /// or not, after the entry frame.  The program-level oracle
+  /// (testing/BpOracle) checks that this changes no visible round.
+  bool AllFrames = false;
 };
 
 /// Translates the analyzed program \p P; the returned system is frozen
@@ -107,13 +125,16 @@ struct TranslateOptions {
 /// every non-dataflow pipeline) they are control no-ops, so the two
 /// translation modes differ only in the fold bits -- same per-thread
 /// stack alphabets, same symbol interning order, rule-for-rule
-/// isomorphic deltas.
+/// isomorphic deltas.  (The fold bits sit above every bit an expression
+/// or a bind reads, so they reach no new frame.)  Records a det
+/// `translate` span and adds the emitted frames and actions to the det
+/// counters `bp.frames` and `bp.actions`.
 ErrorOr<CpdsFile> translateProgram(const Program &P, const SemaInfo &Info,
-                                   const TranslateOptions &Opts);
-ErrorOr<CpdsFile> translateProgram(const Program &P, const SemaInfo &Info);
+                                   const TranslateOptions &Opts = {});
 
 /// Convenience pipeline: lex, parse, analyze, translate.
-ErrorOr<CpdsFile> compileBooleanProgram(std::string_view Source);
+ErrorOr<CpdsFile> compileBooleanProgram(std::string_view Source,
+                                        const TranslateOptions &Opts = {});
 
 } // namespace cuba::bp
 

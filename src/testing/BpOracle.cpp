@@ -7,13 +7,67 @@
 
 #include "testing/BpOracle.h"
 
+#include <algorithm>
+#include <iterator>
+
 #include "bp/AstPrinter.h"
 #include "bp/Parser.h"
 #include "bp/Translate.h"
+#include "core/SymbolicEngine.h"
 #include "testing/RandomBp.h"
 
 using namespace cuba;
 using namespace cuba::testing;
+
+namespace {
+
+/// One round's new visible states, each rendered by shared-state and
+/// symbol names so systems that number their symbols differently
+/// compare; sorted.
+std::vector<std::string> namedRound(const Cpds &C,
+                                    const SymbolicEngine &E) {
+  std::vector<std::string> Out;
+  for (const VisibleState &V : E.newVisibleThisRound())
+    Out.push_back(toString(C, V));
+  std::sort(Out.begin(), Out.end());
+  return Out;
+}
+
+/// Runs the reachable translation \p Reach and the all-frames
+/// translation \p All of one program in lockstep and returns the first
+/// round whose visible states differ, rendered, or "" when every round
+/// both engines completed agrees.
+std::string compareAllFrames(const Cpds &Reach, const Cpds &All,
+                             const OracleOptions &Opts) {
+  SymbolicEngine R(Reach, Opts.Limits), A(All, Opts.Limits);
+  R.setParallel(Opts.Pool);
+  A.setParallel(Opts.Pool);
+  for (unsigned K = 0;; ++K) {
+    std::vector<std::string> NewR = namedRound(Reach, R);
+    std::vector<std::string> NewA = namedRound(All, A);
+    if (NewR != NewA) {
+      std::string Out = "k=" + std::to_string(K) + ":";
+      auto OnlyIn = [&](const std::vector<std::string> &X,
+                        const std::vector<std::string> &Y, const char *Tag) {
+        std::vector<std::string> Only;
+        std::set_difference(X.begin(), X.end(), Y.begin(), Y.end(),
+                            std::back_inserter(Only));
+        for (const std::string &V : Only)
+          Out += Tag + V;
+      };
+      OnlyIn(NewR, NewA, " reachable-only ");
+      OnlyIn(NewA, NewR, " all-frames-only ");
+      return Out;
+    }
+    // A budget stop truncates the comparison.
+    if (K >= Opts.MaxK ||
+        R.advance() == SymbolicEngine::RoundStatus::Exhausted ||
+        A.advance() == SymbolicEngine::RoundStatus::Exhausted)
+      return "";
+  }
+}
+
+} // namespace
 
 std::string BpOracleReport::str() const {
   std::string S;
@@ -73,7 +127,21 @@ BpOracleReport cuba::testing::runBpOracle(const bp::Program &P,
   if (std::string CpdsC = printCpds(*Reloaded); CpdsC != CpdsA)
     return Fail("translated .cpds text is not a print(parse(.)) fixpoint");
 
-  // Stage 4: the full cross-engine battery on the translated system.
+  // Stage 4: emitting every frame instead of only the reachable ones
+  // must not change any visible round.  The all-frames system may
+  // outgrow the size limits the reachable one meets; that refusal is
+  // legitimate and skips the stage.
+  bp::TranslateOptions AllFrames;
+  AllFrames.AllFrames = true;
+  auto FileAll = bp::compileBooleanProgram(Rep.Source, AllFrames);
+  if (FileAll) {
+    std::string Diff =
+        compareAllFrames(FileA->System, FileAll->System, Opts.Engine);
+    if (!Diff.empty())
+      return Fail("reachable and all-frames translations differ at " + Diff);
+  }
+
+  // Stage 5: the full cross-engine battery on the translated system.
   Rep.Engine = runDifferentialOracle(*FileA, Opts.Engine);
   return Rep;
 }

@@ -18,6 +18,10 @@
 ///  * CpdsIO round-trip: the translated system's .cpds text re-parses
 ///    and is a fixed point of print(parse(.)) -- i.e. --emit-cpds output
 ///    is always loadable again,
+///  * frame pruning: translating every frame instead of only those
+///    reachable from each thread's entry (bp::TranslateOptions::
+///    AllFrames) yields the same visible states, by name, in every round
+///    both symbolic engines complete,
 ///  * engine agreement: the full testing/DifferentialOracle battery on
 ///    the translated system.
 ///
@@ -37,7 +41,8 @@ struct BpOracleOptions {
   OracleOptions Engine;
   /// Mutation check: compile the second of the two translation runs
   /// with bp_testing::InjectDropAssignRule set.  A correct oracle must
-  /// then report a mismatch on any program with an assignment.
+  /// then report a mismatch on any program whose threads can reach an
+  /// assignment.
   bool InjectTranslateBug = false;
 };
 

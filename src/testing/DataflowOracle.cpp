@@ -200,8 +200,8 @@ cuba::testing::runDataflowOracle(const bp::Program &P,
   }
 
   // The fold-bit isomorphism the comparison rides on: identical thread
-  // structure and per-thread stack alphabets, control states widened by
-  // exactly the fact bits.
+  // structure and per-thread stack alphabets, symbol for symbol in id
+  // order, control states widened by exactly the fact bits.
   const Cpds &BC = Base->System;
   const Cpds &FC = Folded->System;
   if (BC.numThreads() != FC.numThreads()) {
@@ -209,7 +209,11 @@ cuba::testing::runDataflowOracle(const bp::Program &P,
     return Rep;
   }
   for (unsigned I = 0; I < BC.numThreads(); ++I) {
-    if (BC.thread(I).numSymbols() != FC.thread(I).numSymbols()) {
+    const Pds &BT = BC.thread(I), &FT = FC.thread(I);
+    bool Same = BT.numSymbols() == FT.numSymbols();
+    for (Sym S = 1; Same && S <= BT.numSymbols(); ++S)
+      Same = BT.symbolName(S) == FT.symbolName(S);
+    if (!Same) {
       Mismatch("translation modes disagree on thread " + std::to_string(I) +
                "'s stack alphabet");
       return Rep;

@@ -117,22 +117,23 @@ TEST(BpCorpus, GoldenVerdicts) {
 
 TEST(BpCorpus, TranslationsMatchGoldenHashes) {
   // A 64-bit FNV-1a fingerprint of every model's printCpds text pins the
-  // translation itself: symbol numbering, rule order, labels and the
-  // property.  A change that renumbers, reorders or drops anything fails
-  // here even when every verdict survives; one that does so on purpose
-  // must update these values (cuba --emit-cpds prints the same text).
+  // translation itself: symbol numbering (discovery order from each
+  // thread's entry frame), rule order, labels and the property.  A
+  // change that renumbers, reorders or drops anything fails here even
+  // when every verdict survives; one that does so on purpose must
+  // update these values (cuba --emit-cpds prints the same text).
   const std::map<std::string, uint64_t> Golden = {
-      {"atomic_handoff.bp", 0x6d0882ef85e78a37ull},
-      {"bluetooth_v1.bp", 0xb4c0759091eaa26full},
-      {"bluetooth_v3.bp", 0x96f60185b07b2ca5ull},
-      {"constrain_pair.bp", 0xbafcf3136e71729dull},
-      {"goto_retry.bp", 0xc27f18065a39fb42ull},
-      {"helper_result.bp", 0xf0d6365dc01fe93bull},
-      {"lock_protocol.bp", 0xc9116023e3fae431ull},
-      {"lock_race.bp", 0x46d45cc38124c02bull},
-      {"recursion_race.bp", 0x3dbab181c2625356ull},
-      {"recursion_tower.bp", 0x3cb376b09bc68897ull},
-      {"three_stations.bp", 0x523c81bfc87d8597ull},
+      {"atomic_handoff.bp", 0x755fffbab0b149ffull},
+      {"bluetooth_v1.bp", 0xffefaa8faf513b7eull},
+      {"bluetooth_v3.bp", 0x26e19010eb3feef1ull},
+      {"constrain_pair.bp", 0x546fa8643ba620b2ull},
+      {"goto_retry.bp", 0x49bf0719c9e081b0ull},
+      {"helper_result.bp", 0x7b6282f4bf140bf7ull},
+      {"lock_protocol.bp", 0x9c9375e36e3e8412ull},
+      {"lock_race.bp", 0x1458631aabcbaa3bull},
+      {"recursion_race.bp", 0x3f9c1d99f20a7832ull},
+      {"recursion_tower.bp", 0x83102b636d40963aull},
+      {"three_stations.bp", 0x90e7932de0b8d221ull},
   };
   std::vector<CorpusModel> Models = loadCorpus();
   EXPECT_EQ(Models.size(), Golden.size());

@@ -21,6 +21,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
+#include <set>
 
 #include "bp/AstPrinter.h"
 #include "bp/Parser.h"
@@ -150,33 +152,48 @@ TEST(BpFuzz, GotoHeavyProgramsSurviveThePipeline) {
 
 // The translate-level mutation check: a simulated translation bug
 // (the first assignment rule is dropped from the second compile) must
-// trip the oracle on any program that assigns.  This pins the
-// pipeline oracle's sensitivity the same way InjectDropVisible pins
-// the engine oracle's -- a vacuous byte-compare would pass every
-// shard above.  Fixed literal seeds, not baseSeed: programs without
-// an assignment are legitimately insensitive, so the eligible set
-// must stay deterministic under CI seed rotation.
+// trip the oracle on any program whose threads can reach an
+// assignment.  This pins the pipeline oracle's sensitivity the same
+// way InjectDropVisible pins the engine oracle's -- a vacuous
+// byte-compare would pass every shard above.  Fixed literal seeds,
+// not baseSeed: programs without a reachable assignment are
+// legitimately insensitive, so the eligible set must stay
+// deterministic under CI seed rotation.
 TEST(BpFuzz, OracleCatchesInjectedTranslateBug) {
-  // Eligibility = the program has a plain assignment statement (call
-  // result bindings also print ":=" but emit call/bind rules, which
-  // the hook leaves alone).
-  auto HasAssign = [](const bp::Program &P) {
-    auto Walk = [](auto &&Self, const std::vector<bp::StmtPtr> &Body) -> bool {
-      for (const bp::StmtPtr &S : Body)
-        if (S->Kind == bp::StmtKind::Assign ||
-            (Self(Self, S->Body) || Self(Self, S->ElseBody)))
-          return true;
-      return false;
-    };
+  // Eligibility = a function reachable from a thread entry over the call
+  // graph has a plain assignment statement.  Translation emits only
+  // reachable frames, so an assignment in an uncalled helper emits no
+  // rule and the hook has nothing to drop.  Call result bindings also
+  // print ":=" but emit call/bind rules, which the hook leaves alone.
+  auto HasReachableAssign = [](const bp::Program &P) {
+    std::map<std::string, const bp::Function *> Fns;
     for (const bp::Function &F : P.Functions)
-      if (Walk(Walk, F.Body))
-        return true;
-    return false;
+      Fns[F.Name] = &F;
+    std::set<std::string> Seen(P.ThreadEntries.begin(),
+                               P.ThreadEntries.end());
+    std::vector<std::string> Work(Seen.begin(), Seen.end());
+    bool Assigns = false;
+    auto Walk = [&](auto &&Self,
+                    const std::vector<bp::StmtPtr> &Body) -> void {
+      for (const bp::StmtPtr &S : Body) {
+        Assigns |= S->Kind == bp::StmtKind::Assign;
+        if (S->Kind == bp::StmtKind::Call && Seen.insert(S->Callee).second)
+          Work.push_back(S->Callee);
+        Self(Self, S->Body);
+        Self(Self, S->ElseBody);
+      }
+    };
+    while (!Work.empty()) {
+      std::string Name = std::move(Work.back());
+      Work.pop_back();
+      Walk(Walk, Fns.at(Name)->Body);
+    }
+    return Assigns;
   };
   unsigned Eligible = 0, Caught = 0;
   for (uint64_t Seed = 300; Seed < 330; ++Seed) {
     bp::Program P = generateRandomBp(Seed, bpShapeOptions(Seed));
-    if (!HasAssign(P))
+    if (!HasReachableAssign(P))
       continue;
     ++Eligible;
     BpOracleOptions O = quickOracle();

@@ -393,12 +393,15 @@ TEST(BpTranslate, TranslatedSystemShape) {
 }
 
 TEST(BpTranslate, RejectsAlphabetPastTheSaturationPacking) {
-  // One thread, no shared bits, ten locals and 2,100 statements: 2,101
-  // pcs x 2^10 locals = 2,151,424 frame symbols.  That fits the rule-slot
-  // bound (one shared valuation), but the symbols plus the bottom marker
-  // would overflow the saturations' 21-bit label fields, so translation
-  // must refuse before emitting a single rule.
-  std::string Src = "void w() {\n  decl a, b, c, d, e, f, g, h, i, j;\n";
+  // One thread, no shared bits, ten locals drawn nondeterministically,
+  // then 2,100 statements: 1 + 2,101 pcs x 2^10 locals = 2,151,425
+  // reachable frame symbols.  That fits the rule-slot bound (one shared
+  // valuation), but the symbols plus the bottom marker would overflow
+  // the saturations' 21-bit label fields, so translation must refuse as
+  // soon as the 2,097,151st frame is reached.
+  std::string Src = "void w() {\n  decl a, b, c, d, e, f, g, h, i, j;\n"
+                    "  a, b, c, d, e, f, g, h, i, j := *, *, *, *, *, *, "
+                    "*, *, *, *;\n";
   for (int I = 0; I < 2100; ++I)
     Src += "  skip;\n";
   Src += "}\nvoid main() { thread_create(w); }\n";
@@ -406,7 +409,7 @@ TEST(BpTranslate, RejectsAlphabetPastTheSaturationPacking) {
   ASSERT_FALSE(F);
   EXPECT_NE(F.error().message().find("alphabet too large"), std::string::npos)
       << F.error().str();
-  EXPECT_NE(F.error().message().find("2151424 frame symbols"),
+  EXPECT_NE(F.error().message().find("2097151 frame symbols"),
             std::string::npos)
       << F.error().str();
 
@@ -416,6 +419,57 @@ TEST(BpTranslate, RejectsAlphabetPastTheSaturationPacking) {
     Small += "  skip;\n";
   Small += "}\nvoid main() { thread_create(w); }\n";
   EXPECT_TRUE(compileBooleanProgram(Small));
+}
+
+TEST(BpTranslate, UncalledHelpersCostNothing) {
+  // Exhaustively, the helper h alone is 501 pcs x 2^10 locals x 2^3
+  // shared valuations = 4,104,192 rule slots, past the 4,000,000 bound.
+  // No thread calls it, so none of its frames is reached and the
+  // program translates to w's frames only.
+  std::string Helper = "decl x, y, z;\nvoid h() {\n"
+                       "  decl a, b, c, d, e, f, g, k, m, n;\n";
+  for (int I = 0; I < 500; ++I)
+    Helper += "  skip;\n";
+  Helper += "}\n";
+  std::string Src = Helper + "void w() { x := 1; assert(x); }\n"
+                             "void main() { thread_create(w); }\n";
+  auto F = compileBooleanProgram(Src);
+  ASSERT_TRUE(F) << F.error().str();
+  const Pds &W = F->System.thread(0);
+  // The assignment, the assertion and the implicit return.
+  ASSERT_EQ(W.numSymbols(), 3u);
+  for (Sym S = 1; S <= W.numSymbols(); ++S)
+    EXPECT_EQ(W.symbolName(S), "w." + std::to_string(S - 1));
+
+  // A call reaches h, but only at the local valuation it is entered
+  // with: w's call and return site plus h's 501 pcs.
+  std::string Calls = Helper + "void w() { call h(); }\n"
+                               "void main() { thread_create(w); }\n";
+  auto G = compileBooleanProgram(Calls);
+  ASSERT_TRUE(G) << G.error().str();
+  EXPECT_EQ(G->System.thread(0).numSymbols(), 503u);
+}
+
+TEST(BpTranslate, RefusesReturnBitsPastTheSlotFloorUpFront) {
+  // Each thread binding a call result carries its own $ret bit, so N
+  // such threads and one shared variable give 2^(N+1) control states.
+  // Twenty threads put threads x 2^bits at 41,943,040, past the
+  // 4,000,000-slot bound before any frame is reached; forty make 2^bits
+  // itself overflow 32 bits.  Both must be refused before 2^bits is
+  // computed or a shared state built (a build would loop 2^41 times).
+  for (unsigned Threads : {20u, 40u}) {
+    std::string Src = "decl g;\nbool id(v) { return v; }\n"
+                      "void w() { g := call id(1); }\nvoid main() {\n";
+    for (unsigned I = 0; I < Threads; ++I)
+      Src += "  thread_create(w);\n";
+    Src += "}\n";
+    auto F = compileBooleanProgram(Src);
+    ASSERT_FALSE(F) << Threads;
+    std::string Want = std::to_string(Threads) + " threads x 2^" +
+                       std::to_string(Threads + 1) + " shared valuations";
+    EXPECT_NE(F.error().message().find(Want), std::string::npos)
+        << F.error().str();
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -771,6 +771,7 @@ int runDataflow(int Argc, char **Argv) {
   bp::TaintInfo Taint;
   bp::TranslateOptions TOpts;
   TOpts.Taint = &Taint;
+  Obs.beginTrace();
   auto File = bp::translateProgram(*Prog, *Info, TOpts);
   if (!File) {
     std::fprintf(stderr, "cuba: %s: %s\n", Input.c_str(),
@@ -778,7 +779,6 @@ int runDataflow(int Argc, char **Argv) {
     return 64;
   }
 
-  Obs.beginTrace();
   WallTimer T;
   DataflowEngine W(File->System, Taint, Limits);
   bool Exhausted = false;
@@ -920,6 +920,8 @@ int main(int Argc, char **Argv) try {
     return 0;
   }
 
+  // Armed before loading, so a .bp input's translate span lands too.
+  Cli.Obs.beginTrace();
   auto File = loadInput(Cli.InputPath);
   if (!File) {
     std::fprintf(stderr, "cuba: %s: %s\n", Cli.InputPath.c_str(),
@@ -937,7 +939,6 @@ int main(int Argc, char **Argv) try {
   exec::ThreadPool Pool(Jobs);
   Cli.Driver.Run.Pool = &Pool;
 
-  Cli.Obs.beginTrace();
   DriverResult R = runCuba(File->System, File->Property, Cli.Driver);
 
   std::printf("input:     %s\n", Cli.InputPath.c_str());
