@@ -298,6 +298,13 @@ public:
       Opts.Taint->FactNames = Info.TaintFacts;
       Opts.Taint->SharedBits = static_cast<unsigned>(FoldBitBase);
     }
+    // The weighted client folds the fact bits into its 32-bit control
+    // words (dataflow/DataflowEngine.h), so they must fit there too.
+    size_t Facts = Info.TaintFacts.size();
+    if (Opts.Taint && !Opts.FoldTaint && FoldBitBase + Facts >= 32)
+      return Error("too many taint facts (" + std::to_string(FoldBitBase) +
+                   " control bits + " + std::to_string(Facts) +
+                   " facts exceed a 32-bit folded control state)");
 
     size_t Base = 0;
     for (const Function &F : P.Functions) {

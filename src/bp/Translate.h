@@ -111,7 +111,8 @@ struct TranslateOptions {
   bool FoldTaint = false;
   /// When non-null, receives the taint side table.  Transformer weights
   /// are only recorded when !FoldTaint (the folded system carries them
-  /// in its control state); fact names and sink sites always are.
+  /// in its control state); fact names and sink sites always are.  With
+  /// !FoldTaint, control bits plus facts must stay below 32.
   TaintInfo *Taint = nullptr;
   /// Testing only: emit every (function, pc, locals) frame, reachable
   /// or not, after the entry frame.  The program-level oracle

@@ -17,7 +17,8 @@
 using namespace cuba;
 
 CbaEngine::CbaEngine(const Cpds &C, const ResourceLimits &Limits)
-    : C(C), Limits(Limits), Rows(1 + C.numThreads()), VisibleSeen(C) {
+    : C(C), Limits(Limits), Rows(1 + C.numThreads()),
+      VisibleSeen(C, C.numSharedStates()) {
   assert(C.frozen() && "CbaEngine requires a frozen CPDS");
   TopsBuf.resize(C.numThreads());
   RowBuf.resize(Rows.width());

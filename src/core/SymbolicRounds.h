@@ -1,0 +1,1102 @@
+//===-- core/SymbolicRounds.h - The symbolic round core ---------*- C++ -*-===//
+//
+// Part of the CUBA project, an implementation of the PLDI 2018 paper
+// "CUBA: Interprocedural Context-UnBounded Analysis of Concurrent Programs".
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// The round loop of the symbolic procedure of Sec. 6 / App. E, over a
+/// pluggable saturation domain.  State sets S_k are sets of *symbolic
+/// states* <q | A_1..A_n>: a control state plus one regular stack
+/// language per thread (the Qadeer-Rehof aggregate).  One round expands
+/// each frontier symbolic state by each thread i: a post* saturation of
+/// thread i's PDS (read with its built-in bottom marker, Pds::bottom)
+/// from the rooted language yields, for every control state q'
+/// reachable in that transaction, a successor symbolic state.
+///
+/// The core owns everything but the saturation: states, the language
+/// arena, transaction record/replay, producer masks, the visible
+/// bookkeeping, speculation, pipelining and eviction.  A Domain supplies
+/// the rest:
+///
+///   using Sat, Cache, Payload;       the retained saturation (with
+///                                    numStates() and memoryBytes()), its
+///                                    per-root extraction cache and one
+///                                    extraction's commit payload
+///   static constexpr RoundNames Names;   metric and span names
+///   QState numControlStates() const;     the range of row words 0
+///   DomainSaturation<Sat> saturate(unsigned Thread,
+///       const CanonicalDfa &Lang, LimitTracker *Limits) const;
+///   void extract(const Sat &, const Cache *Committed,
+///       const Cache *Overlay, QState Root,
+///       std::vector<ExtractedSucc> &Succs, Payload &X) const;
+///   DomainCommit commit(const Sat &, Cache &, const Payload &X) const;
+///
+/// saturate charges one step per pop to \p Limits.  extract reads only
+/// its arguments (workers run it concurrently on distinct saturations)
+/// and probes both caches read-only; its successors must not depend on
+/// what either cache held.  commit folds a payload into a cache in the
+/// serial commit order, returning how much of it was already there and
+/// the bytes the cache newly retains, which count toward both byte
+/// budgets as the saturation's.  SymbolicEngine is the boolean root-mask
+/// instantiation, DataflowEngine the GEN/KILL taint one.
+///
+/// Stack languages are stored as canonical minimal DFAs over the
+/// bottom-extended alphabets, hash-consed into 32-bit DfaIds by a
+/// DfaStore arena, so symbolic states are deduplicated by exact language
+/// equality (a cheap sufficient alternative to the doubly-exponential
+/// automata-equivalence convergence test the paper rules out for
+/// Scheme 1).  A symbolic state is a row [q, A_1..A_n] of DfaIds in a
+/// hash-consing StateRows table (support/StateRows.h), with O(threads)
+/// equality and hashing; a successor is its parent row with q and one
+/// language patched.  Expansion by a thread that produced the state is
+/// skipped: the production was itself a post* closure, so re-running
+/// the same thread adds only subsumed rows.  Producer sets are bit masks
+/// over threads 0..31; a wider thread has no bit and so is never
+/// skipped, which costs a redundant expansion and nothing else.
+///
+/// Caching: a transaction's successors depend only on (expanding
+/// thread, root q, thread i's language), and one saturation serves
+/// every root.  SatCache maps (thread, input DfaId) to the retained
+/// saturation, and each saturation's per-root records replay previously
+/// extracted transactions.  A replay charges the same step schedule the
+/// original computation did (the first extracted root's record carries
+/// the saturation's pop charge; every record carries its per-successor
+/// extraction charges), so budget-sensitive behaviour stays
+/// deterministic.
+///
+/// The visible projections T(S_k) are computed per App. E, formula (4):
+/// the product of per-thread top-symbol sets extracted from the
+/// automata, with the bottom marker reported as the empty stack.  Top
+/// sets are interned to small per-thread ids, and a product is
+/// enumerated only the first time its tuple (q, top set_1..top set_n)
+/// appears: rounds only grow and the visible set keeps the earliest
+/// round, so a repeated tuple's words are already recorded at a round no
+/// later than the current one.
+///
+/// Parallel rounds (setParallel): a round's transactions only interact
+/// through the state-table / DfaStore interning and the budget, and their
+/// *content* depends only on (thread, root, input language).  The
+/// parallel path computes each distinct uncached (thread, input DfaId)
+/// key's work speculatively across workers -- the saturation plus the
+/// per-root extractions every frontier root of that key needs, all
+/// against the frozen arena -- and then replays the round's (frontier,
+/// thread) sequence serially, charging budgets and interning canonical
+/// forms in exactly the serial order.  Keys repeated within the round
+/// become cache hits at the replay, just as they do serially, so
+/// verdicts, first-seen rounds, budget exhaustion points and DfaId
+/// assignment are bit-identical to `--jobs 1` (pinned by
+/// ParallelDeterminismTest).
+///
+/// Round pipelining: a successor produced by thread P inherits every
+/// other thread's language, so the saturation keys round k+1 will need
+/// beyond round k's own are (P, A_P) for P in S's producer mask
+/// -- exactly the expansions the mask rules out this round, known
+/// before any of round k+1 exists.  Parallel rounds append those keys
+/// to round k's speculative batch as uncharged prefetch tasks
+/// (saturation only, no roots yet); round k+1's phase 1 adopts a
+/// prefetched saturation instead of recomputing it, and unconsumed
+/// prefetches are dropped after one round.  Budgets are only ever
+/// charged at the serial commit of the round that actually consumes
+/// the work, and a saturation's pop count, byte peak and content are
+/// deterministic per (thread, language), so pipelining shifts wall
+/// time only -- every committed figure stays bit-identical to the
+/// serial path.  The serial path never prefetches.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef CUBA_CORE_SYMBOLICROUNDS_H
+#define CUBA_CORE_SYMBOLICROUNDS_H
+
+#include <algorithm>
+#include <chrono>
+#include <map>
+#include <vector>
+
+#include "exec/ParallelRound.h"
+#include "exec/ThreadPool.h"
+#include "fa/Canonicalize.h"
+#include "fa/DfaStore.h"
+#include "obs/Trace.h"
+#include "pds/Cpds.h"
+#include "pds/VisibleSet.h"
+#include "support/FaultInject.h"
+#include "support/FlatHash.h"
+#include "support/Limits.h"
+#include "support/StateRows.h"
+#include "support/Statistic.h"
+
+namespace cuba {
+
+/// The metric and span names one instantiation reports under.
+struct RoundNames {
+  const char *RoundSpan, *Rounds, *RoundMicros, *States, *Transactions,
+      *TransactionsCached, *PopsPerSaturation, *ExtractionFanout,
+      *SkippedUnchanged, *Evictions, *BytesHwm, *SatBytesHwm,
+      *CacheEntriesHwm, *PrefetchHits, *PrefetchDropped, *PrefetchHiddenUs;
+};
+
+/// A domain saturation: the retained relation, and whether it ran to
+/// fixpoint within the tracker's budget.
+template <typename SatT> struct DomainSaturation {
+  SatT Sat;
+  bool Complete = true;
+};
+
+/// What one commit folded into an extraction cache: the part of the
+/// payload the cache already held, and the bytes it newly retains.
+struct DomainCommit {
+  uint64_t Reused = 0;
+  uint64_t Bytes = 0;
+};
+
+/// One successor of a per-root extraction, staged before budget
+/// charging and interning: control state, canonical language by value
+/// with its structural hash, and the step charge for it.
+struct ExtractedSucc {
+  QState Q;
+  CanonicalDfa D;
+  uint64_t Hash;
+  uint64_t StepCost;
+};
+
+/// Round-by-round symbolic CBA exploration over \p Domain; the interface
+/// mirrors CbaEngine so the Alg. 3 driver can run over either engine.
+template <typename Domain> class SymbolicRounds {
+  using Sat = typename Domain::Sat;
+  using Cache = typename Domain::Cache;
+  using Payload = typename Domain::Payload;
+
+public:
+  enum class RoundStatus { Ok, Exhausted };
+
+  SymbolicRounds(const Cpds &C, const ResourceLimits &Limits, Domain D)
+      : C(C), Dom(std::move(D)), Limits(Limits), Rows(1 + C.numThreads()),
+        VisibleSeen(C, Dom.numControlStates()),
+        VisTuples(1 + C.numThreads()), TopsCache(C.numThreads()),
+        SatCache(C.numThreads()), PrefetchIdx(C.numThreads()) {
+    assert(C.frozen() && "the symbolic rounds require a frozen CPDS");
+    ParentBuf.resize(Rows.width());
+    SuccBuf.resize(Rows.width());
+    TupleBuf.resize(VisTuples.width());
+    // The initial symbolic state: each thread's language is the lifted
+    // initial stack (one word, ending in the bottom marker).
+    GlobalState Init = C.initialState();
+    SuccBuf[0] = Init.Q;
+    for (unsigned I = 0; I < C.numThreads(); ++I) {
+      // Stacks are stored bottom-first; automata read top-first.
+      std::vector<Sym> Word(Init.Stacks[I].rbegin(), Init.Stacks[I].rend());
+      Sym Bottom = C.thread(I).bottom();
+      Word.push_back(Bottom);
+      SuccBuf[1 + I] = Store.intern(singleWordLanguage(Bottom, Word));
+    }
+    addState(SuccBuf.data(), 0, UINT32_MAX, &Frontier);
+  }
+
+  /// The bound k whose set S_k is currently complete.
+  unsigned bound() const { return Bound; }
+
+  /// Advances from S_k to S_{k+1}.
+  RoundStatus advance() {
+    static Statistic Rounds(Domain::Names.Rounds);
+    // Round latency varies with scheduling and machine load, so the
+    // histogram sits on the wall side of the determinism split.
+    static obs::Histogram RoundMicros(Domain::Names.RoundMicros,
+                                      /*Deterministic=*/false);
+    static obs::Gauge BytesHwm(Domain::Names.BytesHwm);
+    static obs::Gauge SatBytesHwm(Domain::Names.SatBytesHwm);
+    static obs::Gauge CacheEntriesHwm(Domain::Names.CacheEntriesHwm);
+    ++Rounds;
+    auto T0 = std::chrono::steady_clock::now();
+    obs::ScopedSpan Round(Domain::Names.RoundSpan, obs::Trace::CatDet);
+    Round.arg("k", Bound);
+    Round.arg("frontier", Frontier.size());
+
+    std::vector<uint32_t> NewFrontier;
+    RoundStatus St = Pool ? advanceRoundParallel(NewFrontier)
+                          : commitRound(NewFrontier, nullptr);
+
+    // Budget consumption curve: the cumulative tracker figures as of this
+    // round's end, all deterministic functions of serially committed
+    // state (even at the exhaustion round -- both paths truncate at the
+    // identical charge).
+    Round.arg("steps", Limits.steps());
+    Round.arg("states", Limits.states());
+    Round.arg("peak_bytes", Limits.peakBytes());
+    RoundMicros.observe(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - T0)
+            .count()));
+    if (St == RoundStatus::Exhausted)
+      return RoundStatus::Exhausted;
+    // The serial round boundary: the only point where retention decisions
+    // are made, so they are identical at any `--jobs`.
+    evictSaturations();
+    Round.arg("new_states", NewFrontier.size());
+    Round.arg("bytes", memoryUsage());
+    BytesHwm.recordMax(memoryUsage());
+    SatBytesHwm.recordMax(SatBytes);
+    CacheEntriesHwm.recordMax(SharedSats.size());
+    ++Bound;
+    Frontier = std::move(NewFrontier);
+    return RoundStatus::Ok;
+  }
+
+  /// Number of symbolic states stored (|S_k|).
+  size_t symbolicStateCount() const { return Rows.size(); }
+
+  /// |T(S_k)|.
+  size_t visibleSize() const { return VisibleSeen.size(); }
+
+  /// True when no new symbolic state was added by the last round: S has
+  /// reached a fixpoint, so every R_k has been covered (the symbolic
+  /// analogue of the Scheme 1 collapse test).
+  bool frontierEmpty() const { return Frontier.empty() && Bound > 0; }
+
+  /// Visible states first reached in the current round, sorted.
+  std::vector<VisibleState> newVisibleThisRound() const {
+    return VisibleSeen.statesInRound(Bound);
+  }
+
+  bool visibleReached(const VisibleState &V) const {
+    return VisibleSeen.contains(V);
+  }
+
+  /// All reachable visible states with first-seen rounds, sorted by the
+  /// VisibleState ordering.
+  std::vector<std::pair<VisibleState, unsigned>> visibleFirstSeen() const {
+    return VisibleSeen.sortedEntries();
+  }
+
+  const LimitTracker &limits() const { return Limits; }
+
+  /// The language arena; exposed for statistics (number of distinct
+  /// stack languages ever canonicalised).
+  const DfaStore &languageStore() const { return Store; }
+
+  /// Number of saturations currently retained; exposed for statistics
+  /// and benches.  Under a MaxCacheBytes budget this can shrink at round
+  /// boundaries as generations are evicted.
+  size_t saturationCount() const { return SharedSats.size(); }
+
+  /// Bytes retained by the saturation cache, extraction caches included
+  /// (the MaxCacheBytes subject).
+  uint64_t retainedSatBytes() const { return SatBytes; }
+
+  /// Logical byte footprint of the engine-owned stores (language arena,
+  /// state table and producer masks, retained saturations with their
+  /// extraction caches, transaction records, visible tuples and set),
+  /// derived from element counts so it is deterministic at any `--jobs`.
+  uint64_t memoryUsage() const {
+    return Store.memoryBytes() + Rows.memoryBytes() +
+           static_cast<uint64_t>(Rows.size()) * sizeof(uint32_t) +
+           VisTuples.memoryBytes() + SatBytes + TrBytes +
+           static_cast<uint64_t>(VisibleSeen.size()) * VisibleEntryBytes;
+  }
+
+  /// Fans subsequent rounds' transactions out across \p Pool's workers
+  /// (nullptr, or a one-job pool, restores the serial path).  Results
+  /// are bit-identical either way; the pool must outlive the engine or
+  /// the next setParallel call.
+  void setParallel(exec::ThreadPool *Pool) {
+    this->Pool = Pool && Pool->jobs() > 1 ? Pool : nullptr;
+  }
+
+private:
+  /// One cached per-root transaction: the successors an extraction
+  /// produced plus the exact step-charge schedule of the original
+  /// computation (the saturation's pop charge when this was the first
+  /// root extracted -- zero afterwards -- then one charge per
+  /// successor), so a replay charges the budget in the same order a
+  /// fresh re-expansion would and exhausts at exactly the same point,
+  /// states-added and all.
+  struct Transaction {
+    struct Succ {
+      QState Q;
+      DfaId Lang;
+      uint64_t StepCost; // The charge for this successor's extraction.
+    };
+    std::vector<Succ> Succs;
+    uint64_t BaseSteps = 0; // The saturation charge (first root only).
+  };
+
+  /// One saturation per (thread, input DfaId): the relation retained for
+  /// lazy per-root extraction, the saturation charge still to be carried
+  /// by the first root's record, and the per-root records extracted so
+  /// far.  The key it was registered under and its last-touched round
+  /// are kept for generation-based eviction (the SatCache rebuild needs
+  /// the key back).
+  struct SharedSat {
+    Sat S;
+    uint64_t PendingBase = 0;
+    FlatMap<uint32_t, uint32_t> Roots; // root -> Transactions idx
+    unsigned Thread = 0;
+    DfaId InLang = 0;
+    unsigned LastUsed = 0; // Round stamp, updated at serial touch points.
+    /// The domain's per-root extraction cache; read concurrently by
+    /// speculative extractions, mutated only at the serial commit
+    /// (commitRootExtraction), so its content -- and the skipped counter
+    /// derived from it -- is identical at any job count.  Evicted along
+    /// with the saturation.
+    Cache Extract;
+    uint64_t Bytes = 0; // Its share of SatBytes, Extract's included.
+  };
+
+  /// A per-root extraction staged before budget charging and interning.
+  /// Shared by the serial fresh path and the parallel speculative phase.
+  /// The trace fields record where and when the extraction actually ran
+  /// (a worker in parallel rounds); the serial commit emits the
+  /// "extract" span from them, so span *content* stays identical at any
+  /// job count while the attribution is honest.
+  struct PendingExtraction {
+    std::vector<ExtractedSucc> Succs;
+    /// Committed into the owning SharedSat's cache at the serial commit,
+    /// where the part already present is counted as skipped.
+    Payload X;
+    uint64_t TsBegin = 0;
+    uint64_t TsEnd = 0;
+    uint32_t Worker = 0;
+  };
+
+  /// A saturation of (thread, input DfaId) computed off the serial path
+  /// with an uncharged recorder.  Also the whole of a prefetch (see the
+  /// round-pipelining model above), which is held outside every budget
+  /// and cache until a PendingSat adopts it (Prefilled) or it is dropped.
+  struct SpecSat {
+    unsigned Thread = 0;
+    DfaId InLang = 0;
+    uint64_t BaseSteps = 0;
+    /// Peak in-flight footprint the speculative saturation sampled, and
+    /// whether it ran to fixpoint under the MaxBytes budget.  The serial
+    /// commit replays the peak against the live tracker: max-folding is
+    /// order-insensitive, so the tracker ends bit-identical to a serial
+    /// run that sampled every pop itself.
+    uint64_t PeakSatBytes = 0;
+    bool Complete = true;
+    Sat S; // Unused by a PendingSat whose saturation is cached.
+    /// Trace attribution (see PendingExtraction): emitted by the serial
+    /// commit's registerSaturation.
+    uint64_t TsBegin = 0;
+    uint64_t TsEnd = 0;
+    uint32_t Worker = 0;
+  };
+
+  /// One distinct (thread, input DfaId) unit of speculative work in a
+  /// parallel round: the saturation (unless already cached) plus the
+  /// extraction of every root the round's frontier asks of it.
+  struct PendingSat : SpecSat {
+    uint32_t CachedSat = UINT32_MAX; // SharedSats index when pre-cached.
+    /// True when a prior round's prefetch already saturated this key:
+    /// the SpecSat half was adopted at phase 1, and the speculative phase
+    /// runs only the per-root extractions.
+    bool Prefilled = false;
+    std::vector<QState> Roots;
+    FlatMap<uint32_t, uint32_t> RootIdx; // root -> Extr index
+    std::vector<PendingExtraction> Extr;
+    /// Task-local extraction overlay: roots of one speculative task
+    /// extract in frontier order and accumulate their fresh results
+    /// here, so later roots reuse earlier ones' work exactly as the
+    /// serial path's live cache would let them.  Discarded after the
+    /// round; the real cache is populated by the serial commit.
+    Cache SpecCache;
+  };
+
+  /// Builds the canonical DFA accepting exactly the single word \p Word.
+  static CanonicalDfa singleWordLanguage(uint32_t NumSymbols,
+                                         const std::vector<Sym> &Word) {
+    Nfa A(NumSymbols);
+    uint32_t Cur = A.addState();
+    A.setInitial(Cur);
+    for (Sym S : Word) {
+      uint32_t Next = A.addState();
+      A.addEdge(Cur, S, Next);
+      Cur = Next;
+    }
+    A.setAccepting(Cur);
+    return canonicalizeNfa(A);
+  }
+
+  /// A parallel round's speculative batch: one PendingSat per distinct
+  /// uncached (thread, input DfaId) key, indexed per thread.
+  struct SpecBatch {
+    std::vector<PendingSat> Pending;
+    std::vector<FlatMap<DfaId, uint32_t>> Idx;
+  };
+
+  /// Expands the symbolic state with row \p S (a caller-owned copy:
+  /// interning successors may move the table) by thread \p I; new
+  /// successors' ids are pushed onto NewFrontier.  Fresh work comes from
+  /// \p Spec when it is non-null (a parallel round's commit), else it is
+  /// computed live.  Returns false on budget exhaustion.
+  bool expand(const uint32_t *S, unsigned I, std::vector<uint32_t> &NewFrontier,
+              SpecBatch *Spec) {
+    // Resolved once: the registry lookup costs a string hash, which is
+    // too expensive now that cache hits make expand() itself cheap.
+    static Statistic TransCounter(Domain::Names.Transactions);
+    static Statistic HitCounter(Domain::Names.TransactionsCached);
+    ++TransCounter;
+
+    // An empty stack language admits no configuration at all, hence no
+    // transaction.  Unreachable through the real pipeline (rooted
+    // languages are non-empty by construction), but cheap, and it keeps
+    // the engine well-defined under the fa_testing minimize mutation.
+    DfaId Lang = S[1 + I];
+    if (Store.get(Lang).Start == CanonicalDfa::NoState)
+      return true;
+
+    // Two cache levels: the (thread, language) saturation, then the root
+    // record inside it.  A root hit replays the recorded charge schedule
+    // interleaved with the successor insertions, so an engine with a
+    // tight budget stores exactly the states -- and exhausts at exactly
+    // the point -- a fresh re-expansion would.
+    uint32_t SatIdx = UINT32_MAX;
+    if (const uint32_t *Found = SatCache[I].find(Lang)) {
+      SatIdx = *Found;
+      SharedSats[SatIdx].LastUsed = Bound; // Generation touch (eviction).
+      if (const uint32_t *Rec = SharedSats[SatIdx].Roots.find(S[0])) {
+        ++HitCounter;
+        return replayTransaction(Transactions[*Rec], S, I, NewFrontier);
+      }
+    }
+    // A fresh root, which a parallel round has speculated.
+    PendingSat *PS =
+        Spec ? &Spec->Pending[*Spec->Idx[I].find(Lang)] : nullptr;
+    if (SatIdx == UINT32_MAX && !PS) {
+      // Fresh language: one saturation serves every root that will ever
+      // expand it, charged live (one step per saturation pop).
+      uint64_t StepsBefore = Limits.steps();
+      uint64_t Ts0 = obs::Trace::nowNs();
+      DomainSaturation<Sat> R = Dom.saturate(I, Store.get(Lang), &Limits);
+      uint64_t Ts1 = obs::Trace::nowNs();
+      if (!R.Complete)
+        return false;
+      SatIdx = registerSaturation(I, Lang, std::move(R.Sat),
+                                  Limits.steps() - StepsBefore, Ts0, Ts1, 0);
+    } else if (SatIdx == UINT32_MAX) {
+      // A speculated fresh language.  When the step budget runs out
+      // inside its saturation, the live path has folded the footprints of
+      // only the pops it ran: re-run it live to stop at exactly that pop.
+      uint64_t MaxSteps = Limits.limits().MaxSteps;
+      if (MaxSteps && Limits.steps() + PS->BaseSteps > MaxSteps) {
+        Dom.saturate(I, Store.get(Lang), &Limits);
+        return false;
+      }
+      // Otherwise the saturation charged one unit per pop, and the
+      // footprint peak folds after the steps, mirroring the live loop's
+      // chargeStep-then-checkMemory order; an incomplete (byte-truncated)
+      // speculation aborts like the live path's !R.Complete.
+      if (!Limits.chargeStepsUnit(PS->BaseSteps) ||
+          !Limits.checkMemory(PS->PeakSatBytes) || !PS->Complete)
+        return false;
+      SatIdx = registerSaturation(I, Lang, std::move(PS->S), PS->BaseSteps,
+                                  PS->TsBegin, PS->TsEnd, PS->Worker);
+    }
+
+    // Fresh root on a (now) saturated language: its speculated
+    // extraction, or one against the saturation's live cache, then the
+    // shared budget-charging commit.
+    if (PS)
+      return commitRootExtraction(SatIdx, PS->Extr[*PS->RootIdx.find(S[0])],
+                                  S, I, NewFrontier);
+    PendingExtraction P;
+    extractRootPending(SharedSats[SatIdx].S, &SharedSats[SatIdx].Extract,
+                       /*Overlay=*/nullptr, S[0], P);
+    return commitRootExtraction(SatIdx, P, S, I, NewFrontier);
+  }
+
+  /// Installs a completed saturation under (thread \p I, \p Lang) with
+  /// \p BaseSteps still to be charged to the first extracted root's
+  /// record; returns its SharedSats index.  A serial commit point in
+  /// both round paths: emits the "saturate" trace span with the
+  /// recorded [\p BeginNs, \p EndNs] x \p Worker attribution.
+  uint32_t registerSaturation(unsigned I, DfaId Lang, Sat S, uint64_t BaseSteps,
+                              uint64_t BeginNs, uint64_t EndNs,
+                              uint32_t Worker) {
+    static obs::Histogram PopsPerSat(Domain::Names.PopsPerSaturation);
+    fault::checkAlloc();
+    PopsPerSat.observe(BaseSteps);
+    if (obs::Trace::enabled()) {
+      obs::SpanArg Args[] = {{"thread", I},
+                             {"lang", Lang},
+                             {"pops", BaseSteps},
+                             {"sat_states", S.numStates()},
+                             {"bytes", S.memoryBytes()}};
+      obs::Trace::span("saturate", obs::Trace::CatDet, Worker, BeginNs, EndNs,
+                       Args, 5);
+    }
+    uint32_t Idx = static_cast<uint32_t>(SharedSats.size());
+    uint64_t Bytes = S.memoryBytes();
+    SatBytes += Bytes;
+    SharedSats.push_back(
+        {std::move(S), BaseSteps, {}, I, Lang, Bound, {}, Bytes});
+    SatCache[I].tryEmplace(Lang, Idx);
+    // Registration is a serial commit point in both round paths; fold the
+    // newly retained relation into the byte budget immediately.
+    Limits.checkMemory(memoryUsage());
+    return Idx;
+  }
+
+  /// Saturates \p P's key with a recorder that charges nothing but
+  /// carries the engine's byte budget (the saturation's footprint check
+  /// is a pure function of its pops, so a speculation truncates at
+  /// exactly the pop where the serial path would), filling in the
+  /// recorder figures.  Parallel phase; touches no engine state.
+  void saturateUncharged(SpecSat &P) const {
+    ResourceLimits RL = ResourceLimits::unlimited();
+    RL.MaxBytes = Limits.limits().MaxBytes;
+    LimitTracker Recorder(RL);
+    P.TsBegin = obs::Trace::nowNs();
+    DomainSaturation<Sat> R = Dom.saturate(P.Thread, Store.get(P.InLang),
+                                           &Recorder);
+    P.TsEnd = obs::Trace::nowNs();
+    assert((R.Complete || RL.MaxBytes) &&
+           "only a byte budget can truncate the recorder");
+    P.BaseSteps = Recorder.steps();
+    P.PeakSatBytes = Recorder.peakBytes();
+    P.Complete = R.Complete;
+    P.S = std::move(R.Sat);
+  }
+
+  /// Extracts root \p Root's successors from \p S through the domain,
+  /// probing \p Committed (the saturation's serially committed cache)
+  /// and \p Overlay (a task-local accumulation cache, populated here
+  /// when non-null) read-only.  Shared by the serial fresh path and the
+  /// parallel speculative phase.
+  void extractRootPending(const Sat &S, const Cache *Committed, Cache *Overlay,
+                          QState Root, PendingExtraction &P) const {
+    P.TsBegin = obs::Trace::nowNs();
+    Dom.extract(S, Committed, Overlay, Root, P.Succs, P.X);
+    if (Overlay)
+      Dom.commit(S, *Overlay, P.X);
+    P.TsEnd = obs::Trace::nowNs();
+  }
+
+  /// The budget-charging tail of a fresh per-root extraction --
+  /// per-successor charge -> intern -> register, then record it under
+  /// SharedSats[\p SatIdx].Roots[\p Root] (consuming the saturation's
+  /// pending base charge into the record).  Sharing this sequence
+  /// between the serial path and the parallel commit is what keeps the
+  /// two bit-identical by construction.  Returns false on exhaustion,
+  /// leaving the root unrecorded with the successor prefix registered.
+  bool commitRootExtraction(uint32_t SatIdx, PendingExtraction &P,
+                            const uint32_t *S, unsigned I,
+                            std::vector<uint32_t> &NewFrontier) {
+    static obs::Histogram Fanout(Domain::Names.ExtractionFanout);
+    static Statistic SkippedUnchanged(Domain::Names.SkippedUnchanged);
+    Fanout.observe(P.Succs.size());
+    if (obs::Trace::enabled()) {
+      obs::SpanArg Args[] = {{"thread", I},
+                             {"root", S[0]},
+                             {"fanout", P.Succs.size()}};
+      obs::Trace::span("extract", obs::Trace::CatDet, P.Worker, P.TsBegin,
+                       P.TsEnd, Args, 3);
+    }
+    SharedSat &SS = SharedSats[SatIdx];
+    // Fold the extraction into the saturation's cache and count what it
+    // already held.  A serial commit point: the cache's content, and with
+    // it this deterministic counter, replays the serial schedule at any
+    // job count.
+    DomainCommit Folded = Dom.commit(SS.S, SS.Extract, P.X);
+    SkippedUnchanged += Folded.Reused;
+    Transaction TR;
+    TR.BaseSteps = SS.PendingBase; // First extracted root carries the base.
+    SS.PendingBase = 0;
+    // What the cache newly retains joins the saturation's bytes, and so
+    // the byte budget, at this same serial point.
+    if (Folded.Bytes) {
+      SS.Bytes += Folded.Bytes;
+      SatBytes += Folded.Bytes;
+      if (!Limits.checkMemory(memoryUsage()))
+        return false;
+    }
+    for (ExtractedSucc &PS : P.Succs) {
+      // Exhaustion mid-transaction leaves the root unrecorded: a prefix of
+      // the successors was charged and registered, and the engine is
+      // stopping anyway.
+      if (!Limits.chargeStep(PS.StepCost))
+        return false;
+      DfaId Lang = Store.intern(std::move(PS.D), PS.Hash);
+      TR.Succs.push_back({PS.Q, Lang, PS.StepCost});
+      if (!addSuccessor(S, I, PS.Q, Lang, NewFrontier))
+        return false;
+    }
+    TrBytes += sizeof(Transaction) + static_cast<uint64_t>(TR.Succs.size()) *
+                                         sizeof(typename Transaction::Succ);
+    Transactions.push_back(std::move(TR));
+    SS.Roots.tryEmplace(S[0], static_cast<uint32_t>(Transactions.size() - 1));
+    return true;
+  }
+
+  /// The round's expansion sequence in serial order: every frontier
+  /// state by every thread its live producer mask allows, with budget
+  /// charges, cache hits, interning (DfaId assignment order) and
+  /// successor registration.  A serial round runs it alone; a parallel
+  /// round runs it after its speculative phase, over \p Spec.  One loop
+  /// for both is what keeps them bit-identical, the "commit" span and
+  /// its expansion count (truncation point included) too.
+  RoundStatus commitRound(std::vector<uint32_t> &NewFrontier,
+                          SpecBatch *Spec) {
+    obs::ScopedSpan Commit("commit", obs::Trace::CatDet);
+    uint64_t Expansions = 0;
+    for (uint32_t Id : Frontier) {
+      const uint32_t *Row = Rows.row(Id);
+      std::copy(Row, Row + Rows.width(), ParentBuf.begin());
+      uint32_t Produced = Producers[Id];
+      for (unsigned I = 0; I < C.numThreads(); ++I) {
+        // Skip the producer thread: its post* is transitively closed, so
+        // re-expanding yields only language-subsumed rows.
+        if (Produced & producerBit(I))
+          continue;
+        ++Expansions;
+        if (!expand(ParentBuf.data(), I, NewFrontier, Spec)) {
+          Commit.arg("expansions", Expansions);
+          return RoundStatus::Exhausted;
+        }
+      }
+    }
+    Commit.arg("expansions", Expansions);
+    return RoundStatus::Ok;
+  }
+
+  /// The parallel round: speculative per-(thread, DfaId) saturations and
+  /// extractions, then the serial commitRound over them.
+  RoundStatus advanceRoundParallel(std::vector<uint32_t> &NewFrontier) {
+    // Pipeline figures are wall-side: the prefetch path only exists on
+    // parallel rounds, so none of these may join the cross-jobs det
+    // contract.  HiddenUs is the overlap gauge -- saturation time the
+    // consuming round never had to spend because a previous round's
+    // workers absorbed it.
+    static Statistic PrefetchHits(Domain::Names.PrefetchHits,
+                                  /*Deterministic=*/false);
+    static Statistic PrefetchDropped(Domain::Names.PrefetchDropped,
+                                     /*Deterministic=*/false);
+    static obs::Histogram PrefetchHiddenUs(Domain::Names.PrefetchHiddenUs,
+                                           /*Deterministic=*/false);
+
+    // Phase 1 (serial): group the round's uncovered work by (thread,
+    // input language) -- each distinct key becomes ONE speculative task
+    // carrying every root the frontier asks of it.  Expansions the
+    // *round-start* producer masks rule out are skipped; masks only gain
+    // bits as the round commits (a frontier state re-derived mid-round
+    // absorbs its producer), so this is a superset of what the serial
+    // path computes fresh -- the commit below re-reads the live mask and
+    // is what decides.
+    SpecBatch Spec{{}, std::vector<FlatMap<DfaId, uint32_t>>(C.numThreads())};
+    std::vector<PendingSat> &Pending = Spec.Pending;
+    uint64_t AdoptedNow = 0;
+    for (uint32_t Id : Frontier) {
+      const uint32_t *S = Rows.row(Id);
+      for (unsigned I = 0; I < C.numThreads(); ++I) {
+        if (Producers[Id] & producerBit(I))
+          continue;
+        DfaId Lang = S[1 + I];
+        if (Store.get(Lang).Start == CanonicalDfa::NoState)
+          continue;
+        uint32_t SatIdx = UINT32_MAX;
+        if (const uint32_t *Found = SatCache[I].find(Lang)) {
+          SatIdx = *Found;
+          if (SharedSats[SatIdx].Roots.contains(S[0]))
+            continue; // Full hit: replays at the commit.
+        }
+        auto [Slot, New] = Spec.Idx[I].tryEmplace(
+            Lang, static_cast<uint32_t>(Pending.size()));
+        if (New) {
+          Pending.emplace_back();
+          PendingSat &NP = Pending.back();
+          NP.Thread = I;
+          NP.InLang = Lang;
+          NP.CachedSat = SatIdx;
+          if (SatIdx == UINT32_MAX)
+            if (const uint32_t *F = PrefetchIdx[I].find(Lang)) {
+              // Adopt the previous round's prefetched saturation; keys
+              // are unique per round (Spec.Idx), so each prefetch is
+              // adopted at most once.
+              SpecSat &PF = Prefetch[*F];
+              PrefetchHiddenUs.observe((PF.TsEnd - PF.TsBegin) / 1000);
+              static_cast<SpecSat &>(NP) = std::move(PF);
+              NP.Prefilled = true;
+              ++PrefetchHits;
+              ++AdoptedNow;
+            }
+        }
+        PendingSat &PS = Pending[*Slot];
+        if (PS.RootIdx.tryEmplace(S[0], static_cast<uint32_t>(PS.Roots.size()))
+                .second)
+          PS.Roots.push_back(S[0]);
+      }
+    }
+
+    // Pipeline selection: the saturation keys the next round's
+    // successors will inherit but this round won't produce -- masked-out
+    // expansions (P, A_P) for P in the producer mask of <q | A_1..A_n> --
+    // ride along with this round's speculative batch as prefetch tasks.
+    // Keys already retained, already in this batch, or with an empty
+    // language are excluded; the rest is a deterministic function of
+    // committed state, so what gets adopted next round is too.
+    std::vector<SpecSat> NextPrefetch;
+    std::vector<FlatMap<DfaId, uint32_t>> NextIdx(C.numThreads());
+    for (uint32_t Id : Frontier) {
+      const uint32_t *S = Rows.row(Id);
+      for (unsigned P = 0; P < C.numThreads(); ++P) {
+        if (!(Producers[Id] & producerBit(P)))
+          continue;
+        DfaId Lang = S[1 + P];
+        if (Store.get(Lang).Start == CanonicalDfa::NoState)
+          continue;
+        if (SatCache[P].find(Lang) || Spec.Idx[P].find(Lang))
+          continue;
+        uint32_t Next = static_cast<uint32_t>(NextPrefetch.size());
+        if (!NextIdx[P].tryEmplace(Lang, Next).second)
+          continue;
+        NextPrefetch.emplace_back();
+        NextPrefetch.back().Thread = P;
+        NextPrefetch.back().InLang = Lang;
+      }
+    }
+
+    // Phase 2 (parallel): speculative saturations + extractions, one task
+    // per (thread, language) key, plus the next round's prefetch
+    // saturations filling the batch's tail.  Tasks the serial run would
+    // never reach (it exhausted earlier) are computed and discarded; the
+    // budget replay below is what decides.  The span is wall-category: it
+    // only exists on the parallel path, so it is exempt from the
+    // cross-jobs trace contract.
+    size_t NumSpec = Pending.size();
+    {
+      obs::ScopedSpan Speculate("speculate", obs::Trace::CatWall);
+      Speculate.arg("tasks", NumSpec);
+      Speculate.arg("prefetch_tasks", NextPrefetch.size());
+      exec::parallelFor(*Pool, NumSpec + NextPrefetch.size(), 1,
+                        [&](unsigned W, size_t T) {
+                          if (T < NumSpec) {
+                            computePendingSat(Pending[T], W);
+                          } else {
+                            NextPrefetch[T - NumSpec].Worker = W;
+                            saturateUncharged(NextPrefetch[T - NumSpec]);
+                          }
+                        });
+    }
+
+    // Swap the pipeline buffer: this round consumed (moved out) whatever
+    // it adopted at phase 1; the remainder is dropped with the old
+    // buffer, and the freshly prefetched batch waits for the next round.
+    PrefetchDropped += Prefetch.size() - AdoptedNow;
+    Prefetch = std::move(NextPrefetch);
+    PrefetchIdx = std::move(NextIdx);
+
+    // Phase 3 (serial): the round's expansion sequence against the real
+    // budget, taking fresh work from the batch.
+    return commitRound(NewFrontier, &Spec);
+  }
+
+  /// Computes \p P's saturation (unless cached) and per-root
+  /// extractions against the frozen arena (parallel phase; must not
+  /// touch engine state).  \p Worker is recorded for trace attribution
+  /// only.
+  void computePendingSat(PendingSat &P, uint32_t Worker) const {
+    // A prefilled key keeps the prefetching worker: its saturate span
+    // carries the prefetch's timestamps, so it belongs on that track.
+    if (!P.Prefilled)
+      P.Worker = Worker;
+    // Everything here reads only state frozen for the round: the CPDS,
+    // the DfaStore arena and the retained saturations (both only append,
+    // in the serial commit).  The budget is a local unlimited recorder --
+    // the commit replays its pop count against the real tracker in serial
+    // order.  A prefilled key was saturated by the previous round's
+    // prefetch; the recorder figures rode along at adoption.
+    const Sat *S = &P.S;
+    if (P.CachedSat != UINT32_MAX)
+      S = &SharedSats[P.CachedSat].S;
+    else if (!P.Prefilled)
+      saturateUncharged(P);
+    // Extractions probe the saturation's committed cache (frozen for the
+    // round) plus a task-local overlay that accumulates this task's fresh
+    // results in frontier order -- the same reuse the serial path gets
+    // from its live cache, without touching shared state.
+    const Cache *Committed =
+        P.CachedSat != UINT32_MAX ? &SharedSats[P.CachedSat].Extract : nullptr;
+    P.Extr.resize(P.Roots.size());
+    for (size_t R = 0; R < P.Roots.size(); ++R) {
+      extractRootPending(*S, Committed, &P.SpecCache, P.Roots[R], P.Extr[R]);
+      P.Extr[R].Worker = Worker;
+    }
+  }
+
+  /// Registers the row \p Row (if new) at round \p Round, recording its
+  /// visible projections; \p Producer is the expanding thread
+  /// (UINT32_MAX for the initial state).  Returns {isNew, budgetOk}.
+  std::pair<bool, bool> addState(const uint32_t *Row, unsigned Round,
+                                 uint32_t Producer,
+                                 std::vector<uint32_t> *NewFrontier) {
+    static Statistic StateCounter(Domain::Names.States);
+    // The initial state's UINT32_MAX producer has no bit.
+    uint32_t Mask = producerBit(Producer);
+    auto [Id, New] = Rows.intern(Row, Rows.hash(Row));
+    if (!New) {
+      Producers[Id] |= Mask;
+      return {false, true};
+    }
+    Producers.push_back(Mask);
+    ++StateCounter;
+    recordVisible(Row, Round);
+    if (NewFrontier)
+      NewFrontier->push_back(Id);
+    // Both the state count and the byte budget are charged here: addState
+    // runs only in serial commit order (even in parallel rounds), and
+    // every memoryUsage() term is a function of serially committed state,
+    // so the exhaustion point is identical at any job count.
+    if (!Limits.chargeState())
+      return {true, false};
+    return {true, Limits.checkMemory(memoryUsage())};
+  }
+
+  /// Registers the successor of row \p S produced by thread \p I
+  /// reaching control state \p Q2 with language \p Lang: \p S with two
+  /// words patched.  Returns false on budget exhaustion.
+  bool addSuccessor(const uint32_t *S, unsigned I, QState Q2, DfaId Lang,
+                    std::vector<uint32_t> &NewFrontier) {
+    std::copy(S, S + Rows.width(), SuccBuf.begin());
+    SuccBuf[0] = Q2;
+    SuccBuf[1 + I] = Lang;
+    return addState(SuccBuf.data(), Bound + 1, I, &NewFrontier).second;
+  }
+
+  /// Replays the recorded transaction \p TR as an expansion of \p S by
+  /// thread \p I -- the cache-hit charge schedule (lump-sum base, then
+  /// one charge per successor, each interleaved with registration).
+  /// Shared by the serial hit path and the parallel commit so the two
+  /// cannot drift apart.  Returns false on budget exhaustion.
+  bool replayTransaction(const Transaction &TR, const uint32_t *S, unsigned I,
+                         std::vector<uint32_t> &NewFrontier) {
+    if (!Limits.chargeStep(TR.BaseSteps))
+      return false;
+    for (const typename Transaction::Succ &Succ : TR.Succs) {
+      if (!Limits.chargeStep(Succ.StepCost))
+        return false;
+      if (!addSuccessor(S, I, Succ.Q, Succ.Lang, NewFrontier))
+        return false;
+    }
+    return true;
+  }
+
+  /// Records the visible projections T(tau) of the symbolic state row
+  /// \p Row, unless its tuple of top sets was recorded before.
+  void recordVisible(const uint32_t *Row, unsigned Round) {
+    // T(tau) = {q} x T(A_1) x ... x T(A_n)  (App. E, formula (4)),
+    // enumerated once per tuple of top sets: a repeated tuple's words are
+    // all recorded already, at a round no later than this one.
+    unsigned N = C.numThreads();
+    TupleBuf[0] = Row[0];
+    for (unsigned I = 0; I < N; ++I)
+      TupleBuf[1 + I] = topSetOf(I, Row[1 + I]);
+    if (!VisTuples.intern(TupleBuf.data(), VisTuples.hash(TupleBuf.data()))
+             .second)
+      return;
+    VisibleState V;
+    V.Q = Row[0];
+    V.Tops.assign(N, EpsSym);
+    // Iterative odometer over the per-thread top sets.
+    std::vector<const std::vector<Sym> *> Sets;
+    Sets.reserve(N);
+    for (unsigned I = 0; I < N; ++I) {
+      Sets.push_back(&TopsCache[I].Sets[TupleBuf[1 + I]]);
+      if (Sets.back()->empty())
+        return; // Empty language row: no visible states (cannot happen).
+    }
+    std::vector<size_t> Idx(N, 0);
+    while (true) {
+      for (unsigned I = 0; I < N; ++I)
+        V.Tops[I] = (*Sets[I])[Idx[I]];
+      VisibleSeen.insert(V, Round);
+      unsigned I = 0;
+      while (I < N && ++Idx[I] == Sets[I]->size()) {
+        Idx[I] = 0;
+        ++I;
+      }
+      if (I == N)
+        break;
+    }
+  }
+
+  /// Generation-based cache eviction, run only at serial round
+  /// boundaries (end of advance(), before the bound increments): while
+  /// the retained saturations exceed MaxCacheBytes, drop the ones with
+  /// the oldest LastUsed stamp — never one touched in the round just
+  /// committed — compacting SharedSats and Transactions in index order
+  /// and rebuilding the SatCache.  Everything here is a deterministic
+  /// function of serially committed state, so the eviction schedule is
+  /// bit-identical at any `--jobs` (pinned by ParallelDeterminismTest).
+  void evictSaturations() {
+    uint64_t Budget = Limits.limits().MaxCacheBytes;
+    if (!Budget || SatBytes <= Budget)
+      return;
+    static Statistic Evictions(Domain::Names.Evictions);
+    // The eviction schedule is deterministic (serial round boundary), so
+    // the span -- including its evicted/retained figures -- is too.
+    obs::ScopedSpan Span("evict", obs::Trace::CatDet);
+
+    // Oldest generations first, registration order breaking ties; entries
+    // touched in the round just committed are pinned (the frontier will
+    // likely ask for them again next round, and pinning bounds how far a
+    // pathological budget can thrash).
+    std::vector<uint32_t> Order(SharedSats.size());
+    for (uint32_t I = 0; I < Order.size(); ++I)
+      Order[I] = I;
+    std::stable_sort(Order.begin(), Order.end(), [&](uint32_t A, uint32_t B) {
+      return SharedSats[A].LastUsed < SharedSats[B].LastUsed;
+    });
+    std::vector<uint8_t> Evict(SharedSats.size(), 0);
+    uint64_t Retained = SatBytes;
+    uint64_t EvictedNow = 0;
+    for (uint32_t Idx : Order) {
+      if (Retained <= Budget || SharedSats[Idx].LastUsed == Bound)
+        break;
+      Evict[Idx] = 1;
+      Retained -= SharedSats[Idx].Bytes;
+      ++Evictions;
+      ++EvictedNow;
+    }
+    Span.arg("evicted", EvictedNow);
+    Span.arg("retained_bytes", Retained);
+    if (Retained == SatBytes)
+      return;
+
+    // Compact SharedSats in index order.
+    std::vector<SharedSat> KeptSats;
+    for (uint32_t I = 0; I < SharedSats.size(); ++I)
+      if (!Evict[I])
+        KeptSats.push_back(std::move(SharedSats[I]));
+    SharedSats = std::move(KeptSats);
+    SatBytes = Retained;
+
+    // Compact Transactions to the records still referenced by a surviving
+    // root map, preserving index order, and rewrite the references.
+    std::vector<uint32_t> TrRemap(Transactions.size(), UINT32_MAX);
+    for (SharedSat &SS : SharedSats)
+      SS.Roots.forEach(
+          [&](const uint32_t &, const uint32_t &TIdx) { TrRemap[TIdx] = 0; });
+    std::vector<Transaction> KeptTr;
+    TrBytes = 0;
+    for (uint32_t I = 0; I < Transactions.size(); ++I) {
+      if (TrRemap[I] == UINT32_MAX)
+        continue;
+      TrRemap[I] = static_cast<uint32_t>(KeptTr.size());
+      TrBytes += sizeof(Transaction) +
+                 static_cast<uint64_t>(Transactions[I].Succs.size()) *
+                     sizeof(typename Transaction::Succ);
+      KeptTr.push_back(std::move(Transactions[I]));
+    }
+    Transactions = std::move(KeptTr);
+
+    // Rebuild the (thread, language) cache and remap the root records.
+    for (FlatMap<DfaId, uint32_t> &M : SatCache)
+      M.clear();
+    for (uint32_t I = 0; I < SharedSats.size(); ++I) {
+      SharedSat &SS = SharedSats[I];
+      SatCache[SS.Thread].tryEmplace(SS.InLang, I);
+      SS.Roots.forEachMut(
+          [&](const uint32_t &, uint32_t &TIdx) { TIdx = TrRemap[TIdx]; });
+    }
+  }
+
+  /// The interned id of thread \p Thread's top set of the stack
+  /// language \p Lang (bottom marker reported as EpsSym); cached densely
+  /// by DfaId.  The set itself is TopsCache[Thread].Sets[id].
+  uint32_t topSetOf(unsigned Thread, DfaId Lang) {
+    TopsCacheEntry &Cache = TopsCache[Thread];
+    if (Cache.SetOf.size() < Store.size())
+      Cache.SetOf.resize(Store.size(), 0);
+    if (Cache.SetOf[Lang])
+      return Cache.SetOf[Lang] - 1;
+
+    // All canonical states are useful, so every edge leaving the start
+    // lies on an accepting path; its label is a reachable top.  The
+    // bottom marker on top encodes the empty original stack.
+    const CanonicalDfa &D = Store.get(Lang);
+    std::vector<Sym> Tops;
+    Sym Bottom = C.thread(Thread).bottom();
+    if (D.Start != CanonicalDfa::NoState) {
+      if (D.Accepting[D.Start])
+        Tops.push_back(EpsSym); // Unreachable with lifted words; general.
+      for (Sym X = 1; X <= D.NumSymbols; ++X) {
+        if (D.Table[static_cast<size_t>(D.Start) * D.NumSymbols + (X - 1)] ==
+            CanonicalDfa::NoState)
+          continue;
+        Tops.push_back(X == Bottom ? EpsSym : X);
+      }
+    }
+    std::sort(Tops.begin(), Tops.end());
+    Tops.erase(std::unique(Tops.begin(), Tops.end()), Tops.end());
+    auto [It, New] = Cache.SetIds.try_emplace(
+        Tops, static_cast<uint32_t>(Cache.Sets.size()));
+    if (New)
+      Cache.Sets.push_back(std::move(Tops));
+    Cache.SetOf[Lang] = It->second + 1;
+    return It->second;
+  }
+
+  /// The producer-mask bit of thread \p I; threads past 31 have none.
+  static uint32_t producerBit(unsigned I) { return I < 32 ? 1u << I : 0u; }
+
+  const Cpds &C;
+  Domain Dom;
+  LimitTracker Limits;
+  unsigned Bound = 0;
+
+  /// The hash-consing arena all per-thread languages live in.
+  DfaStore Store;
+
+  /// All symbolic states, one row [q, A_1..A_n] per dense id, with the
+  /// set of threads that produced each (Producers, a bitmask indexed by
+  /// id); states are expanded once, by every thread not in their mask.
+  StateRows Rows;
+  std::vector<uint32_t> Producers;
+  /// Ids of the states first reached in the current round.
+  std::vector<uint32_t> Frontier;
+  VisibleRoundSet VisibleSeen;
+  /// Every (q, top set_1..top set_n) tuple whose product recordVisible
+  /// has enumerated.
+  StateRows VisTuples;
+  /// Row scratch: the parent of the expansion being committed, its
+  /// successor and a visible tuple.
+  std::vector<uint32_t> ParentBuf, SuccBuf, TupleBuf;
+
+  /// Top-set cache: per thread, the distinct top sets (Sets, interned
+  /// through SetIds) and each DfaId's set id plus one (SetOf, grown
+  /// lazily to the arena size; 0 marks an entry not yet computed).
+  struct TopsCacheEntry {
+    std::vector<uint32_t> SetOf;
+    std::vector<std::vector<Sym>> Sets;
+    std::map<std::vector<Sym>, uint32_t> SetIds;
+  };
+  std::vector<TopsCacheEntry> TopsCache;
+
+  /// Saturation cache: per thread, input DfaId -> index into
+  /// SharedSats.  A hit skips the saturation entirely; the per-root
+  /// records inside the entry skip the extraction too.
+  std::vector<FlatMap<DfaId, uint32_t>> SatCache;
+  std::vector<SharedSat> SharedSats;
+  std::vector<Transaction> Transactions;
+
+  /// The pipeline buffer: saturations prefetched by the previous
+  /// parallel round for this round's phase 1 to adopt, with a per
+  /// -thread key index.  Replaced wholesale each parallel round
+  /// (unconsumed entries are dropped); always empty on the serial path.
+  std::vector<SpecSat> Prefetch;
+  std::vector<FlatMap<DfaId, uint32_t>> PrefetchIdx;
+
+  /// Logical bytes per packed visible entry (word + first-seen round).
+  static constexpr uint64_t VisibleEntryBytes = 16;
+  /// Running byte counts of the retained saturations (extraction caches
+  /// included) and transaction records, so memoryUsage() is O(1).
+  uint64_t SatBytes = 0;
+  uint64_t TrBytes = 0;
+
+  /// Parallel execution (null on the serial path).
+  exec::ThreadPool *Pool = nullptr;
+};
+
+} // namespace cuba
+
+#endif // CUBA_CORE_SYMBOLICROUNDS_H

@@ -114,7 +114,7 @@ exploreZ(const Cpds &C, LimitTracker *Limits, const GeneratorSet *Keep) {
   // Serial BFS, so the span (and its visible-count arg, added at every
   // exit) is deterministic at any `--jobs`.
   obs::ScopedSpan Span("z-overapprox", obs::Trace::CatDet);
-  VisiblePacker Packer(C);
+  VisiblePacker Packer(C, C.numSharedStates());
   std::vector<VisibleState> Out;
   if (Packer.packable()) {
     std::vector<uint64_t> Words;

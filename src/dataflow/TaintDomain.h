@@ -110,9 +110,6 @@ public:
   /// reading a client reports.
   uint32_t applySetMay(uint32_t A, uint32_t Facts) const;
 
-  size_t numTfs() const { return Tfs.size(); }
-  size_t numSets() const { return Sets.size(); }
-
   /// Deterministic logical footprint of the interned structures and
   /// memo tables, charged into the saturation's memory budget.
   uint64_t bytes() const { return Bytes; }
@@ -225,15 +222,11 @@ public:
   }
   uint64_t pendingBytes() const { return PendingEntries * sizeof(Entry); }
 
-  /// The active row of transition \p T -- what extraction walks.
-  const Row &activeRow(size_t T) const { return Active[T]; }
-
   /// SetId active at (T, Root), or TaintWeightTable::EmptySet.
   uint32_t setAt(size_t T, QState Root) const {
     return findRoot(Active[T], Root);
   }
 
-  TaintWeightTable &table() { return Tab; }
   const TaintWeightTable &table() const { return Tab; }
 
 private:

@@ -29,7 +29,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <vector>
 
 #include "exec/ThreadPool.h"
 
@@ -73,38 +72,6 @@ void parallelFor(ThreadPool &Pool, size_t N, size_t Grain, Fn &&F) {
                    for (size_t I = Begin; I < End; ++I)
                      F(Worker, I);
                  });
-}
-
-/// Deterministic map: Out[I] = F(Worker, I), with results slotted by
-/// index regardless of execution order.
-template <typename T, typename Fn>
-std::vector<T> parallelMap(ThreadPool &Pool, size_t N, size_t Grain, Fn &&F) {
-  std::vector<T> Out(N);
-  parallelFor(Pool, N, Grain,
-              [&](unsigned Worker, size_t I) { Out[I] = F(Worker, I); });
-  return Out;
-}
-
-/// Deterministic reduce: per-chunk partials are folded serially in chunk
-/// index order, so non-commutative merges (first-seen semantics, ordered
-/// appends) behave exactly as a serial left fold over [0, N).
-/// \p Map is Fn(Worker, I, T &Partial); \p Merge is Fn(T &Acc, T &&Partial).
-template <typename T, typename MapFn, typename MergeFn>
-T parallelReduce(ThreadPool &Pool, size_t N, size_t Grain, T Init, MapFn &&Map,
-                 MergeFn &&Merge) {
-  if (N == 0)
-    return Init;
-  std::vector<T> Partials(chunkCount(N, Grain));
-  parallelChunks(Pool, N, Grain,
-                 [&](unsigned Worker, size_t Chunk, size_t Begin, size_t End) {
-                   T &P = Partials[Chunk];
-                   for (size_t I = Begin; I < End; ++I)
-                     Map(Worker, I, P);
-                 });
-  T Acc = std::move(Init);
-  for (T &P : Partials)
-    Merge(Acc, std::move(P));
-  return Acc;
 }
 
 } // namespace cuba::exec

@@ -8,6 +8,7 @@
 #include "fa/Canonicalize.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "fa/SubsetInterner.h"
 
@@ -19,10 +20,11 @@ namespace {
 /// the subset arena.
 class Canonicalizer {
 public:
-  Canonicalizer(const Nfa &A, const std::vector<uint32_t> &Roots)
-      : A(A), NumSymbols(A.numSymbols()), NStates(A.numStates()),
-        Mark(NStates, 0), Intern(NStates ? NStates / 2 + 1 : 1),
-        BySym(NumSymbols + 1) {
+  Canonicalizer(const Nfa &A, const std::vector<uint32_t> &Roots,
+                const std::vector<uint8_t> *Accepting = nullptr)
+      : A(A), Accepting(Accepting), NumSymbols(A.numSymbols()),
+        NStates(A.numStates()), Mark(NStates, 0),
+        Intern(NStates ? NStates / 2 + 1 : 1), BySym(NumSymbols + 1) {
     Work.reserve(NStates);
     Cur.assign(Roots.begin(), Roots.end());
   }
@@ -72,7 +74,7 @@ private:
   uint8_t subsetAccepts(uint32_t Id) const {
     for (const uint32_t *P = Intern.begin(Id), *E = Intern.end(Id); P != E;
          ++P)
-      if (A.isAccepting(*P))
+      if (Accepting ? (*Accepting)[*P] : A.isAccepting(*P))
         return 1;
     return 0;
   }
@@ -350,6 +352,7 @@ private:
   }
 
   const Nfa &A;
+  const std::vector<uint8_t> *Accepting; // Overrides A's flags when set.
   const uint32_t NumSymbols;
   const uint32_t NStates;
 
@@ -385,6 +388,13 @@ private:
 CanonicalDfa cuba::canonicalizeNfa(const Nfa &A,
                                    const std::vector<uint32_t> &Roots) {
   return Canonicalizer(A, Roots).run();
+}
+
+CanonicalDfa cuba::canonicalizeNfa(const Nfa &A,
+                                   const std::vector<uint32_t> &Roots,
+                                   const std::vector<uint8_t> &Accepting) {
+  assert(Accepting.size() == A.numStates() && "one flag per state");
+  return Canonicalizer(A, Roots, &Accepting).run();
 }
 
 CanonicalDfa cuba::canonicalizeNfa(const Nfa &A) {

@@ -47,6 +47,11 @@ namespace cuba {
 /// \p Roots (the automaton's own initial flags are ignored).
 CanonicalDfa canonicalizeNfa(const Nfa &A, const std::vector<uint32_t> &Roots);
 
+/// As above, but accepting at exactly the states whose \p Accepting
+/// flag is set (one per state; the automaton's own flags are ignored).
+CanonicalDfa canonicalizeNfa(const Nfa &A, const std::vector<uint32_t> &Roots,
+                             const std::vector<uint8_t> &Accepting);
+
 /// Canonicalizes the language of \p A from its initial states.
 CanonicalDfa canonicalizeNfa(const Nfa &A);
 

@@ -83,6 +83,7 @@ template <typename Domain> struct WeightedRelation {
   Domain Dom;
 
   size_t numTransitions() const { return TFrom.size(); }
+  uint32_t numStates() const { return NumStates; }
 
   uint64_t memoryBytes() const {
     return static_cast<uint64_t>(TFrom.size()) *

@@ -149,6 +149,27 @@ std::string setDiff(const Cpds &C, const std::vector<VisibleState> &W,
 
 } // namespace
 
+ErrorOr<AnnotatedBase>
+cuba::testing::annotatedBaseTranslation(const bp::Program &P) {
+  auto Reparsed = bp::parseProgram(bp::printProgram(P));
+  if (!Reparsed)
+    return Error("annotated program does not re-parse: " +
+                 Reparsed.error().str());
+  AnnotatedBase Out{Reparsed.take(), {}, {}, {}};
+  auto Info = bp::analyzeProgram(Out.Program);
+  if (!Info)
+    return Error("frontend rejects the annotated program: " +
+                 Info.error().str());
+  Out.Info = Info.take();
+  bp::TranslateOptions Opts;
+  Opts.Taint = &Out.Taint;
+  auto Base = bp::translateProgram(Out.Program, Out.Info, Opts);
+  if (!Base)
+    return Error("base translation rejected: " + Base.error().str());
+  Out.Base = Base.take();
+  return Out;
+}
+
 DataflowOracleReport
 cuba::testing::runDataflowOracle(const bp::Program &P,
                                  const DataflowOracleOptions &Opts) {
@@ -157,43 +178,22 @@ cuba::testing::runDataflowOracle(const bp::Program &P,
     Rep.Mismatches.push_back(std::move(S));
   };
 
-  // Round-trip through the printer so the oracle works on a fresh AST:
-  // callers hand in programs whose slot/fact info may already be filled
-  // (the random generator analyzes internally), and Sema is not
-  // idempotent on an analyzed tree.
-  auto Reparsed = bp::parseProgram(bp::printProgram(P));
-  if (!Reparsed) {
-    Mismatch("annotated program does not re-parse: " +
-             Reparsed.error().str());
-    return Rep;
-  }
-  bp::Program &RP = *Reparsed;
-
-  auto Info = bp::analyzeProgram(RP);
-  if (!Info) {
-    Mismatch("frontend rejects the annotated program: " +
-             Info.error().str());
-    return Rep;
-  }
-  Rep.FactCount = Info->TaintFacts.size();
-
   // Pipeline A: the base translation plus the taint side table -- what
   // `cuba dataflow` runs through the weighted engine.
-  bp::TaintInfo Taint;
-  bp::TranslateOptions BaseOpts;
-  BaseOpts.Taint = &Taint;
-  auto Base = bp::translateProgram(RP, *Info, BaseOpts);
-  if (!Base) {
-    Mismatch("base translation rejected: " + Base.error().str());
+  auto A = annotatedBaseTranslation(P);
+  if (!A) {
+    Mismatch(A.error().str());
     return Rep;
   }
+  Rep.FactCount = A->Info.TaintFacts.size();
+  const bp::TaintInfo &Taint = A->Taint;
 
   // Pipeline B: the naive product construction.  A size-guard
   // rejection here is legitimate (the 2^facts blowup the weighted
   // engine exists to avoid), not a mismatch.
   bp::TranslateOptions FoldOpts;
   FoldOpts.FoldTaint = true;
-  auto Folded = bp::translateProgram(RP, *Info, FoldOpts);
+  auto Folded = bp::translateProgram(A->Program, A->Info, FoldOpts);
   if (!Folded) {
     Rep.FoldedRejected = true;
     return Rep;
@@ -202,7 +202,7 @@ cuba::testing::runDataflowOracle(const bp::Program &P,
   // The fold-bit isomorphism the comparison rides on: identical thread
   // structure and per-thread stack alphabets, symbol for symbol in id
   // order, control states widened by exactly the fact bits.
-  const Cpds &BC = Base->System;
+  const Cpds &BC = A->Base.System;
   const Cpds &FC = Folded->System;
   if (BC.numThreads() != FC.numThreads()) {
     Mismatch("translation modes disagree on thread count");
@@ -233,6 +233,7 @@ cuba::testing::runDataflowOracle(const bp::Program &P,
   // Lockstep rounds: the weighted engine's projected visible states
   // against the folded system's T(R_k).
   DataflowEngine W(BC, Taint, Opts.Limits);
+  W.setParallel(Opts.Pool);
   CbaEngine Ref(FC, Opts.Limits);
   Ref.setParallel(Opts.Pool);
   unsigned K = 0;
@@ -273,12 +274,17 @@ cuba::testing::runDataflowOracle(const bp::Program &P,
   return Rep;
 }
 
+bp::Program cuba::testing::annotatedDataflowProgram(uint64_t Seed) {
+  bp::Program P = generateRandomBp(Seed, bpShapeOptions(Seed));
+  injectTaintAnnotations(P, Seed ^ 0xda7af10bull);
+  return P;
+}
+
 std::optional<DataflowOracleReport>
 cuba::testing::checkDataflowSeed(uint64_t Seed,
                                  const DataflowOracleOptions &Opts) {
-  bp::Program P = generateRandomBp(Seed, bpShapeOptions(Seed));
-  injectTaintAnnotations(P, Seed ^ 0xda7af10bull);
-  DataflowOracleReport Rep = runDataflowOracle(P, Opts);
+  DataflowOracleReport Rep =
+      runDataflowOracle(annotatedDataflowProgram(Seed), Opts);
   if (Rep.FoldedRejected)
     return std::nullopt;
   return Rep;

@@ -36,7 +36,7 @@
 #include <string>
 #include <vector>
 
-#include "bp/Ast.h"
+#include "bp/Translate.h"
 #include "support/Limits.h"
 
 namespace cuba::exec {
@@ -51,9 +51,8 @@ struct DataflowOracleOptions {
   unsigned MaxK = 4;
   /// Budget for each engine run; exhaustion truncates the comparison.
   ResourceLimits Limits{20'000, 2'000'000, 16, 0};
-  /// When set, the folded reference engine runs its rounds on this pool
-  /// (parallel rounds are bit-identical to serial ones); the weighted
-  /// engine is always serial.
+  /// When set, both engines run their rounds on this pool (parallel
+  /// rounds are bit-identical to serial ones).
   exec::ThreadPool *Pool = nullptr;
   /// Mutation check: run the weighted engine's saturations with
   /// psa_testing::InjectDropMaskGrowth set (a lost `combine`).  The
@@ -84,6 +83,22 @@ struct DataflowOracleReport {
   std::string str() const;
 };
 
+/// One annotated program compiled the way `cuba dataflow` compiles it:
+/// the base translation with its taint side table, plus the fresh tree
+/// and analysis it came from (for further translations of that tree).
+struct AnnotatedBase {
+  bp::Program Program;
+  bp::SemaInfo Info;
+  CpdsFile Base;
+  bp::TaintInfo Taint;
+};
+
+/// Re-parses \p P from its printed text (Sema is not idempotent on an
+/// analyzed tree, and callers hand in analyzed ones), analyzes it and
+/// translates it with the taint side table.  The error names the stage
+/// that refused the program.
+ErrorOr<AnnotatedBase> annotatedBaseTranslation(const bp::Program &P);
+
 /// Compiles \p P through both pipelines and runs the lockstep
 /// comparison.  Only \p P's printed text is used downstream (the
 /// program is re-parsed, so already-analyzed ASTs are fine).
@@ -96,8 +111,12 @@ DataflowOracleReport runDataflowOracle(const bp::Program &P,
 /// variable and a non-main function exist.
 void injectTaintAnnotations(bp::Program &P, uint64_t Seed);
 
-/// Convenience for the suite: generate the seed's program under the
-/// shape rotation, inject annotations, and run the oracle.  Returns
+/// The seed's program under the shape rotation, with seeded taint
+/// annotations injected: the instance checkDataflowSeed runs.
+bp::Program annotatedDataflowProgram(uint64_t Seed);
+
+/// Convenience for the suite: the seed's annotatedDataflowProgram
+/// through the oracle.  Returns
 /// nullopt when the folded product was rejected by the size guard
 /// (callers skip such seeds).
 std::optional<DataflowOracleReport>

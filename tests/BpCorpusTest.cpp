@@ -257,6 +257,47 @@ TEST(BpCorpus, CliRejectsMalformedFlagValues) {
   }
 }
 
+TEST(BpCorpus, CliUsageNamesEveryParsedFlag) {
+  // Each subcommand's parser is scanned for the flags it accepts
+  // (`Arg == "--flag"`), and the usage text must name every one of them
+  // in that subcommand's section, so no flag goes undocumented.
+  struct Section {
+    const char *Parser;
+    const char *Header;
+  };
+  const Section Sections[] = {
+      {"ParseResult parseArgs(", "usage: cuba [options]"},
+      {"int runDataflow(", "usage: cuba dataflow"},
+      {"int runFuzz(", "usage: cuba fuzz"},
+  };
+  std::ifstream In(CUBA_TOOL_SOURCE);
+  std::stringstream SS;
+  SS << In.rdbuf();
+  std::string Src = SS.str();
+  auto [Rc, Usage] = runTool("");
+  EXPECT_EQ(Rc, 64);
+  const std::string Needle = "Arg == \"";
+  for (const Section &S : Sections) {
+    size_t Begin = Src.find(S.Parser);
+    ASSERT_NE(Begin, std::string::npos) << S.Parser;
+    size_t End = Src.find("\n}\n", Begin);
+    size_t UBegin = Usage.find(S.Header);
+    ASSERT_NE(UBegin, std::string::npos) << S.Header << " in:\n" << Usage;
+    std::string Text = Usage.substr(UBegin, Usage.find("usage:", UBegin + 1) -
+                                                UBegin);
+    unsigned Flags = 0;
+    for (size_t P = Src.find(Needle, Begin); P < End;
+         P = Src.find(Needle, P + 1)) {
+      size_t From = P + Needle.size();
+      std::string Flag = Src.substr(From, Src.find('"', From) - From);
+      ++Flags;
+      EXPECT_NE(Text.find(" " + Flag + " "), std::string::npos)
+          << "'" << S.Header << "' does not name " << Flag;
+    }
+    EXPECT_GE(Flags, 8u) << S.Parser << " scan found too few flags";
+  }
+}
+
 TEST(BpCorpus, CliAcceptsBoundaryFlagValues) {
   // The range maxima themselves are legal; in particular --jobs 1024
   // must construct a pool, not error.  A nonexistent input keeps the

@@ -472,6 +472,40 @@ TEST(BpTranslate, RefusesReturnBitsPastTheSlotFloorUpFront) {
   }
 }
 
+TEST(BpTranslate, RefusesTaintFactsPastTheFoldedControlWord) {
+  // The weighted dataflow client folds the fact bits above the control
+  // bits into one 32-bit word.  Twelve shared variables (Sema's limit),
+  // all annotated, plus eight per-thread $ret bits make 20 control bits
+  // and 12 facts: the weighted translation must refuse before any frame
+  // is built.  Without a side table the same program meets the
+  // rule-slot floor instead.
+  std::string Src = "decl a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11;\n"
+                    "bool id(v) { return v; }\nvoid w() {\n"
+                    "  a0 := call id(1);\n";
+  for (int I = 0; I < 12; ++I)
+    Src += "  source(a" + std::to_string(I) + ");\n";
+  Src += "}\nvoid main() {\n";
+  for (int I = 0; I < 8; ++I)
+    Src += "  thread_create(w);\n";
+  Src += "}\n";
+
+  TaintInfo Taint;
+  TranslateOptions Opts;
+  Opts.Taint = &Taint;
+  auto F = compileBooleanProgram(Src, Opts);
+  ASSERT_FALSE(F);
+  EXPECT_NE(F.error().message().find(
+                "too many taint facts (20 control bits + 12 facts"),
+            std::string::npos)
+      << F.error().str();
+
+  auto G = compileBooleanProgram(Src);
+  ASSERT_FALSE(G);
+  EXPECT_NE(G.error().message().find("8 threads x 2^20 shared valuations"),
+            std::string::npos)
+      << G.error().str();
+}
+
 //===----------------------------------------------------------------------===//
 // AST printer: print/parse round-trips
 //===----------------------------------------------------------------------===//

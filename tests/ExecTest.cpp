@@ -192,32 +192,6 @@ TEST(ParallelRound, ChunksPartitionTheRange) {
   }
 }
 
-TEST(ParallelRound, MapSlotsResultsByIndex) {
-  ThreadPool Pool(4);
-  std::vector<uint64_t> Out =
-      parallelMap<uint64_t>(Pool, 257, 8, [](unsigned, size_t I) {
-        return static_cast<uint64_t>(I) * I;
-      });
-  ASSERT_EQ(Out.size(), 257u);
-  for (size_t I = 0; I < Out.size(); ++I)
-    EXPECT_EQ(Out[I], I * I);
-}
-
-TEST(ParallelRound, ReduceFoldsChunksInIndexOrder) {
-  ThreadPool Pool(4);
-  // Build the concatenation of [0, N): only an index-ordered merge of
-  // the per-chunk partials reproduces it.
-  std::vector<size_t> Joined = parallelReduce<std::vector<size_t>>(
-      Pool, 1000, 7, {},
-      [](unsigned, size_t I, std::vector<size_t> &P) { P.push_back(I); },
-      [](std::vector<size_t> &Acc, std::vector<size_t> &&P) {
-        Acc.insert(Acc.end(), P.begin(), P.end());
-      });
-  ASSERT_EQ(Joined.size(), 1000u);
-  for (size_t I = 0; I < Joined.size(); ++I)
-    EXPECT_EQ(Joined[I], I);
-}
-
 TEST(ParallelRound, AdaptiveGrainStaysClamped) {
   EXPECT_EQ(adaptiveGrain(0, 4), 16u);
   EXPECT_EQ(adaptiveGrain(1'000'000, 1), 2048u);

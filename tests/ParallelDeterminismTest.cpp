@@ -14,22 +14,35 @@
 /// over 72 seeded random instances (the fuzz generator's corner-shape
 /// presets) plus paper models, at jobs 1 / 2 / 8, including runs whose
 /// budget exhausts mid-round -- the trickiest path, since the parallel
-/// commit must stop at exactly the serial charge.
+/// commit must stop at exactly the serial charge.  The weighted dataflow
+/// engine (the taint instantiation of the same round core) is pinned the
+/// same way on seeded annotated programs, det trace included.
 ///
 //===----------------------------------------------------------------------===//
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <optional>
+#include <string>
+
 #include "core/Algorithms.h"
 #include "core/CbaEngine.h"
 #include "core/SymbolicAlgorithms.h"
 #include "core/SymbolicEngine.h"
+#include "dataflow/DataflowEngine.h"
 #include "exec/ThreadPool.h"
 #include "models/Models.h"
+#include "obs/Trace.h"
 #include "support/Statistic.h"
+#include "testing/DataflowOracle.h"
 #include "testing/RandomCpds.h"
 
+#include "DetTrace.h"
+
 using namespace cuba;
+using cuba::testing::DetMetrics;
 
 namespace {
 
@@ -148,6 +161,126 @@ void expectSameSymbolic(const SymbolicTrace &Serial, const SymbolicTrace &Par,
   EXPECT_EQ(Serial.Steps, Par.Steps) << Tag << " seed " << Seed;
   EXPECT_EQ(Serial.States, Par.States) << Tag << " seed " << Seed;
   EXPECT_EQ(Serial.PeakBytes, Par.PeakBytes) << Tag << " seed " << Seed;
+}
+
+using cuba::testing::AnnotatedBase;
+
+/// The dataflow oracle's seeded annotated program in its base
+/// translation, with the taint side table.
+std::optional<AnnotatedBase> taintInstance(uint64_t Seed) {
+  auto B = cuba::testing::annotatedBaseTranslation(
+      cuba::testing::annotatedDataflowProgram(Seed));
+  if (!B)
+    return std::nullopt;
+  return B.take();
+}
+
+/// Everything observable about a weighted dataflow run, round by round,
+/// plus its stripped det trace and det metrics.
+struct DataflowTrace {
+  std::vector<int> Statuses;
+  std::vector<size_t> States, Visible, Saturations;
+  std::vector<uint64_t> CacheBytes, Steps, PeakBytes;
+  std::vector<std::vector<VisibleState>> NewPerRound;
+  std::vector<std::vector<SinkHit>> Hits;
+  std::string DetTrace;
+  DetMetrics Det;
+};
+
+DataflowTrace runDataflow(const AnnotatedBase &T, const ResourceLimits &L,
+                          exec::ThreadPool *Pool) {
+  obs::Metrics::resetAll();
+  obs::Trace::begin();
+  DataflowEngine E(T.Base.System, T.Taint, L);
+  E.setParallel(Pool);
+  DataflowTrace R;
+  while (E.bound() < MaxK && !E.frontierEmpty()) {
+    bool Exhausted = E.advance() == DataflowEngine::RoundStatus::Exhausted;
+    R.Statuses.push_back(Exhausted ? 1 : 0);
+    R.States.push_back(E.symbolicStateCount());
+    R.Visible.push_back(E.visibleSize());
+    R.Saturations.push_back(E.saturationCount());
+    R.CacheBytes.push_back(E.retainedSatBytes());
+    R.Steps.push_back(E.limits().steps());
+    R.PeakBytes.push_back(E.limits().peakBytes());
+    R.NewPerRound.push_back(E.newVisibleThisRound());
+    R.Hits.push_back(E.sinkHits());
+    if (Exhausted)
+      break;
+  }
+  obs::Trace::end();
+  R.DetTrace = cuba::testing::stripTrace(obs::Trace::render());
+  R.Det = cuba::testing::detMetrics();
+  return R;
+}
+
+void expectSameDataflow(const DataflowTrace &Serial, const DataflowTrace &Par,
+                        uint64_t Seed, const char *Tag) {
+  EXPECT_EQ(Serial.Statuses, Par.Statuses) << Tag << " seed " << Seed;
+  EXPECT_EQ(Serial.States, Par.States) << Tag << " seed " << Seed;
+  EXPECT_EQ(Serial.Visible, Par.Visible) << Tag << " seed " << Seed;
+  EXPECT_EQ(Serial.Saturations, Par.Saturations) << Tag << " seed " << Seed;
+  EXPECT_EQ(Serial.CacheBytes, Par.CacheBytes)
+      << Tag << " eviction-schedule divergence at seed " << Seed;
+  EXPECT_EQ(Serial.Steps, Par.Steps) << Tag << " seed " << Seed;
+  EXPECT_EQ(Serial.PeakBytes, Par.PeakBytes) << Tag << " seed " << Seed;
+  EXPECT_EQ(Serial.NewPerRound == Par.NewPerRound, true)
+      << Tag << " per-round visible divergence at seed " << Seed;
+  EXPECT_EQ(Serial.Hits == Par.Hits, true)
+      << Tag << " sink-hit divergence at seed " << Seed;
+  EXPECT_EQ(Serial.DetTrace, Par.DetTrace) << Tag << " seed " << Seed;
+  EXPECT_EQ(Serial.Det == Par.Det, true)
+      << Tag << " det-metrics divergence at seed " << Seed;
+}
+
+/// The saturations' own retained bytes in a rendered trace: the sum of
+/// the `saturate` spans' "bytes" arguments.
+uint64_t saturationSpanBytes(const std::string &Trace) {
+  uint64_t Sum = 0;
+  for (size_t Pos = Trace.find("{\"name\": \"saturate\"");
+       Pos != std::string::npos;
+       Pos = Trace.find("{\"name\": \"saturate\"", Pos + 1)) {
+    size_t Arg = Trace.find("\"bytes\": ", Pos);
+    Sum += std::stoull(Trace.substr(Arg + std::strlen("\"bytes\": ")));
+  }
+  return Sum;
+}
+
+/// The byte figures of one weighted run under the fuzz budget.
+struct DataflowFootprint {
+  bool Completed = false;
+  uint64_t Peak = 0;     // The tracker's peak, products counted.
+  uint64_t Final = 0;    // memoryUsage() at the end.
+  uint64_t Products = 0; // The product bytes retained at the end.
+  /// A bound on every saturation's own in-flight footprint: each
+  /// language the run interned, saturated by each thread it fits.
+  uint64_t SatPeak = 0;
+};
+
+DataflowFootprint measureDataflow(const AnnotatedBase &T) {
+  DataflowFootprint F;
+  obs::Trace::begin();
+  DataflowEngine E(T.Base.System, T.Taint, FuzzLimits);
+  bool Exhausted = false;
+  while (!Exhausted && E.bound() < MaxK && !E.frontierEmpty())
+    Exhausted = E.advance() == DataflowEngine::RoundStatus::Exhausted;
+  obs::Trace::end();
+  F.Completed = !Exhausted;
+  F.Peak = E.limits().peakBytes();
+  F.Final = E.memoryUsage();
+  F.Products =
+      E.retainedSatBytes() - saturationSpanBytes(obs::Trace::render());
+  TaintRoundDomain D(T.Base.System, T.Taint);
+  const DfaStore &Store = E.languageStore();
+  for (DfaId L = 0; L < Store.size(); ++L)
+    for (unsigned I = 0; I < T.Base.System.numThreads(); ++I) {
+      if (Store.get(L).NumSymbols != T.Base.System.thread(I).bottom())
+        continue;
+      LimitTracker Own(ResourceLimits::unlimited());
+      D.saturate(I, Store.get(L), &Own);
+      F.SatPeak = std::max(F.SatPeak, Own.peakBytes());
+    }
+  return F;
 }
 
 /// Budgets whose stop point falls mid-level, inside a commit: awkward
@@ -454,6 +587,77 @@ TEST_F(ParallelDeterminismTest, ExpandAllAblationMatches) {
   auto Serial = Run(nullptr);
   EXPECT_EQ(Serial == Run(&Pool2), true);
   EXPECT_EQ(Serial == Run(&Pool8), true);
+}
+
+TEST_F(ParallelDeterminismTest, DataflowRoundsMatchAcrossJobCounts) {
+  // The weighted taint instantiation of the symbolic round core on
+  // seeded annotated programs: the fuzz budget, a budget that exhausts
+  // mid-round, and a cache budget tight enough that saturations (and
+  // the per-root products cached with them) are evicted.
+  ResourceLimits Evict = FuzzLimits;
+  Evict.MaxCacheBytes = 2 * 1024;
+  struct Run {
+    ResourceLimits L;
+    const char *Tag;
+  };
+  const Run Runs[] = {{FuzzLimits, "dataflow"},
+                      {TinyLimits, "dataflow-tiny"},
+                      {Evict, "dataflow-evict"}};
+  uint64_t Evictions = 0;
+  unsigned Checked = 0;
+  for (uint64_t Seed = 0; Checked < 24; ++Seed) {
+    ASSERT_LT(Seed, 200u) << "the frontend rejected too many seeds";
+    std::optional<AnnotatedBase> T = taintInstance(Seed);
+    if (!T)
+      continue;
+    ++Checked;
+    for (const Run &R : Runs) {
+      DataflowTrace S1 = runDataflow(*T, R.L, nullptr);
+      Evictions += Statistics::value("dataflow.sat_evictions");
+      expectSameDataflow(S1, runDataflow(*T, R.L, &Pool2), Seed, R.Tag);
+      expectSameDataflow(S1, runDataflow(*T, R.L, &Pool8), Seed, R.Tag);
+    }
+    if (HasFailure())
+      break;
+  }
+  EXPECT_GT(Evictions, 0u) << "the cache budget never evicted";
+}
+
+TEST_F(ParallelDeterminismTest, DataflowProductsCountTowardTheByteBudget) {
+  // The per-root products the taint domain caches with each saturation
+  // grow with the composed summaries, so their bytes join MaxBytes at
+  // the serial commit.  Without them, a run's byte checks would stay at
+  // or below a floor: the engine's footprint only grows (no eviction
+  // here), so it ends at most Final - Products, and each saturation's
+  // own in-flight footprint is at most SatPeak.  A MaxBytes between
+  // that floor and the measured peak must therefore stop the run, and
+  // only because the products are counted -- identically at jobs 1, 2
+  // and 8.  Instances whose saturations reach the peak on their own
+  // leave no room between the two and are skipped.
+  unsigned Checked = 0;
+  for (uint64_t Seed = 0; Checked < 6; ++Seed) {
+    ASSERT_LT(Seed, 200u) << "too few instances separate the two footprints";
+    std::optional<AnnotatedBase> T = taintInstance(Seed);
+    if (!T)
+      continue;
+    DataflowFootprint F = measureDataflow(*T);
+    if (!F.Completed)
+      continue; // Exhausted before any byte budget applies.
+    ASSERT_GT(F.Products, 0u) << "seed " << Seed << ": products not counted";
+    uint64_t Floor = std::max(F.Final - F.Products, F.SatPeak);
+    if (Floor >= F.Peak)
+      continue;
+    ++Checked;
+    ResourceLimits L = FuzzLimits;
+    L.MaxBytes = Floor + (F.Peak - Floor) / 2;
+    DataflowTrace S1 = runDataflow(*T, L, nullptr);
+    EXPECT_EQ(S1.Statuses.back(), 1)
+        << "seed " << Seed << " ran to the end under " << L.MaxBytes << " B";
+    expectSameDataflow(S1, runDataflow(*T, L, &Pool2), Seed, "dataflow-bytes");
+    expectSameDataflow(S1, runDataflow(*T, L, &Pool8), Seed, "dataflow-bytes");
+    if (HasFailure())
+      break;
+  }
 }
 
 TEST_F(ParallelDeterminismTest, SymbolicRoundsConsumePrefetchedSaturations) {

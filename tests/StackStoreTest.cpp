@@ -155,7 +155,7 @@ Cpds makeCpds() {
 
 TEST(VisiblePacker, RoundTripAllStates) {
   Cpds C = makeCpds();
-  VisiblePacker P(C);
+  VisiblePacker P(C, C.numSharedStates());
   ASSERT_TRUE(P.packable());
   for (QState Q = 0; Q < 5; ++Q)
     for (Sym A = 0; A <= 3; ++A)
@@ -172,7 +172,7 @@ TEST(VisiblePacker, PackingPreservesOrder) {
   // packed representation sorts as raw words, so packing must be
   // monotone in the (Q, Tops) lexicographic order.
   Cpds C = makeCpds();
-  VisiblePacker P(C);
+  VisiblePacker P(C, C.numSharedStates());
   std::vector<VisibleState> All;
   for (QState Q = 0; Q < 5; ++Q)
     for (Sym A = 0; A <= 3; ++A)
@@ -199,7 +199,7 @@ TEST(VisiblePacker, FieldShiftsRewriteOneField) {
   // and one top field of its source word in place; that must equal
   // packing the rewritten state.
   Cpds C = makeCpds();
-  VisiblePacker P(C);
+  VisiblePacker P(C, C.numSharedStates());
   const uint64_t BelowQ = (uint64_t(1) << P.sharedShift()) - 1;
   for (QState Q = 0; Q < 5; ++Q)
     for (Sym A = 0; A <= 3; ++A)
@@ -226,7 +226,7 @@ TEST(VisiblePacker, FieldShiftsRewriteOneField) {
 
 TEST(VisibleRoundSet, KeepsEarliestRoundAndSortsPerRound) {
   Cpds C = makeCpds();
-  VisibleRoundSet S(C);
+  VisibleRoundSet S(C, C.numSharedStates());
   auto Vs = [](QState Q, Sym A, Sym B) {
     VisibleState V;
     V.Q = Q;

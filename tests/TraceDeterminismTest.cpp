@@ -21,7 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -34,7 +33,12 @@
 #include "obs/Trace.h"
 #include "testing/RandomCpds.h"
 
+#include "DetTrace.h"
+
 using namespace cuba;
+using cuba::testing::DetMetrics;
+using cuba::testing::detMetrics;
+using cuba::testing::stripTrace;
 
 namespace {
 
@@ -44,58 +48,11 @@ const ResourceLimits FuzzLimits{10'000, 1'000'000, 8, 0};
 
 constexpr unsigned MaxK = 6;
 
-/// The documented stripping rule, implemented as the line-local text
-/// transformation the one-event-per-line rendering guarantees.  Trailing
-/// commas are dropped too: removing a line whose successor was the last
-/// event must not leave the two sides differing by a separator.
-std::string stripTrace(const std::string &Doc) {
-  std::string Out;
-  size_t Pos = 0;
-  while (Pos < Doc.size()) {
-    size_t Eol = Doc.find('\n', Pos);
-    if (Eol == std::string::npos)
-      Eol = Doc.size();
-    std::string Line = Doc.substr(Pos, Eol - Pos);
-    Pos = Eol + 1;
-    if (Line.find("\"cat\": \"wall\"") != std::string::npos ||
-        Line.find("\"ph\": \"M\"") != std::string::npos)
-      continue;
-    for (const char *Key : {"\"ts\": ", "\"dur\": ", "\"tid\": "}) {
-      size_t K = Line.find(Key);
-      if (K == std::string::npos)
-        continue;
-      size_t V = K + std::strlen(Key);
-      size_t E = V;
-      while (E < Line.size() &&
-             std::isdigit(static_cast<unsigned char>(Line[E])))
-        ++E;
-      Line.replace(V, E - V, "0");
-    }
-    if (!Line.empty() && Line.back() == ',')
-      Line.pop_back();
-    Out += Line;
-    Out += '\n';
-  }
-  return Out;
-}
-
-/// The deterministic half of a metrics snapshot, as comparable tuples.
-std::vector<std::tuple<std::string, int, uint64_t, std::vector<uint64_t>>>
-detMetrics() {
-  std::vector<std::tuple<std::string, int, uint64_t, std::vector<uint64_t>>>
-      Out;
-  for (const obs::InstrumentSnapshot &S : obs::Metrics::snapshot())
-    if (S.Deterministic)
-      Out.emplace_back(S.Name, static_cast<int>(S.K), S.Value, S.Buckets);
-  return Out;
-}
-
 /// One traced engine run: resets the registry, collects the trace, and
 /// returns (rendered trace, deterministic metrics).
 struct TracedRun {
   std::string Trace;
-  std::vector<std::tuple<std::string, int, uint64_t, std::vector<uint64_t>>>
-      Det;
+  DetMetrics Det;
 };
 
 TracedRun runSymbolic(const Cpds &C, exec::ThreadPool *Pool) {

@@ -22,7 +22,9 @@
 ///                          bit-identical for every N)
 ///     --approach auto|explicit|symbolic
 ///     --continue-after-bug keep exploring to a convergence bound
+///     --trace              print a concrete interleaving on a bug
 ///     --emit-cpds          print the (translated) system and exit
+///     --dump-ast           print the parsed .bp program and exit
 ///     --stats              dump internal statistics counters
 ///
 /// The `dataflow` subcommand runs the weighted interprocedural taint
@@ -30,9 +32,10 @@
 ///
 ///   cuba dataflow [options] <input.bp>
 ///     --max-k N          context-bound cap (default 8)
-///     --max-states/--max-steps/--max-mb   engine budgets
-///     --jobs N           parallelism of the --verify reference engine
-///                        (the weighted engine itself is serial)
+///     --max-states/--max-steps/--timeout-ms/--max-mb   engine budgets
+///     --jobs N           worker parallelism of the weighted engine and
+///                        the --verify reference (results are
+///                        bit-identical for every N)
 ///     --report-facts     print every visible state with its fact set
 ///     --verify           cross-check against the folded product
 ///                        reference (exit 70 on disagreement)
@@ -177,6 +180,7 @@ void printUsage() {
       "  --continue-after-bug keep exploring to a convergence bound\n"
       "  --trace              print a concrete interleaving on a bug\n"
       "  --emit-cpds          print the (translated) system and exit\n"
+      "  --dump-ast           print the parsed .bp program and exit\n"
       "  --stats              dump internal statistics counters\n"
       "  --trace-out FILE     write a Chrome trace_event JSON profile\n"
       "                       (Perfetto-loadable)\n"
@@ -187,9 +191,12 @@ void printUsage() {
       "  --max-k N            context-bound cap (default 8)\n"
       "  --max-states N       stored-state budget (default 2000000)\n"
       "  --max-steps N        engine-step budget (default 50000000)\n"
+      "  --timeout-ms N       wall-clock budget (default 120000)\n"
       "  --max-mb N           engine-memory budget in MiB\n"
-      "  --jobs N             parallelism of the --verify reference\n"
-      "                       engine (the weighted engine is serial)\n"
+      "  --jobs N             worker parallelism of the weighted engine\n"
+      "                       and the --verify reference (default:\n"
+      "                       $CUBA_JOBS, else hardware concurrency;\n"
+      "                       results are bit-identical for every N)\n"
       "  --report-facts       print every visible state with its facts\n"
       "  --verify             cross-check against the folded product\n"
       "                       reference; a disagreement exits 70\n"
@@ -626,6 +633,12 @@ ParseResult parseArgs(int Argc, char **Argv, CliOptions &Cli) {
   return Cli.InputPath.empty() ? ParseResult::Usage : ParseResult::Ok;
 }
 
+/// Reports \p E against the input \p Path; returns the usage exit code.
+int inputError(const std::string &Path, const Error &E) {
+  std::fprintf(stderr, "cuba: %s: %s\n", Path.c_str(), E.str().c_str());
+  return 64;
+}
+
 bool endsWith(std::string_view S, std::string_view Suffix) {
   return S.size() >= Suffix.size() &&
          S.substr(S.size() - Suffix.size()) == Suffix;
@@ -674,17 +687,11 @@ std::string renderDataflowState(const Cpds &C, const bp::TaintInfo &Taint,
   } else {
     Out += "q=" + std::to_string(V.Q & ((1u << Taint.SharedBits) - 1));
     uint32_t Facts = V.Q >> Taint.SharedBits;
-    Out += " facts={";
-    bool First = true;
-    for (size_t F = 0; F < Taint.FactNames.size(); ++F) {
-      if (!(Facts & (1u << F)))
-        continue;
-      if (!First)
-        Out += ",";
-      Out += Taint.FactNames[F];
-      First = false;
-    }
-    Out += "}";
+    std::string List;
+    for (size_t F = 0; F < Taint.FactNames.size(); ++F)
+      if (Facts & (1u << F))
+        List += (List.empty() ? "" : ",") + Taint.FactNames[F];
+    Out += " facts={" + List + "}";
   }
   for (unsigned I = 0; I < V.Tops.size(); ++I)
     Out += " | " + C.thread(I).symbolName(V.Tops[I]);
@@ -750,44 +757,32 @@ int runDataflow(int Argc, char **Argv) {
   }
 
   auto Text = readFile(Input);
-  if (!Text) {
-    std::fprintf(stderr, "cuba: %s: %s\n", Input.c_str(),
-                 Text.error().str().c_str());
-    return 64;
-  }
+  if (!Text)
+    return inputError(Input, Text.error());
   auto Prog = bp::parseProgram(*Text);
-  if (!Prog) {
-    std::fprintf(stderr, "cuba: %s: %s\n", Input.c_str(),
-                 Prog.error().str().c_str());
-    return 64;
-  }
+  if (!Prog)
+    return inputError(Input, Prog.error());
   auto Info = bp::analyzeProgram(*Prog);
-  if (!Info) {
-    std::fprintf(stderr, "cuba: %s: %s\n", Input.c_str(),
-                 Info.error().str().c_str());
-    return 64;
-  }
+  if (!Info)
+    return inputError(Input, Info.error());
 
   bp::TaintInfo Taint;
   bp::TranslateOptions TOpts;
   TOpts.Taint = &Taint;
   Obs.beginTrace();
   auto File = bp::translateProgram(*Prog, *Info, TOpts);
-  if (!File) {
-    std::fprintf(stderr, "cuba: %s: %s\n", Input.c_str(),
-                 File.error().str().c_str());
-    return 64;
-  }
+  if (!File)
+    return inputError(Input, File.error());
 
+  if (Jobs == 0)
+    Jobs = exec::ThreadPool::defaultJobs();
+  exec::ThreadPool Pool(Jobs);
   WallTimer T;
   DataflowEngine W(File->System, Taint, Limits);
+  W.setParallel(&Pool);
   bool Exhausted = false;
-  while (W.bound() < Limits.MaxContexts && !W.frontierEmpty()) {
-    if (W.advance() == DataflowEngine::RoundStatus::Exhausted) {
-      Exhausted = true;
-      break;
-    }
-  }
+  while (!Exhausted && W.bound() < Limits.MaxContexts && !W.frontierEmpty())
+    Exhausted = W.advance() == DataflowEngine::RoundStatus::Exhausted;
   bool Converged = !Exhausted && W.frontierEmpty();
   std::vector<SinkHit> Hits = W.sinkHits();
 
@@ -800,8 +795,8 @@ int runDataflow(int Argc, char **Argv) {
   std::printf("sinks:     %zu site(s)\n", Taint.Sinks.size());
   std::printf("explored:  k_max=%u%s, states=%zu, visible=%zu,"
               " saturations=%zu\n",
-              W.bound(), Converged ? " (converged)" : "", W.stateCount(),
-              W.visibleSize(), W.saturationCount());
+              W.bound(), Converged ? " (converged)" : "",
+              W.symbolicStateCount(), W.visibleSize(), W.saturationCount());
   std::printf("resources: %.2f ms, %.1f MB peak\n", T.millis(),
               static_cast<double>(W.limits().peakBytes()) / (1024 * 1024));
 
@@ -818,8 +813,6 @@ int runDataflow(int Argc, char **Argv) {
                 Taint.FactNames[H.Fact].c_str(), H.Round);
 
   if (Verify) {
-    unsigned RefJobs = Jobs ? Jobs : exec::ThreadPool::defaultJobs();
-    exec::ThreadPool Pool(RefJobs);
     testing::DataflowOracleOptions OOpts;
     OOpts.MaxK = Limits.MaxContexts;
     OOpts.Limits = Limits;
@@ -837,7 +830,7 @@ int runDataflow(int Argc, char **Argv) {
     } else {
       std::printf("verify:    agrees with the folded product reference"
                   " (k <= %u, %u job(s))\n",
-                  Rep.KCompared, RefJobs);
+                  Rep.KCompared, Jobs);
     }
   }
 
@@ -849,8 +842,10 @@ int runDataflow(int Argc, char **Argv) {
                                            : Exhausted    ? "undecided"
                                                           : "safe"));
     Wall.emplace_back("k_max", std::to_string(W.bound()));
+    Wall.emplace_back("jobs", std::to_string(Jobs));
     Wall.emplace_back("elapsed_ms", jsonMillis(T.millis()));
     Wall.emplace_back("peak_bytes", std::to_string(W.limits().peakBytes()));
+    Wall.emplace_back("workers", workersJson(Pool));
     if (!Obs.write(Wall))
       return 74;
   }
@@ -904,17 +899,11 @@ int main(int Argc, char **Argv) try {
       return 64;
     }
     auto Text = readFile(Cli.InputPath);
-    if (!Text) {
-      std::fprintf(stderr, "cuba: %s: %s\n", Cli.InputPath.c_str(),
-                   Text.error().str().c_str());
-      return 64;
-    }
+    if (!Text)
+      return inputError(Cli.InputPath, Text.error());
     auto Prog = bp::parseProgram(*Text);
-    if (!Prog) {
-      std::fprintf(stderr, "cuba: %s: %s\n", Cli.InputPath.c_str(),
-                   Prog.error().str().c_str());
-      return 64;
-    }
+    if (!Prog)
+      return inputError(Cli.InputPath, Prog.error());
     std::string Out = bp::printProgram(*Prog);
     std::fwrite(Out.data(), 1, Out.size(), stdout);
     return 0;
@@ -923,11 +912,8 @@ int main(int Argc, char **Argv) try {
   // Armed before loading, so a .bp input's translate span lands too.
   Cli.Obs.beginTrace();
   auto File = loadInput(Cli.InputPath);
-  if (!File) {
-    std::fprintf(stderr, "cuba: %s: %s\n", Cli.InputPath.c_str(),
-                 File.error().str().c_str());
-    return 64;
-  }
+  if (!File)
+    return inputError(Cli.InputPath, File.error());
 
   if (Cli.EmitCpds) {
     std::string Text = printCpds(*File);
