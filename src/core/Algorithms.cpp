@@ -28,7 +28,7 @@ public:
                  const RunOptions &Opts, bool UseScheme1, bool UseAlg3)
       : C(C), Prop(Prop), Opts(Opts), UseScheme1(UseScheme1),
         UseAlg3(UseAlg3), Engine(C, Opts.Limits),
-        Generators(C, Opts.Limits) {
+        Generators(C, Opts.Limits, ThreadSymmetry(C)) {
     Engine.setExpandAll(Opts.ExpandAll);
     Engine.setParallel(Opts.Pool);
   }

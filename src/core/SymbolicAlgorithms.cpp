@@ -10,7 +10,9 @@
 #include "core/ObservationSequence.h"
 #include "core/SymbolicEngine.h"
 #include "core/ZOverapprox.h"
+#include "obs/Metrics.h"
 #include "pds/CpdsIO.h"
+#include "pds/ThreadSymmetry.h"
 #include "support/FaultInject.h"
 #include "support/Timer.h"
 
@@ -23,9 +25,20 @@ SymbolicRunResult runAlg3SymbolicImpl(const Cpds &C,
                                       const RunOptions &Opts) {
   WallTimer Timer;
   SymbolicRunResult R;
-  SymbolicEngine Engine(C, Opts.Limits);
+  // Classes of interchangeable threads: with one, the rounds and G cap Z
+  // run on orbits.  Visible counts, plateaus, generator coverage and the
+  // first violation are those of the unreduced run.
+  static obs::Gauge SymClasses("symmetry.classes");
+  static obs::Gauge SymThreads("symmetry.threads");
+  ThreadSymmetry Symmetry(C, Prop);
+  SymClasses.recordMax(Symmetry.classes().size());
+  SymThreads.recordMax(Symmetry.classifiedThreads());
+  SymbolicEngine Engine(C, Opts.Limits, Symmetry);
   Engine.setParallel(Opts.Pool);
-  GeneratorTest Generators(C, Opts.Limits);
+  GeneratorTest Generators(C, Opts.Limits, Symmetry);
+  // The plateaus of T(S_k) are tracked on its orbit count: it plateaus
+  // exactly when |T(S_k)| does, but never saturates as the orbit sum
+  // |T(S_k)| can (two saturated rounds would read as a plateau).
   ObservationTracker TkSizes;
 
   auto CheckViolations = [&]() {
@@ -40,7 +53,7 @@ SymbolicRunResult runAlg3SymbolicImpl(const Cpds &C,
     }
   };
 
-  TkSizes.record(Engine.visibleSize()); // |T(S_0)|
+  TkSizes.record(Engine.visibleOrbits()); // T(S_0)
   CheckViolations();
 
   unsigned MaxK =
@@ -52,7 +65,7 @@ SymbolicRunResult runAlg3SymbolicImpl(const Cpds &C,
       R.Run.Exhausted = true;
       break;
     }
-    TkSizes.record(Engine.visibleSize());
+    TkSizes.record(Engine.visibleOrbits());
     CheckViolations();
 
     // Fixpoint of the symbolic state set: nothing new can ever appear

@@ -14,6 +14,11 @@
 /// state is a fixpoint of S and proves collapse outright (the symbolic
 /// analogue of Scheme 1's test, made cheap by canonical languages).
 ///
+/// The run partitions the threads into classes of interchangeable ones
+/// (pds/ThreadSymmetry.h) and, when a class exists, explores one
+/// canonical symbolic state per orbit; the det gauges symmetry.classes
+/// and symmetry.threads report the partition.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CUBA_CORE_SYMBOLICALGORITHMS_H
@@ -31,7 +36,8 @@ struct SymbolicRunResult {
   std::optional<unsigned> TkCollapse;
   /// Collapse bound from the symbolic-state fixpoint test.
   std::optional<unsigned> SFixpoint;
-  /// Number of symbolic states stored at the end of the run.
+  /// Number of symbolic states stored at the end of the run (canonical
+  /// ones when the run had a thread symmetry).
   size_t SymbolicStates = 0;
   /// Number of distinct stack languages interned by the engine's
   /// DfaStore arena (every canonical form ever computed, deduplicated).

@@ -86,11 +86,16 @@ private:
 
 extern template class SymbolicRounds<MaskRoundDomain>;
 
-/// Round-by-round symbolic CBA exploration.
+/// Round-by-round symbolic CBA exploration, over one canonical row per
+/// orbit of \p Symmetry's classes (see core/SymbolicRounds.h); built
+/// without one, unreduced.
 class SymbolicEngine : public SymbolicRounds<MaskRoundDomain> {
 public:
   SymbolicEngine(const Cpds &C, const ResourceLimits &Limits)
-      : SymbolicRounds(C, Limits, MaskRoundDomain(C)) {}
+      : SymbolicEngine(C, Limits, ThreadSymmetry(C)) {}
+  SymbolicEngine(const Cpds &C, const ResourceLimits &Limits,
+                 ThreadSymmetry Symmetry)
+      : SymbolicRounds(C, Limits, MaskRoundDomain(C), std::move(Symmetry)) {}
 };
 
 } // namespace cuba

@@ -104,6 +104,26 @@
 /// time only -- every committed figure stays bit-identical to the
 /// serial path.  The serial path never prefetches.
 ///
+/// Thread symmetry (pds/ThreadSymmetry.h): an engine keeps one row per
+/// orbit of its symmetry's class permutations.  Each successor row is
+/// canonicalized (its class's columns sorted) before interning, and its
+/// producer bit goes to the first column of the class holding the
+/// producer's language.  Equal languages sit in one run of a canonical
+/// row, and expanding any column of a run yields permutations of what
+/// expanding its first column yields, so only first columns are expanded
+/// (serial path, parallel phase 1 and prefetch alike), and a producer
+/// bit there skips the whole run.  A class shares one Pds, so the
+/// saturation and top-set caches are keyed by the class representative.
+/// Visible states are recorded in canonical form, each class's columns
+/// with equal top sets enumerated as multisets, and visibleSize() adds
+/// up their orbit sizes.  Because T(R_k) is closed under class
+/// permutations, the visible interface stays exact: visibleSize() equals
+/// the unreduced engine's, visibleOrbits() plateaus exactly when it
+/// does, newVisibleThisRound() is the canonical image of its rounds, and
+/// visibleReached canonicalizes its argument.  Under a symmetry without
+/// classes (an engine built without a property) every row, key and
+/// enumeration is the unreduced one.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CUBA_CORE_SYMBOLICROUNDS_H
@@ -120,6 +140,7 @@
 #include "fa/DfaStore.h"
 #include "obs/Trace.h"
 #include "pds/Cpds.h"
+#include "pds/ThreadSymmetry.h"
 #include "pds/VisibleSet.h"
 #include "support/FaultInject.h"
 #include "support/FlatHash.h"
@@ -171,8 +192,12 @@ template <typename Domain> class SymbolicRounds {
 public:
   enum class RoundStatus { Ok, Exhausted };
 
-  SymbolicRounds(const Cpds &C, const ResourceLimits &Limits, Domain D)
-      : C(C), Dom(std::move(D)), Limits(Limits), Rows(1 + C.numThreads()),
+  /// An engine over \p C whose rows are canonical under \p Symmetry's
+  /// classes.
+  SymbolicRounds(const Cpds &C, const ResourceLimits &Limits, Domain D,
+                 ThreadSymmetry Symmetry)
+      : C(C), Dom(std::move(D)), Limits(Limits),
+        Symmetry(std::move(Symmetry)), Rows(1 + C.numThreads()),
         VisibleSeen(C, Dom.numControlStates()),
         VisTuples(1 + C.numThreads()), TopsCache(C.numThreads()),
         SatCache(C.numThreads()), PrefetchIdx(C.numThreads()) {
@@ -243,28 +268,40 @@ public:
     return RoundStatus::Ok;
   }
 
-  /// Number of symbolic states stored (|S_k|).
+  /// Number of symbolic states stored (|S_k|; canonical rows under a
+  /// symmetry).
   size_t symbolicStateCount() const { return Rows.size(); }
 
-  /// |T(S_k)|.
-  size_t visibleSize() const { return VisibleSeen.size(); }
+  /// |T(S_k)|: the sum of the recorded canonical states' orbit sizes,
+  /// saturating at UINT64_MAX.
+  size_t visibleSize() const { return VisibleTotal; }
+
+  /// The number of orbits in T(S_k), i.e. of recorded canonical states.
+  /// T(S_k) grows monotonically and is closed under the class
+  /// permutations, so this count plateaus exactly when visibleSize()
+  /// does; unlike the orbit sum it never saturates, so plateau tests use
+  /// it.
+  size_t visibleOrbits() const { return VisibleSeen.size(); }
 
   /// True when no new symbolic state was added by the last round: S has
   /// reached a fixpoint, so every R_k has been covered (the symbolic
   /// analogue of the Scheme 1 collapse test).
   bool frontierEmpty() const { return Frontier.empty() && Bound > 0; }
 
-  /// Visible states first reached in the current round, sorted.
+  /// Visible states first reached in the current round, sorted (their
+  /// canonical forms under a symmetry).
   std::vector<VisibleState> newVisibleThisRound() const {
     return VisibleSeen.statesInRound(Bound);
   }
 
   bool visibleReached(const VisibleState &V) const {
-    return VisibleSeen.contains(V);
+    VisibleState W = V;
+    Symmetry.canonicalize(W);
+    return VisibleSeen.contains(W);
   }
 
   /// All reachable visible states with first-seen rounds, sorted by the
-  /// VisibleState ordering.
+  /// VisibleState ordering (canonical forms under a symmetry).
   std::vector<std::pair<VisibleState, unsigned>> visibleFirstSeen() const {
     return VisibleSeen.sortedEntries();
   }
@@ -444,6 +481,7 @@ private:
     DfaId Lang = S[1 + I];
     if (Store.get(Lang).Start == CanonicalDfa::NoState)
       return true;
+    unsigned R = Symmetry.rep(I);
 
     // Two cache levels: the (thread, language) saturation, then the root
     // record inside it.  A root hit replays the recorded charge schedule
@@ -451,7 +489,7 @@ private:
     // tight budget stores exactly the states -- and exhausts at exactly
     // the point -- a fresh re-expansion would.
     uint32_t SatIdx = UINT32_MAX;
-    if (const uint32_t *Found = SatCache[I].find(Lang)) {
+    if (const uint32_t *Found = SatCache[R].find(Lang)) {
       SatIdx = *Found;
       SharedSats[SatIdx].LastUsed = Bound; // Generation touch (eviction).
       if (const uint32_t *Rec = SharedSats[SatIdx].Roots.find(S[0])) {
@@ -461,17 +499,17 @@ private:
     }
     // A fresh root, which a parallel round has speculated.
     PendingSat *PS =
-        Spec ? &Spec->Pending[*Spec->Idx[I].find(Lang)] : nullptr;
+        Spec ? &Spec->Pending[*Spec->Idx[R].find(Lang)] : nullptr;
     if (SatIdx == UINT32_MAX && !PS) {
       // Fresh language: one saturation serves every root that will ever
       // expand it, charged live (one step per saturation pop).
       uint64_t StepsBefore = Limits.steps();
       uint64_t Ts0 = obs::Trace::nowNs();
-      DomainSaturation<Sat> R = Dom.saturate(I, Store.get(Lang), &Limits);
+      DomainSaturation<Sat> D = Dom.saturate(R, Store.get(Lang), &Limits);
       uint64_t Ts1 = obs::Trace::nowNs();
-      if (!R.Complete)
+      if (!D.Complete)
         return false;
-      SatIdx = registerSaturation(I, Lang, std::move(R.Sat),
+      SatIdx = registerSaturation(R, Lang, std::move(D.Sat),
                                   Limits.steps() - StepsBefore, Ts0, Ts1, 0);
     } else if (SatIdx == UINT32_MAX) {
       // A speculated fresh language.  When the step budget runs out
@@ -479,7 +517,7 @@ private:
       // only the pops it ran: re-run it live to stop at exactly that pop.
       uint64_t MaxSteps = Limits.limits().MaxSteps;
       if (MaxSteps && Limits.steps() + PS->BaseSteps > MaxSteps) {
-        Dom.saturate(I, Store.get(Lang), &Limits);
+        Dom.saturate(R, Store.get(Lang), &Limits);
         return false;
       }
       // Otherwise the saturation charged one unit per pop, and the
@@ -489,7 +527,7 @@ private:
       if (!Limits.chargeStepsUnit(PS->BaseSteps) ||
           !Limits.checkMemory(PS->PeakSatBytes) || !PS->Complete)
         return false;
-      SatIdx = registerSaturation(I, Lang, std::move(PS->S), PS->BaseSteps,
+      SatIdx = registerSaturation(R, Lang, std::move(PS->S), PS->BaseSteps,
                                   PS->TsBegin, PS->TsEnd, PS->Worker);
     }
 
@@ -645,8 +683,9 @@ private:
       uint32_t Produced = Producers[Id];
       for (unsigned I = 0; I < C.numThreads(); ++I) {
         // Skip the producer thread: its post* is transitively closed, so
-        // re-expanding yields only language-subsumed rows.
-        if (Produced & producerBit(I))
+        // re-expanding yields only language-subsumed rows.  Under a
+        // symmetry, skip the rest of a run of equal languages too.
+        if ((Produced & producerBit(I)) || repeatsRun(ParentBuf.data(), I))
           continue;
         ++Expansions;
         if (!expand(ParentBuf.data(), I, NewFrontier, Spec)) {
@@ -688,27 +727,28 @@ private:
     for (uint32_t Id : Frontier) {
       const uint32_t *S = Rows.row(Id);
       for (unsigned I = 0; I < C.numThreads(); ++I) {
-        if (Producers[Id] & producerBit(I))
+        if ((Producers[Id] & producerBit(I)) || repeatsRun(S, I))
           continue;
         DfaId Lang = S[1 + I];
         if (Store.get(Lang).Start == CanonicalDfa::NoState)
           continue;
+        unsigned R = Symmetry.rep(I);
         uint32_t SatIdx = UINT32_MAX;
-        if (const uint32_t *Found = SatCache[I].find(Lang)) {
+        if (const uint32_t *Found = SatCache[R].find(Lang)) {
           SatIdx = *Found;
           if (SharedSats[SatIdx].Roots.contains(S[0]))
             continue; // Full hit: replays at the commit.
         }
-        auto [Slot, New] = Spec.Idx[I].tryEmplace(
+        auto [Slot, New] = Spec.Idx[R].tryEmplace(
             Lang, static_cast<uint32_t>(Pending.size()));
         if (New) {
           Pending.emplace_back();
           PendingSat &NP = Pending.back();
-          NP.Thread = I;
+          NP.Thread = R;
           NP.InLang = Lang;
           NP.CachedSat = SatIdx;
           if (SatIdx == UINT32_MAX)
-            if (const uint32_t *F = PrefetchIdx[I].find(Lang)) {
+            if (const uint32_t *F = PrefetchIdx[R].find(Lang)) {
               // Adopt the previous round's prefetched saturation; keys
               // are unique per round (Spec.Idx), so each prefetch is
               // adopted at most once.
@@ -733,7 +773,9 @@ private:
     // ride along with this round's speculative batch as prefetch tasks.
     // Keys already retained, already in this batch, or with an empty
     // language are excluded; the rest is a deterministic function of
-    // committed state, so what gets adopted next round is too.
+    // committed state, so what gets adopted next round is too.  Under a
+    // symmetry producer bits sit on the first column of a run, and keys
+    // name the class representative.
     std::vector<SpecSat> NextPrefetch;
     std::vector<FlatMap<DfaId, uint32_t>> NextIdx(C.numThreads());
     for (uint32_t Id : Frontier) {
@@ -744,13 +786,14 @@ private:
         DfaId Lang = S[1 + P];
         if (Store.get(Lang).Start == CanonicalDfa::NoState)
           continue;
-        if (SatCache[P].find(Lang) || Spec.Idx[P].find(Lang))
+        unsigned R = Symmetry.rep(P);
+        if (SatCache[R].find(Lang) || Spec.Idx[R].find(Lang))
           continue;
         uint32_t Next = static_cast<uint32_t>(NextPrefetch.size());
-        if (!NextIdx[P].tryEmplace(Lang, Next).second)
+        if (!NextIdx[R].tryEmplace(Lang, Next).second)
           continue;
         NextPrefetch.emplace_back();
-        NextPrefetch.back().Thread = P;
+        NextPrefetch.back().Thread = R;
         NextPrefetch.back().InLang = Lang;
       }
     }
@@ -853,13 +896,18 @@ private:
 
   /// Registers the successor of row \p S produced by thread \p I
   /// reaching control state \p Q2 with language \p Lang: \p S with two
-  /// words patched.  Returns false on budget exhaustion.
+  /// words patched, then \p I's class re-sorted (the parent row is
+  /// canonical) with the producer bit on the class's first column holding
+  /// \p Lang.  Returns false on budget exhaustion.
   bool addSuccessor(const uint32_t *S, unsigned I, QState Q2, DfaId Lang,
                     std::vector<uint32_t> &NewFrontier) {
     std::copy(S, S + Rows.width(), SuccBuf.begin());
     SuccBuf[0] = Q2;
     SuccBuf[1 + I] = Lang;
-    return addState(SuccBuf.data(), Bound + 1, I, &NewFrontier).second;
+    Symmetry.sortClassOf(I, SuccBuf.data() + 1);
+    unsigned Producer = Symmetry.firstHolding(I, SuccBuf.data() + 1, Lang);
+    return addState(SuccBuf.data(), Bound + 1, Producer, &NewFrontier)
+        .second;
   }
 
   /// Replays the recorded transaction \p TR as an expansion of \p S by
@@ -885,37 +933,51 @@ private:
   void recordVisible(const uint32_t *Row, unsigned Round) {
     // T(tau) = {q} x T(A_1) x ... x T(A_n)  (App. E, formula (4)),
     // enumerated once per tuple of top sets: a repeated tuple's words are
-    // all recorded already, at a round no later than this one.
+    // all recorded already, at a round no later than this one.  Permuting
+    // a class's set ids permutes the product without changing its
+    // canonical image, so the tuple is interned with its classes sorted.
     unsigned N = C.numThreads();
     TupleBuf[0] = Row[0];
     for (unsigned I = 0; I < N; ++I)
-      TupleBuf[1 + I] = topSetOf(I, Row[1 + I]);
+      TupleBuf[1 + I] = topSetOf(Symmetry.rep(I), Row[1 + I]);
+    Symmetry.sortClasses(TupleBuf.data() + 1);
     if (!VisTuples.intern(TupleBuf.data(), VisTuples.hash(TupleBuf.data()))
              .second)
       return;
-    VisibleState V;
-    V.Q = Row[0];
-    V.Tops.assign(N, EpsSym);
-    // Iterative odometer over the per-thread top sets.
-    std::vector<const std::vector<Sym> *> Sets;
-    Sets.reserve(N);
-    for (unsigned I = 0; I < N; ++I) {
-      Sets.push_back(&TopsCache[I].Sets[TupleBuf[1 + I]]);
-      if (Sets.back()->empty())
-        return; // Empty language row: no visible states (cannot happen).
-    }
+    // Odometer over the per-thread top sets, the last thread fastest.  A
+    // thread continuing a run of its class's equal top sets starts at its
+    // predecessor's index, so a run ranges over the multisets of its set:
+    // the other arrangements are permutations of these.
+    std::vector<const std::vector<Sym> *> Sets(N);
+    std::vector<uint8_t> Cont(N, 0);
     std::vector<size_t> Idx(N, 0);
+    for (unsigned I = 0; I < N; ++I) {
+      Sets[I] = &TopsCache[Symmetry.rep(I)].Sets[TupleBuf[1 + I]];
+      if (Sets[I]->empty())
+        return; // Empty language row: no visible states (cannot happen).
+      Cont[I] = repeatsRun(TupleBuf.data(), I);
+      Idx[I] = Cont[I] ? Idx[Symmetry.prev(I)] : 0;
+    }
+    std::vector<Sym> Tops(N);
     while (true) {
       for (unsigned I = 0; I < N; ++I)
-        V.Tops[I] = (*Sets[I])[Idx[I]];
-      VisibleSeen.insert(V, Round);
-      unsigned I = 0;
-      while (I < N && ++Idx[I] == Sets[I]->size()) {
-        Idx[I] = 0;
-        ++I;
+        Tops[I] = (*Sets[I])[Idx[I]];
+      Symmetry.sortClasses(Tops.data());
+      if (VisibleSeen.insertTops(Row[0], Tops.data(), Round)) {
+        uint64_t Orbit = Symmetry.orbitSize(Tops.data());
+        VisibleTotal = Orbit > UINT64_MAX - VisibleTotal ? UINT64_MAX
+                                                         : VisibleTotal + Orbit;
       }
-      if (I == N)
+      // Advance the last index that can still grow; reset the later ones
+      // to their least values, in thread order (a predecessor first).
+      unsigned I = N;
+      while (I > 0 && Idx[I - 1] + 1 == Sets[I - 1]->size())
+        --I;
+      if (I == 0)
         break;
+      ++Idx[I - 1];
+      for (; I < N; ++I)
+        Idx[I] = Cont[I] ? Idx[Symmetry.prev(I)] : 0;
     }
   }
 
@@ -1039,9 +1101,18 @@ private:
   /// The producer-mask bit of thread \p I; threads past 31 have none.
   static uint32_t producerBit(unsigned I) { return I < 32 ? 1u << I : 0u; }
 
+  /// True when column \p I of the canonical row or tuple \p S continues
+  /// a run: it equals the column of the thread before \p I in its class,
+  /// whose expansion (or enumeration) stands for it.
+  bool repeatsRun(const uint32_t *S, unsigned I) const {
+    return Symmetry.repeatsPrev(I, S + 1);
+  }
+
   const Cpds &C;
   Domain Dom;
   LimitTracker Limits;
+  /// The symmetry rows are canonical under.
+  const ThreadSymmetry Symmetry;
   unsigned Bound = 0;
 
   /// The hash-consing arena all per-thread languages live in.
@@ -1088,6 +1159,9 @@ private:
 
   /// Logical bytes per packed visible entry (word + first-seen round).
   static constexpr uint64_t VisibleEntryBytes = 16;
+  /// The number of visible states the recorded canonical ones stand for
+  /// (saturating).
+  uint64_t VisibleTotal = 0;
   /// Running byte counts of the retained saturations (extraction caches
   /// included) and transaction records, so memoryUsage() is O(1).
   uint64_t SatBytes = 0;

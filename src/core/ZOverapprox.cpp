@@ -23,9 +23,13 @@ namespace {
 /// \p Queue exactly once, so on success it holds Z in discovery order.
 /// Successors are generated in abstractSuccessors' order and charged as
 /// computeZ documents, so a budget runs out at exactly the charge the
-/// VisibleState BFS would stop at.  Returns false on exhaustion.
+/// VisibleState BFS would stop at.  The words are canonical under
+/// \p Symmetry, and a thread whose top repeats the one of the thread
+/// before it in its class is not moved: its successors are permutations
+/// of that thread's.  Returns false on exhaustion.
 bool explorePacked(const Cpds &C, const VisiblePacker &Packer,
-                   LimitTracker *Limits, std::vector<uint64_t> &Queue) {
+                   const ThreadSymmetry &Symmetry, LimitTracker *Limits,
+                   std::vector<uint64_t> &Queue) {
   FlatSet<uint64_t> Seen;
   uint64_t Init = Packer.pack(project(C.initialState()));
   Seen.insert(Init);
@@ -33,11 +37,17 @@ bool explorePacked(const Cpds &C, const VisiblePacker &Packer,
 
   const unsigned QShift = Packer.sharedShift();
   const uint64_t BelowQ = (uint64_t(1) << QShift) - 1;
+  auto Top = [&](uint64_t W, unsigned I) {
+    return (W & Packer.topMask(I)) >> Packer.topShift(I);
+  };
   std::vector<uint64_t> Succs;
   for (size_t Head = 0; Head < Queue.size(); ++Head) {
     uint64_t W = Queue[Head];
     QState Q = static_cast<QState>(W >> QShift);
     for (unsigned I = 0; I < C.numThreads(); ++I) {
+      unsigned Prev = Symmetry.prev(I);
+      if (Prev != ThreadSymmetry::NoThread && Top(W, Prev) == Top(W, I))
+        continue;
       const Pds &P = C.thread(I);
       unsigned Shift = Packer.topShift(I);
       uint64_t TopMask = Packer.topMask(I);
@@ -63,6 +73,7 @@ bool explorePacked(const Cpds &C, const VisiblePacker &Packer,
                                 Seen.memoryBytes())))
         return false;
       for (uint64_t S : Succs) {
+        S = Symmetry.canonicalize(S, Packer);
         if (!Seen.insert(S))
           continue;
         if (Limits && !Limits->chargeState())
@@ -76,8 +87,8 @@ bool explorePacked(const Cpds &C, const VisiblePacker &Packer,
 
 /// The same exploration over VisibleState values, for systems whose
 /// visible states do not fit in one word.
-bool exploreWide(const Cpds &C, LimitTracker *Limits,
-                 std::vector<VisibleState> &Queue) {
+bool exploreWide(const Cpds &C, const ThreadSymmetry &Symmetry,
+                 LimitTracker *Limits, std::vector<VisibleState> &Queue) {
   std::unordered_set<VisibleState, VisibleStateHash> Seen;
   VisibleState Init = project(C.initialState());
   Seen.insert(Init);
@@ -86,6 +97,8 @@ bool exploreWide(const Cpds &C, LimitTracker *Limits,
   std::vector<VisibleState> Succs;
   for (size_t Head = 0; Head < Queue.size(); ++Head) {
     for (unsigned I = 0; I < C.numThreads(); ++I) {
+      if (Symmetry.repeatsPrev(I, Queue[Head].Tops.data()))
+        continue;
       Succs.clear();
       // Queue may grow (and move) below; index per iteration.
       C.abstractSuccessors(Queue[Head], I, Succs);
@@ -95,6 +108,7 @@ bool exploreWide(const Cpds &C, LimitTracker *Limits,
                                 Seen.size() * (sizeof(VisibleState) + 16))))
         return false;
       for (VisibleState &S : Succs) {
+        Symmetry.canonicalize(S);
         if (!Seen.insert(S).second)
           continue;
         if (Limits && !Limits->chargeState())
@@ -106,10 +120,12 @@ bool exploreWide(const Cpds &C, LimitTracker *Limits,
   return true;
 }
 
-/// The one exploration behind both entry points: Z, filtered down to
-/// \p Keep's members when non-null, sorted; nullopt on exhaustion.
+/// The one exploration behind every entry point: Z (its canonical forms
+/// under \p Symmetry), filtered down to \p Keep's members when non-null,
+/// sorted; nullopt on exhaustion.
 std::optional<std::vector<VisibleState>>
-exploreZ(const Cpds &C, LimitTracker *Limits, const GeneratorSet *Keep) {
+exploreZ(const Cpds &C, LimitTracker *Limits, const GeneratorSet *Keep,
+         const ThreadSymmetry &Symmetry) {
   assert(C.frozen() && "computeZ requires a frozen CPDS");
   // Serial BFS, so the span (and its visible-count arg, added at every
   // exit) is deterministic at any `--jobs`.
@@ -118,7 +134,7 @@ exploreZ(const Cpds &C, LimitTracker *Limits, const GeneratorSet *Keep) {
   std::vector<VisibleState> Out;
   if (Packer.packable()) {
     std::vector<uint64_t> Words;
-    if (!explorePacked(C, Packer, Limits, Words)) {
+    if (!explorePacked(C, Packer, Symmetry, Limits, Words)) {
       Span.arg("exhausted", 1);
       return std::nullopt;
     }
@@ -136,7 +152,7 @@ exploreZ(const Cpds &C, LimitTracker *Limits, const GeneratorSet *Keep) {
       Out.push_back(Packer.unpack(W));
     return Out;
   }
-  if (!exploreWide(C, Limits, Out)) {
+  if (!exploreWide(C, Symmetry, Limits, Out)) {
     Span.arg("exhausted", 1);
     return std::nullopt;
   }
@@ -152,19 +168,27 @@ exploreZ(const Cpds &C, LimitTracker *Limits, const GeneratorSet *Keep) {
 
 std::vector<VisibleState> cuba::computeZ(const Cpds &C,
                                          LimitTracker *Limits) {
-  return exploreZ(C, Limits, nullptr).value_or(std::vector<VisibleState>());
+  return exploreZ(C, Limits, nullptr, ThreadSymmetry(C))
+      .value_or(std::vector<VisibleState>());
 }
 
 std::optional<std::vector<VisibleState>>
 cuba::computeGeneratorsInZ(const Cpds &C, const GeneratorSet &G,
                            LimitTracker *Limits) {
-  return exploreZ(C, Limits, &G);
+  return exploreZ(C, Limits, &G, ThreadSymmetry(C));
+}
+
+std::optional<std::vector<VisibleState>>
+cuba::computeGeneratorsInZ(const Cpds &C, const GeneratorSet &G,
+                           LimitTracker *Limits,
+                           const ThreadSymmetry &Symmetry) {
+  return exploreZ(C, Limits, &G, Symmetry);
 }
 
 void GeneratorTest::build() {
   LimitTracker ZLimits(Limits);
   std::optional<std::vector<VisibleState>> GZ =
-      computeGeneratorsInZ(C, GeneratorSet(C), &ZLimits);
+      computeGeneratorsInZ(C, GeneratorSet(C), &ZLimits, Symmetry);
   Built = true;
   Complete = GZ.has_value();
   if (Complete)

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "pds/Cpds.h"
+#include "pds/ThreadSymmetry.h"
 #include "support/Limits.h"
 
 namespace cuba {
@@ -56,17 +57,30 @@ std::optional<std::vector<VisibleState>>
 computeGeneratorsInZ(const Cpds &C, const GeneratorSet &G,
                      LimitTracker *Limits = nullptr);
 
+/// The same, with M_n explored on the canonical words of \p Symmetry (a
+/// symmetry of the system G belongs to: Z and G are closed under its
+/// class permutations): the canonical image of G cap Z, at a fraction of
+/// the charges.
+std::optional<std::vector<VisibleState>>
+computeGeneratorsInZ(const Cpds &C, const GeneratorSet &G,
+                     LimitTracker *Limits, const ThreadSymmetry &Symmetry);
+
 /// Alg. 3's generator test (line 4), G cap Z <= T(R_k), for the explicit
 /// and symbolic runners.  Only this test reads Z, and it runs only at a
 /// new plateau of T(R_k), so G cap Z is built on the first call: a run
 /// that finds its bug before any plateau never explores M_n.  The
 /// exploration gets its own LimitTracker over the run's budget, so it
 /// never moves the engine's trajectory; if that tracker runs out, the
-/// test never passes (covering a truncated Z would be unsound).
+/// test never passes (covering a truncated Z would be unsound).  G cap Z
+/// is built canonical under \p Symmetry, the one the engine's visible
+/// states are canonical under (a symmetry without classes for the
+/// explicit engine); the test is unchanged, since T(R_k) is closed under
+/// the class permutations.
 class GeneratorTest {
 public:
-  GeneratorTest(const Cpds &C, const ResourceLimits &Limits)
-      : C(C), Limits(Limits) {}
+  GeneratorTest(const Cpds &C, const ResourceLimits &Limits,
+                ThreadSymmetry Symmetry)
+      : C(C), Limits(Limits), Symmetry(std::move(Symmetry)) {}
 
   /// True when \p E has reached every state of G cap Z.  Monotone:
   /// reached entries stay reached, so they are dropped and only the
@@ -86,6 +100,7 @@ private:
 
   const Cpds &C;
   ResourceLimits Limits;
+  ThreadSymmetry Symmetry;
   bool Built = false;
   bool Complete = false;
   std::vector<VisibleState> Pending;

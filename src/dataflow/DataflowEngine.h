@@ -180,7 +180,9 @@ class DataflowEngine : public SymbolicRounds<TaintRoundDomain> {
 public:
   DataflowEngine(const Cpds &C, const bp::TaintInfo &Taint,
                  const ResourceLimits &Limits)
-      : SymbolicRounds(C, Limits, TaintRoundDomain(C, Taint)), Taint(Taint) {}
+      : SymbolicRounds(C, Limits, TaintRoundDomain(C, Taint),
+                       ThreadSymmetry(C)),
+        Taint(Taint) {}
 
   /// Every sink observation among the visible states seen so far,
   /// sorted; empty == no leak.

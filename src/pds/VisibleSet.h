@@ -106,16 +106,15 @@ public:
       Packed.reserve(N);
   }
 
-  /// Fast path: record <Q | Tops[0..NumThreads)> at \p Round if absent.
-  void insertTops(QState Q, const Sym *Tops, unsigned Round) {
-    if (Packer.packable()) {
-      Packed.tryEmplace(Packer.pack(Q, Tops, NumThreads), Round);
-      return;
-    }
+  /// Fast path: record <Q | Tops[0..NumThreads)> at \p Round if absent;
+  /// true when it was.
+  bool insertTops(QState Q, const Sym *Tops, unsigned Round) {
+    if (Packer.packable())
+      return Packed.tryEmplace(Packer.pack(Q, Tops, NumThreads), Round).second;
     VisibleState V;
     V.Q = Q;
     V.Tops.assign(Tops, Tops + NumThreads);
-    Fallback.emplace(std::move(V), Round);
+    return Fallback.emplace(std::move(V), Round).second;
   }
 
   void insert(const VisibleState &V, unsigned Round) {

@@ -203,7 +203,9 @@ cuba::testing::runDifferentialOracle(const CpdsFile &File,
   }
 
   // Phase 4: the two top-level procedures must agree whenever both
-  // conclude within budget.
+  // conclude within budget.  The symbolic driver runs on orbits when the
+  // instance has a class of interchangeable threads (pds/ThreadSymmetry.h)
+  // and the explicit one never does, so this also checks the reduction.
   if (Opts.CheckDrivers && Opts.InjectDropVisible == 0) {
     RunOptions RO;
     RO.Limits = Opts.Limits;

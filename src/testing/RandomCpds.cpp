@@ -60,9 +60,26 @@ CpdsFile cuba::testing::generateRandomCpds(uint64_t Seed,
 
   unsigned NThreads =
       static_cast<unsigned>(Rng.range(Opts.MinThreads, Opts.MaxThreads));
+  unsigned Replicas = Opts.ReplicateFirstThread && NThreads >= 2
+                          ? static_cast<unsigned>(Rng.range(2, NThreads))
+                          : 1;
+  std::vector<Sym> FirstInit;
   for (unsigned T = 0; T < NThreads; ++T) {
     unsigned TI = C.addThread("P" + std::to_string(T));
     Pds &P = C.thread(TI);
+    if (T > 0 && T < Replicas) {
+      // A copy of thread 0, labels included.
+      const Pds &First = C.thread(0);
+      for (Sym S = 1; S <= First.numSymbols(); ++S)
+        P.addSymbol(First.symbolName(S));
+      for (uint32_t AI = 0; AI < First.actions().size(); ++AI) {
+        Action A = First.actions()[AI];
+        A.Label = P.internLabel(First.label(AI));
+        P.addAction(A);
+      }
+      C.setInitialStack(TI, FirstInit);
+      continue;
+    }
     unsigned NSyms =
         static_cast<unsigned>(Rng.range(Opts.MinSymbols, Opts.MaxSymbols));
     for (unsigned S = 1; S <= NSyms; ++S)
@@ -73,6 +90,8 @@ CpdsFile cuba::testing::generateRandomCpds(uint64_t Seed,
       for (uint64_t D = Rng.range(0, Opts.MaxInitDepth); D > 0; --D)
         InitTopFirst.push_back(static_cast<Sym>(Rng.range(1, NSyms)));
     C.setInitialStack(TI, InitTopFirst);
+    if (T == 0)
+      FirstInit = InitTopFirst;
 
     unsigned NRules = std::max<unsigned>(
         1, static_cast<unsigned>(
@@ -102,6 +121,7 @@ CpdsFile cuba::testing::generateRandomCpds(uint64_t Seed,
 
   if (Rng.chance(Opts.BadPatternProb)) {
     unsigned NPatterns = Rng.chance(0.3) ? 2 : 1;
+    std::vector<VisiblePattern> Patterns;
     for (unsigned N = 0; N < NPatterns; ++N) {
       VisiblePattern Pat;
       if (Rng.chance(0.7))
@@ -116,8 +136,24 @@ CpdsFile cuba::testing::generateRandomCpds(uint64_t Seed,
           Pat.Tops.emplace_back(
               static_cast<Sym>(Rng.range(1, C.thread(T).numSymbols())));
       }
-      File.Property.addBadPattern(std::move(Pat));
+      Patterns.push_back(std::move(Pat));
     }
+    if (Opts.SymmetricPatterns && Replicas >= 2) {
+      // Add every permutation of each pattern's first Replicas entries.
+      std::vector<unsigned> Perm(Replicas);
+      for (size_t N = 0, Drawn = Patterns.size(); N < Drawn; ++N) {
+        for (unsigned I = 0; I < Replicas; ++I)
+          Perm[I] = I;
+        while (std::next_permutation(Perm.begin(), Perm.end())) {
+          VisiblePattern Pat = Patterns[N];
+          for (unsigned I = 0; I < Replicas; ++I)
+            Pat.Tops[I] = Patterns[N].Tops[Perm[I]];
+          Patterns.push_back(std::move(Pat));
+        }
+      }
+    }
+    for (VisiblePattern &Pat : Patterns)
+      File.Property.addBadPattern(std::move(Pat));
   }
 
   // Unconditional (not an assert): a generator emitting an invalid
@@ -134,7 +170,7 @@ CpdsFile cuba::testing::generateRandomCpds(uint64_t Seed,
 
 RandomCpdsOptions cuba::testing::cornerShapeOptions(uint64_t Seed) {
   RandomCpdsOptions O;
-  switch (Seed % 7) {
+  switch (Seed % 8) {
   case 0: // The default mixed shape.
     break;
   case 1: // Recursion-free: stacks never grow, R_k always finite.
@@ -168,6 +204,15 @@ RandomCpdsOptions cuba::testing::cornerShapeOptions(uint64_t Seed) {
     O.MaxSymbols = 5;
     O.MaxInitDepth = 4;
     O.RuleDensity = 0.6;
+    break;
+  case 7: // Replicated threads: thread 0's rules and initial stack on 2-4
+          // threads.  Even seeds of the slot's own sequence (Seed / 8)
+          // close the bad patterns under the copies' permutations; odd
+          // ones keep the drawn patterns, which may break the class.
+    O.MinThreads = 2;
+    O.MaxThreads = 4;
+    O.ReplicateFirstThread = true;
+    O.SymmetricPatterns = Seed / 8 % 2 == 0;
     break;
   }
   return O;

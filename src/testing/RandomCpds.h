@@ -78,18 +78,27 @@ struct RandomCpdsOptions {
   /// Probability that the instance carries a safety property (one or two
   /// random bad patterns).
   double BadPatternProb = 0.6;
+  /// Copy thread 0's alphabet, rules and initial stack to threads
+  /// 1..R-1, for R drawn from [2, number of threads] (a one-thread
+  /// instance stays as drawn).
+  bool ReplicateFirstThread = false;
+  /// With ReplicateFirstThread: close the bad patterns under the
+  /// permutations of the R copies, so they form one class of
+  /// interchangeable threads (pds/ThreadSymmetry.h).  Without it the
+  /// drawn patterns may split or dissolve that class.
+  bool SymmetricPatterns = false;
 };
 
 /// Generates one frozen, well-formed CPDS (plus property) from \p Seed.
 /// Never fails: every instance the generator can emit passes freeze().
 CpdsFile generateRandomCpds(uint64_t Seed, const RandomCpdsOptions &Opts = {});
 
-/// Derives one of a rotating set of corner-shape option presets from
-/// \p Seed (default mix, recursion-free, single-thread, empty-start with
-/// empty-stack rules, dense two-state, wide shared space,
-/// symbolic-heavy deep recursion over wide alphabets, ...).  Feeding
-/// consecutive seeds through this covers the corner shapes evenly while
-/// staying fully reproducible.
+/// Derives one of eight rotating corner-shape option presets from
+/// \p Seed % 8 (default mix, recursion-free, single-thread, empty-start
+/// with empty-stack rules, dense two-state, wide shared space,
+/// symbolic-heavy deep recursion over wide alphabets, replicated
+/// threads).  Feeding consecutive seeds through this covers the corner
+/// shapes evenly while staying fully reproducible.
 RandomCpdsOptions cornerShapeOptions(uint64_t Seed);
 
 } // namespace cuba::testing

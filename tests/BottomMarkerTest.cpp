@@ -76,8 +76,8 @@ std::vector<NamedSystem> allSystems() {
       Out.push_back({Path.filename().string(), F.take()});
   }
 
-  // Seeds cycle through all seven corner presets, the empty-start one
-  // (all behaviour through empty-stack rules) every seventh seed.
+  // Seeds cycle through all eight corner presets, the empty-start one
+  // (all behaviour through empty-stack rules) every eighth seed.
   for (uint64_t Seed = 1; Seed <= 105; ++Seed)
     Out.push_back({"random seed " + std::to_string(Seed),
                    cuba::testing::generateRandomCpds(

@@ -24,6 +24,7 @@
 
 #include "fa/Dfa.h"
 #include "models/Models.h"
+#include "pds/ThreadSymmetry.h"
 #include "support/StringUtils.h"
 #include "testing/DifferentialOracle.h"
 #include "testing/RandomCpds.h"
@@ -86,10 +87,10 @@ TEST(Differential, RandomInstancesShard3) {
 // alphabets) concentrates work in the determinize / minimize /
 // canonicalize pipeline of the symbolic engine; run it explicitly so
 // every suite execution exercises the flat automata plane hard, not
-// just the 1-in-7 rotation slots.
+// just the 1-in-8 rotation slots.
 TEST(Differential, SymbolicHeavyPreset) {
   cuba::testing::RandomCpdsOptions O =
-      cornerShapeOptions(6); // The %7 == 6 slot.
+      cornerShapeOptions(6); // The %8 == 6 slot.
   ASSERT_EQ(O.MaxSymbols, 5u) << "preset rotation changed; fix this test";
   for (uint64_t I = 0; I < 40; ++I) {
     uint64_t Seed = baseSeed() + I;
@@ -100,6 +101,31 @@ TEST(Differential, SymbolicHeavyPreset) {
         << Rep.str() << "\ninstance:\n"
         << printCpds(File);
   }
+}
+
+// The replicated-threads corner shape (thread 0's rules on 2-4 threads):
+// the symbolic driver of phase 4 runs these on orbits of the class
+// permutations, against the unreduced explicit driver.  Consecutive
+// seeds of the slot (Seed % 8 == 7) alternate between a property closed
+// under the copies' permutations and one left as drawn, which may split
+// the class.
+TEST(Differential, ReplicatedThreadsPreset) {
+  unsigned WithClass = 0;
+  for (uint64_t I = 0; I < 64; ++I) {
+    uint64_t Seed = 8 * (baseSeed() + I) + 7;
+    cuba::testing::RandomCpdsOptions O = cornerShapeOptions(Seed);
+    ASSERT_TRUE(O.ReplicateFirstThread)
+        << "preset rotation changed; fix this test";
+    CpdsFile File = generateRandomCpds(Seed, O);
+    WithClass += !ThreadSymmetry(File.System, File.Property).classes().empty();
+    OracleReport Rep = runDifferentialOracle(File, quickOracle());
+    EXPECT_TRUE(Rep.ok())
+        << "seed " << Seed << " (replicated-threads preset; rerun: "
+        << "CUBA_FUZZ_SEED=" << Seed << " cuba fuzz --count 1)\n"
+        << Rep.str() << "\ninstance:\n"
+        << printCpds(File);
+  }
+  EXPECT_GE(WithClass, 32u) << "too few instances kept a thread class";
 }
 
 // The oracle also holds on the hand-built paper models, tying the

@@ -14,7 +14,9 @@
 /// over 72 seeded random instances (the fuzz generator's corner-shape
 /// presets) plus paper models, at jobs 1 / 2 / 8, including runs whose
 /// budget exhausts mid-round -- the trickiest path, since the parallel
-/// commit must stop at exactly the serial charge.  The weighted dataflow
+/// commit must stop at exactly the serial charge.  The symbolic driver on
+/// systems with classes of identical threads (run on orbits) is pinned
+/// with its det trace and det metrics too.  The weighted dataflow
 /// engine (the taint instantiation of the same round core) is pinned the
 /// same way on seeded annotated programs, det trace included.
 ///
@@ -161,6 +163,42 @@ void expectSameSymbolic(const SymbolicTrace &Serial, const SymbolicTrace &Par,
   EXPECT_EQ(Serial.Steps, Par.Steps) << Tag << " seed " << Seed;
   EXPECT_EQ(Serial.States, Par.States) << Tag << " seed " << Seed;
   EXPECT_EQ(Serial.PeakBytes, Par.PeakBytes) << Tag << " seed " << Seed;
+}
+
+/// The symbolic driver's results at two job counts must agree field by
+/// field.
+void expectSameSymbolicDriver(const SymbolicRunResult &S1,
+                              const SymbolicRunResult &SP,
+                              const std::string &Tag) {
+  EXPECT_EQ(S1.Run.BugBound, SP.Run.BugBound) << Tag;
+  EXPECT_EQ(S1.Run.ConvergedAt, SP.Run.ConvergedAt) << Tag;
+  EXPECT_EQ(S1.Run.Exhausted, SP.Run.Exhausted) << Tag;
+  EXPECT_EQ(S1.Run.KMax, SP.Run.KMax) << Tag;
+  EXPECT_EQ(S1.Run.StatesStored, SP.Run.StatesStored) << Tag;
+  EXPECT_EQ(S1.Run.VisibleStates, SP.Run.VisibleStates) << Tag;
+  EXPECT_EQ(S1.Run.Witness, SP.Run.Witness) << Tag;
+  EXPECT_EQ(S1.TkCollapse, SP.TkCollapse) << Tag;
+  EXPECT_EQ(S1.SFixpoint, SP.SFixpoint) << Tag;
+  EXPECT_EQ(S1.SymbolicStates, SP.SymbolicStates) << Tag;
+  EXPECT_EQ(S1.DistinctLanguages, SP.DistinctLanguages) << Tag;
+}
+
+/// A symbolic driver run with its stripped det trace and det metrics.
+struct TracedDriverRun {
+  SymbolicRunResult R;
+  std::string DetTrace;
+  DetMetrics Det;
+};
+
+TracedDriverRun runDriverTraced(const CpdsFile &File, const RunOptions &RO) {
+  obs::Metrics::resetAll();
+  obs::Trace::begin();
+  TracedDriverRun T;
+  T.R = runAlg3Symbolic(File.System, File.Property, RO);
+  obs::Trace::end();
+  T.DetTrace = cuba::testing::stripTrace(obs::Trace::render());
+  T.Det = cuba::testing::detMetrics();
+  return T;
 }
 
 using cuba::testing::AnnotatedBase;
@@ -357,21 +395,50 @@ TEST_F(ParallelDeterminismTest, DriversMatchAcrossJobCounts) {
       EXPECT_EQ(E1.RkCollapse, EP.RkCollapse) << "seed " << Seed;
       EXPECT_EQ(E1.TkCollapse, EP.TkCollapse) << "seed " << Seed;
 
-      SymbolicRunResult SP =
-          runAlg3Symbolic(File.System, File.Property, RO);
-      EXPECT_EQ(S1.Run.BugBound, SP.Run.BugBound) << "seed " << Seed;
-      EXPECT_EQ(S1.Run.ConvergedAt, SP.Run.ConvergedAt) << "seed " << Seed;
-      EXPECT_EQ(S1.Run.Exhausted, SP.Run.Exhausted) << "seed " << Seed;
-      EXPECT_EQ(S1.Run.KMax, SP.Run.KMax) << "seed " << Seed;
-      EXPECT_EQ(S1.Run.StatesStored, SP.Run.StatesStored) << "seed " << Seed;
-      EXPECT_EQ(S1.Run.VisibleStates, SP.Run.VisibleStates)
-          << "seed " << Seed;
-      EXPECT_EQ(S1.Run.Witness, SP.Run.Witness) << "seed " << Seed;
-      EXPECT_EQ(S1.TkCollapse, SP.TkCollapse) << "seed " << Seed;
-      EXPECT_EQ(S1.SFixpoint, SP.SFixpoint) << "seed " << Seed;
-      EXPECT_EQ(S1.SymbolicStates, SP.SymbolicStates) << "seed " << Seed;
-      EXPECT_EQ(S1.DistinctLanguages, SP.DistinctLanguages)
-          << "seed " << Seed;
+      expectSameSymbolicDriver(
+          S1, runAlg3Symbolic(File.System, File.Property, RO),
+          "seed " + std::to_string(Seed));
+    }
+    if (HasFailure())
+      break;
+  }
+}
+
+TEST_F(ParallelDeterminismTest, SymmetricModelsMatchAcrossJobCounts) {
+  // Systems with classes of identical threads, which the symbolic driver
+  // runs on orbits: Stefan-1/3..8 (one class), Proc-2 (two) and seeds of
+  // the fuzzer's replicated-threads preset, every other one of which
+  // keeps a drawn property that may split or dissolve the class.
+  struct Instance {
+    std::string Name;
+    CpdsFile File;
+    ResourceLimits Limits;
+  };
+  const ResourceLimits Loose{200'000, 50'000'000, 24, 0};
+  std::vector<Instance> Instances;
+  for (unsigned N = 3; N <= 8; ++N)
+    Instances.push_back(
+        {"Stefan-1/" + std::to_string(N), models::buildStefan1(N), Loose});
+  Instances.push_back({"Proc-2", models::buildProc2(), Loose});
+  for (uint64_t I = 0; I < 20; ++I) {
+    uint64_t Seed = 8 * I + 7;
+    Instances.push_back({"replicated seed " + std::to_string(Seed),
+                         cuba::testing::generateRandomCpds(
+                             Seed, cuba::testing::cornerShapeOptions(Seed)),
+                         FuzzLimits});
+  }
+  for (const Instance &In : Instances) {
+    RunOptions Base;
+    Base.Limits = In.Limits;
+    RunOptions Jobs2 = Base, Jobs8 = Base;
+    Jobs2.Pool = &Pool2;
+    Jobs8.Pool = &Pool8;
+    TracedDriverRun S1 = runDriverTraced(In.File, Base);
+    for (const RunOptions &RO : {Jobs2, Jobs8}) {
+      TracedDriverRun SP = runDriverTraced(In.File, RO);
+      expectSameSymbolicDriver(S1.R, SP.R, In.Name);
+      EXPECT_EQ(S1.DetTrace, SP.DetTrace) << In.Name;
+      EXPECT_EQ(S1.Det == SP.Det, true) << In.Name << ": det metrics differ";
     }
     if (HasFailure())
       break;

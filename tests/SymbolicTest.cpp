@@ -12,7 +12,9 @@
 #include "core/SymbolicAlgorithms.h"
 #include "core/SymbolicEngine.h"
 #include "models/Models.h"
+#include "obs/Metrics.h"
 #include "pds/CpdsIO.h"
+#include "pds/ThreadSymmetry.h"
 
 using namespace cuba;
 
@@ -23,6 +25,33 @@ RunOptions fastOptions(unsigned MaxK = 24) {
   O.Limits = ResourceLimits::unlimited();
   O.Limits.MaxContexts = MaxK;
   return O;
+}
+
+/// \p N identical threads, each of whose single stack symbol walks
+/// a -> b -> c -> d within one context; bad: every top is d, first
+/// reachable at k = N.  T(S_k) holds the tops in which at most k threads
+/// have moved, sum_{j<=k} C(N, j) 3^j states, so for N = 40 the orbit
+/// sum saturates at k = 18 while new orbits arrive until k = N.
+CpdsFile buildWalkers(unsigned N) {
+  CpdsFile F;
+  Cpds &C = F.System;
+  QState Q = C.addSharedState("q");
+  C.setInitialShared(Q);
+  VisiblePattern Bad;
+  Bad.Q = Q;
+  for (unsigned I = 0; I < N; ++I) {
+    Pds &P = C.thread(C.addThread("W" + std::to_string(I + 1)));
+    Sym A = P.addSymbol("a"), B = P.addSymbol("b"), Cs = P.addSymbol("c"),
+        D = P.addSymbol("d");
+    P.addAction({Q, A, Q, B, EpsSym, "ab"});
+    P.addAction({Q, B, Q, Cs, EpsSym, "bc"});
+    P.addAction({Q, Cs, Q, D, EpsSym, "cd"});
+    C.setInitialStack(I, {A});
+    Bad.Tops.emplace_back(D);
+  }
+  F.Property.addBadPattern(std::move(Bad));
+  EXPECT_TRUE(static_cast<bool>(C.freeze()));
+  return F;
 }
 
 } // namespace
@@ -121,12 +150,74 @@ TEST(Alg3Symbolic, BugDetectionAgreesWithExplicit) {
 }
 
 TEST(Alg3Symbolic, RespectsResourceLimits) {
+  // Stefan-1/4's four identical threads form one class, so the run
+  // explores one row per orbit: 1,036 steps to its proof at k = 5,
+  // against 15,920 unreduced.  A budget below the reduced figure must
+  // still stop it.
   CpdsFile F = models::buildStefan1(4);
+  ThreadSymmetry Sym(F.System, F.Property);
+  auto StepsToK5 = [&](const ThreadSymmetry &S) {
+    SymbolicEngine E(F.System, ResourceLimits::unlimited(), S);
+    while (E.bound() < 5)
+      EXPECT_EQ(E.advance(), SymbolicEngine::RoundStatus::Ok);
+    return E.limits().steps();
+  };
+  uint64_t Reduced = StepsToK5(Sym);
+  EXPECT_GT(StepsToK5(ThreadSymmetry(F.System)), Reduced);
   RunOptions O = fastOptions(32);
-  O.Limits.MaxSteps = 2000;
+  O.Limits.MaxSteps = 500;
+  ASSERT_LT(O.Limits.MaxSteps, Reduced);
   SymbolicRunResult R = runAlg3Symbolic(F.System, F.Property, O);
   EXPECT_EQ(R.Run.outcome(), Outcome::ResourceLimit);
   EXPECT_TRUE(R.Run.Exhausted);
+}
+
+TEST(Alg3Symbolic, ReportsThreadSymmetryGauges) {
+  struct Case {
+    CpdsFile File;
+    uint64_t Classes, Threads;
+  } Cases[] = {{models::buildStefan1(4), 1, 4},
+               {models::buildProc2(), 2, 4},
+               {models::buildKInduction(), 0, 0}};
+  for (const Case &K : Cases) {
+    obs::Metrics::resetAll();
+    runAlg3Symbolic(K.File.System, K.File.Property, fastOptions());
+    EXPECT_EQ(obs::Metrics::value("symmetry.classes"), K.Classes);
+    EXPECT_EQ(obs::Metrics::value("symmetry.threads"), K.Threads);
+  }
+}
+
+TEST(Alg3Symbolic, PlateausStayExactWhenTheOrbitSumSaturates) {
+  // Past 2^64 states visibleSize() saturates, so two rounds can report
+  // the same |T(S_k)| while new orbits keep arriving.  Such a round must
+  // not count as a plateau: the bug below, first reachable at k = 40,
+  // would be missed, and Stefan-1/40 would converge at the wrong bound.
+  const unsigned N = 40;
+  CpdsFile W = buildWalkers(N);
+  SymbolicEngine E(W.System, ResourceLimits::unlimited(),
+                   ThreadSymmetry(W.System, W.Property));
+  while (E.visibleSize() != UINT64_MAX)
+    ASSERT_EQ(E.advance(), SymbolicEngine::RoundStatus::Ok);
+  unsigned Saturated = E.bound();
+  size_t Orbits = E.visibleOrbits();
+  ASSERT_EQ(E.advance(), SymbolicEngine::RoundStatus::Ok);
+  EXPECT_EQ(E.visibleSize(), UINT64_MAX);
+  EXPECT_GT(E.visibleOrbits(), Orbits);
+  EXPECT_LT(Saturated + 1, N);
+
+  SymbolicRunResult R = runAlg3Symbolic(W.System, W.Property, fastOptions(64));
+  EXPECT_EQ(R.Run.outcome(), Outcome::BugFound);
+  EXPECT_EQ(R.Run.BugBound, std::optional<unsigned>(N));
+  EXPECT_FALSE(R.TkCollapse.has_value());
+
+  // Stefan-1/N converges at k = N for every N (Stefan-1/8 in Table 2);
+  // at N = 40 its orbit sum saturates at k = 23.
+  CpdsFile S = models::buildStefan1(N);
+  R = runAlg3Symbolic(S.System, S.Property, fastOptions(64));
+  EXPECT_EQ(R.Run.outcome(), Outcome::Proved);
+  EXPECT_EQ(R.TkCollapse, std::optional<unsigned>(N));
+  EXPECT_EQ(R.Run.ConvergedAt, std::optional<unsigned>(N));
+  EXPECT_EQ(R.Run.VisibleStates, UINT64_MAX);
 }
 
 //===----------------------------------------------------------------------===//

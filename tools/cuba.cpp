@@ -25,7 +25,9 @@
 ///     --trace              print a concrete interleaving on a bug
 ///     --emit-cpds          print the (translated) system and exit
 ///     --dump-ast           print the parsed .bp program and exit
-///     --stats              dump internal statistics counters
+///     --stats              dump internal statistics counters (and, for
+///                          a symbolic run, the symmetry.classes and
+///                          symmetry.threads gauges)
 ///
 /// The `dataflow` subcommand runs the weighted interprocedural taint
 /// analysis (dataflow/DataflowEngine) on an annotated Boolean program:
@@ -968,6 +970,12 @@ int main(int Argc, char **Argv) try {
     for (const auto &[Name, Value] : Statistics::snapshot())
       std::printf("%10llu  %s\n", static_cast<unsigned long long>(Value),
                   Name.c_str());
+    // The classes of identical threads the symbolic rounds ran on.
+    if (R.Used == ApproachKind::Symbolic)
+      for (const char *Name : {"symmetry.classes", "symmetry.threads"})
+        std::printf("%10llu  %s\n",
+                    static_cast<unsigned long long>(obs::Metrics::value(Name)),
+                    Name);
   }
 
   if (Cli.Obs.any()) {
