@@ -18,8 +18,6 @@
 #include <string>
 
 #ifdef CUBA_BENCH_CONTEXT
-#include <ctime>
-
 #include <benchmark/benchmark.h>
 
 #include "exec/ThreadPool.h"
@@ -42,32 +40,6 @@ inline void rule(char C = '-', int Width = 78) {
 }
 
 #ifdef CUBA_BENCH_CONTEXT
-/// CPU seconds consumed by the calling thread alone -- the driving
-/// thread of a parallel sweep, whose share of real time is the serial
-/// fraction the pool cannot hide.
-inline double threadCpuSeconds() {
-  timespec Ts;
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &Ts) != 0)
-    return 0.0;
-  return static_cast<double>(Ts.tv_sec) +
-         static_cast<double>(Ts.tv_nsec) * 1e-9;
-}
-
-/// Attaches the driver-thread scaling counters to \p State after its
-/// timing loop: `driver_cpu_share` (driver CPU / real time, the Amdahl
-/// serial fraction when every worker cycle is serialized onto one
-/// core) and `projected_x8` (the 8-way speedup that share implies).  A
-/// single-core container cannot measure scaling directly -- real time
-/// only adds overhead there -- but the serial share is scheduling
-/// -invariant, so the projection is the number a committed single-core
-/// BENCH_parallel.json can meaningfully track.
-inline void reportDriverShare(benchmark::State &State, double DriverSec,
-                              double RealSec) {
-  double Share = RealSec > 0 ? DriverSec / RealSec : 1.0;
-  State.counters["driver_cpu_share"] = Share;
-  State.counters["projected_x8"] = 1.0 / (Share + (1.0 - Share) / 8.0);
-}
-
 /// Stamps the google-benchmark JSON "context" object with the run's
 /// provenance -- commit, build type, sanitizer config, and the default
 /// worker count -- so a committed BENCH_*.json says what it measured.

@@ -12,17 +12,11 @@
 /// sweep (pinned by ParallelDeterminismTest); only wall-clock should
 /// move.  Use real time: the work spreads across pool workers, so CPU
 /// time of the driving thread measures the serial commit, not the
-/// round.  That share is reported alongside real time
-/// (`driver_cpu_share`, with the 8-way Amdahl speedup it implies as
-/// `projected_x8`; see BenchUtil.h) so a single-core host -- where real
-/// time only measures the parallel path's overhead -- still yields a
-/// scaling number worth tracking.  Emits BENCH_parallel.json via
-/// --benchmark_format=json; see BUILDING.md.  Direct real-time scaling
-/// still requires physical cores (the CI multi-core bench lane).
+/// round.  Real-time scaling needs physical cores; on one core the
+/// sweep only measures the parallel path's overhead.  Emits
+/// BENCH_parallel.json via --benchmark_format=json; see BUILDING.md.
 ///
 //===----------------------------------------------------------------------===//
-
-#include <chrono>
 
 #include <benchmark/benchmark.h>
 
@@ -44,10 +38,7 @@ void BM_ExplicitRoundsPar(benchmark::State &State) {
   CpdsFile F = models::buildBluetooth(3, 2, 2);
   unsigned Jobs = static_cast<unsigned>(State.range(0));
   exec::ThreadPool Pool(Jobs);
-  double DriverSec = 0, RealSec = 0;
   for (auto _ : State) {
-    auto W0 = std::chrono::steady_clock::now();
-    double C0 = benchutil::threadCpuSeconds();
     CbaEngine E(F.System, ResourceLimits::unlimited());
     if (Jobs > 1)
       E.setParallel(&Pool);
@@ -55,12 +46,7 @@ void BM_ExplicitRoundsPar(benchmark::State &State) {
       if (E.advance() != CbaEngine::RoundStatus::Ok)
         break;
     benchmark::DoNotOptimize(E.reachedSize());
-    DriverSec += benchutil::threadCpuSeconds() - C0;
-    RealSec += std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - W0)
-                   .count();
   }
-  benchutil::reportDriverShare(State, DriverSec, RealSec);
 }
 BENCHMARK(BM_ExplicitRoundsPar)
     ->Arg(1)
@@ -78,10 +64,7 @@ void BM_SymbolicRoundsPar(benchmark::State &State) {
   CpdsFile F = models::buildBluetooth(3, 2, 2);
   unsigned Jobs = static_cast<unsigned>(State.range(0));
   exec::ThreadPool Pool(Jobs);
-  double DriverSec = 0, RealSec = 0;
   for (auto _ : State) {
-    auto W0 = std::chrono::steady_clock::now();
-    double C0 = benchutil::threadCpuSeconds();
     SymbolicEngine E(F.System, ResourceLimits::unlimited());
     if (Jobs > 1)
       E.setParallel(&Pool);
@@ -89,12 +72,7 @@ void BM_SymbolicRoundsPar(benchmark::State &State) {
       if (E.advance() != SymbolicEngine::RoundStatus::Ok)
         break;
     benchmark::DoNotOptimize(E.symbolicStateCount());
-    DriverSec += benchutil::threadCpuSeconds() - C0;
-    RealSec += std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - W0)
-                   .count();
   }
-  benchutil::reportDriverShare(State, DriverSec, RealSec);
 }
 BENCHMARK(BM_SymbolicRoundsPar)
     ->Arg(1)
@@ -111,10 +89,7 @@ void BM_SymbolicRoundsParNarrow(benchmark::State &State) {
   CpdsFile F = models::buildBluetooth(3, 1, 1);
   unsigned Jobs = static_cast<unsigned>(State.range(0));
   exec::ThreadPool Pool(Jobs);
-  double DriverSec = 0, RealSec = 0;
   for (auto _ : State) {
-    auto W0 = std::chrono::steady_clock::now();
-    double C0 = benchutil::threadCpuSeconds();
     SymbolicEngine E(F.System, ResourceLimits::unlimited());
     if (Jobs > 1)
       E.setParallel(&Pool);
@@ -122,12 +97,7 @@ void BM_SymbolicRoundsParNarrow(benchmark::State &State) {
       if (E.advance() != SymbolicEngine::RoundStatus::Ok)
         break;
     benchmark::DoNotOptimize(E.symbolicStateCount());
-    DriverSec += benchutil::threadCpuSeconds() - C0;
-    RealSec += std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - W0)
-                   .count();
   }
-  benchutil::reportDriverShare(State, DriverSec, RealSec);
 }
 BENCHMARK(BM_SymbolicRoundsParNarrow)
     ->Arg(1)

@@ -11,8 +11,8 @@
 #include <chrono>
 
 #include "exec/ParallelRound.h"
+#include "obs/Metrics.h"
 #include "obs/Trace.h"
-#include "support/Statistic.h"
 
 using namespace cuba;
 
@@ -300,7 +300,7 @@ CbaEngine::RoundStatus CbaEngine::commitLevel(unsigned I,
 }
 
 CbaEngine::RoundStatus CbaEngine::advance() {
-  static Statistic Rounds("cba.rounds");
+  static obs::Counter Rounds("cba.rounds");
   static obs::Histogram RoundMicros("cba.round_micros",
                                     /*Deterministic=*/false);
   static obs::Gauge BytesHwm("cba.bytes.hwm");
@@ -370,15 +370,6 @@ std::vector<GlobalState> CbaEngine::frontier() const {
   for (uint32_t Id : Frontier)
     Out.push_back(unpackRow(Rows.row(Id), C.numThreads(), Store));
   return Out;
-}
-
-bool CbaEngine::stateReached(const GlobalState &S) const {
-  std::vector<uint32_t> Row(Rows.width());
-  Row[0] = S.Q;
-  for (size_t I = 0; I < S.Stacks.size(); ++I)
-    if (!Store.findInterned(S.Stacks[I], Row[1 + I]))
-      return false; // A never-interned stack cannot be part of any state.
-  return Rows.find(Row.data(), Rows.hash(Row.data())) != StateRows::NoRow;
 }
 
 std::vector<TraceStep>

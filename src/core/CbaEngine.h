@@ -117,9 +117,6 @@ public:
     return VisibleSeen.contains(V);
   }
 
-  /// True when \p S has been reached within the current bound.
-  bool stateReached(const GlobalState &S) const;
-
   /// When true, every known state is re-expanded each round instead of
   /// only the frontier (the ablation baseline; results are identical).
   void setExpandAll(bool B) { ExpandAll = B; }

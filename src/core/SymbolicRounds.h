@@ -138,6 +138,7 @@
 #include "exec/ThreadPool.h"
 #include "fa/Canonicalize.h"
 #include "fa/DfaStore.h"
+#include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "pds/Cpds.h"
 #include "pds/ThreadSymmetry.h"
@@ -146,7 +147,6 @@
 #include "support/FlatHash.h"
 #include "support/Limits.h"
 #include "support/StateRows.h"
-#include "support/Statistic.h"
 
 namespace cuba {
 
@@ -224,7 +224,7 @@ public:
 
   /// Advances from S_k to S_{k+1}.
   RoundStatus advance() {
-    static Statistic Rounds(Domain::Names.Rounds);
+    static obs::Counter Rounds(Domain::Names.Rounds);
     // Round latency varies with scheduling and machine load, so the
     // histogram sits on the wall side of the determinism split.
     static obs::Histogram RoundMicros(Domain::Names.RoundMicros,
@@ -470,8 +470,8 @@ private:
               SpecBatch *Spec) {
     // Resolved once: the registry lookup costs a string hash, which is
     // too expensive now that cache hits make expand() itself cheap.
-    static Statistic TransCounter(Domain::Names.Transactions);
-    static Statistic HitCounter(Domain::Names.TransactionsCached);
+    static obs::Counter TransCounter(Domain::Names.Transactions);
+    static obs::Counter HitCounter(Domain::Names.TransactionsCached);
     ++TransCounter;
 
     // An empty stack language admits no configuration at all, hence no
@@ -621,7 +621,7 @@ private:
                             const uint32_t *S, unsigned I,
                             std::vector<uint32_t> &NewFrontier) {
     static obs::Histogram Fanout(Domain::Names.ExtractionFanout);
-    static Statistic SkippedUnchanged(Domain::Names.SkippedUnchanged);
+    static obs::Counter SkippedUnchanged(Domain::Names.SkippedUnchanged);
     Fanout.observe(P.Succs.size());
     if (obs::Trace::enabled()) {
       obs::SpanArg Args[] = {{"thread", I},
@@ -706,10 +706,10 @@ private:
     // contract.  HiddenUs is the overlap gauge -- saturation time the
     // consuming round never had to spend because a previous round's
     // workers absorbed it.
-    static Statistic PrefetchHits(Domain::Names.PrefetchHits,
-                                  /*Deterministic=*/false);
-    static Statistic PrefetchDropped(Domain::Names.PrefetchDropped,
+    static obs::Counter PrefetchHits(Domain::Names.PrefetchHits,
                                      /*Deterministic=*/false);
+    static obs::Counter PrefetchDropped(Domain::Names.PrefetchDropped,
+                                        /*Deterministic=*/false);
     static obs::Histogram PrefetchHiddenUs(Domain::Names.PrefetchHiddenUs,
                                            /*Deterministic=*/false);
 
@@ -872,7 +872,7 @@ private:
   std::pair<bool, bool> addState(const uint32_t *Row, unsigned Round,
                                  uint32_t Producer,
                                  std::vector<uint32_t> *NewFrontier) {
-    static Statistic StateCounter(Domain::Names.States);
+    static obs::Counter StateCounter(Domain::Names.States);
     // The initial state's UINT32_MAX producer has no bit.
     uint32_t Mask = producerBit(Producer);
     auto [Id, New] = Rows.intern(Row, Rows.hash(Row));
@@ -993,7 +993,7 @@ private:
     uint64_t Budget = Limits.limits().MaxCacheBytes;
     if (!Budget || SatBytes <= Budget)
       return;
-    static Statistic Evictions(Domain::Names.Evictions);
+    static obs::Counter Evictions(Domain::Names.Evictions);
     // The eviction schedule is deterministic (serial round boundary), so
     // the span -- including its evicted/retained figures -- is too.
     obs::ScopedSpan Span("evict", obs::Trace::CatDet);

@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The typed generalization of support/Statistic: a process-wide registry
-/// of named instruments --
+/// A process-wide registry of named instruments, in the spirit of
+/// LLVM's Statistic --
 ///
 ///   * Counter: a monotonically increasing sum ("symbolic.transactions"),
 ///   * Gauge: a high-water mark, folded by max ("symbolic.sat_bytes.hwm"),
@@ -16,8 +16,7 @@
 ///     with bucketOf(v) == b, where bucket 0 is v == 0 and bucket b >= 1
 ///     holds 2^(b-1) <= v < 2^b, saturating at the last bucket).
 ///
-/// Sharding model (inherited from Statistic, which is now a thin wrapper
-/// over a Counter here): each thread owns a fixed-size shard of relaxed
+/// Sharding model: each thread owns a fixed-size shard of relaxed
 /// atomic slots, bumps are uncontended, and snapshot() folds the live
 /// shards plus the totals retired by exited threads -- counters and
 /// histogram buckets fold by sum, gauges by max.  Nothing here
@@ -33,8 +32,8 @@
 /// part across job counts.
 ///
 /// snapshot() returns instruments sorted by name -- never registration
-/// order, which varies with code path and build (the old Statistic
-/// snapshot bug) -- so machine-readable dumps are stable across builds.
+/// order, which varies with code path and build -- so machine-readable
+/// dumps are stable across builds.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -96,20 +96,6 @@ void Cpds::threadSuccessors(const GlobalState &S, unsigned I,
   }
 }
 
-void Cpds::threadSuccessorsWithActions(
-    const GlobalState &S, unsigned I,
-    std::vector<std::pair<GlobalState, uint32_t>> &Out) const {
-  assert(Frozen && "freeze() must run before threadSuccessors()");
-  assert(I < Threads.size() && "thread index out of range");
-  const Pds &P = Threads[I];
-  Sym Top = topOf(S.Stacks[I]);
-  for (uint32_t AI : P.actionsFrom(S.Q, Top)) {
-    GlobalState Succ = S;
-    Succ.Q = applyAction(P.actions()[AI], Succ.Stacks[I]);
-    Out.emplace_back(std::move(Succ), AI);
-  }
-}
-
 void Cpds::abstractSuccessors(const VisibleState &V, unsigned I,
                               std::vector<VisibleState> &Out) const {
   assert(Frozen && "freeze() must run before abstractSuccessors()");

@@ -98,14 +98,7 @@ public:
   void threadSuccessors(const GlobalState &S, unsigned I,
                         std::vector<GlobalState> &Out) const;
 
-  /// Like threadSuccessors, but also reports the index (into thread
-  /// \p I's action list) of the action that produced each successor;
-  /// used for counterexample-trace reconstruction.
-  void threadSuccessorsWithActions(
-      const GlobalState &S, unsigned I,
-      std::vector<std::pair<GlobalState, uint32_t>> &Out) const;
-
-  /// The interned counterpart of threadSuccessorsWithActions: calls
+  /// The interned counterpart of threadSuccessors: calls
   /// \p Emit(action index, q', w') for every enabled action of thread
   /// \p I in shared state \p Q on the interned stack \p W.  Each successor
   /// stack costs O(1) (a pop is a field load; pushes share the untouched

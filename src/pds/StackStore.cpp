@@ -18,19 +18,6 @@ StackId StackStore::intern(const Stack &W) {
   return Id;
 }
 
-bool StackStore::findInterned(const Stack &W, StackId &Id) const {
-  StackId Cur = EmptyStackId;
-  for (Sym S : W) {
-    uint64_t Key = (static_cast<uint64_t>(S) << 32) | Cur;
-    const StackId *Next = Intern.find(Key);
-    if (!Next)
-      return false;
-    Cur = *Next;
-  }
-  Id = Cur;
-  return true;
-}
-
 Stack StackStore::materialise(StackId Id) const {
   Stack W;
   for (StackId I = Id; I != EmptyStackId; I = Nodes[I].Rest)

@@ -82,11 +82,6 @@ public:
   /// Interns \p W (stored bottom-first, top at back, as in pds/State.h).
   StackId intern(const Stack &W);
 
-  /// Looks up the id of \p W without creating nodes; returns false when
-  /// \p W (or one of its prefixes) was never interned -- by construction
-  /// no state over it can have been stored either.
-  bool findInterned(const Stack &W, StackId &Id) const;
-
   /// Looks up the node (\p Top pushed onto \p Rest) without creating it;
   /// the read-only counterpart of push() used by StackOverlay during the
   /// parallel derive phases, when the arena is frozen.

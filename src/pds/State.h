@@ -39,15 +39,6 @@ struct GlobalState {
 
   bool operator==(const GlobalState &) const = default;
   auto operator<=>(const GlobalState &) const = default;
-
-  /// Total number of stack symbols across all threads (used by depth
-  /// heuristics and diagnostics).
-  size_t totalStackSize() const {
-    size_t N = 0;
-    for (const Stack &W : Stacks)
-      N += W.size();
-    return N;
-  }
 };
 
 /// A visible state <q | s1, ..., sn>: the shared state plus the top of

@@ -7,9 +7,9 @@
 
 #include "psa/PostStar.h"
 
+#include "obs/Metrics.h"
 #include "support/FlatHash.h"
 #include "support/RingQueue.h"
-#include "support/Statistic.h"
 #include "support/Unreachable.h"
 
 using namespace cuba;
@@ -46,7 +46,7 @@ public:
     // Resolved once: the registry lookup costs a string hash.  The handle
     // bumps a thread-local shard, so concurrent saturations never
     // contend; the count is published once per saturation.
-    static Statistic TransCounter("poststar.transitions");
+    static obs::Counter TransCounter("poststar.transitions");
     seedFromInput();
     Seeding = false;
     uint64_t Pops = 0;

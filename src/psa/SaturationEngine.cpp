@@ -8,10 +8,10 @@
 #include "psa/SaturationEngine.h"
 
 #include "fa/Canonicalize.h"
+#include "obs/Metrics.h"
 #include "psa/Semiring.h"
 #include "psa/WeightedPostStar.h"
 #include "support/Hashing.h"
-#include "support/Statistic.h"
 
 using namespace cuba;
 
@@ -35,8 +35,8 @@ Nfa SharedSaturation::rootView(QState Root) const {
 
 std::vector<std::pair<QState, CanonicalDfa>>
 SharedSaturation::extractRoot(QState Root) const {
-  static Statistic ExtractCounter("saturation.extractions",
-                                  /*Deterministic=*/false);
+  static obs::Counter ExtractCounter("saturation.extractions",
+                                     /*Deterministic=*/false);
   ++ExtractCounter;
   Nfa View = rootView(Root);
   std::vector<std::pair<QState, CanonicalDfa>> Out;
@@ -89,8 +89,8 @@ void SharedSaturation::extractRootCached(QState Root,
                                          const ExtractionCache *Committed,
                                          const ExtractionCache *Overlay,
                                          RootExtraction &X) const {
-  static Statistic ExtractCounter("saturation.extractions",
-                                  /*Deterministic=*/false);
+  static obs::Counter ExtractCounter("saturation.extractions",
+                                     /*Deterministic=*/false);
   ++ExtractCounter;
   if (!RootedReadsSound) {
     // Invariant violated (never by this module's construction): fall
@@ -273,8 +273,8 @@ uint64_t SharedSaturation::commitExtraction(ExtractionCache &Cache,
 SharedSaturationResult cuba::sharedPostStar(const Pds &P, uint32_t NumShared,
                                             const CanonicalDfa &Lang,
                                             LimitTracker *Limits) {
-  static Statistic SatCounter("saturation.shared",
-                              /*Deterministic=*/false);
+  static obs::Counter SatCounter("saturation.shared",
+                                 /*Deterministic=*/false);
   ++SatCounter;
   // The classical mask saturation is the boolean-set instantiation of
   // the semiring-generic core; the retained relation adopts the

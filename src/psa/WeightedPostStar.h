@@ -43,11 +43,11 @@
 #include <vector>
 
 #include "fa/Dfa.h"
+#include "obs/Metrics.h"
 #include "pds/Pds.h"
 #include "support/FlatHash.h"
 #include "support/Limits.h"
 #include "support/RingQueue.h"
-#include "support/Statistic.h"
 #include "support/Unreachable.h"
 
 namespace cuba {
@@ -169,8 +169,8 @@ public:
 
   WeightedResult<Domain> run() {
     // Published once per saturation, not once per pop.
-    static Statistic PopCounter("saturation.pops",
-                                /*Deterministic=*/false);
+    static obs::Counter PopCounter("saturation.pops",
+                                   /*Deterministic=*/false);
     uint64_t Pops = 0;
     while (!Worklist.empty()) {
       if (Limits && !Limits->chargeStep()) {

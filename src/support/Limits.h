@@ -160,9 +160,6 @@ public:
     return !stopped();
   }
 
-  /// Marks the run as ended by an injected fault (testing harness).
-  void injectExhaustion() { Injected = true; }
-
   bool exhausted() const {
     return TimedOut || MemExceeded || Injected || stateBudgetExceeded() ||
            (Limits.MaxSteps && Steps > Limits.MaxSteps);
@@ -186,7 +183,6 @@ public:
   uint64_t states() const { return States; }
   uint64_t steps() const { return Steps; }
   uint64_t peakBytes() const { return PeakBytes; }
-  double elapsedMillis() const { return Timer.millis(); }
   const ResourceLimits &limits() const { return Limits; }
 
 private:

@@ -16,13 +16,14 @@
 /// committed verdict exactly (outcome AND bound), so any frontend or
 /// engine change that shifts a corpus verdict fails loudly.  The
 /// corpus directory is baked in via CUBA_CORPUS_DIR; the cuba binary
-/// path via CUBA_TOOL (for the CLI error-output test).
+/// path via CUBA_TOOL (for the CLI tests).
 ///
 //===----------------------------------------------------------------------===//
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -257,45 +258,160 @@ TEST(BpCorpus, CliRejectsMalformedFlagValues) {
   }
 }
 
-TEST(BpCorpus, CliUsageNamesEveryParsedFlag) {
-  // Each subcommand's parser is scanned for the flags it accepts
-  // (`Arg == "--flag"`), and the usage text must name every one of them
-  // in that subcommand's section, so no flag goes undocumented.
-  struct Section {
-    const char *Parser;
-    const char *Header;
-  };
-  const Section Sections[] = {
-      {"ParseResult parseArgs(", "usage: cuba [options]"},
-      {"int runDataflow(", "usage: cuba dataflow"},
-      {"int runFuzz(", "usage: cuba fuzz"},
-  };
-  std::ifstream In(CUBA_TOOL_SOURCE);
-  std::stringstream SS;
-  SS << In.rdbuf();
-  std::string Src = SS.str();
+namespace {
+
+/// One subcommand's section of the usage text: the argv prefix that
+/// selects it, the arguments that make an accepted command line cheap,
+/// and each flag it lists with the name of its value (empty for a
+/// switch).
+struct UsageSection {
+  std::string Prefix;
+  std::string Tail;
+  std::map<std::string, std::string> Flags;
+};
+
+/// Splits the usage text into the three subcommands' sections.  A flag
+/// line starts with "  --name"; a value name follows after one space and
+/// is uppercase ("N", "FILE") or lists words ("cpds|bp").
+std::vector<UsageSection> usageSections() {
   auto [Rc, Usage] = runTool("");
   EXPECT_EQ(Rc, 64);
-  const std::string Needle = "Arg == \"";
-  for (const Section &S : Sections) {
-    size_t Begin = Src.find(S.Parser);
-    ASSERT_NE(Begin, std::string::npos) << S.Parser;
-    size_t End = Src.find("\n}\n", Begin);
-    size_t UBegin = Usage.find(S.Header);
-    ASSERT_NE(UBegin, std::string::npos) << S.Header << " in:\n" << Usage;
-    std::string Text = Usage.substr(UBegin, Usage.find("usage:", UBegin + 1) -
-                                                UBegin);
-    unsigned Flags = 0;
-    for (size_t P = Src.find(Needle, Begin); P < End;
-         P = Src.find(Needle, P + 1)) {
-      size_t From = P + Needle.size();
-      std::string Flag = Src.substr(From, Src.find('"', From) - From);
-      ++Flags;
-      EXPECT_NE(Text.find(" " + Flag + " "), std::string::npos)
-          << "'" << S.Header << "' does not name " << Flag;
+  std::vector<UsageSection> Sections = {
+      {"", "/nonexistent/model.bp", {}},
+      {"dataflow ", "/nonexistent/model.bp", {}},
+      {"fuzz ", "--count 0", {}},
+  };
+  const char *Headers[] = {"usage: cuba [options]", "usage: cuba dataflow",
+                           "usage: cuba fuzz"};
+  std::istringstream In(Usage);
+  int Current = -1;
+  for (std::string Line; std::getline(In, Line);) {
+    for (int S = 0; S < 3; ++S)
+      if (Line.rfind(Headers[S], 0) == 0)
+        Current = S;
+    if (Current < 0 || Line.rfind("  --", 0) != 0)
+      continue;
+    size_t End = Line.find(' ', 2);
+    std::string Name = Line.substr(2, End - 2), Value;
+    if (End != std::string::npos && End + 1 < Line.size() &&
+        Line[End + 1] != ' ') {
+      std::string Next = Line.substr(End + 1, Line.find(' ', End + 1) -
+                                                  End - 1);
+      if (Next.find('|') != std::string::npos ||
+          std::all_of(Next.begin(), Next.end(), [](char C) {
+            return std::isupper(static_cast<unsigned char>(C)) != 0;
+          }))
+        Value = Next;
     }
-    EXPECT_GE(Flags, 8u) << S.Parser << " scan found too few flags";
+    Sections[Current].Flags[Name] = Value;
   }
+  return Sections;
+}
+
+/// A value the flag accepts, from its usage value name.
+std::string sampleValue(const std::string &Value) {
+  if (Value == "FILE")
+    return std::string(::testing::TempDir()) + "corpus_flag_probe.out";
+  if (Value.find('|') != std::string::npos)
+    return Value.substr(0, Value.find('|'));
+  return "1";
+}
+
+} // namespace
+
+TEST(BpCorpus, CliUsageNamesEveryParsedFlag) {
+  // From outside the binary: every flag the usage text names anywhere is
+  // offered to every subcommand, and a subcommand accepts it exactly when
+  // its own usage section lists it.  So no flag a subcommand parses goes
+  // undocumented, and none is accepted where the usage does not offer it.
+  std::vector<UsageSection> Sections = usageSections();
+  std::map<std::string, std::string> AllFlags;
+  for (const UsageSection &S : Sections) {
+    EXPECT_GE(S.Flags.size(), 10u) << "'" << S.Prefix << "' lists too few";
+    AllFlags.insert(S.Flags.begin(), S.Flags.end());
+  }
+  for (const UsageSection &S : Sections) {
+    for (const auto &[Flag, Value] : AllFlags) {
+      std::string Args = S.Prefix + Flag +
+                         (Value.empty() ? "" : " " + sampleValue(Value)) +
+                         " " + S.Tail;
+      auto [Rc, Out] = runTool(Args);
+      bool Wall = Out.find("usage: cuba [options]") != std::string::npos;
+      if (!S.Flags.count(Flag)) {
+        EXPECT_EQ(Rc, 64) << Args;
+        EXPECT_TRUE(Wall) << Args << " was accepted:\n" << Out;
+        continue;
+      }
+      EXPECT_FALSE(Wall) << Args << " was rejected:\n" << Out;
+      // Parsing got through: the run reaches the input (or, for fuzz,
+      // checks its zero instances).
+      if (S.Prefix == "fuzz ")
+        EXPECT_EQ(Rc, 0) << Args << "\n" << Out;
+      else
+        EXPECT_NE(Out.find("cannot open file"), std::string::npos)
+            << Args << "\n" << Out;
+    }
+  }
+  std::remove(sampleValue("FILE").c_str());
+}
+
+TEST(BpCorpus, CliReportsMissingFlagValues) {
+  // Every flag that takes a value, given last without one, is the same
+  // named one-line error, never the usage wall.
+  for (const UsageSection &S : usageSections()) {
+    unsigned Valued = 0;
+    for (const auto &[Flag, Value] : S.Flags) {
+      if (Value.empty())
+        continue;
+      ++Valued;
+      std::string Args =
+          S.Prefix + (S.Prefix == "fuzz " ? "" : S.Tail + " ") + Flag;
+      auto [Rc, Out] = runTool(Args);
+      EXPECT_EQ(Rc, 64) << Args;
+      EXPECT_NE(Out.find("cuba: " + Flag + " expects a value (run 'cuba'"),
+                std::string::npos)
+          << Args << " produced:\n"
+          << Out;
+      EXPECT_EQ(Out.find("usage: cuba [options]"), std::string::npos)
+          << Args;
+    }
+    EXPECT_GE(Valued, 6u) << "'" << S.Prefix << "' lists too few values";
+  }
+}
+
+TEST(BpCorpus, CliStatsListsCountersSortedByName) {
+  // --stats prints the registry's counters, sorted by name; an explicit
+  // run also registers the cba.bytes.hwm gauge, which must not appear.
+  auto [Rc, Out] = runTool("--approach explicit --stats " +
+                           std::string(CUBA_CORPUS_DIR) +
+                           "/helper_result.bp");
+  EXPECT_EQ(Rc, 0) << Out;
+  size_t At = Out.find("--- statistics ---\n");
+  ASSERT_NE(At, std::string::npos) << Out;
+  std::istringstream In(Out.substr(At + 19));
+  std::vector<std::string> Names;
+  for (std::string Line; std::getline(In, Line);)
+    Names.push_back(Line.substr(Line.find_first_not_of(" 0123456789")));
+  EXPECT_TRUE(std::is_sorted(Names.begin(), Names.end())) << Out;
+  EXPECT_NE(std::find(Names.begin(), Names.end(), "cba.rounds"), Names.end())
+      << Out;
+  EXPECT_EQ(std::find(Names.begin(), Names.end(), "cba.bytes.hwm"),
+            Names.end())
+      << Out;
+}
+
+TEST(BpCorpus, CliRepeatedWordFlagKeepsItsLastValue) {
+  // Like every other flag, a repeated word flag keeps its last value, so
+  // --approach auto and --mode cpds undo an earlier choice.
+  auto [Rc, Out] = runTool("fuzz --mode bp --mode cpds --count 0");
+  EXPECT_EQ(Rc, 0) << Out;
+  EXPECT_NE(Out.find("fuzz: 0 CPDS instance(s)"), std::string::npos) << Out;
+  // FCR holds on this model, so auto picks the explicit engines.
+  auto [RcRun, OutRun] = runTool("--approach symbolic --approach auto " +
+                                 std::string(CUBA_CORPUS_DIR) +
+                                 "/helper_result.bp");
+  EXPECT_EQ(RcRun, 0) << OutRun;
+  EXPECT_NE(OutRun.find("approach:  explicit"), std::string::npos) << OutRun;
 }
 
 TEST(BpCorpus, CliAcceptsBoundaryFlagValues) {

@@ -7,8 +7,7 @@
 ///
 /// \file
 /// Unit tests for the flat open-addressing containers (support/FlatHash.h)
-/// and their companions on the hot paths: the inline small vector and the
-/// vector-backed ring queue.
+/// and their companion on the hot paths, the vector-backed ring queue.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +20,6 @@
 
 #include "support/FlatHash.h"
 #include "support/RingQueue.h"
-#include "support/SmallVec.h"
 
 using namespace cuba;
 
@@ -170,55 +168,6 @@ TEST(Hashing, SplitMix64HighBitsCarryEntropy) {
   for (uint64_t I = 0; I < 4'096; ++I)
     CombineHigh.insert(hashCombine(0x1234, I) >> 48);
   EXPECT_GT(CombineHigh.size(), 3'500u);
-}
-
-//===----------------------------------------------------------------------===//
-// SmallVec
-//===----------------------------------------------------------------------===//
-
-TEST(SmallVec, InlineToHeapSpill) {
-  SmallVec<uint32_t, 4> V;
-  for (uint32_t I = 0; I < 100; ++I) {
-    V.push_back(I * 3);
-    ASSERT_EQ(V.size(), I + 1);
-    for (uint32_t J = 0; J <= I; ++J)
-      ASSERT_EQ(V[J], J * 3) << "after pushing " << I;
-  }
-}
-
-TEST(SmallVec, CopyAndMoveSemantics) {
-  SmallVec<uint32_t, 4> Inline;
-  for (uint32_t I = 0; I < 3; ++I)
-    Inline.push_back(I);
-  SmallVec<uint32_t, 4> Spilled;
-  for (uint32_t I = 0; I < 9; ++I)
-    Spilled.push_back(I);
-
-  SmallVec<uint32_t, 4> A = Inline; // Copy inline.
-  EXPECT_TRUE(A == Inline);
-  SmallVec<uint32_t, 4> B = Spilled; // Copy spilled.
-  EXPECT_TRUE(B == Spilled);
-  B = Inline; // Shrinking copy-assign.
-  EXPECT_TRUE(B == Inline);
-  A = Spilled; // Growing copy-assign.
-  EXPECT_TRUE(A == Spilled);
-
-  SmallVec<uint32_t, 4> C = std::move(A); // Move steals the heap block.
-  EXPECT_TRUE(C == Spilled);
-  SmallVec<uint32_t, 4> D;
-  D = std::move(C);
-  EXPECT_TRUE(D == Spilled);
-}
-
-TEST(SmallVec, EqualityIsValueBased) {
-  SmallVec<uint32_t, 2> A, B;
-  for (uint32_t I = 0; I < 5; ++I)
-    A.push_back(I);
-  for (uint32_t I = 0; I < 5; ++I)
-    B.push_back(I);
-  EXPECT_TRUE(A == B);
-  B.push_back(9);
-  EXPECT_FALSE(A == B);
 }
 
 //===----------------------------------------------------------------------===//

@@ -29,8 +29,8 @@
 #include "ReferencePostStar.h"
 #include "core/SymbolicEngine.h"
 #include "fa/Canonicalize.h"
+#include "obs/Metrics.h"
 #include "psa/SaturationEngine.h"
-#include "support/Statistic.h"
 #include "support/StringUtils.h"
 #include "testing/RandomCpds.h"
 
@@ -218,7 +218,7 @@ TEST(IncrementalExtraction, OverlayFlowMatchesSerialFlow) {
 //===----------------------------------------------------------------------===//
 
 TEST(IncrementalExtraction, EngineCountsSkippedTargets) {
-  uint64_t Before = Statistics::value("extract.skipped_unchanged");
+  uint64_t Before = obs::Metrics::value("extract.skipped_unchanged");
   ResourceLimits Limits;
   Limits.MaxStates = 2000;
   Limits.MaxSteps = 200000;
@@ -231,6 +231,6 @@ TEST(IncrementalExtraction, EngineCountsSkippedTargets) {
       if (E.advance() != SymbolicEngine::RoundStatus::Ok)
         break;
   }
-  EXPECT_GT(Statistics::value("extract.skipped_unchanged"), Before)
+  EXPECT_GT(obs::Metrics::value("extract.skipped_unchanged"), Before)
       << "ten seeded models never hit the extraction cache";
 }

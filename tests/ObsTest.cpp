@@ -8,9 +8,9 @@
 /// \file
 /// The obs/ layer in isolation: instrument folding across live and
 /// retired thread shards, the name-sorted snapshot order (the old
-/// Statistic registration-order bug, pinned here), histogram bucket
-/// arithmetic, the --stats-json rendering split, and the trace buffer's
-/// rendering and disabled-mode behavior.
+/// registration-order bug of the counter list, pinned here), histogram
+/// bucket arithmetic, the --stats-json rendering split, and the trace
+/// buffer's rendering and disabled-mode behavior.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +21,6 @@
 
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
-#include "support/Statistic.h"
 
 using namespace cuba;
 
@@ -132,32 +131,41 @@ TEST(Metrics, UnknownNameReadsZero) {
   EXPECT_EQ(obs::Metrics::value("obstest.never.registered"), 0u);
 }
 
-// The satellite pin for the old Statistic bug: Statistics::snapshot()
-// must come back sorted by name, not in registration order.
+// The pin for the old registration-order bug of the counter list that
+// `cuba --stats` prints: the counters of the snapshot come back sorted
+// by name, and gauges and histograms carry their own kind, so keeping
+// only Kind::Counter entries drops them.
 TEST(Statistic, SnapshotIsSortedAndCounterOnly) {
-  Statistic Z("obstest.stat.zz");
-  Statistic A("obstest.stat.aa");
+  obs::Counter Z("obstest.stat.zz");
+  obs::Counter A("obstest.stat.aa");
+  obs::Gauge G("obstest.stat.gauge");
+  obs::Histogram H("obstest.stat.hist");
   ++Z;
   A += 4;
-  std::vector<std::pair<std::string, uint64_t>> Snap = Statistics::snapshot();
-  EXPECT_TRUE(std::is_sorted(Snap.begin(), Snap.end(),
+  G.recordMax(9);
+  H.observe(9);
+  std::vector<std::pair<std::string, uint64_t>> Counters;
+  for (const obs::InstrumentSnapshot &S : obs::Metrics::snapshot())
+    if (S.K == obs::Kind::Counter)
+      Counters.emplace_back(S.Name, S.Value);
+  EXPECT_TRUE(std::is_sorted(Counters.begin(), Counters.end(),
                              [](const auto &X, const auto &Y) {
                                return X.first < Y.first;
                              }));
   uint64_t SawA = 0, SawZ = 0;
-  for (const auto &[Name, Value] : Snap) {
+  for (const auto &[Name, Value] : Counters) {
     if (Name == "obstest.stat.aa")
       SawA = Value;
     if (Name == "obstest.stat.zz")
       SawZ = Value;
-    // Gauges and histograms registered elsewhere in this binary must
-    // not leak into the counters-only compatibility view.
-    EXPECT_NE(Name, "obstest.gauge.hwm");
-    EXPECT_NE(Name, "obstest.hist");
+    EXPECT_NE(Name, "obstest.stat.gauge");
+    EXPECT_NE(Name, "obstest.stat.hist");
   }
   EXPECT_EQ(SawA, 4u);
   EXPECT_EQ(SawZ, 1u);
-  EXPECT_EQ(Statistics::value("obstest.stat.aa"), 4u);
+  EXPECT_EQ(find("obstest.stat.gauge").K, obs::Kind::Gauge);
+  EXPECT_EQ(find("obstest.stat.hist").K, obs::Kind::Histogram);
+  EXPECT_EQ(obs::Metrics::value("obstest.stat.aa"), 4u);
 }
 
 TEST(Metrics, RenderStatsJsonSplitsByDeterminism) {

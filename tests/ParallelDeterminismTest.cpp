@@ -36,8 +36,8 @@
 #include "dataflow/DataflowEngine.h"
 #include "exec/ThreadPool.h"
 #include "models/Models.h"
+#include "obs/Metrics.h"
 #include "obs/Trace.h"
-#include "support/Statistic.h"
 #include "testing/DataflowOracle.h"
 #include "testing/RandomCpds.h"
 
@@ -680,7 +680,7 @@ TEST_F(ParallelDeterminismTest, DataflowRoundsMatchAcrossJobCounts) {
     ++Checked;
     for (const Run &R : Runs) {
       DataflowTrace S1 = runDataflow(*T, R.L, nullptr);
-      Evictions += Statistics::value("dataflow.sat_evictions");
+      Evictions += obs::Metrics::value("dataflow.sat_evictions");
       expectSameDataflow(S1, runDataflow(*T, R.L, &Pool2), Seed, R.Tag);
       expectSameDataflow(S1, runDataflow(*T, R.L, &Pool8), Seed, R.Tag);
     }
@@ -733,13 +733,13 @@ TEST_F(ParallelDeterminismTest, SymbolicRoundsConsumePrefetchedSaturations) {
   // previous round's prefetch batch (the counters are wall-side, so
   // only this liveness -- not a count -- is pinned; bit-identity of the
   // results is what the suites above pin).
-  uint64_t Before = Statistics::value("symbolic.prefetch.hits");
+  uint64_t Before = obs::Metrics::value("symbolic.prefetch.hits");
   for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
     CpdsFile File = cuba::testing::generateRandomCpds(
         Seed, cuba::testing::cornerShapeOptions(Seed));
     runSymbolic(File.System, FuzzLimits, &Pool2);
   }
-  EXPECT_GT(Statistics::value("symbolic.prefetch.hits"), Before)
+  EXPECT_GT(obs::Metrics::value("symbolic.prefetch.hits"), Before)
       << "twenty parallel symbolic sweeps never adopted a prefetch";
 }
 

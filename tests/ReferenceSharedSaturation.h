@@ -56,7 +56,7 @@ struct RefSaturation {
 };
 
 /// The pre-refactor saturator, copied verbatim (modulo the renamed
-/// result struct and the dropped Statistic counters, which do not feed
+/// result struct and the dropped counters, which do not feed
 /// back into behaviour).
 class RefSharedSaturator {
 public:

@@ -97,18 +97,6 @@ TEST(StackStore, PrefixSharing) {
   EXPECT_EQ(S.size(), AfterFirst + 1);
 }
 
-TEST(StackStore, FindInternedNeverCreates) {
-  StackStore S;
-  StackId W = S.intern({3, 1, 4});
-  size_t N = S.size();
-  StackId Found = EmptyStackId;
-  EXPECT_TRUE(S.findInterned({3, 1, 4}, Found));
-  EXPECT_EQ(Found, W);
-  EXPECT_FALSE(S.findInterned({3, 1, 5}, Found));
-  EXPECT_FALSE(S.findInterned({9}, Found));
-  EXPECT_EQ(S.size(), N) << "findInterned must not intern";
-}
-
 TEST(StackStore, PackUnpackGlobalState) {
   StackStore S;
   GlobalState G;

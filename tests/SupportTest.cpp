@@ -14,11 +14,11 @@
 #include "core/SymbolicAlgorithms.h"
 #include "exec/ThreadPool.h"
 #include "models/Models.h"
+#include "obs/Metrics.h"
 #include "support/ErrorOr.h"
 #include "support/FaultInject.h"
 #include "support/Hashing.h"
 #include "support/Limits.h"
-#include "support/Statistic.h"
 #include "support/StringUtils.h"
 #include "support/SymbolTable.h"
 #include "support/Timer.h"
@@ -232,50 +232,50 @@ TEST(StringUtils, IsIdentifier) {
 }
 
 //===----------------------------------------------------------------------===//
-// Statistics
+// Statistics: the named counters of obs/Metrics.h
 //===----------------------------------------------------------------------===//
 
 TEST(Statistics, CountersAccumulateAndReset) {
-  Statistics::resetAll();
-  Statistic Alpha("test.alpha");
+  obs::Metrics::resetAll();
+  obs::Counter Alpha("test.alpha");
   Alpha += 3;
   Alpha += 2;
-  Statistic Beta("test.beta");
+  obs::Counter Beta("test.beta");
   Beta += 7;
-  EXPECT_EQ(Statistics::value("test.alpha"), 5u);
+  EXPECT_EQ(obs::Metrics::value("test.alpha"), 5u);
 
   bool SawAlpha = false, SawBeta = false;
-  for (const auto &[Name, Value] : Statistics::snapshot()) {
-    if (Name == "test.alpha") {
+  for (const obs::InstrumentSnapshot &S : obs::Metrics::snapshot()) {
+    if (S.Name == "test.alpha") {
       SawAlpha = true;
-      EXPECT_EQ(Value, 5u);
+      EXPECT_EQ(S.Value, 5u);
     }
-    if (Name == "test.beta") {
+    if (S.Name == "test.beta") {
       SawBeta = true;
-      EXPECT_EQ(Value, 7u);
+      EXPECT_EQ(S.Value, 7u);
     }
   }
   EXPECT_TRUE(SawAlpha);
   EXPECT_TRUE(SawBeta);
 
-  Statistics::resetAll();
-  EXPECT_EQ(Statistics::value("test.alpha"), 0u);
+  obs::Metrics::resetAll();
+  EXPECT_EQ(obs::Metrics::value("test.alpha"), 0u);
 
   // Handles registered under the same name share one slot.
-  Statistic AlphaAgain("test.alpha");
+  obs::Counter AlphaAgain("test.alpha");
   ++AlphaAgain;
   ++Alpha;
-  EXPECT_EQ(Statistics::value("test.alpha"), 2u);
-  Statistics::resetAll();
+  EXPECT_EQ(obs::Metrics::value("test.alpha"), 2u);
+  obs::Metrics::resetAll();
 }
 
 TEST(Statistics, ShardsSumAcrossThreads) {
-  Statistics::resetAll();
-  static Statistic Counter("test.threads");
+  obs::Metrics::resetAll();
+  static obs::Counter Counter("test.threads");
   exec::ThreadPool Pool(4);
   Pool.run(1000, [&](unsigned, size_t) { ++Counter; });
-  EXPECT_EQ(Statistics::value("test.threads"), 1000u);
-  Statistics::resetAll();
+  EXPECT_EQ(obs::Metrics::value("test.threads"), 1000u);
+  obs::Metrics::resetAll();
 }
 
 //===----------------------------------------------------------------------===//

@@ -6,67 +6,30 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Command-line front end.  Reads a .cpds file (the textual pushdown
-/// format) or a .bp file (a concurrent Boolean program, compiled through
-/// the frontend), runs the Sec. 6 procedure, and reports the verdict.
+/// Command-line front end with three subcommands:
 ///
 ///   cuba [options] <input.cpds | input.bp>
-///     --max-k N            context-bound cap (default 32)
-///     --max-states N       stored-state budget (default 2e6)
-///     --max-steps N        engine-step budget (default 5e7)
-///     --timeout-ms N       wall-clock budget (default 120000)
-///     --max-mb N           engine-memory budget in MiB (logical bytes;
-///                          default unlimited)
-///     --jobs N             worker parallelism (default: $CUBA_JOBS, else
-///                          the hardware concurrency; results are
-///                          bit-identical for every N)
-///     --approach auto|explicit|symbolic
-///     --continue-after-bug keep exploring to a convergence bound
-///     --trace              print a concrete interleaving on a bug
-///     --emit-cpds          print the (translated) system and exit
-///     --dump-ast           print the parsed .bp program and exit
-///     --stats              dump internal statistics counters (and, for
-///                          a symbolic run, the symmetry.classes and
-///                          symmetry.threads gauges)
-///
-/// The `dataflow` subcommand runs the weighted interprocedural taint
-/// analysis (dataflow/DataflowEngine) on an annotated Boolean program:
-///
+///     reads a .cpds file (the textual pushdown format) or a .bp file (a
+///     concurrent Boolean program, compiled through the frontend), runs
+///     the Sec. 6 procedure, and reports the verdict;
 ///   cuba dataflow [options] <input.bp>
-///     --max-k N          context-bound cap (default 8)
-///     --max-states/--max-steps/--timeout-ms/--max-mb   engine budgets
-///     --jobs N           worker parallelism of the weighted engine and
-///                        the --verify reference (results are
-///                        bit-identical for every N)
-///     --report-facts     print every visible state with its fact set
-///     --verify           cross-check against the folded product
-///                        reference (exit 70 on disagreement)
+///     runs the weighted interprocedural taint analysis
+///     (dataflow/DataflowEngine) on an annotated Boolean program;
+///   cuba fuzz [options]
+///     drives the randomized differential harness on seeded random CPDS
+///     instances (testing/RandomCpds + testing/DifferentialOracle) or,
+///     with --mode bp, on random Boolean programs pushed through the
+///     whole frontend pipeline first (testing/RandomBp +
+///     testing/BpOracle).  The base seed comes from --seed, else the
+///     CUBA_FUZZ_SEED environment variable, else 1; a failure prints the
+///     offending seed and the exact command reproducing it.
 ///
-/// The `fuzz` subcommand drives the randomized differential harness
-/// (testing/RandomCpds + testing/DifferentialOracle) instead of a file:
-///
-///   cuba fuzz [--mode cpds|bp] [--count N] [--seed S] [--max-k K]
-///             [--max-mb M] [--jobs N] [--emit-cpds]
-///
-/// --mode bp swaps the workload for seeded random Boolean programs and
-/// checks the whole frontend pipeline per instance (print/parse
-/// fixpoint, translation reproducibility, .cpds round-trip) before the
-/// engines are compared (testing/RandomBp + testing/BpOracle).
-///
-/// The base seed comes from --seed, else the CUBA_FUZZ_SEED environment
-/// variable, else 1; a failure prints the offending seed and the exact
-/// command reproducing it.
-///
-/// Numeric flag values are validated hard: a malformed or out-of-range
-/// value is a named usage error (exit 64), never a silent truncation.
-///
-/// All three subcommands take the observability outputs:
-///
-///   --trace-out FILE     write a Chrome trace_event JSON profile of the
-///                        run (load it at https://ui.perfetto.dev)
-///   --stats-json FILE    write the metrics registry as JSON; the part
-///                        outside the "wall" object is byte-identical at
-///                        any --jobs
+/// Every flag is declared once, in the Flags table below: the
+/// subcommands that take it, its value, the Options field it sets and
+/// its help text.  One loop parses every subcommand's command line from
+/// the table, and `cuba` with no arguments prints each subcommand's
+/// flags from the same rows.  A malformed or out-of-range value is a
+/// named usage error (exit 64), never a silent truncation.
 ///
 /// Exit codes: 0 safety proved / all fuzz instances agree, 1 bug found
 /// or differential mismatch, 2 resource limit, 64 usage or input error,
@@ -75,12 +38,15 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <string>
-#include <vector>
-
 #include <cstdlib>
+#include <cstring>
+#include <iterator>
+#include <optional>
+#include <string>
+#include <variant>
+#include <vector>
 
 #include "bp/AstPrinter.h"
 #include "bp/Parser.h"
@@ -88,17 +54,16 @@
 #include "bp/Translate.h"
 #include "core/CubaDriver.h"
 #include "dataflow/DataflowEngine.h"
-#include "testing/DataflowOracle.h"
 #include "exec/ThreadPool.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "pds/CpdsIO.h"
 #include "psa/SaturationEngine.h"
 #include "support/FaultInject.h"
-#include "support/Statistic.h"
 #include "support/StringUtils.h"
 #include "support/Timer.h"
 #include "testing/BpOracle.h"
+#include "testing/DataflowOracle.h"
 #include "testing/DifferentialOracle.h"
 #include "testing/RandomBp.h"
 #include "testing/RandomCpds.h"
@@ -106,179 +71,6 @@
 using namespace cuba;
 
 namespace {
-
-/// The observability outputs every subcommand shares: an optional
-/// Chrome-trace profile and an optional metrics-registry JSON dump.
-struct ObsOutputs {
-  std::string TraceOut;  // --trace-out FILE; empty = off.
-  std::string StatsJson; // --stats-json FILE; empty = off.
-
-  bool any() const { return !TraceOut.empty() || !StatsJson.empty(); }
-
-  /// Arms trace collection when --trace-out was given; call before any
-  /// engine work so every span lands in the buffer.
-  void beginTrace() const {
-    if (!TraceOut.empty())
-      obs::Trace::begin();
-  }
-
-  /// Writes the requested files; \p WallExtra lands in the stats
-  /// payload's "wall" object.  Returns false after printing a diagnostic
-  /// when a file cannot be written (the caller exits 74).
-  bool write(const std::vector<std::pair<std::string, std::string>>
-                 &WallExtra) const {
-    bool Ok = true;
-    if (!TraceOut.empty()) {
-      obs::Trace::end();
-      if (!obs::Trace::writeFile(TraceOut)) {
-        std::fprintf(stderr, "cuba: %s: cannot write trace file\n",
-                     TraceOut.c_str());
-        Ok = false;
-      }
-    }
-    if (!StatsJson.empty()) {
-      std::string Json =
-          obs::renderStatsJson(obs::Metrics::snapshot(), WallExtra);
-      std::FILE *F = std::fopen(StatsJson.c_str(), "wb");
-      bool Wrote =
-          F && std::fwrite(Json.data(), 1, Json.size(), F) == Json.size();
-      if (F)
-        Wrote = std::fclose(F) == 0 && Wrote;
-      if (!Wrote) {
-        std::fprintf(stderr, "cuba: %s: cannot write stats file\n",
-                     StatsJson.c_str());
-        Ok = false;
-      }
-    }
-    return Ok;
-  }
-};
-
-struct CliOptions {
-  std::string InputPath;
-  DriverOptions Driver;
-  unsigned Jobs = 0; // 0 = unset; resolved via ThreadPool::defaultJobs().
-  bool EmitCpds = false;
-  bool DumpAst = false;
-  bool Stats = false;
-  ObsOutputs Obs;
-};
-
-void printUsage() {
-  std::fprintf(
-      stderr,
-      "usage: cuba [options] <input.cpds | input.bp>\n"
-      "  --max-k N            context-bound cap (default 32)\n"
-      "  --max-states N       stored-state budget (default 2000000)\n"
-      "  --max-steps N        engine-step budget (default 50000000)\n"
-      "  --timeout-ms N       wall-clock budget (default 120000)\n"
-      "  --max-mb N           engine-memory budget in MiB, logical bytes\n"
-      "                       (default unlimited; exceeding it reports\n"
-      "                       UNDECIDED (memory), never a crash)\n"
-      "  --jobs N             worker parallelism (default: $CUBA_JOBS,\n"
-      "                       else hardware concurrency; results are\n"
-      "                       bit-identical for every N)\n"
-      "  --approach A         auto | explicit | symbolic\n"
-      "  --continue-after-bug keep exploring to a convergence bound\n"
-      "  --trace              print a concrete interleaving on a bug\n"
-      "  --emit-cpds          print the (translated) system and exit\n"
-      "  --dump-ast           print the parsed .bp program and exit\n"
-      "  --stats              dump internal statistics counters\n"
-      "  --trace-out FILE     write a Chrome trace_event JSON profile\n"
-      "                       (Perfetto-loadable)\n"
-      "  --stats-json FILE    write the metrics registry as JSON\n"
-      "\n"
-      "usage: cuba dataflow [options] <input.bp>\n"
-      "                       weighted interprocedural taint analysis\n"
-      "  --max-k N            context-bound cap (default 8)\n"
-      "  --max-states N       stored-state budget (default 2000000)\n"
-      "  --max-steps N        engine-step budget (default 50000000)\n"
-      "  --timeout-ms N       wall-clock budget (default 120000)\n"
-      "  --max-mb N           engine-memory budget in MiB\n"
-      "  --jobs N             worker parallelism of the weighted engine\n"
-      "                       and the --verify reference (default:\n"
-      "                       $CUBA_JOBS, else hardware concurrency;\n"
-      "                       results are bit-identical for every N)\n"
-      "  --report-facts       print every visible state with its facts\n"
-      "  --verify             cross-check against the folded product\n"
-      "                       reference; a disagreement exits 70\n"
-      "  --trace-out FILE     write a Chrome trace_event JSON profile\n"
-      "  --stats-json FILE    write the metrics registry as JSON\n"
-      "\n"
-      "usage: cuba fuzz [options]     randomized differential testing\n"
-      "  --mode cpds|bp       workload: random CPDS instances (default)\n"
-      "                       or random Boolean programs pushed through\n"
-      "                       the whole frontend pipeline\n"
-      "  --count N            instances to check (default 200)\n"
-      "  --seed S             base seed (default: $CUBA_FUZZ_SEED, else 1)\n"
-      "  --max-k N            deepest context bound compared (default 4)\n"
-      "  --max-mb N           per-instance engine-memory budget in MiB\n"
-      "  --jobs N             worker parallelism (default: $CUBA_JOBS,\n"
-      "                       else hardware concurrency)\n"
-      "  --emit-cpds          print each generated instance\n"
-      "  --stats              per-seed wall-clock / peak-bytes lines and\n"
-      "                       aggregate cache-hit / truncation rates\n"
-      "  --trace-out FILE     write a Chrome trace_event JSON profile\n"
-      "  --stats-json FILE    write the metrics registry as JSON\n");
-}
-
-//===----------------------------------------------------------------------===//
-// Flag-value parsing: malformed or out-of-range values are named hard
-// errors, never silent truncations.
-//===----------------------------------------------------------------------===//
-
-/// Every context-bound flag feeds an `unsigned`; values past UINT32_MAX
-/// used to truncate silently (e.g. --max-k 4294967296 became 0).
-constexpr uint64_t MaxKFlagMax = UINT32_MAX;
-/// Worker counts beyond any real machine are configuration mistakes,
-/// and the old cast-to-unsigned parse truncated 2^32+1 down to 1.
-constexpr uint64_t JobsFlagMax = 1024;
-/// --max-mb is scaled by `<< 20` into bytes; bounding the MiB value at
-/// 2^24 (16 TiB) keeps the shift inside 64 bits instead of wrapping to
-/// a tiny (or unlimited) budget.
-constexpr uint64_t MaxMbFlagMax = uint64_t(1) << 24;
-
-/// Parses the value of flag \p Flag from Argv[I+1] into \p Out,
-/// enforcing [\p Min, \p Max].  On a missing, malformed, or
-/// out-of-range value prints a diagnostic naming the flag plus a usage
-/// hint and returns false; the caller exits 64 without re-dumping the
-/// full usage text.
-bool flagValue(std::string_view Flag, int Argc, char **Argv, int &I,
-               uint64_t Min, uint64_t Max, uint64_t &Out) {
-  static constexpr char Hint[] = "(run 'cuba' with no arguments for usage)";
-  if (I + 1 >= Argc) {
-    std::fprintf(stderr, "cuba: %.*s expects a value %s\n",
-                 static_cast<int>(Flag.size()), Flag.data(), Hint);
-    return false;
-  }
-  const char *Text = Argv[++I];
-  auto V = parseUnsigned(Text);
-  if (!V || *V < Min || *V > Max) {
-    std::fprintf(stderr,
-                 "cuba: invalid %.*s value '%s': expected an integer in "
-                 "[%llu, %llu] %s\n",
-                 static_cast<int>(Flag.size()), Flag.data(), Text,
-                 static_cast<unsigned long long>(Min),
-                 static_cast<unsigned long long>(Max), Hint);
-    return false;
-  }
-  Out = *V;
-  return true;
-}
-
-/// Like flagValue, but for flags whose value is a string (file paths).
-bool stringFlag(std::string_view Flag, int Argc, char **Argv, int &I,
-                std::string &Out) {
-  if (I + 1 >= Argc) {
-    std::fprintf(stderr,
-                 "cuba: %.*s expects a value (run 'cuba' with no arguments"
-                 " for usage)\n",
-                 static_cast<int>(Flag.size()), Flag.data());
-    return false;
-  }
-  Out = Argv[++I];
-  return true;
-}
 
 //===----------------------------------------------------------------------===//
 // Observability context: raw-JSON fragments for the "wall" object of
@@ -331,35 +123,315 @@ std::string workersJson(const exec::ThreadPool &Pool) {
   return Out + "]";
 }
 
+/// Everything a subcommand reads from its command line.  The Flags table
+/// sets every field but Input; the --max-k default of the subcommand and
+/// the fuzz seed from CUBA_FUZZ_SEED are set before parsing.
+struct Options {
+  std::string Input; // The positional input (run and dataflow).
+  uint64_t MaxK = 0;
+  uint64_t MaxStates = ResourceLimits().MaxStates;
+  uint64_t MaxSteps = ResourceLimits().MaxSteps;
+  uint64_t TimeoutMs = ResourceLimits().MaxMillis;
+  uint64_t MaxMB = 0; // 0 = unlimited.
+  uint64_t Jobs = 0;  // 0 = ThreadPool::defaultJobs().
+  uint64_t Count = 200;
+  std::optional<uint64_t> Seed; // Unset: base seed 1.
+  std::string Approach = "auto";
+  std::string Mode = "cpds";
+  std::string TraceOut;  // Empty = off.
+  std::string StatsJson; // Empty = off.
+  bool ContinueAfterBug = false;
+  bool Trace = false;
+  bool EmitCpds = false;
+  bool DumpAst = false;
+  bool ReportFacts = false;
+  bool Verify = false;
+  bool Stats = false;
+
+  unsigned jobs() const {
+    return Jobs ? static_cast<unsigned>(Jobs)
+                : exec::ThreadPool::defaultJobs();
+  }
+
+  /// The engine budget of run and dataflow (fuzz keeps its own).
+  ResourceLimits limits() const {
+    ResourceLimits L;
+    L.MaxStates = MaxStates;
+    L.MaxSteps = MaxSteps;
+    L.MaxContexts = static_cast<unsigned>(MaxK);
+    L.MaxMillis = TimeoutMs;
+    L.MaxBytes = MaxMB << 20;
+    return L;
+  }
+
+  /// Arms trace collection when --trace-out was given; call before any
+  /// engine work so every span lands in the buffer.
+  void beginTrace() const {
+    if (!TraceOut.empty())
+      obs::Trace::begin();
+  }
+
+  /// Writes the requested files, if any.  The stats payload's "wall"
+  /// object holds the subcommand \p Sub, then \p Wall, then \p Pool's
+  /// per-worker accounting.  Returns false after printing a diagnostic
+  /// when a file cannot be written (the caller exits 74).
+  bool writeObs(const char *Sub, const exec::ThreadPool &Pool,
+                std::vector<std::pair<std::string, std::string>> Wall) const {
+    Wall.emplace(Wall.begin(), "subcommand", jsonQuote(Sub));
+    Wall.emplace_back("workers", workersJson(Pool));
+    bool Ok = true;
+    if (!TraceOut.empty()) {
+      obs::Trace::end();
+      if (!obs::Trace::writeFile(TraceOut)) {
+        std::fprintf(stderr, "cuba: %s: cannot write trace file\n",
+                     TraceOut.c_str());
+        Ok = false;
+      }
+    }
+    if (!StatsJson.empty()) {
+      std::string Json =
+          obs::renderStatsJson(obs::Metrics::snapshot(), Wall);
+      std::FILE *F = std::fopen(StatsJson.c_str(), "wb");
+      bool Wrote =
+          F && std::fwrite(Json.data(), 1, Json.size(), F) == Json.size();
+      if (F)
+        Wrote = std::fclose(F) == 0 && Wrote;
+      if (!Wrote) {
+        std::fprintf(stderr, "cuba: %s: cannot write stats file\n",
+                     StatsJson.c_str());
+        Ok = false;
+      }
+    }
+    return Ok;
+  }
+};
+
+//===----------------------------------------------------------------------===//
+// The command line: one table of subcommands, one table of flags.
+//===----------------------------------------------------------------------===//
+
+struct Subcommand {
+  const char *Name; // argv[1]; the verifier itself has none.
+  const char *Synopsis;
+  const char *About;
+  uint64_t MaxK; // The --max-k default.
+};
+
+const Subcommand Subcommands[] = {
+    {nullptr, "cuba [options] <input.cpds | input.bp>",
+     "prove safety for every context bound, or find a bug", 32},
+    {"dataflow", "cuba dataflow [options] <input.bp>",
+     "weighted interprocedural taint analysis", 8},
+    {"fuzz", "cuba fuzz [options]", "randomized differential testing", 4},
+};
+
+/// Bit i of Flag::Cmds stands for Subcommands[i].
+enum : unsigned { RunCmd = 1, DataflowCmd = 2, FuzzCmd = 4, AllCmds = 7 };
+
+/// The Options field a flag sets; its type gives the value the flag
+/// takes: none (a switch), an integer, or text.
+using Field = std::variant<bool Options::*, uint64_t Options::*,
+                           std::optional<uint64_t> Options::*,
+                           std::string Options::*>;
+
+struct Flag {
+  const char *Name;
+  unsigned Cmds;
+  Field Target;
+  const char *Help;
+  /// The value's name in the usage text; for a text flag, "a|b|c" lists
+  /// the only words it takes.
+  const char *Value = nullptr;
+  /// The accepted range of an integer value.
+  uint64_t Min = 0;
+  uint64_t Max = UINT64_MAX;
+};
+
+const Flag Flags[] = {
+    // Every context bound lands in an `unsigned`.
+    {"--max-k", AllCmds, &Options::MaxK,
+     "context-bound cap (default 32; dataflow 8; fuzz 4, the deepest bound "
+     "compared)",
+     "N", 0, UINT32_MAX},
+    {"--max-states", RunCmd | DataflowCmd, &Options::MaxStates,
+     "stored-state budget (default 2000000)", "N"},
+    {"--max-steps", RunCmd | DataflowCmd, &Options::MaxSteps,
+     "engine-step budget (default 50000000)", "N"},
+    {"--timeout-ms", RunCmd | DataflowCmd, &Options::TimeoutMs,
+     "wall-clock budget (default 120000)", "N"},
+    // Scaled by `<< 20` into bytes; 2^24 MiB (16 TiB) keeps the shift
+    // inside 64 bits instead of wrapping to a tiny or unlimited budget.
+    {"--max-mb", AllCmds, &Options::MaxMB,
+     "engine-memory budget in MiB, logical bytes, per instance for fuzz "
+     "(default unlimited; exceeding it reports UNDECIDED (memory), never a "
+     "crash)",
+     "N", 0, uint64_t(1) << 24},
+    // Worker counts beyond any real machine are configuration mistakes.
+    {"--jobs", AllCmds, &Options::Jobs,
+     "worker parallelism (default: $CUBA_JOBS, else hardware concurrency; "
+     "results are bit-identical for every N)",
+     "N", 1, 1024},
+    {"--approach", RunCmd, &Options::Approach,
+     "the engine (default auto: explicit when FCR holds, else symbolic)",
+     "auto|explicit|symbolic"},
+    {"--mode", FuzzCmd, &Options::Mode,
+     "workload: random CPDS instances (default) or random Boolean programs "
+     "pushed through the whole frontend pipeline",
+     "cpds|bp"},
+    {"--count", FuzzCmd, &Options::Count, "instances to check (default 200)",
+     "N"},
+    {"--seed", FuzzCmd, &Options::Seed,
+     "base seed (default: $CUBA_FUZZ_SEED, else 1)", "S"},
+    {"--continue-after-bug", RunCmd, &Options::ContinueAfterBug,
+     "keep exploring to a convergence bound"},
+    {"--trace", RunCmd, &Options::Trace,
+     "print a concrete interleaving on a bug"},
+    {"--emit-cpds", RunCmd | FuzzCmd, &Options::EmitCpds,
+     "print the (translated) system and exit; fuzz: print each generated "
+     "instance"},
+    {"--dump-ast", RunCmd, &Options::DumpAst,
+     "print the parsed .bp program and exit"},
+    {"--report-facts", DataflowCmd, &Options::ReportFacts,
+     "print every visible state with its facts"},
+    {"--verify", DataflowCmd, &Options::Verify,
+     "cross-check against the folded product reference; a disagreement "
+     "exits 70"},
+    {"--stats", RunCmd | FuzzCmd, &Options::Stats,
+     "dump internal statistics counters (and, for a symbolic run, the "
+     "symmetry.classes and symmetry.threads gauges); fuzz: per-seed "
+     "wall-clock / peak-bytes lines and aggregate cache-hit / truncation "
+     "rates"},
+    {"--trace-out", AllCmds, &Options::TraceOut,
+     "write a Chrome trace_event JSON profile (Perfetto-loadable)", "FILE"},
+    {"--stats-json", AllCmds, &Options::StatsJson,
+     "write the metrics registry as JSON; the part outside the \"wall\" "
+     "object is byte-identical at any --jobs",
+     "FILE"},
+};
+
+/// Prints \p Line, then \p Help wrapped between column 23 and column 76;
+/// help that would come closer than two spaces to \p Line starts on the
+/// next line.
+void printColumns(std::string Line, std::string_view Help) {
+  constexpr size_t HelpCol = 23, Room = 76 - HelpCol;
+  if (Line.size() + 2 > HelpCol) {
+    std::fprintf(stderr, "%s\n", Line.c_str());
+    Line.clear();
+  }
+  while (!Help.empty()) {
+    size_t Cut = Help.size() <= Room ? Help.size() : Help.rfind(' ', Room);
+    if (Cut == std::string_view::npos)
+      Cut = std::min(Help.find(' '), Help.size());
+    Line.resize(HelpCol, ' ');
+    Line.append(Help.substr(0, Cut));
+    std::fprintf(stderr, "%s\n", Line.c_str());
+    Line.clear();
+    Help.remove_prefix(std::min(Cut + 1, Help.size()));
+  }
+}
+
+void printUsage() {
+  for (size_t S = 0; S < std::size(Subcommands); ++S) {
+    if (S)
+      std::fputc('\n', stderr);
+    printColumns(std::string("usage: ") + Subcommands[S].Synopsis,
+                 Subcommands[S].About);
+    for (const Flag &F : Flags)
+      if (F.Cmds & (1u << S))
+        printColumns(std::string("  ") + F.Name +
+                         (F.Value ? std::string(" ") + F.Value : ""),
+                     F.Help);
+  }
+}
+
+/// \p Words as prose: "a, b, or c" (and "a or b").
+std::string wordsProse(const std::vector<std::string_view> &Words) {
+  std::string Out;
+  for (size_t I = 0; I < Words.size(); ++I) {
+    if (I)
+      Out += Words.size() > 2 ? ", " : " ";
+    if (I && I + 1 == Words.size())
+      Out += "or ";
+    Out += Words[I];
+  }
+  return Out;
+}
+
+/// Parses Argv[First..] for the subcommand with bit \p Cmd into \p O.
+/// Returns 0 for a good command line, else the exit code after the
+/// report: a bad or missing value of a flag the subcommand takes gets
+/// one named diagnostic, any other argument it does not take the usage.
+int parseFlags(unsigned Cmd, int Argc, char **Argv, int First,
+               Options &O) {
+  static constexpr char Hint[] = "(run 'cuba' with no arguments for usage)";
+  for (int I = First; I < Argc; ++I) {
+    std::string_view Arg = Argv[I];
+    const Flag *F =
+        std::find_if(std::begin(Flags), std::end(Flags), [&](const Flag &Row) {
+          return (Row.Cmds & Cmd) && Arg == Row.Name;
+        });
+    if (F == std::end(Flags)) {
+      if (Cmd != FuzzCmd && !Arg.empty() && Arg[0] != '-' &&
+          O.Input.empty()) {
+        O.Input = Arg;
+        continue;
+      }
+      printUsage();
+      return 64;
+    }
+    if (auto *Switch = std::get_if<bool Options::*>(&F->Target)) {
+      O.*(*Switch) = true;
+      continue;
+    }
+    if (I + 1 == Argc) {
+      std::fprintf(stderr, "cuba: %s expects a value %s\n", F->Name, Hint);
+      return 64;
+    }
+    const char *Text = Argv[++I];
+    if (auto *Str = std::get_if<std::string Options::*>(&F->Target)) {
+      if (std::strchr(F->Value, '|')) {
+        std::vector<std::string_view> Words = splitNonEmpty(F->Value, '|');
+        if (std::find(Words.begin(), Words.end(), Text) == Words.end()) {
+          std::fprintf(stderr, "cuba: invalid %s value '%s': expected %s %s\n",
+                       F->Name, Text, wordsProse(Words).c_str(), Hint);
+          return 64;
+        }
+      }
+      O.*(*Str) = Text;
+      continue;
+    }
+    auto V = parseUnsigned(Text);
+    if (!V || *V < F->Min || *V > F->Max) {
+      std::fprintf(stderr,
+                   "cuba: invalid %s value '%s': expected an integer in "
+                   "[%llu, %llu] %s\n",
+                   F->Name, Text, static_cast<unsigned long long>(F->Min),
+                   static_cast<unsigned long long>(F->Max), Hint);
+      return 64;
+    }
+    if (auto *Num = std::get_if<uint64_t Options::*>(&F->Target))
+      O.*(*Num) = *V;
+    else
+      O.*std::get<std::optional<uint64_t> Options::*>(F->Target) = *V;
+  }
+  return 0;
+}
+
 //===----------------------------------------------------------------------===//
 // The fuzz subcommand: generate seeded instances and cross-check every
 // engine on each one.
 //===----------------------------------------------------------------------===//
 
-int runFuzz(int Argc, char **Argv) {
-  uint64_t Count = 200;
-  uint64_t BaseSeed = 1;
-  uint64_t MaxMB = 0;
-  unsigned Jobs = 0;
-  bool SeedWasSet = false;
-  bool EmitCpds = false;
-  bool BpMode = false;
-  bool Stats = false;
-  ObsOutputs Obs;
-  testing::OracleOptions Oracle;
-  Oracle.MaxK = 4;
-  // No wall-clock cutoff: whether a mismatch is reached must depend only
-  // on the seed, never on machine speed (the step budget bounds runtime).
-  Oracle.Limits = ResourceLimits{10'000, 1'000'000, 8, 0};
+/// Reads the fuzz subcommand's environment; runs before the flags, so
+/// --seed overrides CUBA_FUZZ_SEED.
+void readFuzzEnvironment(Options &O) {
   if (const char *Env = std::getenv("CUBA_FUZZ_SEED")) {
-    if (auto V = parseUnsigned(Env)) {
-      BaseSeed = *V;
-      SeedWasSet = true;
-    } else {
+    if (auto V = parseUnsigned(Env))
+      O.Seed = *V;
+    else
       std::fprintf(stderr, "cuba fuzz: ignoring malformed CUBA_FUZZ_SEED"
                            " '%s'\n",
                    Env);
-    }
   }
   // Testing hook: CUBA_FUZZ_INJECT=drop-combine simulates a lost
   // `combine` in the saturation core (existing transitions never gain
@@ -369,169 +441,106 @@ int runFuzz(int Argc, char **Argv) {
   if (const char *Inject = std::getenv("CUBA_FUZZ_INJECT"))
     if (std::string_view(Inject) == "drop-combine")
       psa_testing::InjectDropMaskGrowth = true;
-  for (int I = 2; I < Argc; ++I) {
-    std::string_view Arg = Argv[I];
-    uint64_t N = 0;
-    if (Arg == "--count") {
-      if (!flagValue(Arg, Argc, Argv, I, 0, UINT64_MAX, N))
-        return 64;
-      Count = N;
-    } else if (Arg == "--seed") {
-      if (!flagValue(Arg, Argc, Argv, I, 0, UINT64_MAX, N))
-        return 64;
-      BaseSeed = N;
-      SeedWasSet = true;
-    } else if (Arg == "--max-k") {
-      if (!flagValue(Arg, Argc, Argv, I, 0, MaxKFlagMax, N))
-        return 64;
-      Oracle.MaxK = static_cast<unsigned>(N);
-    } else if (Arg == "--max-mb") {
-      if (!flagValue(Arg, Argc, Argv, I, 0, MaxMbFlagMax, N))
-        return 64;
-      MaxMB = N;
-      Oracle.Limits.MaxBytes = N << 20;
-    } else if (Arg == "--jobs") {
-      if (!flagValue(Arg, Argc, Argv, I, 1, JobsFlagMax, N))
-        return 64;
-      Jobs = static_cast<unsigned>(N);
-    } else if (Arg == "--emit-cpds") {
-      EmitCpds = true;
-    } else if (Arg == "--stats") {
-      Stats = true;
-    } else if (Arg == "--trace-out") {
-      if (!stringFlag(Arg, Argc, Argv, I, Obs.TraceOut))
-        return 64;
-    } else if (Arg == "--stats-json") {
-      if (!stringFlag(Arg, Argc, Argv, I, Obs.StatsJson))
-        return 64;
-    } else if (Arg == "--mode") {
-      std::string_view Mode = I + 1 < Argc ? Argv[++I] : "";
-      if (Mode == "bp") {
-        BpMode = true;
-      } else if (Mode != "cpds") {
-        std::fprintf(stderr,
-                     "cuba: invalid --mode value '%.*s': expected cpds or"
-                     " bp (run 'cuba' with no arguments for usage)\n",
-                     static_cast<int>(Mode.size()), Mode.data());
-        return 64;
-      }
-    } else {
-      printUsage();
-      return 64;
-    }
-  }
-  if (Jobs == 0)
-    Jobs = exec::ThreadPool::defaultJobs();
+}
+
+int runFuzz(const Options &O) {
+  const uint64_t BaseSeed = O.Seed.value_or(1);
+  const bool BpMode = O.Mode == "bp";
+  testing::OracleOptions Oracle;
+  Oracle.MaxK = static_cast<unsigned>(O.MaxK);
+  // No wall-clock cutoff: whether a mismatch is reached must depend only
+  // on the seed, never on machine speed (the step budget bounds runtime).
+  Oracle.Limits = ResourceLimits{10'000, 1'000'000, 8, 0};
+  Oracle.Limits.MaxBytes = O.MaxMB << 20;
+  const unsigned Jobs = O.jobs();
   exec::ThreadPool Pool(Jobs);
   Oracle.Pool = &Pool;
 
-  // Repro lines must replay the whole budget, including the memory axis.
-  std::string MaxMbRepro =
-      MaxMB ? " --max-mb " + std::to_string(MaxMB) : std::string();
+  // The single-instance repro command; it must replay the whole budget,
+  // including the memory axis.
+  std::string Repro = std::string("cuba fuzz") + (BpMode ? " --mode bp" : "") +
+                      " --count 1 --max-k " + std::to_string(Oracle.MaxK) +
+                      (O.MaxMB ? " --max-mb " + std::to_string(O.MaxMB) : "") +
+                      " --jobs " + std::to_string(Jobs);
 
   std::printf("fuzz: %llu %s instance(s) from base seed %llu, %u job(s)%s\n",
-              static_cast<unsigned long long>(Count),
+              static_cast<unsigned long long>(O.Count),
               BpMode ? "Boolean-program" : "CPDS",
               static_cast<unsigned long long>(BaseSeed), Jobs,
-              SeedWasSet ? "" : " (set --seed or CUBA_FUZZ_SEED to vary)");
+              O.Seed ? "" : " (set --seed or CUBA_FUZZ_SEED to vary)");
   uint64_t Exhausted = 0, MemExhausted = 0;
-  auto CountExhaustion = [&](const testing::OracleReport &R) {
-    Exhausted += R.ExplicitExhausted || R.SymbolicExhausted;
-    MemExhausted += R.ExplicitReason == ExhaustKind::Memory ||
-                    R.SymbolicReason == ExhaustKind::Memory;
-  };
-  // Per-seed wall-clock / peak-bytes lines, each carrying the exact
-  // single-instance repro command (--stats only; the default output
-  // stays one header plus one footer so log filters keep working).
-  auto PrintSeedStats = [&](uint64_t Seed, double Millis,
-                            uint64_t PeakBytes) {
-    if (!Stats)
-      return;
-    std::printf("stats: seed=%llu wall_ms=%.2f peak_bytes=%llu"
-                " reproduce: CUBA_FUZZ_SEED=%llu cuba fuzz%s --count 1"
-                " --max-k %u%s --jobs %u\n",
-                static_cast<unsigned long long>(Seed), Millis,
-                static_cast<unsigned long long>(PeakBytes),
-                static_cast<unsigned long long>(Seed),
-                BpMode ? " --mode bp" : "", Oracle.MaxK, MaxMbRepro.c_str(),
-                Jobs);
-  };
-  Obs.beginTrace();
+  O.beginTrace();
   WallTimer FuzzTimer;
-  for (uint64_t I = 0; I < Count; ++I) {
+  for (uint64_t I = 0; I < O.Count; ++I) {
     // Seeds wrap modulo 2^64 so a base near UINT64_MAX still runs the
     // requested number of instances.
     uint64_t Seed = BaseSeed + I;
-
+    testing::OracleReport Engine;
+    std::string Mismatch; // The report and the instance, on a failure.
+    WallTimer SeedTimer;
     if (BpMode) {
       // Program-level pipeline: generate a Boolean program, check the
       // print/parse fixpoint, translation reproducibility and the
       // .cpds round-trip, then run the cross-engine oracle on the
       // translated system (testing/BpOracle).
-      testing::BpOracleOptions BpOpts;
-      BpOpts.Engine = Oracle;
       bp::Program P =
           testing::generateRandomBp(Seed, testing::bpShapeOptions(Seed));
-      if (EmitCpds) {
+      if (O.EmitCpds) {
         std::printf("// seed %llu\n%s\n",
                     static_cast<unsigned long long>(Seed),
                     bp::printProgram(P).c_str());
         std::fflush(stdout);
       }
-      WallTimer SeedTimer;
+      testing::BpOracleOptions BpOpts;
+      BpOpts.Engine = Oracle;
+      SeedTimer.reset();
       testing::BpOracleReport Rep = testing::runBpOracle(P, BpOpts);
-      PrintSeedStats(Seed, SeedTimer.millis(), Rep.Engine.PeakBytes);
-      CountExhaustion(Rep.Engine);
-      if (!Rep.ok()) {
-        std::fprintf(stderr,
-                     "fuzz: MISMATCH at seed %llu\n%s\n"
-                     "program:\n%s\n"
-                     "reproduce: CUBA_FUZZ_SEED=%llu cuba fuzz --mode bp"
-                     " --count 1 --max-k %u%s --jobs %u\n",
-                     static_cast<unsigned long long>(Seed), Rep.str().c_str(),
-                     Rep.Source.c_str(),
-                     static_cast<unsigned long long>(Seed), Oracle.MaxK,
-                     MaxMbRepro.c_str(), Jobs);
-        return 1;
-      }
-      continue;
+      Engine = Rep.Engine;
+      if (!Rep.ok())
+        Mismatch = Rep.str() + "\nprogram:\n" + Rep.Source;
+    } else {
+      CpdsFile File =
+          testing::generateRandomCpds(Seed, testing::cornerShapeOptions(Seed));
+      if (O.EmitCpds)
+        std::printf("# seed %llu\n%s\n", static_cast<unsigned long long>(Seed),
+                    printCpds(File).c_str());
+      SeedTimer.reset();
+      Engine = testing::runDifferentialOracle(File, Oracle);
+      if (!Engine.ok())
+        Mismatch = Engine.str() + "\ninstance:\n" + printCpds(File);
     }
-
-    CpdsFile File =
-        testing::generateRandomCpds(Seed, testing::cornerShapeOptions(Seed));
-    if (EmitCpds) {
-      std::printf("# seed %llu\n%s\n",
-                  static_cast<unsigned long long>(Seed),
-                  printCpds(File).c_str());
-    }
-    WallTimer SeedTimer;
-    testing::OracleReport Rep = testing::runDifferentialOracle(File, Oracle);
-    PrintSeedStats(Seed, SeedTimer.millis(), Rep.PeakBytes);
-    CountExhaustion(Rep);
-    if (!Rep.ok()) {
+    // Per-seed wall-clock / peak-bytes lines, each carrying the exact
+    // single-instance repro command (--stats only; the default output
+    // stays one header plus one footer so log filters keep working).
+    if (O.Stats)
+      std::printf("stats: seed=%llu wall_ms=%.2f peak_bytes=%llu"
+                  " reproduce: CUBA_FUZZ_SEED=%llu %s\n",
+                  static_cast<unsigned long long>(Seed), SeedTimer.millis(),
+                  static_cast<unsigned long long>(Engine.PeakBytes),
+                  static_cast<unsigned long long>(Seed), Repro.c_str());
+    Exhausted += Engine.ExplicitExhausted || Engine.SymbolicExhausted;
+    MemExhausted += Engine.ExplicitReason == ExhaustKind::Memory ||
+                    Engine.SymbolicReason == ExhaustKind::Memory;
+    if (!Mismatch.empty()) {
       std::fprintf(stderr,
                    "fuzz: MISMATCH at seed %llu\n%s\n"
-                   "instance:\n%s\n"
-                   "reproduce: CUBA_FUZZ_SEED=%llu cuba fuzz --count 1"
-                   " --max-k %u%s --jobs %u\n",
-                   static_cast<unsigned long long>(Seed), Rep.str().c_str(),
-                   printCpds(File).c_str(),
-                   static_cast<unsigned long long>(Seed), Oracle.MaxK,
-                   MaxMbRepro.c_str(), Jobs);
+                   "reproduce: CUBA_FUZZ_SEED=%llu %s\n",
+                   static_cast<unsigned long long>(Seed), Mismatch.c_str(),
+                   static_cast<unsigned long long>(Seed), Repro.c_str());
       return 1;
     }
   }
   std::printf(
       "fuzz: all %llu instance(s) agree (%llu budget-truncated, %llu by"
       " memory)\n",
-      static_cast<unsigned long long>(Count),
+      static_cast<unsigned long long>(O.Count),
       static_cast<unsigned long long>(Exhausted),
       static_cast<unsigned long long>(MemExhausted));
   // Aggregates over the whole run: SatCache effectiveness and how often
   // the per-instance budget truncated the comparison.
   uint64_t Trans = obs::Metrics::value("symbolic.transactions");
   uint64_t Cached = obs::Metrics::value("symbolic.transactions.cached");
-  if (Stats)
+  if (O.Stats)
     std::printf("stats: sat-cache hits %llu/%llu (%.1f%%), truncated"
                 " %llu/%llu instance(s) (%.1f%%)\n",
                 static_cast<unsigned long long>(Cached),
@@ -540,99 +549,20 @@ int runFuzz(int Argc, char **Argv) {
                             static_cast<double>(Trans)
                       : 0.0,
                 static_cast<unsigned long long>(Exhausted),
-                static_cast<unsigned long long>(Count),
-                Count ? 100.0 * static_cast<double>(Exhausted) /
-                            static_cast<double>(Count)
-                      : 0.0);
-  if (Obs.any()) {
-    std::vector<std::pair<std::string, std::string>> Wall;
-    Wall.emplace_back("subcommand", jsonQuote("fuzz"));
-    Wall.emplace_back("mode", jsonQuote(BpMode ? "bp" : "cpds"));
-    Wall.emplace_back("base_seed", std::to_string(BaseSeed));
-    Wall.emplace_back("count", std::to_string(Count));
-    Wall.emplace_back("jobs", std::to_string(Jobs));
-    Wall.emplace_back("elapsed_ms", jsonMillis(FuzzTimer.millis()));
-    Wall.emplace_back("truncated", std::to_string(Exhausted));
-    Wall.emplace_back("truncated_by_memory", std::to_string(MemExhausted));
-    Wall.emplace_back("workers", workersJson(Pool));
-    if (!Obs.write(Wall))
-      return 74;
-  }
+                static_cast<unsigned long long>(O.Count),
+                O.Count ? 100.0 * static_cast<double>(Exhausted) /
+                              static_cast<double>(O.Count)
+                        : 0.0);
+  if (!O.writeObs("fuzz", Pool,
+                  {{"mode", jsonQuote(O.Mode)},
+                   {"base_seed", std::to_string(BaseSeed)},
+                   {"count", std::to_string(O.Count)},
+                   {"jobs", std::to_string(Jobs)},
+                   {"elapsed_ms", jsonMillis(FuzzTimer.millis())},
+                   {"truncated", std::to_string(Exhausted)},
+                   {"truncated_by_memory", std::to_string(MemExhausted)}}))
+    return 74;
   return 0;
-}
-
-/// Ok: proceed.  Usage: unknown argument or missing input, caller dumps
-/// the full usage text.  Diagnosed: a named flag error was already
-/// printed; the caller just exits 64.
-enum class ParseResult { Ok, Usage, Diagnosed };
-
-ParseResult parseArgs(int Argc, char **Argv, CliOptions &Cli) {
-  RunOptions &Run = Cli.Driver.Run;
-  Run.Limits.MaxContexts = 32;
-  for (int I = 1; I < Argc; ++I) {
-    std::string_view Arg = Argv[I];
-    uint64_t N = 0;
-    if (Arg == "--max-k") {
-      if (!flagValue(Arg, Argc, Argv, I, 0, MaxKFlagMax, N))
-        return ParseResult::Diagnosed;
-      Run.Limits.MaxContexts = static_cast<unsigned>(N);
-    } else if (Arg == "--max-states") {
-      if (!flagValue(Arg, Argc, Argv, I, 0, UINT64_MAX, N))
-        return ParseResult::Diagnosed;
-      Run.Limits.MaxStates = N;
-    } else if (Arg == "--max-steps") {
-      if (!flagValue(Arg, Argc, Argv, I, 0, UINT64_MAX, N))
-        return ParseResult::Diagnosed;
-      Run.Limits.MaxSteps = N;
-    } else if (Arg == "--timeout-ms") {
-      if (!flagValue(Arg, Argc, Argv, I, 0, UINT64_MAX, N))
-        return ParseResult::Diagnosed;
-      Run.Limits.MaxMillis = N;
-    } else if (Arg == "--max-mb") {
-      if (!flagValue(Arg, Argc, Argv, I, 0, MaxMbFlagMax, N))
-        return ParseResult::Diagnosed;
-      Run.Limits.MaxBytes = N << 20;
-    } else if (Arg == "--jobs") {
-      if (!flagValue(Arg, Argc, Argv, I, 1, JobsFlagMax, N))
-        return ParseResult::Diagnosed;
-      Cli.Jobs = static_cast<unsigned>(N);
-    } else if (Arg == "--approach") {
-      std::string_view A = I + 1 < Argc ? Argv[++I] : "";
-      if (A == "explicit") {
-        Cli.Driver.Force = ApproachKind::ExplicitCombined;
-      } else if (A == "symbolic") {
-        Cli.Driver.Force = ApproachKind::Symbolic;
-      } else if (A != "auto") {
-        std::fprintf(stderr,
-                     "cuba: invalid --approach value '%.*s': expected auto,"
-                     " explicit, or symbolic (run 'cuba' with no arguments"
-                     " for usage)\n",
-                     static_cast<int>(A.size()), A.data());
-        return ParseResult::Diagnosed;
-      }
-    } else if (Arg == "--continue-after-bug") {
-      Run.ContinueAfterBug = true;
-    } else if (Arg == "--trace") {
-      Run.BuildTrace = true;
-    } else if (Arg == "--emit-cpds") {
-      Cli.EmitCpds = true;
-    } else if (Arg == "--dump-ast") {
-      Cli.DumpAst = true;
-    } else if (Arg == "--stats") {
-      Cli.Stats = true;
-    } else if (Arg == "--trace-out") {
-      if (!stringFlag(Arg, Argc, Argv, I, Cli.Obs.TraceOut))
-        return ParseResult::Diagnosed;
-    } else if (Arg == "--stats-json") {
-      if (!stringFlag(Arg, Argc, Argv, I, Cli.Obs.StatsJson))
-        return ParseResult::Diagnosed;
-    } else if (!Arg.empty() && Arg[0] != '-' && Cli.InputPath.empty()) {
-      Cli.InputPath = Arg;
-    } else {
-      return ParseResult::Usage;
-    }
-  }
-  return Cli.InputPath.empty() ? ParseResult::Usage : ParseResult::Ok;
 }
 
 /// Reports \p E against the input \p Path; returns the usage exit code.
@@ -700,85 +630,34 @@ std::string renderDataflowState(const Cpds &C, const bp::TaintInfo &Taint,
   return Out;
 }
 
-int runDataflow(int Argc, char **Argv) {
-  std::string Input;
-  ResourceLimits Limits;
-  Limits.MaxContexts = 8;
-  unsigned Jobs = 0;
-  bool Verify = false;
-  bool ReportFacts = false;
-  ObsOutputs Obs;
-  for (int I = 2; I < Argc; ++I) {
-    std::string_view Arg = Argv[I];
-    uint64_t N = 0;
-    if (Arg == "--max-k") {
-      if (!flagValue(Arg, Argc, Argv, I, 0, MaxKFlagMax, N))
-        return 64;
-      Limits.MaxContexts = static_cast<unsigned>(N);
-    } else if (Arg == "--max-states") {
-      if (!flagValue(Arg, Argc, Argv, I, 0, UINT64_MAX, N))
-        return 64;
-      Limits.MaxStates = N;
-    } else if (Arg == "--max-steps") {
-      if (!flagValue(Arg, Argc, Argv, I, 0, UINT64_MAX, N))
-        return 64;
-      Limits.MaxSteps = N;
-    } else if (Arg == "--timeout-ms") {
-      if (!flagValue(Arg, Argc, Argv, I, 0, UINT64_MAX, N))
-        return 64;
-      Limits.MaxMillis = N;
-    } else if (Arg == "--max-mb") {
-      if (!flagValue(Arg, Argc, Argv, I, 0, MaxMbFlagMax, N))
-        return 64;
-      Limits.MaxBytes = N << 20;
-    } else if (Arg == "--jobs") {
-      if (!flagValue(Arg, Argc, Argv, I, 1, JobsFlagMax, N))
-        return 64;
-      Jobs = static_cast<unsigned>(N);
-    } else if (Arg == "--verify") {
-      Verify = true;
-    } else if (Arg == "--report-facts") {
-      ReportFacts = true;
-    } else if (Arg == "--trace-out") {
-      if (!stringFlag(Arg, Argc, Argv, I, Obs.TraceOut))
-        return 64;
-    } else if (Arg == "--stats-json") {
-      if (!stringFlag(Arg, Argc, Argv, I, Obs.StatsJson))
-        return 64;
-    } else if (!Arg.empty() && Arg[0] != '-' && Input.empty()) {
-      Input = Arg;
-    } else {
-      printUsage();
-      return 64;
-    }
-  }
-  if (Input.empty() || !endsWith(Input, ".bp")) {
+int runDataflow(const Options &O) {
+  if (O.Input.empty() || !endsWith(O.Input, ".bp")) {
     std::fprintf(stderr, "cuba dataflow: needs one .bp input file\n");
     printUsage();
     return 64;
   }
 
-  auto Text = readFile(Input);
+  auto Text = readFile(O.Input);
   if (!Text)
-    return inputError(Input, Text.error());
+    return inputError(O.Input, Text.error());
   auto Prog = bp::parseProgram(*Text);
   if (!Prog)
-    return inputError(Input, Prog.error());
+    return inputError(O.Input, Prog.error());
   auto Info = bp::analyzeProgram(*Prog);
   if (!Info)
-    return inputError(Input, Info.error());
+    return inputError(O.Input, Info.error());
 
   bp::TaintInfo Taint;
   bp::TranslateOptions TOpts;
   TOpts.Taint = &Taint;
-  Obs.beginTrace();
+  O.beginTrace();
   auto File = bp::translateProgram(*Prog, *Info, TOpts);
   if (!File)
-    return inputError(Input, File.error());
+    return inputError(O.Input, File.error());
 
-  if (Jobs == 0)
-    Jobs = exec::ThreadPool::defaultJobs();
+  const unsigned Jobs = O.jobs();
   exec::ThreadPool Pool(Jobs);
+  const ResourceLimits Limits = O.limits();
   WallTimer T;
   DataflowEngine W(File->System, Taint, Limits);
   W.setParallel(&Pool);
@@ -788,7 +667,7 @@ int runDataflow(int Argc, char **Argv) {
   bool Converged = !Exhausted && W.frontierEmpty();
   std::vector<SinkHit> Hits = W.sinkHits();
 
-  std::printf("input:     %s\n", Input.c_str());
+  std::printf("input:     %s\n", O.Input.c_str());
   std::string FactList;
   for (const std::string &F : Taint.FactNames)
     FactList += (FactList.empty() ? "" : ", ") + F;
@@ -802,7 +681,7 @@ int runDataflow(int Argc, char **Argv) {
   std::printf("resources: %.2f ms, %.1f MB peak\n", T.millis(),
               static_cast<double>(W.limits().peakBytes()) / (1024 * 1024));
 
-  if (ReportFacts)
+  if (O.ReportFacts)
     for (const auto &[V, Round] : W.visibleFirstSeen())
       std::printf("visible:   %s\n",
                   renderDataflowState(File->System, Taint, V, Round).c_str());
@@ -814,7 +693,7 @@ int runDataflow(int Argc, char **Argv) {
                 File->System.thread(H.Thread).symbolName(H.Frame).c_str(),
                 Taint.FactNames[H.Fact].c_str(), H.Round);
 
-  if (Verify) {
+  if (O.Verify) {
     testing::DataflowOracleOptions OOpts;
     OOpts.MaxK = Limits.MaxContexts;
     OOpts.Limits = Limits;
@@ -836,21 +715,16 @@ int runDataflow(int Argc, char **Argv) {
     }
   }
 
-  if (Obs.any()) {
-    std::vector<std::pair<std::string, std::string>> Wall;
-    Wall.emplace_back("subcommand", jsonQuote("dataflow"));
-    Wall.emplace_back("input", jsonQuote(Input));
-    Wall.emplace_back("verdict", jsonQuote(!Hits.empty()  ? "leak"
-                                           : Exhausted    ? "undecided"
-                                                          : "safe"));
-    Wall.emplace_back("k_max", std::to_string(W.bound()));
-    Wall.emplace_back("jobs", std::to_string(Jobs));
-    Wall.emplace_back("elapsed_ms", jsonMillis(T.millis()));
-    Wall.emplace_back("peak_bytes", std::to_string(W.limits().peakBytes()));
-    Wall.emplace_back("workers", workersJson(Pool));
-    if (!Obs.write(Wall))
-      return 74;
-  }
+  if (!O.writeObs("dataflow", Pool,
+                  {{"input", jsonQuote(O.Input)},
+                   {"verdict", jsonQuote(!Hits.empty() ? "leak"
+                                         : Exhausted   ? "undecided"
+                                                       : "safe")},
+                   {"k_max", std::to_string(W.bound())},
+                   {"jobs", std::to_string(Jobs)},
+                   {"elapsed_ms", jsonMillis(T.millis())},
+                   {"peak_bytes", std::to_string(W.limits().peakBytes())}}))
+    return 74;
 
   if (!Hits.empty()) {
     std::printf("verdict:   LEAK within %u contexts\n", Hits.front().Round);
@@ -872,64 +746,58 @@ int runDataflow(int Argc, char **Argv) {
   return 0;
 }
 
-} // namespace
+//===----------------------------------------------------------------------===//
+// The verifier itself.
+//===----------------------------------------------------------------------===//
 
-int main(int Argc, char **Argv) try {
-  // CUBA_FAULT_POINT / CUBA_FAULT_AT arm the deterministic fault
-  // harness for whole-binary robustness sweeps (no-op when unset).
-  fault::armFromEnv();
-
-  if (Argc > 1 && std::string_view(Argv[1]) == "fuzz")
-    return runFuzz(Argc, Argv);
-  if (Argc > 1 && std::string_view(Argv[1]) == "dataflow")
-    return runDataflow(Argc, Argv);
-
-  CliOptions Cli;
-  switch (parseArgs(Argc, Argv, Cli)) {
-  case ParseResult::Ok:
-    break;
-  case ParseResult::Usage:
+int runVerify(const Options &O) {
+  if (O.Input.empty()) {
     printUsage();
     return 64;
-  case ParseResult::Diagnosed:
-    return 64; // The named flag error already carried the usage hint.
   }
-
-  if (Cli.DumpAst) {
-    if (!endsWith(Cli.InputPath, ".bp")) {
+  if (O.DumpAst) {
+    if (!endsWith(O.Input, ".bp")) {
       std::fprintf(stderr, "cuba: --dump-ast needs a .bp input\n");
       return 64;
     }
-    auto Text = readFile(Cli.InputPath);
+    auto Text = readFile(O.Input);
     if (!Text)
-      return inputError(Cli.InputPath, Text.error());
+      return inputError(O.Input, Text.error());
     auto Prog = bp::parseProgram(*Text);
     if (!Prog)
-      return inputError(Cli.InputPath, Prog.error());
+      return inputError(O.Input, Prog.error());
     std::string Out = bp::printProgram(*Prog);
     std::fwrite(Out.data(), 1, Out.size(), stdout);
     return 0;
   }
 
   // Armed before loading, so a .bp input's translate span lands too.
-  Cli.Obs.beginTrace();
-  auto File = loadInput(Cli.InputPath);
+  O.beginTrace();
+  auto File = loadInput(O.Input);
   if (!File)
-    return inputError(Cli.InputPath, File.error());
+    return inputError(O.Input, File.error());
 
-  if (Cli.EmitCpds) {
+  if (O.EmitCpds) {
     std::string Text = printCpds(*File);
     std::fwrite(Text.data(), 1, Text.size(), stdout);
     return 0;
   }
 
-  unsigned Jobs = Cli.Jobs ? Cli.Jobs : exec::ThreadPool::defaultJobs();
+  const unsigned Jobs = O.jobs();
   exec::ThreadPool Pool(Jobs);
-  Cli.Driver.Run.Pool = &Pool;
+  DriverOptions Driver;
+  Driver.Run.Limits = O.limits();
+  Driver.Run.ContinueAfterBug = O.ContinueAfterBug;
+  Driver.Run.BuildTrace = O.Trace;
+  Driver.Run.Pool = &Pool;
+  if (O.Approach == "explicit")
+    Driver.Force = ApproachKind::ExplicitCombined;
+  else if (O.Approach == "symbolic")
+    Driver.Force = ApproachKind::Symbolic;
 
-  DriverResult R = runCuba(File->System, File->Property, Cli.Driver);
+  DriverResult R = runCuba(File->System, File->Property, Driver);
 
-  std::printf("input:     %s\n", Cli.InputPath.c_str());
+  std::printf("input:     %s\n", O.Input.c_str());
   std::printf("threads:   %u\n", File->System.numThreads());
   std::printf("jobs:      %u\n", Jobs);
   std::printf("fcr:       %s\n", R.Fcr.Holds ? "holds" : "not established");
@@ -965,11 +833,12 @@ int main(int Argc, char **Argv) try {
   std::printf("resources: %.2f ms, %.1f MB peak\n", R.Run.Millis,
               R.PeakMemMB);
 
-  if (Cli.Stats) {
+  if (O.Stats) {
     std::printf("--- statistics ---\n");
-    for (const auto &[Name, Value] : Statistics::snapshot())
-      std::printf("%10llu  %s\n", static_cast<unsigned long long>(Value),
-                  Name.c_str());
+    for (const obs::InstrumentSnapshot &S : obs::Metrics::snapshot())
+      if (S.K == obs::Kind::Counter)
+        std::printf("%10llu  %s\n", static_cast<unsigned long long>(S.Value),
+                    S.Name.c_str());
     // The classes of identical threads the symbolic rounds ran on.
     if (R.Used == ApproachKind::Symbolic)
       for (const char *Name : {"symmetry.classes", "symmetry.threads"})
@@ -978,21 +847,16 @@ int main(int Argc, char **Argv) try {
                     Name);
   }
 
-  if (Cli.Obs.any()) {
-    std::vector<std::pair<std::string, std::string>> Wall;
-    Wall.emplace_back("subcommand", jsonQuote("run"));
-    Wall.emplace_back("input", jsonQuote(Cli.InputPath));
-    Wall.emplace_back("jobs", std::to_string(Jobs));
-    Wall.emplace_back("approach",
-                      jsonQuote(R.Used == ApproachKind::ExplicitCombined
-                                    ? "explicit"
-                                    : "symbolic"));
-    Wall.emplace_back("verdict", jsonQuote(outcomeName(R.Run.outcome())));
-    Wall.emplace_back("elapsed_ms", jsonMillis(R.Run.Millis));
-    Wall.emplace_back("workers", workersJson(Pool));
-    if (!Cli.Obs.write(Wall))
-      return 74;
-  }
+  if (!O.writeObs("run", Pool,
+                  {{"input", jsonQuote(O.Input)},
+                   {"jobs", std::to_string(Jobs)},
+                   {"approach",
+                    jsonQuote(R.Used == ApproachKind::ExplicitCombined
+                                  ? "explicit"
+                                  : "symbolic")},
+                   {"verdict", jsonQuote(outcomeName(R.Run.outcome()))},
+                   {"elapsed_ms", jsonMillis(R.Run.Millis)}}))
+    return 74;
 
   switch (R.Run.outcome()) {
   case Outcome::Proved:
@@ -1003,6 +867,34 @@ int main(int Argc, char **Argv) try {
     return 2;
   }
   return 2;
+}
+
+} // namespace
+
+int main(int Argc, char **Argv) try {
+  // CUBA_FAULT_POINT / CUBA_FAULT_AT arm the deterministic fault
+  // harness for whole-binary robustness sweeps (no-op when unset).
+  fault::armFromEnv();
+
+  unsigned Sub = 0;
+  for (unsigned S = 1; S < std::size(Subcommands); ++S)
+    if (Argc > 1 && std::string_view(Argv[1]) == Subcommands[S].Name)
+      Sub = S;
+  Options O;
+  O.MaxK = Subcommands[Sub].MaxK;
+  const unsigned Cmd = 1u << Sub;
+  if (Cmd == FuzzCmd)
+    readFuzzEnvironment(O);
+  if (int Rc = parseFlags(Cmd, Argc, Argv, Sub ? 2 : 1, O))
+    return Rc;
+  switch (Cmd) {
+  case FuzzCmd:
+    return runFuzz(O);
+  case DataflowCmd:
+    return runDataflow(O);
+  default:
+    return runVerify(O);
+  }
 } catch (const std::bad_alloc &) {
   // Out of memory anywhere the engines' guards do not cover (frontend,
   // pool construction, report formatting): still a clean exit with the
