@@ -48,9 +48,10 @@ struct RunOptions {
   /// On a bug, reconstruct a concrete interleaving into
   /// RunResult::Trace (explicit engines only).
   bool BuildTrace = false;
-  /// When set (and holding more than one job), the engines fan each
-  /// round out across this pool's workers; results are bit-identical to
-  /// a serial run (see src/exec/).  The pool must outlive the run.
+  /// When set (and holding more than one job), the explicit engine fans
+  /// each level out across this pool's workers; results are
+  /// bit-identical to a serial run (see src/exec/).  Symbolic rounds are
+  /// serial and ignore it.  The pool must outlive the run.
   exec::ThreadPool *Pool = nullptr;
 };
 

@@ -34,7 +34,6 @@ SymbolicRunResult runAlg3SymbolicImpl(const Cpds &C,
   SymClasses.recordMax(Symmetry.classes().size());
   SymThreads.recordMax(Symmetry.classifiedThreads());
   SymbolicEngine Engine(C, Opts.Limits, Symmetry);
-  Engine.setParallel(Opts.Pool);
   GeneratorTest Generators(C, Opts.Limits, Symmetry);
   // The plateaus of T(S_k) are tracked on its orbit count: it plateaus
   // exactly when |T(S_k)| does, but never saturates as the orbit sum

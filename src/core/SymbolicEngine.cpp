@@ -9,11 +9,10 @@
 
 using namespace cuba;
 
-void MaskRoundDomain::extract(const Sat &S, const Cache *Committed,
-                              const Cache *Overlay, QState Root,
-                              std::vector<ExtractedSucc> &Succs,
+void MaskRoundDomain::extract(const Sat &S, const Cache &Committed,
+                              QState Root, std::vector<ExtractedSucc> &Succs,
                               Payload &X) const {
-  S.extractRootCached(Root, Committed, Overlay, X);
+  S.extractRootCached(Root, Committed, X);
   // The per-successor charge mirrors the pre-refactor pipeline's
   // rooted-NFA cost: the size of the automaton the canonicalization
   // reads, identical for every target of one root.  Cache hits charge

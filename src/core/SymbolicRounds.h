@@ -17,8 +17,7 @@
 ///
 /// The core owns everything but the saturation: states, the language
 /// arena, transaction record/replay, producer masks, the visible
-/// bookkeeping, speculation, pipelining and eviction.  A Domain supplies
-/// the rest:
+/// bookkeeping and eviction.  A Domain supplies the rest:
 ///
 ///   using Sat, Cache, Payload;       the retained saturation (with
 ///                                    numStates() and memoryBytes()), its
@@ -28,18 +27,16 @@
 ///   QState numControlStates() const;     the range of row words 0
 ///   DomainSaturation<Sat> saturate(unsigned Thread,
 ///       const CanonicalDfa &Lang, LimitTracker *Limits) const;
-///   void extract(const Sat &, const Cache *Committed,
-///       const Cache *Overlay, QState Root,
+///   void extract(const Sat &, const Cache &Committed, QState Root,
 ///       std::vector<ExtractedSucc> &Succs, Payload &X) const;
 ///   DomainCommit commit(const Sat &, Cache &, const Payload &X) const;
 ///
-/// saturate charges one step per pop to \p Limits.  extract reads only
-/// its arguments (workers run it concurrently on distinct saturations)
-/// and probes both caches read-only; its successors must not depend on
-/// what either cache held.  commit folds a payload into a cache in the
-/// serial commit order, returning how much of it was already there and
-/// the bytes the cache newly retains, which count toward both byte
-/// budgets as the saturation's.  SymbolicEngine is the boolean root-mask
+/// saturate charges one step per pop to \p Limits.  extract probes the
+/// saturation's cache read-only; its successors must not depend on what
+/// the cache held.  commit then folds the payload into that cache,
+/// returning how much of it was already there and the bytes the cache
+/// newly retains, which count toward both byte budgets as the
+/// saturation's.  SymbolicEngine is the boolean root-mask
 /// instantiation, DataflowEngine the GEN/KILL taint one.
 ///
 /// Stack languages are stored as canonical minimal DFAs over the
@@ -75,34 +72,11 @@
 /// round, so a repeated tuple's words are already recorded at a round no
 /// later than the current one.
 ///
-/// Parallel rounds (setParallel): a round's transactions only interact
-/// through the state-table / DfaStore interning and the budget, and their
-/// *content* depends only on (thread, root, input language).  The
-/// parallel path computes each distinct uncached (thread, input DfaId)
-/// key's work speculatively across workers -- the saturation plus the
-/// per-root extractions every frontier root of that key needs, all
-/// against the frozen arena -- and then replays the round's (frontier,
-/// thread) sequence serially, charging budgets and interning canonical
-/// forms in exactly the serial order.  Keys repeated within the round
-/// become cache hits at the replay, just as they do serially, so
-/// verdicts, first-seen rounds, budget exhaustion points and DfaId
-/// assignment are bit-identical to `--jobs 1` (pinned by
-/// ParallelDeterminismTest).
-///
-/// Round pipelining: a successor produced by thread P inherits every
-/// other thread's language, so the saturation keys round k+1 will need
-/// beyond round k's own are (P, A_P) for P in S's producer mask
-/// -- exactly the expansions the mask rules out this round, known
-/// before any of round k+1 exists.  Parallel rounds append those keys
-/// to round k's speculative batch as uncharged prefetch tasks
-/// (saturation only, no roots yet); round k+1's phase 1 adopts a
-/// prefetched saturation instead of recomputing it, and unconsumed
-/// prefetches are dropped after one round.  Budgets are only ever
-/// charged at the serial commit of the round that actually consumes
-/// the work, and a saturation's pop count, byte peak and content are
-/// deterministic per (thread, language), so pipelining shifts wall
-/// time only -- every committed figure stays bit-identical to the
-/// serial path.  The serial path never prefetches.
+/// Rounds are serial at every `--jobs`: a round expands its frontier
+/// in order, charging budgets, interning languages and registering
+/// successors as it goes, so verdicts, first-seen rounds, budget
+/// exhaustion points and DfaId assignment are functions of the input
+/// and the limits alone.
 ///
 /// Thread symmetry (pds/ThreadSymmetry.h): an engine keeps one row per
 /// orbit of its symmetry's class permutations.  Each successor row is
@@ -111,8 +85,7 @@
 /// producer's language.  Equal languages sit in one run of a canonical
 /// row, and expanding any column of a run yields permutations of what
 /// expanding its first column yields, so only first columns are expanded
-/// (serial path, parallel phase 1 and prefetch alike), and a producer
-/// bit there skips the whole run.  A class shares one Pds, so the
+/// and a producer bit there skips the whole run.  A class shares one Pds, so the
 /// saturation and top-set caches are keyed by the class representative.
 /// Visible states are recorded in canonical form, each class's columns
 /// with equal top sets enumerated as multisets, and visibleSize() adds
@@ -134,8 +107,6 @@
 #include <map>
 #include <vector>
 
-#include "exec/ParallelRound.h"
-#include "exec/ThreadPool.h"
 #include "fa/Canonicalize.h"
 #include "fa/DfaStore.h"
 #include "obs/Metrics.h"
@@ -155,7 +126,7 @@ struct RoundNames {
   const char *RoundSpan, *Rounds, *RoundMicros, *States, *Transactions,
       *TransactionsCached, *PopsPerSaturation, *ExtractionFanout,
       *SkippedUnchanged, *Evictions, *BytesHwm, *SatBytesHwm,
-      *CacheEntriesHwm, *PrefetchHits, *PrefetchDropped, *PrefetchHiddenUs;
+      *CacheEntriesHwm;
 };
 
 /// A domain saturation: the retained relation, and whether it ran to
@@ -200,7 +171,7 @@ public:
         Symmetry(std::move(Symmetry)), Rows(1 + C.numThreads()),
         VisibleSeen(C, Dom.numControlStates()),
         VisTuples(1 + C.numThreads()), TopsCache(C.numThreads()),
-        SatCache(C.numThreads()), PrefetchIdx(C.numThreads()) {
+        SatCache(C.numThreads()) {
     assert(C.frozen() && "the symbolic rounds require a frozen CPDS");
     ParentBuf.resize(Rows.width());
     SuccBuf.resize(Rows.width());
@@ -239,13 +210,10 @@ public:
     Round.arg("frontier", Frontier.size());
 
     std::vector<uint32_t> NewFrontier;
-    RoundStatus St = Pool ? advanceRoundParallel(NewFrontier)
-                          : commitRound(NewFrontier, nullptr);
+    RoundStatus St = commitRound(NewFrontier);
 
     // Budget consumption curve: the cumulative tracker figures as of this
-    // round's end, all deterministic functions of serially committed
-    // state (even at the exhaustion round -- both paths truncate at the
-    // identical charge).
+    // round's end (at the exhaustion round too).
     Round.arg("steps", Limits.steps());
     Round.arg("states", Limits.states());
     Round.arg("peak_bytes", Limits.peakBytes());
@@ -255,8 +223,8 @@ public:
             .count()));
     if (St == RoundStatus::Exhausted)
       return RoundStatus::Exhausted;
-    // The serial round boundary: the only point where retention decisions
-    // are made, so they are identical at any `--jobs`.
+    // The round boundary: the only point where retention decisions are
+    // made.
     evictSaturations();
     Round.arg("new_states", NewFrontier.size());
     Round.arg("bytes", memoryUsage());
@@ -324,20 +292,12 @@ public:
   /// Logical byte footprint of the engine-owned stores (language arena,
   /// state table and producer masks, retained saturations with their
   /// extraction caches, transaction records, visible tuples and set),
-  /// derived from element counts so it is deterministic at any `--jobs`.
+  /// derived from element counts so it is deterministic.
   uint64_t memoryUsage() const {
     return Store.memoryBytes() + Rows.memoryBytes() +
            static_cast<uint64_t>(Rows.size()) * sizeof(uint32_t) +
            VisTuples.memoryBytes() + SatBytes + TrBytes +
            static_cast<uint64_t>(VisibleSeen.size()) * VisibleEntryBytes;
-  }
-
-  /// Fans subsequent rounds' transactions out across \p Pool's workers
-  /// (nullptr, or a one-job pool, restores the serial path).  Results
-  /// are bit-identical either way; the pool must outlive the engine or
-  /// the next setParallel call.
-  void setParallel(exec::ThreadPool *Pool) {
-    this->Pool = Pool && Pool->jobs() > 1 ? Pool : nullptr;
   }
 
 private:
@@ -370,73 +330,12 @@ private:
     FlatMap<uint32_t, uint32_t> Roots; // root -> Transactions idx
     unsigned Thread = 0;
     DfaId InLang = 0;
-    unsigned LastUsed = 0; // Round stamp, updated at serial touch points.
-    /// The domain's per-root extraction cache; read concurrently by
-    /// speculative extractions, mutated only at the serial commit
-    /// (commitRootExtraction), so its content -- and the skipped counter
-    /// derived from it -- is identical at any job count.  Evicted along
-    /// with the saturation.
+    unsigned LastUsed = 0; // Round stamp, updated when a round touches it.
+    /// The domain's per-root extraction cache, probed by each fresh
+    /// root's extraction and then folded into (extractRoot).  Evicted
+    /// along with the saturation.
     Cache Extract;
     uint64_t Bytes = 0; // Its share of SatBytes, Extract's included.
-  };
-
-  /// A per-root extraction staged before budget charging and interning.
-  /// Shared by the serial fresh path and the parallel speculative phase.
-  /// The trace fields record where and when the extraction actually ran
-  /// (a worker in parallel rounds); the serial commit emits the
-  /// "extract" span from them, so span *content* stays identical at any
-  /// job count while the attribution is honest.
-  struct PendingExtraction {
-    std::vector<ExtractedSucc> Succs;
-    /// Committed into the owning SharedSat's cache at the serial commit,
-    /// where the part already present is counted as skipped.
-    Payload X;
-    uint64_t TsBegin = 0;
-    uint64_t TsEnd = 0;
-    uint32_t Worker = 0;
-  };
-
-  /// A saturation of (thread, input DfaId) computed off the serial path
-  /// with an uncharged recorder.  Also the whole of a prefetch (see the
-  /// round-pipelining model above), which is held outside every budget
-  /// and cache until a PendingSat adopts it (Prefilled) or it is dropped.
-  struct SpecSat {
-    unsigned Thread = 0;
-    DfaId InLang = 0;
-    uint64_t BaseSteps = 0;
-    /// Peak in-flight footprint the speculative saturation sampled, and
-    /// whether it ran to fixpoint under the MaxBytes budget.  The serial
-    /// commit replays the peak against the live tracker: max-folding is
-    /// order-insensitive, so the tracker ends bit-identical to a serial
-    /// run that sampled every pop itself.
-    uint64_t PeakSatBytes = 0;
-    bool Complete = true;
-    Sat S; // Unused by a PendingSat whose saturation is cached.
-    /// Trace attribution (see PendingExtraction): emitted by the serial
-    /// commit's registerSaturation.
-    uint64_t TsBegin = 0;
-    uint64_t TsEnd = 0;
-    uint32_t Worker = 0;
-  };
-
-  /// One distinct (thread, input DfaId) unit of speculative work in a
-  /// parallel round: the saturation (unless already cached) plus the
-  /// extraction of every root the round's frontier asks of it.
-  struct PendingSat : SpecSat {
-    uint32_t CachedSat = UINT32_MAX; // SharedSats index when pre-cached.
-    /// True when a prior round's prefetch already saturated this key:
-    /// the SpecSat half was adopted at phase 1, and the speculative phase
-    /// runs only the per-root extractions.
-    bool Prefilled = false;
-    std::vector<QState> Roots;
-    FlatMap<uint32_t, uint32_t> RootIdx; // root -> Extr index
-    std::vector<PendingExtraction> Extr;
-    /// Task-local extraction overlay: roots of one speculative task
-    /// extract in frontier order and accumulate their fresh results
-    /// here, so later roots reuse earlier ones' work exactly as the
-    /// serial path's live cache would let them.  Discarded after the
-    /// round; the real cache is populated by the serial commit.
-    Cache SpecCache;
   };
 
   /// Builds the canonical DFA accepting exactly the single word \p Word.
@@ -454,20 +353,12 @@ private:
     return canonicalizeNfa(A);
   }
 
-  /// A parallel round's speculative batch: one PendingSat per distinct
-  /// uncached (thread, input DfaId) key, indexed per thread.
-  struct SpecBatch {
-    std::vector<PendingSat> Pending;
-    std::vector<FlatMap<DfaId, uint32_t>> Idx;
-  };
-
   /// Expands the symbolic state with row \p S (a caller-owned copy:
   /// interning successors may move the table) by thread \p I; new
-  /// successors' ids are pushed onto NewFrontier.  Fresh work comes from
-  /// \p Spec when it is non-null (a parallel round's commit), else it is
-  /// computed live.  Returns false on budget exhaustion.
-  bool expand(const uint32_t *S, unsigned I, std::vector<uint32_t> &NewFrontier,
-              SpecBatch *Spec) {
+  /// successors' ids are pushed onto NewFrontier.  Returns false on
+  /// budget exhaustion.
+  bool expand(const uint32_t *S, unsigned I,
+              std::vector<uint32_t> &NewFrontier) {
     // Resolved once: the registry lookup costs a string hash, which is
     // too expensive now that cache hits make expand() itself cheap.
     static obs::Counter TransCounter(Domain::Names.Transactions);
@@ -497,10 +388,7 @@ private:
         return replayTransaction(Transactions[*Rec], S, I, NewFrontier);
       }
     }
-    // A fresh root, which a parallel round has speculated.
-    PendingSat *PS =
-        Spec ? &Spec->Pending[*Spec->Idx[R].find(Lang)] : nullptr;
-    if (SatIdx == UINT32_MAX && !PS) {
+    if (SatIdx == UINT32_MAX) {
       // Fresh language: one saturation serves every root that will ever
       // expand it, charged live (one step per saturation pop).
       uint64_t StepsBefore = Limits.steps();
@@ -510,47 +398,17 @@ private:
       if (!D.Complete)
         return false;
       SatIdx = registerSaturation(R, Lang, std::move(D.Sat),
-                                  Limits.steps() - StepsBefore, Ts0, Ts1, 0);
-    } else if (SatIdx == UINT32_MAX) {
-      // A speculated fresh language.  When the step budget runs out
-      // inside its saturation, the live path has folded the footprints of
-      // only the pops it ran: re-run it live to stop at exactly that pop.
-      uint64_t MaxSteps = Limits.limits().MaxSteps;
-      if (MaxSteps && Limits.steps() + PS->BaseSteps > MaxSteps) {
-        Dom.saturate(R, Store.get(Lang), &Limits);
-        return false;
-      }
-      // Otherwise the saturation charged one unit per pop, and the
-      // footprint peak folds after the steps, mirroring the live loop's
-      // chargeStep-then-checkMemory order; an incomplete (byte-truncated)
-      // speculation aborts like the live path's !R.Complete.
-      if (!Limits.chargeStepsUnit(PS->BaseSteps) ||
-          !Limits.checkMemory(PS->PeakSatBytes) || !PS->Complete)
-        return false;
-      SatIdx = registerSaturation(R, Lang, std::move(PS->S), PS->BaseSteps,
-                                  PS->TsBegin, PS->TsEnd, PS->Worker);
+                                  Limits.steps() - StepsBefore, Ts0, Ts1);
     }
-
-    // Fresh root on a (now) saturated language: its speculated
-    // extraction, or one against the saturation's live cache, then the
-    // shared budget-charging commit.
-    if (PS)
-      return commitRootExtraction(SatIdx, PS->Extr[*PS->RootIdx.find(S[0])],
-                                  S, I, NewFrontier);
-    PendingExtraction P;
-    extractRootPending(SharedSats[SatIdx].S, &SharedSats[SatIdx].Extract,
-                       /*Overlay=*/nullptr, S[0], P);
-    return commitRootExtraction(SatIdx, P, S, I, NewFrontier);
+    return extractRoot(SatIdx, S, I, NewFrontier);
   }
 
   /// Installs a completed saturation under (thread \p I, \p Lang) with
   /// \p BaseSteps still to be charged to the first extracted root's
-  /// record; returns its SharedSats index.  A serial commit point in
-  /// both round paths: emits the "saturate" trace span with the
-  /// recorded [\p BeginNs, \p EndNs] x \p Worker attribution.
+  /// record; returns its SharedSats index.  Emits the "saturate" trace
+  /// span over [\p BeginNs, \p EndNs].
   uint32_t registerSaturation(unsigned I, DfaId Lang, Sat S, uint64_t BaseSteps,
-                              uint64_t BeginNs, uint64_t EndNs,
-                              uint32_t Worker) {
+                              uint64_t BeginNs, uint64_t EndNs) {
     static obs::Histogram PopsPerSat(Domain::Names.PopsPerSaturation);
     fault::checkAlloc();
     PopsPerSat.observe(BaseSteps);
@@ -560,7 +418,7 @@ private:
                              {"pops", BaseSteps},
                              {"sat_states", S.numStates()},
                              {"bytes", S.memoryBytes()}};
-      obs::Trace::span("saturate", obs::Trace::CatDet, Worker, BeginNs, EndNs,
+      obs::Trace::span("saturate", obs::Trace::CatDet, 0, BeginNs, EndNs,
                        Args, 5);
     }
     uint32_t Idx = static_cast<uint32_t>(SharedSats.size());
@@ -569,86 +427,49 @@ private:
     SharedSats.push_back(
         {std::move(S), BaseSteps, {}, I, Lang, Bound, {}, Bytes});
     SatCache[I].tryEmplace(Lang, Idx);
-    // Registration is a serial commit point in both round paths; fold the
-    // newly retained relation into the byte budget immediately.
+    // Fold the newly retained relation into the byte budget immediately.
     Limits.checkMemory(memoryUsage());
     return Idx;
   }
 
-  /// Saturates \p P's key with a recorder that charges nothing but
-  /// carries the engine's byte budget (the saturation's footprint check
-  /// is a pure function of its pops, so a speculation truncates at
-  /// exactly the pop where the serial path would), filling in the
-  /// recorder figures.  Parallel phase; touches no engine state.
-  void saturateUncharged(SpecSat &P) const {
-    ResourceLimits RL = ResourceLimits::unlimited();
-    RL.MaxBytes = Limits.limits().MaxBytes;
-    LimitTracker Recorder(RL);
-    P.TsBegin = obs::Trace::nowNs();
-    DomainSaturation<Sat> R = Dom.saturate(P.Thread, Store.get(P.InLang),
-                                           &Recorder);
-    P.TsEnd = obs::Trace::nowNs();
-    assert((R.Complete || RL.MaxBytes) &&
-           "only a byte budget can truncate the recorder");
-    P.BaseSteps = Recorder.steps();
-    P.PeakSatBytes = Recorder.peakBytes();
-    P.Complete = R.Complete;
-    P.S = std::move(R.Sat);
-  }
-
-  /// Extracts root \p Root's successors from \p S through the domain,
-  /// probing \p Committed (the saturation's serially committed cache)
-  /// and \p Overlay (a task-local accumulation cache, populated here
-  /// when non-null) read-only.  Shared by the serial fresh path and the
-  /// parallel speculative phase.
-  void extractRootPending(const Sat &S, const Cache *Committed, Cache *Overlay,
-                          QState Root, PendingExtraction &P) const {
-    P.TsBegin = obs::Trace::nowNs();
-    Dom.extract(S, Committed, Overlay, Root, P.Succs, P.X);
-    if (Overlay)
-      Dom.commit(S, *Overlay, P.X);
-    P.TsEnd = obs::Trace::nowNs();
-  }
-
-  /// The budget-charging tail of a fresh per-root extraction --
-  /// per-successor charge -> intern -> register, then record it under
-  /// SharedSats[\p SatIdx].Roots[\p Root] (consuming the saturation's
-  /// pending base charge into the record).  Sharing this sequence
-  /// between the serial path and the parallel commit is what keeps the
-  /// two bit-identical by construction.  Returns false on exhaustion,
-  /// leaving the root unrecorded with the successor prefix registered.
-  bool commitRootExtraction(uint32_t SatIdx, PendingExtraction &P,
-                            const uint32_t *S, unsigned I,
-                            std::vector<uint32_t> &NewFrontier) {
+  /// A fresh per-root transaction on a saturated language: extracts root
+  /// S[0]'s successors from SharedSats[\p SatIdx] through its cache and
+  /// folds the payload into that cache, then per successor charge ->
+  /// intern -> register, and records it under the saturation's
+  /// Roots[S[0]] (consuming the pending base charge into the record).
+  /// Returns false on exhaustion, leaving the root unrecorded with the
+  /// successor prefix registered.
+  bool extractRoot(uint32_t SatIdx, const uint32_t *S, unsigned I,
+                   std::vector<uint32_t> &NewFrontier) {
     static obs::Histogram Fanout(Domain::Names.ExtractionFanout);
     static obs::Counter SkippedUnchanged(Domain::Names.SkippedUnchanged);
-    Fanout.observe(P.Succs.size());
-    if (obs::Trace::enabled()) {
-      obs::SpanArg Args[] = {{"thread", I},
-                             {"root", S[0]},
-                             {"fanout", P.Succs.size()}};
-      obs::Trace::span("extract", obs::Trace::CatDet, P.Worker, P.TsBegin,
-                       P.TsEnd, Args, 3);
-    }
     SharedSat &SS = SharedSats[SatIdx];
+    std::vector<ExtractedSucc> Succs;
+    Payload X;
+    {
+      obs::ScopedSpan Extract("extract", obs::Trace::CatDet);
+      Dom.extract(SS.S, SS.Extract, S[0], Succs, X);
+      Extract.arg("thread", I);
+      Extract.arg("root", S[0]);
+      Extract.arg("fanout", Succs.size());
+    }
+    Fanout.observe(Succs.size());
     // Fold the extraction into the saturation's cache and count what it
-    // already held.  A serial commit point: the cache's content, and with
-    // it this deterministic counter, replays the serial schedule at any
-    // job count.
-    DomainCommit Folded = Dom.commit(SS.S, SS.Extract, P.X);
+    // already held.
+    DomainCommit Folded = Dom.commit(SS.S, SS.Extract, X);
     SkippedUnchanged += Folded.Reused;
     Transaction TR;
     TR.BaseSteps = SS.PendingBase; // First extracted root carries the base.
     SS.PendingBase = 0;
     // What the cache newly retains joins the saturation's bytes, and so
-    // the byte budget, at this same serial point.
+    // the byte budget, at this same point.
     if (Folded.Bytes) {
       SS.Bytes += Folded.Bytes;
       SatBytes += Folded.Bytes;
       if (!Limits.checkMemory(memoryUsage()))
         return false;
     }
-    for (ExtractedSucc &PS : P.Succs) {
+    for (ExtractedSucc &PS : Succs) {
       // Exhaustion mid-transaction leaves the root unrecorded: a prefix of
       // the successors was charged and registered, and the engine is
       // stopping anyway.
@@ -666,15 +487,12 @@ private:
     return true;
   }
 
-  /// The round's expansion sequence in serial order: every frontier
-  /// state by every thread its live producer mask allows, with budget
-  /// charges, cache hits, interning (DfaId assignment order) and
-  /// successor registration.  A serial round runs it alone; a parallel
-  /// round runs it after its speculative phase, over \p Spec.  One loop
-  /// for both is what keeps them bit-identical, the "commit" span and
-  /// its expansion count (truncation point included) too.
-  RoundStatus commitRound(std::vector<uint32_t> &NewFrontier,
-                          SpecBatch *Spec) {
+  /// The round's expansion sequence: every frontier state by every
+  /// thread its live producer mask allows, with budget charges, cache
+  /// hits, interning (DfaId assignment order) and successor
+  /// registration.  The "commit" span records the expansion count
+  /// (truncation point included).
+  RoundStatus commitRound(std::vector<uint32_t> &NewFrontier) {
     obs::ScopedSpan Commit("commit", obs::Trace::CatDet);
     uint64_t Expansions = 0;
     for (uint32_t Id : Frontier) {
@@ -688,7 +506,7 @@ private:
         if ((Produced & producerBit(I)) || repeatsRun(ParentBuf.data(), I))
           continue;
         ++Expansions;
-        if (!expand(ParentBuf.data(), I, NewFrontier, Spec)) {
+        if (!expand(ParentBuf.data(), I, NewFrontier)) {
           Commit.arg("expansions", Expansions);
           return RoundStatus::Exhausted;
         }
@@ -696,174 +514,6 @@ private:
     }
     Commit.arg("expansions", Expansions);
     return RoundStatus::Ok;
-  }
-
-  /// The parallel round: speculative per-(thread, DfaId) saturations and
-  /// extractions, then the serial commitRound over them.
-  RoundStatus advanceRoundParallel(std::vector<uint32_t> &NewFrontier) {
-    // Pipeline figures are wall-side: the prefetch path only exists on
-    // parallel rounds, so none of these may join the cross-jobs det
-    // contract.  HiddenUs is the overlap gauge -- saturation time the
-    // consuming round never had to spend because a previous round's
-    // workers absorbed it.
-    static obs::Counter PrefetchHits(Domain::Names.PrefetchHits,
-                                     /*Deterministic=*/false);
-    static obs::Counter PrefetchDropped(Domain::Names.PrefetchDropped,
-                                        /*Deterministic=*/false);
-    static obs::Histogram PrefetchHiddenUs(Domain::Names.PrefetchHiddenUs,
-                                           /*Deterministic=*/false);
-
-    // Phase 1 (serial): group the round's uncovered work by (thread,
-    // input language) -- each distinct key becomes ONE speculative task
-    // carrying every root the frontier asks of it.  Expansions the
-    // *round-start* producer masks rule out are skipped; masks only gain
-    // bits as the round commits (a frontier state re-derived mid-round
-    // absorbs its producer), so this is a superset of what the serial
-    // path computes fresh -- the commit below re-reads the live mask and
-    // is what decides.
-    SpecBatch Spec{{}, std::vector<FlatMap<DfaId, uint32_t>>(C.numThreads())};
-    std::vector<PendingSat> &Pending = Spec.Pending;
-    uint64_t AdoptedNow = 0;
-    for (uint32_t Id : Frontier) {
-      const uint32_t *S = Rows.row(Id);
-      for (unsigned I = 0; I < C.numThreads(); ++I) {
-        if ((Producers[Id] & producerBit(I)) || repeatsRun(S, I))
-          continue;
-        DfaId Lang = S[1 + I];
-        if (Store.get(Lang).Start == CanonicalDfa::NoState)
-          continue;
-        unsigned R = Symmetry.rep(I);
-        uint32_t SatIdx = UINT32_MAX;
-        if (const uint32_t *Found = SatCache[R].find(Lang)) {
-          SatIdx = *Found;
-          if (SharedSats[SatIdx].Roots.contains(S[0]))
-            continue; // Full hit: replays at the commit.
-        }
-        auto [Slot, New] = Spec.Idx[R].tryEmplace(
-            Lang, static_cast<uint32_t>(Pending.size()));
-        if (New) {
-          Pending.emplace_back();
-          PendingSat &NP = Pending.back();
-          NP.Thread = R;
-          NP.InLang = Lang;
-          NP.CachedSat = SatIdx;
-          if (SatIdx == UINT32_MAX)
-            if (const uint32_t *F = PrefetchIdx[R].find(Lang)) {
-              // Adopt the previous round's prefetched saturation; keys
-              // are unique per round (Spec.Idx), so each prefetch is
-              // adopted at most once.
-              SpecSat &PF = Prefetch[*F];
-              PrefetchHiddenUs.observe((PF.TsEnd - PF.TsBegin) / 1000);
-              static_cast<SpecSat &>(NP) = std::move(PF);
-              NP.Prefilled = true;
-              ++PrefetchHits;
-              ++AdoptedNow;
-            }
-        }
-        PendingSat &PS = Pending[*Slot];
-        if (PS.RootIdx.tryEmplace(S[0], static_cast<uint32_t>(PS.Roots.size()))
-                .second)
-          PS.Roots.push_back(S[0]);
-      }
-    }
-
-    // Pipeline selection: the saturation keys the next round's
-    // successors will inherit but this round won't produce -- masked-out
-    // expansions (P, A_P) for P in the producer mask of <q | A_1..A_n> --
-    // ride along with this round's speculative batch as prefetch tasks.
-    // Keys already retained, already in this batch, or with an empty
-    // language are excluded; the rest is a deterministic function of
-    // committed state, so what gets adopted next round is too.  Under a
-    // symmetry producer bits sit on the first column of a run, and keys
-    // name the class representative.
-    std::vector<SpecSat> NextPrefetch;
-    std::vector<FlatMap<DfaId, uint32_t>> NextIdx(C.numThreads());
-    for (uint32_t Id : Frontier) {
-      const uint32_t *S = Rows.row(Id);
-      for (unsigned P = 0; P < C.numThreads(); ++P) {
-        if (!(Producers[Id] & producerBit(P)))
-          continue;
-        DfaId Lang = S[1 + P];
-        if (Store.get(Lang).Start == CanonicalDfa::NoState)
-          continue;
-        unsigned R = Symmetry.rep(P);
-        if (SatCache[R].find(Lang) || Spec.Idx[R].find(Lang))
-          continue;
-        uint32_t Next = static_cast<uint32_t>(NextPrefetch.size());
-        if (!NextIdx[R].tryEmplace(Lang, Next).second)
-          continue;
-        NextPrefetch.emplace_back();
-        NextPrefetch.back().Thread = R;
-        NextPrefetch.back().InLang = Lang;
-      }
-    }
-
-    // Phase 2 (parallel): speculative saturations + extractions, one task
-    // per (thread, language) key, plus the next round's prefetch
-    // saturations filling the batch's tail.  Tasks the serial run would
-    // never reach (it exhausted earlier) are computed and discarded; the
-    // budget replay below is what decides.  The span is wall-category: it
-    // only exists on the parallel path, so it is exempt from the
-    // cross-jobs trace contract.
-    size_t NumSpec = Pending.size();
-    {
-      obs::ScopedSpan Speculate("speculate", obs::Trace::CatWall);
-      Speculate.arg("tasks", NumSpec);
-      Speculate.arg("prefetch_tasks", NextPrefetch.size());
-      exec::parallelFor(*Pool, NumSpec + NextPrefetch.size(), 1,
-                        [&](unsigned W, size_t T) {
-                          if (T < NumSpec) {
-                            computePendingSat(Pending[T], W);
-                          } else {
-                            NextPrefetch[T - NumSpec].Worker = W;
-                            saturateUncharged(NextPrefetch[T - NumSpec]);
-                          }
-                        });
-    }
-
-    // Swap the pipeline buffer: this round consumed (moved out) whatever
-    // it adopted at phase 1; the remainder is dropped with the old
-    // buffer, and the freshly prefetched batch waits for the next round.
-    PrefetchDropped += Prefetch.size() - AdoptedNow;
-    Prefetch = std::move(NextPrefetch);
-    PrefetchIdx = std::move(NextIdx);
-
-    // Phase 3 (serial): the round's expansion sequence against the real
-    // budget, taking fresh work from the batch.
-    return commitRound(NewFrontier, &Spec);
-  }
-
-  /// Computes \p P's saturation (unless cached) and per-root
-  /// extractions against the frozen arena (parallel phase; must not
-  /// touch engine state).  \p Worker is recorded for trace attribution
-  /// only.
-  void computePendingSat(PendingSat &P, uint32_t Worker) const {
-    // A prefilled key keeps the prefetching worker: its saturate span
-    // carries the prefetch's timestamps, so it belongs on that track.
-    if (!P.Prefilled)
-      P.Worker = Worker;
-    // Everything here reads only state frozen for the round: the CPDS,
-    // the DfaStore arena and the retained saturations (both only append,
-    // in the serial commit).  The budget is a local unlimited recorder --
-    // the commit replays its pop count against the real tracker in serial
-    // order.  A prefilled key was saturated by the previous round's
-    // prefetch; the recorder figures rode along at adoption.
-    const Sat *S = &P.S;
-    if (P.CachedSat != UINT32_MAX)
-      S = &SharedSats[P.CachedSat].S;
-    else if (!P.Prefilled)
-      saturateUncharged(P);
-    // Extractions probe the saturation's committed cache (frozen for the
-    // round) plus a task-local overlay that accumulates this task's fresh
-    // results in frontier order -- the same reuse the serial path gets
-    // from its live cache, without touching shared state.
-    const Cache *Committed =
-        P.CachedSat != UINT32_MAX ? &SharedSats[P.CachedSat].Extract : nullptr;
-    P.Extr.resize(P.Roots.size());
-    for (size_t R = 0; R < P.Roots.size(); ++R) {
-      extractRootPending(*S, Committed, &P.SpecCache, P.Roots[R], P.Extr[R]);
-      P.Extr[R].Worker = Worker;
-    }
   }
 
   /// Registers the row \p Row (if new) at round \p Round, recording its
@@ -885,10 +535,8 @@ private:
     recordVisible(Row, Round);
     if (NewFrontier)
       NewFrontier->push_back(Id);
-    // Both the state count and the byte budget are charged here: addState
-    // runs only in serial commit order (even in parallel rounds), and
-    // every memoryUsage() term is a function of serially committed state,
-    // so the exhaustion point is identical at any job count.
+    // Both the state count and the byte budget are charged here, once per
+    // new row.
     if (!Limits.chargeState())
       return {true, false};
     return {true, Limits.checkMemory(memoryUsage())};
@@ -913,8 +561,7 @@ private:
   /// Replays the recorded transaction \p TR as an expansion of \p S by
   /// thread \p I -- the cache-hit charge schedule (lump-sum base, then
   /// one charge per successor, each interleaved with registration).
-  /// Shared by the serial hit path and the parallel commit so the two
-  /// cannot drift apart.  Returns false on budget exhaustion.
+  /// Returns false on budget exhaustion.
   bool replayTransaction(const Transaction &TR, const uint32_t *S, unsigned I,
                          std::vector<uint32_t> &NewFrontier) {
     if (!Limits.chargeStep(TR.BaseSteps))
@@ -981,21 +628,20 @@ private:
     }
   }
 
-  /// Generation-based cache eviction, run only at serial round
-  /// boundaries (end of advance(), before the bound increments): while
+  /// Generation-based cache eviction, run only at round boundaries (end
+  /// of advance(), before the bound increments): while
   /// the retained saturations exceed MaxCacheBytes, drop the ones with
   /// the oldest LastUsed stamp — never one touched in the round just
   /// committed — compacting SharedSats and Transactions in index order
-  /// and rebuilding the SatCache.  Everything here is a deterministic
-  /// function of serially committed state, so the eviction schedule is
-  /// bit-identical at any `--jobs` (pinned by ParallelDeterminismTest).
+  /// and rebuilding the SatCache.  The schedule is a function of the
+  /// committed rounds alone.
   void evictSaturations() {
     uint64_t Budget = Limits.limits().MaxCacheBytes;
     if (!Budget || SatBytes <= Budget)
       return;
     static obs::Counter Evictions(Domain::Names.Evictions);
-    // The eviction schedule is deterministic (serial round boundary), so
-    // the span -- including its evicted/retained figures -- is too.
+    // The eviction schedule is deterministic, so the span -- including
+    // its evicted/retained figures -- is too.
     obs::ScopedSpan Span("evict", obs::Trace::CatDet);
 
     // Oldest generations first, registration order breaking ties; entries
@@ -1150,13 +796,6 @@ private:
   std::vector<SharedSat> SharedSats;
   std::vector<Transaction> Transactions;
 
-  /// The pipeline buffer: saturations prefetched by the previous
-  /// parallel round for this round's phase 1 to adopt, with a per
-  /// -thread key index.  Replaced wholesale each parallel round
-  /// (unconsumed entries are dropped); always empty on the serial path.
-  std::vector<SpecSat> Prefetch;
-  std::vector<FlatMap<DfaId, uint32_t>> PrefetchIdx;
-
   /// Logical bytes per packed visible entry (word + first-seen round).
   static constexpr uint64_t VisibleEntryBytes = 16;
   /// The number of visible states the recorded canonical ones stand for
@@ -1166,9 +805,6 @@ private:
   /// included) and transaction records, so memoryUsage() is O(1).
   uint64_t SatBytes = 0;
   uint64_t TrBytes = 0;
-
-  /// Parallel execution (null on the serial path).
-  exec::ThreadPool *Pool = nullptr;
 };
 
 } // namespace cuba

@@ -136,17 +136,15 @@ auto TaintRoundDomain::buildProduct(const Sat &Rel, QState Root) const
   return P;
 }
 
-void TaintRoundDomain::extract(const Sat &Rel, const Cache *Committed,
-                               const Cache *Overlay, QState Root,
-                               std::vector<ExtractedSucc> &Succs,
+void TaintRoundDomain::extract(const Sat &Rel, const Cache &Committed,
+                               QState Root, std::vector<ExtractedSucc> &Succs,
                                Payload &X) const {
   // Unfold the row's control state into the base root and its facts
   // (err carries none).
   X.BaseRoot = Root == FoldErr ? BaseErr : Root & (BaseErr - 1);
   uint32_t Facts = Root == FoldErr ? 0 : Root >> SharedBits;
-  for (const Cache *From : {Committed, Overlay})
-    if (!X.Product && From && X.BaseRoot < From->Products.size())
-      X.Product = From->Products[X.BaseRoot];
+  if (X.BaseRoot < Committed.Products.size())
+    X.Product = Committed.Products[X.BaseRoot];
   if (!X.Product)
     X.Product = buildProduct(Rel, X.BaseRoot);
   const RootProduct &P = *X.Product;

@@ -108,8 +108,8 @@ public:
     std::vector<ProductRef> Products;
   };
 
-  /// One extraction's commit payload: the product it read, whichever
-  /// cache (or fresh build) served it.
+  /// One extraction's commit payload: the product it read, from the
+  /// cache or freshly built.
   struct Payload {
     QState BaseRoot = 0;
     ProductRef Product;
@@ -128,10 +128,7 @@ public:
       .Evictions = "dataflow.sat_evictions",
       .BytesHwm = "dataflow.bytes.hwm",
       .SatBytesHwm = "dataflow.sat_bytes.hwm",
-      .CacheEntriesHwm = "dataflow.cache_entries.hwm",
-      .PrefetchHits = "dataflow.prefetch.hits",
-      .PrefetchDropped = "dataflow.prefetch.dropped",
-      .PrefetchHiddenUs = "dataflow.prefetch.hidden_us"};
+      .CacheEntriesHwm = "dataflow.cache_entries.hwm"};
 
   /// \p C is the base (non-folded) translation; \p Taint its side table
   /// from the same translateProgram call, which refuses programs whose
@@ -143,9 +140,8 @@ public:
   DomainSaturation<Sat> saturate(unsigned Thread, const CanonicalDfa &Lang,
                                  LimitTracker *Limits) const;
 
-  void extract(const Sat &S, const Cache *Committed, const Cache *Overlay,
-               QState Root, std::vector<ExtractedSucc> &Succs,
-               Payload &X) const;
+  void extract(const Sat &S, const Cache &Committed, QState Root,
+               std::vector<ExtractedSucc> &Succs, Payload &X) const;
 
   DomainCommit commit(const Sat &S, Cache &Into, const Payload &X) const;
 

@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The fork-join layer the engines' round loops are written against:
+/// The fork-join layer the explicit engine's levels are written against:
 /// index-ordered parallel iteration whose outputs land in slots keyed by
 /// task (or chunk) index, never by worker or completion order.  A round
 /// then has the shape
@@ -18,7 +18,7 @@
 /// which is what makes `--jobs N` bit-identical to `--jobs 1`: the
 /// parallel phase is a pure function of the chunk index, and the merge
 /// order is the serial order by construction.  Chunk *boundaries* may
-/// depend on the grain and job count; the engines keep per-chunk outputs
+/// depend on the grain and job count; the engine keeps per-chunk outputs
 /// self-delimiting so concatenation in chunk order is independent of
 /// where the cuts fall.
 ///
@@ -62,16 +62,6 @@ void parallelChunks(ThreadPool &Pool, size_t N, size_t Grain, Fn &&F) {
     size_t End = std::min(N, Begin + Grain);
     F(Worker, Chunk, Begin, End);
   });
-}
-
-/// Runs Fn(Worker, I) for every I in [0, N), Grain indices per task.
-template <typename Fn>
-void parallelFor(ThreadPool &Pool, size_t N, size_t Grain, Fn &&F) {
-  parallelChunks(Pool, N, Grain,
-                 [&](unsigned Worker, size_t, size_t Begin, size_t End) {
-                   for (size_t I = Begin; I < End; ++I)
-                     F(Worker, I);
-                 });
 }
 
 } // namespace cuba::exec

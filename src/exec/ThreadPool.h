@@ -6,13 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The execution substrate for the parallel round loops of the CBA
-/// engines.  A ThreadPool owns jobs-1 long-lived worker threads; run()
+/// The execution substrate for the explicit engine's parallel levels
+/// (CbaEngine; symbolic rounds are serial).  A ThreadPool owns jobs-1 long-lived worker threads; run()
 /// executes a batch of indexed tasks with the calling thread
 /// participating as worker 0, and returns only when every task has
 /// finished (fork-join).  Idle participants steal the next unclaimed
 /// task index from a shared atomic counter, so load balance is dynamic
-/// while the task *indexing* -- the only thing the engines' ordered
+/// while the task *indexing* -- the only thing the engine's ordered
 /// merges depend on -- is fixed by the caller.
 ///
 /// Determinism contract: a task may depend only on its index and on
@@ -85,8 +85,8 @@ private:
 };
 
 /// A fixed-size fork-join pool.  Not itself thread-safe: run() must be
-/// called from one owning thread at a time (the engines each run their
-/// rounds from a single driver thread).
+/// called from one owning thread at a time (an engine runs its rounds
+/// from a single driver thread).
 class ThreadPool {
 public:
   /// Creates a pool of total parallelism \p Jobs (clamped to 256): the

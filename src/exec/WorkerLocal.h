@@ -7,7 +7,7 @@
 ///
 /// \file
 /// One value of T per pool participant, padded to a cache line so two
-/// workers' scratch never share one.  The engines keep their derive-phase
+/// workers' scratch never share one.  CbaEngine keeps its derive-phase
 /// arenas (stack overlays, successor buffers) here: a task indexes the
 /// slot by the worker id its ThreadPool passed in, which is exclusive for
 /// the duration of the task, so no synchronisation is needed.

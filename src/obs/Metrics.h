@@ -26,8 +26,8 @@
 /// Determinism classes: every instrument declares whether its folded
 /// value is a pure function of serially committed engine state
 /// (`Deterministic`, identical at any `--jobs` once the run's batches
-/// have joined) or may vary with scheduling (speculative parallel work,
-/// wall-clock timings).  `--stats-json` splits its output along this
+/// have joined) or may vary with scheduling (wall-clock timings, pool
+/// accounting).  `--stats-json` splits its output along this
 /// flag, and the trace-determinism suite diffs only the deterministic
 /// part across job counts.
 ///

@@ -35,8 +35,7 @@ Nfa SharedSaturation::rootView(QState Root) const {
 
 std::vector<std::pair<QState, CanonicalDfa>>
 SharedSaturation::extractRoot(QState Root) const {
-  static obs::Counter ExtractCounter("saturation.extractions",
-                                     /*Deterministic=*/false);
+  static obs::Counter ExtractCounter("saturation.extractions");
   ++ExtractCounter;
   Nfa View = rootView(Root);
   std::vector<std::pair<QState, CanonicalDfa>> Out;
@@ -86,11 +85,9 @@ Nfa SharedSaturation::classView(const std::vector<uint64_t> &Bits) const {
 }
 
 void SharedSaturation::extractRootCached(QState Root,
-                                         const ExtractionCache *Committed,
-                                         const ExtractionCache *Overlay,
+                                         const ExtractionCache &Cache,
                                          RootExtraction &X) const {
-  static obs::Counter ExtractCounter("saturation.extractions",
-                                     /*Deterministic=*/false);
+  static obs::Counter ExtractCounter("saturation.extractions");
   ++ExtractCounter;
   if (!RootedReadsSound) {
     // Invariant violated (never by this module's construction): fall
@@ -113,32 +110,24 @@ void SharedSaturation::extractRootCached(QState Root,
   X.ClassDigest = hashCombine(
       0xC1A5, hashRange(X.ClassBits.begin(), X.ClassBits.end()));
 
-  // Resolve the class in each probe cache; a digest collision with a
-  // different bit set is a miss.
-  uint32_t CommittedClass = UINT32_MAX, OverlayClass = UINT32_MAX;
+  // Resolve the class in the cache; a digest collision with a different
+  // bit set is a miss.
+  uint32_t Class = UINT32_MAX;
   const Nfa *Base = nullptr;
-  if (Committed)
-    if (const uint32_t *I = Committed->ClassIdx.find(X.ClassDigest))
-      if (Committed->Classes[*I].Bits == X.ClassBits) {
-        CommittedClass = *I;
-        Base = &Committed->Classes[*I].View;
-      }
-  if (Overlay)
-    if (const uint32_t *I = Overlay->ClassIdx.find(X.ClassDigest))
-      if (Overlay->Classes[*I].Bits == X.ClassBits) {
-        OverlayClass = *I;
-        if (!Base)
-          Base = &Overlay->Classes[*I].View;
-      }
+  if (const uint32_t *I = Cache.ClassIdx.find(X.ClassDigest))
+    if (Cache.Classes[*I].Bits == X.ClassBits) {
+      Class = *I;
+      Base = &Cache.Classes[*I].View;
+    }
   Nfa Built(0);
   if (!Base) {
     Built = classView(X.ClassBits);
     Base = &Built;
   }
 
-  // Per-target pass: probe the committed cache, the overlay, then the
-  // targets this very extraction has already recorded; canonicalize
-  // only the misses, against a full root view built at most once.
+  // Per-target pass: probe the cache, then the targets this very
+  // extraction has already recorded; canonicalize only the misses,
+  // against a full root view built at most once.
   Nfa Full(0);
   bool FullBuilt = false;
   FlatMap<uint64_t, uint32_t> Pending; // digest -> first X.Targets index
@@ -153,33 +142,22 @@ void SharedSaturation::extractRootCached(QState Root,
     Tg.Digest = hashCombine(hashCombine(X.ClassDigest, Tg.SelfAccept),
                             hashRange(Tg.Row.begin(), Tg.Row.end()));
 
-    auto Probe = [&](const ExtractionCache *C,
-                     uint32_t Class) -> const ExtractionCache::Entry * {
-      if (!C || Class == UINT32_MAX)
-        return nullptr;
-      const uint32_t *E = C->EntryIdx.find(Tg.Digest);
-      if (!E)
-        return nullptr;
-      const ExtractionCache::Entry &En = C->Entries[*E];
-      if (En.Class != Class || En.SelfAccept != Tg.SelfAccept ||
-          En.Row != Tg.Row)
-        return nullptr;
-      return &En;
-    };
-    const ExtractionCache::Entry *Hit = Probe(Committed, CommittedClass);
-    if (!Hit)
-      Hit = Probe(Overlay, OverlayClass);
+    const ExtractionCache::Entry *Hit = nullptr;
+    if (Class != UINT32_MAX)
+      if (const uint32_t *E = Cache.EntryIdx.find(Tg.Digest)) {
+        const ExtractionCache::Entry &En = Cache.Entries[*E];
+        if (En.Class == Class && En.SelfAccept == Tg.SelfAccept &&
+            En.Row == Tg.Row)
+          Hit = &En;
+      }
     const uint32_t *Pend = Hit ? nullptr : Pending.find(Tg.Digest);
     if (Pend && (X.Targets[*Pend].SelfAccept != Tg.SelfAccept ||
                  X.Targets[*Pend].Row != Tg.Row))
       Pend = nullptr;
 
     if (Hit) {
-      // Served from a cache -- but copy the result into the record
-      // anyway: a commit must be able to intern this target even into
-      // a cache that never saw the hit's source (a speculative overlay
-      // is discarded when the serial replay drops its task, so "the
-      // source cache has it" holds for no cache a later commit sees).
+      // Served from the cache; the record still carries the result, so
+      // it stays self-contained.
       Tg.Empty = Hit->Empty;
       if (!Hit->Empty) {
         Tg.Hash = Hit->Hash;
@@ -244,10 +222,7 @@ uint64_t SharedSaturation::commitExtraction(ExtractionCache &Cache,
     Class = *I;
   } else {
     // Rebuild the view from the exact bit set rather than carrying the
-    // extraction's copy: every payload is then self-contained, and the
-    // cache evolves as a pure function of the commit sequence no matter
-    // which probe cache (possibly one since discarded) served the
-    // extraction.
+    // extraction's copy, so every payload stays self-contained.
     Class = static_cast<uint32_t>(Cache.Classes.size());
     Cache.ClassIdx.tryEmplace(X.ClassDigest, Class);
     Cache.Classes.push_back({X.ClassBits, classView(X.ClassBits)});
@@ -273,8 +248,7 @@ uint64_t SharedSaturation::commitExtraction(ExtractionCache &Cache,
 SharedSaturationResult cuba::sharedPostStar(const Pds &P, uint32_t NumShared,
                                             const CanonicalDfa &Lang,
                                             LimitTracker *Limits) {
-  static obs::Counter SatCounter("saturation.shared",
-                                 /*Deterministic=*/false);
+  static obs::Counter SatCounter("saturation.shared");
   ++SatCounter;
   // The classical mask saturation is the boolean-set instantiation of
   // the semiring-generic core; the retained relation adopts the

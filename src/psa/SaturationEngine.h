@@ -139,13 +139,9 @@ public:
   // mask rows partially changed re-extracts only the targets whose
   // rows changed.
   //
-  // Concurrency contract (the DfaStore pattern): extraction probes
-  // caches read-only, so any number of workers may extract against a
-  // cache concurrently between commits; commitExtraction is the only
-  // mutator and must run in the owner's serial commit order.  Cache
-  // content is then a pure function of the committed extraction
-  // sequence -- identical at any job count -- and so is the
-  // skipped-target count commitExtraction returns.
+  // Extraction probes the cache read-only; commitExtraction is its only
+  // mutator, so the cache's content, and the skipped-target count
+  // commitExtraction returns, are functions of the commit sequence.
   //===--------------------------------------------------------------------===//
 
   /// The interned extraction state for one retained saturation; opaque
@@ -184,12 +180,8 @@ public:
   /// cache.  Langs/Hashes may be consumed by the caller between the
   /// extraction and the commit; the payload carries its own copies --
   /// every target record is self-contained (key AND result), whether it
-  /// was served from a cache or computed fresh, so a commit never
-  /// depends on which layer happened to serve the extraction.  That
-  /// self-containment is what makes the committed cache's content a
-  /// pure function of the commit sequence: a speculative overlay may
-  /// have served hits for work the serial replay later drops, and the
-  /// commit must not be able to tell.
+  /// was served from the cache or computed fresh, so the commit never
+  /// depends on which of the two served it.
   struct RootExtraction {
     /// The per-target successor languages, exactly extractRoot(Root),
     /// with each language's structural hash (reused on cache hits).
@@ -211,29 +203,19 @@ public:
     std::vector<Target> Targets;
   };
 
-  /// extractRoot through the cache layers: probes \p Committed (the
-  /// serially committed cache, may be null) then \p Overlay (a
-  /// task-local accumulation cache, may be null) read-only, and
-  /// canonicalizes only the targets neither holds.  \p Out.Langs is
+  /// extractRoot through the cache: probes \p Cache read-only and
+  /// canonicalizes only the targets it does not hold.  \p Out.Langs is
   /// byte-identical to extractRoot(\p Root) -- the canonical form is
   /// unique per language, and a hit's stored key proves language
   /// equality exactly.
-  void extractRootCached(QState Root, const ExtractionCache *Committed,
-                         const ExtractionCache *Overlay,
+  void extractRootCached(QState Root, const ExtractionCache &Cache,
                          RootExtraction &Out) const;
 
   /// Folds \p X's payload into \p Cache: interns the class view if new
-  /// (rebuilding it from the exact bit set, so the commit never depends
-  /// on which probe cache served the extraction) and inserts every
-  /// absent target entry, in call order.  Returns the
-  /// number of targets already present (the deterministic
-  /// "skipped_unchanged" figure: cache state at a serial commit is
-  /// jobs-independent, so re-probing here rather than reporting
-  /// extraction-time hits keeps the count identical at any job
-  /// count).  Must run in the cache owner's serial commit order; safe
-  /// to call any number of times per extraction (re-inserts are
-  /// idempotent), which is how a speculative task accumulates its
-  /// overlay before the real commit replays it.
+  /// (rebuilt from the exact bit set) and inserts every absent target
+  /// entry, in call order.  Returns the number of targets already
+  /// present (the "skipped_unchanged" figure).  Re-inserts are
+  /// idempotent.
   uint64_t commitExtraction(ExtractionCache &Cache,
                             const RootExtraction &X) const;
 

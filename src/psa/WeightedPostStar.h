@@ -160,8 +160,7 @@ public:
   /// Logical footprint of the in-flight saturation: the relation under
   /// construction plus the worklist bookkeeping that grows with it.  A
   /// pure function of the pops processed so far, so a budget that trips
-  /// on it trips at the same pop no matter who runs the saturation --
-  /// the engine's live tracker or a parallel speculation's recorder.
+  /// on it trips at the same pop on every run.
   uint64_t localBytes() const {
     return Rel.memoryBytes() + Rel.Dom.pendingBytes() + InQueue.size() +
            TransIndex.memoryBytes();
@@ -169,8 +168,7 @@ public:
 
   WeightedResult<Domain> run() {
     // Published once per saturation, not once per pop.
-    static obs::Counter PopCounter("saturation.pops",
-                                   /*Deterministic=*/false);
+    static obs::Counter PopCounter("saturation.pops");
     uint64_t Pops = 0;
     while (!Worklist.empty()) {
       if (Limits && !Limits->chargeStep()) {

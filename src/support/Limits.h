@@ -17,8 +17,9 @@
 /// deterministic function of the work done — identical at any `--jobs` —
 /// rather than an allocator- or schedule-dependent RSS reading.  Checks
 /// happen only at serially ordered commit points (state insertion,
-/// saturation registration, round boundaries), never inside speculative
-/// parallel work, which is what keeps exhaustion bit-reproducible.
+/// saturation registration, round boundaries), never inside the explicit
+/// engine's parallel derive phase, which is what keeps exhaustion
+/// bit-reproducible.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -124,9 +125,8 @@ public:
   /// Semantically equivalent to \p N successive chargeStep() calls:
   /// the step counter, and the exact value it stops at when the step
   /// budget is crossed mid-sequence, match the unit-charge sequence
-  /// bit for bit.  Used by the parallel round commits to replay a
-  /// speculatively executed phase's recorded charges in serial order
-  /// without paying N function calls.  Wall-clock probing is coarser
+  /// bit for bit, without paying N function calls (the FCR check charges
+  /// one unit per action this way).  Wall-clock probing is coarser
   /// (one probe per call instead of one per 4096 steps), which can only
   /// matter under a nonzero MaxMillis -- where exhaustion is
   /// timing-dependent and thus non-reproducible anyway.

@@ -40,8 +40,6 @@ std::vector<std::string> namedRound(const Cpds &C,
 std::string compareAllFrames(const Cpds &Reach, const Cpds &All,
                              const OracleOptions &Opts) {
   SymbolicEngine R(Reach, Opts.Limits), A(All, Opts.Limits);
-  R.setParallel(Opts.Pool);
-  A.setParallel(Opts.Pool);
   for (unsigned K = 0;; ++K) {
     std::vector<std::string> NewR = namedRound(Reach, R);
     std::vector<std::string> NewA = namedRound(All, A);

@@ -233,7 +233,6 @@ cuba::testing::runDataflowOracle(const bp::Program &P,
   // Lockstep rounds: the weighted engine's projected visible states
   // against the folded system's T(R_k).
   DataflowEngine W(BC, Taint, Opts.Limits);
-  W.setParallel(Opts.Pool);
   CbaEngine Ref(FC, Opts.Limits);
   Ref.setParallel(Opts.Pool);
   unsigned K = 0;

@@ -51,8 +51,9 @@ struct DataflowOracleOptions {
   unsigned MaxK = 4;
   /// Budget for each engine run; exhaustion truncates the comparison.
   ResourceLimits Limits{20'000, 2'000'000, 16, 0};
-  /// When set, both engines run their rounds on this pool (parallel
-  /// rounds are bit-identical to serial ones).
+  /// When set, the folded explicit reference runs its levels on this
+  /// pool (parallel levels are bit-identical to serial ones); the
+  /// weighted engine's rounds are serial.
   exec::ThreadPool *Pool = nullptr;
   /// Mutation check: run the weighted engine's saturations with
   /// psa_testing::InjectDropMaskGrowth set (a lost `combine`).  The

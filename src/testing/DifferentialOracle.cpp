@@ -81,7 +81,6 @@ cuba::testing::runDifferentialOracle(const CpdsFile &File,
   CbaEngine Exp(C, Opts.Limits);
   SymbolicEngine Sym(C, Opts.Limits);
   Exp.setParallel(Opts.Pool);
-  Sym.setParallel(Opts.Pool);
   std::optional<unsigned> ExpBug, SymBug;
   uint64_t VisibleCounter = 0; // For the InjectDropVisible testing hook.
   unsigned K = 0;

@@ -68,11 +68,11 @@ struct OracleOptions {
   /// (1-based).  A correct oracle must then report a mismatch on any
   /// instance with at least N reachable visible states.  0 = disabled.
   unsigned InjectDropVisible = 0;
-  /// When set (and holding more than one job), every engine the oracle
-  /// runs -- the lockstep pair and the phase-4 drivers -- executes its
-  /// rounds in parallel on this pool.  Parallel rounds are bit-identical
-  /// to serial ones, so reports (and fuzz seeds) stay reproducible
-  /// across job counts.
+  /// When set (and holding more than one job), every explicit engine the
+  /// oracle runs -- the lockstep CbaEngine and the phase-4 explicit
+  /// driver -- runs its levels in parallel on this pool; symbolic rounds
+  /// are serial.  Parallel levels are bit-identical to serial ones, so
+  /// reports (and fuzz seeds) stay reproducible across job counts.
   exec::ThreadPool *Pool = nullptr;
 };
 

@@ -202,9 +202,11 @@ TEST(WorkerLocal, SlotsAccumulateIndependently) {
   ThreadPool Pool(4);
   WorkerLocal<uint64_t> Partials(Pool);
   ASSERT_EQ(Partials.size(), 4u);
-  parallelFor(Pool, 100'000, 64, [&](unsigned Worker, size_t I) {
-    Partials.get(Worker) += I + 1;
-  });
+  parallelChunks(Pool, 100'000, 64,
+                 [&](unsigned Worker, size_t, size_t Begin, size_t End) {
+                   for (size_t I = Begin; I < End; ++I)
+                     Partials.get(Worker) += I + 1;
+                 });
   uint64_t Total = 0;
   Partials.forEach([&](uint64_t V) { Total += V; });
   EXPECT_EQ(Total, 100'000ull * 100'001ull / 2);

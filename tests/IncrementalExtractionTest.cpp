@@ -10,8 +10,7 @@
 /// (SharedSaturation::extractRootCached / commitExtraction): on seeded
 /// (thread, language) instances drawn from the random CPDS corner
 /// shapes, the cached pipeline must be byte-identical to the plain
-/// extractRoot pipeline -- first extraction, repeated extraction, and
-/// the overlay-accumulation flow the parallel round uses -- and a
+/// extractRoot pipeline -- first and repeated extraction -- and a
 /// repeated root must be served entirely from the cache (every target
 /// counted as skipped).  A final test pins the engine-level
 /// `extract.skipped_unchanged` counter above zero on real models.
@@ -141,13 +140,13 @@ TEST(IncrementalExtraction, CachedMatchesPlainAndRepeatsSkipEverything) {
     SharedSaturation::ExtractionCache Cache;
     for (QState Root = 0; Root < Inst.NumShared; ++Root) {
       SharedSaturation::RootExtraction X;
-      Sat.extractRootCached(Root, &Cache, nullptr, X);
+      Sat.extractRootCached(Root, Cache, X);
       expectMatchesPlain(Sat, Root, X, Inst.Seed, "first pass");
       Sat.commitExtraction(Cache, X);
     }
     for (QState Root = 0; Root < Inst.NumShared; ++Root) {
       SharedSaturation::RootExtraction X;
-      Sat.extractRootCached(Root, &Cache, nullptr, X);
+      Sat.extractRootCached(Root, Cache, X);
       expectMatchesPlain(Sat, Root, X, Inst.Seed, "repeat pass");
       EXPECT_EQ(Sat.commitExtraction(Cache, X), Inst.NumShared)
           << "a repeated root left the cache partially cold: seed "
@@ -155,59 +154,6 @@ TEST(IncrementalExtraction, CachedMatchesPlainAndRepeatsSkipEverything) {
     }
     if (::testing::Test::HasFailure())
       break; // One instance's divergence is enough diagnostics.
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// The parallel round's flow: extractions probe a frozen committed cache
-// plus a task-local overlay, and the real commits replay afterwards in
-// order.  Results and the committed skipped counts must equal the
-// serial flow's exactly.
-//===----------------------------------------------------------------------===//
-
-TEST(IncrementalExtraction, OverlayFlowMatchesSerialFlow) {
-  for (const Instance &Inst : makeInstances(baseSeed() + 5150, 40)) {
-    SharedSaturationResult R =
-        sharedPostStar(Inst.pds(), Inst.NumShared, Inst.Lang);
-    ASSERT_TRUE(R.Complete);
-    const SharedSaturation &Sat = R.Sat;
-
-    // Serial flow: live cache, extract-then-commit per root, twice over
-    // an interleaved root sequence (repeats included).
-    std::vector<QState> Sequence;
-    for (QState Root = 0; Root < Inst.NumShared; ++Root) {
-      Sequence.push_back(Root);
-      if (Root % 2 == 0)
-        Sequence.push_back(Root / 2); // A repeated earlier root.
-    }
-    SharedSaturation::ExtractionCache Serial;
-    std::vector<uint64_t> SerialSkipped;
-    std::vector<std::vector<std::pair<QState, CanonicalDfa>>> SerialLangs;
-    for (QState Root : Sequence) {
-      SharedSaturation::RootExtraction X;
-      Sat.extractRootCached(Root, &Serial, nullptr, X);
-      SerialSkipped.push_back(Sat.commitExtraction(Serial, X));
-      SerialLangs.push_back(std::move(X.Langs));
-    }
-
-    // Overlay flow: all extractions against (frozen empty committed,
-    // accumulating overlay), then the commits replay in order.
-    SharedSaturation::ExtractionCache Committed, Overlay;
-    std::vector<SharedSaturation::RootExtraction> Xs(Sequence.size());
-    for (size_t I = 0; I < Sequence.size(); ++I) {
-      Sat.extractRootCached(Sequence[I], &Committed, &Overlay, Xs[I]);
-      Sat.commitExtraction(Overlay, Xs[I]);
-    }
-    for (size_t I = 0; I < Sequence.size(); ++I) {
-      EXPECT_EQ(Xs[I].Langs, SerialLangs[I])
-          << "overlay flow diverged: seed " << Inst.Seed << ", root "
-          << Sequence[I] << " (position " << I << ")";
-      EXPECT_EQ(Sat.commitExtraction(Committed, Xs[I]), SerialSkipped[I])
-          << "overlay flow skipped-count drift: seed " << Inst.Seed
-          << ", position " << I;
-    }
-    if (::testing::Test::HasFailure())
-      break;
   }
 }
 

@@ -268,8 +268,9 @@ const Flag Flags[] = {
      "N", 0, uint64_t(1) << 24},
     // Worker counts beyond any real machine are configuration mistakes.
     {"--jobs", AllCmds, &Options::Jobs,
-     "worker parallelism (default: $CUBA_JOBS, else hardware concurrency; "
-     "results are bit-identical for every N)",
+     "workers for the explicit engine's levels, the only parallel stage "
+     "(default: $CUBA_JOBS, else hardware concurrency; results are "
+     "bit-identical for every N)",
      "N", 1, 1024},
     {"--approach", RunCmd, &Options::Approach,
      "the engine (default auto: explicit when FCR holds, else symbolic)",
@@ -660,7 +661,6 @@ int runDataflow(const Options &O) {
   const ResourceLimits Limits = O.limits();
   WallTimer T;
   DataflowEngine W(File->System, Taint, Limits);
-  W.setParallel(&Pool);
   bool Exhausted = false;
   while (!Exhausted && W.bound() < Limits.MaxContexts && !W.frontierEmpty())
     Exhausted = W.advance() == DataflowEngine::RoundStatus::Exhausted;
