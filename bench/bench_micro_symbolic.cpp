@@ -6,10 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// google-benchmark microbenchmarks for the symbolic data plane: NFA
-/// determinisation, DFA minimisation, and full symbolic context rounds
-/// (SymbolicEngine) on the Bluetooth driver models.  Emits
-/// BENCH_symbolic.json via --benchmark_format=json; see BUILDING.md.
+/// google-benchmark microbenchmark for the symbolic data plane: full
+/// symbolic context rounds (SymbolicEngine) on the Bluetooth driver
+/// model.  Emits BENCH_symbolic.json via --benchmark_format=json; see
+/// BUILDING.md.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,65 +18,15 @@
 #include "BenchUtil.h"
 
 #include "core/SymbolicEngine.h"
-#include "fa/Dfa.h"
-#include "fa/Nfa.h"
 #include "models/Models.h"
 
 using namespace cuba;
 
 namespace {
 
-/// A dense nondeterministic automaton shaped like the rooted PSA
-/// projections the symbolic engine feeds to determinize(): N states, a
-/// moderately wide alphabet, two-way nondeterminism on half the symbols
-/// and a sprinkle of epsilon edges.
-Nfa makeDenseNfa(unsigned N, unsigned NumSymbols) {
-  Nfa A(NumSymbols);
-  A.reserveStates(N);
-  for (unsigned I = 0; I < N; ++I)
-    A.addState();
-  A.setInitial(0);
-  for (unsigned I = 0; I < N; ++I) {
-    for (Sym X = 1; X <= NumSymbols; ++X) {
-      A.addEdge(I, X, (I * 5 + X) % N);
-      if (X % 2 == 0)
-        A.addEdge(I, X, (I + X) % N); // Nondeterminism on even symbols.
-    }
-    if (I % 4 == 0)
-      A.addEdge(I, EpsSym, (I + 1) % N);
-    if (I % 3 == 0)
-      A.setAccepting(I);
-  }
-  return A;
-}
-
-/// Subset construction alone: the inner loop of every symbolic
-/// transaction (one call per reachable shared state per post* result).
-void BM_Determinize(benchmark::State &State) {
-  unsigned N = static_cast<unsigned>(State.range(0));
-  Nfa A = makeDenseNfa(N, 6);
-  for (auto _ : State) {
-    Dfa D = A.determinize();
-    benchmark::DoNotOptimize(D.numStates());
-  }
-}
-BENCHMARK(BM_Determinize)->Arg(8)->Arg(12)->Arg(16);
-
-/// Minimisation of the (complete) determinised automaton: the other
-/// half of canonicalize(), dominated by partition refinement.
-void BM_Minimize(benchmark::State &State) {
-  unsigned N = static_cast<unsigned>(State.range(0));
-  Dfa D = makeDenseNfa(N, 6).determinize();
-  for (auto _ : State) {
-    Dfa M = D.minimize();
-    benchmark::DoNotOptimize(M.numStates());
-  }
-}
-BENCHMARK(BM_Minimize)->Arg(8)->Arg(12)->Arg(16);
-
 /// Full symbolic context rounds on the Bluetooth-v3 model: post*
-/// saturation + determinize/minimize/canonicalize + symbolic-state
-/// dedup, i.e. the Table 2 symbolic pipeline end to end.
+/// saturation + cached per-root extraction (fused canonicalization) +
+/// symbolic-state dedup, i.e. the Table 2 symbolic pipeline end to end.
 void BM_SymbolicRounds(benchmark::State &State) {
   CpdsFile F = models::buildBluetooth(3, 1, 1);
   unsigned K = static_cast<unsigned>(State.range(0));

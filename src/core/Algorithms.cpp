@@ -13,7 +13,6 @@
 #include "core/ObservationSequence.h"
 #include "core/ZOverapprox.h"
 #include "pds/CpdsIO.h"
-#include "support/FaultInject.h"
 #include "support/Timer.h"
 
 using namespace cuba;
@@ -134,30 +133,16 @@ private:
   ObservationTracker RkSizes, TkSizes;
 };
 
-/// Construction and the run loop can both throw on allocation failure
-/// (real or injected -- StackStore/DfaStore probe the Alloc fault point
-/// before growing).  Either way the answer is the same graceful
-/// truncation as any other exhausted budget: an EXHAUSTED result with
-/// the memory reason, never a crash.  InjectedFault derives from
-/// bad_alloc, so it must be caught first to keep its reason distinct.
+/// The engine's construction allocates too, so it runs guarded along
+/// with the loop.
 ExplicitCombinedResult runExplicitGuarded(const Cpds &C,
                                           const SafetyProperty &Prop,
                                           const RunOptions &Opts,
                                           bool UseScheme1, bool UseAlg3) {
-  try {
+  return runGuarded<ExplicitCombinedResult>([&] {
     ExplicitRunner R(C, Prop, Opts, UseScheme1, UseAlg3);
     return R.run();
-  } catch (const fault::InjectedFault &) {
-    ExplicitCombinedResult R;
-    R.Run.Exhausted = true;
-    R.Run.ExhaustedBy = ExhaustKind::Injected;
-    return R;
-  } catch (const std::bad_alloc &) {
-    ExplicitCombinedResult R;
-    R.Run.Exhausted = true;
-    R.Run.ExhaustedBy = ExhaustKind::Memory;
-    return R;
-  }
+  });
 }
 
 } // namespace

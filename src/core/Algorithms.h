@@ -27,8 +27,11 @@
 #ifndef CUBA_CORE_ALGORITHMS_H
 #define CUBA_CORE_ALGORITHMS_H
 
+#include <new>
+
 #include "core/Verdict.h"
 #include "pds/Cpds.h"
+#include "support/FaultInject.h"
 #include "support/Limits.h"
 
 namespace cuba {
@@ -64,6 +67,28 @@ struct ExplicitCombinedResult {
   /// Collapse bound k0 of (T(R_k)) when Alg. 3 concluded.
   std::optional<unsigned> TkCollapse;
 };
+
+/// Runs \p Body and returns its result.  Allocation failure anywhere in
+/// it (real or injected -- the stores probe the Alloc fault point before
+/// growing) degrades to the same graceful truncation as an exhausted
+/// budget: a default \p Result whose Run is EXHAUSTED with the memory
+/// reason, or the injected one for an InjectedFault, never a crash.
+template <typename Result, typename Fn> Result runGuarded(Fn &&Body) {
+  ExhaustKind Why = ExhaustKind::None;
+  try {
+    return Body();
+  } catch (const fault::InjectedFault &) {
+    // InjectedFault derives from bad_alloc; caught first to keep its
+    // reason distinct.
+    Why = ExhaustKind::Injected;
+  } catch (const std::bad_alloc &) {
+    Why = ExhaustKind::Memory;
+  }
+  Result R;
+  R.Run.Exhausted = true;
+  R.Run.ExhaustedBy = Why;
+  return R;
+}
 
 /// Scheme 1 instantiated with (R_k); requires FCR in practice.
 RunResult runScheme1Explicit(const Cpds &C, const SafetyProperty &Prop,

@@ -13,7 +13,6 @@
 #include "obs/Metrics.h"
 #include "pds/CpdsIO.h"
 #include "pds/ThreadSymmetry.h"
-#include "support/FaultInject.h"
 #include "support/Timer.h"
 
 using namespace cuba;
@@ -108,20 +107,6 @@ SymbolicRunResult runAlg3SymbolicImpl(const Cpds &C,
 SymbolicRunResult cuba::runAlg3Symbolic(const Cpds &C,
                                         const SafetyProperty &Prop,
                                         const RunOptions &Opts) {
-  // Allocation failure (real or injected) anywhere in the run degrades to
-  // the same truncation as an exhausted budget.  InjectedFault derives
-  // from bad_alloc; catch it first to keep its reason distinct.
-  try {
-    return runAlg3SymbolicImpl(C, Prop, Opts);
-  } catch (const fault::InjectedFault &) {
-    SymbolicRunResult R;
-    R.Run.Exhausted = true;
-    R.Run.ExhaustedBy = ExhaustKind::Injected;
-    return R;
-  } catch (const std::bad_alloc &) {
-    SymbolicRunResult R;
-    R.Run.Exhausted = true;
-    R.Run.ExhaustedBy = ExhaustKind::Memory;
-    return R;
-  }
+  return runGuarded<SymbolicRunResult>(
+      [&] { return runAlg3SymbolicImpl(C, Prop, Opts); });
 }

@@ -43,7 +43,6 @@ class MaskRoundDomain {
 public:
   using Sat = SharedSaturation;
   using Cache = SharedSaturation::ExtractionCache;
-  using Payload = SharedSaturation::RootExtraction;
 
   static constexpr RoundNames Names = {
       .RoundSpan = "round",
@@ -71,14 +70,10 @@ public:
     return {std::move(R.Sat), R.Complete};
   }
 
-  void extract(const Sat &S, const Cache &Committed, QState Root,
-               std::vector<ExtractedSucc> &Succs, Payload &X) const;
-
   /// The cache of root classes and canonical forms stays outside the
   /// byte budgets, like the core's top-set cache, so it reports none.
-  DomainCommit commit(const Sat &S, Cache &Into, const Payload &X) const {
-    return {S.commitExtraction(Into, X), 0};
-  }
+  DomainExtraction extract(const Sat &S, Cache &Cached, QState Root,
+                           std::vector<ExtractedSucc> &Succs) const;
 
 private:
   const Cpds &C;

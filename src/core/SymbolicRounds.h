@@ -19,24 +19,22 @@
 /// arena, transaction record/replay, producer masks, the visible
 /// bookkeeping and eviction.  A Domain supplies the rest:
 ///
-///   using Sat, Cache, Payload;       the retained saturation (with
-///                                    numStates() and memoryBytes()), its
-///                                    per-root extraction cache and one
-///                                    extraction's commit payload
+///   using Sat, Cache;                the retained saturation (with
+///                                    numStates() and memoryBytes()) and
+///                                    its per-root extraction cache
 ///   static constexpr RoundNames Names;   metric and span names
 ///   QState numControlStates() const;     the range of row words 0
 ///   DomainSaturation<Sat> saturate(unsigned Thread,
 ///       const CanonicalDfa &Lang, LimitTracker *Limits) const;
-///   void extract(const Sat &, const Cache &Committed, QState Root,
-///       std::vector<ExtractedSucc> &Succs, Payload &X) const;
-///   DomainCommit commit(const Sat &, Cache &, const Payload &X) const;
+///   DomainExtraction extract(const Sat &, Cache &, QState Root,
+///       std::vector<ExtractedSucc> &Succs) const;
 ///
-/// saturate charges one step per pop to \p Limits.  extract probes the
-/// saturation's cache read-only; its successors must not depend on what
-/// the cache held.  commit then folds the payload into that cache,
-/// returning how much of it was already there and the bytes the cache
-/// newly retains, which count toward both byte budgets as the
-/// saturation's.  SymbolicEngine is the boolean root-mask
+/// saturate charges one step per pop to \p Limits.  extract appends
+/// root \p Root's successors and adds what it computed to the
+/// saturation's cache; its successors must not depend on what the cache
+/// held.  It returns how much of its work the cache already held and the
+/// bytes the cache newly retains, which count toward both byte budgets
+/// as the saturation's.  SymbolicEngine is the boolean root-mask
 /// instantiation, DataflowEngine the GEN/KILL taint one.
 ///
 /// Stack languages are stored as canonical minimal DFAs over the
@@ -136,9 +134,10 @@ template <typename SatT> struct DomainSaturation {
   bool Complete = true;
 };
 
-/// What one commit folded into an extraction cache: the part of the
-/// payload the cache already held, and the bytes it newly retains.
-struct DomainCommit {
+/// What one extraction found in and added to its saturation's cache:
+/// the part of its work the cache already held, and the bytes the cache
+/// newly retains.
+struct DomainExtraction {
   uint64_t Reused = 0;
   uint64_t Bytes = 0;
 };
@@ -158,7 +157,6 @@ struct ExtractedSucc {
 template <typename Domain> class SymbolicRounds {
   using Sat = typename Domain::Sat;
   using Cache = typename Domain::Cache;
-  using Payload = typename Domain::Payload;
 
 public:
   enum class RoundStatus { Ok, Exhausted };
@@ -331,9 +329,9 @@ private:
     unsigned Thread = 0;
     DfaId InLang = 0;
     unsigned LastUsed = 0; // Round stamp, updated when a round touches it.
-    /// The domain's per-root extraction cache, probed by each fresh
-    /// root's extraction and then folded into (extractRoot).  Evicted
-    /// along with the saturation.
+    /// The domain's per-root extraction cache, read and grown by each
+    /// fresh root's extraction (extractRoot).  Evicted along with the
+    /// saturation.
     Cache Extract;
     uint64_t Bytes = 0; // Its share of SatBytes, Extract's included.
   };
@@ -418,8 +416,8 @@ private:
                              {"pops", BaseSteps},
                              {"sat_states", S.numStates()},
                              {"bytes", S.memoryBytes()}};
-      obs::Trace::span("saturate", obs::Trace::CatDet, 0, BeginNs, EndNs,
-                       Args, 5);
+      obs::Trace::span("saturate", obs::Trace::CatDet, BeginNs, EndNs, Args,
+                       5);
     }
     uint32_t Idx = static_cast<uint32_t>(SharedSats.size());
     uint64_t Bytes = S.memoryBytes();
@@ -433,39 +431,35 @@ private:
   }
 
   /// A fresh per-root transaction on a saturated language: extracts root
-  /// S[0]'s successors from SharedSats[\p SatIdx] through its cache and
-  /// folds the payload into that cache, then per successor charge ->
-  /// intern -> register, and records it under the saturation's
-  /// Roots[S[0]] (consuming the pending base charge into the record).
-  /// Returns false on exhaustion, leaving the root unrecorded with the
-  /// successor prefix registered.
+  /// S[0]'s successors from SharedSats[\p SatIdx] through its cache, then
+  /// per successor charge -> intern -> register, and records it under the
+  /// saturation's Roots[S[0]] (consuming the pending base charge into the
+  /// record).  Returns false on exhaustion, leaving the root unrecorded
+  /// with the successor prefix registered.
   bool extractRoot(uint32_t SatIdx, const uint32_t *S, unsigned I,
                    std::vector<uint32_t> &NewFrontier) {
     static obs::Histogram Fanout(Domain::Names.ExtractionFanout);
     static obs::Counter SkippedUnchanged(Domain::Names.SkippedUnchanged);
     SharedSat &SS = SharedSats[SatIdx];
     std::vector<ExtractedSucc> Succs;
-    Payload X;
+    DomainExtraction Use;
     {
       obs::ScopedSpan Extract("extract", obs::Trace::CatDet);
-      Dom.extract(SS.S, SS.Extract, S[0], Succs, X);
+      Use = Dom.extract(SS.S, SS.Extract, S[0], Succs);
       Extract.arg("thread", I);
       Extract.arg("root", S[0]);
       Extract.arg("fanout", Succs.size());
     }
     Fanout.observe(Succs.size());
-    // Fold the extraction into the saturation's cache and count what it
-    // already held.
-    DomainCommit Folded = Dom.commit(SS.S, SS.Extract, X);
-    SkippedUnchanged += Folded.Reused;
+    SkippedUnchanged += Use.Reused;
     Transaction TR;
     TR.BaseSteps = SS.PendingBase; // First extracted root carries the base.
     SS.PendingBase = 0;
     // What the cache newly retains joins the saturation's bytes, and so
     // the byte budget, at this same point.
-    if (Folded.Bytes) {
-      SS.Bytes += Folded.Bytes;
-      SatBytes += Folded.Bytes;
+    if (Use.Bytes) {
+      SS.Bytes += Use.Bytes;
+      SatBytes += Use.Bytes;
       if (!Limits.checkMemory(memoryUsage()))
         return false;
     }

@@ -54,8 +54,8 @@ TaintRoundDomain::saturate(unsigned Thread, const CanonicalDfa &Lang,
   return {std::move(R.Rel), R.Complete};
 }
 
-auto TaintRoundDomain::buildProduct(const Sat &Rel, QState Root) const
-    -> ProductRef {
+std::unique_ptr<const TaintRoundDomain::RootProduct>
+TaintRoundDomain::buildProduct(const Sat &Rel, QState Root) const {
   const TaintWeightTable &Tab = Rel.Dom.table();
 
   // Adjacency restricted to the root's view, each edge carrying its
@@ -77,7 +77,7 @@ auto TaintRoundDomain::buildProduct(const Sat &Rel, QState Root) const
   // edge just read executes BEFORE the suffix already composed, so the
   // child's transformer is seq(f, g).  Composed transformers get
   // product-local ids, so the saturation's table is only read.
-  auto P = std::make_shared<RootProduct>();
+  auto P = std::make_unique<RootProduct>();
   P->Prod = Nfa(Rel.NumSymbols);
   std::vector<TaintTf> Tfs;
   FlatMap<uint64_t, uint32_t> TfIdx;
@@ -136,18 +136,23 @@ auto TaintRoundDomain::buildProduct(const Sat &Rel, QState Root) const
   return P;
 }
 
-void TaintRoundDomain::extract(const Sat &Rel, const Cache &Committed,
-                               QState Root, std::vector<ExtractedSucc> &Succs,
-                               Payload &X) const {
+DomainExtraction
+TaintRoundDomain::extract(const Sat &Rel, Cache &Products, QState Root,
+                          std::vector<ExtractedSucc> &Succs) const {
   // Unfold the row's control state into the base root and its facts
-  // (err carries none).
-  X.BaseRoot = Root == FoldErr ? BaseErr : Root & (BaseErr - 1);
+  // (err carries none), and fetch or build the base root's product.
+  QState BaseRoot = Root == FoldErr ? BaseErr : Root & (BaseErr - 1);
   uint32_t Facts = Root == FoldErr ? 0 : Root >> SharedBits;
-  if (X.BaseRoot < Committed.Products.size())
-    X.Product = Committed.Products[X.BaseRoot];
-  if (!X.Product)
-    X.Product = buildProduct(Rel, X.BaseRoot);
-  const RootProduct &P = *X.Product;
+  if (Products.empty())
+    Products.resize(Rel.NumShared);
+  DomainExtraction Use;
+  if (Products[BaseRoot]) {
+    Use.Reused = 1;
+  } else {
+    Products[BaseRoot] = buildProduct(Rel, BaseRoot);
+    Use.Bytes = Products[BaseRoot]->Bytes;
+  }
+  const RootProduct &P = *Products[BaseRoot];
 
   // Group the accepting product states by the fact vector they produce
   // from the incoming one; each group is one successor family
@@ -176,17 +181,7 @@ void TaintRoundDomain::extract(const Sat &Rel, const Cache &Committed,
     for (uint32_t Pid : Members)
       Accepting[Pid] = 0;
   }
-}
-
-DomainCommit TaintRoundDomain::commit(const Sat &Rel, Cache &Into,
-                                      const Payload &X) const {
-  if (Into.Products.empty())
-    Into.Products.resize(Rel.NumShared);
-  ProductRef &Slot = Into.Products[X.BaseRoot];
-  if (Slot)
-    return {1, 0};
-  Slot = X.Product;
-  return {0, Slot->Bytes};
+  return Use;
 }
 
 template class cuba::SymbolicRounds<TaintRoundDomain>;

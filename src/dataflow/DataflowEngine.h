@@ -99,21 +99,11 @@ public:
     /// extraction cache retains for this product.
     uint64_t Bytes = 0;
   };
-  using ProductRef = std::shared_ptr<const RootProduct>;
 
   /// The extraction cache: each base root's product, once built.  The
   /// products are the part of the domain that grows with the composed
-  /// summaries, so commit reports their bytes to the budgets.
-  struct Cache {
-    std::vector<ProductRef> Products;
-  };
-
-  /// One extraction's commit payload: the product it read, from the
-  /// cache or freshly built.
-  struct Payload {
-    QState BaseRoot = 0;
-    ProductRef Product;
-  };
+  /// summaries, so extract reports their bytes to the budgets.
+  using Cache = std::vector<std::unique_ptr<const RootProduct>>;
 
   static constexpr RoundNames Names = {
       .RoundSpan = "dataflow-round",
@@ -140,14 +130,13 @@ public:
   DomainSaturation<Sat> saturate(unsigned Thread, const CanonicalDfa &Lang,
                                  LimitTracker *Limits) const;
 
-  void extract(const Sat &S, const Cache &Committed, QState Root,
-               std::vector<ExtractedSucc> &Succs, Payload &X) const;
-
-  DomainCommit commit(const Sat &S, Cache &Into, const Payload &X) const;
+  DomainExtraction extract(const Sat &S, Cache &Products, QState Root,
+                           std::vector<ExtractedSucc> &Succs) const;
 
 private:
   /// Unfolds \p S's relation in base root \p Root's view.
-  ProductRef buildProduct(const Sat &S, QState Root) const;
+  std::unique_ptr<const RootProduct> buildProduct(const Sat &S,
+                                                  QState Root) const;
 
   /// Folded control state: facts above the base bits, err renumbered
   /// past them.

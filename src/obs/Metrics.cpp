@@ -19,13 +19,6 @@ using namespace cuba::obs;
 
 namespace {
 
-/// One thread's slot shard.  Fixed-size relaxed atomics: the owner
-/// writes without contention, snapshot() reads concurrently without a
-/// data race, and there is no growth to coordinate.
-struct Shard {
-  std::array<std::atomic<uint64_t>, Metrics::MaxSlots> Vals{};
-};
-
 struct Instrument {
   std::string Name;
   Kind K = Kind::Counter;
@@ -39,77 +32,33 @@ struct Registry {
   std::vector<Instrument> Instruments; // Registration order.
   std::unordered_map<std::string, uint32_t> Index; // Name -> index above.
   uint32_t NextSlot = 0;
-  std::vector<Shard *> Live;
-  /// Totals folded in by exited threads, slot-indexed.  Gauge slots fold
-  /// by max (MaxSlotBits marks them); everything else by sum.
-  std::array<uint64_t, Metrics::MaxSlots> Retired{};
-  std::array<bool, Metrics::MaxSlots> MaxSlot{};
+  /// Every instrument's value, slot-indexed; bumped without the mutex.
+  std::array<std::atomic<uint64_t>, Metrics::MaxSlots> Vals{};
 };
 
-/// Deliberately leaked: worker threads fold their shards into the
-/// registry from thread_local destructors, which may run after static
-/// destruction on the main thread.
+/// Deliberately leaked, so a probe firing from another static's
+/// destructor never reaches a destroyed registry.
 Registry &registry() {
   static Registry *R = new Registry;
   return *R;
 }
 
-/// Registers this thread's shard on first use and folds it into Retired
-/// at thread exit.
-struct TlsShard {
-  Shard S;
-  bool Registered = false;
-
-  ~TlsShard() {
-    if (!Registered)
-      return;
-    Registry &R = registry();
-    std::lock_guard<std::mutex> L(R.M);
-    for (uint32_t I = 0; I < Metrics::MaxSlots; ++I) {
-      uint64_t V = S.Vals[I].load(std::memory_order_relaxed);
-      if (R.MaxSlot[I])
-        R.Retired[I] = std::max(R.Retired[I], V);
-      else
-        R.Retired[I] += V;
-    }
-    std::erase(R.Live, &S);
-  }
-};
-
-thread_local TlsShard Tls;
-
-Shard &localShard() {
-  if (!Tls.Registered) {
-    Registry &R = registry();
-    std::lock_guard<std::mutex> L(R.M);
-    R.Live.push_back(&Tls.S);
-    Tls.Registered = true;
-  }
-  return Tls.S;
-}
-
-/// Folds one slot across the retired totals and every live shard,
-/// respecting the slot's fold operation.  Caller holds R.M.
-uint64_t foldSlot(Registry &R, uint32_t Slot) {
-  uint64_t V = R.Retired[Slot];
-  for (Shard *S : R.Live) {
-    uint64_t W = S->Vals[Slot].load(std::memory_order_relaxed);
-    V = R.MaxSlot[Slot] ? std::max(V, W) : V + W;
-  }
-  return V;
+uint64_t load(const Registry &R, uint32_t Slot) {
+  return R.Vals[Slot].load(std::memory_order_relaxed);
 }
 
 } // namespace
 
-uint32_t Metrics::registerInstrument(const char *Name, Kind K,
-                                     bool Deterministic, uint32_t Width) {
+std::atomic<uint64_t> *Metrics::registerInstrument(const char *Name, Kind K,
+                                                   bool Deterministic,
+                                                   uint32_t Width) {
   Registry &R = registry();
   std::lock_guard<std::mutex> L(R.M);
   auto It = R.Index.find(Name);
   if (It != R.Index.end()) {
     const Instrument &I = R.Instruments[It->second];
     assert(I.K == K && "instrument re-registered with a different kind");
-    return I.Slot;
+    return &R.Vals[I.Slot];
   }
   // Past the cap every new instrument aliases the last slot; the
   // snapshot then reports merged values under the first such name, which
@@ -122,43 +71,23 @@ uint32_t Metrics::registerInstrument(const char *Name, Kind K,
   } else {
     R.NextSlot += Width;
   }
-  if (K == Kind::Gauge)
-    for (uint32_t I = 0; I < Width; ++I)
-      R.MaxSlot[Slot + I] = true;
   uint32_t Idx = static_cast<uint32_t>(R.Instruments.size());
   R.Instruments.push_back({Name, K, Deterministic, Slot, Width});
   R.Index.emplace(Name, Idx);
-  return Slot;
+  return &R.Vals[Slot];
 }
 
 Counter::Counter(const char *Name, bool Deterministic)
     : Slot(Metrics::registerInstrument(Name, Kind::Counter, Deterministic,
                                        1)) {}
 
-void Counter::add(uint64_t N) {
-  localShard().Vals[Slot].fetch_add(N, std::memory_order_relaxed);
-}
-
 Gauge::Gauge(const char *Name, bool Deterministic)
     : Slot(Metrics::registerInstrument(Name, Kind::Gauge, Deterministic,
                                        1)) {}
 
-void Gauge::recordMax(uint64_t V) {
-  // The shard is thread-owned: only this thread writes the slot, so a
-  // plain load-compare-store is race-free against concurrent snapshots.
-  std::atomic<uint64_t> &S = localShard().Vals[Slot];
-  if (V > S.load(std::memory_order_relaxed))
-    S.store(V, std::memory_order_relaxed);
-}
-
 Histogram::Histogram(const char *Name, bool Deterministic)
-    : Slot(Metrics::registerInstrument(Name, Kind::Histogram, Deterministic,
-                                       NumBuckets)) {}
-
-void Histogram::observe(uint64_t V) {
-  localShard().Vals[Slot + bucketOf(V)].fetch_add(1,
-                                                  std::memory_order_relaxed);
-}
+    : Slots(Metrics::registerInstrument(Name, Kind::Histogram, Deterministic,
+                                        NumBuckets)) {}
 
 std::vector<InstrumentSnapshot> Metrics::snapshot() {
   Registry &R = registry();
@@ -173,11 +102,11 @@ std::vector<InstrumentSnapshot> Metrics::snapshot() {
     if (I.K == Kind::Histogram) {
       S.Buckets.resize(I.Width);
       for (uint32_t B = 0; B < I.Width; ++B) {
-        S.Buckets[B] = foldSlot(R, I.Slot + B);
+        S.Buckets[B] = load(R, I.Slot + B);
         S.Value += S.Buckets[B];
       }
     } else {
-      S.Value = foldSlot(R, I.Slot);
+      S.Value = load(R, I.Slot);
     }
     Out.push_back(std::move(S));
   }
@@ -196,20 +125,14 @@ uint64_t Metrics::value(const std::string &Name) {
     return 0;
   const Instrument &I = R.Instruments[It->second];
   uint64_t V = 0;
-  for (uint32_t B = 0; B < I.Width; ++B) {
-    uint64_t W = foldSlot(R, I.Slot + B);
-    V = I.K == Kind::Histogram ? V + W : W;
-  }
+  for (uint32_t B = 0; B < I.Width; ++B)
+    V += load(R, I.Slot + B);
   return V;
 }
 
 void Metrics::resetAll() {
-  Registry &R = registry();
-  std::lock_guard<std::mutex> L(R.M);
-  R.Retired.fill(0);
-  for (Shard *S : R.Live)
-    for (auto &V : S->Vals)
-      V.store(0, std::memory_order_relaxed);
+  for (std::atomic<uint64_t> &V : registry().Vals)
+    V.store(0, std::memory_order_relaxed);
 }
 
 //===----------------------------------------------------------------------===//

@@ -16,15 +16,16 @@
 ///     with bucketOf(v) == b, where bucket 0 is v == 0 and bucket b >= 1
 ///     holds 2^(b-1) <= v < 2^b, saturating at the last bucket).
 ///
-/// Sharding model: each thread owns a fixed-size shard of relaxed
-/// atomic slots, bumps are uncontended, and snapshot() folds the live
-/// shards plus the totals retired by exited threads -- counters and
-/// histogram buckets fold by sum, gauges by max.  Nothing here
-/// synchronizes engine work, so `--jobs` bit-identity is untouched and
-/// TSan stays clean.
+/// Storage: the registry owns one fixed array of relaxed atomic slots;
+/// counters and histogram buckets add, gauges fold in by a
+/// compare-and-swap max.  Instruments are bumped on the driver thread
+/// (pool tasks bump none), so the slots are uncontended, and a bump
+/// from any thread is still race-free.  Nothing here synchronizes
+/// engine work, so `--jobs` bit-identity is untouched and TSan stays
+/// clean.
 ///
-/// Determinism classes: every instrument declares whether its folded
-/// value is a pure function of serially committed engine state
+/// Determinism classes: every instrument declares whether its value is
+/// a pure function of serially committed engine state
 /// (`Deterministic`, identical at any `--jobs` once the run's batches
 /// have joined) or may vary with scheduling (wall-clock timings, pool
 /// accounting).  `--stats-json` splits its output along this
@@ -40,6 +41,7 @@
 #ifndef CUBA_OBS_METRICS_H
 #define CUBA_OBS_METRICS_H
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <string>
@@ -49,14 +51,13 @@ namespace cuba::obs {
 
 enum class Kind : uint8_t { Counter, Gauge, Histogram };
 
-/// A handle on one named counter: resolves the name to a dense slot span
-/// at construction (keep it in a function-local static on hot paths) and
-/// bumps the calling thread's shard on increment.
+/// A handle on one named counter: resolves the name to its registry slot
+/// at construction (keep it in a function-local static on hot paths).
 class Counter {
 public:
   explicit Counter(const char *Name, bool Deterministic = true);
 
-  void add(uint64_t N);
+  void add(uint64_t N) { Slot->fetch_add(N, std::memory_order_relaxed); }
   Counter &operator++() {
     add(1);
     return *this;
@@ -68,19 +69,26 @@ public:
   }
 
 private:
-  uint32_t Slot;
+  std::atomic<uint64_t> *Slot;
 };
 
 /// A high-water-mark gauge: recordMax folds the observed value into the
-/// calling thread's shard by max; snapshot() folds the shards by max.
+/// slot by max.
 class Gauge {
 public:
   explicit Gauge(const char *Name, bool Deterministic = true);
 
-  void recordMax(uint64_t V);
+  void recordMax(uint64_t V) {
+    // A failed exchange reloads Cur, so the loop ends once the slot
+    // holds V or more.
+    uint64_t Cur = Slot->load(std::memory_order_relaxed);
+    while (V > Cur &&
+           !Slot->compare_exchange_weak(Cur, V, std::memory_order_relaxed)) {
+    }
+  }
 
 private:
-  uint32_t Slot;
+  std::atomic<uint64_t> *Slot;
 };
 
 /// A fixed 32-bucket power-of-two histogram.
@@ -90,7 +98,9 @@ public:
 
   explicit Histogram(const char *Name, bool Deterministic = true);
 
-  void observe(uint64_t V);
+  void observe(uint64_t V) {
+    Slots[bucketOf(V)].fetch_add(1, std::memory_order_relaxed);
+  }
 
   /// Bucket index of \p V: 0 for v == 0, otherwise bit_width(v) capped
   /// at the last bucket (so bucket b >= 1 holds 2^(b-1) <= v < 2^b).
@@ -107,10 +117,10 @@ public:
   }
 
 private:
-  uint32_t Slot;
+  std::atomic<uint64_t> *Slots; // NumBuckets consecutive slots.
 };
 
-/// One folded instrument in a registry snapshot.
+/// One instrument in a registry snapshot.
 struct InstrumentSnapshot {
   std::string Name;
   Kind K = Kind::Counter;
@@ -125,19 +135,17 @@ struct InstrumentSnapshot {
 /// Process-wide instrument registry.
 class Metrics {
 public:
-  /// Hard cap on the shared slot space (a counter or gauge takes one
-  /// slot, a histogram takes NumBuckets), so thread shards can be
-  /// fixed-size atomic arrays with no reallocation racing snapshot().
+  /// Hard cap on the slot space (a counter or gauge takes one slot, a
+  /// histogram takes NumBuckets), so the slots are one fixed-size atomic
+  /// array with no reallocation racing snapshot() or a bump.
   /// Instruments registered past the cap alias the final overflow slot.
   static constexpr uint32_t MaxSlots = 512;
 
-  /// All instruments, folded across shards, sorted by name.  Values
-  /// written by pool workers are only guaranteed complete once their
-  /// batch has joined.
+  /// All instruments, sorted by name.
   static std::vector<InstrumentSnapshot> snapshot();
 
-  /// Folded value of the instrument named \p Name (0 when never
-  /// registered); for tests and diagnostics.
+  /// Value of the instrument named \p Name (0 when never registered);
+  /// for tests and diagnostics.
   static uint64_t value(const std::string &Name);
 
   /// Resets every instrument to zero (between benchmark or fuzz
@@ -149,9 +157,10 @@ private:
   friend class Gauge;
   friend class Histogram;
   /// Registers (or finds) \p Name with the given kind and slot width;
-  /// returns the base slot.
-  static uint32_t registerInstrument(const char *Name, Kind K,
-                                     bool Deterministic, uint32_t Width);
+  /// returns its first slot.
+  static std::atomic<uint64_t> *registerInstrument(const char *Name, Kind K,
+                                                   bool Deterministic,
+                                                   uint32_t Width);
 };
 
 /// Renders a machine-readable stats summary (the `--stats-json` payload):

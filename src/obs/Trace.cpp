@@ -22,7 +22,6 @@ namespace {
 struct Event {
   const char *Name;
   const char *Cat;
-  uint32_t Tid;
   uint64_t BeginNs;
   uint64_t DurNs;
   uint32_t NumArgs;
@@ -39,8 +38,8 @@ struct Sink {
   std::chrono::steady_clock::time_point T0;
 };
 
-/// Leaked for the same reason as the metrics registry: probes may fire
-/// from thread_local teardown after main-thread static destruction.
+/// Leaked, like the metrics registry, so a span emitted from another
+/// static's destructor never reaches a destroyed sink.
 Sink &sink() {
   static Sink *S = new Sink;
   return *S;
@@ -74,9 +73,8 @@ uint64_t Trace::nowNs() {
           .count());
 }
 
-void Trace::span(const char *Name, const char *Cat, uint32_t Tid,
-                 uint64_t BeginNs, uint64_t EndNs, const SpanArg *Args,
-                 uint32_t NumArgs) {
+void Trace::span(const char *Name, const char *Cat, uint64_t BeginNs,
+                 uint64_t EndNs, const SpanArg *Args, uint32_t NumArgs) {
   Sink &S = sink();
   std::lock_guard<std::mutex> L(S.M);
   if (!S.Enabled.load(std::memory_order_relaxed))
@@ -84,7 +82,6 @@ void Trace::span(const char *Name, const char *Cat, uint32_t Tid,
   Event E;
   E.Name = Name;
   E.Cat = Cat;
-  E.Tid = Tid;
   E.BeginNs = BeginNs;
   E.DurNs = EndNs >= BeginNs ? EndNs - BeginNs : 0;
   E.NumArgs = std::min(NumArgs, ScopedSpan::MaxArgs);
@@ -97,41 +94,25 @@ std::string Trace::render() {
   std::lock_guard<std::mutex> L(S.M);
 
   std::string Out = "{\"traceEvents\": [\n";
-  bool First = true;
 
-  // Thread-name metadata rows first, one per tid seen, so Perfetto
-  // labels the tracks.  ph:"M" rows are dropped by the determinism
-  // stripper along with everything else jobs-dependent.
-  std::vector<uint32_t> Tids;
-  for (const Event &E : S.Events)
-    Tids.push_back(E.Tid);
-  std::sort(Tids.begin(), Tids.end());
-  Tids.erase(std::unique(Tids.begin(), Tids.end()), Tids.end());
-  for (uint32_t T : Tids) {
-    if (!First)
-      Out += ",\n";
-    First = false;
-    Out += "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": " +
-           std::to_string(T) + ", \"args\": {\"name\": \"" +
-           (T == 0 ? "driver" : "worker-" + std::to_string(T)) + "\"}}";
-  }
+  // The metadata row first, so Perfetto labels the one track.  ph:"M"
+  // rows are dropped by the determinism stripper.
+  if (!S.Events.empty())
+    Out += "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, "
+           "\"tid\": 0, \"args\": {\"name\": \"driver\"}}";
 
   // One complete event per line, fixed key order, so the cross-jobs
   // comparison in TraceDeterminismTest is a line-local transformation.
   // ts/dur are microseconds (the trace_event unit); flooring ns/1000 is
   // monotone, so parent/child nesting survives the truncation.
   for (const Event &E : S.Events) {
-    if (!First)
-      Out += ",\n";
-    First = false;
-    Out += "{\"name\": \"";
+    Out += ",\n{\"name\": \"";
     Out += E.Name;
     Out += "\", \"cat\": \"";
     Out += E.Cat;
     Out += "\", \"ph\": \"X\", \"ts\": " + std::to_string(E.BeginNs / 1000) +
            ", \"dur\": " + std::to_string(E.DurNs / 1000) +
-           ", \"pid\": 0, \"tid\": " + std::to_string(E.Tid) +
-           ", \"args\": {";
+           ", \"pid\": 0, \"tid\": 0, \"args\": {";
     for (uint32_t I = 0; I < E.NumArgs; ++I) {
       if (I)
         Out += ", ";

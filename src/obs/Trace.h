@@ -15,9 +15,9 @@
 /// Determinism contract (pinned by TraceDeterminismTest): span *content*
 /// -- name, category, argument keys and values, and emission order -- is
 /// a pure function of serially committed engine state, so it is
-/// byte-identical at any `--jobs` for the same input.  Only three fields
-/// are scheduling-dependent: `ts`, `dur` (wall-clock), and `tid` (the
-/// worker that computed the span's work; 0 is the driver thread).  Two
+/// byte-identical at any `--jobs` for the same input.  Only `ts` and
+/// `dur` (wall-clock) are scheduling-dependent; every span is emitted by
+/// the driver thread and rendered on its one track, `"tid": 0`.  Two
 /// categories split the events:
 ///
 ///   * "det":  emitted at serially ordered points; identical at any
@@ -31,13 +31,11 @@
 /// values.  Events are rendered one per line with a fixed key order
 /// precisely so this is a line-local text transformation.
 ///
-/// Emission discipline: Trace::span / ScopedSpan must only run at
-/// serially ordered points (driver thread, or a phase where no other
-/// thread emits).  Workers never emit directly -- parallel phases record
-/// begin/end timestamps and worker ids into their task-local structs
-/// (Trace::nowNs is safe anywhere), and the serial commit emits the span
-/// with the recorded attribution.  Name/category/argument-key strings
-/// must be literals (the buffer stores the pointers).
+/// Emission discipline: Trace::span / ScopedSpan run only on the driver
+/// thread, at serially ordered points; pool workers never emit (a
+/// parallel phase is spanned as a whole by the driver around it).
+/// Name/category/argument-key strings must be literals (the buffer
+/// stores the pointers).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -77,16 +75,15 @@ public:
   static uint64_t nowNs();
 
   /// Buffers one complete span.  Serial emission points only; \p Name,
-  /// \p Cat, and argument keys must be string literals.  \p Tid is the
-  /// worker that performed the work (0 = driver).
-  static void span(const char *Name, const char *Cat, uint32_t Tid,
-                   uint64_t BeginNs, uint64_t EndNs, const SpanArg *Args,
-                   uint32_t NumArgs);
+  /// \p Cat, and argument keys must be string literals.
+  static void span(const char *Name, const char *Cat, uint64_t BeginNs,
+                   uint64_t EndNs, const SpanArg *Args, uint32_t NumArgs);
 
   /// Renders the buffered events as a Chrome trace_event JSON document,
   /// one event per line, fixed key order
-  /// {"name","cat","ph","ts","dur","pid","tid","args"}, with ph:"M"
-  /// thread-name metadata rows for every tid seen.
+  /// {"name","cat","ph","ts","dur","pid","tid","args"}, after a ph:"M"
+  /// metadata row naming track 0 "driver" (omitted when no span was
+  /// buffered).
   static std::string render();
 
   /// render() to \p Path; returns false (with errno pending) on I/O
@@ -101,8 +98,8 @@ class ScopedSpan {
 public:
   static constexpr uint32_t MaxArgs = 8;
 
-  ScopedSpan(const char *Name, const char *Cat, uint32_t Tid = 0)
-      : Name(Name), Cat(Cat), Tid(Tid), Active(Trace::enabled()),
+  ScopedSpan(const char *Name, const char *Cat)
+      : Name(Name), Cat(Cat), Active(Trace::enabled()),
         BeginNs(Active ? Trace::nowNs() : 0) {}
 
   ScopedSpan(const ScopedSpan &) = delete;
@@ -116,13 +113,12 @@ public:
 
   ~ScopedSpan() {
     if (Active)
-      Trace::span(Name, Cat, Tid, BeginNs, Trace::nowNs(), Args, NumArgs);
+      Trace::span(Name, Cat, BeginNs, Trace::nowNs(), Args, NumArgs);
   }
 
 private:
   const char *Name;
   const char *Cat;
-  uint32_t Tid;
   bool Active;
   uint64_t BeginNs;
   SpanArg Args[MaxArgs];

@@ -43,9 +43,8 @@ public:
   }
 
   PostStarResult run() {
-    // Resolved once: the registry lookup costs a string hash.  The handle
-    // bumps a thread-local shard, so concurrent saturations never
-    // contend; the count is published once per saturation.
+    // Resolved once: the registry lookup costs a string hash.  The count
+    // is published once per saturation.
     static obs::Counter TransCounter("poststar.transitions");
     seedFromInput();
     Seeding = false;

@@ -84,165 +84,107 @@ Nfa SharedSaturation::classView(const std::vector<uint64_t> &Bits) const {
   return View;
 }
 
-void SharedSaturation::extractRootCached(QState Root,
-                                         const ExtractionCache &Cache,
-                                         RootExtraction &X) const {
+uint64_t SharedSaturation::extractRootCached(
+    QState Root, ExtractionCache &Cache,
+    std::vector<std::pair<QState, CanonicalDfa>> &Langs,
+    std::vector<uint64_t> &Hashes) const {
   static obs::Counter ExtractCounter("saturation.extractions");
   ++ExtractCounter;
   if (!RootedReadsSound) {
     // Invariant violated (never by this module's construction): fall
-    // back to the plain pipeline with an empty commit payload, which
-    // commitExtraction treats as a no-op.
+    // back to the plain pipeline and leave the cache untouched.
     for (auto &[Q2, D] : extractRoot(Root)) {
-      X.Hashes.push_back(D.hash());
-      X.Langs.emplace_back(Q2, std::move(D));
+      Hashes.push_back(D.hash());
+      Langs.emplace_back(Q2, std::move(D));
     }
-    return;
+    return 0;
   }
 
   // The root's class: the exact active bit set over non-shared-sourced
-  // transitions.
+  // transitions, interned on first sight.  A digest already held by a
+  // different bit set leaves this class uncached: every target is then
+  // canonicalized fresh and nothing is added.
   size_t NumT = TFrom.size();
-  X.ClassBits.assign((NumT + 63) / 64, 0);
+  std::vector<uint64_t> Bits((NumT + 63) / 64, 0);
   for (size_t T = 0; T < NumT; ++T)
     if (TFrom[T] >= NumShared && activeFor(T, Root))
-      X.ClassBits[T / 64] |= uint64_t{1} << (T % 64);
-  X.ClassDigest = hashCombine(
-      0xC1A5, hashRange(X.ClassBits.begin(), X.ClassBits.end()));
-
-  // Resolve the class in the cache; a digest collision with a different
-  // bit set is a miss.
-  uint32_t Class = UINT32_MAX;
-  const Nfa *Base = nullptr;
-  if (const uint32_t *I = Cache.ClassIdx.find(X.ClassDigest))
-    if (Cache.Classes[*I].Bits == X.ClassBits) {
-      Class = *I;
-      Base = &Cache.Classes[*I].View;
-    }
-  Nfa Built(0);
-  if (!Base) {
-    Built = classView(X.ClassBits);
-    Base = &Built;
+      Bits[T / 64] |= uint64_t{1} << (T % 64);
+  uint64_t ClassDigest =
+      hashCombine(0xC1A5, hashRange(Bits.begin(), Bits.end()));
+  auto [ClassSlot, NewClass] = Cache.ClassIdx.tryEmplace(
+      ClassDigest, static_cast<uint32_t>(Cache.Classes.size()));
+  uint32_t Class = *ClassSlot;
+  Nfa Uncached(0);
+  if (NewClass) {
+    Nfa View = classView(Bits);
+    Cache.Classes.push_back({std::move(Bits), std::move(View)});
+  } else if (Cache.Classes[Class].Bits != Bits) {
+    Class = UINT32_MAX;
+    Uncached = classView(Bits);
   }
+  const Nfa &Base =
+      Class == UINT32_MAX ? Uncached : Cache.Classes[Class].View;
 
-  // Per-target pass: probe the cache, then the targets this very
-  // extraction has already recorded; canonicalize only the misses,
-  // against a full root view built at most once.
+  // Per-target pass: probe the cache, canonicalize only the misses
+  // against a full root view built at most once, and add each miss.
   Nfa Full(0);
   bool FullBuilt = false;
-  FlatMap<uint64_t, uint32_t> Pending; // digest -> first X.Targets index
-  std::vector<uint32_t> TargetSet(1);
-  X.Targets.reserve(NumShared);
+  uint64_t Reused = 0;
+  std::vector<uint32_t> Row, TargetSet(1);
   for (QState Q2 = 0; Q2 < NumShared; ++Q2) {
-    RootExtraction::Target Tg;
-    Tg.SelfAccept = StartAccepting && Q2 == Root;
+    uint8_t SelfAccept = StartAccepting && Q2 == Root;
+    Row.clear();
     for (uint32_t K = RowStart[Q2]; K < RowStart[Q2 + 1]; ++K)
       if (activeFor(RowTrans[K], Root))
-        Tg.Row.push_back(RowTrans[K]);
-    Tg.Digest = hashCombine(hashCombine(X.ClassDigest, Tg.SelfAccept),
-                            hashRange(Tg.Row.begin(), Tg.Row.end()));
-
-    const ExtractionCache::Entry *Hit = nullptr;
-    if (Class != UINT32_MAX)
-      if (const uint32_t *E = Cache.EntryIdx.find(Tg.Digest)) {
-        const ExtractionCache::Entry &En = Cache.Entries[*E];
-        if (En.Class == Class && En.SelfAccept == Tg.SelfAccept &&
-            En.Row == Tg.Row)
-          Hit = &En;
+        Row.push_back(RowTrans[K]);
+    uint64_t Digest = hashCombine(hashCombine(ClassDigest, SelfAccept),
+                                  hashRange(Row.begin(), Row.end()));
+    const uint32_t *Probe =
+        Class == UINT32_MAX ? nullptr : Cache.EntryIdx.find(Digest);
+    if (Probe) {
+      const ExtractionCache::Entry &En = Cache.Entries[*Probe];
+      if (En.Class == Class && En.SelfAccept == SelfAccept && En.Row == Row) {
+        ++Reused;
+        if (!En.Empty) {
+          Langs.emplace_back(Q2, En.D);
+          Hashes.push_back(En.Hash);
+        }
+        continue;
       }
-    const uint32_t *Pend = Hit ? nullptr : Pending.find(Tg.Digest);
-    if (Pend && (X.Targets[*Pend].SelfAccept != Tg.SelfAccept ||
-                 X.Targets[*Pend].Row != Tg.Row))
-      Pend = nullptr;
-
-    if (Hit) {
-      // Served from the cache; the record still carries the result, so
-      // it stays self-contained.
-      Tg.Empty = Hit->Empty;
-      if (!Hit->Empty) {
-        Tg.Hash = Hit->Hash;
-        Tg.D = Hit->D;
-        X.Langs.emplace_back(Q2, Hit->D);
-        X.Hashes.push_back(Hit->Hash);
-      }
-    } else if (Pend) {
-      // An earlier target of this same extraction had the identical
-      // key (typically both rows empty): reuse its result.
-      const RootExtraction::Target &First = X.Targets[*Pend];
-      Tg.Empty = First.Empty;
-      if (!First.Empty) {
-        Tg.Hash = First.Hash;
-        Tg.D = First.D;
-        X.Langs.emplace_back(Q2, First.D);
-        X.Hashes.push_back(First.Hash);
-      }
-    } else {
-      if (!FullBuilt) {
-        // The full root view: the class adjacency plus every shared
-        // state's active row, per-state edge order identical to
-        // rootView's ascending-index order (shared and non-shared
-        // sources never mix within one adjacency list).
-        Full = *Base;
-        for (uint32_t Q = 0; Q < NumShared; ++Q)
-          for (uint32_t K = RowStart[Q]; K < RowStart[Q + 1]; ++K) {
-            uint32_t T = RowTrans[K];
-            if (activeFor(T, Root))
-              Full.addEdge(TFrom[T], TLabel[T], TTo[T]);
-          }
-        if (StartAccepting)
-          Full.setAccepting(Root);
-        FullBuilt = true;
-      }
-      TargetSet[0] = Q2;
-      CanonicalDfa D = canonicalizeNfa(Full, TargetSet);
-      if (D.Start == CanonicalDfa::NoState) {
-        Tg.Empty = 1;
-      } else {
-        Tg.Hash = D.hash();
-        Tg.D = D;
-        X.Langs.emplace_back(Q2, std::move(D));
-        X.Hashes.push_back(Tg.Hash);
-      }
-      Pending.tryEmplace(Tg.Digest,
-                         static_cast<uint32_t>(X.Targets.size()));
     }
-    X.Targets.push_back(std::move(Tg));
-  }
-}
-
-uint64_t SharedSaturation::commitExtraction(ExtractionCache &Cache,
-                                            const RootExtraction &X) const {
-  if (X.Targets.empty())
-    return 0; // Fallback extraction: nothing to intern or count.
-
-  uint32_t Class = UINT32_MAX;
-  if (const uint32_t *I = Cache.ClassIdx.find(X.ClassDigest)) {
-    if (Cache.Classes[*I].Bits != X.ClassBits)
-      return 0; // Digest collision: this class is uncacheable here.
-    Class = *I;
-  } else {
-    // Rebuild the view from the exact bit set rather than carrying the
-    // extraction's copy, so every payload stays self-contained.
-    Class = static_cast<uint32_t>(Cache.Classes.size());
-    Cache.ClassIdx.tryEmplace(X.ClassDigest, Class);
-    Cache.Classes.push_back({X.ClassBits, classView(X.ClassBits)});
-  }
-
-  uint64_t Skipped = 0;
-  for (const RootExtraction::Target &Tg : X.Targets) {
-    if (const uint32_t *E = Cache.EntryIdx.find(Tg.Digest)) {
-      const ExtractionCache::Entry &En = Cache.Entries[*E];
-      if (En.Class == Class && En.SelfAccept == Tg.SelfAccept &&
-          En.Row == Tg.Row)
-        ++Skipped;
-      continue;
+    if (!FullBuilt) {
+      // The full root view: the class adjacency plus every shared
+      // state's active row, per-state edge order identical to
+      // rootView's ascending-index order (shared and non-shared
+      // sources never mix within one adjacency list).
+      Full = Base;
+      for (uint32_t Q = 0; Q < NumShared; ++Q)
+        for (uint32_t K = RowStart[Q]; K < RowStart[Q + 1]; ++K) {
+          uint32_t T = RowTrans[K];
+          if (activeFor(T, Root))
+            Full.addEdge(TFrom[T], TLabel[T], TTo[T]);
+        }
+      if (StartAccepting)
+        Full.setAccepting(Root);
+      FullBuilt = true;
     }
-    Cache.EntryIdx.tryEmplace(Tg.Digest,
-                              static_cast<uint32_t>(Cache.Entries.size()));
-    Cache.Entries.push_back(
-        {Tg.Row, Tg.D, Tg.Hash, Class, Tg.SelfAccept, Tg.Empty});
+    TargetSet[0] = Q2;
+    CanonicalDfa D = canonicalizeNfa(Full, TargetSet);
+    uint8_t Empty = D.Start == CanonicalDfa::NoState;
+    uint64_t Hash = Empty ? 0 : D.hash();
+    // A digest held by a different key keeps its first entry.
+    if (Class != UINT32_MAX && !Probe) {
+      Cache.EntryIdx.tryEmplace(Digest,
+                                static_cast<uint32_t>(Cache.Entries.size()));
+      Cache.Entries.push_back(
+          {Row, Empty ? CanonicalDfa() : D, Hash, Class, SelfAccept, Empty});
+    }
+    if (!Empty) {
+      Langs.emplace_back(Q2, std::move(D));
+      Hashes.push_back(Hash);
+    }
   }
-  return Skipped;
+  return Reused;
 }
 
 SharedSaturationResult cuba::sharedPostStar(const Pds &P, uint32_t NumShared,

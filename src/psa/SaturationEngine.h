@@ -139,13 +139,13 @@ public:
   // mask rows partially changed re-extracts only the targets whose
   // rows changed.
   //
-  // Extraction probes the cache read-only; commitExtraction is its only
-  // mutator, so the cache's content, and the skipped-target count
-  // commitExtraction returns, are functions of the commit sequence.
+  // The cache grows only through extractRootCached, so its content, and
+  // the reused-target count each call returns, are functions of the
+  // extraction sequence.
   //===--------------------------------------------------------------------===//
 
   /// The interned extraction state for one retained saturation; opaque
-  /// to callers, mutated only through commitExtraction.
+  /// to callers, grown only by extractRootCached.
   class ExtractionCache {
     friend class SharedSaturation;
 
@@ -175,49 +175,19 @@ public:
     std::vector<Entry> Entries;
   };
 
-  /// One cached extraction in flight: the result (byte-identical to
-  /// extractRoot) plus the commit payload commitExtraction folds into a
-  /// cache.  Langs/Hashes may be consumed by the caller between the
-  /// extraction and the commit; the payload carries its own copies --
-  /// every target record is self-contained (key AND result), whether it
-  /// was served from the cache or computed fresh, so the commit never
-  /// depends on which of the two served it.
-  struct RootExtraction {
-    /// The per-target successor languages, exactly extractRoot(Root),
-    /// with each language's structural hash (reused on cache hits).
-    std::vector<std::pair<QState, CanonicalDfa>> Langs;
-    std::vector<uint64_t> Hashes;
-
-    /// Commit payload: the root's exact class key and one
-    /// self-contained record per target.
-    uint64_t ClassDigest = 0;
-    std::vector<uint64_t> ClassBits;
-    struct Target {
-      std::vector<uint32_t> Row;
-      CanonicalDfa D; // Valid when !Empty.
-      uint64_t Digest = 0;
-      uint64_t Hash = 0;
-      uint8_t SelfAccept = 0;
-      uint8_t Empty = 0;
-    };
-    std::vector<Target> Targets;
-  };
-
-  /// extractRoot through the cache: probes \p Cache read-only and
-  /// canonicalizes only the targets it does not hold.  \p Out.Langs is
-  /// byte-identical to extractRoot(\p Root) -- the canonical form is
-  /// unique per language, and a hit's stored key proves language
-  /// equality exactly.
-  void extractRootCached(QState Root, const ExtractionCache &Cache,
-                         RootExtraction &Out) const;
-
-  /// Folds \p X's payload into \p Cache: interns the class view if new
-  /// (rebuilt from the exact bit set) and inserts every absent target
-  /// entry, in call order.  Returns the number of targets already
-  /// present (the "skipped_unchanged" figure).  Re-inserts are
-  /// idempotent.
-  uint64_t commitExtraction(ExtractionCache &Cache,
-                            const RootExtraction &X) const;
+  /// extractRoot through \p Cache: canonicalizes only the targets the
+  /// cache does not hold and adds them to it, in target order (a target
+  /// whose key an earlier target of the same call added is a hit).
+  /// Appends the per-target languages, byte-identical to
+  /// extractRoot(\p Root) -- the canonical form is unique per language,
+  /// and a hit's stored key proves language equality exactly -- to
+  /// \p Langs, and each one's structural hash to \p Hashes.  Returns
+  /// the number of targets the cache already held (the
+  /// "skipped_unchanged" figure).
+  uint64_t
+  extractRootCached(QState Root, ExtractionCache &Cache,
+                    std::vector<std::pair<QState, CanonicalDfa>> &Langs,
+                    std::vector<uint64_t> &Hashes) const;
 
   /// Logical footprint of the retained relation: flat transition arrays,
   /// mask rows, and base acceptance — deterministic in the transition

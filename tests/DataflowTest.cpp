@@ -20,18 +20,25 @@
 //  * the lost-`combine` mutation check (the suite must catch
 //    psa_testing::InjectDropMaskGrowth),
 //  * --jobs independence: the folded reference on a thread pool yields
-//    the identical report.
+//    the identical report,
+//  * the weighted product cache: a run on examples/taint_demo.bp serves
+//    some extraction's product from its saturation's cache.
 //
 //===----------------------------------------------------------------------===//
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "bp/AstPrinter.h"
 #include "bp/Parser.h"
 #include "bp/Sema.h"
 #include "bp/Translate.h"
+#include "dataflow/DataflowEngine.h"
 #include "dataflow/TaintDomain.h"
 #include "exec/ThreadPool.h"
+#include "obs/Metrics.h"
 #include "testing/DataflowOracle.h"
 #include "testing/RandomBp.h"
 #include "testing/RandomCpds.h"
@@ -370,4 +377,34 @@ TEST(DataflowSuite, ReferenceJobsIndependence) {
       EXPECT_EQ(Rep->FoldedExhausted, Serial[I].FoldedExhausted);
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// The weighted product cache
+//===----------------------------------------------------------------------===//
+
+// Running the weighted engine on the taint demo must actually exercise
+// the product cache: the deterministic dataflow.products.reused counter
+// ends above zero.
+TEST(WeightedProductCache, EngineCountsReusedProducts) {
+  std::ifstream In(CUBA_TAINT_DEMO);
+  ASSERT_TRUE(In) << CUBA_TAINT_DEMO;
+  std::stringstream Src;
+  Src << In.rdbuf();
+  bp::Program P = parseOk(Src.str());
+  auto Info = bp::analyzeProgram(P);
+  ASSERT_TRUE(Info) << Info.error().str();
+  bp::TaintInfo Taint;
+  bp::TranslateOptions Opts;
+  Opts.Taint = &Taint;
+  auto File = bp::translateProgram(P, *Info, Opts);
+  ASSERT_TRUE(File) << File.error().str();
+
+  uint64_t Before = obs::Metrics::value("dataflow.products.reused");
+  DataflowEngine W(File->System, Taint, ResourceLimits());
+  while (W.bound() < 64 && !W.frontierEmpty())
+    ASSERT_EQ(W.advance(), DataflowEngine::RoundStatus::Ok);
+  EXPECT_FALSE(W.sinkHits().empty()) << "the demo's leak went missing";
+  EXPECT_GT(obs::Metrics::value("dataflow.products.reused"), Before)
+      << "the taint demo never reused a cached product";
 }

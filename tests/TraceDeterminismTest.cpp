@@ -197,8 +197,8 @@ TEST_F(TraceDeterminismTest, ExplicitTraceMatchesAcrossJobCounts) {
 }
 
 TEST_F(TraceDeterminismTest, SpansNestProperlyPerThreadTrack) {
-  // Unstripped traces, including the wall-category spans and worker
-  // attribution: the timeline must still be a forest per tid.
+  // Unstripped traces, including the wall-category spans: the timeline
+  // must still be a forest per tid (every span is on the driver's).
   CpdsFile Bluetooth = models::buildBluetooth(3, 2, 2);
   for (exec::ThreadPool *Pool :
        {static_cast<exec::ThreadPool *>(nullptr), &Pool2, &Pool8}) {
