@@ -366,7 +366,8 @@ private:
     // An empty stack language admits no configuration at all, hence no
     // transaction.  Unreachable through the real pipeline (rooted
     // languages are non-empty by construction), but cheap, and it keeps
-    // the engine well-defined under the fa_testing minimize mutation.
+    // the engine well-defined under the canonicalizer's
+    // fa_testing::InjectMinimizeUnderRefine mutation.
     DfaId Lang = S[1 + I];
     if (Store.get(Lang).Start == CanonicalDfa::NoState)
       return true;

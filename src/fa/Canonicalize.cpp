@@ -14,6 +14,8 @@
 
 using namespace cuba;
 
+bool cuba::fa_testing::InjectMinimizeUnderRefine = false;
+
 namespace {
 
 /// The fused canonicalizer; one instance per call, all phases sharing
@@ -43,8 +45,8 @@ public:
 
 private:
   /// Epsilon-closes \p States in place (deduplicating the input), then
-  /// sorts: the canonical subset key (same contract as the closure in
-  /// Nfa::determinize).
+  /// sorts: the canonical subset key (the set Nfa::epsilonClosure
+  /// returns, without its per-call allocation).
   void close(std::vector<uint32_t> &States) {
     ++Epoch;
     size_t Keep = 0;
@@ -190,10 +192,10 @@ private:
     for (uint32_t S = 0; S < NAlive; ++S) {
       Sig.clear();
       Sig.push_back(TAcc[S]);
-      // The under-refinement mutation (the same hook Dfa::minimize
-      // honours) collapses the seed to the acceptance split alone, so
-      // the differential oracle's sensitivity check exercises this
-      // pipeline too now that the engines canonicalize through it.
+      // The under-refinement mutation collapses the seed to the
+      // acceptance split alone (and refine() then never runs), which
+      // is what the reference comparison and the differential oracle's
+      // sensitivity checks must catch.
       if (!fa_testing::InjectMinimizeUnderRefine)
         for (uint32_t I = TOff[S]; I < TOff[S + 1]; ++I)
           Sig.push_back(TSym[I]);
@@ -228,8 +230,9 @@ private:
 
   /// Hopcroft refinement on the trimmed sparse graph: splitters pull
   /// their incoming defined transitions, bucketed by symbol, and mark
-  /// preimages to the front of their block spans (same swap scheme as
-  /// Dfa::minimize, minus the per-symbol dense CSR over the alphabet).
+  /// preimages to the front of their block spans by swap; the smaller
+  /// half of every split re-enters the worklist, giving the
+  /// O(|Sigma| n log n) bound.
   void refine() {
     // Per-state incoming defined transitions: (pred, symbol) pairs.
     std::vector<uint32_t> RevOff(NAlive + 1, 0);
@@ -318,8 +321,8 @@ private:
 
   /// Canonical BFS renumbering from the start class, exploring defined
   /// symbols in increasing order (rows are symbol-sorted); unique for a
-  /// trimmed minimal automaton, so the output equals
-  /// determinize().canonicalize()'s.
+  /// trimmed minimal automaton, so structural equality of the output is
+  /// language equality.
   void renumber(CanonicalDfa &C) const {
     std::vector<uint32_t> NewId(BlockLo.size(), CanonicalDfa::NoState);
     std::vector<uint32_t> Order; // Representative state per output id.
@@ -376,7 +379,9 @@ private:
   std::vector<Sym> TSym;
   std::vector<uint8_t> TAcc;
 
-  // Partition state (same layout as Dfa::minimize).
+  // Partition state: StateAt is ordered by block, block B spans
+  // [BlockLo[B], BlockHi[B]); Marked[B] counts the states the current
+  // splitter swapped to the front of that span.
   std::vector<uint32_t> Class, StateAt, PosOf;
   std::vector<uint32_t> BlockLo, BlockHi, Marked;
   std::vector<uint8_t> InWork;

@@ -29,7 +29,7 @@
 
 #include <vector>
 
-#include "fa/Dfa.h"
+#include "fa/Canonicalize.h"
 #include "support/FlatHash.h"
 
 namespace cuba {

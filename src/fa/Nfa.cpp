@@ -9,8 +9,6 @@
 
 #include <algorithm>
 
-#include "fa/Dfa.h"
-#include "fa/SubsetInterner.h"
 
 using namespace cuba;
 
@@ -216,161 +214,4 @@ bool Nfa::isLanguageFinite() const {
           Scc.component(S) == Scc.component(E.To))
         return false;
   return true;
-}
-
-Dfa Nfa::determinize() const {
-  // Subset construction with epsilon closures over flat-hash interned
-  // subsets.  The empty subset is the explicit sink, so the resulting
-  // DFA is complete.  All scratch (epoch marks, closure worklist,
-  // per-symbol successor buckets) is sized once from the subject NFA
-  // and reused across every subset row -- the loop allocates only when
-  // a genuinely new subset is interned.
-  const uint32_t NStates = numStates();
-  std::vector<uint32_t> Mark(NStates, 0);
-  uint32_t Epoch = 0;
-  std::vector<uint32_t> Work, Cur;
-  Work.reserve(NStates);
-  Cur.reserve(NStates);
-
-  // Epsilon-closes \p States in place (deduplicating the input), then
-  // sorts: the canonical subset key, identical to epsilonClosure()'s
-  // output but without the per-call Seen allocation.
-  auto Close = [&](std::vector<uint32_t> &States) {
-    ++Epoch;
-    size_t Keep = 0;
-    Work.clear();
-    for (uint32_t S : States) {
-      if (Mark[S] == Epoch)
-        continue;
-      Mark[S] = Epoch;
-      States[Keep++] = S;
-      Work.push_back(S);
-    }
-    States.resize(Keep);
-    while (!Work.empty()) {
-      uint32_t S = Work.back();
-      Work.pop_back();
-      for (const Edge &E : Adj[S]) {
-        if (E.Label != EpsSym || Mark[E.To] == Epoch)
-          continue;
-        Mark[E.To] = Epoch;
-        States.push_back(E.To);
-        Work.push_back(E.To);
-      }
-    }
-    std::sort(States.begin(), States.end());
-  };
-
-  auto SubsetAccepts = [&](const std::vector<uint32_t> &Subset) -> uint8_t {
-    for (uint32_t S : Subset)
-      if (Accepting[S])
-        return 1;
-    return 0;
-  };
-
-  detail::SubsetInterner Intern(NStates ? NStates / 2 + 1 : 1);
-  std::vector<uint8_t> SubsetAccepting;
-
-  for (uint32_t S = 0; S < NStates; ++S)
-    if (Initial[S])
-      Cur.push_back(S);
-  Close(Cur);
-  uint32_t StartId = Intern.intern(Cur).first;
-  SubsetAccepting.push_back(SubsetAccepts(Cur));
-
-  // Row-major (subset id, symbol) -> successor subset id, appended as
-  // subsets are discovered.  Successors of one subset are bucketed by
-  // symbol in a single edge sweep instead of one full sweep per symbol.
-  std::vector<uint32_t> RowData;
-  RowData.reserve(static_cast<size_t>(NumSymbols) * 16);
-  std::vector<std::vector<uint32_t>> BySym(NumSymbols + 1);
-  std::vector<Sym> Touched;
-  std::vector<uint32_t> Next;
-
-  for (uint32_t Row = 0; Row < Intern.numSubsets(); ++Row) {
-    size_t Base = RowData.size();
-    RowData.resize(Base + NumSymbols);
-    for (const uint32_t *P = Intern.begin(Row), *E = Intern.end(Row); P != E;
-         ++P) {
-      for (const Edge &Ed : Adj[*P]) {
-        if (Ed.Label == EpsSym)
-          continue;
-        std::vector<uint32_t> &B = BySym[Ed.Label];
-        if (B.empty())
-          Touched.push_back(Ed.Label);
-        B.push_back(Ed.To);
-      }
-    }
-    for (Sym X = 1; X <= NumSymbols; ++X) {
-      const std::vector<uint32_t> &B = BySym[X];
-      Next.assign(B.begin(), B.end());
-      Close(Next);
-      auto [Id, New] = Intern.intern(Next);
-      if (New)
-        SubsetAccepting.push_back(SubsetAccepts(Next));
-      RowData[Base + X - 1] = Id;
-    }
-    for (Sym X : Touched)
-      BySym[X].clear();
-    Touched.clear();
-  }
-
-  uint32_t NumSubsets = Intern.numSubsets();
-  Dfa D(NumSymbols, NumSubsets, StartId);
-  for (uint32_t S = 0; S < NumSubsets; ++S) {
-    if (SubsetAccepting[S])
-      D.setAccepting(S);
-    for (Sym X = 1; X <= NumSymbols; ++X)
-      D.setNext(S, X, RowData[static_cast<size_t>(S) * NumSymbols + X - 1]);
-  }
-  return D;
-}
-
-std::vector<std::vector<Sym>> Nfa::languageUpTo(unsigned MaxLen) const {
-  std::vector<std::vector<Sym>> Result;
-  std::vector<Sym> Word;
-  // Depth-first enumeration of all words up to MaxLen; fine for the tiny
-  // automata this is meant for (tests and diagnostics).
-  struct Frame {
-    std::vector<uint32_t> States;
-    Sym NextSym;
-  };
-  std::vector<uint32_t> Init;
-  for (uint32_t S = 0; S < numStates(); ++S)
-    if (Initial[S])
-      Init.push_back(S);
-  epsilonClosure(Init);
-
-  std::vector<Frame> Stack;
-  Stack.push_back({std::move(Init), 1});
-  while (!Stack.empty()) {
-    Frame &F = Stack.back();
-    if (F.NextSym == 1) { // First visit: record acceptance of this word.
-      for (uint32_t S : F.States) {
-        if (Accepting[S]) {
-          Result.push_back(Word);
-          break;
-        }
-      }
-    }
-    if (Word.size() == MaxLen || F.NextSym > NumSymbols) {
-      Stack.pop_back();
-      if (!Word.empty())
-        Word.pop_back();
-      continue;
-    }
-    Sym X = F.NextSym++;
-    std::vector<uint32_t> Next;
-    for (uint32_t S : F.States)
-      for (const Edge &E : Adj[S])
-        if (E.Label == X)
-          Next.push_back(E.To);
-    epsilonClosure(Next);
-    if (Next.empty())
-      continue;
-    Word.push_back(X);
-    Stack.push_back({std::move(Next), 1});
-  }
-  std::sort(Result.begin(), Result.end());
-  return Result;
 }

@@ -24,8 +24,6 @@
 
 namespace cuba {
 
-class Dfa;
-
 /// An NFA with epsilon transitions, a set of initial states and a set of
 /// accepting states.
 class Nfa {
@@ -95,13 +93,6 @@ public:
   /// differential oracle runs it; epsilon-only cycles do not pump word
   /// length and are ignored.
   bool isLanguageFinite() const;
-
-  /// Subset construction (after epsilon-closure) into a complete DFA.
-  Dfa determinize() const;
-
-  /// All accepted words of length <= \p MaxLen, lexicographically sorted;
-  /// intended for tests and small diagnostics only.
-  std::vector<std::vector<Sym>> languageUpTo(unsigned MaxLen) const;
 
 private:
   uint32_t NumSymbols;

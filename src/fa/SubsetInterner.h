@@ -6,12 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The interner behind every subset construction in fa/: uint32 vectors
-/// (subset-construction state sets, minimisation signatures) are stored
-/// back to back in one flat pool and named by dense 32-bit ids through a
-/// shared InternIndex probe table.  Vectors are compared verbatim, so
-/// callers that need canonical identity (the subset constructions) must
-/// intern sorted duplicate-free vectors.  Replaces the former
+/// The interner behind fa/Canonicalize: uint32 vectors (subset-
+/// construction state sets, minimisation signatures) are stored back to
+/// back in one flat pool and named by dense 32-bit ids through a shared
+/// InternIndex probe table.  Vectors are compared verbatim, so callers
+/// that need canonical identity (the subset construction) must intern
+/// sorted duplicate-free vectors.  Replaces the former
 /// std::map<std::vector<uint32_t>, uint32_t> (a node allocation plus
 /// O(log n) lexicographic vector comparisons per probe) with hashed
 /// probes over contiguous storage; stored hashes filter almost all

@@ -33,7 +33,11 @@ struct Registry {
   std::unordered_map<std::string, uint32_t> Index; // Name -> index above.
   uint32_t NextSlot = 0;
   /// Every instrument's value, slot-indexed; bumped without the mutex.
-  std::array<std::atomic<uint64_t>, Metrics::MaxSlots> Vals{};
+  /// The NumBuckets slots past MaxSlots are the overflow region every
+  /// instrument registered past the cap shares.
+  std::array<std::atomic<uint64_t>,
+             Metrics::MaxSlots + Histogram::NumBuckets>
+      Vals{};
 };
 
 /// Deliberately leaked, so a probe firing from another static's
@@ -60,14 +64,14 @@ std::atomic<uint64_t> *Metrics::registerInstrument(const char *Name, Kind K,
     assert(I.K == K && "instrument re-registered with a different kind");
     return &R.Vals[I.Slot];
   }
-  // Past the cap every new instrument aliases the last slot; the
-  // snapshot then reports merged values under the first such name, which
+  // Past the cap every new instrument aliases the overflow region at its
+  // full width, so a histogram's bucket writes stay inside Vals; the
+  // snapshot then reports the merged values under each such name, which
   // keeps the hot path branch-free (the engines register a few dozen).
   uint32_t Slot = R.NextSlot;
   if (Slot + Width > MaxSlots) {
     assert(false && "raise Metrics::MaxSlots");
-    Slot = MaxSlots - 1;
-    Width = 1;
+    Slot = MaxSlots;
   } else {
     R.NextSlot += Width;
   }

@@ -138,7 +138,9 @@ public:
   /// Hard cap on the slot space (a counter or gauge takes one slot, a
   /// histogram takes NumBuckets), so the slots are one fixed-size atomic
   /// array with no reallocation racing snapshot() or a bump.
-  /// Instruments registered past the cap alias the final overflow slot.
+  /// Instruments registered past the cap alias one overflow region of
+  /// NumBuckets slots behind it (a histogram keeps every bucket there),
+  /// so their values merge but every write stays in bounds.
   static constexpr uint32_t MaxSlots = 512;
 
   /// All instruments, sorted by name.

@@ -55,7 +55,7 @@
 
 #include <vector>
 
-#include "fa/Dfa.h"
+#include "fa/Canonicalize.h"
 #include "fa/Nfa.h"
 #include "pds/Pds.h"
 #include "support/FlatHash.h"
@@ -115,9 +115,9 @@ public:
 
   /// The canonical successor language at every shared target for
   /// \p Root: (target, canonical form) pairs in ascending target order,
-  /// empty languages omitted.  This is the per-root answer the classical
-  /// pipeline computed as rootedNfa -> determinize -> canonicalize, done
-  /// directly via canonicalizeNfa.
+  /// empty languages omitted.  This is the per-root answer of the
+  /// classical pipeline (postStar -> rootedNfa -> canonical form, kept
+  /// as tests/ReferencePostStar.h), canonicalized via canonicalizeNfa.
   std::vector<std::pair<QState, CanonicalDfa>> extractRoot(QState Root) const;
 
   //===--------------------------------------------------------------------===//

@@ -42,7 +42,7 @@
 
 #include <vector>
 
-#include "fa/Dfa.h"
+#include "fa/Canonicalize.h"
 #include "obs/Metrics.h"
 #include "pds/Pds.h"
 #include "support/FlatHash.h"

@@ -198,7 +198,7 @@ RandomCpdsOptions cuba::testing::cornerShapeOptions(uint64_t Seed) {
     break;
   case 6: // Symbolic-heavy: deep recursion over wide visible alphabets,
           // so stack languages get big and the symbolic engine's
-          // determinize/minimize/canonicalize pipeline dominates.
+          // canonicalizeNfa dominates.
     O.MinThreads = 2;
     O.MinSymbols = 3;
     O.MaxSymbols = 5;

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fa/Canonicalize.h"
 #include "fa/DfaStore.h"
 #include "fa/Nfa.h"
 #include "testing/RandomCpds.h"
@@ -36,7 +37,7 @@ CanonicalDfa wordLanguage(uint32_t NumSymbols, const std::vector<Sym> &Word) {
     Cur = Next;
   }
   A.setAccepting(Cur);
-  return A.determinize().canonicalize();
+  return canonicalizeNfa(A);
 }
 
 /// a(b)* built two structurally different ways (same language).
@@ -47,7 +48,7 @@ CanonicalDfa abStarVariantA() {
   A.setAccepting(S1);
   A.addEdge(S0, 1, S1);
   A.addEdge(S1, 2, S1);
-  return A.determinize().canonicalize();
+  return canonicalizeNfa(A);
 }
 
 CanonicalDfa abStarVariantB() {
@@ -59,7 +60,7 @@ CanonicalDfa abStarVariantB() {
   B.addEdge(T0, 1, T1);
   B.addEdge(T1, 2, T2);
   B.addEdge(T2, 2, T2);
-  return B.determinize().canonicalize();
+  return canonicalizeNfa(B);
 }
 
 } // namespace
@@ -102,7 +103,7 @@ TEST(DfaStore, EmptyLanguageInterns) {
   DfaStore Store;
   Nfa A(3);
   A.setInitial(A.addState()); // No accepting state: empty language.
-  DfaId Empty = Store.intern(A.determinize().canonicalize());
+  DfaId Empty = Store.intern(canonicalizeNfa(A));
   EXPECT_EQ(Store.get(Empty).Start, CanonicalDfa::NoState);
   EXPECT_EQ(Store.get(Empty).numStates(), 0u);
   // A second empty-language automaton over the same alphabet dedups.
@@ -110,7 +111,7 @@ TEST(DfaStore, EmptyLanguageInterns) {
   uint32_t T0 = B.addState(), T1 = B.addState();
   B.setInitial(T0);
   B.setAccepting(T1); // Accepting but unreachable.
-  EXPECT_EQ(Store.intern(B.determinize().canonicalize()), Empty);
+  EXPECT_EQ(Store.intern(canonicalizeNfa(B)), Empty);
   EXPECT_EQ(Store.size(), 1u);
 }
 

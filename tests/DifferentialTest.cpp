@@ -22,7 +22,7 @@
 
 #include <cstdlib>
 
-#include "fa/Dfa.h"
+#include "fa/Canonicalize.h"
 #include "models/Models.h"
 #include "pds/ThreadSymmetry.h"
 #include "support/StringUtils.h"
@@ -84,10 +84,9 @@ TEST(Differential, RandomInstancesShard3) {
 }
 
 // The symbolic-heavy corner shape (deep recursion, wide visible
-// alphabets) concentrates work in the determinize / minimize /
-// canonicalize pipeline of the symbolic engine; run it explicitly so
-// every suite execution exercises the flat automata plane hard, not
-// just the 1-in-8 rotation slots.
+// alphabets) concentrates work in the symbolic engine's canonicalizeNfa;
+// run it explicitly so every suite execution exercises the flat
+// automata plane hard, not just the 1-in-8 rotation slots.
 TEST(Differential, SymbolicHeavyPreset) {
   cuba::testing::RandomCpdsOptions O =
       cornerShapeOptions(6); // The %8 == 6 slot.
@@ -154,7 +153,7 @@ TEST(Differential, OracleCatchesInjectedEngineBug) {
       << "the oracle accepted an engine that lost a visible state";
 }
 
-// The symbolic-plane mutation check: an under-refining Dfa::minimize
+// The symbolic-plane mutation check: an under-refining canonicalizeNfa
 // (injected via the fa_testing hook) conflates distinct stack
 // languages, so the symbolic engine's canonical dedup merges states it
 // must not and T(S_k) diverges from T(R_k).  The oracle has to catch

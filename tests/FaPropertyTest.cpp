@@ -6,13 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Property tests for the flat-hash automata plane: seeded random NFAs
-/// run through determinize / minimize / canonicalize and are checked
+/// Property tests for the library's one canonicalizer: seeded random
+/// NFAs run through canonicalizeNfa (fa/Canonicalize.h) and are checked
 /// against a brute-force language-membership oracle (bounded word
-/// enumeration), against algebraic properties (minimisation preserves
-/// the language and is idempotent; canonical forms are equal iff the
-/// sampled languages agree), and bit-for-bit against the pre-refactor
-/// reference implementations kept in tests/ReferenceFa.h.
+/// enumeration), against algebraic properties (canonical forms ignore
+/// useless structure and are equal iff the sampled languages agree),
+/// and bit-for-bit against the independent complete-DFA reference
+/// canonicalizer kept in tests/ReferenceFa.h.
 ///
 /// Every failure message carries the instance seed; rerun one seed by
 /// fixing the loop bounds or via CUBA_FUZZ_SEED to shift the base.
@@ -25,7 +25,6 @@
 
 #include "ReferenceFa.h"
 #include "fa/Canonicalize.h"
-#include "fa/DfaStore.h"
 #include "support/StringUtils.h"
 #include "testing/RandomCpds.h"
 
@@ -126,14 +125,29 @@ Nfa padded(const Nfa &A) {
   return B;
 }
 
+/// A copy of \p A's edges whose initial states are exactly \p Roots and
+/// whose accepting states are exactly those with an \p Accepting flag.
+Nfa withFlags(const Nfa &A, const std::vector<uint32_t> &Roots,
+              const std::vector<uint8_t> &Accepting) {
+  Nfa B(A.numSymbols());
+  for (uint32_t S = 0; S < A.numStates(); ++S)
+    B.setAccepting(B.addState(), Accepting[S] != 0);
+  for (uint32_t S = 0; S < A.numStates(); ++S)
+    for (const Nfa::Edge &E : A.edgesFrom(S))
+      B.addEdge(S, E.Label, E.To);
+  for (uint32_t S : Roots)
+    B.setInitial(S);
+  return B;
+}
+
 constexpr unsigned NumInstances = 150;
 constexpr unsigned MaxWordLen = 5;
 
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Membership oracle: determinize / minimize / canonicalize all accept
-// exactly the words the NFA accepts, over every word up to MaxWordLen.
+// Membership oracle: the canonical form accepts exactly the words the
+// NFA accepts, over every word up to MaxWordLen.
 //===----------------------------------------------------------------------===//
 
 TEST(FaProperty, PipelinePreservesLanguage) {
@@ -141,16 +155,10 @@ TEST(FaProperty, PipelinePreservesLanguage) {
     uint64_t Seed = baseSeed() + I;
     SplitMix64 Rng(Seed * 0x9e3779b97f4a7c15ull + 0xfa);
     Nfa A = randomNfa(Rng);
-    Dfa D = A.determinize();
-    Dfa M = D.minimize();
-    CanonicalDfa C = D.canonicalize();
-    for (const std::vector<Sym> &W : allWords(A.numSymbols(), MaxWordLen)) {
-      bool Expected = A.accepts(W);
-      EXPECT_EQ(D.accepts(W), Expected) << "determinize, seed " << Seed;
-      EXPECT_EQ(M.accepts(W), Expected) << "minimize, seed " << Seed;
-      EXPECT_EQ(canonicalAccepts(C, W), Expected)
-          << "canonicalize, seed " << Seed;
-    }
+    CanonicalDfa C = canonicalizeNfa(A);
+    for (const std::vector<Sym> &W : allWords(A.numSymbols(), MaxWordLen))
+      EXPECT_EQ(canonicalAccepts(C, W), A.accepts(W))
+          << "canonicalizeNfa, seed " << Seed;
   }
 }
 
@@ -158,26 +166,13 @@ TEST(FaProperty, PipelinePreservesLanguage) {
 // Algebraic properties.
 //===----------------------------------------------------------------------===//
 
-TEST(FaProperty, MinimizeIsIdempotentAndMonotone) {
-  for (unsigned I = 0; I < NumInstances; ++I) {
-    uint64_t Seed = baseSeed() + I;
-    SplitMix64 Rng(Seed * 0x9e3779b97f4a7c15ull + 0xfb);
-    Nfa A = randomNfa(Rng);
-    Dfa M = A.determinize().minimize();
-    Dfa MM = M.minimize();
-    EXPECT_TRUE(reference::dfaEqual(M, MM))
-        << "minimize not idempotent, seed " << Seed;
-    EXPECT_LE(MM.numStates(), M.numStates());
-  }
-}
-
 TEST(FaProperty, CanonicalizeIsInvariantUnderPadding) {
   for (unsigned I = 0; I < NumInstances; ++I) {
     uint64_t Seed = baseSeed() + I;
     SplitMix64 Rng(Seed * 0x9e3779b97f4a7c15ull + 0xfc);
     Nfa A = randomNfa(Rng);
-    CanonicalDfa CA = A.determinize().canonicalize();
-    CanonicalDfa CB = padded(A).determinize().canonicalize();
+    CanonicalDfa CA = canonicalizeNfa(A);
+    CanonicalDfa CB = canonicalizeNfa(padded(A));
     EXPECT_EQ(CA, CB) << "padding changed the canonical form, seed " << Seed;
     EXPECT_EQ(CA.hash(), CB.hash());
   }
@@ -199,8 +194,8 @@ TEST(FaProperty, CanonicalEqualityMatchesSampledLanguage) {
     Nfa A = randomNfa(Rng, 6, NSyms, NSyms);
     Nfa B = randomNfa(Rng, 6, NSyms, NSyms);
     ASSERT_EQ(A.numSymbols(), B.numSymbols());
-    CanonicalDfa CA = A.determinize().canonicalize();
-    CanonicalDfa CB = B.determinize().canonicalize();
+    CanonicalDfa CA = canonicalizeNfa(A);
+    CanonicalDfa CB = canonicalizeNfa(B);
     bool SampleEqual = true;
     for (const std::vector<Sym> &W : allWords(A.numSymbols(), MaxWordLen))
       if (A.accepts(W) != B.accepts(W)) {
@@ -219,83 +214,32 @@ TEST(FaProperty, CanonicalEqualityMatchesSampledLanguage) {
 }
 
 //===----------------------------------------------------------------------===//
-// Bit-for-bit agreement with the pre-refactor reference: the flat
-// rewrite changed time and allocation, nothing else.
+// Bit-for-bit agreement with the reference canonicalizer: the canonical
+// form is unique per language, so the fused subset-construction /
+// partial-Hopcroft pass must reproduce the complete-DFA reference
+// exactly, and any divergence is a bug in the fused pass.
 //===----------------------------------------------------------------------===//
-
-TEST(FaProperty, DeterminizeMatchesReferenceBitForBit) {
-  for (unsigned I = 0; I < NumInstances; ++I) {
-    uint64_t Seed = baseSeed() + I;
-    SplitMix64 Rng(Seed * 0x9e3779b97f4a7c15ull + 0xfe);
-    Nfa A = randomNfa(Rng);
-    Dfa D = A.determinize();
-    Dfa R = reference::determinize(A);
-    EXPECT_TRUE(reference::dfaEqual(D, R))
-        << "determinize diverged from the reference, seed " << Seed;
-  }
-}
-
-TEST(FaProperty, MinimizeMatchesReferenceBitForBit) {
-  for (unsigned I = 0; I < NumInstances; ++I) {
-    uint64_t Seed = baseSeed() + I;
-    SplitMix64 Rng(Seed * 0x9e3779b97f4a7c15ull + 0xff);
-    Nfa A = randomNfa(Rng);
-    Dfa D = A.determinize();
-    Dfa M = D.minimize();
-    Dfa R = reference::minimize(D);
-    EXPECT_TRUE(reference::dfaEqual(M, R))
-        << "minimize diverged from the reference, seed " << Seed;
-  }
-}
 
 TEST(FaProperty, CanonicalizeMatchesReferenceBitForBit) {
   for (unsigned I = 0; I < NumInstances; ++I) {
     uint64_t Seed = baseSeed() + I;
     SplitMix64 Rng(Seed * 0x9e3779b97f4a7c15ull + 0x100);
     Nfa A = randomNfa(Rng);
-    Dfa D = A.determinize();
-    EXPECT_EQ(D.canonicalize(), reference::canonicalize(D))
-        << "canonicalize diverged from the reference, seed " << Seed;
+    EXPECT_EQ(canonicalizeNfa(A),
+              reference::canonicalize(reference::determinize(A)))
+        << "canonicalizeNfa diverged from the reference, seed " << Seed;
   }
 }
-
-//===----------------------------------------------------------------------===//
-// The injected-mutation sensitivity check: an under-refining minimize
-// must be caught by the reference comparison (pins the suite's teeth,
-// like the differential oracle's InjectDropVisible check).
-//===----------------------------------------------------------------------===//
-
-TEST(FaProperty, ReferenceComparisonCatchesInjectedMinimizeBug) {
-  fa_testing::InjectMinimizeUnderRefine = true;
-  unsigned Caught = 0;
-  for (unsigned I = 0; I < 40; ++I) {
-    SplitMix64 Rng((1000 + I) * 0x9e3779b97f4a7c15ull + 0xff);
-    Nfa A = randomNfa(Rng);
-    Dfa D = A.determinize();
-    if (!reference::dfaEqual(D.minimize(), reference::minimize(D)))
-      ++Caught;
-  }
-  fa_testing::InjectMinimizeUnderRefine = false;
-  EXPECT_GE(Caught, 10u)
-      << "an under-refining minimize went largely unnoticed";
-}
-
-//===----------------------------------------------------------------------===//
-// Direct canonicalization: the fused subset-construction/partial-Hopcroft
-// pipeline (fa/Canonicalize.h) must produce the complete-DFA pipeline's
-// canonical form bit for bit -- the form is unique per language, so any
-// divergence is a bug in the fused pass.
-//===----------------------------------------------------------------------===//
 
 TEST(FaProperty, DirectCanonicalizationMatchesPipeline) {
+  // Wide alphabets: the sparse-row path the fused pass exists for,
+  // against the staged reference pipeline's dense sink-completed rows.
   for (unsigned I = 0; I < NumInstances; ++I) {
     uint64_t Seed = baseSeed() + I;
     SplitMix64 Rng(Seed * 0x9e3779b97f4a7c15ull + 0x1a);
-    // Include wide-alphabet instances: the sparse-row path the fused
-    // pass exists for.
-    Nfa A = randomNfa(Rng, 8, I % 3 == 0 ? 12 : 3);
+    Nfa A = randomNfa(Rng, 8, 12, 4);
     CanonicalDfa Direct = canonicalizeNfa(A);
-    CanonicalDfa Staged = A.determinize().canonicalize();
+    CanonicalDfa Staged = reference::canonicalize(reference::determinize(A));
     EXPECT_EQ(Direct, Staged) << "fused canonicalization diverged, seed "
                               << Seed;
     if (Direct == Staged) {
@@ -309,23 +253,46 @@ TEST(FaProperty, DirectCanonicalizationHonoursExplicitRoots) {
     uint64_t Seed = baseSeed() + I;
     SplitMix64 Rng(Seed * 0x9e3779b97f4a7c15ull + 0x1b);
     Nfa A = randomNfa(Rng);
-    // Read from a root set chosen independently of A's initial flags.
+    // Read from a root set, and accept at a state set, chosen
+    // independently of A's own flags.
     std::vector<uint32_t> Roots;
     for (uint32_t S = 0; S < A.numStates(); ++S)
       if (Rng.chance(0.4))
         Roots.push_back(S);
-    Nfa B(A.numSymbols());
+    std::vector<uint8_t> Own(A.numStates()), Accepting(A.numStates());
     for (uint32_t S = 0; S < A.numStates(); ++S) {
-      B.addState();
-      if (A.isAccepting(S))
-        B.setAccepting(S);
+      Own[S] = A.isAccepting(S) ? 1 : 0;
+      Accepting[S] = Rng.chance(0.4) ? 1 : 0;
     }
-    for (uint32_t S = 0; S < A.numStates(); ++S)
-      for (const Nfa::Edge &E : A.edgesFrom(S))
-        B.addEdge(S, E.Label, E.To);
-    for (uint32_t S : Roots)
-      B.setInitial(S);
-    EXPECT_EQ(canonicalizeNfa(A, Roots), B.determinize().canonicalize())
+    EXPECT_EQ(canonicalizeNfa(A, Roots),
+              reference::canonicalize(
+                  reference::determinize(withFlags(A, Roots, Own))))
         << "explicit-roots canonicalization diverged, seed " << Seed;
+    EXPECT_EQ(canonicalizeNfa(A, Roots, Accepting),
+              reference::canonicalize(
+                  reference::determinize(withFlags(A, Roots, Accepting))))
+        << "explicit-acceptance canonicalization diverged, seed " << Seed;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// The injected-mutation sensitivity check: an under-refining
+// canonicalizeNfa must be caught by the reference comparison (pins the
+// suite's teeth, like the differential oracle's InjectDropVisible
+// check).  The reference does not read the hook.
+//===----------------------------------------------------------------------===//
+
+TEST(FaProperty, ReferenceComparisonCatchesInjectedMinimizeBug) {
+  fa_testing::InjectMinimizeUnderRefine = true;
+  unsigned Caught = 0;
+  for (unsigned I = 0; I < 40; ++I) {
+    SplitMix64 Rng((1000 + I) * 0x9e3779b97f4a7c15ull + 0xff);
+    Nfa A = randomNfa(Rng);
+    if (canonicalizeNfa(A) !=
+        reference::canonicalize(reference::determinize(A)))
+      ++Caught;
+  }
+  fa_testing::InjectMinimizeUnderRefine = false;
+  EXPECT_GE(Caught, 10u)
+      << "an under-refining canonicalizeNfa went largely unnoticed";
 }

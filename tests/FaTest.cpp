@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "fa/Dfa.h"
+#include "fa/Canonicalize.h"
 #include "fa/Nfa.h"
 
 using namespace cuba;
@@ -112,48 +112,6 @@ TEST(Nfa, FinitenessIgnoresUselessCycles) {
   EXPECT_TRUE(A.isLanguageFinite());
 }
 
-TEST(Nfa, LanguageEnumeration) {
-  Nfa A = makeAB();
-  auto L = A.languageUpTo(3);
-  ASSERT_EQ(L.size(), 3u);
-  EXPECT_EQ(L[0], (std::vector<Sym>{1}));
-  EXPECT_EQ(L[1], (std::vector<Sym>{1, 2}));
-  EXPECT_EQ(L[2], (std::vector<Sym>{1, 2, 2}));
-}
-
-TEST(Dfa, DeterminizeMatchesNfa) {
-  Nfa A(2);
-  // (a|b)*a: nondeterministic.
-  uint32_t S0 = A.addState(), S1 = A.addState();
-  A.setInitial(S0);
-  A.setAccepting(S1);
-  A.addEdge(S0, 1, S0);
-  A.addEdge(S0, 2, S0);
-  A.addEdge(S0, 1, S1);
-  Dfa D = A.determinize();
-  for (auto W : A.languageUpTo(5))
-    EXPECT_TRUE(D.accepts(W));
-  EXPECT_FALSE(D.accepts({}));
-  EXPECT_FALSE(D.accepts({2}));
-  EXPECT_TRUE(D.accepts({2, 1}));
-  EXPECT_TRUE(D.accepts({1, 1, 1}));
-}
-
-TEST(Dfa, MinimizeReducesStateCount) {
-  // Build a DFA for "words over {a} of even length" with redundant
-  // states: 4 states cycling, minimal is 2.
-  Dfa D(1, 4, 0);
-  for (uint32_t S = 0; S < 4; ++S)
-    D.setNext(S, 1, (S + 1) % 4);
-  D.setAccepting(0);
-  D.setAccepting(2);
-  Dfa M = D.minimize();
-  EXPECT_EQ(M.numStates(), 2u);
-  EXPECT_TRUE(M.accepts({}));
-  EXPECT_FALSE(M.accepts({1}));
-  EXPECT_TRUE(M.accepts({1, 1}));
-}
-
 TEST(Dfa, CanonicalFormEqualityIsLanguageEquality) {
   // Two structurally different NFAs for the same language a(b)*.
   Nfa A = makeAB();
@@ -165,8 +123,8 @@ TEST(Dfa, CanonicalFormEqualityIsLanguageEquality) {
   B.addEdge(T0, 1, T1);
   B.addEdge(T1, 2, T2);
   B.addEdge(T2, 2, T2);
-  CanonicalDfa CA = A.determinize().canonicalize();
-  CanonicalDfa CB = B.determinize().canonicalize();
+  CanonicalDfa CA = canonicalizeNfa(A);
+  CanonicalDfa CB = canonicalizeNfa(B);
   EXPECT_EQ(CA, CB);
   EXPECT_EQ(CA.hash(), CB.hash());
 
@@ -180,15 +138,14 @@ TEST(Dfa, CanonicalFormEqualityIsLanguageEquality) {
   C3.setAccepting(U1);
   C3.addEdge(U0, 1, U1);
   C3.addEdge(U1, 2, U1);
-  EXPECT_NE(C2.determinize().canonicalize(),
-            C3.determinize().canonicalize());
+  EXPECT_NE(canonicalizeNfa(C2), canonicalizeNfa(C3));
 }
 
 TEST(Dfa, CanonicalEmptyLanguage) {
   Nfa A(3);
   uint32_t S0 = A.addState();
   A.setInitial(S0); // No accepting states at all.
-  CanonicalDfa C = A.determinize().canonicalize();
+  CanonicalDfa C = canonicalizeNfa(A);
   EXPECT_EQ(C.Start, CanonicalDfa::NoState);
   EXPECT_EQ(C.numStates(), 0u);
 
@@ -197,7 +154,7 @@ TEST(Dfa, CanonicalEmptyLanguage) {
   uint32_t T1 = B.addState();
   B.setInitial(T0);
   B.setAccepting(T1); // Accepting but unreachable.
-  EXPECT_EQ(B.determinize().canonicalize(), C);
+  EXPECT_EQ(canonicalizeNfa(B), C);
 }
 
 TEST(Dfa, CanonicalEpsilonOnlyLanguage) {
@@ -205,7 +162,7 @@ TEST(Dfa, CanonicalEpsilonOnlyLanguage) {
   uint32_t S0 = A.addState();
   A.setInitial(S0);
   A.setAccepting(S0);
-  CanonicalDfa C = A.determinize().canonicalize();
+  CanonicalDfa C = canonicalizeNfa(A);
   EXPECT_EQ(C.numStates(), 1u);
   EXPECT_EQ(C.Start, 0u);
   EXPECT_TRUE(C.Accepting[0]);
@@ -255,16 +212,15 @@ class CanonicalSweep : public ::testing::TestWithParam<std::tuple<int, int>> {
 
 TEST_P(CanonicalSweep, PaddedAndPlainAgree) {
   auto [I, J] = GetParam();
-  CanonicalDfa Plain = makeAiBj(I, J, false).determinize().canonicalize();
-  CanonicalDfa Pad = makeAiBj(I, J, true).determinize().canonicalize();
+  CanonicalDfa Plain = canonicalizeNfa(makeAiBj(I, J, false));
+  CanonicalDfa Pad = canonicalizeNfa(makeAiBj(I, J, true));
   EXPECT_EQ(Plain, Pad);
 }
 
 TEST_P(CanonicalSweep, DistinctLanguagesDiffer) {
   auto [I, J] = GetParam();
-  CanonicalDfa C = makeAiBj(I, J, false).determinize().canonicalize();
-  CanonicalDfa Other =
-      makeAiBj(I + 1, J, false).determinize().canonicalize();
+  CanonicalDfa C = canonicalizeNfa(makeAiBj(I, J, false));
+  CanonicalDfa Other = canonicalizeNfa(makeAiBj(I + 1, J, false));
   EXPECT_NE(C, Other);
 }
 

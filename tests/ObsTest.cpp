@@ -9,14 +9,17 @@
 /// The obs/ layer in isolation: instruments bumped from several threads
 /// (exited ones included), the name-sorted snapshot order (the old
 /// registration-order bug of the counter list, pinned here), histogram
-/// bucket arithmetic, the --stats-json rendering split, and the trace
-/// buffer's rendering and disabled-mode behavior.
+/// bucket arithmetic, a histogram registered past the slot cap, the
+/// --stats-json rendering split, and the trace buffer's rendering and
+/// disabled-mode behavior.
 ///
 //===----------------------------------------------------------------------===//
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <string>
 #include <thread>
 
 #include "obs/Metrics.h"
@@ -283,6 +286,31 @@ TEST(Trace, ScopedSpanDropsArgsPastTheCap) {
        P = Doc.find("\"x\": ", P + 1))
     ++Count;
   EXPECT_EQ(Count, obs::ScopedSpan::MaxArgs);
+}
+
+/// Registers counters until the registry is past its slot cap, then a
+/// histogram, observes it three times and exits 0 iff Metrics::value
+/// counts all three.  Run only in a death-test child: the filled
+/// registry must not reach the other cases.
+[[noreturn]] void observeHistogramPastTheSlotCap() {
+  for (uint32_t I = 0; I < obs::Metrics::MaxSlots; ++I)
+    obs::Counter Fill(("obstest.fill." + std::to_string(I)).c_str());
+  obs::Histogram H("obstest.fill.hist");
+  for (int I = 0; I < 3; ++I)
+    H.observe(1000); // Bucket 10: beyond a one-slot alias.
+  std::exit(obs::Metrics::value("obstest.fill.hist") == 3 ? 0 : 1);
+}
+
+// An instrument registered past MaxSlots trips the debug assert; without
+// asserts it lands in the overflow region, which holds a histogram's
+// every bucket, so its writes stay in bounds and it counts in full.
+TEST(Metrics, HistogramPastTheSlotCapCountsEveryObservation) {
+#ifdef NDEBUG
+  EXPECT_EXIT(observeHistogramPastTheSlotCap(), ::testing::ExitedWithCode(0),
+              "");
+#else
+  EXPECT_DEATH(observeHistogramPastTheSlotCap(), "raise Metrics::MaxSlots");
+#endif
 }
 
 TEST(Metrics, ResetAllZeroesEveryInstrument) {

@@ -1,4 +1,4 @@
-//===-- tests/ReferenceFa.h - Pre-refactor reference automata ----*- C++ -*-=//
+//===-- tests/ReferenceFa.h - Reference canonicalizer -----------*- C++ -*-===//
 //
 // Part of the CUBA project, an implementation of the PLDI 2018 paper
 // "CUBA: Interprocedural Context-UnBounded Analysis of Concurrent Programs".
@@ -6,13 +6,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Test-only reference implementations of determinize / minimize /
-/// canonicalize, kept verbatim in the shape the library used before the
-/// flat-hash data-plane refactor (std::map-interned subset keys, Moore
-/// signature-map refinement).  The property suite asserts the production
-/// implementations agree with these bit for bit: the refactor promised
-/// "only time and allocation change", and this shim is what holds it to
-/// that.  Deliberately naive -- never include outside tests.
+/// Test-only reference canonicalizer: subset construction into a
+/// complete DFA, Moore minimisation and canonical renumbering, kept in
+/// the shape the library used before the flat-hash data-plane refactor
+/// (std::map-interned subset keys, Moore signature-map refinement) and
+/// sharing no code with fa/Canonicalize.  The canonical form is unique
+/// per language, so the property suites assert that the library's one
+/// canonicalizer, canonicalizeNfa, agrees with
+/// `canonicalize(determinize(A))` bit for bit: any divergence is a bug
+/// in the fused pass.  Deliberately naive -- never include outside
+/// tests (and bench_micro_poststar, through ReferencePostStar.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,10 +26,29 @@
 #include <map>
 #include <vector>
 
-#include "fa/Dfa.h"
+#include "fa/Canonicalize.h"
 #include "fa/Nfa.h"
 
 namespace cuba::reference {
+
+/// A complete DFA: every state has a transition on every symbol (the
+/// empty subset of determinize() is the explicit sink).
+struct Dfa {
+  uint32_t NumSymbols = 0;
+  uint32_t Start = 0;
+  /// Row-major numStates x NumSymbols successor table.
+  std::vector<uint32_t> Next;
+  std::vector<bool> Accepting;
+
+  uint32_t numStates() const {
+    return static_cast<uint32_t>(Accepting.size());
+  }
+
+  /// Successor on symbol \p X (1-based; epsilon is not a DFA symbol).
+  uint32_t next(uint32_t S, Sym X) const {
+    return Next[static_cast<size_t>(S) * NumSymbols + (X - 1)];
+  }
+};
 
 /// The pre-refactor subset construction: subsets interned through a
 /// std::map keyed by the sorted state vector, symbols explored in
@@ -47,11 +69,11 @@ inline Dfa determinize(const Nfa &A) {
     if (A.isInitial(S))
       Init.push_back(S);
   A.epsilonClosure(Init);
-  uint32_t StartId = Intern(std::move(Init));
 
-  std::vector<std::vector<uint32_t>> Rows;
+  Dfa D;
+  D.NumSymbols = NumSymbols;
+  D.Start = Intern(std::move(Init));
   for (uint32_t Cur = 0; Cur < Subsets.size(); ++Cur) {
-    std::vector<uint32_t> Row(NumSymbols);
     for (Sym X = 1; X <= NumSymbols; ++X) {
       std::vector<uint32_t> Next;
       for (uint32_t S : Subsets[Cur])
@@ -59,22 +81,14 @@ inline Dfa determinize(const Nfa &A) {
           if (E.Label == X)
             Next.push_back(E.To);
       A.epsilonClosure(Next);
-      Row[X - 1] = Intern(std::move(Next));
-    }
-    Rows.push_back(std::move(Row));
-  }
-
-  Dfa D(NumSymbols, static_cast<uint32_t>(Subsets.size()), StartId);
-  for (uint32_t S = 0; S < Subsets.size(); ++S) {
-    for (Sym X = 1; X <= NumSymbols; ++X)
-      D.setNext(S, X, Rows[S][X - 1]);
-    for (uint32_t N : Subsets[S]) {
-      if (A.isAccepting(N)) {
-        D.setAccepting(S);
-        break;
-      }
+      D.Next.push_back(Intern(std::move(Next)));
     }
   }
+  for (const std::vector<uint32_t> &Subset : Subsets)
+    D.Accepting.push_back(std::any_of(Subset.begin(), Subset.end(),
+                                      [&](uint32_t N) {
+                                        return A.isAccepting(N);
+                                      }));
   return D;
 }
 
@@ -82,11 +96,11 @@ inline Dfa determinize(const Nfa &A) {
 /// (class, successor classes) signature vectors through a std::map,
 /// class ids assigned in first-occurrence order.
 inline Dfa minimize(const Dfa &D) {
-  const uint32_t NumSymbols = D.numSymbols();
+  const uint32_t NumSymbols = D.NumSymbols;
   uint32_t N = D.numStates();
   std::vector<uint32_t> Class(N);
   for (uint32_t S = 0; S < N; ++S)
-    Class[S] = D.isAccepting(S) ? 1 : 0;
+    Class[S] = D.Accepting[S] ? 1 : 0;
 
   while (true) {
     std::map<std::vector<uint32_t>, uint32_t> NewIds;
@@ -111,12 +125,17 @@ inline Dfa minimize(const Dfa &D) {
   }
 
   uint32_t NumClasses = *std::max_element(Class.begin(), Class.end()) + 1;
-  Dfa M(NumSymbols, NumClasses, Class[D.start()]);
+  Dfa M;
+  M.NumSymbols = NumSymbols;
+  M.Start = Class[D.Start];
+  M.Next.assign(static_cast<size_t>(NumClasses) * NumSymbols, 0);
+  M.Accepting.assign(NumClasses, false);
   for (uint32_t S = 0; S < N; ++S) {
     uint32_t C = Class[S];
-    M.setAccepting(C, D.isAccepting(S));
+    M.Accepting[C] = D.Accepting[S];
     for (Sym X = 1; X <= NumSymbols; ++X)
-      M.setNext(C, X, Class[D.next(S, X)]);
+      M.Next[static_cast<size_t>(C) * NumSymbols + (X - 1)] =
+          Class[D.next(S, X)];
   }
   return M;
 }
@@ -124,7 +143,7 @@ inline Dfa minimize(const Dfa &D) {
 /// The pre-refactor canonicalisation: reference minimize, dead-state
 /// removal over a vector-of-vectors reverse graph, BFS renumbering.
 inline CanonicalDfa canonicalize(const Dfa &D) {
-  const uint32_t NumSymbols = D.numSymbols();
+  const uint32_t NumSymbols = D.NumSymbols;
   Dfa M = minimize(D);
 
   uint32_t N = M.numStates();
@@ -135,7 +154,7 @@ inline CanonicalDfa canonicalize(const Dfa &D) {
       Rev[M.next(S, X)].push_back(S);
   std::vector<uint32_t> Work;
   for (uint32_t S = 0; S < N; ++S) {
-    if (M.isAccepting(S)) {
+    if (M.Accepting[S]) {
       Alive[S] = true;
       Work.push_back(S);
     }
@@ -153,13 +172,13 @@ inline CanonicalDfa canonicalize(const Dfa &D) {
 
   CanonicalDfa C;
   C.NumSymbols = NumSymbols;
-  if (!Alive[M.start()])
+  if (!Alive[M.Start])
     return C;
 
   std::vector<uint32_t> NewId(N, CanonicalDfa::NoState);
   std::vector<uint32_t> Order;
-  NewId[M.start()] = 0;
-  Order.push_back(M.start());
+  NewId[M.Start] = 0;
+  Order.push_back(M.Start);
   for (size_t Head = 0; Head < Order.size(); ++Head) {
     uint32_t S = Order[Head];
     for (Sym X = 1; X <= NumSymbols; ++X) {
@@ -178,7 +197,7 @@ inline CanonicalDfa canonicalize(const Dfa &D) {
   C.Accepting.assign(AliveCount, 0);
   for (uint32_t S : Order) {
     uint32_t Id = NewId[S];
-    C.Accepting[Id] = M.isAccepting(S) ? 1 : 0;
+    C.Accepting[Id] = M.Accepting[S] ? 1 : 0;
     for (Sym X = 1; X <= NumSymbols; ++X) {
       uint32_t To = M.next(S, X);
       if (Alive[To])
@@ -186,21 +205,6 @@ inline CanonicalDfa canonicalize(const Dfa &D) {
     }
   }
   return C;
-}
-
-/// Structural (bit-for-bit) equality of two complete DFAs.
-inline bool dfaEqual(const Dfa &A, const Dfa &B) {
-  if (A.numStates() != B.numStates() || A.numSymbols() != B.numSymbols() ||
-      A.start() != B.start())
-    return false;
-  for (uint32_t S = 0; S < A.numStates(); ++S) {
-    if (A.isAccepting(S) != B.isAccepting(S))
-      return false;
-    for (Sym X = 1; X <= A.numSymbols(); ++X)
-      if (A.next(S, X) != B.next(S, X))
-        return false;
-  }
-  return true;
 }
 
 } // namespace cuba::reference

@@ -10,15 +10,17 @@
 /// per-(root, language) transaction pipeline, kept verbatim in the shape
 /// the engine used before the shared-saturation refactor: render the
 /// canonical language as a P-automaton rooted at one shared state, run
-/// the classical postStar, then for every shared target take the rooted
-/// NFA through determinize().canonicalize().  The shared-saturation
-/// property suite asserts that SharedSaturation::extractRoot produces
-/// exactly these languages for every root -- the refactor promised "one
-/// saturation, same answers", and this shim is what holds it to that.
-/// Deliberately per-root and complete-DFA based.  bench_micro_poststar's
-/// BM_PerRootPostStar baseline includes this same header (one shim, no
-/// drift between what the suite verifies and what the bench measures);
-/// no other non-test code may.
+/// the classical postStar, then canonicalize the rooted NFA at every
+/// shared target -- by default through the reference canonicalizer of
+/// tests/ReferenceFa.h (complete-DFA subset construction, Moore
+/// refinement), which shares no code with the canonicalizeNfa that
+/// SharedSaturation::extractRoot runs.  The shared-saturation property
+/// suite asserts that extractRoot produces exactly these languages for
+/// every root -- the refactor promised "one saturation, same answers",
+/// and this shim is what holds it to that.  Deliberately per-root.
+/// bench_micro_poststar's BM_PerRootPostStar baseline includes this same
+/// header (one shim, no drift between what the suite verifies and what
+/// the bench measures); no other non-test code may.
 ///
 /// It also keeps the classical bottom transform the engines used before
 /// the marker became built in (eliminateEmptyStackRules: a copy of the
@@ -34,8 +36,8 @@
 #include <utility>
 #include <vector>
 
+#include "ReferenceFa.h"
 #include "fa/Canonicalize.h"
-#include "fa/Dfa.h"
 #include "fa/Nfa.h"
 #include "pds/State.h"
 #include "psa/PAutomaton.h"
@@ -175,10 +177,16 @@ inline PAutomaton rootedInput(uint32_t NumShared, const CanonicalDfa &D,
 /// One reference transaction: the canonical successor language at every
 /// shared target reachable from <Root | Lang>, in ascending target
 /// order, empty languages omitted -- the exact answers the pre-refactor
-/// engine's collectSuccessors computed.
+/// engine's collectSuccessors computed.  \p Canonicalize maps each
+/// rooted NFA to its canonical form: the suites keep the reference
+/// canonicalizer, so the shim shares no code with the extraction it
+/// checks; BM_PerRootPostStar passes canonicalizeNfa, the canonicalizer
+/// BM_SharedPostStar's extraction runs.
 inline std::vector<std::pair<QState, CanonicalDfa>>
 perRootPostStar(const Pds &P, uint32_t NumShared, const CanonicalDfa &Lang,
-                QState Root) {
+                QState Root,
+                CanonicalDfa (*Canonicalize)(const Nfa &) =
+                    [](const Nfa &A) { return canonicalize(determinize(A)); }) {
   PAutomaton In = rootedInput(NumShared, Lang, Root);
   PostStarResult R = postStar(P, In);
   std::vector<std::pair<QState, CanonicalDfa>> Out;
@@ -186,7 +194,7 @@ perRootPostStar(const Pds &P, uint32_t NumShared, const CanonicalDfa &Lang,
     Nfa Rooted = R.Automaton.rootedNfa({Q2});
     if (Rooted.isLanguageEmpty())
       continue;
-    Out.emplace_back(Q2, Rooted.determinize().canonicalize());
+    Out.emplace_back(Q2, Canonicalize(Rooted));
   }
   return Out;
 }

@@ -24,7 +24,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "fa/Dfa.h"
+#include "fa/Canonicalize.h"
 #include "pds/Pds.h"
 #include "support/FlatHash.h"
 #include "support/Limits.h"

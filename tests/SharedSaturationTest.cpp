@@ -10,12 +10,13 @@
 /// one masked saturation per (thread, language) must produce, for every
 /// shared root, exactly the successor languages the retained per-root
 /// reference pipeline (tests/ReferencePostStar.h: rootedInput -> postStar
-/// -> rootedNfa -> determinize -> canonicalize) computes.  Instances are
-/// (thread, language, root-set) triples drawn from the seeded random
-/// CPDS generator's corner shapes, with languages both engine-realistic
-/// (the lifted initial stack) and adversarial (random NFAs over the
-/// bottomed alphabet).  An injected mask-growth mutation pins the
-/// suite's teeth: the differential comparison must catch it.
+/// -> rootedNfa -> the reference canonicalizer of tests/ReferenceFa.h)
+/// computes.  Instances are (thread, language, root-set) triples drawn
+/// from the seeded random CPDS generator's corner shapes, with languages
+/// both engine-realistic (the lifted initial stack) and adversarial
+/// (random NFAs over the bottomed alphabet).  An injected mask-growth
+/// mutation pins the suite's teeth: the differential comparison must
+/// catch it.
 ///
 /// Every failure message carries the instance seed; rerun one seed by
 /// fixing the loop bounds or via CUBA_FUZZ_SEED to shift the base.
