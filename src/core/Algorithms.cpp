@@ -36,6 +36,11 @@ public:
     WallTimer Timer;
     ExplicitCombinedResult R;
 
+    // G cap Z depends on the CPDS alone: with spare workers it is built
+    // beside the rounds.  Scheme 1 alone never reads it.
+    if (UseAlg3)
+      Generators.start(Opts.Pool);
+
     RkSizes.record(Engine.reachedSize());   // |R_0|
     TkSizes.record(Engine.visibleSize());   // |T(R_0)|
     checkViolations(R.Run);
@@ -69,6 +74,7 @@ public:
     }
     if (Engine.bound() >= MaxK && !concluded(R) && !R.Run.BugBound)
       R.Run.Exhausted = true;
+    Generators.finish();
 
     if (R.RkCollapse && R.TkCollapse)
       R.Run.ConvergedAt = std::min(*R.RkCollapse, *R.TkCollapse);

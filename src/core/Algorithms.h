@@ -51,10 +51,12 @@ struct RunOptions {
   /// On a bug, reconstruct a concrete interleaving into
   /// RunResult::Trace (explicit engines only).
   bool BuildTrace = false;
-  /// When set (and holding more than one job), the explicit engine fans
-  /// each level out across this pool's workers; results are
-  /// bit-identical to a serial run (see src/exec/).  Symbolic rounds are
-  /// serial and ignore it.  The pool must outlive the run.
+  /// When set and holding more than one job, Alg. 3 builds G cap Z on
+  /// one of this pool's workers beside the rounds, and the explicit
+  /// engine fans levels of at least CbaEngine::MinParallelLevel parents
+  /// out across its workers; results are bit-identical to a serial run
+  /// (see src/exec/).  Symbolic rounds are serial.  The pool must outlive
+  /// the run.
   exec::ThreadPool *Pool = nullptr;
 };
 

@@ -33,8 +33,9 @@ CbaEngine::CbaEngine(const Cpds &C, const ResourceLimits &Limits)
   Frontier.push_back(0);
 }
 
-void CbaEngine::setParallel(exec::ThreadPool *P) {
+void CbaEngine::setParallel(exec::ThreadPool *P, size_t MinLevel) {
   Pool = P && P->jobs() > 1 ? P : nullptr;
+  MinDispatchLevel = std::max<size_t>(MinLevel, 1);
   if (Pool)
     Scratch = std::make_unique<exec::WorkerLocal<DeriveScratch>>(*Pool);
   else
@@ -44,21 +45,53 @@ void CbaEngine::setParallel(exec::ThreadPool *P) {
 CbaEngine::RoundStatus
 CbaEngine::closeUnderThread(unsigned I, const std::vector<uint32_t> &Seeds,
                             std::vector<uint32_t> &NewFrontier) {
-  // Merged BFS over thread-I steps from all expansion seeds.  The local
-  // visited set (epoch stamps on the dense ids, rather than pruning
-  // against R alone) is what makes the frontier optimisation exact: a
-  // state first added this round by a different thread's closure must
-  // still be traversed here if it also lies inside a thread-I closure of
-  // a frontier state.
+  // Merged BFS over thread-I steps from all expansion seeds, one level at
+  // a time.  The local visited set (epoch stamps on the dense ids, rather
+  // than pruning against R alone) is what makes the frontier
+  // optimisation exact: a state first added this round by a different
+  // thread's closure must still be traversed here if it also lies inside
+  // a thread-I closure of a frontier state.
   ++Epoch;
-  QueueBuf.clear();
+  std::vector<uint32_t> &Level = LevelBuf, &Next = NextLevelBuf;
+  Level.clear();
   for (uint32_t Id : Seeds) {
     LocalMark[Id] = Epoch;
-    QueueBuf.push_back(Id);
+    Level.push_back(Id);
   }
+  // A seed this thread's closure discovered last round was expanded by
+  // it then, so its thread-I successors are all stored and old: only its
+  // charge is replayed.  Not under the ablation, which re-expands all.
+  bool SkipOwn = !ExpandAll;
+  RoundStatus St = RoundStatus::Ok;
+  while (St == RoundStatus::Ok && !Level.empty()) {
+    Next.clear();
+    St = Pool && Level.size() >= MinDispatchLevel
+             ? dispatchLevel(I, Level, SkipOwn, NewFrontier, Next)
+             : expandLevel(I, Level, SkipOwn, NewFrontier, Next);
+    SkipOwn = false;
+    std::swap(Level, Next);
+  }
+  // Worker-packed visible words of dispatched levels are committed in
+  // one batch per closure (every appended state is first seen at
+  // Bound + 1), on every exit path, so an exhausted commit still records
+  // the states it appended.
+  if (!VisBatch.empty()) {
+    VisibleSeen.insertPackedBatch(VisBatch, Bound + 1);
+    VisBatch.clear();
+  }
+  return St;
+}
 
-  for (size_t Head = 0; Head < QueueBuf.size(); ++Head) {
-    uint32_t Id = QueueBuf[Head];
+CbaEngine::RoundStatus
+CbaEngine::expandLevel(unsigned I, const std::vector<uint32_t> &Level,
+                       bool SkipOwn, std::vector<uint32_t> &NewFrontier,
+                       std::vector<uint32_t> &Next) {
+  for (uint32_t Id : Level) {
+    if (SkipOwn && discoveredBy(Id, I)) {
+      if (!Limits.chargeStep(ownSuccessorCount(Id, I, Store) + 1))
+        return RoundStatus::Exhausted;
+      continue;
+    }
     loadRow(Id, RowBuf);
     StepsBuf.clear();
     C.threadSteps(RowBuf[0], RowBuf[1 + I], I, Store,
@@ -78,7 +111,7 @@ CbaEngine::closeUnderThread(unsigned I, const std::vector<uint32_t> &Seeds,
         recordVisible(RowBuf.data(), Bound + 1);
         LocalMark[SeenId] = Epoch;
         NewFrontier.push_back(SeenId);
-        QueueBuf.push_back(SeenId);
+        Next.push_back(SeenId);
         if (!chargeNewState())
           return RoundStatus::Exhausted;
         continue;
@@ -91,15 +124,15 @@ CbaEngine::closeUnderThread(unsigned I, const std::vector<uint32_t> &Seeds,
       // their thread-I closure was fully expanded in the round after
       // their discovery.
       if (Info[SeenId].Round > Bound)
-        QueueBuf.push_back(SeenId);
+        Next.push_back(SeenId);
     }
   }
   return RoundStatus::Ok;
 }
 
 void CbaEngine::deriveChunk(unsigned Worker, ChunkOut &Out, unsigned I,
-                            const std::vector<uint32_t> &Level, size_t Begin,
-                            size_t End) {
+                            const std::vector<uint32_t> &Level, bool SkipOwn,
+                            size_t Begin, size_t End) {
   DeriveScratch &SC = Scratch->get(Worker);
   if (SC.Gen != DeriveGen) {
     SC.Overlay.rebase(Store);
@@ -116,6 +149,13 @@ void CbaEngine::deriveChunk(unsigned Worker, ChunkOut &Out, unsigned I,
   SC.TopsBuf.resize(NThreads);
   for (size_t P = Begin; P < End; ++P) {
     uint32_t ParentId = Level[P];
+    if (SkipOwn && discoveredBy(ParentId, I)) {
+      // Replayed as a parent whose successors were all dropped.
+      Out.Parents.emplace_back(ParentId,
+                               ownSuccessorCount(ParentId, I, SC.Overlay));
+      Out.CandEnd.push_back(static_cast<uint32_t>(Out.Cands.size()));
+      continue;
+    }
     loadRow(ParentId, SC.Row);
     SC.Steps.clear();
     C.threadSteps(SC.Row[0], SC.Row[1 + I], I, SC.Overlay,
@@ -175,63 +215,29 @@ void CbaEngine::deriveChunk(unsigned Worker, ChunkOut &Out, unsigned I,
 }
 
 CbaEngine::RoundStatus
-CbaEngine::closeUnderThreadParallel(unsigned I,
-                                    const std::vector<uint32_t> &Seeds,
-                                    std::vector<uint32_t> &NewFrontier) {
-  // The serial merged BFS processed level by level: derive each level's
-  // successors in parallel from frozen state, then replay the commit --
-  // charges, dedup, id assignment, next-level appends -- in the exact
-  // serial order (chunk index order == level order).
-  ++Epoch;
-  std::vector<uint32_t> &Level = LevelBuf, &Next = NextLevelBuf;
-  Level.clear();
-  Next.clear();
-  for (uint32_t Id : Seeds) {
-    LocalMark[Id] = Epoch;
-    Level.push_back(Id);
+CbaEngine::dispatchLevel(unsigned I, const std::vector<uint32_t> &Level,
+                         bool SkipOwn, std::vector<uint32_t> &NewFrontier,
+                         std::vector<uint32_t> &Next) {
+  ++DeriveGen; // Invalidates every worker's overlay (arena has grown).
+  size_t Grain = exec::adaptiveGrain(Level.size(), Pool->jobs());
+  size_t NumChunks = exec::chunkCount(Level.size(), Grain);
+  if (ChunksBuf.size() < NumChunks)
+    ChunksBuf.resize(NumChunks);
+  {
+    // Per-level derive/commit spans are wall-category: whether a level
+    // is dispatched depends on the pool, so they are exempt from the
+    // cross-jobs trace contract.
+    obs::ScopedSpan Derive("derive-level", obs::Trace::CatWall);
+    Derive.arg("level", Level.size());
+    Derive.arg("chunks", NumChunks);
+    exec::parallelChunks(*Pool, Level.size(), Grain,
+                         [&](unsigned Worker, size_t Chunk, size_t Begin,
+                             size_t End) {
+                           deriveChunk(Worker, ChunksBuf[Chunk], I, Level,
+                                       SkipOwn, Begin, End);
+                         });
   }
-
-  // Worker-packed visible words are committed in one batch per closure
-  // (every appended state is first seen at Bound + 1); the flush runs on
-  // every exit path so an exhausted commit still records the states it
-  // appended.
-  VisBatch.clear();
-  auto FlushVisible = [&] {
-    if (!VisBatch.empty()) {
-      VisibleSeen.insertPackedBatch(VisBatch, Bound + 1);
-      VisBatch.clear();
-    }
-  };
-
-  while (!Level.empty()) {
-    ++DeriveGen; // Invalidates every worker's overlay (arena has grown).
-    size_t Grain = exec::adaptiveGrain(Level.size(), Pool->jobs());
-    size_t NumChunks = exec::chunkCount(Level.size(), Grain);
-    if (ChunksBuf.size() < NumChunks)
-      ChunksBuf.resize(NumChunks);
-    {
-      // Per-level derive/commit spans are wall-category: levels only
-      // exist on the parallel path, so they are exempt from the
-      // cross-jobs trace contract (chunking varies with the pool size).
-      obs::ScopedSpan Derive("derive-level", obs::Trace::CatWall);
-      Derive.arg("level", Level.size());
-      Derive.arg("chunks", NumChunks);
-      exec::parallelChunks(*Pool, Level.size(), Grain,
-                           [&](unsigned Worker, size_t Chunk, size_t Begin,
-                               size_t End) {
-                             deriveChunk(Worker, ChunksBuf[Chunk], I, Level,
-                                         Begin, End);
-                           });
-    }
-    if (commitLevel(I, NewFrontier, Next, NumChunks) ==
-        RoundStatus::Exhausted) {
-      FlushVisible();
-      return RoundStatus::Exhausted;
-    }
-    std::swap(Level, Next);
-  }
-  FlushVisible();
-  return RoundStatus::Ok;
+  return commitLevel(I, NewFrontier, Next, NumChunks);
 }
 
 CbaEngine::RoundStatus CbaEngine::commitLevel(unsigned I,
@@ -240,14 +246,13 @@ CbaEngine::RoundStatus CbaEngine::commitLevel(unsigned I,
                                               size_t NumChunks) {
   obs::ScopedSpan Commit("commit-level", obs::Trace::CatWall);
   // One serial pass in candidate order (chunk index order == level
-  // order), replaying the serial BFS exactly: the same step charge per
+  // order), replaying expandLevel exactly: the same step charge per
   // parent, the same interning order -- so the same state ids, StackId
   // assignment and budget stop -- and the same first-seen bookkeeping.
   size_t NumCands = 0;
   for (size_t Chunk = 0; Chunk < NumChunks; ++Chunk)
     NumCands += ChunksBuf[Chunk].Cands.size();
   Commit.arg("cands", NumCands);
-  Next.clear();
   for (size_t Chunk = 0; Chunk < NumChunks; ++Chunk) {
     ChunkOut &CO = ChunksBuf[Chunk];
     StackOverlay &OV = Scratch->get(CO.Worker).Overlay;
@@ -323,7 +328,7 @@ CbaEngine::RoundStatus CbaEngine::advance() {
 
   auto FinishRound = [&](std::vector<uint32_t> &NewFrontier) {
     // Budget consumption curve, all deterministic functions of serially
-    // committed state (the parallel paths exhaust at identical points).
+    // committed state (dispatched levels exhaust at identical points).
     Round.arg("new_states", NewFrontier.size());
     Round.arg("steps", Limits.steps());
     Round.arg("states", Limits.states());
@@ -337,21 +342,20 @@ CbaEngine::RoundStatus CbaEngine::advance() {
 
   std::vector<uint32_t> NewFrontier;
   for (unsigned I = 0; I < C.numThreads(); ++I) {
-    // One span per per-thread closure; emitted in both round paths, so
-    // it is det-category (its duration covers the parallel levels, but
-    // the content does not depend on them).
+    // One span per per-thread closure, det-category: its duration
+    // covers any dispatched levels, but its content does not depend on
+    // them.
     size_t Before = NewFrontier.size();
     obs::ScopedSpan Closure("closure", obs::Trace::CatDet);
     Closure.arg("thread", I);
-    RoundStatus St = Pool ? closeUnderThreadParallel(I, Seeds, NewFrontier)
-                          : closeUnderThread(I, Seeds, NewFrontier);
+    RoundStatus St = closeUnderThread(I, Seeds, NewFrontier);
     Closure.arg("new_states", NewFrontier.size() - Before);
     if (St == RoundStatus::Exhausted) {
       FinishRound(NewFrontier);
       return RoundStatus::Exhausted;
     }
     // Closure boundary: the stack arena and visible set agree between
-    // the serial and parallel paths here, so fold them into the byte
+    // inline and dispatched levels here, so fold them into the byte
     // budget now (mid-closure their contents differ by path).
     if (!checkMemoryAtBoundary()) {
       FinishRound(NewFrontier);

@@ -37,17 +37,23 @@
 /// so R_k is computed exactly.  bench_ablation_frontier measures the
 /// effect; setExpandAll(true) disables it.
 ///
-/// Parallel rounds (setParallel): the serial merged BFS is exactly
-/// level-synchronous -- the queue is the concatenation of BFS levels,
-/// each processed in the append order of the previous one -- so a round
-/// fans a level's successor derivation out across workers (each with a
-/// StackOverlay over the frozen stack arena, probing the frozen state
-/// table) and then commits the level in one serial pass over the
-/// per-chunk candidate lists in level order: it translates overlay
+/// One closure loop: the merged BFS of a thread's closure is processed
+/// level by level -- the queue of a serial BFS is the concatenation of
+/// its levels, each in the append order of the previous one.  A level
+/// is expanded in place on the driver thread unless a pool is set
+/// (setParallel) and it holds at least MinParallelLevel parents; such a
+/// level fans its successor derivation out across the workers (each
+/// with a StackOverlay over the frozen stack arena, probing the frozen
+/// state table) and is then committed in one serial pass over the
+/// per-chunk candidate lists in level order, which translates overlay
 /// stacks, interns rows in candidate order and charges the budget at
-/// exactly the serial run's points.  State ids, budget figures and
-/// first-seen rounds are therefore bit-identical to a serial run for any
-/// job count; see ParallelDeterminismTest and BUILDING.md.
+/// exactly the points the in-place expansion does.  State ids, budget
+/// figures and first-seen rounds are therefore bit-identical for any
+/// job count and any dispatch threshold; see ParallelDeterminismTest
+/// and BUILDING.md.  Small levels stay in place because their data sits
+/// in the driver core's cache: dispatching them costs more in wake-ups
+/// and cache misses than the workers save (MinParallelLevel records the
+/// measured crossover).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -121,11 +127,21 @@ public:
   /// only the frontier (the ablation baseline; results are identical).
   void setExpandAll(bool B) { ExpandAll = B; }
 
-  /// Fans subsequent rounds out across \p Pool's workers (nullptr, or a
-  /// one-job pool, restores the serial path).  Results are bit-identical
-  /// either way; the pool must outlive the engine or the next
-  /// setParallel call.
-  void setParallel(exec::ThreadPool *Pool);
+  /// Levels smaller than this are expanded in place even with a pool.
+  /// The measured crossover (BST-Insert 3+3, Release, 4-vCPU host, jobs
+  /// 4, medians of interleaved runs): dispatching the levels of 32K-64K
+  /// parents cost 8% to k = 24 (355K states) and saved 6% to k = 40
+  /// (3.06M states, within noise); dispatching those of 64K and up saved
+  /// 11% to k = 40.
+  static constexpr size_t MinParallelLevel = 65536;
+
+  /// Fans levels of at least \p MinLevel parents out across \p Pool's
+  /// workers (nullptr, or a one-job pool, expands every level in place).
+  /// Results are bit-identical either way; the pool must outlive the
+  /// engine or the next setParallel call.  Tests pass a \p MinLevel of 1
+  /// to dispatch every level.
+  void setParallel(exec::ThreadPool *Pool,
+                   size_t MinLevel = MinParallelLevel);
 
   const LimitTracker &limits() const { return Limits; }
 
@@ -162,8 +178,34 @@ private:
     StackId W;
   };
 
+  /// Closes the seeds under thread \p I's steps, one BFS level at a
+  /// time, appending the states it discovers to \p NewFrontier.
   RoundStatus closeUnderThread(unsigned I, const std::vector<uint32_t> &Seeds,
                                std::vector<uint32_t> &NewFrontier);
+
+  /// Expands \p Level in place on the calling thread, appending the next
+  /// level's ids to \p Next; \p SkipOwn replays the seeds discoveredBy
+  /// thread \p I by their charge alone.
+  RoundStatus expandLevel(unsigned I, const std::vector<uint32_t> &Level,
+                          bool SkipOwn, std::vector<uint32_t> &NewFrontier,
+                          std::vector<uint32_t> &Next);
+
+  /// True when thread \p I's closure discovered state \p Id in the
+  /// previous round (the initial state has no discoverer): it expanded
+  /// the state then, so every thread-I successor is already stored.
+  bool discoveredBy(uint32_t Id, unsigned I) const {
+    const StateInfo &S = Info[Id];
+    return S.Round == Bound && S.Thread == I && S.Parent != UINT32_MAX;
+  }
+
+  /// The number of thread-\p I steps out of state \p Id, what the
+  /// expansion charges for it, from the action index alone.
+  template <typename StoreT>
+  size_t ownSuccessorCount(uint32_t Id, unsigned I,
+                           const StoreT &S) const {
+    const uint32_t *Row = Rows.row(Id);
+    return C.thread(I).actionsFrom(Row[0], S.topOf(Row[1 + I])).size();
+  }
 
   /// One successor surfaced by the parallel derive phase: its parent's
   /// row with q' and thread I's stack w' patched in.  Known candidates
@@ -189,8 +231,9 @@ private:
   /// serial charge schedule) plus the filtered candidate list, with
   /// CandEnd[i] delimiting parent i's candidates.  Self-delimiting, so
   /// commits concatenate chunks in index order regardless of where the
-  /// grain cut the level.
-  struct ChunkOut {
+  /// grain cut the level.  Padded to a cache line: adjacent chunks'
+  /// vector headers are written by different workers on every push.
+  struct alignas(64) ChunkOut {
     unsigned Worker = 0;
     std::vector<std::pair<uint32_t, uint32_t>> Parents; // (id, succs)
     std::vector<uint32_t> CandEnd;
@@ -208,17 +251,18 @@ private:
     std::vector<Sym> TopsBuf;
   };
 
-  /// The parallel counterpart of closeUnderThread: identical observable
-  /// behaviour, pinned by ParallelDeterminismTest.
-  RoundStatus closeUnderThreadParallel(unsigned I,
-                                       const std::vector<uint32_t> &Seeds,
-                                       std::vector<uint32_t> &NewFrontier);
+  /// expandLevel's dispatched counterpart: derives \p Level on the pool,
+  /// then commits it.  Identical observable behaviour, pinned by
+  /// ParallelDeterminismTest.
+  RoundStatus dispatchLevel(unsigned I, const std::vector<uint32_t> &Level,
+                            bool SkipOwn, std::vector<uint32_t> &NewFrontier,
+                            std::vector<uint32_t> &Next);
 
   /// Derives successors of Level[Begin..End) by thread \p I into \p Out,
   /// reading only state frozen for the level (arenas, table, marks).
   void deriveChunk(unsigned Worker, ChunkOut &Out, unsigned I,
-                   const std::vector<uint32_t> &Level, size_t Begin,
-                   size_t End);
+                   const std::vector<uint32_t> &Level, bool SkipOwn,
+                   size_t Begin, size_t End);
 
   /// Commits one derived level in a single serial pass, in candidate
   /// order: per parent, the step charge; per candidate, the overlay
@@ -240,9 +284,9 @@ private:
   /// Byte footprint of the per-state stores alone: the state table plus
   /// the per-id metadata, a pure function of the state count, so it is
   /// safe to probe at every state commit -- unlike the stack arena and
-  /// visible set, whose mid-closure contents differ between the serial
-  /// and parallel paths (the serial BFS interns successor stacks per
-  /// pop and inserts visible words immediately; the parallel path
+  /// visible set, whose mid-closure contents differ between inline and
+  /// dispatched levels (an inline level interns successor stacks per
+  /// parent and inserts visible words immediately; a dispatched one
   /// translates per candidate and batch-flushes).  Those are folded in
   /// through CommittedArenaBytes, refreshed only at closure boundaries
   /// where the paths agree.
@@ -314,18 +358,18 @@ private:
 
   /// Scratch buffers reused across rounds.
   std::vector<Step> StepsBuf;
-  std::vector<uint32_t> QueueBuf;
   std::vector<uint32_t> RowBuf;
   std::vector<Sym> TopsBuf;
+  std::vector<uint32_t> LevelBuf, NextLevelBuf;
 
-  /// Parallel execution (null/absent on the serial path).
+  /// Level dispatch (no pool: every level is expanded in place).
   exec::ThreadPool *Pool = nullptr;
+  size_t MinDispatchLevel = MinParallelLevel;
   std::unique_ptr<exec::WorkerLocal<DeriveScratch>> Scratch;
   uint64_t DeriveGen = 0;
   std::vector<ChunkOut> ChunksBuf;
-  std::vector<uint32_t> LevelBuf, NextLevelBuf;
-  /// Visible words of states appended by the current parallel commit,
-  /// flushed in one batch per closure.
+  /// Visible words of states appended by dispatched commits, flushed in
+  /// one batch per closure.
   std::vector<uint64_t> VisBatch;
 };
 

@@ -9,7 +9,6 @@
 
 #include "obs/Trace.h"
 #include "support/FaultInject.h"
-#include "support/Timer.h"
 
 using namespace cuba;
 
@@ -59,6 +58,5 @@ DriverResult cuba::runCuba(const Cpds &C, const SafetyProperty &Prop,
     R.RkCollapse = S.SFixpoint;
     R.TkCollapse = S.TkCollapse;
   }
-  R.PeakMemMB = peakRSSMegabytes();
   return R;
 }

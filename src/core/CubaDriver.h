@@ -51,8 +51,6 @@ struct DriverResult {
   std::optional<unsigned> RkCollapse;
   /// Collapse of the visible-state sequence when Alg. 3 concluded.
   std::optional<unsigned> TkCollapse;
-  /// Peak RSS sampled after the run (whole process, in MB).
-  double PeakMemMB = 0;
 };
 
 /// Runs the Sec. 6 procedure on \p C.

@@ -51,6 +51,10 @@ SymbolicRunResult runAlg3SymbolicImpl(const Cpds &C,
     }
   };
 
+  // G cap Z depends on the CPDS alone: with spare workers it is built
+  // beside the (serial) rounds.
+  Generators.start(Opts.Pool);
+
   TkSizes.record(Engine.visibleOrbits()); // T(S_0)
   CheckViolations();
 
@@ -83,6 +87,7 @@ SymbolicRunResult runAlg3SymbolicImpl(const Cpds &C,
   if (Engine.bound() >= MaxK && !R.SFixpoint && !R.TkCollapse &&
       !R.Run.BugBound)
     R.Run.Exhausted = true;
+  Generators.finish();
 
   if (R.TkCollapse && R.SFixpoint)
     R.Run.ConvergedAt = std::min(*R.TkCollapse, *R.SFixpoint);

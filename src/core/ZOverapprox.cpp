@@ -9,8 +9,10 @@
 
 #include <algorithm>
 #include <unordered_set>
+#include <utility>
 
 #include "core/Generators.h"
+#include "exec/ThreadPool.h"
 #include "obs/Trace.h"
 #include "pds/VisibleSet.h"
 #include "support/FlatHash.h"
@@ -26,9 +28,11 @@ namespace {
 /// VisibleState BFS would stop at.  The words are canonical under
 /// \p Symmetry, and a thread whose top repeats the one of the thread
 /// before it in its class is not moved: its successors are permutations
-/// of that thread's.  Returns false on exhaustion.
+/// of that thread's.  Returns false on exhaustion, or once \p Cancel (if
+/// non-null) is set.
 bool explorePacked(const Cpds &C, const VisiblePacker &Packer,
                    const ThreadSymmetry &Symmetry, LimitTracker *Limits,
+                   const std::atomic<bool> *Cancel,
                    std::vector<uint64_t> &Queue) {
   FlatSet<uint64_t> Seen;
   uint64_t Init = Packer.pack(project(C.initialState()));
@@ -42,6 +46,8 @@ bool explorePacked(const Cpds &C, const VisiblePacker &Packer,
   };
   std::vector<uint64_t> Succs;
   for (size_t Head = 0; Head < Queue.size(); ++Head) {
+    if (Cancel && Cancel->load(std::memory_order_relaxed))
+      return false;
     uint64_t W = Queue[Head];
     QState Q = static_cast<QState>(W >> QShift);
     for (unsigned I = 0; I < C.numThreads(); ++I) {
@@ -88,7 +94,8 @@ bool explorePacked(const Cpds &C, const VisiblePacker &Packer,
 /// The same exploration over VisibleState values, for systems whose
 /// visible states do not fit in one word.
 bool exploreWide(const Cpds &C, const ThreadSymmetry &Symmetry,
-                 LimitTracker *Limits, std::vector<VisibleState> &Queue) {
+                 LimitTracker *Limits, const std::atomic<bool> *Cancel,
+                 std::vector<VisibleState> &Queue) {
   std::unordered_set<VisibleState, VisibleStateHash> Seen;
   VisibleState Init = project(C.initialState());
   Seen.insert(Init);
@@ -96,6 +103,8 @@ bool exploreWide(const Cpds &C, const ThreadSymmetry &Symmetry,
 
   std::vector<VisibleState> Succs;
   for (size_t Head = 0; Head < Queue.size(); ++Head) {
+    if (Cancel && Cancel->load(std::memory_order_relaxed))
+      return false;
     for (unsigned I = 0; I < C.numThreads(); ++I) {
       if (Symmetry.repeatsPrev(I, Queue[Head].Tops.data()))
         continue;
@@ -122,23 +131,20 @@ bool exploreWide(const Cpds &C, const ThreadSymmetry &Symmetry,
 
 /// The one exploration behind every entry point: Z (its canonical forms
 /// under \p Symmetry), filtered down to \p Keep's members when non-null,
-/// sorted; nullopt on exhaustion.
+/// sorted, with |Z| in \p ZSize; nullopt on exhaustion or cancellation.
+/// Emits no span, so it may run on a worker.
 std::optional<std::vector<VisibleState>>
 exploreZ(const Cpds &C, LimitTracker *Limits, const GeneratorSet *Keep,
-         const ThreadSymmetry &Symmetry) {
+         const ThreadSymmetry &Symmetry, const std::atomic<bool> *Cancel,
+         uint64_t &ZSize) {
   assert(C.frozen() && "computeZ requires a frozen CPDS");
-  // Serial BFS, so the span (and its visible-count arg, added at every
-  // exit) is deterministic at any `--jobs`.
-  obs::ScopedSpan Span("z-overapprox", obs::Trace::CatDet);
   VisiblePacker Packer(C, C.numSharedStates());
   std::vector<VisibleState> Out;
   if (Packer.packable()) {
     std::vector<uint64_t> Words;
-    if (!explorePacked(C, Packer, Symmetry, Limits, Words)) {
-      Span.arg("exhausted", 1);
+    if (!explorePacked(C, Packer, Symmetry, Limits, Cancel, Words))
       return std::nullopt;
-    }
-    Span.arg("visible", Words.size());
+    ZSize = Words.size();
     if (Keep) {
       std::vector<Sym> Tops(C.numThreads());
       std::erase_if(Words, [&](uint64_t W) {
@@ -152,11 +158,9 @@ exploreZ(const Cpds &C, LimitTracker *Limits, const GeneratorSet *Keep,
       Out.push_back(Packer.unpack(W));
     return Out;
   }
-  if (!exploreWide(C, Symmetry, Limits, Out)) {
-    Span.arg("exhausted", 1);
+  if (!exploreWide(C, Symmetry, Limits, Cancel, Out))
     return std::nullopt;
-  }
-  Span.arg("visible", Out.size());
+  ZSize = Out.size();
   if (Keep)
     std::erase_if(Out,
                   [&](const VisibleState &V) { return !Keep->contains(V); });
@@ -164,33 +168,96 @@ exploreZ(const Cpds &C, LimitTracker *Limits, const GeneratorSet *Keep,
   return Out;
 }
 
+/// The `z-overapprox` span's argument: |Z|, or that the budget ran out.
+void argZ(obs::ScopedSpan &Span,
+          const std::optional<std::vector<VisibleState>> &Found,
+          uint64_t ZSize) {
+  if (Found)
+    Span.arg("visible", ZSize);
+  else
+    Span.arg("exhausted", 1);
+}
+
+/// exploreZ run serially on the calling (driver) thread, spanned.
+std::optional<std::vector<VisibleState>>
+exploreZSpanned(const Cpds &C, LimitTracker *Limits, const GeneratorSet *Keep,
+                const ThreadSymmetry &Symmetry) {
+  obs::ScopedSpan Span("z-overapprox", obs::Trace::CatDet);
+  uint64_t ZSize = 0;
+  std::optional<std::vector<VisibleState>> Found =
+      exploreZ(C, Limits, Keep, Symmetry, nullptr, ZSize);
+  argZ(Span, Found, ZSize);
+  return Found;
+}
+
 } // namespace
 
 std::vector<VisibleState> cuba::computeZ(const Cpds &C,
                                          LimitTracker *Limits) {
-  return exploreZ(C, Limits, nullptr, ThreadSymmetry(C))
+  return exploreZSpanned(C, Limits, nullptr, ThreadSymmetry(C))
       .value_or(std::vector<VisibleState>());
 }
 
 std::optional<std::vector<VisibleState>>
 cuba::computeGeneratorsInZ(const Cpds &C, const GeneratorSet &G,
                            LimitTracker *Limits) {
-  return exploreZ(C, Limits, &G, ThreadSymmetry(C));
+  return exploreZSpanned(C, Limits, &G, ThreadSymmetry(C));
 }
 
 std::optional<std::vector<VisibleState>>
 cuba::computeGeneratorsInZ(const Cpds &C, const GeneratorSet &G,
                            LimitTracker *Limits,
                            const ThreadSymmetry &Symmetry) {
-  return exploreZ(C, Limits, &G, Symmetry);
+  return exploreZSpanned(C, Limits, &G, Symmetry);
+}
+
+GeneratorTest::~GeneratorTest() {
+  if (!Pool)
+    return;
+  // Only a run unwinding from another exception gets here (finish()
+  // joins on every other exit); that exception already ends the run as
+  // exhausted, so the build's result and any throw of its own go unread.
+  Cancel.store(true, std::memory_order_relaxed);
+  try {
+    Pool->joinSide();
+  } catch (...) {
+  }
+}
+
+void GeneratorTest::explore(const std::atomic<bool> *CancelFlag) {
+  if (CancelFlag && CancelFlag->load(std::memory_order_relaxed))
+    return; // Cancelled before it started (run at the join).
+  LimitTracker ZLimits(Limits);
+  GeneratorSet G(C);
+  Found = exploreZ(C, &ZLimits, &G, Symmetry, CancelFlag, ZSize);
+}
+
+void GeneratorTest::start(exec::ThreadPool *P) {
+  assert(!Built && !Pool && "G cap Z is built once");
+  if (!P || P->jobs() < 2)
+    return;
+  Pool = P;
+  Pool->startSide([this] { explore(&Cancel); });
 }
 
 void GeneratorTest::build() {
-  LimitTracker ZLimits(Limits);
-  std::optional<std::vector<VisibleState>> GZ =
-      computeGeneratorsInZ(C, GeneratorSet(C), &ZLimits, Symmetry);
+  // On the driver either way, so the det span keeps its place in the
+  // trace; after a background build it times the wait at the join.
+  obs::ScopedSpan Span("z-overapprox", obs::Trace::CatDet);
+  if (Pool)
+    std::exchange(Pool, nullptr)->joinSide(); // Rethrows the build's throw.
+  else
+    explore(nullptr);
+  argZ(Span, Found, ZSize);
   Built = true;
-  Complete = GZ.has_value();
+  Complete = Found.has_value();
   if (Complete)
-    Pending = std::move(*GZ);
+    Pending = std::move(*Found);
+}
+
+void GeneratorTest::finish() {
+  if (!Pool)
+    return;
+  Cancel.store(true, std::memory_order_relaxed);
+  std::exchange(Pool, nullptr)->joinSide();
 }

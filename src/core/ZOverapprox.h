@@ -25,6 +25,7 @@
 #ifndef CUBA_CORE_ZOVERAPPROX_H
 #define CUBA_CORE_ZOVERAPPROX_H
 
+#include <atomic>
 #include <optional>
 #include <vector>
 
@@ -35,6 +36,10 @@
 namespace cuba {
 
 class GeneratorSet;
+
+namespace exec {
+class ThreadPool;
+} // namespace exec
 
 /// Computes Z by exhaustive exploration of M_n; the result is sorted.
 /// The domain is finite (|Q| * prod |Sigma_i + 1|) so this terminates
@@ -67,24 +72,42 @@ computeGeneratorsInZ(const Cpds &C, const GeneratorSet &G,
 
 /// Alg. 3's generator test (line 4), G cap Z <= T(R_k), for the explicit
 /// and symbolic runners.  Only this test reads Z, and it runs only at a
-/// new plateau of T(R_k), so G cap Z is built on the first call: a run
-/// that finds its bug before any plateau never explores M_n.  The
-/// exploration gets its own LimitTracker over the run's budget, so it
-/// never moves the engine's trajectory; if that tracker runs out, the
-/// test never passes (covering a truncated Z would be unsound).  G cap Z
-/// is built canonical under \p Symmetry, the one the engine's visible
-/// states are canonical under (a symmetry without classes for the
-/// explicit engine); the test is unchanged, since T(R_k) is closed under
-/// the class permutations.
+/// new plateau of T(R_k).  Serially G cap Z is built on the first call,
+/// so a run that finds its bug before any plateau never explores M_n.
+/// With a pool of more than one job, start() builds it on a worker
+/// beside the rounds instead (Z depends on the CPDS alone), the first
+/// call joins it, and finish() cancels and joins a build the run no
+/// longer needs.  The exploration gets its own LimitTracker over the
+/// run's budget, so it never moves the engine's trajectory; if that
+/// tracker runs out, the test never passes (covering a truncated Z would
+/// be unsound).  Either way the det `z-overapprox` span is emitted on
+/// the driver at the first call (at jobs > 1 its duration is the
+/// driver's wait at the join), so traces match at every `--jobs`.
+/// G cap Z is built canonical under \p Symmetry, the one the engine's
+/// visible states are canonical under (a symmetry without classes for
+/// the explicit engine); the test is unchanged, since T(R_k) is closed
+/// under the class permutations.
 class GeneratorTest {
 public:
   GeneratorTest(const Cpds &C, const ResourceLimits &Limits,
                 ThreadSymmetry Symmetry)
       : C(C), Limits(Limits), Symmetry(std::move(Symmetry)) {}
+  /// Cancels and joins a background build still running, dropping its
+  /// result and any exception (the run is over or already unwinding).
+  ~GeneratorTest();
+
+  GeneratorTest(const GeneratorTest &) = delete;
+  GeneratorTest &operator=(const GeneratorTest &) = delete;
+
+  /// Starts building G cap Z on a worker of \p Pool when it has more
+  /// than one job; otherwise (nullptr included) the first coveredBy call
+  /// builds it.  The pool must outlive finish().
+  void start(exec::ThreadPool *Pool);
 
   /// True when \p E has reached every state of G cap Z.  Monotone:
   /// reached entries stay reached, so they are dropped and only the
-  /// remainder is retested at later plateaus.
+  /// remainder is retested at later plateaus.  Rethrows what a
+  /// background build threw.
   template <typename EngineT> bool coveredBy(const EngineT &E) {
     if (!Built)
       build();
@@ -95,12 +118,28 @@ public:
     return Pending.empty();
   }
 
+  /// Ends the run: cancels a background build that is still running and
+  /// joins it, rethrowing what it threw.  No span is emitted for it.
+  void finish();
+
 private:
+  /// Builds (or joins) G cap Z and emits its span.
   void build();
+  /// One exploration of M_n into Found and ZSize, stopping early once
+  /// \p Cancel is set.
+  void explore(const std::atomic<bool> *Cancel);
 
   const Cpds &C;
   ResourceLimits Limits;
   ThreadSymmetry Symmetry;
+  /// Set while a background build is outstanding.
+  exec::ThreadPool *Pool = nullptr;
+  std::atomic<bool> Cancel{false};
+  /// The exploration's output, written by whichever thread ran it and
+  /// read after the join: G cap Z (nullopt when its budget ran out) and
+  /// |Z|.
+  std::optional<std::vector<VisibleState>> Found;
+  uint64_t ZSize = 0;
   bool Built = false;
   bool Complete = false;
   std::vector<VisibleState> Pending;

@@ -11,6 +11,7 @@
 #include <cassert>
 #include <chrono>
 #include <cstdlib>
+#include <utility>
 
 #include "support/FaultInject.h"
 #include "support/StringUtils.h"
@@ -29,28 +30,6 @@ struct ActiveParticipant {
 
 thread_local ActiveParticipant CurrentParticipant;
 
-/// One polite busy-wait beat for the pre-sleep spin.
-inline void cpuPause() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__) || defined(__arm__)
-  asm volatile("yield");
-#endif
-}
-
-/// How many pause beats a worker spins after finishing a batch before
-/// falling back to the condition variable.  A few microseconds: enough
-/// to catch the next level of a fork-join round (the explicit engine
-/// dispatches levels back to back, and a futex sleep/wake costs more
-/// than a small level's whole derive), small enough that an idle pool's
-/// burn is unmeasurable -- the pool still *sleeps* when no work
-/// arrives, pinned by ExecTest.PoolSleepsWhenIdle.  Workers only spin
-/// at all when the machine has a core for every participant (see
-/// ThreadPool::SpinOnIdle): on an oversubscribed or single-core host a
-/// spinning worker steals exactly the cycles the driving thread needs,
-/// turning the latency cut into a slowdown.
-constexpr int SpinIters = 1 << 12;
-
 /// RAII for the participant marker (exception-safe restore).
 struct ParticipantScope {
   ParticipantScope(const ThreadPool *P, unsigned W)
@@ -68,7 +47,6 @@ ThreadPool::ThreadPool(unsigned Jobs) {
   // One cap for every source of the value (--jobs, CUBA_JOBS, tests):
   // beyond it extra workers only oversubscribe.
   unsigned Target = std::clamp(Jobs, 1u, 256u);
-  SpinOnIdle = std::thread::hardware_concurrency() >= Target;
   Stats = std::make_unique<StatsCell[]>(Target);
   Workers.reserve(Target - 1);
   try {
@@ -80,7 +58,7 @@ ThreadPool::ThreadPool(unsigned Jobs) {
     // std::terminate on destruction -- and surface the error.
     {
       std::lock_guard<std::mutex> L(M);
-      Stop.store(true, std::memory_order_relaxed);
+      Stop = true;
     }
     WorkCv.notify_all();
     for (std::thread &T : Workers)
@@ -90,9 +68,10 @@ ThreadPool::ThreadPool(unsigned Jobs) {
 }
 
 ThreadPool::~ThreadPool() {
+  assert(!SideOutstanding && "a side task outlives its pool");
   {
     std::lock_guard<std::mutex> L(M);
-    Stop.store(true, std::memory_order_relaxed);
+    Stop = true;
   }
   WorkCv.notify_all();
   for (std::thread &T : Workers)
@@ -165,26 +144,29 @@ void ThreadPool::workerLoop(unsigned Worker) {
   uint64_t SeenGeneration = 0;
   std::unique_lock<std::mutex> L(M);
   for (;;) {
-    // Brief bounded spin before sleeping: fork-join rounds dispatch
-    // batches back to back, and for small explicit levels the futex
-    // wake dominates the level itself.  The spin runs unlocked on the
-    // atomics; whether it fires or times out, the cv handshake below is
-    // what actually admits the worker to the batch.
-    L.unlock();
-    for (int I = SpinOnIdle ? SpinIters : 0; I > 0; --I) {
-      if (Stop.load(std::memory_order_relaxed) ||
-          Generation.load(std::memory_order_acquire) != SeenGeneration)
-        break;
-      cpuPause();
-    }
-    L.lock();
+    // Workers sleep between batches rather than spin: only levels large
+    // enough to repay a wake-up are dispatched (CbaEngine::
+    // MinParallelLevel), and the serial commit between two of them
+    // lasts longer than a spin would wait.
     WorkCv.wait(L, [&] {
-      return Stop.load(std::memory_order_relaxed) ||
-             Generation.load(std::memory_order_relaxed) != SeenGeneration;
+      return Stop || SidePending || Generation != SeenGeneration;
     });
-    if (Stop.load(std::memory_order_relaxed))
+    if (Stop)
       return;
-    SeenGeneration = Generation.load(std::memory_order_relaxed);
+    if (SidePending) {
+      // Claim the side task; batches started meanwhile go on without
+      // this worker, which joins them late (or skips them) afterwards.
+      SidePending = false;
+      std::function<void()> F = std::move(SideFn);
+      L.unlock();
+      std::exception_ptr Exc = runSide(F);
+      L.lock();
+      SideExc = Exc;
+      SideOutstanding = false;
+      SideCv.notify_all();
+      continue;
+    }
+    SeenGeneration = Generation;
     // A wakeup can arrive after the batch it was meant for has already
     // drained and joined (the caller only waits for *entered* workers).
     // The batch is gone once run() cleared Fn; skip back to waiting.
@@ -251,7 +233,7 @@ void ThreadPool::run(size_t N, TaskRef F) {
     ActiveWorkers = 0;
     FirstExc = nullptr;
     NextTask.store(0, std::memory_order_relaxed);
-    Generation.fetch_add(1, std::memory_order_release);
+    ++Generation;
   }
   // Waking more workers than there are remaining tasks only buys
   // wakeup latency; the ones left asleep skip this generation entirely
@@ -276,6 +258,54 @@ void ThreadPool::run(size_t N, TaskRef F) {
     Exc = FirstExc;
     FirstExc = nullptr;
   }
+  if (Exc)
+    std::rethrow_exception(Exc);
+}
+
+std::exception_ptr ThreadPool::runSide(std::function<void()> &F) {
+  try {
+    if (fault::fire(fault::Point::Worker))
+      throw fault::InjectedFault();
+    F();
+  } catch (...) {
+    return std::current_exception();
+  }
+  return nullptr;
+}
+
+void ThreadPool::startSide(std::function<void()> Fn) {
+  {
+    std::lock_guard<std::mutex> L(M);
+    assert(!SideOutstanding && "one side task at a time");
+    SideFn = std::move(Fn);
+    SideExc = nullptr;
+    SideOutstanding = true;
+    SidePending = true;
+  }
+  WorkCv.notify_one();
+}
+
+void ThreadPool::joinSide() {
+  std::function<void()> F;
+  std::exception_ptr Exc;
+  bool RunHere = false;
+  {
+    std::unique_lock<std::mutex> L(M);
+    if (!SideOutstanding)
+      return;
+    if (SidePending) {
+      // Unclaimed: run it here rather than wait for a worker to wake.
+      SidePending = false;
+      F = std::move(SideFn);
+      SideOutstanding = false;
+      RunHere = true;
+    } else {
+      SideCv.wait(L, [&] { return !SideOutstanding; });
+      Exc = std::exchange(SideExc, nullptr);
+    }
+  }
+  if (RunHere)
+    Exc = runSide(F);
   if (Exc)
     std::rethrow_exception(Exc);
 }

@@ -7,13 +7,14 @@
 ///
 /// \file
 /// The execution substrate for the explicit engine's parallel levels
-/// (CbaEngine; symbolic rounds are serial).  A ThreadPool owns jobs-1 long-lived worker threads; run()
-/// executes a batch of indexed tasks with the calling thread
-/// participating as worker 0, and returns only when every task has
-/// finished (fork-join).  Idle participants steal the next unclaimed
-/// task index from a shared atomic counter, so load balance is dynamic
-/// while the task *indexing* -- the only thing the engine's ordered
-/// merges depend on -- is fixed by the caller.
+/// (CbaEngine) and for the one side task a run keeps beside them (G cap
+/// Z, core/ZOverapprox; symbolic rounds are serial).  A ThreadPool owns
+/// jobs-1 long-lived worker threads; run() executes a batch of indexed
+/// tasks with the calling thread participating as worker 0, and returns
+/// only when every task has finished (fork-join).  Idle participants
+/// steal the next unclaimed task index from a shared atomic counter, so
+/// load balance is dynamic while the task *indexing* -- the only thing
+/// the engine's ordered merges depend on -- is fixed by the caller.
 ///
 /// Determinism contract: a task may depend only on its index and on
 /// state that is frozen for the duration of the batch; anything
@@ -29,6 +30,14 @@
 /// own batch) execute inline on the calling participant, which keeps
 /// fork-join composable without a second scheduling layer.
 ///
+/// Side task: startSide() hands one self-contained job to an idle
+/// worker and returns after a wake-up, so the caller's batches proceed
+/// beside it on the other participants; joinSide() waits for it (or runs
+/// it on the caller when no worker has claimed it yet) and rethrows its
+/// exception.  A side task reads only state nobody writes while it runs
+/// and publishes its result through its own captures, so the caller
+/// sees the same result whichever thread ran it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CUBA_EXEC_THREADPOOL_H
@@ -39,6 +48,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -117,11 +127,28 @@ public:
   /// Per-participant busy/task/batch totals since construction, indexed
   /// by worker id (jobs() entries).  Safe to call between batches; a
   /// concurrent batch may be mid-update, so treat the figures as
-  /// monotone approximations.
+  /// monotone approximations.  Batch participation only: a side task is
+  /// not counted.
   std::vector<WorkerStats> workerStats() const;
+
+  /// Hands \p Fn to one idle worker and returns at once: the caller pays
+  /// a wake-up, not a thread spawn.  At most one side task is
+  /// outstanding; joinSide() must follow before the next startSide() and
+  /// before the pool dies.  \p Fn must not run batches on this pool.  On
+  /// a pool without workers it runs at joinSide().
+  void startSide(std::function<void()> Fn);
+
+  /// Waits until the side task has run and rethrows what it threw.  A
+  /// task no worker has claimed yet runs here, on the caller, so every
+  /// started task runs exactly once -- after the same Worker fault probe
+  /// a batch task passes -- wherever it runs.
+  void joinSide();
 
 private:
   void workerLoop(unsigned Worker);
+  /// Probes the Worker fault point, then runs the claimed side task;
+  /// returns what either threw.
+  static std::exception_ptr runSide(std::function<void()> &F);
   /// Claims and executes tasks until the batch is drained; returns the
   /// number executed (the caller settles the batch accounting).
   size_t participate(unsigned Worker, const TaskRef &Fn, size_t NumTasks);
@@ -134,21 +161,23 @@ private:
   std::condition_variable DoneCv;
   const TaskRef *Fn = nullptr; // Valid while a batch is live.
   size_t NumTasks = 0;
-  /// Bumped per batch (under M; atomic so the workers' pre-sleep spin
-  /// can watch it without the lock).
-  std::atomic<uint64_t> Generation{0};
+  uint64_t Generation = 0;   // Bumped per batch (guarded by M).
   size_t Unfinished = 0;    // Tasks not yet executed (guarded by M).
   size_t ActiveWorkers = 0; // Workers inside the current batch.
-  /// Written under M; atomic for the same lock-free spin.
-  std::atomic<bool> Stop{false};
-  /// Spin-before-sleep is enabled only when the host has a hardware
-  /// thread for every participant; otherwise spinning workers steal the
-  /// very cycles the driving thread needs (set once at construction).
-  bool SpinOnIdle = false;
+  bool Stop = false;        // Guarded by M.
   std::exception_ptr FirstExc;
   size_t FirstExcTask = 0;
 
   std::atomic<size_t> NextTask{0};
+
+  /// The side task, guarded by M: SideFn holds it from startSide() until
+  /// a worker (or joinSide()) claims it, while SidePending is set;
+  /// SideOutstanding stays set until it has run.
+  std::function<void()> SideFn;
+  bool SidePending = false;
+  bool SideOutstanding = false;
+  std::exception_ptr SideExc;
+  std::condition_variable SideCv;
 
   /// One padded accounting cell per participant, written only by its
   /// owner (relaxed atomics so workerStats() reads race-free).

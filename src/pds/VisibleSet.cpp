@@ -69,10 +69,13 @@ VisibleRoundSet::statesInRound(unsigned Round) const {
     return Out;
   }
   std::vector<uint64_t> Words;
-  Packed.forEach([&](uint64_t Bits, unsigned R) {
-    if (R == Round)
-      Words.push_back(Bits);
-  });
+  if (Round == LatestRound)
+    Words = LatestWords;
+  else if (Round < LatestRound) // No state is first seen past LatestRound.
+    Packed.forEach([&](uint64_t Bits, unsigned R) {
+      if (R == Round)
+        Words.push_back(Bits);
+    });
   std::sort(Words.begin(), Words.end()); // Packed order == state order.
   Out.reserve(Words.size());
   for (uint64_t Bits : Words)

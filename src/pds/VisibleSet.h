@@ -110,7 +110,7 @@ public:
   /// true when it was.
   bool insertTops(QState Q, const Sym *Tops, unsigned Round) {
     if (Packer.packable())
-      return Packed.tryEmplace(Packer.pack(Q, Tops, NumThreads), Round).second;
+      return insertWord(Packer.pack(Q, Tops, NumThreads), Round);
     VisibleState V;
     V.Q = Q;
     V.Tops.assign(Tops, Tops + NumThreads);
@@ -119,7 +119,7 @@ public:
 
   void insert(const VisibleState &V, unsigned Round) {
     if (Packer.packable())
-      Packed.tryEmplace(Packer.pack(V), Round);
+      insertWord(Packer.pack(V), Round);
     else
       Fallback.emplace(V, Round);
   }
@@ -138,7 +138,7 @@ public:
     assert(Packer.packable() && "packed batch on an unpackable system");
     Packed.reserve(Packed.size() + Words.size());
     for (uint64_t W : Words)
-      Packed.tryEmplace(W, Round);
+      insertWord(W, Round);
   }
 
   bool contains(const VisibleState &V) const {
@@ -149,14 +149,33 @@ public:
   /// All entries sorted by VisibleState order (the packing preserves it).
   std::vector<std::pair<VisibleState, unsigned>> sortedEntries() const;
 
-  /// The visible states first seen in \p Round, sorted.
+  /// The visible states first seen in \p Round, sorted.  The latest
+  /// round any state was first seen in is served from its own list;
+  /// older rounds scan the whole set.
   std::vector<VisibleState> statesInRound(unsigned Round) const;
 
 private:
+  /// Records packed word \p W at \p Round if absent; true when it was.
+  bool insertWord(uint64_t W, unsigned Round) {
+    if (!Packed.tryEmplace(W, Round).second)
+      return false;
+    if (Round > LatestRound) {
+      LatestRound = Round;
+      LatestWords.clear();
+    }
+    if (Round == LatestRound)
+      LatestWords.push_back(W);
+    return true;
+  }
+
   VisiblePacker Packer;
   unsigned NumThreads;
   FlatMap<uint64_t, unsigned> Packed;
   std::map<VisibleState, unsigned> Fallback;
+  /// The packed words first seen in LatestRound, the latest round of any
+  /// first insertion, in insertion order.
+  std::vector<uint64_t> LatestWords;
+  unsigned LatestRound = 0;
 };
 
 } // namespace cuba

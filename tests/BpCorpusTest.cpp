@@ -427,9 +427,11 @@ TEST(BpCorpus, CliAcceptsBoundaryFlagValues) {
 
 TEST(BpCorpus, ZIsExploredOnlyWhenTheGeneratorTestRuns) {
   // Alg. 3 reads G cap Z only at a new plateau of T(R_k), so runCuba
-  // explores Z at the first such plateau.  The buggy models hit their bug
-  // before any plateau and never explore it; the safe ones explore it
-  // exactly once.
+  // explores Z at the first such plateau -- or, with more than one job
+  // (the CLI defaults to the core count), beside the rounds, joined
+  // there.  The buggy models hit their bug before any plateau: they never
+  // read Z, and a build they cancel emits no span.  The safe ones emit
+  // exactly one.
   struct Case {
     const char *Model;
     int ExitCode; // 0 safe, 1 bug.

@@ -26,12 +26,17 @@
 #include "core/Generators.h"
 #include "core/ObservationSequence.h"
 #include "core/ZOverapprox.h"
+#include "exec/ThreadPool.h"
 #include "models/Models.h"
+#include "obs/Trace.h"
 #include "pds/CpdsIO.h"
 #include "pds/VisibleSet.h"
 #include "testing/RandomCpds.h"
 
+#include "DetTrace.h"
+
 using namespace cuba;
+using cuba::testing::stripTrace;
 
 namespace {
 
@@ -410,6 +415,48 @@ TEST(ZOverapprox, WideSystemsTakeTheVisibleStateFallback) {
   expectSameBudgetTrajectory(F.System, "wide");
   GeneratorSet G(F.System);
   EXPECT_FALSE(computeGeneratorsInZ(F.System, G)->empty());
+}
+
+TEST(ZOverapprox, BackgroundBuildAnswersLikeTheSerialOne) {
+  // GeneratorTest::start builds G cap Z on a worker and the first
+  // coveredBy joins it.  Its answers and the det span emitted at the
+  // join must be the serial build's, also under a budget that truncates
+  // Z; a build the run cancels emits no span at all.
+  exec::ThreadPool Pool(2);
+  const CpdsFile Files[] = {models::buildFig1(),
+                            models::buildBluetooth(1, 1, 1), buildWideCpds()};
+  const ResourceLimits Budgets[] = {ResourceLimits::unlimited(),
+                                    ResourceLimits{0, 20, 0, 0}};
+  unsigned Truncated = 0;
+  for (const CpdsFile &F : Files)
+    for (const ResourceLimits &L : Budgets) {
+      auto Answers = [&](exec::ThreadPool *P) {
+        obs::Trace::begin();
+        CbaEngine E(F.System, ResourceLimits::unlimited());
+        GeneratorTest G(F.System, L, ThreadSymmetry(F.System));
+        G.start(P);
+        std::vector<bool> Covered;
+        while (E.bound() < 4 && E.advance() == CbaEngine::RoundStatus::Ok)
+          Covered.push_back(G.coveredBy(E));
+        G.finish();
+        obs::Trace::end();
+        return std::make_pair(Covered, stripTrace(obs::Trace::render()));
+      };
+      auto Serial = Answers(nullptr);
+      EXPECT_EQ(Serial == Answers(&Pool), true) << F.System.threadName(0);
+      Truncated += Serial.second.find("\"exhausted\": 1") != std::string::npos;
+    }
+  EXPECT_GT(Truncated, 0u) << "no budget truncated Z";
+
+  obs::Trace::begin();
+  {
+    GeneratorTest G(Files[1].System, ResourceLimits::unlimited(),
+                    ThreadSymmetry(Files[1].System));
+    G.start(&Pool);
+    G.finish();
+  }
+  obs::Trace::end();
+  EXPECT_EQ(obs::Trace::render().find("z-overapprox"), std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//

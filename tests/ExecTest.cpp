@@ -7,8 +7,9 @@
 ///
 /// \file
 /// Unit tests for the deterministic fork-join substrate: ThreadPool task
-/// coverage and exception semantics, the ParallelRound helpers' ordered
-/// merging, and WorkerLocal slot exclusivity.
+/// coverage and exception semantics, the side task beside the batches,
+/// the ParallelRound helpers' ordered merging, and WorkerLocal slot
+/// exclusivity.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +25,7 @@
 #include "exec/ParallelRound.h"
 #include "exec/ThreadPool.h"
 #include "exec/WorkerLocal.h"
+#include "support/FaultInject.h"
 
 using namespace cuba;
 using namespace cuba::exec;
@@ -142,13 +144,12 @@ TEST(ThreadPool, BackToBackSmallBatchesStayIsolated) {
 }
 
 TEST(ThreadPool, PoolSleepsWhenIdle) {
-  // The workers' spin-before-sleep is *bounded*: after a batch drains
-  // and no new one arrives within the spin window (tens of
-  // microseconds), every worker must fall back to the condition
-  // variable.  Pin it by measuring process CPU time across an idle wall
-  // interval -- a busy-burning pool of 4 workers would consume roughly
-  // 4x the interval; a sleeping one consumes (far) less than one
-  // interval even with scheduler noise.
+  // After a batch drains and no new one arrives, every worker must wait
+  // on the condition variable rather than burn a core.  Pin it by
+  // measuring process CPU time across an idle wall interval -- a
+  // busy-burning pool of 4 workers would consume roughly 4x the
+  // interval; a sleeping one consumes (far) less than one interval even
+  // with scheduler noise.
   ThreadPool Pool(4);
   std::atomic<int> Count{0};
   Pool.run(64, [&](unsigned, size_t) { ++Count; });
@@ -164,6 +165,79 @@ TEST(ThreadPool, PoolSleepsWhenIdle) {
   // And the pool still wakes up for the next batch after sleeping.
   Pool.run(64, [&](unsigned, size_t) { ++Count; });
   EXPECT_EQ(Count.load(), 128);
+}
+
+TEST(ThreadPool, SideTaskRunsOnAWorkerBesideBatches) {
+  // The side task holds its worker until released; meanwhile batches
+  // still run to completion on the remaining participants, and the pool
+  // stays usable after the join.
+  ThreadPool Pool(2);
+  std::atomic<bool> Started{false}, Release{false};
+  std::thread::id SideThread;
+  Pool.startSide([&] {
+    SideThread = std::this_thread::get_id();
+    Started = true;
+    while (!Release)
+      std::this_thread::yield();
+  });
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::atomic<size_t> Count{0};
+  while (!Started && std::chrono::steady_clock::now() < Deadline)
+    Pool.run(16, [&](unsigned, size_t) { ++Count; });
+  EXPECT_TRUE(Started) << "no worker claimed the side task";
+  Pool.run(16, [&](unsigned, size_t) { ++Count; });
+  EXPECT_EQ(Count.load() % 16, 0u);
+  Release = true;
+  Pool.joinSide();
+  EXPECT_NE(SideThread, std::this_thread::get_id());
+  Pool.run(64, [&](unsigned, size_t) { ++Count; });
+  Pool.joinSide(); // Nothing outstanding: a no-op.
+}
+
+TEST(ThreadPool, SideTaskExceptionSurfacesAtTheJoin) {
+  for (unsigned Jobs : {1u, 4u}) {
+    ThreadPool Pool(Jobs);
+    Pool.startSide([] { throw std::runtime_error("side"); });
+    try {
+      Pool.joinSide();
+      FAIL() << "expected an exception at jobs " << Jobs;
+    } catch (const std::runtime_error &E) {
+      EXPECT_STREQ(E.what(), "side");
+    }
+    // Joined: the next side task starts cleanly.
+    bool Ran = false;
+    Pool.startSide([&] { Ran = true; });
+    Pool.joinSide();
+    EXPECT_TRUE(Ran);
+  }
+}
+
+TEST(ThreadPool, WorkerlessPoolRunsTheSideTaskAtTheJoin) {
+  ThreadPool Pool(1);
+  bool Ran = false;
+  Pool.startSide([&] { Ran = true; });
+  EXPECT_FALSE(Ran);
+  Pool.joinSide();
+  EXPECT_TRUE(Ran);
+}
+
+TEST(ThreadPool, SideTaskProbesTheWorkerFaultPointOnce) {
+  // Wherever it runs, a side task passes one Worker probe first, so a
+  // fault sweep sizes its index range the same way on every schedule.
+  for (unsigned Jobs : {1u, 2u}) {
+    ThreadPool Pool(Jobs);
+    {
+      fault::ScopedArm Count(fault::Point::Worker, UINT64_MAX);
+      Pool.startSide([] {});
+      Pool.joinSide();
+      EXPECT_EQ(fault::probes(fault::Point::Worker), 1u) << "jobs " << Jobs;
+    }
+    fault::ScopedArm Arm(fault::Point::Worker, 0);
+    bool Ran = false;
+    Pool.startSide([&] { Ran = true; });
+    EXPECT_THROW(Pool.joinSide(), fault::InjectedFault) << "jobs " << Jobs;
+    EXPECT_FALSE(Ran);
+  }
 }
 
 TEST(ThreadPool, DefaultJobsHonoursEnvOverride) {

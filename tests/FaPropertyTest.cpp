@@ -279,7 +279,10 @@ TEST(FaProperty, DirectCanonicalizationHonoursExplicitRoots) {
 // The injected-mutation sensitivity check: an under-refining
 // canonicalizeNfa must be caught by the reference comparison (pins the
 // suite's teeth, like the differential oracle's InjectDropVisible
-// check).  The reference does not read the hook.
+// check).  The reference does not read the hook.  The instances are
+// wider than randomNfa's default (up to 12 states over 2-4 symbols): on
+// small ones acceptance alone often separates the minimal DFA's states,
+// which leaves an acceptance-only partition nothing to get wrong.
 //===----------------------------------------------------------------------===//
 
 TEST(FaProperty, ReferenceComparisonCatchesInjectedMinimizeBug) {
@@ -287,12 +290,14 @@ TEST(FaProperty, ReferenceComparisonCatchesInjectedMinimizeBug) {
   unsigned Caught = 0;
   for (unsigned I = 0; I < 40; ++I) {
     SplitMix64 Rng((1000 + I) * 0x9e3779b97f4a7c15ull + 0xff);
-    Nfa A = randomNfa(Rng);
+    Nfa A = randomNfa(Rng, /*MaxStates=*/12, /*MaxSymbols=*/4,
+                      /*MinSymbols=*/2);
     if (canonicalizeNfa(A) !=
         reference::canonicalize(reference::determinize(A)))
       ++Caught;
   }
   fa_testing::InjectMinimizeUnderRefine = false;
+  RecordProperty("caught", static_cast<int>(Caught));
   EXPECT_GE(Caught, 10u)
       << "an under-refining canonicalizeNfa went largely unnoticed";
 }

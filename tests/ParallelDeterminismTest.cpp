@@ -12,12 +12,15 @@
 /// discovery order (a proxy for dense id assignment), visibleFirstSeen
 /// ordering and budget accounting.  Checked over 72 seeded random
 /// instances (the fuzz generator's corner-shape presets) plus paper
-/// models, at jobs 1 / 2 / 8, including runs whose budget exhausts
-/// mid-round -- the trickiest path, since the parallel commit must stop
-/// at exactly the serial charge.  Both drivers are pinned across
-/// RunOptions::Pool, the symbolic one on systems with classes of
-/// identical threads (run on orbits) with its det trace and det metrics
-/// too.
+/// models, at jobs 1 / 2 / 4 / 8, including runs whose budget exhausts
+/// mid-round -- the trickiest path, since the dispatched commit must
+/// stop at exactly the serial charge.  Every engine comparison runs
+/// twice: with every level dispatched (CbaEngine::setParallel's MinLevel
+/// of 1), and at the default threshold, under which these small levels
+/// are expanded in place.  Both drivers are pinned across
+/// RunOptions::Pool, which also builds G cap Z on a worker beside the
+/// rounds; the symbolic one on systems with classes of identical threads
+/// (run on orbits) with its det trace and det metrics too.
 ///
 /// Symbolic and weighted (dataflow) rounds are serial at every job
 /// count, so their engines are pinned against themselves instead: a
@@ -76,9 +79,10 @@ struct ExplicitTrace {
 };
 
 ExplicitTrace runExplicit(const Cpds &C, const ResourceLimits &L,
-                          exec::ThreadPool *Pool) {
+                          exec::ThreadPool *Pool,
+                          size_t MinLevel = CbaEngine::MinParallelLevel) {
   CbaEngine E(C, L);
-  E.setParallel(Pool);
+  E.setParallel(Pool, MinLevel);
   ExplicitTrace T;
   T.Frontiers.push_back(E.frontier());
   while (E.bound() < MaxK) {
@@ -331,10 +335,25 @@ std::vector<ResourceLimits> midCommitBudgets() {
   return Budgets;
 }
 
+/// The dispatch thresholds every engine comparison runs under: every
+/// level dispatched, and the default.
+constexpr size_t MinLevels[] = {1, CbaEngine::MinParallelLevel};
+
 class ParallelDeterminismTest : public ::testing::Test {
 protected:
   exec::ThreadPool Pool2{2};
+  exec::ThreadPool Pool4{4};
   exec::ThreadPool Pool8{8};
+
+  /// The explicit engine on \p C under \p L at jobs 2, 4 and 8, at each
+  /// threshold, must equal its serial run.
+  void expectExplicitMatches(const Cpds &C, const ResourceLimits &L,
+                             uint64_t Seed, const char *Tag) {
+    ExplicitTrace E1 = runExplicit(C, L, nullptr);
+    for (exec::ThreadPool *Pool : {&Pool2, &Pool4, &Pool8})
+      for (size_t MinLevel : MinLevels)
+        expectSameExplicit(E1, runExplicit(C, L, Pool, MinLevel), Seed, Tag);
+  }
 };
 
 TEST_F(ParallelDeterminismTest, EnginesMatchAcrossJobCountsOnRandomCpds) {
@@ -344,9 +363,7 @@ TEST_F(ParallelDeterminismTest, EnginesMatchAcrossJobCountsOnRandomCpds) {
         Seed, cuba::testing::cornerShapeOptions(Seed));
     for (const ResourceLimits &L : {FuzzLimits, TinyLimits}) {
       const char *Tag = L.MaxStates == TinyLimits.MaxStates ? "tiny" : "fuzz";
-      ExplicitTrace E1 = runExplicit(File.System, L, nullptr);
-      expectSameExplicit(E1, runExplicit(File.System, L, &Pool2), Seed, Tag);
-      expectSameExplicit(E1, runExplicit(File.System, L, &Pool8), Seed, Tag);
+      expectExplicitMatches(File.System, L, Seed, Tag);
     }
     // The symbolic engine's mid-round truncation: the tiny budget's
     // completed rounds are the fuzz budget's.
@@ -366,14 +383,15 @@ TEST_F(ParallelDeterminismTest, DriversMatchAcrossJobCounts) {
     RunOptions Base;
     Base.Limits = FuzzLimits;
 
-    RunOptions Jobs2 = Base, Jobs8 = Base;
+    RunOptions Jobs2 = Base, Jobs4 = Base, Jobs8 = Base;
     Jobs2.Pool = &Pool2;
+    Jobs4.Pool = &Pool4;
     Jobs8.Pool = &Pool8;
 
     ExplicitCombinedResult E1 =
         runExplicitCombined(File.System, File.Property, Base);
     SymbolicRunResult S1 = runAlg3Symbolic(File.System, File.Property, Base);
-    for (const RunOptions &RO : {Jobs2, Jobs8}) {
+    for (const RunOptions &RO : {Jobs2, Jobs4, Jobs8}) {
       ExplicitCombinedResult EP =
           runExplicitCombined(File.System, File.Property, RO);
       EXPECT_EQ(E1.Run.BugBound, EP.Run.BugBound) << "seed " << Seed;
@@ -422,11 +440,12 @@ TEST_F(ParallelDeterminismTest, SymmetricModelsMatchAcrossJobCounts) {
   for (const Instance &In : Instances) {
     RunOptions Base;
     Base.Limits = In.Limits;
-    RunOptions Jobs2 = Base, Jobs8 = Base;
+    RunOptions Jobs2 = Base, Jobs4 = Base, Jobs8 = Base;
     Jobs2.Pool = &Pool2;
+    Jobs4.Pool = &Pool4;
     Jobs8.Pool = &Pool8;
     TracedDriverRun S1 = runDriverTraced(In.File, Base);
-    for (const RunOptions &RO : {Jobs2, Jobs8}) {
+    for (const RunOptions &RO : {Jobs2, Jobs4, Jobs8}) {
       TracedDriverRun SP = runDriverTraced(In.File, RO);
       expectSameSymbolicDriver(S1.R, SP.R, In.Name);
       EXPECT_EQ(S1.DetTrace, SP.DetTrace) << In.Name;
@@ -445,11 +464,7 @@ TEST_F(ParallelDeterminismTest, PaperModelsMatchAcrossJobCounts) {
   CpdsFile Models[] = {models::buildFig1(), models::buildBluetooth(3, 1, 1),
                        models::buildBluetooth(3, 2, 2)};
   for (const CpdsFile &File : Models) {
-    ExplicitTrace E1 = runExplicit(File.System, Loose, nullptr);
-    expectSameExplicit(E1, runExplicit(File.System, Loose, &Pool2), 0,
-                       "model");
-    expectSameExplicit(E1, runExplicit(File.System, Loose, &Pool8), 0,
-                       "model");
+    expectExplicitMatches(File.System, Loose, 0, "model");
   }
 }
 
@@ -466,11 +481,7 @@ TEST_F(ParallelDeterminismTest, MemoryBudgetMatchesAcrossJobCounts) {
   for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
     CpdsFile File = cuba::testing::generateRandomCpds(
         Seed, cuba::testing::cornerShapeOptions(Seed));
-    ExplicitTrace E1 = runExplicit(File.System, MemLimits, nullptr);
-    expectSameExplicit(E1, runExplicit(File.System, MemLimits, &Pool2), Seed,
-                       "mem");
-    expectSameExplicit(E1, runExplicit(File.System, MemLimits, &Pool8), Seed,
-                       "mem");
+    expectExplicitMatches(File.System, MemLimits, Seed, "mem");
     Compared += expectSameCompletedRounds(runSymbolic(File.System, FuzzLimits),
                                           runSymbolic(File.System, MemLimits),
                                           Seed, "mem");
@@ -532,9 +543,7 @@ TEST_F(ParallelDeterminismTest, ShardStressDegenerateShardCountsMatch) {
     for (const ResourceLimits &L : {FuzzLimits, TinyLimits}) {
       const char *Tag =
           L.MaxStates == TinyLimits.MaxStates ? "shard-tiny" : "shard-fuzz";
-      ExplicitTrace E1 = runExplicit(File.System, L, nullptr);
-      expectSameExplicit(E1, runExplicit(File.System, L, &Pool2), Seed, Tag);
-      expectSameExplicit(E1, runExplicit(File.System, L, &Pool8), Seed, Tag);
+      expectExplicitMatches(File.System, L, Seed, Tag);
     }
     if (HasFailure())
       break;
@@ -554,11 +563,7 @@ TEST_F(ParallelDeterminismTest, ShardStressMidCommitExhaustionMatches) {
     CpdsFile File = cuba::testing::generateRandomCpds(
         Seed, cuba::testing::cornerShapeOptions(Seed));
     for (const ResourceLimits &L : Budgets) {
-      ExplicitTrace E1 = runExplicit(File.System, L, nullptr);
-      expectSameExplicit(E1, runExplicit(File.System, L, &Pool2), Seed,
-                         "shard-exhaust");
-      expectSameExplicit(E1, runExplicit(File.System, L, &Pool8), Seed,
-                         "shard-exhaust");
+      expectExplicitMatches(File.System, L, Seed, "shard-exhaust");
     }
     if (HasFailure())
       break;
@@ -580,11 +585,7 @@ TEST_F(ParallelDeterminismTest, WideSystemsMatch) {
     O.MaxThreads = 8;
     CpdsFile File = cuba::testing::generateRandomCpds(Seed, O);
     for (const ResourceLimits &L : Budgets) {
-      ExplicitTrace E1 = runExplicit(File.System, L, nullptr);
-      expectSameExplicit(E1, runExplicit(File.System, L, &Pool2), Seed,
-                         "wide");
-      expectSameExplicit(E1, runExplicit(File.System, L, &Pool8), Seed,
-                         "wide");
+      expectExplicitMatches(File.System, L, Seed, "wide");
     }
     // Each budget's completed symbolic rounds are the fuzz budget's.
     SymbolicTrace Ref = runSymbolic(File.System, FuzzLimits);
@@ -639,21 +640,52 @@ TEST_F(ParallelDeterminismTest, EvictionOnPipelinedRoundMatches) {
 
 TEST_F(ParallelDeterminismTest, ExpandAllAblationMatches) {
   // The ablation path (re-expanding every known state) shares the
-  // parallel closure; pin it on one model.
+  // closure loop; pin it on one model.
   CpdsFile File = models::buildBluetooth(3, 1, 1);
-  auto Run = [&](exec::ThreadPool *Pool) {
+  auto Run = [&](exec::ThreadPool *Pool, size_t MinLevel) {
     CbaEngine E(File.System, FuzzLimits);
     E.setExpandAll(true);
-    E.setParallel(Pool);
+    E.setParallel(Pool, MinLevel);
     while (E.bound() < 4 &&
            E.advance() == CbaEngine::RoundStatus::Ok)
       ;
     return std::make_tuple(E.reachedSize(), E.visibleSize(),
                            E.limits().steps(), E.visibleFirstSeen());
   };
-  auto Serial = Run(nullptr);
-  EXPECT_EQ(Serial == Run(&Pool2), true);
-  EXPECT_EQ(Serial == Run(&Pool8), true);
+  auto Serial = Run(nullptr, CbaEngine::MinParallelLevel);
+  for (exec::ThreadPool *Pool : {&Pool2, &Pool4, &Pool8})
+    for (size_t MinLevel : MinLevels)
+      EXPECT_EQ(Serial == Run(Pool, MinLevel), true)
+          << "jobs " << Pool->jobs() << " min level " << MinLevel;
+}
+
+TEST_F(ParallelDeterminismTest, SmallModelsRunNoLevelBatchAtJobs4) {
+  // Levels below CbaEngine::MinParallelLevel parents are expanded in
+  // place, so the verifier on a model whose levels are all small runs no
+  // level batch on the pool; the pool only builds G cap Z beside the
+  // rounds, which is not a batch.  Forcing dispatch through the engine
+  // API does run batches on the same pool, so the probe can see them.
+  auto Batches = [&] {
+    uint64_t N = 0;
+    for (const exec::WorkerStats &W : Pool4.workerStats())
+      N += W.Batches;
+    return N;
+  };
+  const ResourceLimits Loose{200'000, 50'000'000, 8, 0};
+  CpdsFile File = models::buildBluetooth(3, 2, 2);
+  RunOptions RO;
+  RO.Limits = Loose;
+  RO.Pool = &Pool4;
+  uint64_t Before = Batches();
+  ExplicitCombinedResult R = runExplicitCombined(File.System, File.Property, RO);
+  EXPECT_GT(R.Run.StatesStored, 500u);
+  EXPECT_EQ(Batches(), Before) << "a small level was dispatched";
+
+  CbaEngine E(File.System, Loose);
+  E.setParallel(&Pool4, 1);
+  while (E.bound() < 4 && E.advance() == CbaEngine::RoundStatus::Ok)
+    ;
+  EXPECT_GT(Batches(), Before) << "forced dispatch ran no batch";
 }
 
 TEST_F(ParallelDeterminismTest, DataflowRoundsMatchAcrossJobCounts) {

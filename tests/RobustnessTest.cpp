@@ -28,6 +28,7 @@
 
 #include "ReferencePostStar.h"
 #include "core/Algorithms.h"
+#include "core/CbaEngine.h"
 #include "core/SymbolicAlgorithms.h"
 #include "exec/ThreadPool.h"
 #include "fa/Canonicalize.h"
@@ -375,9 +376,54 @@ TEST(Robustness, StepFaultSweepEndsInCleanVerdicts) {
 }
 
 TEST(Robustness, WorkerFaultSweepEndsInCleanVerdicts) {
+  // On a model this small the drivers dispatch no level: the Worker
+  // probes are those of G cap Z's background build, one per run.
   CpdsFile F = models::buildFig1();
   exec::ThreadPool Pool(2);
   sweepEnginePoint(fault::Point::Worker, F, &Pool);
+}
+
+TEST(Robustness, WorkerFaultSweepOverDispatchedLevels) {
+  // The explicit engine with every level dispatched: a fault at any
+  // Worker probe of a level batch surfaces from advance() as the
+  // injected fault (runGuarded's input), and a clean rerun on the same
+  // pool finds the reference rounds again.
+  CpdsFile F = models::buildBluetooth(1, 1, 1);
+  exec::ThreadPool Pool(2);
+  ResourceLimits L = referenceLimits();
+  L.MaxContexts = 4;
+  auto Run = [&](bool &Faulted) {
+    CbaEngine E(F.System, L);
+    E.setParallel(&Pool, /*MinLevel=*/1);
+    Faulted = false;
+    try {
+      while (E.bound() < L.MaxContexts &&
+             E.advance() == CbaEngine::RoundStatus::Ok)
+        ;
+    } catch (const fault::InjectedFault &) {
+      Faulted = true;
+    }
+    return std::make_pair(E.reachedSize(), E.visibleFirstSeen());
+  };
+  bool Faulted = false;
+  auto Ref = Run(Faulted);
+  uint64_t Probes;
+  {
+    fault::ScopedArm Count(fault::Point::Worker, UINT64_MAX);
+    Run(Faulted);
+    Probes = fault::probes(fault::Point::Worker);
+  }
+  ASSERT_GT(Probes, 0u) << "no level was dispatched";
+  ASSERT_LT(Probes, 60000u) << "sweep would silently take too long";
+  for (uint64_t Idx = 0; Idx < Probes; ++Idx) {
+    fault::ScopedArm Arm(fault::Point::Worker, Idx);
+    Run(Faulted);
+    EXPECT_TRUE(Faulted) << "idx " << Idx << " never surfaced";
+    if (::testing::Test::HasFailure())
+      return;
+  }
+  EXPECT_TRUE(Run(Faulted) == Ref);
+  EXPECT_FALSE(Faulted);
 }
 
 TEST(Robustness, IoFaultTakesTheErrorPath) {

@@ -232,9 +232,25 @@ TEST(VisibleRoundSet, KeepsEarliestRoundAndSortsPerRound) {
   EXPECT_EQ(S.statesInRound(0), std::vector<VisibleState>{Vs(1, 0, 2)});
   std::vector<VisibleState> Round1 = {Vs(0, 1, 1), Vs(2, 3, 0)};
   EXPECT_EQ(S.statesInRound(1), Round1);
+  EXPECT_TRUE(S.statesInRound(2).empty());
+
+  // The latest round is served from its own list, an older one by a
+  // scan: both must see exactly the first insertions.
+  const VisiblePacker &P = S.packer();
+  ASSERT_TRUE(P.packable());
+  S.insertPackedBatch({P.pack(Vs(2, 0, 0)), P.pack(Vs(0, 1, 1)),
+                       P.pack(Vs(0, 0, 0)), P.pack(Vs(2, 0, 0))},
+                      2);
+  std::vector<VisibleState> Round2 = {Vs(0, 0, 0), Vs(2, 0, 0)};
+  EXPECT_EQ(S.statesInRound(2), Round2);
+  EXPECT_EQ(S.statesInRound(1), Round1);
+  S.insert(Vs(2, 3, 3), 1); // A late first insertion into an older round.
+  EXPECT_EQ(S.statesInRound(2), Round2);
+  EXPECT_EQ(S.statesInRound(1).size(), 3u);
+  EXPECT_EQ(S.size(), 6u);
 
   auto Entries = S.sortedEntries();
-  ASSERT_EQ(Entries.size(), 3u);
+  ASSERT_EQ(Entries.size(), 6u);
   EXPECT_TRUE(std::is_sorted(
       Entries.begin(), Entries.end(),
       [](const auto &X, const auto &Y) { return X.first < Y.first; }));

@@ -12,12 +12,13 @@
 /// "wall"-category and ph:"M" lines, zero ts/dur/tid -- is byte-identical
 /// to the serial one.  Checked on the paper models plus 20
 /// fuzz-generator seeds at jobs 1 / 2 / 8, alongside the deterministic
-/// half of the metrics snapshot: for the explicit engine, whose levels
-/// run on the pool, and for the symbolic driver, whose rounds are serial
-/// at every job count.  A schema-sanity pass also checks that
-/// the unstripped spans nest properly per thread track (children inside
-/// parents, siblings disjoint), which is what makes the Perfetto view
-/// readable.
+/// half of the metrics snapshot: for the explicit engine with every
+/// level dispatched to the pool, and for both drivers, which build
+/// G cap Z on a worker beside the rounds and emit its `z-overapprox`
+/// span on the driver at the join.  A schema-sanity pass also checks
+/// that the unstripped spans nest properly per thread track (children
+/// inside parents, siblings disjoint), which is what makes the Perfetto
+/// view readable.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "core/Algorithms.h"
 #include "core/CbaEngine.h"
 #include "core/SymbolicAlgorithms.h"
 #include "exec/ThreadPool.h"
@@ -73,15 +75,36 @@ TracedRun runSymbolic(const CpdsFile &File, exec::ThreadPool *Pool) {
   return {obs::Trace::render(), detMetrics()};
 }
 
+/// The explicit engine with every level dispatched to \p Pool.
 TracedRun runExplicit(const Cpds &C, exec::ThreadPool *Pool) {
   obs::Metrics::resetAll();
   obs::Trace::begin();
   CbaEngine E(C, FuzzLimits);
-  E.setParallel(Pool);
+  E.setParallel(Pool, /*MinLevel=*/1);
   while (E.bound() < MaxK && E.advance() == CbaEngine::RoundStatus::Ok)
     ;
   obs::Trace::end();
   return {obs::Trace::render(), detMetrics()};
+}
+
+/// The explicit driver (Scheme 1 || Alg. 3), which reads G cap Z at
+/// the first new plateau of T(R_k).
+TracedRun runExplicitDriver(const CpdsFile &File, exec::ThreadPool *Pool) {
+  obs::Metrics::resetAll();
+  obs::Trace::begin();
+  RunOptions RO;
+  RO.Limits = FuzzLimits;
+  RO.Limits.MaxContexts = MaxK;
+  RO.ContinueAfterBug = true;
+  RO.Pool = Pool;
+  runExplicitCombined(File.System, File.Property, RO);
+  obs::Trace::end();
+  return {obs::Trace::render(), detMetrics()};
+}
+
+/// Whether a rendered trace holds a `z-overapprox` span.
+bool hasZSpan(const std::string &Trace) {
+  return Trace.find("\"name\": \"z-overapprox\"") != std::string::npos;
 }
 
 /// One parsed complete event (ph:"X" lines only).
@@ -158,24 +181,42 @@ protected:
   exec::ThreadPool Pool8{8};
 };
 
-TEST_F(TraceDeterminismTest, SymbolicTraceMatchesAcrossJobCounts) {
-  unsigned Idx = 0;
+/// Runs \p Run serially and on both pools for every instance, expecting
+/// identical stripped traces and det metrics; returns how many serial
+/// traces hold a `z-overapprox` span, so callers can check the
+/// background build was compared at all.
+template <typename RunFn>
+unsigned expectDriverTracesMatch(RunFn Run, exec::ThreadPool &Pool2,
+                                 exec::ThreadPool &Pool8) {
+  unsigned Idx = 0, WithZ = 0;
   for (const CpdsFile &File : instances()) {
-    TracedRun Serial = runSymbolic(File, nullptr);
+    TracedRun Serial = Run(File, nullptr);
     std::string Stripped = stripTrace(Serial.Trace);
     EXPECT_FALSE(Stripped.find("\"name\": \"round\"") == std::string::npos)
         << "instance " << Idx << " produced no round spans";
+    WithZ += hasZSpan(Stripped);
     for (exec::ThreadPool *Pool : {&Pool2, &Pool8}) {
-      TracedRun Par = runSymbolic(File, Pool);
+      TracedRun Par = Run(File, Pool);
       EXPECT_EQ(Stripped, stripTrace(Par.Trace))
           << "instance " << Idx << " jobs " << Pool->jobs();
       EXPECT_EQ(Serial.Det, Par.Det)
           << "instance " << Idx << " jobs " << Pool->jobs();
     }
-    if (HasFailure())
+    if (::testing::Test::HasFailure())
       break; // One instance's diff is enough diagnostics.
     ++Idx;
   }
+  return WithZ;
+}
+
+TEST_F(TraceDeterminismTest, SymbolicTraceMatchesAcrossJobCounts) {
+  EXPECT_GT(expectDriverTracesMatch(runSymbolic, Pool2, Pool8), 0u)
+      << "no instance reached the generator test";
+}
+
+TEST_F(TraceDeterminismTest, ExplicitDriverTraceMatchesAcrossJobCounts) {
+  EXPECT_GT(expectDriverTracesMatch(runExplicitDriver, Pool2, Pool8), 0u)
+      << "no instance reached the generator test";
 }
 
 TEST_F(TraceDeterminismTest, ExplicitTraceMatchesAcrossJobCounts) {
@@ -204,6 +245,7 @@ TEST_F(TraceDeterminismTest, SpansNestProperlyPerThreadTrack) {
        {static_cast<exec::ThreadPool *>(nullptr), &Pool2, &Pool8}) {
     expectProperNesting(runSymbolic(Bluetooth, Pool).Trace);
     expectProperNesting(runExplicit(Bluetooth.System, Pool).Trace);
+    expectProperNesting(runExplicitDriver(Bluetooth, Pool).Trace);
   }
 }
 

@@ -831,7 +831,7 @@ int runVerify(const Options &O) {
               static_cast<unsigned long long>(R.Run.StatesStored),
               static_cast<unsigned long long>(R.Run.VisibleStates));
   std::printf("resources: %.2f ms, %.1f MB peak\n", R.Run.Millis,
-              R.PeakMemMB);
+              peakRSSMegabytes());
 
   if (O.Stats) {
     std::printf("--- statistics ---\n");
