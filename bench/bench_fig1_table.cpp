@@ -18,8 +18,8 @@
 #include <cstdio>
 
 #include "BenchUtil.h"
+#include "core/Algorithms.h"
 #include "core/CbaEngine.h"
-#include "core/SymbolicAlgorithms.h"
 #include "core/SymbolicEngine.h"
 #include "models/Models.h"
 #include "pds/CpdsIO.h"
@@ -87,12 +87,12 @@ static void fig2Section() {
   // Symbolic: per-round automata stay small; Alg. 3 converges.
   RunOptions O;
   O.Limits.MaxContexts = 16;
-  SymbolicRunResult R = runAlg3Symbolic(F.System, F.Property, O);
+  RoundsResult R = runAlg3Symbolic(F.System, F.Property, O);
   std::printf("symbolic engine: T(S_k) converged at k0 = %s "
-              "(paper: 3), k_max = %u,\n  %zu symbolic states, "
+              "(paper: 3), k_max = %u,\n  %llu symbolic states, "
               "verdict %s\n",
               boundOrGe(R.Run.ConvergedAt, R.Run.KMax).c_str(), R.Run.KMax,
-              R.SymbolicStates,
+              static_cast<unsigned long long>(R.Run.StatesStored),
               R.Run.outcome() == Outcome::Proved ? "SAFE (proved)"
                                                  : "not proved");
 }

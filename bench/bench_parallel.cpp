@@ -6,17 +6,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// google-benchmark sweep of the explicit engine's rounds on a pool:
-/// full context rounds on the wide Bluetooth driver model at --jobs
-/// 1 / 2 / 4 / 8 (symbolic rounds are serial at every job count, so
-/// they are benched in bench_symbolic only).  Results are bit-identical
-/// across the sweep (pinned by ParallelDeterminismTest); only
-/// wall-clock should move.  The model's levels are all smaller than
-/// CbaEngine::MinParallelLevel, so every job count expands them in
-/// place: the sweep pins that a pool costs such rounds nothing, and
-/// CI fails when the /4 median exceeds the /1 median by more than 50%.
-/// Real time, since dispatched work would spread across workers.  Emits
-/// BENCH_parallel.json via --benchmark_format=json; see BUILDING.md.
+/// google-benchmark sweeps of the explicit engine's rounds on a pool at
+/// --jobs 1 / 2 / 4 / 8 (symbolic rounds are serial at every job count,
+/// so they are benched in bench_symbolic only).  Results are
+/// bit-identical across a sweep (pinned by ParallelDeterminismTest);
+/// only wall-clock should move.  Two workloads, one on each side of
+/// CbaEngine::MinParallelLevel:
+///
+/// * BM_ExplicitRoundsPar: full context rounds on the wide Bluetooth
+///   driver model, whose levels are all smaller than the threshold, so
+///   every job count expands them in place.  It pins that a pool costs
+///   such rounds nothing.
+/// * BM_ExplicitDispatchPar: BST-Insert 4+4 to k = 17, whose levels of
+///   65,536 parents and more (from k = 16) go to the pool.  It times the
+///   dispatched path; its worker_batches counter shows the batches the
+///   workers joined per iteration.
+///
+/// CI gates the /4 median of each against its /1 median (BUILDING.md
+/// gives the tolerances).  Real time, since dispatched work spreads
+/// across workers.  Emits BENCH_parallel.json via
+/// --benchmark_format=json; see BUILDING.md.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,6 +58,42 @@ void BM_ExplicitRoundsPar(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_ExplicitRoundsPar)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+/// Explicit rounds of BST-Insert 4+4 to k = 17 (443,619 states): the
+/// first level of at least CbaEngine::MinParallelLevel parents comes at
+/// k = 16, so jobs > 1 dispatch the largest levels.
+void BM_ExplicitDispatchPar(benchmark::State &State) {
+  CpdsFile F = models::buildBstInsert(4, 4);
+  unsigned Jobs = static_cast<unsigned>(State.range(0));
+  exec::ThreadPool Pool(Jobs);
+  for (auto _ : State) {
+    CbaEngine E(F.System, ResourceLimits::unlimited());
+    if (Jobs > 1)
+      E.setParallel(&Pool);
+    while (E.bound() < 17)
+      if (E.advance() != CbaEngine::RoundStatus::Ok)
+        break;
+    benchmark::DoNotOptimize(E.reachedSize());
+  }
+  // Worker 0 is the calling thread; the others join only dispatched
+  // batches.  A one-job pool has none (and a counter that is always 0
+  // would give its aggregates a NaN cv).
+  if (Jobs == 1)
+    return;
+  std::vector<exec::WorkerStats> Workers = Pool.workerStats();
+  uint64_t Batches = 0;
+  for (size_t I = 1; I < Workers.size(); ++I)
+    Batches += Workers[I].Batches;
+  State.counters["worker_batches"] = benchmark::Counter(
+      static_cast<double>(Batches), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_ExplicitDispatchPar)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)

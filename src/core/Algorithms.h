@@ -1,4 +1,4 @@
-//===-- core/Algorithms.h - Scheme 1 and Alg. 3 (explicit) ------*- C++ -*-===//
+//===-- core/Algorithms.h - Scheme 1 and Alg. 3 ----------------*- C++ -*-===//
 //
 // Part of the CUBA project, an implementation of the PLDI 2018 paper
 // "CUBA: Interprocedural Context-UnBounded Analysis of Concurrent Programs".
@@ -6,21 +6,33 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The two explicit-state CUBA procedures:
+/// The CUBA procedures of Sec. 6, all run by one round loop over either
+/// engine:
 ///
 /// * Scheme 1(R_k) (Sec. 4): the global-state observation sequence is
-///   stutter-free (Lemma 7), so a plateau R_{k-1} = R_k proves collapse
-///   and hence safety for every context bound.
+///   stutter-free (Lemma 7), so a plateau R_{k-1} = R_k -- a round that
+///   stores no new state -- proves collapse and hence safety for every
+///   context bound.  On the symbolic engine the same test reads a round
+///   that adds no symbolic state: S has reached a fixpoint, so nothing
+///   new can ever appear (post* transactions of known states only
+///   re-derive known states).  Canonical languages make it cheap.
 ///
 /// * Alg. 3(T(R_k)) (Sec. 4.1): the visible-state sequence always
 ///   converges but may stutter; a new plateau counts as convergence only
 ///   when every potentially reachable generator (G cap Z) has been
-///   reached.
+///   reached.  Over the symbolic engine this is the paper's third
+///   approach, Alg. 3(T(S_k)): visible states are extracted from
+///   per-thread pushdown store automata instead of explicit state sets,
+///   so non-FCR systems with infinite R_k are handled.
 ///
-/// Both observe the same underlying CbaEngine rounds, which is also how
-/// the combined run implements the paper's "fork two computational
-/// threads, return whichever terminates first" (Sec. 6): one engine, both
-/// convergence tests per round, first conclusion wins.
+/// The loop applies both tests to each round of one engine, which is how
+/// the paper's "fork two computational threads, return whichever
+/// terminates first" (Sec. 6) is realised: first conclusion wins.
+///
+/// A symbolic run partitions the threads into classes of interchangeable
+/// ones (pds/ThreadSymmetry.h) and, when a class exists, explores one
+/// canonical symbolic state per orbit; the det gauges symmetry.classes
+/// and symmetry.threads report the partition.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,11 +72,13 @@ struct RunOptions {
   exec::ThreadPool *Pool = nullptr;
 };
 
-/// Result of running both explicit procedures over one engine.
-struct ExplicitCombinedResult {
-  /// Merged outcome; ConvergedAt is the earliest conclusion of the two.
+/// Result of the round loop over one engine.
+struct RoundsResult {
+  /// Merged outcome; ConvergedAt is the first conclusion of the two
+  /// tests.
   RunResult Run;
-  /// Collapse bound k0 of (R_k) when Scheme 1 concluded.
+  /// Collapse bound k0 of (R_k) when Scheme 1 concluded (on the symbolic
+  /// engine: the bound at which S reached its fixpoint).
   std::optional<unsigned> RkCollapse;
   /// Collapse bound k0 of (T(R_k)) when Alg. 3 concluded.
   std::optional<unsigned> TkCollapse;
@@ -101,11 +115,15 @@ RunResult runScheme1Explicit(const Cpds &C, const SafetyProperty &Prop,
 RunResult runAlg3Explicit(const Cpds &C, const SafetyProperty &Prop,
                           const RunOptions &Opts);
 
-/// Runs both procedures in lockstep on a single engine (the Sec. 6
-/// driver's parallel composition).
-ExplicitCombinedResult runExplicitCombined(const Cpds &C,
-                                           const SafetyProperty &Prop,
-                                           const RunOptions &Opts);
+/// Runs both procedures in lockstep on a single explicit engine (the
+/// Sec. 6 driver's parallel composition).
+RoundsResult runExplicitCombined(const Cpds &C, const SafetyProperty &Prop,
+                                 const RunOptions &Opts);
+
+/// Runs Alg. 3 with symbolic state sets on \p C, beside the fixpoint
+/// test of S.
+RoundsResult runAlg3Symbolic(const Cpds &C, const SafetyProperty &Prop,
+                             const RunOptions &Opts);
 
 } // namespace cuba
 

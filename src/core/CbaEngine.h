@@ -102,6 +102,13 @@ public:
   /// |T(R_k)| for the current bound.
   size_t visibleSize() const { return VisibleSeen.size(); }
 
+  /// |T(R_k)| again: the explicit engine keeps every state, so each
+  /// orbit is a single one (the symbolic engine's plateau count).
+  size_t visibleOrbits() const { return visibleSize(); }
+
+  /// True when the last round stored no new state: R_{k-1} = R_k.
+  bool frontierEmpty() const { return Frontier.empty(); }
+
   /// The frontier R_k \ R_{k-1}: states first reached in the current
   /// round (the initial state for k = 0), materialised from the arena.
   std::vector<GlobalState> frontier() const;

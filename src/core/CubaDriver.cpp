@@ -47,16 +47,11 @@ DriverResult cuba::runCuba(const Cpds &C, const SafetyProperty &Prop,
                          : ApproachKind::Symbolic;
   }
 
-  if (R.Used == ApproachKind::ExplicitCombined) {
-    ExplicitCombinedResult E = runExplicitCombined(C, Prop, Opts.Run);
-    R.Run = E.Run;
-    R.RkCollapse = E.RkCollapse;
-    R.TkCollapse = E.TkCollapse;
-  } else {
-    SymbolicRunResult S = runAlg3Symbolic(C, Prop, Opts.Run);
-    R.Run = S.Run;
-    R.RkCollapse = S.SFixpoint;
-    R.TkCollapse = S.TkCollapse;
-  }
+  RoundsResult Rounds = R.Used == ApproachKind::ExplicitCombined
+                            ? runExplicitCombined(C, Prop, Opts.Run)
+                            : runAlg3Symbolic(C, Prop, Opts.Run);
+  R.Run = std::move(Rounds.Run);
+  R.RkCollapse = Rounds.RkCollapse;
+  R.TkCollapse = Rounds.TkCollapse;
   return R;
 }

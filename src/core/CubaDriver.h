@@ -24,7 +24,6 @@
 
 #include "core/Algorithms.h"
 #include "core/FcrCheck.h"
-#include "core/SymbolicAlgorithms.h"
 
 namespace cuba {
 

@@ -70,8 +70,8 @@ std::optional<std::vector<VisibleState>>
 computeGeneratorsInZ(const Cpds &C, const GeneratorSet &G,
                      LimitTracker *Limits, const ThreadSymmetry &Symmetry);
 
-/// Alg. 3's generator test (line 4), G cap Z <= T(R_k), for the explicit
-/// and symbolic runners.  Only this test reads Z, and it runs only at a
+/// Alg. 3's generator test (line 4), G cap Z <= T(R_k), for the round
+/// loop over either engine.  Only this test reads Z, and it runs only at a
 /// new plateau of T(R_k).  Serially G cap Z is built on the first call,
 /// so a run that finds its bug before any plateau never explores M_n.
 /// With a pool of more than one job, start() builds it on a worker

@@ -19,34 +19,9 @@
 using namespace cuba;
 using namespace cuba::exec;
 
-namespace {
-
-/// Set while a thread is executing tasks of some batch; nested run()
-/// calls detect it and execute inline under the same worker id.
-struct ActiveParticipant {
-  const ThreadPool *Pool = nullptr;
-  unsigned Worker = 0;
-};
-
-thread_local ActiveParticipant CurrentParticipant;
-
-/// RAII for the participant marker (exception-safe restore).
-struct ParticipantScope {
-  ParticipantScope(const ThreadPool *P, unsigned W)
-      : Saved(CurrentParticipant) {
-    CurrentParticipant = {P, W};
-  }
-  ~ParticipantScope() { CurrentParticipant = Saved; }
-  ActiveParticipant Saved;
-};
-
-} // namespace
-
 ThreadPool::ThreadPool(unsigned Jobs) {
   assert(Jobs >= 1 && "a pool needs at least the calling thread");
-  // One cap for every source of the value (--jobs, CUBA_JOBS, tests):
-  // beyond it extra workers only oversubscribe.
-  unsigned Target = std::clamp(Jobs, 1u, 256u);
+  unsigned Target = std::clamp(Jobs, 1u, MaxJobs);
   Stats = std::make_unique<StatsCell[]>(Target);
   Workers.reserve(Target - 1);
   try {
@@ -81,7 +56,7 @@ ThreadPool::~ThreadPool() {
 unsigned ThreadPool::defaultJobs() {
   if (const char *Env = std::getenv("CUBA_JOBS"))
     if (auto V = parseUnsigned(Env); V && *V >= 1)
-      return static_cast<unsigned>(std::min<uint64_t>(*V, 256));
+      return static_cast<unsigned>(std::min<uint64_t>(*V, MaxJobs));
   unsigned H = std::thread::hardware_concurrency();
   return H ? H : 1;
 }
@@ -96,7 +71,6 @@ void ThreadPool::recordException(size_t Task) {
 
 size_t ThreadPool::participate(unsigned Worker, const TaskRef &Fn,
                                size_t NumTasks) {
-  ParticipantScope Scope(this, Worker);
   auto Begin = std::chrono::steady_clock::now();
   size_t Done = 0;
   for (;;) {
@@ -188,45 +162,34 @@ void ThreadPool::workerLoop(unsigned Worker) {
 void ThreadPool::run(size_t N, TaskRef F) {
   if (N == 0)
     return;
-  // Nested fork-join (a task forking its own batch on the SAME pool),
-  // a pool without workers, or a single-task batch: execute inline.
+  // A pool without workers, or a single-task batch: execute inline.
   // Inline execution propagates the first throw directly, which for a
   // serial loop is also the smallest task index -- the same exception
   // the parallel path would choose.  The N == 1 shortcut keeps tiny
-  // phases (small BFS levels, single-transaction rounds) free of
-  // dispatch latency.  A task running on a *different* pool falls
-  // through to normal dispatch: reusing its foreign worker id here
-  // could exceed this pool's jobs() and alias WorkerLocal slots.
-  bool Nested = CurrentParticipant.Pool == this;
-  if (N == 1 || Workers.empty() || Nested) {
-    unsigned Worker = Nested ? CurrentParticipant.Worker : 0;
-    ParticipantScope Scope(this, Worker);
+  // phases free of dispatch latency.
+  if (N == 1 || Workers.empty()) {
     auto Begin = std::chrono::steady_clock::now();
     for (size_t T = 0; T < N; ++T) {
       // Same probe as participate(), so the Worker fault point also
-      // covers inline (single-task / nested / workerless) batches.
+      // covers inline (single-task / workerless) batches.
       if (fault::fire(fault::Point::Worker))
         throw fault::InjectedFault();
-      F(Worker, T);
+      F(0, T);
     }
-    // Nested batches are already inside the outer participation's
-    // clock; accounting them again would double-count the busy time.
-    if (!Nested) {
-      uint64_t Ns = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - Begin)
-              .count());
-      StatsCell &C = Stats[Worker];
-      C.BusyNs.fetch_add(Ns, std::memory_order_relaxed);
-      C.Tasks.fetch_add(N, std::memory_order_relaxed);
-      C.Batches.fetch_add(1, std::memory_order_relaxed);
-    }
+    uint64_t Ns = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - Begin)
+            .count());
+    StatsCell &C = Stats[0];
+    C.BusyNs.fetch_add(Ns, std::memory_order_relaxed);
+    C.Tasks.fetch_add(N, std::memory_order_relaxed);
+    C.Batches.fetch_add(1, std::memory_order_relaxed);
     return;
   }
 
   {
     std::lock_guard<std::mutex> L(M);
-    assert(Fn == nullptr && "run() is not reentrant across threads");
+    assert(Fn == nullptr && "run() is not reentrant");
     Fn = &F;
     NumTasks = N;
     Unfinished = N;
@@ -291,8 +254,6 @@ void ThreadPool::joinSide() {
   bool RunHere = false;
   {
     std::unique_lock<std::mutex> L(M);
-    if (!SideOutstanding)
-      return;
     if (SidePending) {
       // Unclaimed: run it here rather than wait for a worker to wake.
       SidePending = false;
@@ -300,6 +261,8 @@ void ThreadPool::joinSide() {
       SideOutstanding = false;
       RunHere = true;
     } else {
+      // A worker claimed it: wait for it to finish, if it has not
+      // already, and take what it threw.
       SideCv.wait(L, [&] { return !SideOutstanding; });
       Exc = std::exchange(SideExc, nullptr);
     }

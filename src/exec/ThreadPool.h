@@ -26,9 +26,8 @@
 ///
 /// Exceptions thrown by tasks are captured and the one with the
 /// smallest task index is rethrown from run() after the batch drains --
-/// again independent of timing.  Nested run() calls (a task forking its
-/// own batch) execute inline on the calling participant, which keeps
-/// fork-join composable without a second scheduling layer.
+/// again independent of timing.  A task must not start a batch of its
+/// own on its pool: run() is not reentrant.
 ///
 /// Side task: startSide() hands one self-contained job to an idle
 /// worker and returns after a wake-up, so the caller's batches proceed
@@ -99,8 +98,13 @@ private:
 /// from a single driver thread).
 class ThreadPool {
 public:
-  /// Creates a pool of total parallelism \p Jobs (clamped to 256): the
-  /// caller of run() plus Jobs-1 workers.  Jobs == 1 spawns no threads
+  /// The largest total parallelism a pool takes, whatever the source of
+  /// the value (`--jobs`, CUBA_JOBS, tests): beyond it extra workers only
+  /// oversubscribe.
+  static constexpr unsigned MaxJobs = 256;
+
+  /// Creates a pool of total parallelism \p Jobs (clamped to MaxJobs):
+  /// the caller of run() plus Jobs-1 workers.  Jobs == 1 spawns no threads
   /// and makes run() a plain serial loop.  Throws std::system_error
   /// (after joining any workers that did start) when the platform
   /// refuses a thread.
@@ -115,13 +119,13 @@ public:
 
   /// Executes Fn(worker, t) for every t in [0, NumTasks), blocking until
   /// all tasks finished.  Every task runs exactly once; the smallest
-  /// -indexed captured exception is rethrown.  Reentrant calls from
-  /// inside a task run the nested batch inline on that participant.
+  /// -indexed captured exception is rethrown.  Not to be called from
+  /// inside a task.
   void run(size_t NumTasks, TaskRef Fn);
 
   /// The parallelism the `--jobs` default resolves to: the CUBA_JOBS
-  /// environment variable when set to a positive integer, otherwise the
-  /// hardware concurrency (at least 1).
+  /// environment variable when set to a positive integer (at most
+  /// MaxJobs), otherwise the hardware concurrency (at least 1).
   static unsigned defaultJobs();
 
   /// Per-participant busy/task/batch totals since construction, indexed

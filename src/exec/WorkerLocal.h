@@ -34,7 +34,6 @@ namespace cuba::exec {
 template <typename T> class WorkerLocal {
 public:
   explicit WorkerLocal(const ThreadPool &Pool) : Slots(Pool.jobs()) {}
-  explicit WorkerLocal(unsigned Jobs) : Slots(Jobs ? Jobs : 1) {}
 
   size_t size() const { return Slots.size(); }
 

@@ -209,8 +209,8 @@ cuba::testing::runDifferentialOracle(const CpdsFile &File,
     RunOptions RO;
     RO.Limits = Opts.Limits;
     RO.Pool = Opts.Pool;
-    ExplicitCombinedResult DE = runExplicitCombined(C, Prop, RO);
-    SymbolicRunResult DS = runAlg3Symbolic(C, Prop, RO);
+    RoundsResult DE = runExplicitCombined(C, Prop, RO);
+    RoundsResult DS = runAlg3Symbolic(C, Prop, RO);
     if (!DE.Run.Exhausted && !DS.Run.Exhausted) {
       if (DE.Run.outcome() != DS.Run.outcome())
         Mismatch(std::string("driver verdicts differ: explicit ") +

@@ -180,8 +180,7 @@ TEST(Baseline, FindsBluetoothBugAtSameBoundAsCuba) {
   RunOptions O;
   O.Limits = noLimits();
   O.Limits.MaxContexts = 16;
-  ExplicitCombinedResult Cuba =
-      runExplicitCombined(F.System, F.Property, O);
+  RoundsResult Cuba = runExplicitCombined(F.System, F.Property, O);
   ASSERT_TRUE(Cuba.Run.BugBound.has_value());
 
   for (BaselineEngine E : {BaselineEngine::Explicit,

@@ -221,7 +221,10 @@ TEST(BpCorpus, CliRejectsMalformedFlagValues) {
   // out-of-range magnitudes, and the historical silent-truncation
   // cases (--max-k / --jobs casting through unsigned, --max-mb's
   // << 20 wrapping past 64 bits) all exit 64 with a diagnostic that
-  // names the flag and the accepted range.
+  // names the flag and the accepted range.  So do the values the
+  // engines would not honour as given: a --max-k of 0, which the
+  // verifier reads as no cap, and a --jobs above the pool's cap.  None
+  // of these cases starts a pool.
   struct Case {
     const char *Args;
     const char *Flag;
@@ -242,6 +245,11 @@ TEST(BpCorpus, CliRejectsMalformedFlagValues) {
       {"fuzz --mode wat", "--mode"},
       {"dataflow --max-k 4294967296 model.bp", "--max-k"},
       {"dataflow --jobs 1025 model.bp", "--jobs"},
+      {"--max-k 0 model.bp", "--max-k"}, // used to mean no cap
+      {"dataflow --max-k 0 model.bp", "--max-k"},
+      {"fuzz --max-k 0", "--max-k"},
+      {"--jobs 257 model.bp", "--jobs"}, // used to run 256
+      {"dataflow --jobs 257 model.bp", "--jobs"},
   };
   for (const Case &C : Cases) {
     auto [Rc, Out] = runTool(C.Args);
@@ -415,9 +423,8 @@ TEST(BpCorpus, CliRepeatedWordFlagKeepsItsLastValue) {
 }
 
 TEST(BpCorpus, CliAcceptsBoundaryFlagValues) {
-  // The range maxima themselves are legal; in particular --jobs 1024
-  // must construct a pool, not error.  A nonexistent input keeps the
-  // run cheap: parsing succeeds, loading fails with the named error.
+  // The range maxima themselves are legal.  A nonexistent input keeps
+  // the run cheap: parsing succeeds, loading fails with the named error.
   auto [Rc, Out] = runTool("--max-k 4294967295 --max-mb 16777216 --jobs 4 "
                            "/nonexistent/model.bp");
   EXPECT_EQ(Rc, 64);

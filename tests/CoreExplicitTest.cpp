@@ -496,8 +496,7 @@ TEST(Scheme1, Fig1DivergesUnderContextCap) {
 
 TEST(Combined, Fig1UsesAlg3Conclusion) {
   CpdsFile F = models::buildFig1();
-  ExplicitCombinedResult R =
-      runExplicitCombined(F.System, F.Property, fastOptions(16));
+  RoundsResult R = runExplicitCombined(F.System, F.Property, fastOptions(16));
   EXPECT_EQ(R.Run.outcome(), Outcome::Proved);
   ASSERT_TRUE(R.TkCollapse.has_value());
   EXPECT_EQ(*R.TkCollapse, 5u);
@@ -519,8 +518,7 @@ TEST(Alg3, DekkerSafe) {
 
 TEST(Combined, BstInsertSafeAtSmallBounds) {
   CpdsFile F = models::buildBstInsert(1, 1);
-  ExplicitCombinedResult R =
-      runExplicitCombined(F.System, F.Property, fastOptions(32));
+  RoundsResult R = runExplicitCombined(F.System, F.Property, fastOptions(32));
   EXPECT_EQ(R.Run.outcome(), Outcome::Proved) << "kmax=" << R.Run.KMax;
   ASSERT_TRUE(R.Run.ConvergedAt.has_value());
   EXPECT_LE(*R.Run.ConvergedAt, 8u);
@@ -528,15 +526,14 @@ TEST(Combined, BstInsertSafeAtSmallBounds) {
 
 TEST(Combined, FileCrawlerSafe) {
   CpdsFile F = models::buildFileCrawler(2);
-  ExplicitCombinedResult R =
-      runExplicitCombined(F.System, F.Property, fastOptions(32));
+  RoundsResult R = runExplicitCombined(F.System, F.Property, fastOptions(32));
   EXPECT_EQ(R.Run.outcome(), Outcome::Proved) << "kmax=" << R.Run.KMax;
 }
 
 TEST(Combined, BluetoothV1FindsBug) {
   CpdsFile F = models::buildBluetooth(1, 1, 1);
   RunOptions O = fastOptions(16);
-  ExplicitCombinedResult R = runExplicitCombined(F.System, F.Property, O);
+  RoundsResult R = runExplicitCombined(F.System, F.Property, O);
   EXPECT_EQ(R.Run.outcome(), Outcome::BugFound) << "kmax=" << R.Run.KMax;
   ASSERT_TRUE(R.Run.BugBound.has_value());
   EXPECT_LE(*R.Run.BugBound, 8u);
@@ -545,22 +542,19 @@ TEST(Combined, BluetoothV1FindsBug) {
 
 TEST(Combined, BluetoothV2FindsBug) {
   CpdsFile F = models::buildBluetooth(2, 1, 1);
-  ExplicitCombinedResult R =
-      runExplicitCombined(F.System, F.Property, fastOptions(16));
+  RoundsResult R = runExplicitCombined(F.System, F.Property, fastOptions(16));
   EXPECT_EQ(R.Run.outcome(), Outcome::BugFound) << "kmax=" << R.Run.KMax;
 }
 
 TEST(Combined, BluetoothV3IsProvedSafe) {
   CpdsFile F = models::buildBluetooth(3, 1, 1);
-  ExplicitCombinedResult R =
-      runExplicitCombined(F.System, F.Property, fastOptions(24));
+  RoundsResult R = runExplicitCombined(F.System, F.Property, fastOptions(24));
   EXPECT_EQ(R.Run.outcome(), Outcome::Proved) << "kmax=" << R.Run.KMax;
 }
 
 TEST(Combined, BluetoothV1BugPersistsWithMoreAdders) {
   CpdsFile F = models::buildBluetooth(1, 1, 2);
-  ExplicitCombinedResult R =
-      runExplicitCombined(F.System, F.Property, fastOptions(16));
+  RoundsResult R = runExplicitCombined(F.System, F.Property, fastOptions(16));
   EXPECT_EQ(R.Run.outcome(), Outcome::BugFound);
 }
 
@@ -568,7 +562,7 @@ TEST(Combined, ContinueAfterBugAlsoReportsConvergence) {
   CpdsFile F = models::buildBluetooth(1, 1, 1);
   RunOptions O = fastOptions(24);
   O.ContinueAfterBug = true;
-  ExplicitCombinedResult R = runExplicitCombined(F.System, F.Property, O);
+  RoundsResult R = runExplicitCombined(F.System, F.Property, O);
   ASSERT_TRUE(R.Run.BugBound.has_value());
   // One of the two observation sequences still converges later (Table 2
   // reports both the bug bound and a convergence bound for the unsafe
@@ -577,6 +571,63 @@ TEST(Combined, ContinueAfterBugAlsoReportsConvergence) {
   // is exactly why the Sec. 6 driver runs both procedures in parallel.
   ASSERT_TRUE(R.Run.ConvergedAt.has_value()) << "kmax=" << R.Run.KMax;
   EXPECT_GE(*R.Run.ConvergedAt, *R.Run.BugBound);
+}
+
+namespace {
+
+/// Scheme 1 read off (R_k) by hand: k - 1 for the first round k with
+/// |R_{k-1}| = |R_k|, or unset when the budget or MaxContexts ends the
+/// run first.
+std::optional<unsigned> referenceRkCollapse(const Cpds &C,
+                                            const RunOptions &O) {
+  CbaEngine E(C, O.Limits);
+  E.setExpandAll(O.ExpandAll);
+  ObservationTracker Rk;
+  Rk.record(E.reachedSize());
+  while (E.bound() < O.Limits.MaxContexts) {
+    if (E.advance() == CbaEngine::RoundStatus::Exhausted)
+      return std::nullopt;
+    Rk.record(E.reachedSize());
+    if (Rk.plateauAtLatest())
+      return E.bound() - 1;
+  }
+  return std::nullopt;
+}
+
+} // namespace
+
+TEST(Scheme1, EmptyFrontierIsThePlateauOfRk) {
+  // Scheme 1 concludes on a round that stores no new state; that must be
+  // exactly the first plateau of |R_k|, with and without the frontier
+  // optimisation.  ContinueAfterBug keeps a bug from ending the run, so
+  // only the budget and the context cap can stop either side early.
+  std::vector<std::pair<std::string, CpdsFile>> Systems;
+  Systems.emplace_back("fig1", models::buildFig1());
+  Systems.emplace_back("fig2", models::buildFig2());
+  Systems.emplace_back("dekker", models::buildDekker());
+  for (auto &Row : models::table2Instances())
+    Systems.emplace_back(Row.Suite + " " + Row.Config, std::move(Row.File));
+  for (uint64_t Seed = 1; Seed <= 120; ++Seed)
+    Systems.emplace_back("seed " + std::to_string(Seed),
+                         cuba::testing::generateRandomCpds(
+                             Seed, cuba::testing::cornerShapeOptions(Seed)));
+  unsigned Concluded = 0, Unset = 0;
+  for (bool ExpandAll : {false, true}) {
+    for (const auto &[Name, F] : Systems) {
+      RunOptions O;
+      O.Limits = ResourceLimits{20'000, 2'000'000, 16, 0};
+      O.ContinueAfterBug = true;
+      O.ExpandAll = ExpandAll;
+      std::optional<unsigned> Want = referenceRkCollapse(F.System, O);
+      RunResult R = runScheme1Explicit(F.System, F.Property, O);
+      EXPECT_EQ(R.ConvergedAt, Want)
+          << Name << (ExpandAll ? " (expand all)" : "");
+      ++(Want ? Concluded : Unset);
+    }
+  }
+  // Both outcomes occur, so neither side can pass by never concluding.
+  EXPECT_GT(Concluded, 100u);
+  EXPECT_GT(Unset, 50u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -767,7 +818,7 @@ TEST(Trace, BluetoothBugTraceIsReported) {
   CpdsFile F = models::buildBluetooth(1, 1, 1);
   RunOptions O = fastOptions(16);
   O.BuildTrace = true;
-  ExplicitCombinedResult R = runExplicitCombined(F.System, F.Property, O);
+  RoundsResult R = runExplicitCombined(F.System, F.Property, O);
   ASSERT_TRUE(R.Run.BugBound.has_value());
   ASSERT_FALSE(R.Run.Trace.empty());
   // The formatted trace starts at the initial state and ends in err.

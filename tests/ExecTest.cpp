@@ -96,38 +96,6 @@ TEST(ThreadPool, PropagatesSmallestIndexedException) {
   EXPECT_EQ(Sum.load(), 2016u);
 }
 
-TEST(ThreadPool, NestedForkJoinRunsInline) {
-  ThreadPool Pool(4);
-  std::vector<uint64_t> Outer(8, 0);
-  Pool.run(Outer.size(), [&](unsigned OuterWorker, size_t T) {
-    // A task forking its own batch: executes inline on this
-    // participant, under the same worker id.
-    uint64_t Local = 0;
-    Pool.run(16, [&](unsigned InnerWorker, size_t U) {
-      EXPECT_EQ(InnerWorker, OuterWorker);
-      Local += U + 1;
-    });
-    Outer[T] = Local;
-  });
-  for (uint64_t V : Outer)
-    EXPECT_EQ(V, 136u); // 1 + 2 + ... + 16.
-}
-
-TEST(ThreadPool, NestedExceptionSurfacesThroughOuterBatch) {
-  ThreadPool Pool(3);
-  try {
-    Pool.run(4, [&](unsigned, size_t T) {
-      Pool.run(4, [&](unsigned, size_t U) {
-        if (T == 2 && U == 1)
-          throw std::logic_error("inner");
-      });
-    });
-    FAIL() << "expected an exception";
-  } catch (const std::logic_error &E) {
-    EXPECT_STREQ(E.what(), "inner");
-  }
-}
-
 TEST(ThreadPool, BackToBackSmallBatchesStayIsolated) {
   // Regression stress for the straggler window: a worker woken for
   // batch k must never claim indices (or the dangling TaskRef) of
@@ -210,6 +178,24 @@ TEST(ThreadPool, SideTaskExceptionSurfacesAtTheJoin) {
     Pool.joinSide();
     EXPECT_TRUE(Ran);
   }
+}
+
+TEST(ThreadPool, SideTaskExceptionSurvivesFinishingBeforeTheJoin) {
+  // A worker that runs the side task to its throw before joinSide() is
+  // entered hands the exception to the join all the same.
+  ThreadPool Pool(2);
+  std::atomic<bool> Threw{false};
+  Pool.startSide([&] {
+    Threw = true;
+    throw std::runtime_error("side");
+  });
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!Threw && std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::yield();
+  ASSERT_TRUE(Threw) << "no worker claimed the side task";
+  // Let the worker record the exception and retire the task.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_THROW(Pool.joinSide(), std::runtime_error);
 }
 
 TEST(ThreadPool, WorkerlessPoolRunsTheSideTaskAtTheJoin) {

@@ -40,7 +40,6 @@
 
 #include "core/Algorithms.h"
 #include "core/CbaEngine.h"
-#include "core/SymbolicAlgorithms.h"
 #include "core/SymbolicEngine.h"
 #include "dataflow/DataflowEngine.h"
 #include "exec/ThreadPool.h"
@@ -169,8 +168,8 @@ size_t expectSameCompletedRounds(const SymbolicTrace &Ref,
 
 /// The symbolic driver's results at two job counts must agree field by
 /// field.
-void expectSameSymbolicDriver(const SymbolicRunResult &S1,
-                              const SymbolicRunResult &SP,
+void expectSameSymbolicDriver(const RoundsResult &S1,
+                              const RoundsResult &SP,
                               const std::string &Tag) {
   EXPECT_EQ(S1.Run.BugBound, SP.Run.BugBound) << Tag;
   EXPECT_EQ(S1.Run.ConvergedAt, SP.Run.ConvergedAt) << Tag;
@@ -180,14 +179,12 @@ void expectSameSymbolicDriver(const SymbolicRunResult &S1,
   EXPECT_EQ(S1.Run.VisibleStates, SP.Run.VisibleStates) << Tag;
   EXPECT_EQ(S1.Run.Witness, SP.Run.Witness) << Tag;
   EXPECT_EQ(S1.TkCollapse, SP.TkCollapse) << Tag;
-  EXPECT_EQ(S1.SFixpoint, SP.SFixpoint) << Tag;
-  EXPECT_EQ(S1.SymbolicStates, SP.SymbolicStates) << Tag;
-  EXPECT_EQ(S1.DistinctLanguages, SP.DistinctLanguages) << Tag;
+  EXPECT_EQ(S1.RkCollapse, SP.RkCollapse) << Tag;
 }
 
 /// A symbolic driver run with its stripped det trace and det metrics.
 struct TracedDriverRun {
-  SymbolicRunResult R;
+  RoundsResult R;
   std::string DetTrace;
   DetMetrics Det;
 };
@@ -388,12 +385,10 @@ TEST_F(ParallelDeterminismTest, DriversMatchAcrossJobCounts) {
     Jobs4.Pool = &Pool4;
     Jobs8.Pool = &Pool8;
 
-    ExplicitCombinedResult E1 =
-        runExplicitCombined(File.System, File.Property, Base);
-    SymbolicRunResult S1 = runAlg3Symbolic(File.System, File.Property, Base);
+    RoundsResult E1 = runExplicitCombined(File.System, File.Property, Base);
+    RoundsResult S1 = runAlg3Symbolic(File.System, File.Property, Base);
     for (const RunOptions &RO : {Jobs2, Jobs4, Jobs8}) {
-      ExplicitCombinedResult EP =
-          runExplicitCombined(File.System, File.Property, RO);
+      RoundsResult EP = runExplicitCombined(File.System, File.Property, RO);
       EXPECT_EQ(E1.Run.BugBound, EP.Run.BugBound) << "seed " << Seed;
       EXPECT_EQ(E1.Run.ConvergedAt, EP.Run.ConvergedAt) << "seed " << Seed;
       EXPECT_EQ(E1.Run.Exhausted, EP.Run.Exhausted) << "seed " << Seed;
@@ -677,7 +672,7 @@ TEST_F(ParallelDeterminismTest, SmallModelsRunNoLevelBatchAtJobs4) {
   RO.Limits = Loose;
   RO.Pool = &Pool4;
   uint64_t Before = Batches();
-  ExplicitCombinedResult R = runExplicitCombined(File.System, File.Property, RO);
+  RoundsResult R = runExplicitCombined(File.System, File.Property, RO);
   EXPECT_GT(R.Run.StatesStored, 500u);
   EXPECT_EQ(Batches(), Before) << "a small level was dispatched";
 

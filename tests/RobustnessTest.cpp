@@ -29,7 +29,6 @@
 #include "ReferencePostStar.h"
 #include "core/Algorithms.h"
 #include "core/CbaEngine.h"
-#include "core/SymbolicAlgorithms.h"
 #include "exec/ThreadPool.h"
 #include "fa/Canonicalize.h"
 #include "models/Models.h"
@@ -86,7 +85,7 @@ Summary runExplicit(const CpdsFile &F, const ResourceLimits &L,
   RunOptions O;
   O.Limits = L;
   O.Pool = Pool;
-  ExplicitCombinedResult R = runExplicitCombined(F.System, F.Property, O);
+  RoundsResult R = runExplicitCombined(F.System, F.Property, O);
   if (Out)
     *Out = R.Run;
   return summarize(R.Run);
@@ -98,7 +97,7 @@ Summary runSymbolic(const CpdsFile &F, const ResourceLimits &L,
   RunOptions O;
   O.Limits = L;
   O.Pool = Pool;
-  SymbolicRunResult R = runAlg3Symbolic(F.System, F.Property, O);
+  RoundsResult R = runAlg3Symbolic(F.System, F.Property, O);
   if (Out)
     *Out = R.Run;
   return summarize(R.Run);

@@ -11,7 +11,6 @@
 #include <thread>
 
 #include "core/Algorithms.h"
-#include "core/SymbolicAlgorithms.h"
 #include "exec/ThreadPool.h"
 #include "models/Models.h"
 #include "obs/Metrics.h"
@@ -323,8 +322,7 @@ TEST(Limits, MaxContextsHitMidRunReturnsBoundedVerdict) {
   RunOptions Opts;
   Opts.Limits = ResourceLimits::unlimited();
   Opts.Limits.MaxContexts = 1; // Fig. 1 needs k >= 5 to converge.
-  ExplicitCombinedResult R =
-      runExplicitCombined(File.System, File.Property, Opts);
+  RoundsResult R = runExplicitCombined(File.System, File.Property, Opts);
   EXPECT_EQ(R.Run.outcome(), Outcome::ResourceLimit);
   EXPECT_TRUE(R.Run.Exhausted);
   EXPECT_LE(R.Run.KMax, 1u);
@@ -336,8 +334,7 @@ TEST(Limits, StepBudgetHitMidRunReturnsBoundedVerdict) {
   RunOptions Opts;
   Opts.Limits = ResourceLimits::unlimited();
   Opts.Limits.MaxSteps = 5; // Runs out inside the first closure.
-  ExplicitCombinedResult R =
-      runExplicitCombined(File.System, File.Property, Opts);
+  RoundsResult R = runExplicitCombined(File.System, File.Property, Opts);
   EXPECT_EQ(R.Run.outcome(), Outcome::ResourceLimit);
   EXPECT_TRUE(R.Run.Exhausted);
 }
@@ -347,8 +344,7 @@ TEST(Limits, StateBudgetHitMidRunReturnsBoundedVerdict) {
   RunOptions Opts;
   Opts.Limits = ResourceLimits::unlimited();
   Opts.Limits.MaxStates = 2;
-  ExplicitCombinedResult R =
-      runExplicitCombined(File.System, File.Property, Opts);
+  RoundsResult R = runExplicitCombined(File.System, File.Property, Opts);
   EXPECT_EQ(R.Run.outcome(), Outcome::ResourceLimit);
   EXPECT_TRUE(R.Run.Exhausted);
   EXPECT_LE(R.Run.StatesStored, 3u); // The state over budget plus R_0.
@@ -359,7 +355,7 @@ TEST(Limits, SymbolicEngineExhaustsGracefully) {
   RunOptions Opts;
   Opts.Limits = ResourceLimits::unlimited();
   Opts.Limits.MaxSteps = 5;
-  SymbolicRunResult R = runAlg3Symbolic(File.System, File.Property, Opts);
+  RoundsResult R = runAlg3Symbolic(File.System, File.Property, Opts);
   EXPECT_EQ(R.Run.outcome(), Outcome::ResourceLimit);
   EXPECT_TRUE(R.Run.Exhausted);
   EXPECT_EQ(R.Run.ExhaustedBy, ExhaustKind::Steps);
@@ -408,12 +404,11 @@ TEST(Limits, MemoryBudgetHitMidRunReturnsBoundedVerdict) {
   RunOptions Opts;
   Opts.Limits = ResourceLimits::unlimited();
   Opts.Limits.MaxBytes = 512; // A handful of states already exceeds this.
-  ExplicitCombinedResult E =
-      runExplicitCombined(File.System, File.Property, Opts);
+  RoundsResult E = runExplicitCombined(File.System, File.Property, Opts);
   EXPECT_EQ(E.Run.outcome(), Outcome::ResourceLimit);
   EXPECT_TRUE(E.Run.Exhausted);
   EXPECT_EQ(E.Run.ExhaustedBy, ExhaustKind::Memory);
-  SymbolicRunResult S = runAlg3Symbolic(File.System, File.Property, Opts);
+  RoundsResult S = runAlg3Symbolic(File.System, File.Property, Opts);
   EXPECT_EQ(S.Run.outcome(), Outcome::ResourceLimit);
   EXPECT_TRUE(S.Run.Exhausted);
   EXPECT_EQ(S.Run.ExhaustedBy, ExhaustKind::Memory);

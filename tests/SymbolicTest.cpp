@@ -9,7 +9,6 @@
 
 #include "core/CbaEngine.h"
 #include "core/CubaDriver.h"
-#include "core/SymbolicAlgorithms.h"
 #include "core/SymbolicEngine.h"
 #include "models/Models.h"
 #include "obs/Metrics.h"
@@ -105,7 +104,7 @@ TEST(SymbolicEngine, HandlesInfiniteRkOnFig2) {
 
 TEST(Alg3Symbolic, Fig1ConvergesAtFive) {
   CpdsFile F = models::buildFig1();
-  SymbolicRunResult R = runAlg3Symbolic(F.System, F.Property, fastOptions());
+  RoundsResult R = runAlg3Symbolic(F.System, F.Property, fastOptions());
   EXPECT_EQ(R.Run.outcome(), Outcome::Proved);
   ASSERT_TRUE(R.Run.ConvergedAt.has_value());
   EXPECT_EQ(*R.Run.ConvergedAt, 5u);
@@ -114,7 +113,7 @@ TEST(Alg3Symbolic, Fig1ConvergesAtFive) {
 TEST(Alg3Symbolic, KInductionProvedSafe) {
   // Table 2 row 6: not FCR, safe, T-sequence collapses at k=3.
   CpdsFile F = models::buildKInduction();
-  SymbolicRunResult R = runAlg3Symbolic(F.System, F.Property, fastOptions());
+  RoundsResult R = runAlg3Symbolic(F.System, F.Property, fastOptions());
   EXPECT_EQ(R.Run.outcome(), Outcome::Proved) << "kmax=" << R.Run.KMax;
   ASSERT_TRUE(R.Run.ConvergedAt.has_value());
   EXPECT_LE(*R.Run.ConvergedAt, 6u);
@@ -122,13 +121,13 @@ TEST(Alg3Symbolic, KInductionProvedSafe) {
 
 TEST(Alg3Symbolic, Proc2ProvedSafe) {
   CpdsFile F = models::buildProc2();
-  SymbolicRunResult R = runAlg3Symbolic(F.System, F.Property, fastOptions());
+  RoundsResult R = runAlg3Symbolic(F.System, F.Property, fastOptions());
   EXPECT_EQ(R.Run.outcome(), Outcome::Proved) << "kmax=" << R.Run.KMax;
 }
 
 TEST(Alg3Symbolic, Stefan2ProvedSafe) {
   CpdsFile F = models::buildStefan1(2);
-  SymbolicRunResult R = runAlg3Symbolic(F.System, F.Property, fastOptions());
+  RoundsResult R = runAlg3Symbolic(F.System, F.Property, fastOptions());
   EXPECT_EQ(R.Run.outcome(), Outcome::Proved) << "kmax=" << R.Run.KMax;
   ASSERT_TRUE(R.Run.ConvergedAt.has_value());
   EXPECT_LE(*R.Run.ConvergedAt, 6u);
@@ -138,12 +137,11 @@ TEST(Alg3Symbolic, BugDetectionAgreesWithExplicit) {
   // The symbolic engine must find the Bluetooth v1 bug at the same
   // bound as the explicit engine.
   CpdsFile F = models::buildBluetooth(1, 1, 1);
-  ExplicitCombinedResult E =
-      runExplicitCombined(F.System, F.Property, fastOptions(16));
+  RoundsResult E = runExplicitCombined(F.System, F.Property, fastOptions(16));
   RunOptions O = fastOptions(16);
   O.Limits.MaxStates = 200'000;
   O.Limits.MaxSteps = 20'000'000;
-  SymbolicRunResult S = runAlg3Symbolic(F.System, F.Property, O);
+  RoundsResult S = runAlg3Symbolic(F.System, F.Property, O);
   ASSERT_TRUE(E.Run.BugBound.has_value());
   ASSERT_TRUE(S.Run.BugBound.has_value());
   EXPECT_EQ(*E.Run.BugBound, *S.Run.BugBound);
@@ -167,7 +165,7 @@ TEST(Alg3Symbolic, RespectsResourceLimits) {
   RunOptions O = fastOptions(32);
   O.Limits.MaxSteps = 500;
   ASSERT_LT(O.Limits.MaxSteps, Reduced);
-  SymbolicRunResult R = runAlg3Symbolic(F.System, F.Property, O);
+  RoundsResult R = runAlg3Symbolic(F.System, F.Property, O);
   EXPECT_EQ(R.Run.outcome(), Outcome::ResourceLimit);
   EXPECT_TRUE(R.Run.Exhausted);
 }
@@ -205,7 +203,7 @@ TEST(Alg3Symbolic, PlateausStayExactWhenTheOrbitSumSaturates) {
   EXPECT_GT(E.visibleOrbits(), Orbits);
   EXPECT_LT(Saturated + 1, N);
 
-  SymbolicRunResult R = runAlg3Symbolic(W.System, W.Property, fastOptions(64));
+  RoundsResult R = runAlg3Symbolic(W.System, W.Property, fastOptions(64));
   EXPECT_EQ(R.Run.outcome(), Outcome::BugFound);
   EXPECT_EQ(R.Run.BugBound, std::optional<unsigned>(N));
   EXPECT_FALSE(R.TkCollapse.has_value());

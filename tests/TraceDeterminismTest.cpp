@@ -30,7 +30,6 @@
 
 #include "core/Algorithms.h"
 #include "core/CbaEngine.h"
-#include "core/SymbolicAlgorithms.h"
 #include "exec/ThreadPool.h"
 #include "models/Models.h"
 #include "obs/Metrics.h"

@@ -248,11 +248,12 @@ struct Flag {
 };
 
 const Flag Flags[] = {
-    // Every context bound lands in an `unsigned`.
+    // Every context bound lands in an `unsigned`, where the engines read
+    // 0 as no cap.
     {"--max-k", AllCmds, &Options::MaxK,
      "context-bound cap (default 32; dataflow 8; fuzz 4, the deepest bound "
      "compared)",
-     "N", 0, UINT32_MAX},
+     "N", 1, UINT32_MAX},
     {"--max-states", RunCmd | DataflowCmd, &Options::MaxStates,
      "stored-state budget (default 2000000)", "N"},
     {"--max-steps", RunCmd | DataflowCmd, &Options::MaxSteps,
@@ -266,12 +267,13 @@ const Flag Flags[] = {
      "(default unlimited; exceeding it reports UNDECIDED (memory), never a "
      "crash)",
      "N", 0, uint64_t(1) << 24},
-    // Worker counts beyond any real machine are configuration mistakes.
+    // The pool takes no more; a larger count would be reported but not
+    // run.
     {"--jobs", AllCmds, &Options::Jobs,
-     "workers for the explicit engine's levels, the only parallel stage "
-     "(default: $CUBA_JOBS, else hardware concurrency; results are "
-     "bit-identical for every N)",
-     "N", 1, 1024},
+     "threads for the explicit engine's large levels and for building G "
+     "cap Z beside the rounds (default: $CUBA_JOBS, else hardware "
+     "concurrency; results are bit-identical for every N)",
+     "N", 1, exec::ThreadPool::MaxJobs},
     {"--approach", RunCmd, &Options::Approach,
      "the engine (default auto: explicit when FCR holds, else symbolic)",
      "auto|explicit|symbolic"},
