@@ -31,8 +31,8 @@ struct SemaInfo {
   bool UsesReturnValue = false;
 
   /// Taint facts: the shared variables named by source / sanitize /
-  /// sink annotations, in shared declaration order.  A fact index is a
-  /// bit position in the dataflow domain (dataflow/TaintDomain.h).
+  /// sink annotations, in shared declaration order.  Fact i is bit i of
+  /// TranslateOptions::FoldTaint (bp/Translate.h).
   std::vector<std::string> TaintFacts;
   /// Shared slot -> fact index, -1 when the shared variable is never
   /// annotated.  Parallel to Program::SharedVars.

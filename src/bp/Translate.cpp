@@ -7,6 +7,7 @@
 
 #include "bp/Translate.h"
 
+#include <bit>
 #include <iterator>
 #include <optional>
 #include <unordered_map>
@@ -230,6 +231,39 @@ private:
   std::unordered_map<std::string, unsigned> LabelPc;
 };
 
+/// Marks in \p Used the shared slots \p E reads.
+void markReads(const Expr &E, std::vector<uint8_t> &Used) {
+  if (E.Kind == ExprKind::Var && E.VarIsShared)
+    Used[E.VarSlot] = 1;
+  if (E.Lhs)
+    markReads(*E.Lhs, Used);
+  if (E.Rhs)
+    markReads(*E.Rhs, Used);
+}
+
+/// Marks in \p Used the shared slots a statement of \p Body reads or
+/// writes.  Taint annotations neither read nor write: they are control
+/// no-ops whose fact bits, when folded, are separate from the value
+/// bits.
+void markUsedShared(const std::vector<StmtPtr> &Body,
+                    std::vector<uint8_t> &Used) {
+  for (const StmtPtr &SP : Body) {
+    const Stmt &S = *SP;
+    for (const Expr *E : {S.Cond.get(), S.Constrain.get(), S.RetValue.get()})
+      if (E)
+        markReads(*E, Used);
+    for (const ExprPtr &E : S.AssignValues)
+      markReads(*E, Used);
+    for (const ExprPtr &E : S.CallArgs)
+      markReads(*E, Used);
+    for (size_t I = 0; I < S.TargetSlots.size(); ++I)
+      if (S.TargetIsShared[I])
+        Used[S.TargetSlots[I]] = 1;
+    markUsedShared(S.Body, Used);
+    markUsedShared(S.ElseBody, Used);
+  }
+}
+
 /// The rule labels the translation emits, in RuleNames order.
 enum class Rule : uint8_t {
   Skip, Goto, Br1, Br0, Assume, AssertOk, AssertFail, Assign,
@@ -275,8 +309,18 @@ public:
       : P(P), Info(Info), Opts(Opts) {}
 
   ErrorOr<CpdsFile> run() {
-    // Hidden shared bits follow the declared variables.
-    SharedBitCount = static_cast<unsigned>(P.SharedVars.size());
+    // A declared variable gets a bit only when some statement reads or
+    // writes it: any other one is 0 in every reachable state (all bits
+    // start at 0), so its bit would only duplicate each state.  Kept
+    // bits follow declaration order; hidden bits follow them.
+    std::vector<uint8_t> Used(P.SharedVars.size(), 0);
+    for (const Function &F : P.Functions)
+      if (F.Name != "main")
+        markUsedShared(F.Body, Used);
+    SharedBit.assign(P.SharedVars.size(), -1);
+    for (size_t V = 0; V < Used.size(); ++V)
+      if (Used[V])
+        SharedBit[V] = static_cast<int>(SharedBitCount++);
     // $ret must be one bit PER THREAD: a pop rule can only write the
     // (global) control state, so a single shared bit would let thread
     // B's return clobber thread A's value between A's `ret` and the
@@ -289,22 +333,16 @@ public:
     LockBit = Info.UsesLock ? static_cast<int>(SharedBitCount++) : -1;
     // Folded taint bits sit ABOVE every hidden bit, so the low
     // FoldBitBase bits of a folded control state are exactly the
-    // weighted translation's control state (the projection the
+    // unfolded translation's control state (the projection the
     // dataflow oracle relies on).
     FoldBitBase = static_cast<int>(SharedBitCount);
-    if (Opts.FoldTaint)
-      SharedBitCount += static_cast<unsigned>(Info.TaintFacts.size());
+    assert(std::bit_width(Opts.FoldTaint) <= Info.TaintFacts.size() &&
+           "folding a fact the program does not have");
+    SharedBitCount += static_cast<unsigned>(std::popcount(Opts.FoldTaint));
     if (Opts.Taint) {
       Opts.Taint->FactNames = Info.TaintFacts;
       Opts.Taint->SharedBits = static_cast<unsigned>(FoldBitBase);
     }
-    // The weighted client folds the fact bits into its 32-bit control
-    // words (dataflow/DataflowEngine.h), so they must fit there too.
-    size_t Facts = Info.TaintFacts.size();
-    if (Opts.Taint && !Opts.FoldTaint && FoldBitBase + Facts >= 32)
-      return Error("too many taint facts (" + std::to_string(FoldBitBase) +
-                   " control bits + " + std::to_string(Facts) +
-                   " facts exceed a 32-bit folded control state)");
 
     size_t Base = 0;
     for (const Function &F : P.Functions) {
@@ -384,7 +422,7 @@ private:
     case ExprKind::Nondet:
       return BoolSet::both();
     case ExprKind::Var:
-      return BoolSet::of(E.VarIsShared ? bit(Q, E.VarSlot)
+      return BoolSet::of(E.VarIsShared ? bit(Q, SharedBit[E.VarSlot])
                                        : bit(L, E.VarSlot));
     case ExprKind::Not: {
       BoolSet A = evalExpr(*E.Lhs, Q, L);
@@ -502,17 +540,17 @@ private:
     return {};
   }
 
-  /// Returns the new action's index in the current thread's delta, or
-  /// UINT32_MAX when the testing hook swallowed it.
-  uint32_t addRule(uint32_t Q, Sym Src, uint32_t Q2, Sym Dst0, Sym Dst1,
-                   Rule R) {
+  /// Adds a rule to the current thread's delta, unless the testing hook
+  /// swallows it.
+  void addRule(uint32_t Q, Sym Src, uint32_t Q2, Sym Dst0, Sym Dst1,
+               Rule R) {
     if (bp_testing::InjectDropAssignRule && !DroppedAssign &&
         R == Rule::Assign) {
       DroppedAssign = true;
-      return UINT32_MAX;
+      return;
     }
-    return Cur->addAction(Action{Q, Src, Q2, Dst0, Dst1,
-                                 RuleLabels[static_cast<size_t>(R)]});
+    Cur->addAction(Action{Q, Src, Q2, Dst0, Dst1,
+                          RuleLabels[static_cast<size_t>(R)]});
   }
 
   /// Emits the rules of frame \p Fr, whose symbol is \p Here, at shared
@@ -565,7 +603,7 @@ private:
       bool Ret = RetBitBase >= 0 && bit(Q, retBit(T));
       bool IsShared = Op.S->TargetIsShared[0];
       int Slot = Op.S->TargetSlots[0];
-      uint32_t Q2 = IsShared ? setBit(Q, Slot, Ret) : Q;
+      uint32_t Q2 = IsShared ? setBit(Q, SharedBit[Slot], Ret) : Q;
       uint32_t L2 = IsShared ? L : setBit(L, Slot, Ret);
       addRule(Q, Here, Q2, Next(Pc + 1, L2), EpsSym, Rule::Bind);
       return;
@@ -602,30 +640,19 @@ private:
                  : Op.S->Kind == StmtKind::Sanitize ? Rule::Sanitize
                                                     : Rule::Sink;
     uint32_t Q2 = Q;
-    if (Opts.FoldTaint) {
-      int FoldBit = FoldBitBase + Fact;
+    if ((Opts.FoldTaint >> Fact) & 1) {
+      // Folded facts take consecutive bits in fact order.
+      int FoldBit = FoldBitBase +
+                    std::popcount(Opts.FoldTaint & ((1u << Fact) - 1));
       if (Op.S->Kind == StmtKind::Source)
         Q2 = setBit(Q, FoldBit, true);
       else if (Op.S->Kind == StmtKind::Sanitize)
         Q2 = setBit(Q, FoldBit, false);
     }
-    uint32_t AI = addRule(Q, Here, Q2, NextSym, EpsSym, Label);
-    if (!Opts.Taint)
-      return;
-    if (!Opts.FoldTaint && AI != UINT32_MAX &&
-        Op.S->Kind != StmtKind::Sink) {
-      TaintActionWeight W;
-      W.Thread = T;
-      W.Action = AI;
-      if (Op.S->Kind == StmtKind::Source)
-        W.Gen = 1u << Fact;
-      else
-        W.Kill = 1u << Fact;
-      Opts.Taint->Weights.push_back(W);
-    }
+    addRule(Q, Here, Q2, NextSym, EpsSym, Label);
     // One sink record per (thread, frame): the emission loop visits
     // each frame once per shared valuation Q.
-    if (Op.S->Kind == StmtKind::Sink && Q == 0)
+    if (Opts.Taint && Op.S->Kind == StmtKind::Sink && Q == 0)
       Opts.Taint->Sinks.push_back({T, Here, Fact});
   }
 
@@ -666,7 +693,7 @@ private:
       uint32_t Q2 = Q, L2 = L;
       for (size_t I = 0; I < V.size(); ++I) {
         if (S.TargetIsShared[I])
-          Q2 = setBit(Q2, S.TargetSlots[I], V[I]);
+          Q2 = setBit(Q2, SharedBit[S.TargetSlots[I]], V[I]);
         else
           L2 = setBit(L2, S.TargetSlots[I], V[I]);
       }
@@ -696,6 +723,9 @@ private:
   CpdsFile File;
   bool DroppedAssign = false; // bp_testing::InjectDropAssignRule state.
   unsigned SharedBitCount = 0;
+  /// Declared shared slot -> its bit of Q, -1 when no statement reads or
+  /// writes it.
+  std::vector<int> SharedBit;
   int RetBitBase = -1;
   int LockBit = -1;
   int FoldBitBase = 0;

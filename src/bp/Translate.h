@@ -9,11 +9,13 @@
 /// Compiles an analyzed Boolean program into a CPDS (the App. B
 /// semantics).  Encoding:
 ///
-/// * Shared state = valuation of the shared variables, plus the hidden
-///   bits $ret (return-value registers, one bit per thread, present when
-///   any function returns bool) and $lock (global mutex for
-///   lock/unlock/atomic), plus a dedicated `err` state entered on
-///   assertion failure.  The safety property of the result is "err is
+/// * Shared state = valuation of the shared variables that some
+///   statement reads or writes (a variable no statement touches stays 0
+///   in every state, so it gets no bit; taint annotations do not count),
+///   plus the hidden bits $ret (return-value registers, one bit per
+///   thread, present when any function returns bool) and $lock (global
+///   mutex for lock/unlock/atomic), plus a dedicated `err` state entered
+///   on assertion failure.  The safety property of the result is "err is
 ///   unreachable".
 /// * Stack symbol = (function, program point, valuation of the
 ///   function's parameters and locals); one PDS per created thread.
@@ -69,16 +71,6 @@ extern bool InjectDropAssignRule;
 
 namespace cuba::bp {
 
-/// The weight of one taint-annotation rule: PDS action \p Action of
-/// thread \p Thread applies the GEN/KILL transformer (Kill, Gen) over
-/// the fact bits (SemaInfo::TaintFacts order).
-struct TaintActionWeight {
-  unsigned Thread = 0;
-  uint32_t Action = 0;
-  uint32_t Kill = 0;
-  uint32_t Gen = 0;
-};
-
 /// One sink site: observing \p Fact tainted with thread \p Thread's
 /// control at stack frame \p Frame is a leak.
 struct TaintSinkSite {
@@ -87,32 +79,28 @@ struct TaintSinkSite {
   int Fact = -1;
 };
 
-/// Side table the dataflow client consumes (dataflow/DataflowEngine.h):
-/// which PDS actions carry non-identity transformers, and where the
-/// sinks are.  Frames and action indices refer to the CpdsFile produced
-/// by the same translateProgram call.
+/// Side table the dataflow client consumes (dataflow/TaintFolds.h): the
+/// facts and where the sinks are.  Frames refer to the CpdsFile produced
+/// by the same translateProgram call; every fold set gives the same
+/// stack alphabets, so they refer to any fold of the program too.
 struct TaintInfo {
   std::vector<std::string> FactNames;
-  std::vector<TaintActionWeight> Weights;
   std::vector<TaintSinkSite> Sinks;
-  /// Control-state bits of the base (non-folded) translation, hidden
-  /// bits included.  The folded system's control states are
-  /// Q | (facts << SharedBits), with err renumbered last -- the
-  /// projection the dataflow oracle compares through.
+  /// Control-state bits of the unfolded translation, hidden bits
+  /// included.  A folded system's control states are
+  /// Q | (folded facts << SharedBits), the folded facts in fact order,
+  /// with err renumbered last.
   unsigned SharedBits = 0;
 };
 
 struct TranslateOptions {
-  /// Fold the taint fact bits into the shared control state (appended
-  /// above the hidden $ret/$lock bits): source/sanitize set/clear the
-  /// bit, sink stays a skip.  This is the naive product construction
-  /// the dataflow differential oracle runs through the explicit engine;
-  /// the weighted analysis never pays the 2^facts state blowup.
-  bool FoldTaint = false;
-  /// When non-null, receives the taint side table.  Transformer weights
-  /// are only recorded when !FoldTaint (the folded system carries them
-  /// in its control state); fact names and sink sites always are.  With
-  /// !FoldTaint, control bits plus facts must stay below 32.
+  /// The taint facts folded into the shared control state, bit i for
+  /// fact i (SemaInfo::TaintFacts order): each gets a bit above the
+  /// hidden $ret/$lock bits, which source sets and sanitize clears; sink
+  /// stays a skip.  `cuba dataflow` folds one fact per translation; the
+  /// dataflow oracle's reference folds them all.
+  uint32_t FoldTaint = 0;
+  /// When non-null, receives the taint side table.
   TaintInfo *Taint = nullptr;
   /// Testing only: emit every (function, pc, locals) frame, reachable
   /// or not, after the entry frame.  The program-level oracle
@@ -123,11 +111,11 @@ struct TranslateOptions {
 /// Translates the analyzed program \p P; the returned system is frozen
 /// and carries the assertion property.  Taint annotations translate to
 /// skip-shaped rules labeled source/sanitize/sink; by default (and in
-/// every non-dataflow pipeline) they are control no-ops, so the two
-/// translation modes differ only in the fold bits -- same per-thread
-/// stack alphabets, same symbol interning order, rule-for-rule
-/// isomorphic deltas.  (The fold bits sit above every bit an expression
-/// or a bind reads, so they reach no new frame.)  Records a det
+/// every non-dataflow pipeline) they are control no-ops, so any two fold
+/// sets differ only in the fold bits -- same per-thread stack alphabets,
+/// same symbol interning order, rule-for-rule isomorphic deltas.  (The
+/// fold bits sit above every bit an expression or a bind reads, so they
+/// reach no new frame.)  Records a det
 /// `translate` span and adds the emitted frames and actions to the det
 /// counters `bp.frames` and `bp.actions`.
 ErrorOr<CpdsFile> translateProgram(const Program &P, const SemaInfo &Info,

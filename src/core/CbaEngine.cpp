@@ -17,8 +17,7 @@
 using namespace cuba;
 
 CbaEngine::CbaEngine(const Cpds &C, const ResourceLimits &Limits)
-    : C(C), Limits(Limits), Rows(1 + C.numThreads()),
-      VisibleSeen(C, C.numSharedStates()) {
+    : C(C), Limits(Limits), Rows(1 + C.numThreads()), VisibleSeen(C) {
   assert(C.frozen() && "CbaEngine requires a frozen CPDS");
   TopsBuf.resize(C.numThreads());
   RowBuf.resize(Rows.width());

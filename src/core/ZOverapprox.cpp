@@ -138,7 +138,7 @@ exploreZ(const Cpds &C, LimitTracker *Limits, const GeneratorSet *Keep,
          const ThreadSymmetry &Symmetry, const std::atomic<bool> *Cancel,
          uint64_t &ZSize) {
   assert(C.frozen() && "computeZ requires a frozen CPDS");
-  VisiblePacker Packer(C, C.numSharedStates());
+  VisiblePacker Packer(C);
   std::vector<VisibleState> Out;
   if (Packer.packable()) {
     std::vector<uint64_t> Words;

@@ -17,8 +17,8 @@ static unsigned bitsFor(uint64_t Max) {
   return Max == 0 ? 1 : std::bit_width(Max);
 }
 
-VisiblePacker::VisiblePacker(const Cpds &C, uint64_t NumControl) {
-  unsigned Total = bitsFor(NumControl - 1);
+VisiblePacker::VisiblePacker(const Cpds &C) {
+  unsigned Total = bitsFor(C.numSharedStates() - 1);
   for (unsigned I = 0; I < C.numThreads(); ++I) {
     // Top symbols range over 0 (EpsSym, the empty stack) .. numSymbols().
     FieldBits.push_back(bitsFor(C.thread(I).numSymbols()));

@@ -33,10 +33,8 @@ namespace cuba {
 /// Order-preserving bit layout for one CPDS's visible states.
 class VisiblePacker {
 public:
-  /// Lays out <q | s1..sn> for control states q < \p NumControl, which
-  /// may exceed the system's own shared states (the dataflow client
-  /// folds taint facts into q).
-  VisiblePacker(const Cpds &C, uint64_t NumControl);
+  /// Lays out <q | s1..sn> for \p C's shared states and stack symbols.
+  explicit VisiblePacker(const Cpds &C);
 
   /// True when every visible state of the CPDS fits in one uint64_t.
   bool packable() const { return Packable; }
@@ -94,8 +92,8 @@ private:
 /// the engines, but re-insertions happen within a round).
 class VisibleRoundSet {
 public:
-  VisibleRoundSet(const Cpds &C, uint64_t NumControl)
-      : Packer(C, NumControl), NumThreads(Packer.numThreads()) {}
+  explicit VisibleRoundSet(const Cpds &C)
+      : Packer(C), NumThreads(Packer.numThreads()) {}
 
   size_t size() const {
     return Packer.packable() ? Packed.size() : Fallback.size();

@@ -39,14 +39,9 @@
 /// charged against the caller's LimitTracker; an exhausted saturation
 /// reports Complete == false and underapproximates.
 ///
-/// The saturation itself runs on the semiring-generic core
-/// (psa/WeightedPostStar.h) instantiated with the boolean-set domain
-/// (psa/Semiring.h): a root mask is a row of boolean-set weights, OR is
-/// `combine`, intersection at epsilon composition is `extend`.  The
-/// instantiation is bit-identical to the pre-refactor mask engine
-/// (pinned by SharedSaturationTest against
-/// tests/ReferenceSharedSaturation.h); this header stays the stable
-/// mask-level interface every existing caller uses.
+/// The worklist, its transition creation order, mask rows and budget
+/// charges are pinned bit for bit by SharedSaturationTest against an
+/// independent copy (tests/ReferenceSharedSaturation.h).
 ///
 //===----------------------------------------------------------------------===//
 

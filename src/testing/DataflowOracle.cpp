@@ -1,4 +1,4 @@
-//===-- testing/DataflowOracle.cpp - Weighted-vs-folded oracle ------------===//
+//===-- testing/DataflowOracle.cpp - Folds vs the full fold ---------------===//
 //
 // Part of the CUBA project, an implementation of the PLDI 2018 paper
 // "CUBA: Interprocedural Context-UnBounded Analysis of Concurrent Programs".
@@ -8,30 +8,25 @@
 #include "testing/DataflowOracle.h"
 
 #include <algorithm>
+#include <memory>
+#include <set>
+#include <variant>
 
 #include "bp/AstPrinter.h"
 #include "bp/Parser.h"
 #include "bp/Sema.h"
 #include "bp/Translate.h"
 #include "core/CbaEngine.h"
-#include "dataflow/DataflowEngine.h"
+#include "core/FcrCheck.h"
+#include "core/SymbolicEngine.h"
+#include "dataflow/TaintFolds.h"
 #include "pds/CpdsIO.h"
-#include "psa/WeightedPostStar.h"
+#include "psa/SaturationEngine.h"
 #include "testing/RandomBp.h"
 #include "testing/RandomCpds.h"
 
 using namespace cuba;
 using namespace cuba::testing;
-
-std::string DataflowOracleReport::str() const {
-  std::string Out;
-  for (const std::string &M : Mismatches) {
-    if (!Out.empty())
-      Out += "\n";
-    Out += M;
-  }
-  return Out;
-}
 
 //===----------------------------------------------------------------------===//
 // Annotation injection
@@ -131,42 +126,56 @@ void cuba::testing::injectTaintAnnotations(bp::Program &P, uint64_t Seed) {
 namespace {
 
 /// Renders the symmetric difference of two sorted visible-state vectors
-/// (folded coordinates, so \p C is the folded system).
-std::string setDiff(const Cpds &C, const std::vector<VisibleState> &W,
-                    const std::vector<VisibleState> &F) {
+/// (fold coordinates, so \p C is the fold's system).
+std::string setDiff(const Cpds &C, const std::vector<VisibleState> &Fold,
+                    const std::vector<VisibleState> &Full) {
   std::string Out;
-  std::vector<VisibleState> OnlyW, OnlyF;
-  std::set_difference(W.begin(), W.end(), F.begin(), F.end(),
-                      std::back_inserter(OnlyW));
-  std::set_difference(F.begin(), F.end(), W.begin(), W.end(),
-                      std::back_inserter(OnlyF));
-  for (const VisibleState &V : OnlyW)
-    Out += " weighted-only " + toString(C, V);
-  for (const VisibleState &V : OnlyF)
-    Out += " folded-only " + toString(C, V);
+  std::vector<VisibleState> OnlyFold, OnlyFull;
+  std::set_difference(Fold.begin(), Fold.end(), Full.begin(), Full.end(),
+                      std::back_inserter(OnlyFold));
+  std::set_difference(Full.begin(), Full.end(), Fold.begin(), Fold.end(),
+                      std::back_inserter(OnlyFull));
+  for (const VisibleState &V : OnlyFold)
+    Out += " fold-only " + toString(C, V);
+  for (const VisibleState &V : OnlyFull)
+    Out += " full-only " + toString(C, V);
   return Out;
 }
 
+/// One fact's fold under comparison: its system, the engine FCR picks
+/// for it, and the projections of the full fold's visible states seen
+/// so far.
+struct FoldRun {
+  int Fact = -1;
+  CpdsFile File;
+  std::variant<std::unique_ptr<CbaEngine>, std::unique_ptr<SymbolicEngine>>
+      Engine;
+  std::set<VisibleState> Projected;
+};
+
 } // namespace
 
-ErrorOr<AnnotatedBase>
-cuba::testing::annotatedBaseTranslation(const bp::Program &P) {
+std::string DataflowOracleReport::str() const {
+  std::string Out;
+  for (const std::string &M : Mismatches) {
+    if (!Out.empty())
+      Out += "\n";
+    Out += M;
+  }
+  return Out;
+}
+
+ErrorOr<AnnotatedProgram> cuba::testing::reanalyze(const bp::Program &P) {
   auto Reparsed = bp::parseProgram(bp::printProgram(P));
   if (!Reparsed)
     return Error("annotated program does not re-parse: " +
                  Reparsed.error().str());
-  AnnotatedBase Out{Reparsed.take(), {}, {}, {}};
+  AnnotatedProgram Out{Reparsed.take(), {}};
   auto Info = bp::analyzeProgram(Out.Program);
   if (!Info)
     return Error("frontend rejects the annotated program: " +
                  Info.error().str());
   Out.Info = Info.take();
-  bp::TranslateOptions Opts;
-  Opts.Taint = &Out.Taint;
-  auto Base = bp::translateProgram(Out.Program, Out.Info, Opts);
-  if (!Base)
-    return Error("base translation rejected: " + Base.error().str());
-  Out.Base = Base.take();
   return Out;
 }
 
@@ -177,99 +186,150 @@ cuba::testing::runDataflowOracle(const bp::Program &P,
   auto Mismatch = [&](std::string S) {
     Rep.Mismatches.push_back(std::move(S));
   };
-
-  // Pipeline A: the base translation plus the taint side table -- what
-  // `cuba dataflow` runs through the weighted engine.
-  auto A = annotatedBaseTranslation(P);
+  auto A = reanalyze(P);
   if (!A) {
     Mismatch(A.error().str());
     return Rep;
   }
-  Rep.FactCount = A->Info.TaintFacts.size();
-  const bp::TaintInfo &Taint = A->Taint;
+  size_t N = A->Info.TaintFacts.size();
+  Rep.FactCount = N;
 
-  // Pipeline B: the naive product construction.  A size-guard
-  // rejection here is legitimate (the 2^facts blowup the weighted
-  // engine exists to avoid), not a mismatch.
-  bp::TranslateOptions FoldOpts;
-  FoldOpts.FoldTaint = true;
-  auto Folded = bp::translateProgram(A->Program, A->Info, FoldOpts);
-  if (!Folded) {
-    Rep.FoldedRejected = true;
+  // The full fold: every fact's bit in the control state.  Too many
+  // facts, or a size-guard refusal of the 2^facts blowup, leaves the
+  // instance without a reference; that is not a mismatch.
+  if (N > MaxFullFacts) {
+    Rep.FullRejected = true;
     return Rep;
   }
-
-  // The fold-bit isomorphism the comparison rides on: identical thread
-  // structure and per-thread stack alphabets, symbol for symbol in id
-  // order, control states widened by exactly the fact bits.
-  const Cpds &BC = A->Base.System;
-  const Cpds &FC = Folded->System;
-  if (BC.numThreads() != FC.numThreads()) {
-    Mismatch("translation modes disagree on thread count");
+  uint32_t All = static_cast<uint32_t>((uint64_t(1) << N) - 1);
+  bp::TaintInfo Taint;
+  bp::TranslateOptions FullOpts;
+  FullOpts.FoldTaint = All;
+  FullOpts.Taint = &Taint;
+  auto Full = bp::translateProgram(A->Program, A->Info, FullOpts);
+  if (!Full) {
+    Rep.FullRejected = true;
     return Rep;
   }
-  for (unsigned I = 0; I < BC.numThreads(); ++I) {
-    const Pds &BT = BC.thread(I), &FT = FC.thread(I);
-    bool Same = BT.numSymbols() == FT.numSymbols();
-    for (Sym S = 1; Same && S <= BT.numSymbols(); ++S)
-      Same = BT.symbolName(S) == FT.symbolName(S);
-    if (!Same) {
-      Mismatch("translation modes disagree on thread " + std::to_string(I) +
-               "'s stack alphabet");
+  const Cpds &FC = Full->System;
+  QState FullErr = foldErr(Taint, All);
+
+  // The folds, as `cuba dataflow` builds them.  Every fold set must give
+  // the full fold's stack alphabets, symbol for symbol in id order, and
+  // widen the unfolded control states by exactly the folded bits.
+  std::vector<FoldRun> Folds(N);
+  for (size_t F = 0; F < N; ++F) {
+    FoldRun &R = Folds[F];
+    R.Fact = static_cast<int>(F);
+    bp::TranslateOptions TOpts;
+    TOpts.FoldTaint = 1u << F;
+    auto File = bp::translateProgram(A->Program, A->Info, TOpts);
+    if (!File) {
+      Mismatch("fact " + std::to_string(F) + "'s fold rejected: " +
+               File.error().str());
       return Rep;
     }
+    R.File = File.take();
+    const Cpds &C = R.File.System;
+    bool Same =
+        C.numThreads() == FC.numThreads() &&
+        C.numSharedStates() == (QState(1) << (Taint.SharedBits + 1)) + 1;
+    for (unsigned I = 0; Same && I < C.numThreads(); ++I) {
+      Same = C.thread(I).numSymbols() == FC.thread(I).numSymbols();
+      for (Sym S = 1; Same && S <= C.thread(I).numSymbols(); ++S)
+        Same = C.thread(I).symbolName(S) == FC.thread(I).symbolName(S);
+    }
+    if (!Same) {
+      Mismatch("fact " + std::to_string(F) +
+               "'s fold and the full fold disagree on their threads, "
+               "alphabets or control bits");
+      return Rep;
+    }
+    LimitTracker FcrLimits(Opts.Limits);
+    if (checkFcr(C, &FcrLimits).Holds) {
+      R.Engine = std::make_unique<CbaEngine>(C, Opts.Limits);
+      std::get<0>(R.Engine)->setParallel(Opts.Pool);
+    } else {
+      R.Engine = std::make_unique<SymbolicEngine>(C, Opts.Limits);
+      ++Rep.SymbolicFolds;
+    }
   }
-  uint64_t WantShared =
-      (static_cast<uint64_t>(1) << (Taint.SharedBits + Rep.FactCount)) + 1;
-  if (FC.numSharedStates() != WantShared) {
-    Mismatch("folded system has " + std::to_string(FC.numSharedStates()) +
-             " control states, expected " + std::to_string(WantShared));
+  if (FC.numSharedStates() != (QState(1) << (Taint.SharedBits + N)) + 1) {
+    Mismatch("the full fold has " + std::to_string(FC.numSharedStates()) +
+             " control states, expected " +
+             std::to_string((QState(1) << (Taint.SharedBits + N)) + 1));
     return Rep;
   }
 
-  if (Opts.InjectDropCombine)
+  // Lockstep rounds: each fold's new visible states against the full
+  // fold's, projected onto the fold's bit, less earlier projections.
+  // The engines saturate only inside advance(), so the mutation is on
+  // exactly while they do.
+  if (Opts.InjectDropMaskGrowth)
     psa_testing::InjectDropMaskGrowth = true;
-
-  // Lockstep rounds: the weighted engine's projected visible states
-  // against the folded system's T(R_k).
-  DataflowEngine W(BC, Taint, Opts.Limits);
+  QState BaseMask = (QState(1) << Taint.SharedBits) - 1;
   CbaEngine Ref(FC, Opts.Limits);
   Ref.setParallel(Opts.Pool);
   unsigned K = 0;
   while (true) {
-    std::vector<VisibleState> NewW = W.newVisibleThisRound();
-    std::vector<VisibleState> NewF = Ref.newVisibleThisRound();
-    std::sort(NewW.begin(), NewW.end());
-    std::sort(NewF.begin(), NewF.end());
-    if (NewW != NewF)
-      Mismatch("k=" + std::to_string(K) +
-               ": weighted and folded visible rounds differ:" +
-               setDiff(FC, NewW, NewF));
+    std::vector<VisibleState> NewFull = Ref.newVisibleThisRound();
+    for (FoldRun &R : Folds) {
+      QState Err = foldErr(Taint, 1u << R.Fact);
+      std::vector<VisibleState> Want;
+      for (VisibleState V : NewFull) {
+        V.Q = V.Q == FullErr ? Err
+                             : (V.Q & BaseMask) |
+                                   (((V.Q >> (Taint.SharedBits + R.Fact)) & 1)
+                                    << Taint.SharedBits);
+        if (R.Projected.insert(V).second)
+          Want.push_back(std::move(V));
+      }
+      std::sort(Want.begin(), Want.end());
+      std::vector<VisibleState> Got = std::visit(
+          [](const auto &E) { return E->newVisibleThisRound(); }, R.Engine);
+      if (Got != Want)
+        Mismatch("k=" + std::to_string(K) + ": fact " +
+                 Taint.FactNames[R.Fact] +
+                 "'s fold and the projected full fold differ:" +
+                 setDiff(R.File.System, Got, Want));
+    }
     Rep.KCompared = K;
     if (K >= Opts.MaxK)
       break;
-    // Advance both engines; a budget stop truncates the comparison (the
+    // Advance every engine; a budget stop truncates the comparison (the
     // interrupted round's discoveries are incomplete by construction).
-    Rep.WeightedExhausted =
-        W.advance() == DataflowEngine::RoundStatus::Exhausted;
-    Rep.FoldedExhausted = Ref.advance() == CbaEngine::RoundStatus::Exhausted;
-    if (Rep.WeightedExhausted || Rep.FoldedExhausted)
+    for (FoldRun &R : Folds)
+      Rep.FoldsExhausted |= std::visit(
+          [](const auto &E) {
+            using EngineT = std::decay_t<decltype(*E)>;
+            return E->advance() == EngineT::RoundStatus::Exhausted;
+          },
+          R.Engine);
+    Rep.FullExhausted = Ref.advance() == CbaEngine::RoundStatus::Exhausted;
+    if (Rep.FoldsExhausted || Rep.FullExhausted)
       break;
     ++K;
   }
   psa_testing::InjectDropMaskGrowth = false;
 
   // Verdict agreement: one shared scan over each side's visible set,
-  // restricted to the rounds both engines completed.
-  std::vector<SinkHit> WHits =
-      scanSinkHits(W.visibleFirstSeen(), Taint, Rep.KCompared);
-  std::vector<SinkHit> FHits =
-      scanSinkHits(Ref.visibleFirstSeen(), Taint, Rep.KCompared);
-  if (WHits != FHits)
-    Mismatch("sink verdicts differ: weighted reports " +
-             std::to_string(WHits.size()) + " hit(s), folded reports " +
-             std::to_string(FHits.size()));
-  Rep.Leak = !FHits.empty();
+  // restricted to the rounds every engine completed.
+  std::vector<SinkHit> FoldHits;
+  for (const FoldRun &R : Folds) {
+    std::vector<SinkHit> H = scanSinkHits(
+        std::visit([](const auto &E) { return E->visibleFirstSeen(); },
+                   R.Engine),
+        Taint, 1u << R.Fact, Rep.KCompared);
+    FoldHits.insert(FoldHits.end(), H.begin(), H.end());
+  }
+  std::sort(FoldHits.begin(), FoldHits.end());
+  std::vector<SinkHit> FullHits =
+      scanSinkHits(Ref.visibleFirstSeen(), Taint, All, Rep.KCompared);
+  if (FoldHits != FullHits)
+    Mismatch("sink verdicts differ: the folds report " +
+             std::to_string(FoldHits.size()) + " hit(s), the full fold " +
+             std::to_string(FullHits.size()));
+  Rep.Leak = !FullHits.empty();
   return Rep;
 }
 
@@ -284,7 +344,7 @@ cuba::testing::checkDataflowSeed(uint64_t Seed,
                                  const DataflowOracleOptions &Opts) {
   DataflowOracleReport Rep =
       runDataflowOracle(annotatedDataflowProgram(Seed), Opts);
-  if (Rep.FoldedRejected)
+  if (Rep.FullRejected)
     return std::nullopt;
   return Rep;
 }

@@ -476,8 +476,8 @@ TEST(BpCorpus, ZIsExploredOnlyWhenTheGeneratorTestRuns) {
 //===----------------------------------------------------------------------===//
 
 TEST(BpCorpus, FuzzMismatchReproLineCarriesEveryFlag) {
-  // CUBA_FUZZ_INJECT=drop-combine simulates a lost `combine` in the
-  // saturation core, forcing the engines to disagree so the MISMATCH
+  // CUBA_FUZZ_INJECT=drop-combine simulates a lost mask propagation in
+  // the saturation core, forcing the engines to disagree so the MISMATCH
   // report itself can be pinned: for both workloads the repro line must
   // replay the seed and every verdict-relevant flag at the values the
   // failing run used (--count collapses to 1).

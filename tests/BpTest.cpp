@@ -11,7 +11,9 @@
 #include "bp/Parser.h"
 #include "bp/Sema.h"
 #include "bp/Translate.h"
+#include "core/CbaEngine.h"
 #include "core/CubaDriver.h"
+#include "core/SymbolicEngine.h"
 #include "pds/CpdsIO.h"
 
 using namespace cuba;
@@ -431,7 +433,7 @@ TEST(BpTranslate, UncalledHelpersCostNothing) {
   for (int I = 0; I < 500; ++I)
     Helper += "  skip;\n";
   Helper += "}\n";
-  std::string Src = Helper + "void w() { x := 1; assert(x); }\n"
+  std::string Src = Helper + "void w() { x, y, z := 1, 1, 1; assert(x); }\n"
                              "void main() { thread_create(w); }\n";
   auto F = compileBooleanProgram(Src);
   ASSERT_TRUE(F) << F.error().str();
@@ -473,15 +475,18 @@ TEST(BpTranslate, RefusesReturnBitsPastTheSlotFloorUpFront) {
 }
 
 TEST(BpTranslate, RefusesTaintFactsPastTheFoldedControlWord) {
-  // The weighted dataflow client folds the fact bits above the control
-  // bits into one 32-bit word.  Twelve shared variables (Sema's limit),
-  // all annotated, plus eight per-thread $ret bits make 20 control bits
-  // and 12 facts: the weighted translation must refuse before any frame
-  // is built.  Without a side table the same program meets the
-  // rule-slot floor instead.
+  // Folded fact bits sit above the control bits of one 32-bit control
+  // word.  Twelve shared variables (Sema's limit), all read and all
+  // annotated, plus eight per-thread $ret bits make 20 control bits:
+  // folding all 12 facts needs 32 bits, and the translation refuses
+  // before any frame is built.  One fact's fold, and the unfolded
+  // program, meet the rule-slot floor instead.
   std::string Src = "decl a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11;\n"
                     "bool id(v) { return v; }\nvoid w() {\n"
-                    "  a0 := call id(1);\n";
+                    "  a0 := call id(1);\n  assume(a0";
+  for (int I = 1; I < 12; ++I)
+    Src += " | a" + std::to_string(I);
+  Src += ");\n";
   for (int I = 0; I < 12; ++I)
     Src += "  source(a" + std::to_string(I) + ");\n";
   Src += "}\nvoid main() {\n";
@@ -489,21 +494,78 @@ TEST(BpTranslate, RefusesTaintFactsPastTheFoldedControlWord) {
     Src += "  thread_create(w);\n";
   Src += "}\n";
 
-  TaintInfo Taint;
-  TranslateOptions Opts;
-  Opts.Taint = &Taint;
-  auto F = compileBooleanProgram(Src, Opts);
-  ASSERT_FALSE(F);
-  EXPECT_NE(F.error().message().find(
-                "too many taint facts (20 control bits + 12 facts"),
-            std::string::npos)
-      << F.error().str();
+  for (auto [Fold, Bits] : {std::pair<uint32_t, int>{0xfff, 32},
+                            std::pair<uint32_t, int>{1, 21},
+                            std::pair<uint32_t, int>{0, 20}}) {
+    TranslateOptions Opts;
+    Opts.FoldTaint = Fold;
+    auto F = compileBooleanProgram(Src, Opts);
+    ASSERT_FALSE(F) << Bits;
+    EXPECT_NE(F.error().message().find("8 threads x 2^" +
+                                       std::to_string(Bits) +
+                                       " shared valuations"),
+              std::string::npos)
+        << F.error().str();
+  }
+}
 
-  auto G = compileBooleanProgram(Src);
-  ASSERT_FALSE(G);
-  EXPECT_NE(G.error().message().find("8 threads x 2^20 shared valuations"),
-            std::string::npos)
-      << G.error().str();
+namespace {
+
+/// Per-round visible and state counts of both engines on \p C, to \p K.
+std::vector<size_t> roundCounts(const Cpds &C, unsigned K) {
+  std::vector<size_t> Out;
+  CbaEngine E(C, ResourceLimits::unlimited());
+  SymbolicEngine S(C, ResourceLimits::unlimited());
+  for (unsigned R = 0;; ++R) {
+    Out.insert(Out.end(), {E.reachedSize(), E.visibleSize(),
+                           S.symbolicStateCount(), S.visibleSize()});
+    if (R == K)
+      return Out;
+    EXPECT_EQ(E.advance(), CbaEngine::RoundStatus::Ok);
+    EXPECT_EQ(S.advance(), SymbolicEngine::RoundStatus::Ok);
+  }
+}
+
+} // namespace
+
+TEST(BpTranslate, UntouchedGlobalsTakeNoBit) {
+  // RaceBetweenCheckAndAssert with a second declared variable that no
+  // statement reads or writes (a taint annotation does not count).  It
+  // would be 0 in every state, so it gets no bit: the padded program has
+  // half the valuations a bit per declaration would give it (2, not 4),
+  // and neither engine's rounds, the verdict nor the bug bound change.
+  const char *Race =
+      "void t1() { if (!x) { assert(!x); } else { skip; } }\n"
+      "void t2() { x := 1; }\n"
+      "void main() { thread_create(t1); thread_create(t2); }";
+  auto Plain = compileBooleanProgram(std::string("decl x;\n") + Race);
+  auto Padded = compileBooleanProgram(
+      std::string("decl pad, x;\n") + Race + "\nvoid u() { source(pad); }");
+  ASSERT_TRUE(Plain) << Plain.error().str();
+  ASSERT_TRUE(Padded) << Padded.error().str();
+  // One bit for x: 2 valuations + err, not 4 + err.
+  EXPECT_EQ(Plain->System.numSharedStates(), 3u);
+  EXPECT_EQ(Padded->System.numSharedStates(), 3u);
+  EXPECT_EQ(printCpds(*Plain), printCpds(*Padded));
+  EXPECT_EQ(roundCounts(Plain->System, 4), roundCounts(Padded->System, 4));
+  DriverOptions O;
+  O.Run.Limits.MaxContexts = 24;
+  DriverResult A = runCuba(Plain->System, Plain->Property, O);
+  DriverResult B = runCuba(Padded->System, Padded->Property, O);
+  EXPECT_EQ(A.Run.outcome(), Outcome::BugFound);
+  EXPECT_EQ(B.Run.outcome(), A.Run.outcome());
+  EXPECT_EQ(B.Run.BugBound, A.Run.BugBound);
+}
+
+TEST(BpTranslate, WrittenGlobalsKeepTheirBit) {
+  // A variable that is written but never read is not constant, so it
+  // keeps its bit (dropping it would merge states).
+  auto F = compileBooleanProgram("decl w, x;\n"
+                                 "void t() { w := *; x := 1; assert(x); }\n"
+                                 "void main() { thread_create(t); }");
+  ASSERT_TRUE(F) << F.error().str();
+  EXPECT_EQ(F->System.numSharedStates(), 5u);
+  EXPECT_EQ(F->System.sharedStateName(F->System.initialShared()), "b00");
 }
 
 //===----------------------------------------------------------------------===//

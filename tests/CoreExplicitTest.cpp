@@ -409,8 +409,7 @@ TEST(ZOverapprox, WideSystemsTakeTheVisibleStateFallback) {
   // Too wide for one word: Z comes from the VisibleState BFS, with the
   // same result, generator filter and budget trajectory.
   CpdsFile F = buildWideCpds();
-  ASSERT_FALSE(
-      VisiblePacker(F.System, F.System.numSharedStates()).packable());
+  ASSERT_FALSE(VisiblePacker(F.System).packable());
   expectZMatchesReference(F.System, "wide");
   expectSameBudgetTrajectory(F.System, "wide");
   GeneratorSet G(F.System);

@@ -5,24 +5,23 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The weighted-post* dataflow client, end to end:
+// The per-fact taint folds (dataflow/TaintFolds.h), end to end:
 //
-//  * the GEN/KILL transformer algebra and its interning table,
 //  * the source/sanitize/sink frontend (parse/print fixpoint, Sema
-//    rules, the contextual-keyword corner),
+//    rules, the contextual-keyword corner, the fold's bit effects),
 //  * hand-written leak / sanitized / cross-thread instances through the
-//    weighted-vs-folded differential oracle,
-//  * a 160-instance seeded suite: DataflowEngine on the base
-//    translation against CbaEngine on the folded product, round for
+//    folds-vs-full-fold differential oracle,
+//  * a 160-instance seeded suite: each fact's fold, on the engine FCR
+//    picks, against CbaEngine on the full fold of every fact, round for
 //    round, including verdict agreement,
 //  * budget-truncation agreement (tiny budgets never fabricate a
 //    mismatch),
-//  * the lost-`combine` mutation check (the suite must catch
-//    psa_testing::InjectDropMaskGrowth),
-//  * --jobs independence: the folded reference on a thread pool yields
+//  * the lost-mask-growth mutation check on folds that take the symbolic
+//    route (the suite must catch psa_testing::InjectDropMaskGrowth),
+//  * --jobs independence: the explicit engines on a thread pool yield
 //    the identical report,
-//  * the weighted product cache: a run on examples/taint_demo.bp serves
-//    some extraction's product from its saturation's cache.
+//  * runTaintFolds itself: the route per fold, the shared budget, and a
+//    program without facts.
 //
 //===----------------------------------------------------------------------===//
 
@@ -35,8 +34,7 @@
 #include "bp/Parser.h"
 #include "bp/Sema.h"
 #include "bp/Translate.h"
-#include "dataflow/DataflowEngine.h"
-#include "dataflow/TaintDomain.h"
+#include "dataflow/TaintFolds.h"
 #include "exec/ThreadPool.h"
 #include "obs/Metrics.h"
 #include "testing/DataflowOracle.h"
@@ -45,68 +43,6 @@
 
 using namespace cuba;
 using namespace cuba::testing;
-
-//===----------------------------------------------------------------------===//
-// The transformer algebra
-//===----------------------------------------------------------------------===//
-
-TEST(TaintAlgebra, SeqComposesApplications) {
-  SplitMix64 Rng(7);
-  for (int I = 0; I < 200; ++I) {
-    TaintTf A{static_cast<uint32_t>(Rng.next() & 0xff),
-              static_cast<uint32_t>(Rng.next() & 0xff)};
-    TaintTf B{static_cast<uint32_t>(Rng.next() & 0xff),
-              static_cast<uint32_t>(Rng.next() & 0xff)};
-    uint32_t X = static_cast<uint32_t>(Rng.next() & 0xff);
-    EXPECT_EQ(applyTf(seqTf(A, B), X), applyTf(B, applyTf(A, X)));
-  }
-}
-
-TEST(TaintAlgebra, SeqIsAssociative) {
-  SplitMix64 Rng(11);
-  for (int I = 0; I < 200; ++I) {
-    TaintTf A{static_cast<uint32_t>(Rng.next() & 0xf),
-              static_cast<uint32_t>(Rng.next() & 0xf)};
-    TaintTf B{static_cast<uint32_t>(Rng.next() & 0xf),
-              static_cast<uint32_t>(Rng.next() & 0xf)};
-    TaintTf C{static_cast<uint32_t>(Rng.next() & 0xf),
-              static_cast<uint32_t>(Rng.next() & 0xf)};
-    EXPECT_EQ(seqTf(seqTf(A, B), C), seqTf(A, seqTf(B, C)));
-  }
-}
-
-TEST(TaintAlgebra, TablePinsIdentity) {
-  TaintWeightTable Tab;
-  EXPECT_EQ(Tab.internTf({0, 0}), 0u);
-  EXPECT_EQ(Tab.internSet({0}), 0u);
-  // one is neutral for extend, in both positions.
-  uint32_t T = Tab.internTf({1, 2});
-  uint32_t S = Tab.internSet({T});
-  EXPECT_EQ(Tab.composeSets(S, 0u), S);
-  EXPECT_EQ(Tab.composeSets(0u, S), S);
-  EXPECT_EQ(Tab.unionSets(S, S), S);
-  EXPECT_EQ(Tab.diffSets(S, S), TaintWeightTable::EmptySet);
-}
-
-TEST(TaintAlgebra, SetOpsModelSetSemantics) {
-  TaintWeightTable Tab;
-  uint32_t A = Tab.internTf({0b01, 0b00}); // kill fact 0
-  uint32_t B = Tab.internTf({0b00, 0b01}); // gen fact 0
-  uint32_t SA = Tab.internSet({A});
-  uint32_t SB = Tab.internSet({B});
-  std::vector<uint32_t> AB{std::min(A, B), std::max(A, B)};
-  uint32_t SAB = Tab.internSet(AB);
-  EXPECT_EQ(Tab.unionSets(SA, SB), SAB);
-  EXPECT_EQ(Tab.diffSets(SAB, SA), SB);
-  // compose({A,B}, {B}) = {seq(A,B), seq(B,B)} = {gen0} (both compose
-  // to the pure generator).
-  uint32_t C = Tab.composeSets(SAB, SB);
-  EXPECT_EQ(Tab.set(C).size(), 1u);
-  EXPECT_EQ(Tab.tf(Tab.set(C)[0]), (TaintTf{0b00, 0b01}));
-  // May-apply unions over members: {kill0, gen0} applied to {fact0}.
-  EXPECT_EQ(Tab.applySetMay(SAB, 0b01), 0b01u);
-  EXPECT_EQ(Tab.applySetMay(SA, 0b01), 0b00u);
-}
 
 //===----------------------------------------------------------------------===//
 // The annotation frontend
@@ -181,6 +117,9 @@ TEST(TaintFrontend, SemaNumbersFactsInSharedOrder) {
 }
 
 TEST(TaintFrontend, SideTableRecordsWeightsAndSinks) {
+  // A fact's GEN/KILL weights live in its fold: every source rule sets
+  // the fact's bit (above the unfolded control bits) and every sanitize
+  // rule clears it; sinks are side-table records.
   bp::Program P = parseOk("decl x;\n\nvoid t() {\n  source(x);\n"
                           "  sanitize(x);\n  sink(x);\n}\n\n"
                           "void main() {\n  thread_create(&t);\n}\n\n");
@@ -188,18 +127,30 @@ TEST(TaintFrontend, SideTableRecordsWeightsAndSinks) {
   ASSERT_TRUE(Info) << Info.error().str();
   bp::TaintInfo Taint;
   bp::TranslateOptions Opts;
+  Opts.FoldTaint = 1;
   Opts.Taint = &Taint;
   auto File = bp::translateProgram(P, *Info, Opts);
   ASSERT_TRUE(File) << File.error().str();
   ASSERT_EQ(Taint.FactNames.size(), 1u);
-  EXPECT_FALSE(Taint.Weights.empty());
-  bool SawGen = false, SawKill = false;
-  for (const bp::TaintActionWeight &W : Taint.Weights) {
-    SawGen |= W.Gen == 1u && W.Kill == 0u;
-    SawKill |= W.Kill == 1u && W.Gen == 0u;
+  // x occurs only in annotations, so it has no value bit of its own.
+  EXPECT_EQ(Taint.SharedBits, 0u);
+  const Pds &T = File->System.thread(0);
+  unsigned Gens = 0, Kills = 0;
+  for (uint32_t AI = 0; AI < T.actions().size(); ++AI) {
+    const Action &A = T.actions()[AI];
+    const std::string &Label = T.label(AI);
+    if (Label == "source") {
+      EXPECT_EQ(A.DstQ, 1u);
+      ++Gens;
+    } else if (Label == "sanitize") {
+      EXPECT_EQ(A.DstQ, 0u);
+      ++Kills;
+    } else {
+      EXPECT_EQ(A.DstQ, A.SrcQ) << Label << " changed the fact bit";
+    }
   }
-  EXPECT_TRUE(SawGen);
-  EXPECT_TRUE(SawKill);
+  EXPECT_GT(Gens, 0u);
+  EXPECT_GT(Kills, 0u);
   ASSERT_FALSE(Taint.Sinks.empty());
   for (const bp::TaintSinkSite &S : Taint.Sinks) {
     EXPECT_EQ(S.Thread, 0u);
@@ -231,11 +182,18 @@ TEST(DataflowOracle, StraightLineLeak) {
 }
 
 TEST(DataflowOracle, SanitizeBlocksTheLeak) {
-  DataflowOracleReport Rep = runOn("decl x;\n\nvoid t() {\n  source(x);\n"
-                                   "  sanitize(x);\n  sink(x);\n}\n\n"
-                                   "void main() {\n  thread_create(&t);\n}\n\n");
-  EXPECT_TRUE(Rep.ok()) << Rep.str();
-  EXPECT_FALSE(Rep.Leak);
+  // The second program adds a fact: x's fold (one fold bit) and the full
+  // fold (two) must clear x's bit alike.
+  for (const char *Src :
+       {"decl x;\n\nvoid t() {\n  source(x);\n  sanitize(x);\n"
+        "  sink(x);\n}\n\nvoid main() {\n  thread_create(&t);\n}\n\n",
+        "decl x, y;\n\nvoid t() {\n  source(x);\n  source(y);\n"
+        "  sanitize(x);\n  sink(x);\n}\n\n"
+        "void main() {\n  thread_create(&t);\n}\n\n"}) {
+    DataflowOracleReport Rep = runOn(Src);
+    EXPECT_TRUE(Rep.ok()) << Src << Rep.str();
+    EXPECT_FALSE(Rep.Leak) << Src;
+  }
 }
 
 TEST(DataflowOracle, CrossThreadLeak) {
@@ -252,8 +210,8 @@ TEST(DataflowOracle, CrossThreadLeak) {
 TEST(DataflowOracle, CrossThreadLeakPastThirtyTwoThreads) {
   // CrossThreadLeak with the sink thread created first and the source
   // thread last, behind Dead threads that never move: at 33 threads
-  // the source is thread 32, past the weighted engine's 32 producer-mask
-  // bits, and the sink thread must still expand the state it produced.
+  // the source is thread 32, past the engines' 32 producer-mask bits,
+  // and the sink thread must still expand the state it produced.
   auto Build = [](unsigned Dead) {
     std::string Src = "decl x;\n\nvoid u() {\n  skip;\n  sink(x);\n}\n\n"
                       "void d() {\n  assume(0);\n}\n\n"
@@ -326,30 +284,31 @@ TEST(DataflowSuite, BudgetTruncationAgrees) {
     }
     EXPECT_TRUE(Rep->ok()) << "seed " << Seed << ":\n" << Rep->str();
     ++Checked;
-    Truncated += Rep->WeightedExhausted || Rep->FoldedExhausted;
+    Truncated += Rep->FoldsExhausted || Rep->FullExhausted;
   }
   EXPECT_GT(Truncated, 0u) << "budgets too generous to test truncation";
 }
 
 TEST(DataflowSuite, LostCombineIsCaught) {
-  // A weighted engine whose saturation drops `combine` into existing
-  // transitions must disagree with the folded reference on some seed.
+  // Folds that take the symbolic route saturate with root masks; a
+  // saturation that drops the growth of an existing transition's mask
+  // loses states, so some such fold must disagree with the full fold.
   DataflowOracleOptions Opts;
-  Opts.InjectDropCombine = true;
-  unsigned Caught = 0, Checked = 0;
-  for (uint64_t Seed = 0; Checked < 40 && Caught == 0; ++Seed) {
-    ASSERT_LT(Seed, 400u);
+  Opts.InjectDropMaskGrowth = true;
+  unsigned Caught = 0, Symbolic = 0;
+  for (uint64_t Seed = 0; Symbolic < 40 && Caught == 0; ++Seed) {
+    ASSERT_LT(Seed, 400u) << "too few seeds take the symbolic route";
     std::optional<DataflowOracleReport> Rep = checkDataflowSeed(Seed, Opts);
-    if (!Rep)
+    if (!Rep || !Rep->SymbolicFolds)
       continue;
-    ++Checked;
+    ++Symbolic;
     Caught += !Rep->ok();
   }
   EXPECT_GT(Caught, 0u) << "the mutation check never tripped";
 }
 
 TEST(DataflowSuite, ReferenceJobsIndependence) {
-  // The folded reference's parallel rounds are bit-identical to serial
+  // The explicit engines' parallel rounds are bit-identical to serial
   // ones, so the oracle report cannot depend on the job count.
   std::vector<uint64_t> Seeds;
   std::vector<DataflowOracleReport> Serial;
@@ -373,38 +332,111 @@ TEST(DataflowSuite, ReferenceJobsIndependence) {
                              << ":\n" << Rep->str();
       EXPECT_EQ(Rep->KCompared, Serial[I].KCompared);
       EXPECT_EQ(Rep->Leak, Serial[I].Leak);
-      EXPECT_EQ(Rep->WeightedExhausted, Serial[I].WeightedExhausted);
-      EXPECT_EQ(Rep->FoldedExhausted, Serial[I].FoldedExhausted);
+      EXPECT_EQ(Rep->FoldsExhausted, Serial[I].FoldsExhausted);
+      EXPECT_EQ(Rep->FullExhausted, Serial[I].FullExhausted);
     }
   }
 }
 
 //===----------------------------------------------------------------------===//
-// The weighted product cache
+// runTaintFolds
 //===----------------------------------------------------------------------===//
 
-// Running the weighted engine on the taint demo must actually exercise
-// the product cache: the deterministic dataflow.products.reused counter
-// ends above zero.
-TEST(WeightedProductCache, EngineCountsReusedProducts) {
-  std::ifstream In(CUBA_TAINT_DEMO);
-  ASSERT_TRUE(In) << CUBA_TAINT_DEMO;
+namespace {
+
+std::string readFile(const char *Path) {
+  std::ifstream In(Path);
+  EXPECT_TRUE(In) << Path;
   std::stringstream Src;
   Src << In.rdbuf();
-  bp::Program P = parseOk(Src.str());
-  auto Info = bp::analyzeProgram(P);
-  ASSERT_TRUE(Info) << Info.error().str();
-  bp::TaintInfo Taint;
-  bp::TranslateOptions Opts;
-  Opts.Taint = &Taint;
-  auto File = bp::translateProgram(P, *Info, Opts);
-  ASSERT_TRUE(File) << File.error().str();
+  return Src.str();
+}
 
-  uint64_t Before = obs::Metrics::value("dataflow.products.reused");
-  DataflowEngine W(File->System, Taint, ResourceLimits());
-  while (W.bound() < 64 && !W.frontierEmpty())
-    ASSERT_EQ(W.advance(), DataflowEngine::RoundStatus::Ok);
-  EXPECT_FALSE(W.sinkHits().empty()) << "the demo's leak went missing";
-  EXPECT_GT(obs::Metrics::value("dataflow.products.reused"), Before)
-      << "the taint demo never reused a cached product";
+/// \p Src's folds under \p Opts.
+TaintFoldResult runFolds(const std::string &Src,
+                         const TaintFoldOptions &Opts = {}) {
+  bp::Program P = parseOk(Src);
+  auto Info = bp::analyzeProgram(P);
+  EXPECT_TRUE(Info) << Info.error().str();
+  auto R = runTaintFolds(P, *Info, Opts);
+  EXPECT_TRUE(R) << R.error().str();
+  return R.take();
+}
+
+} // namespace
+
+TEST(DataflowFolds, DemoFoldsTakeTheExplicitRoute) {
+  uint64_t Before = obs::Metrics::value("dataflow.folds");
+  TaintFoldResult R = runFolds(readFile(CUBA_TAINT_DEMO));
+  EXPECT_EQ(obs::Metrics::value("dataflow.folds") - Before, 2u);
+  ASSERT_EQ(R.Folds.size(), 2u);
+  for (const FactFold &F : R.Folds) {
+    EXPECT_TRUE(F.Explicit) << R.Taint.FactNames[F.Fact];
+    EXPECT_TRUE(F.Converged) << R.Taint.FactNames[F.Fact];
+  }
+  EXPECT_FALSE(R.exhausted());
+  // worker leaks x; auditor always sanitizes y.
+  ASSERT_EQ(R.Hits.size(), 1u);
+  EXPECT_EQ(R.Hits[0].Thread, 0u);
+  EXPECT_EQ(R.Taint.FactNames[R.Hits[0].Fact], "x");
+}
+
+TEST(DataflowFolds, RecursiveFoldsTakeTheSymbolicRoute) {
+  uint64_t Before = obs::Metrics::value("saturation.pops");
+  TaintFoldResult R = runFolds(readFile(CUBA_TAINT_RECURSIVE));
+  EXPECT_GT(obs::Metrics::value("saturation.pops"), Before);
+  ASSERT_EQ(R.Folds.size(), 2u);
+  for (const FactFold &F : R.Folds) {
+    EXPECT_FALSE(F.Explicit) << R.Taint.FactNames[F.Fact];
+    EXPECT_GT(F.Saturations, 0u) << R.Taint.FactNames[F.Fact];
+  }
+  // reader sinks t while walk sources it; u is sanitized before its sink.
+  ASSERT_EQ(R.Hits.size(), 1u);
+  EXPECT_EQ(R.Hits[0].Thread, 1u);
+  EXPECT_EQ(R.Taint.FactNames[R.Hits[0].Fact], "t");
+}
+
+TEST(DataflowFolds, FoldsShareOneBudget) {
+  // Each fold alone fits a budget of its own state count; two folds
+  // sharing it do not, so the second fold exhausts it (or never
+  // starts) and the run ends there.
+  std::string Src = readFile(CUBA_TAINT_DEMO);
+  TaintFoldResult Free = runFolds(Src);
+  ASSERT_EQ(Free.Folds.size(), 2u);
+  TaintFoldOptions Opts;
+  Opts.Limits.MaxStates =
+      std::max(Free.Folds[0].States, Free.Folds[1].States) + 1;
+  TaintFoldResult Tight = runFolds(Src, Opts);
+  EXPECT_EQ(Tight.ExhaustedBy, ExhaustKind::States);
+  ASSERT_FALSE(Tight.Folds.empty());
+  EXPECT_TRUE(Tight.Folds[0].Converged);
+  EXPECT_EQ(Tight.Folds[0].States, Free.Folds[0].States);
+  if (Tight.Folds.size() == 2) {
+    EXPECT_FALSE(Tight.Folds[1].Converged);
+  }
+}
+
+TEST(DataflowFolds, ProgramWithoutFactsRunsNoFold) {
+  uint64_t Before = obs::Metrics::value("dataflow.folds");
+  TaintFoldResult R =
+      runFolds("decl x;\n\nvoid t() {\n  x := 1;\n}\n\n"
+               "void main() {\n  thread_create(&t);\n}\n\n");
+  EXPECT_EQ(obs::Metrics::value("dataflow.folds"), Before);
+  EXPECT_TRUE(R.Folds.empty());
+  EXPECT_TRUE(R.Hits.empty());
+  EXPECT_FALSE(R.exhausted());
+}
+
+TEST(DataflowFolds, FactsWithoutSinksRunNoFold) {
+  // y is sourced but never sunk: no state can witness it at a sink, so
+  // only x's fold runs.
+  uint64_t Before = obs::Metrics::value("dataflow.folds");
+  TaintFoldResult R =
+      runFolds("decl x, y;\n\nvoid t() {\n  source(x);\n"
+               "  source(y);\n  sink(x);\n}\n\n"
+               "void main() {\n  thread_create(&t);\n}\n\n");
+  EXPECT_EQ(obs::Metrics::value("dataflow.folds") - Before, 1u);
+  ASSERT_EQ(R.Folds.size(), 1u);
+  EXPECT_EQ(R.Taint.FactNames[R.Folds[0].Fact], "x");
+  ASSERT_EQ(R.Hits.size(), 1u);
 }

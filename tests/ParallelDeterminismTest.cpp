@@ -22,26 +22,25 @@
 /// rounds; the symbolic one on systems with classes of identical threads
 /// (run on orbits) with its det trace and det metrics too.
 ///
-/// Symbolic and weighted (dataflow) rounds are serial at every job
-/// count, so their engines are pinned against themselves instead: a
-/// budget only stops or re-does work, so every round a budgeted run
-/// completes -- under a step, state or byte cap that truncates it, or a
-/// cache cap that evicts saturations -- holds exactly the states,
-/// visible sets and languages an unbudgeted run finds there.
+/// Symbolic rounds are serial at every job count, so that engine is
+/// pinned against itself instead: a budget only stops or re-does work,
+/// so every round a budgeted run completes -- under a step, state or
+/// byte cap that truncates it, or a cache cap that evicts saturations --
+/// holds exactly the states, visible sets and languages an unbudgeted
+/// run finds there.  The per-fact taint folds are pinned both ways.
 ///
 //===----------------------------------------------------------------------===//
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <optional>
 #include <string>
 
 #include "core/Algorithms.h"
 #include "core/CbaEngine.h"
 #include "core/SymbolicEngine.h"
-#include "dataflow/DataflowEngine.h"
+#include "dataflow/TaintFolds.h"
 #include "exec/ThreadPool.h"
 #include "models/Models.h"
 #include "obs/Metrics.h"
@@ -200,114 +199,95 @@ TracedDriverRun runDriverTraced(const CpdsFile &File, const RunOptions &RO) {
   return T;
 }
 
-using cuba::testing::AnnotatedBase;
+using cuba::testing::AnnotatedProgram;
 
-/// The dataflow oracle's seeded annotated program in its base
-/// translation, with the taint side table.
-std::optional<AnnotatedBase> taintInstance(uint64_t Seed) {
-  auto B = cuba::testing::annotatedBaseTranslation(
+/// The dataflow oracle's seeded annotated program, analyzed.
+std::optional<AnnotatedProgram> taintInstance(uint64_t Seed) {
+  auto A = cuba::testing::reanalyze(
       cuba::testing::annotatedDataflowProgram(Seed));
-  if (!B)
+  if (!A)
     return std::nullopt;
-  return B.take();
+  return A.take();
 }
 
-/// Everything observable about a weighted dataflow run, round by round.
-struct DataflowTrace {
-  std::vector<int> Statuses;
-  std::vector<size_t> States, Visible;
-  std::vector<std::vector<VisibleState>> NewPerRound;
-  std::vector<std::vector<SinkHit>> Hits;
+/// Everything observable about one fold: its route, bound, counts and
+/// visible set with first-seen rounds.
+struct FoldTrace {
+  int Fact = -1;
+  bool Explicit = false;
+  unsigned Bound = 0;
+  bool Converged = false;
+  uint64_t States = 0, Visible = 0;
+  std::vector<std::pair<VisibleState, unsigned>> Seen;
+
+  bool operator==(const FoldTrace &) const = default;
 };
 
-/// Runs the weighted engine under \p L, with the metrics registry reset
-/// first so the run's own counters can be read afterwards.
-DataflowTrace runDataflow(const AnnotatedBase &T, const ResourceLimits &L) {
+/// A run of the per-fact folds under \p L (on \p Pool when set), with
+/// the metrics registry reset first so the run's own counters can be
+/// read afterwards.
+struct FoldsTrace {
+  ExhaustKind Why = ExhaustKind::None;
+  std::vector<FoldTrace> Folds;
+  std::vector<SinkHit> Hits;
+  std::vector<uint64_t> PeakBytes;
+  DetMetrics Det;
+};
+
+FoldsTrace runFolds(const AnnotatedProgram &T, const ResourceLimits &L,
+                    exec::ThreadPool *Pool = nullptr) {
   obs::Metrics::resetAll();
-  DataflowEngine E(T.Base.System, T.Taint, L);
-  DataflowTrace R;
-  while (E.bound() < MaxK && !E.frontierEmpty()) {
-    bool Exhausted = E.advance() == DataflowEngine::RoundStatus::Exhausted;
-    R.Statuses.push_back(Exhausted ? 1 : 0);
-    R.States.push_back(E.symbolicStateCount());
-    R.Visible.push_back(E.visibleSize());
-    R.NewPerRound.push_back(E.newVisibleThisRound());
-    R.Hits.push_back(E.sinkHits());
-    if (Exhausted)
-      break;
+  TaintFoldOptions O;
+  O.Limits = L;
+  O.Pool = Pool;
+  O.KeepVisible = true;
+  auto R = runTaintFolds(T.Program, T.Info, O);
+  EXPECT_TRUE(R) << R.error().str();
+  FoldsTrace Out;
+  Out.Det = cuba::testing::detMetrics();
+  if (!R)
+    return Out;
+  Out.Why = R->ExhaustedBy;
+  Out.Hits = R->Hits;
+  for (FactFold &F : R->Folds) {
+    Out.Folds.push_back({F.Fact, F.Explicit, F.Bound, F.Converged, F.States,
+                         F.Visible, std::move(F.FirstSeen)});
+    Out.PeakBytes.push_back(F.PeakBytes);
   }
-  return R;
+  return Out;
 }
 
-/// expectSameCompletedRounds for the weighted engine, sink hits included.
-size_t expectSameCompletedRounds(const DataflowTrace &Ref,
-                                 const DataflowTrace &Run, uint64_t Seed,
-                                 const char *Tag) {
-  size_t R = 0;
-  for (; R < std::min(Ref.Statuses.size(), Run.Statuses.size()) &&
-         !Ref.Statuses[R] && !Run.Statuses[R];
-       ++R) {
-    EXPECT_EQ(Ref.States[R], Run.States[R])
-        << Tag << " seed " << Seed << " round " << R;
-    EXPECT_EQ(Ref.Visible[R], Run.Visible[R])
-        << Tag << " seed " << Seed << " round " << R;
-    EXPECT_EQ(Ref.NewPerRound[R] == Run.NewPerRound[R], true)
-        << Tag << " per-round visible divergence at seed " << Seed
-        << " round " << R;
-    EXPECT_EQ(Ref.Hits[R] == Run.Hits[R], true)
-        << Tag << " sink-hit divergence at seed " << Seed << " round " << R;
-  }
-  return R;
-}
-
-/// The saturations' own retained bytes in a rendered trace: the sum of
-/// the `saturate` spans' "bytes" arguments.
-uint64_t saturationSpanBytes(const std::string &Trace) {
-  uint64_t Sum = 0;
-  for (size_t Pos = Trace.find("{\"name\": \"saturate\"");
-       Pos != std::string::npos;
-       Pos = Trace.find("{\"name\": \"saturate\"", Pos + 1)) {
-    size_t Arg = Trace.find("\"bytes\": ", Pos);
-    Sum += std::stoull(Trace.substr(Arg + std::strlen("\"bytes\": ")));
-  }
-  return Sum;
-}
-
-/// The byte figures of one weighted run under the fuzz budget.
-struct DataflowFootprint {
-  bool Completed = false;
-  uint64_t Peak = 0;     // The tracker's peak, products counted.
-  uint64_t Final = 0;    // memoryUsage() at the end.
-  uint64_t Products = 0; // The product bytes retained at the end.
-  /// A bound on every saturation's own in-flight footprint: each
-  /// language the run interned, saturated by each thread it fits.
-  uint64_t SatPeak = 0;
-};
-
-DataflowFootprint measureDataflow(const AnnotatedBase &T) {
-  DataflowFootprint F;
-  obs::Trace::begin();
-  DataflowEngine E(T.Base.System, T.Taint, FuzzLimits);
-  bool Exhausted = false;
-  while (!Exhausted && E.bound() < MaxK && !E.frontierEmpty())
-    Exhausted = E.advance() == DataflowEngine::RoundStatus::Exhausted;
-  obs::Trace::end();
-  F.Completed = !Exhausted;
-  F.Peak = E.limits().peakBytes();
-  F.Final = E.memoryUsage();
-  F.Products =
-      E.retainedSatBytes() - saturationSpanBytes(obs::Trace::render());
-  TaintRoundDomain D(T.Base.System, T.Taint);
-  const DfaStore &Store = E.languageStore();
-  for (DfaId L = 0; L < Store.size(); ++L)
-    for (unsigned I = 0; I < T.Base.System.numThreads(); ++I) {
-      if (Store.get(L).NumSymbols != T.Base.System.thread(I).bottom())
-        continue;
-      LimitTracker Own(ResourceLimits::unlimited());
-      D.saturate(I, Store.get(L), &Own);
-      F.SatPeak = std::max(F.SatPeak, Own.peakBytes());
+/// The folds a budgeted run \p Run completed on \p Ref's route equal
+/// \p Ref's.  The others agree with \p Ref's on the rounds both
+/// completed: the fold the budget stopped in, and any whose FCR check
+/// the budget cut short, which (as in runCuba) routes it to the
+/// symbolic engine -- both engines' visible rounds are T(R_k).  Returns
+/// the number of folds compared.
+size_t expectSameCompletedFolds(const FoldsTrace &Ref, const FoldsTrace &Run,
+                                uint64_t Seed, const char *Tag) {
+  EXPECT_LE(Run.Folds.size(), Ref.Folds.size()) << Tag << " seed " << Seed;
+  size_t N = std::min(Run.Folds.size(), Ref.Folds.size());
+  for (size_t I = 0; I < N; ++I) {
+    const FoldTrace &A = Ref.Folds[I], &B = Run.Folds[I];
+    bool Stopped = I + 1 == Run.Folds.size() && Run.Why != ExhaustKind::None;
+    if (A.Explicit == B.Explicit && !Stopped) {
+      EXPECT_EQ(A == B, true) << Tag << " fold " << I << " diverges at seed "
+                              << Seed;
+      continue;
     }
-  return F;
+    unsigned Bound = std::min(A.Bound, B.Bound);
+    auto Completed = [&](const FoldTrace &F) {
+      std::vector<std::pair<VisibleState, unsigned>> Out;
+      for (const auto &E : F.Seen)
+        if (E.second <= Bound)
+          Out.push_back(E);
+      return Out;
+    };
+    EXPECT_EQ(Completed(A) == Completed(B), true)
+        << Tag << " completed rounds of fold " << I << " diverge at seed "
+        << Seed;
+  }
+  return N;
 }
 
 /// Budgets whose stop point falls mid-level, inside a commit: awkward
@@ -684,11 +664,13 @@ TEST_F(ParallelDeterminismTest, SmallModelsRunNoLevelBatchAtJobs4) {
 }
 
 TEST_F(ParallelDeterminismTest, DataflowRoundsMatchAcrossJobCounts) {
-  // The weighted taint instantiation of the symbolic round core on
-  // seeded annotated programs: a budget that exhausts mid-round, and a
-  // cache budget tight enough that saturations (and the per-root
-  // products cached with them) are evicted.  Each completes its rounds
-  // exactly as the fuzz budget does.
+  // The per-fact folds of seeded annotated programs: at jobs 2 and 8
+  // (explicit folds on the pool) every fold, hit, byte peak and det
+  // metric equals the serial run's.  Under a budget that exhausts
+  // mid-round, the folds completed before it and the completed rounds
+  // of the fold it stops in equal the fuzz budget's; under a cache
+  // budget tight enough that the symbolic folds' saturations are
+  // evicted, every fold does.
   ResourceLimits Evict = FuzzLimits;
   Evict.MaxCacheBytes = 2 * 1024;
   struct Run {
@@ -699,59 +681,37 @@ TEST_F(ParallelDeterminismTest, DataflowRoundsMatchAcrossJobCounts) {
                       {Evict, "dataflow-evict"}};
   uint64_t Evictions = 0;
   size_t Compared = 0;
-  unsigned Checked = 0;
+  unsigned Checked = 0, Symbolic = 0;
+  exec::ThreadPool Pool2(2), Pool8(8);
   for (uint64_t Seed = 0; Checked < 24; ++Seed) {
     ASSERT_LT(Seed, 200u) << "the frontend rejected too many seeds";
-    std::optional<AnnotatedBase> T = taintInstance(Seed);
+    std::optional<AnnotatedProgram> T = taintInstance(Seed);
     if (!T)
       continue;
     ++Checked;
-    DataflowTrace Ref = runDataflow(*T, FuzzLimits);
+    FoldsTrace Ref = runFolds(*T, FuzzLimits);
+    for (exec::ThreadPool *Pool : {&Pool2, &Pool8}) {
+      FoldsTrace Par = runFolds(*T, FuzzLimits, Pool);
+      EXPECT_EQ(Ref.Why, Par.Why) << "seed " << Seed;
+      EXPECT_EQ(Ref.Folds == Par.Folds, true) << "seed " << Seed;
+      EXPECT_EQ(Ref.Hits == Par.Hits, true) << "seed " << Seed;
+      EXPECT_EQ(Ref.PeakBytes, Par.PeakBytes) << "seed " << Seed;
+      EXPECT_EQ(Ref.Det == Par.Det, true)
+          << "det metrics diverge at seed " << Seed;
+    }
+    for (const FoldTrace &F : Ref.Folds)
+      Symbolic += !F.Explicit;
     for (const Run &R : Runs) {
-      DataflowTrace S1 = runDataflow(*T, R.L);
-      Evictions += obs::Metrics::value("dataflow.sat_evictions");
-      Compared += expectSameCompletedRounds(Ref, S1, Seed, R.Tag);
+      FoldsTrace S1 = runFolds(*T, R.L);
+      Evictions += obs::Metrics::value("symbolic.sat_evictions");
+      Compared += expectSameCompletedFolds(Ref, S1, Seed, R.Tag);
     }
     if (HasFailure())
       break;
   }
+  EXPECT_GT(Symbolic, 0u) << "no fold took the symbolic route";
   EXPECT_GT(Evictions, 0u) << "the cache budget never evicted";
   EXPECT_GT(Compared, 0u);
-}
-
-TEST_F(ParallelDeterminismTest, DataflowProductsCountTowardTheByteBudget) {
-  // The per-root products the taint domain caches with each saturation
-  // grow with the composed summaries, so their bytes join MaxBytes at
-  // the serial commit.  Without them, a run's byte checks would stay at
-  // or below a floor: the engine's footprint only grows (no eviction
-  // here), so it ends at most Final - Products, and each saturation's
-  // own in-flight footprint is at most SatPeak.  A MaxBytes between
-  // that floor and the measured peak must therefore stop the run, and
-  // only because the products are counted.  Instances whose saturations
-  // reach the peak on their own leave no room between the two and are
-  // skipped.
-  unsigned Checked = 0;
-  for (uint64_t Seed = 0; Checked < 6; ++Seed) {
-    ASSERT_LT(Seed, 200u) << "too few instances separate the two footprints";
-    std::optional<AnnotatedBase> T = taintInstance(Seed);
-    if (!T)
-      continue;
-    DataflowFootprint F = measureDataflow(*T);
-    if (!F.Completed)
-      continue; // Exhausted before any byte budget applies.
-    ASSERT_GT(F.Products, 0u) << "seed " << Seed << ": products not counted";
-    uint64_t Floor = std::max(F.Final - F.Products, F.SatPeak);
-    if (Floor >= F.Peak)
-      continue;
-    ++Checked;
-    ResourceLimits L = FuzzLimits;
-    L.MaxBytes = Floor + (F.Peak - Floor) / 2;
-    DataflowTrace S1 = runDataflow(*T, L);
-    EXPECT_EQ(S1.Statuses.back(), 1)
-        << "seed " << Seed << " ran to the end under " << L.MaxBytes << " B";
-    if (HasFailure())
-      break;
-  }
 }
 
 } // namespace

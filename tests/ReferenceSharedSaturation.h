@@ -6,15 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A verbatim copy of the mask-specialised SharedSaturator as it stood
-/// before psa/SaturationEngine was templated over a weight domain
-/// (psa/WeightedPostStar.h).  The shared-saturation suite replays every
-/// instance through this shim and asserts the production boolean-set
-/// instantiation is *bit-identical*: same transitions in the same
-/// creation order, same mask rows, same Complete flag, and the same
-/// number of budget steps charged.  That is the "pure generalization"
-/// proof for the semiring refactor; only the property suite may include
-/// this header.
+/// An independent copy of the mask saturator (psa/SaturationEngine),
+/// kept as it stood before the library's saturator was rewritten twice
+/// (templated over a weight domain, then plain again).  The
+/// shared-saturation suite replays every instance through this shim and
+/// asserts the production saturator is *bit-identical*: same transitions
+/// in the same creation order, same mask rows, same Complete flag, and
+/// the same number of budget steps charged.  Only the property suite may
+/// include this header.
 ///
 //===----------------------------------------------------------------------===//
 

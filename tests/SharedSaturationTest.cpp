@@ -243,9 +243,8 @@ TEST(SharedSaturation, BudgetTruncationIsDetected) {
 }
 
 //===----------------------------------------------------------------------===//
-// The pure-generalization proof for the semiring refactor: the
-// boolean-set instantiation of the templated core must be bit-identical
-// to the pre-refactor mask engine -- same transitions in the same
+// The production saturator must be bit-identical to the independent
+// pre-refactor mask engine -- same transitions in the same
 // creation order, same mask rows, same acceptance, the same Complete
 // flag, and the same number of budget steps charged -- on every
 // instance of the suite, both unbounded and under a truncating budget.

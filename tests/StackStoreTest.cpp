@@ -143,7 +143,7 @@ Cpds makeCpds() {
 
 TEST(VisiblePacker, RoundTripAllStates) {
   Cpds C = makeCpds();
-  VisiblePacker P(C, C.numSharedStates());
+  VisiblePacker P(C);
   ASSERT_TRUE(P.packable());
   for (QState Q = 0; Q < 5; ++Q)
     for (Sym A = 0; A <= 3; ++A)
@@ -160,7 +160,7 @@ TEST(VisiblePacker, PackingPreservesOrder) {
   // packed representation sorts as raw words, so packing must be
   // monotone in the (Q, Tops) lexicographic order.
   Cpds C = makeCpds();
-  VisiblePacker P(C, C.numSharedStates());
+  VisiblePacker P(C);
   std::vector<VisibleState> All;
   for (QState Q = 0; Q < 5; ++Q)
     for (Sym A = 0; A <= 3; ++A)
@@ -187,7 +187,7 @@ TEST(VisiblePacker, FieldShiftsRewriteOneField) {
   // and one top field of its source word in place; that must equal
   // packing the rewritten state.
   Cpds C = makeCpds();
-  VisiblePacker P(C, C.numSharedStates());
+  VisiblePacker P(C);
   const uint64_t BelowQ = (uint64_t(1) << P.sharedShift()) - 1;
   for (QState Q = 0; Q < 5; ++Q)
     for (Sym A = 0; A <= 3; ++A)
@@ -214,7 +214,7 @@ TEST(VisiblePacker, FieldShiftsRewriteOneField) {
 
 TEST(VisibleRoundSet, KeepsEarliestRoundAndSortsPerRound) {
   Cpds C = makeCpds();
-  VisibleRoundSet S(C, C.numSharedStates());
+  VisibleRoundSet S(C);
   auto Vs = [](QState Q, Sym A, Sym B) {
     VisibleState V;
     V.Q = Q;

@@ -138,7 +138,7 @@ TEST(ThreadSymmetry, CanonicalFormsAndOrbitSizes) {
   CpdsFile F = models::buildStefan1(4);
   ThreadSymmetry S(F.System, F.Property);
   VisibleState V{2, {3, 1, 2, 1}};
-  VisiblePacker Packer(F.System, F.System.numSharedStates());
+  VisiblePacker Packer(F.System);
   uint64_t Word = S.canonicalize(Packer.pack(V), Packer);
   S.canonicalize(V);
   EXPECT_EQ(V, (VisibleState{2, {1, 1, 2, 3}}));

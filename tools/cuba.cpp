@@ -13,8 +13,8 @@
 ///     concurrent Boolean program, compiled through the frontend), runs
 ///     the Sec. 6 procedure, and reports the verdict;
 ///   cuba dataflow [options] <input.bp>
-///     runs the weighted interprocedural taint analysis
-///     (dataflow/DataflowEngine) on an annotated Boolean program;
+///     runs the interprocedural taint analysis on an annotated Boolean
+///     program: one CUBA run per fact (dataflow/TaintFolds);
 ///   cuba fuzz [options]
 ///     drives the randomized differential harness on seeded random CPDS
 ///     instances (testing/RandomCpds + testing/DifferentialOracle) or,
@@ -53,7 +53,7 @@
 #include "bp/Sema.h"
 #include "bp/Translate.h"
 #include "core/CubaDriver.h"
-#include "dataflow/DataflowEngine.h"
+#include "dataflow/TaintFolds.h"
 #include "exec/ThreadPool.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
@@ -221,7 +221,12 @@ const Subcommand Subcommands[] = {
     {nullptr, "cuba [options] <input.cpds | input.bp>",
      "prove safety for every context bound, or find a bug", 32},
     {"dataflow", "cuba dataflow [options] <input.bp>",
-     "weighted interprocedural taint analysis", 8},
+     "interprocedural taint analysis, one CUBA run per fact that has a "
+     "sink: the fact's bit joins the control state (exact, since taint "
+     "annotations never steer control), and the run takes the explicit "
+     "engine when FCR holds, else the symbolic one; the runs share one "
+     "budget of states, steps and time, and --max-mb bounds each run",
+     8},
     {"fuzz", "cuba fuzz [options]", "randomized differential testing", 4},
 };
 
@@ -295,10 +300,12 @@ const Flag Flags[] = {
     {"--dump-ast", RunCmd, &Options::DumpAst,
      "print the parsed .bp program and exit"},
     {"--report-facts", DataflowCmd, &Options::ReportFacts,
-     "print every visible state with its facts"},
+     "print every visible state of each fact's run: the fact, k, the "
+     "control state q, the fact's bit and the tops"},
     {"--verify", DataflowCmd, &Options::Verify,
-     "cross-check against the folded product reference; a disagreement "
-     "exits 70"},
+     "cross-check each fact's run, round by round, against the folded "
+     "product of every fact (at most 8) projected onto that fact's bit; a "
+     "disagreement exits 70"},
     {"--stats", RunCmd | FuzzCmd, &Options::Stats,
      "dump internal statistics counters (and, for a symbolic run, the "
      "symmetry.classes and symmetry.threads gauges); fuzz: per-seed "
@@ -436,11 +443,11 @@ void readFuzzEnvironment(Options &O) {
                            " '%s'\n",
                    Env);
   }
-  // Testing hook: CUBA_FUZZ_INJECT=drop-combine simulates a lost
-  // `combine` in the saturation core (existing transitions never gain
-  // weight), so the MISMATCH reporting path itself -- message, program
-  // dump, repro line -- is reachable deterministically and can be
-  // pinned by golden-output tests.
+  // Testing hook: CUBA_FUZZ_INJECT=drop-combine simulates a lost mask
+  // propagation in the saturation core (existing transitions never gain
+  // root-mask bits), so the MISMATCH reporting path itself -- message,
+  // program dump, repro line -- is reachable deterministically and can
+  // be pinned by golden-output tests.
   if (const char *Inject = std::getenv("CUBA_FUZZ_INJECT"))
     if (std::string_view(Inject) == "drop-combine")
       psa_testing::InjectDropMaskGrowth = true;
@@ -607,27 +614,23 @@ ErrorOr<CpdsFile> loadInput(const std::string &Path) {
 }
 
 //===----------------------------------------------------------------------===//
-// The dataflow subcommand: weighted interprocedural taint analysis.
+// The dataflow subcommand: interprocedural taint analysis, one fold per
+// fact (dataflow/TaintFolds.h).
 //===----------------------------------------------------------------------===//
 
-/// Renders one folded visible state with its fact set decoded, for
-/// --report-facts.
-std::string renderDataflowState(const Cpds &C, const bp::TaintInfo &Taint,
-                                const VisibleState &V, unsigned Round) {
-  QState FoldErr = static_cast<QState>(1)
-                   << (Taint.SharedBits + Taint.FactNames.size());
-  std::string Out = "k=" + std::to_string(Round) + " ";
-  if (V.Q == FoldErr) {
+/// Renders one visible state of fact \p Fact's fold, for --report-facts:
+/// the fact, the round, the unfolded control state, the fact's bit and
+/// the tops.
+std::string renderFoldState(const Cpds &C, const bp::TaintInfo &Taint,
+                            int Fact, const VisibleState &V,
+                            unsigned Round) {
+  std::string Out = "fact=" + Taint.FactNames[Fact] +
+                    " k=" + std::to_string(Round) + " ";
+  if (V.Q == foldErr(Taint, 1u << Fact))
     Out += "err";
-  } else {
-    Out += "q=" + std::to_string(V.Q & ((1u << Taint.SharedBits) - 1));
-    uint32_t Facts = V.Q >> Taint.SharedBits;
-    std::string List;
-    for (size_t F = 0; F < Taint.FactNames.size(); ++F)
-      if (Facts & (1u << F))
-        List += (List.empty() ? "" : ",") + Taint.FactNames[F];
-    Out += " facts={" + List + "}";
-  }
+  else
+    Out += "q=" + std::to_string(V.Q & ((1u << Taint.SharedBits) - 1)) +
+           " bit=" + std::to_string((V.Q >> Taint.SharedBits) & 1);
   for (unsigned I = 0; I < V.Tops.size(); ++I)
     Out += " | " + C.thread(I).symbolName(V.Tops[I]);
   return Out;
@@ -650,61 +653,79 @@ int runDataflow(const Options &O) {
   if (!Info)
     return inputError(O.Input, Info.error());
 
-  bp::TaintInfo Taint;
-  bp::TranslateOptions TOpts;
-  TOpts.Taint = &Taint;
-  O.beginTrace();
-  auto File = bp::translateProgram(*Prog, *Info, TOpts);
-  if (!File)
-    return inputError(O.Input, File.error());
-
   const unsigned Jobs = O.jobs();
   exec::ThreadPool Pool(Jobs);
-  const ResourceLimits Limits = O.limits();
+  TaintFoldOptions FOpts;
+  FOpts.Limits = O.limits();
+  FOpts.Pool = &Pool;
+  FOpts.KeepVisible = O.ReportFacts;
+  O.beginTrace();
   WallTimer T;
-  DataflowEngine W(File->System, Taint, Limits);
-  bool Exhausted = false;
-  while (!Exhausted && W.bound() < Limits.MaxContexts && !W.frontierEmpty())
-    Exhausted = W.advance() == DataflowEngine::RoundStatus::Exhausted;
-  bool Converged = !Exhausted && W.frontierEmpty();
-  std::vector<SinkHit> Hits = W.sinkHits();
+  auto Run = runTaintFolds(*Prog, *Info, FOpts);
+  if (!Run)
+    return inputError(O.Input, Run.error());
+  const TaintFoldResult &R = *Run;
+  double Millis = T.millis();
+
+  // The folds' sums; k_max is the deepest bound, and the run converged
+  // only when every fold's frontier emptied.
+  unsigned KMax = 0;
+  bool Converged = !R.exhausted();
+  uint64_t States = 0, Visible = 0, Saturations = 0, PeakBytes = 0;
+  for (const FactFold &F : R.Folds) {
+    KMax = std::max(KMax, F.Bound);
+    Converged &= F.Converged;
+    States += F.States;
+    Visible += F.Visible;
+    Saturations += F.Saturations;
+    PeakBytes = std::max(PeakBytes, F.PeakBytes);
+  }
 
   std::printf("input:     %s\n", O.Input.c_str());
   std::string FactList;
-  for (const std::string &F : Taint.FactNames)
+  for (const std::string &F : Info->TaintFacts)
     FactList += (FactList.empty() ? "" : ", ") + F;
-  std::printf("facts:     %zu (%s)\n", Taint.FactNames.size(),
+  std::printf("facts:     %zu (%s)\n", Info->TaintFacts.size(),
               FactList.c_str());
-  std::printf("sinks:     %zu site(s)\n", Taint.Sinks.size());
-  std::printf("explored:  k_max=%u%s, states=%zu, visible=%zu,"
-              " saturations=%zu\n",
-              W.bound(), Converged ? " (converged)" : "",
-              W.symbolicStateCount(), W.visibleSize(), W.saturationCount());
-  std::printf("resources: %.2f ms, %.1f MB peak\n", T.millis(),
-              static_cast<double>(W.limits().peakBytes()) / (1024 * 1024));
+  std::printf("sinks:     %zu site(s)\n", R.Taint.Sinks.size());
+  if (R.Folds.empty())
+    std::printf("explored:  no fold to run (no taint fact reaches a"
+                " sink)\n");
+  else
+    std::printf("explored:  k_max=%u%s, states=%llu, visible=%llu,"
+                " saturations=%llu\n",
+                KMax, Converged ? " (converged)" : "",
+                static_cast<unsigned long long>(States),
+                static_cast<unsigned long long>(Visible),
+                static_cast<unsigned long long>(Saturations));
+  std::printf("resources: %.2f ms, %.1f MB peak\n", Millis,
+              static_cast<double>(PeakBytes) / (1024 * 1024));
 
   if (O.ReportFacts)
-    for (const auto &[V, Round] : W.visibleFirstSeen())
-      std::printf("visible:   %s\n",
-                  renderDataflowState(File->System, Taint, V, Round).c_str());
+    for (const FactFold &F : R.Folds)
+      for (const auto &[V, Round] : F.FirstSeen)
+        std::printf("visible:   %s\n",
+                    renderFoldState(R.Names.System, R.Taint, F.Fact, V, Round)
+                        .c_str());
 
-  for (const SinkHit &H : Hits)
+  for (const SinkHit &H : R.Hits)
     std::printf("leak:      thread %u at '%s' may observe tainted '%s'"
                 " (first at k=%u)\n",
                 H.Thread,
-                File->System.thread(H.Thread).symbolName(H.Frame).c_str(),
-                Taint.FactNames[H.Fact].c_str(), H.Round);
+                R.Names.System.thread(H.Thread).symbolName(H.Frame).c_str(),
+                R.Taint.FactNames[H.Fact].c_str(), H.Round);
 
   if (O.Verify) {
     testing::DataflowOracleOptions OOpts;
-    OOpts.MaxK = Limits.MaxContexts;
-    OOpts.Limits = Limits;
+    OOpts.MaxK = FOpts.Limits.MaxContexts;
+    OOpts.Limits = FOpts.Limits;
     OOpts.Pool = &Pool;
     testing::DataflowOracleReport Rep =
         testing::runDataflowOracle(*Prog, OOpts);
-    if (Rep.FoldedRejected) {
-      std::printf("verify:    skipped (the folded product exceeds the"
-                  " frontend size guard)\n");
+    if (Rep.FullRejected) {
+      std::printf("verify:    skipped (the full fold of every fact exceeds"
+                  " %zu facts or the frontend size guard)\n",
+                  testing::MaxFullFacts);
     } else if (!Rep.ok()) {
       std::fprintf(stderr, "cuba dataflow: verify MISMATCH against the"
                            " folded product reference\n%s\n",
@@ -719,32 +740,34 @@ int runDataflow(const Options &O) {
 
   if (!O.writeObs("dataflow", Pool,
                   {{"input", jsonQuote(O.Input)},
-                   {"verdict", jsonQuote(!Hits.empty() ? "leak"
-                                         : Exhausted   ? "undecided"
-                                                       : "safe")},
-                   {"k_max", std::to_string(W.bound())},
+                   {"verdict", jsonQuote(!R.Hits.empty() ? "leak"
+                                         : R.exhausted() ? "undecided"
+                                                         : "safe")},
+                   {"k_max", std::to_string(KMax)},
                    {"jobs", std::to_string(Jobs)},
-                   {"elapsed_ms", jsonMillis(T.millis())},
-                   {"peak_bytes", std::to_string(W.limits().peakBytes())}}))
+                   {"elapsed_ms", jsonMillis(Millis)},
+                   {"peak_bytes", std::to_string(PeakBytes)}}))
     return 74;
 
-  if (!Hits.empty()) {
-    std::printf("verdict:   LEAK within %u contexts\n", Hits.front().Round);
+  if (!R.Hits.empty()) {
+    std::printf("verdict:   LEAK within %u contexts\n", R.Hits.front().Round);
     return 1;
   }
-  if (Exhausted) {
+  if (R.exhausted()) {
     std::printf("verdict:   UNDECIDED within the resource budget"
                 " (explored k <= %u, exhausted: %s)\n",
-                W.bound(), exhaustKindName(W.limits().reason()));
+                KMax, exhaustKindName(R.ExhaustedBy));
     return 2;
   }
-  if (Converged)
+  if (R.Folds.empty())
+    std::printf("verdict:   SAFE for every context bound (no taint fact"
+                " reaches a sink)\n");
+  else if (Converged)
     std::printf("verdict:   SAFE for every context bound"
                 " (state space converged at k = %u)\n",
-                W.bound());
+                KMax);
   else
-    std::printf("verdict:   SAFE up to the context bound k = %u\n",
-                W.bound());
+    std::printf("verdict:   SAFE up to the context bound k = %u\n", KMax);
   return 0;
 }
 
