@@ -8,7 +8,8 @@
 /// \file
 /// google-benchmark microbenchmarks for the explicit engine's hot loop:
 /// round-by-round context closures (R_k enumeration) on the Bluetooth
-/// driver models.  Emits BENCH_explicit.json via
+/// driver models, plus the G cap Z build of Alg. 3's generator test on
+/// BST-Insert 3+3.  Emits BENCH_explicit.json via
 /// --benchmark_format=json; see BUILDING.md.
 ///
 //===----------------------------------------------------------------------===//
@@ -18,7 +19,9 @@
 #include "BenchUtil.h"
 
 #include "core/CbaEngine.h"
+#include "core/ZOverapprox.h"
 #include "models/Models.h"
+#include "pds/ThreadSymmetry.h"
 
 using namespace cuba;
 
@@ -53,6 +56,21 @@ void BM_ExplicitClosureWide(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_ExplicitClosureWide)->Arg(3)->Arg(5)->Arg(7);
+
+/// The G cap Z layer alone, as the front door builds it at the first
+/// plateau of BST-Insert 3+3 at jobs 1 (|Z| = 21,750, |G cap Z| =
+/// 19,320): M_n explored on packed words, the generator filter on the
+/// words, then one coverage probe of T(R_0).
+void BM_GeneratorsInZ(benchmark::State &State) {
+  CpdsFile F = models::buildBstInsert(3, 3);
+  CbaEngine E(F.System, ResourceLimits::unlimited());
+  for (auto _ : State) {
+    GeneratorTest G(F.System, ResourceLimits::unlimited(),
+                    ThreadSymmetry(F.System, F.Property));
+    benchmark::DoNotOptimize(G.coveredBy(E));
+  }
+}
+BENCHMARK(BM_GeneratorsInZ)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -16,6 +16,7 @@
 #include "obs/Metrics.h"
 #include "pds/CpdsIO.h"
 #include "pds/ThreadSymmetry.h"
+#include "pds/VisibleSet.h"
 #include "support/Timer.h"
 
 using namespace cuba;
@@ -36,13 +37,35 @@ std::string formatTrace(const Cpds &C, const std::vector<TraceStep> &Steps) {
   return Out;
 }
 
+/// The least visible state first reached in \p Engine's current round
+/// that violates the property, if any.  \p Bad is the property compiled
+/// to the engine's words: when it compiled, the round's words are
+/// scanned and only the least violating one is unpacked (the packing
+/// preserves order, so it is the least violating state); otherwise the
+/// round's sorted states are tested against \p Prop.
+template <typename EngineT>
+std::optional<VisibleState> leastViolation(const EngineT &Engine,
+                                           const PackedProperty &Bad,
+                                           const SafetyProperty &Prop) {
+  if (Bad.compiled()) {
+    if (std::optional<uint64_t> W =
+            Bad.leastViolation(Engine.newVisibleWordsThisRound()))
+      return Engine.visiblePacker().unpack(*W);
+    return std::nullopt;
+  }
+  for (const VisibleState &V : Engine.newVisibleThisRound())
+    if (Prop.violatedBy(V))
+      return V;
+  return std::nullopt;
+}
+
 /// The round loop: advances \p Engine one context bound per round and
 /// applies the enabled tests to each round; the first conclusion ends
 /// the run ("return the answer of whichever terminates first").
 /// ContinueAfterBug only delays the bug-found exit, not the convergence
-/// exit.  G cap Z is explored under \p Symmetry, the one the engine's
-/// visible states are canonical under.  Fills every field of the result
-/// but Run.StatesStored, which the caller reads off its engine.
+/// exit.  G cap Z is explored on the orbits of \p Symmetry, a symmetry
+/// of \p C and \p Prop (see GeneratorTest).  Fills every field of the
+/// result but Run.StatesStored, which the caller reads off its engine.
 template <typename EngineT>
 RoundsResult runRounds(EngineT &Engine, ThreadSymmetry Symmetry,
                        const Cpds &C, const SafetyProperty &Prop,
@@ -55,20 +78,19 @@ RoundsResult runRounds(EngineT &Engine, ThreadSymmetry Symmetry,
   // exactly when |T| does, but never saturates as the symbolic orbit sum
   // can (two saturated rounds would read as a plateau).
   ObservationTracker TkSizes;
+  const PackedProperty Bad(Prop, Engine.visiblePacker());
 
   auto CheckViolations = [&] {
     if (R.Run.BugBound || Prop.trivial())
       return;
-    for (const VisibleState &V : Engine.newVisibleThisRound()) {
-      if (!Prop.violatedBy(V))
-        continue;
-      R.Run.BugBound = Engine.bound();
-      R.Run.Witness = toString(C, V);
-      if constexpr (std::is_same_v<EngineT, CbaEngine>)
-        if (Opts.BuildTrace)
-          R.Run.Trace = formatTrace(C, Engine.traceToVisible(V));
+    std::optional<VisibleState> V = leastViolation(Engine, Bad, Prop);
+    if (!V)
       return;
-    }
+    R.Run.BugBound = Engine.bound();
+    R.Run.Witness = toString(C, *V);
+    if constexpr (std::is_same_v<EngineT, CbaEngine>)
+      if (Opts.BuildTrace)
+        R.Run.Trace = formatTrace(C, Engine.traceToVisible(*V));
   };
 
   // G cap Z depends on the CPDS alone: with spare workers it is built
@@ -122,7 +144,10 @@ RoundsResult runRounds(EngineT &Engine, ThreadSymmetry Symmetry,
 }
 
 /// The engine's construction allocates too, so it runs guarded along
-/// with the loop.
+/// with the loop.  The engine stores every state, but G cap Z is built on
+/// orbits: class threads share their Pds and initial stack and the
+/// property is symmetric, so T(R_k) is closed under the class
+/// permutations.
 RoundsResult runExplicit(const Cpds &C, const SafetyProperty &Prop,
                          const RunOptions &Opts, bool UseScheme1,
                          bool UseAlg3) {
@@ -130,8 +155,8 @@ RoundsResult runExplicit(const Cpds &C, const SafetyProperty &Prop,
     CbaEngine Engine(C, Opts.Limits);
     Engine.setExpandAll(Opts.ExpandAll);
     Engine.setParallel(Opts.Pool);
-    RoundsResult R = runRounds(Engine, ThreadSymmetry(C), C, Prop, Opts,
-                               UseScheme1, UseAlg3);
+    RoundsResult R = runRounds(Engine, ThreadSymmetry(C, Prop), C, Prop,
+                               Opts, UseScheme1, UseAlg3);
     R.Run.StatesStored = Engine.reachedSize();
     return R;
   });

@@ -130,6 +130,20 @@ public:
     return VisibleSeen.contains(V);
   }
 
+  /// The layout of the packed words below; the word queries require
+  /// visiblePacker().packable().
+  const VisiblePacker &visiblePacker() const { return VisibleSeen.packer(); }
+
+  /// newVisibleThisRound() as packed words, unsorted.
+  std::span<const uint64_t> newVisibleWordsThisRound() const {
+    return VisibleSeen.wordsFirstSeenIn(Bound);
+  }
+
+  /// visibleReached() for a packed word.
+  bool visibleWordReached(uint64_t W) const {
+    return VisibleSeen.containsWord(W);
+  }
+
   /// When true, every known state is re-expanded each round instead of
   /// only the frontier (the ablation baseline; results are identical).
   void setExpandAll(bool B) { ExpandAll = B; }

@@ -17,7 +17,8 @@
 /// G is purely syntactic and can be huge (all other threads' entries are
 /// unconstrained), so it is never materialised; membership is evaluated
 /// as a predicate, and G cap Z is obtained by filtering the finite set Z
-/// (core/ZOverapprox filters Z's packed words before unpacking any).
+/// (core/ZOverapprox filters Z's packed words, which Alg. 3's test then
+/// keeps as words).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "pds/Cpds.h"
+#include "pds/VisibleSet.h"
 
 namespace cuba {
 
@@ -39,23 +41,32 @@ class GeneratorSet {
 public:
   explicit GeneratorSet(const Cpds &C);
 
-  /// True iff <\p Q | \p Tops[0..n)> is a generator (Eq. 2).
-  bool contains(QState Q, const Sym *Tops) const {
+  /// True iff \p V is a generator (Eq. 2).
+  bool contains(const VisibleState &V) const {
     for (unsigned I = 0; I < NumThreads; ++I) {
       // (q, eps) must be the target of a pop edge of Delta_i ...
-      if (!PopTargetFlag[I][Q])
+      if (!PopTargetFlag[I][V.Q])
         continue;
       // ... and s_i is eps or a symbol some push writes underneath its
       // new top (the emerging candidates E of Alg. 2).
-      Sym S = Tops[I];
+      Sym S = V.Tops[I];
       if (S == EpsSym || EmergingFlag[I][S])
         return true;
     }
     return false;
   }
 
-  bool contains(const VisibleState &V) const {
-    return contains(V.Q, V.Tops.data());
+  /// contains() on the word \p W packed by \p P, without unpacking it.
+  bool containsWord(uint64_t W, const VisiblePacker &P) const {
+    QState Q = static_cast<QState>(W >> P.sharedShift());
+    for (unsigned I = 0; I < NumThreads; ++I) {
+      if (!PopTargetFlag[I][Q])
+        continue;
+      Sym S = static_cast<Sym>((W & P.topMask(I)) >> P.topShift(I));
+      if (S == EpsSym || EmergingFlag[I][S])
+        return true;
+    }
+    return false;
   }
 
   /// Filters \p Candidates (e.g. the overapproximation Z) down to the

@@ -82,7 +82,9 @@
 /// under class permutations, the visible interface stays exact:
 /// visibleSize() equals the unreduced engine's, visibleOrbits() plateaus
 /// exactly when it does, newVisibleThisRound() is the canonical image of
-/// its rounds, and visibleReached canonicalizes its argument.  Under a
+/// its rounds (newVisibleWordsThisRound() the same as packed words), and
+/// visibleReached canonicalizes its argument (visibleWordReached takes a
+/// canonical word).  Under a
 /// symmetry without classes (an engine built without a property) every
 /// row, key and enumeration is the unreduced one.
 ///
@@ -162,6 +164,21 @@ public:
     VisibleState W = V;
     Symmetry.canonicalize(W);
     return VisibleSeen.contains(W);
+  }
+
+  /// The layout of the packed words below; the word queries require
+  /// visiblePacker().packable().
+  const VisiblePacker &visiblePacker() const { return VisibleSeen.packer(); }
+
+  /// newVisibleThisRound() as packed words, unsorted.
+  std::span<const uint64_t> newVisibleWordsThisRound() const {
+    return VisibleSeen.wordsFirstSeenIn(Bound);
+  }
+
+  /// visibleReached() for a packed word that is already canonical (the
+  /// words of a G cap Z built under this engine's symmetry are).
+  bool visibleWordReached(uint64_t W) const {
+    return VisibleSeen.containsWord(W);
   }
 
   /// All reachable visible states with first-seen rounds, sorted by the

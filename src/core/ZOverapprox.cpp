@@ -8,6 +8,7 @@
 #include "core/ZOverapprox.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_set>
 #include <utility>
 
@@ -20,6 +21,46 @@
 using namespace cuba;
 
 namespace {
+
+/// One thread's moves in M_n, precomputed once per exploration and laid
+/// out along the thread's own (q, top) source index (Pds::sourceActions):
+/// Deltas[p] is the action at source position p with q' and its new top
+/// already shifted into place, so the successor of word W is W with the
+/// Q field and the thread's top cleared, or-ed with Deltas[p].  Line 6
+/// of Alg. 2 cuts a push's target to its new top r0.  A pop's delta has
+/// an empty top field; lines 7-9 let it also expose every emerging
+/// symbol, whose shifted fields are Exposed.  (Freeze rejects a target
+/// word (eps, s), so only pops leave the field empty.)
+struct ThreadMoves {
+  std::span<const uint32_t> Starts; ///< The Pds's source-index buckets.
+  uint64_t Stride = 0;              ///< numSymbols() + 1.
+  unsigned Shift = 0;
+  uint64_t TopMask = 0;
+  std::vector<uint64_t> Deltas;
+  std::vector<uint64_t> Exposed;
+};
+
+std::vector<ThreadMoves> threadMoves(const Cpds &C,
+                                     const VisiblePacker &Packer) {
+  std::vector<ThreadMoves> Moves(C.numThreads());
+  for (unsigned I = 0; I < C.numThreads(); ++I) {
+    const Pds &P = C.thread(I);
+    ThreadMoves &M = Moves[I];
+    M.Starts = P.sourceStarts();
+    M.Stride = uint64_t(P.numSymbols()) + 1;
+    M.Shift = Packer.topShift(I);
+    M.TopMask = Packer.topMask(I);
+    M.Deltas.reserve(P.sourceActions().size());
+    for (uint32_t AI : P.sourceActions()) {
+      const Action &A = P.actions()[AI];
+      M.Deltas.push_back(uint64_t(A.DstQ) << Packer.sharedShift() |
+                         uint64_t(A.Dst0) << M.Shift);
+    }
+    for (Sym Rho : P.emergingSymbols())
+      M.Exposed.push_back(uint64_t(Rho) << M.Shift);
+  }
+  return Moves;
+}
 
 /// Breadth-first exploration of M_n on packed words.  Every state enters
 /// \p Queue exactly once, so on success it holds Z in discovery order.
@@ -34,6 +75,8 @@ bool explorePacked(const Cpds &C, const VisiblePacker &Packer,
                    const ThreadSymmetry &Symmetry, LimitTracker *Limits,
                    const std::atomic<bool> *Cancel,
                    std::vector<uint64_t> &Queue) {
+  const std::vector<ThreadMoves> Moves = threadMoves(C, Packer);
+  const bool Reduced = !Symmetry.classes().empty();
   FlatSet<uint64_t> Seen;
   uint64_t Init = Packer.pack(project(C.initialState()));
   Seen.insert(Init);
@@ -41,50 +84,53 @@ bool explorePacked(const Cpds &C, const VisiblePacker &Packer,
 
   const unsigned QShift = Packer.sharedShift();
   const uint64_t BelowQ = (uint64_t(1) << QShift) - 1;
-  auto Top = [&](uint64_t W, unsigned I) {
-    return (W & Packer.topMask(I)) >> Packer.topShift(I);
+  // Records successor S; false when its state charge runs out.
+  auto Visit = [&](uint64_t S) {
+    if (Reduced)
+      S = Symmetry.canonicalize(S, Packer);
+    if (!Seen.insert(S))
+      return true;
+    if (Limits && !Limits->chargeState())
+      return false;
+    Queue.push_back(S);
+    return true;
   };
-  std::vector<uint64_t> Succs;
   for (size_t Head = 0; Head < Queue.size(); ++Head) {
     if (Cancel && Cancel->load(std::memory_order_relaxed))
       return false;
     uint64_t W = Queue[Head];
-    QState Q = static_cast<QState>(W >> QShift);
+    uint64_t QBase = W >> QShift;
     for (unsigned I = 0; I < C.numThreads(); ++I) {
+      const ThreadMoves &M = Moves[I];
+      uint64_t Top = (W & M.TopMask) >> M.Shift;
       unsigned Prev = Symmetry.prev(I);
-      if (Prev != ThreadSymmetry::NoThread && Top(W, Prev) == Top(W, I))
+      if (Prev != ThreadSymmetry::NoThread &&
+          (W & Moves[Prev].TopMask) >> Moves[Prev].Shift == Top)
         continue;
-      const Pds &P = C.thread(I);
-      unsigned Shift = Packer.topShift(I);
-      uint64_t TopMask = Packer.topMask(I);
-      uint64_t Rest = W & BelowQ & ~TopMask; // Q and thread I's top cleared.
-      Succs.clear();
-      for (uint32_t AI : P.actionsFrom(Q, static_cast<Sym>((W & TopMask) >>
-                                                           Shift))) {
-        // Line 6 of Alg. 2: (q, w) |-> (q', T(w')); a push's T(w') is the
-        // new top r0, the symbol underneath is cut off.
-        const Action &A = P.actions()[AI];
-        uint64_t To = Rest | uint64_t(A.DstQ) << QShift;
-        Succs.push_back(To | uint64_t(A.Dst0) << Shift); // Eps for pops.
-        // Lines 7-9: an empty target word exposes any candidate in E.
-        if (A.targetLength() == 0)
-          for (Sym Rho : P.emergingSymbols())
-            Succs.push_back(To | uint64_t(Rho) << Shift);
-      }
-      // The logical footprint: the result buffer plus the membership
-      // table.  The exploration is serial, so charging live is safe.
-      if (Limits &&
-          (!Limits->chargeStep(Succs.size() + 1) ||
-           !Limits->checkMemory(Queue.size() * sizeof(uint64_t) +
-                                Seen.memoryBytes())))
-        return false;
-      for (uint64_t S : Succs) {
-        S = Symmetry.canonicalize(S, Packer);
-        if (!Seen.insert(S))
-          continue;
-        if (Limits && !Limits->chargeState())
+      uint64_t Key = QBase * M.Stride + Top;
+      const uint64_t *Begin = M.Deltas.data() + M.Starts[Key];
+      const uint64_t *End = M.Deltas.data() + M.Starts[Key + 1];
+      if (Limits) {
+        size_t Succs = End - Begin;
+        for (const uint64_t *D = Begin; D != End; ++D)
+          if (!(*D & M.TopMask))
+            Succs += M.Exposed.size();
+        // The logical footprint: the result buffer plus the membership
+        // table.  The exploration is serial, so charging live is safe.
+        if (!Limits->chargeStep(Succs + 1) ||
+            !Limits->checkMemory(Queue.size() * sizeof(uint64_t) +
+                                 Seen.memoryBytes()))
           return false;
-        Queue.push_back(S);
+      }
+      uint64_t Rest = W & BelowQ & ~M.TopMask; // Q and thread I's top cleared.
+      for (const uint64_t *D = Begin; D != End; ++D) {
+        uint64_t To = Rest | *D;
+        if (!Visit(To))
+          return false;
+        if (!(*D & M.TopMask))
+          for (uint64_t X : M.Exposed)
+            if (!Visit(To | X))
+              return false;
       }
     }
   }
@@ -129,10 +175,28 @@ bool exploreWide(const Cpds &C, const ThreadSymmetry &Symmetry,
   return true;
 }
 
-/// The one exploration behind every entry point: Z (its canonical forms
-/// under \p Symmetry), filtered down to \p Keep's members when non-null,
-/// sorted, with |Z| in \p ZSize; nullopt on exhaustion or cancellation.
-/// Emits no span, so it may run on a worker.
+/// Z's packed words (canonical under \p Symmetry) in discovery order,
+/// filtered down to \p Keep's members when non-null and tested on the
+/// words themselves, with |Z| in \p ZSize.  False on exhaustion or
+/// cancellation.  Emits no span, so it may run on a worker.
+bool exploreWords(const Cpds &C, const VisiblePacker &Packer,
+                  LimitTracker *Limits, const GeneratorSet *Keep,
+                  const ThreadSymmetry &Symmetry,
+                  const std::atomic<bool> *Cancel,
+                  std::vector<uint64_t> &Words, uint64_t &ZSize) {
+  if (!explorePacked(C, Packer, Symmetry, Limits, Cancel, Words))
+    return false;
+  ZSize = Words.size();
+  if (Keep)
+    std::erase_if(Words,
+                  [&](uint64_t W) { return !Keep->containsWord(W, Packer); });
+  return true;
+}
+
+/// The one exploration behind the sorted entry points: Z (its canonical
+/// forms under \p Symmetry), filtered down to \p Keep's members when
+/// non-null, sorted, with |Z| in \p ZSize; nullopt on exhaustion or
+/// cancellation.  Emits no span, so it may run on a worker.
 std::optional<std::vector<VisibleState>>
 exploreZ(const Cpds &C, LimitTracker *Limits, const GeneratorSet *Keep,
          const ThreadSymmetry &Symmetry, const std::atomic<bool> *Cancel,
@@ -142,16 +206,9 @@ exploreZ(const Cpds &C, LimitTracker *Limits, const GeneratorSet *Keep,
   std::vector<VisibleState> Out;
   if (Packer.packable()) {
     std::vector<uint64_t> Words;
-    if (!explorePacked(C, Packer, Symmetry, Limits, Cancel, Words))
+    if (!exploreWords(C, Packer, Limits, Keep, Symmetry, Cancel, Words,
+                      ZSize))
       return std::nullopt;
-    ZSize = Words.size();
-    if (Keep) {
-      std::vector<Sym> Tops(C.numThreads());
-      std::erase_if(Words, [&](uint64_t W) {
-        QState Q = Packer.unpack(W, Tops.data());
-        return !Keep->contains(Q, Tops.data());
-      });
-    }
     std::sort(Words.begin(), Words.end()); // Packed order == state order.
     Out.reserve(Words.size());
     for (uint64_t W : Words)
@@ -169,10 +226,8 @@ exploreZ(const Cpds &C, LimitTracker *Limits, const GeneratorSet *Keep,
 }
 
 /// The `z-overapprox` span's argument: |Z|, or that the budget ran out.
-void argZ(obs::ScopedSpan &Span,
-          const std::optional<std::vector<VisibleState>> &Found,
-          uint64_t ZSize) {
-  if (Found)
+void argZ(obs::ScopedSpan &Span, bool Complete, uint64_t ZSize) {
+  if (Complete)
     Span.arg("visible", ZSize);
   else
     Span.arg("exhausted", 1);
@@ -186,7 +241,7 @@ exploreZSpanned(const Cpds &C, LimitTracker *Limits, const GeneratorSet *Keep,
   uint64_t ZSize = 0;
   std::optional<std::vector<VisibleState>> Found =
       exploreZ(C, Limits, Keep, Symmetry, nullptr, ZSize);
-  argZ(Span, Found, ZSize);
+  argZ(Span, Found.has_value(), ZSize);
   return Found;
 }
 
@@ -229,7 +284,21 @@ void GeneratorTest::explore(const std::atomic<bool> *CancelFlag) {
     return; // Cancelled before it started (run at the join).
   LimitTracker ZLimits(Limits);
   GeneratorSet G(C);
-  Found = exploreZ(C, &ZLimits, &G, Symmetry, CancelFlag, ZSize);
+  VisiblePacker Packer(C);
+  if (Packer.packable()) {
+    Explored = exploreWords(C, Packer, &ZLimits, &G, Symmetry, CancelFlag,
+                            PendingWords, ZSize);
+    if (!Explored)
+      PendingWords.clear();
+    // The run keeps G cap Z, not the buffer Z was explored in.
+    PendingWords.shrink_to_fit();
+    return;
+  }
+  std::optional<std::vector<VisibleState>> Found =
+      exploreZ(C, &ZLimits, &G, Symmetry, CancelFlag, ZSize);
+  Explored = Found.has_value();
+  if (Explored)
+    Pending = std::move(*Found);
 }
 
 void GeneratorTest::start(exec::ThreadPool *P) {
@@ -248,11 +317,8 @@ void GeneratorTest::build() {
     std::exchange(Pool, nullptr)->joinSide(); // Rethrows the build's throw.
   else
     explore(nullptr);
-  argZ(Span, Found, ZSize);
+  argZ(Span, Explored, ZSize);
   Built = true;
-  Complete = Found.has_value();
-  if (Complete)
-    Pending = std::move(*Found);
 }
 
 void GeneratorTest::finish() {

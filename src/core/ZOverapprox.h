@@ -15,9 +15,15 @@
 /// generators, which is what Alg. 3's convergence test needs.
 ///
 /// The exploration runs on packed visible words (pds/VisibleSet.h)
-/// whenever the CPDS's visible states fit in 64 bits: a successor is its
-/// source word with the Q field and the moving thread's top field
-/// rewritten, so no state is materialised until the result is unpacked.
+/// whenever the CPDS's visible states fit in 64 bits.  Each thread's
+/// moves are precomputed once per exploration, along its Pds's own
+/// (q, top) source index, as deltas with q' and the new top already
+/// shifted into place (pops flagged to expose the emerging symbols E), so
+/// a successor is its source word with the Q field and the moving
+/// thread's top cleared and one delta or-ed in.  Alg. 3's GeneratorTest
+/// keeps G cap Z as those words, unsorted and never unpacked, and probes
+/// the engine's visible set by word.  The sorted VisibleState entry
+/// points (computeZ, computeGeneratorsInZ) sort and unpack at the end.
 /// Wider systems fall back to a VisibleState BFS over abstractSuccessors.
 ///
 //===----------------------------------------------------------------------===//
@@ -83,10 +89,16 @@ computeGeneratorsInZ(const Cpds &C, const GeneratorSet &G,
 /// be unsound).  Either way the det `z-overapprox` span is emitted on
 /// the driver at the first call (at jobs > 1 its duration is the
 /// driver's wait at the join), so traces match at every `--jobs`.
-/// G cap Z is built canonical under \p Symmetry, the one the engine's
-/// visible states are canonical under (a symmetry without classes for
-/// the explicit engine); the test is unchanged, since T(R_k) is closed
-/// under the class permutations.
+///
+/// G cap Z is kept as an unsorted vector of packed words, filtered by
+/// generator membership on the word, and each entry is probed against
+/// the engine's visible set by word (VisibleState values only on
+/// systems too wide to pack).  It is built on the orbits of
+/// \p Symmetry, a symmetry of the system and its property: on either
+/// engine T(R_k) is closed under its class permutations (the explicit
+/// engine stores every state; the symbolic one stores canonical forms
+/// under this same symmetry), so a canonical word is in T(R_k) iff its
+/// whole orbit is, and the test needs only the canonical words.
 class GeneratorTest {
 public:
   GeneratorTest(const Cpds &C, const ResourceLimits &Limits,
@@ -111,11 +123,13 @@ public:
   template <typename EngineT> bool coveredBy(const EngineT &E) {
     if (!Built)
       build();
-    if (!Complete)
+    if (!Explored)
       return false;
+    std::erase_if(PendingWords,
+                  [&](uint64_t W) { return E.visibleWordReached(W); });
     std::erase_if(Pending,
                   [&](const VisibleState &V) { return E.visibleReached(V); });
-    return Pending.empty();
+    return PendingWords.empty() && Pending.empty();
   }
 
   /// Ends the run: cancels a background build that is still running and
@@ -125,8 +139,8 @@ public:
 private:
   /// Builds (or joins) G cap Z and emits its span.
   void build();
-  /// One exploration of M_n into Found and ZSize, stopping early once
-  /// \p Cancel is set.
+  /// One exploration of M_n into the pending entries and ZSize,
+  /// stopping early once \p Cancel is set.
   void explore(const std::atomic<bool> *Cancel);
 
   const Cpds &C;
@@ -136,13 +150,14 @@ private:
   exec::ThreadPool *Pool = nullptr;
   std::atomic<bool> Cancel{false};
   /// The exploration's output, written by whichever thread ran it and
-  /// read after the join: G cap Z (nullopt when its budget ran out) and
-  /// |Z|.
-  std::optional<std::vector<VisibleState>> Found;
+  /// read after the join: whether it completed within its budget, |Z|,
+  /// and the entries of G cap Z not yet reached -- packed words, or
+  /// VisibleStates on a system too wide to pack.
+  bool Explored = false;
   uint64_t ZSize = 0;
-  bool Built = false;
-  bool Complete = false;
+  std::vector<uint64_t> PendingWords;
   std::vector<VisibleState> Pending;
+  bool Built = false;
 };
 
 } // namespace cuba

@@ -176,6 +176,20 @@ public:
             SourceStart[Key + 1] - SourceStart[Key]};
   }
 
+  /// The source index behind actionsFrom, for callers that precompute
+  /// per-action data in its order: every action index, bucketed by source
+  /// key q * (numSymbols() + 1) + top.  actionsFrom(Q, Top) is
+  /// sourceActions()[sourceStarts()[key] .. sourceStarts()[key + 1]).
+  /// Requires freeze().
+  std::span<const uint32_t> sourceActions() const {
+    assert(Frozen && "Pds::freeze() must run before queries");
+    return SourceActions;
+  }
+  std::span<const uint32_t> sourceStarts() const {
+    assert(Frozen && "Pds::freeze() must run before queries");
+    return SourceStart;
+  }
+
   /// The rules a saturation fires on a transition (\p Q, \p Top) of the
   /// bottom-lifted system: actionsFrom(Q, Top), except that Top ==
   /// bottom() selects the empty-stack rules.  Read each through
@@ -226,9 +240,7 @@ private:
   /// Name hash -> lowest label id with that hash (non-empty names).
   FlatMap<uint64_t, LabelId> LabelIndex;
   std::vector<Action> Delta;
-  /// CSR source index: the actions from source key (q, top) =
-  /// q * (numSymbols() + 1) + top are
-  /// SourceActions[SourceStart[key] .. SourceStart[key + 1]).
+  /// CSR source index (see sourceActions()).
   std::vector<uint32_t> SourceStart;
   std::vector<uint32_t> SourceActions;
   std::vector<Sym> Emerging;

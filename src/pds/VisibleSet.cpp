@@ -82,3 +82,45 @@ VisibleRoundSet::statesInRound(unsigned Round) const {
     Out.push_back(Packer.unpack(Bits));
   return Out;
 }
+
+PackedProperty::PackedProperty(const SafetyProperty &Prop,
+                               const VisiblePacker &P) {
+  if (!P.packable())
+    return;
+  const unsigned N = P.numThreads();
+  const uint64_t QMask = ~uint64_t(0) << P.sharedShift();
+  for (const VisiblePattern &Pat : Prop.badPatterns()) {
+    if (Pat.Tops.size() != N)
+      return;
+    uint64_t Mask = 0, Value = 0;
+    bool Fits = true;
+    if (Pat.Q) {
+      uint64_t Q = *Pat.Q;
+      Fits = (Q << P.sharedShift() >> P.sharedShift()) == Q;
+      Mask |= QMask;
+      Value |= Q << P.sharedShift();
+    }
+    for (unsigned I = 0; I < N && Fits; ++I) {
+      if (!Pat.Tops[I])
+        continue;
+      uint64_t Field = uint64_t(*Pat.Tops[I]) << P.topShift(I);
+      Fits = (Field & ~P.topMask(I)) == 0 &&
+             Field >> P.topShift(I) == *Pat.Tops[I];
+      Mask |= P.topMask(I);
+      Value |= Field;
+    }
+    if (Fits)
+      Patterns.emplace_back(Mask, Value);
+  }
+  Compiled = true;
+}
+
+std::optional<uint64_t>
+PackedProperty::leastViolation(std::span<const uint64_t> Words) const {
+  assert(Compiled && "scan with an uncompiled property");
+  std::optional<uint64_t> Least;
+  for (uint64_t W : Words)
+    if ((!Least || W < *Least) && violatedBy(W))
+      Least = W;
+  return Least;
+}

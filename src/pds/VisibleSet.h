@@ -17,12 +17,21 @@
 /// VisibleState ordering the round-difference APIs promise.  Systems too
 /// wide to pack fall back to the ordered-map representation.
 ///
+/// On a packing system the verdict path never leaves the words: M_n is
+/// explored on them (core/ZOverapprox), G cap Z is kept as words and
+/// probed against T(R_k) by word (containsWord), and each round's new
+/// words (wordsFirstSeenIn) are scanned against the property compiled to
+/// mask/value pairs (PackedProperty).  Only the least violating word is
+/// unpacked, for the witness and the trace.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CUBA_PDS_VISIBLESET_H
 #define CUBA_PDS_VISIBLESET_H
 
 #include <map>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "pds/Cpds.h"
@@ -144,6 +153,24 @@ public:
                              : Fallback.count(V) != 0;
   }
 
+  /// contains() for a packed word; requires packer().packable().
+  bool containsWord(uint64_t W) const {
+    assert(Packer.packable() && "word probe on an unpackable system");
+    return Packed.contains(W);
+  }
+
+  /// The packed words first seen in \p Round, in insertion order, for a
+  /// round no earlier than the latest one any word was first seen in
+  /// (the round loop's current bound); empty when that round added none.
+  /// Requires packer().packable().
+  std::span<const uint64_t> wordsFirstSeenIn(unsigned Round) const {
+    assert(Packer.packable() && "word scan on an unpackable system");
+    assert(Round >= LatestRound && "older rounds are not kept as lists");
+    if (Round != LatestRound)
+      return {};
+    return LatestWords;
+  }
+
   /// All entries sorted by VisibleState order (the packing preserves it).
   std::vector<std::pair<VisibleState, unsigned>> sortedEntries() const;
 
@@ -174,6 +201,39 @@ private:
   /// first insertion, in insertion order.
   std::vector<uint64_t> LatestWords;
   unsigned LatestRound = 0;
+};
+
+/// A SafetyProperty compiled to one packer's words: each bad pattern
+/// becomes a (mask, value) pair whose mask covers the fields the pattern
+/// fixes, so a word violates the property iff (W & mask) == value for
+/// some pair.  A pattern naming a shared state or symbol too large for
+/// its field can match no word and is dropped.
+class PackedProperty {
+public:
+  PackedProperty(const SafetyProperty &Prop, const VisiblePacker &P);
+
+  /// False when words cannot stand for the property: the packer does not
+  /// pack, or a pattern does not give one entry per thread.  Callers then
+  /// test VisibleStates with SafetyProperty::violatedBy.
+  bool compiled() const { return Compiled; }
+
+  /// SafetyProperty::violatedBy on the packed word \p W; requires
+  /// compiled().
+  bool violatedBy(uint64_t W) const {
+    for (const auto &[Mask, Value] : Patterns)
+      if ((W & Mask) == Value)
+        return true;
+    return false;
+  }
+
+  /// The least word of \p Words that violates the property -- by the
+  /// packing's order, the least violating visible state -- or nullopt.
+  std::optional<uint64_t>
+  leastViolation(std::span<const uint64_t> Words) const;
+
+private:
+  bool Compiled = false;
+  std::vector<std::pair<uint64_t, uint64_t>> Patterns; // (mask, value)
 };
 
 } // namespace cuba

@@ -47,7 +47,8 @@ struct Injector {
   SplitMix64 &Rng;
   const std::vector<std::string> &Vars;
   unsigned Budget;
-  unsigned Sources = 0, Sinks = 0;
+  /// The (kind, variable) pairs placed so far.
+  std::set<std::pair<bp::StmtKind, std::string>> Placed;
 
   const std::string &pickVar() { return Vars[Rng.below(Vars.size())]; }
 
@@ -56,11 +57,9 @@ struct Injector {
     bp::StmtKind K = R < 4   ? bp::StmtKind::Source
                      : R < 7 ? bp::StmtKind::Sink
                              : bp::StmtKind::Sanitize;
-    if (K == bp::StmtKind::Source)
-      ++Sources;
-    if (K == bp::StmtKind::Sink)
-      ++Sinks;
-    return makeTaint(K, pickVar());
+    const std::string &Var = pickVar();
+    Placed.emplace(K, Var);
+    return makeTaint(K, Var);
   }
 
   void walk(std::vector<bp::StmtPtr> &Body) {
@@ -78,6 +77,45 @@ struct Injector {
   }
 };
 
+/// Appends the thread entries (\p Entries) or the callees (otherwise)
+/// named in \p Body, recursing into structured statements.
+void collectTargets(const std::vector<bp::StmtPtr> &Body, bool Entries,
+                    std::vector<std::string> &Out) {
+  for (const bp::StmtPtr &S : Body) {
+    if (Entries && S->Kind == bp::StmtKind::ThreadCreate)
+      Out.push_back(S->ThreadFunc);
+    if (!Entries && S->Kind == bp::StmtKind::Call)
+      Out.push_back(S->Callee);
+    collectTargets(S->Body, Entries, Out);
+    collectTargets(S->ElseBody, Entries, Out);
+  }
+}
+
+/// The functions some thread can run: main's thread_create targets and
+/// everything they call, transitively, in program order.  The
+/// translator emits frames for these alone, so only annotations placed
+/// here can take part in a fold.
+std::vector<bp::Function *> threadReachable(bp::Program &P) {
+  std::vector<std::string> Work;
+  for (const bp::Function &F : P.Functions)
+    if (F.Name == "main")
+      collectTargets(F.Body, /*Entries=*/true, Work);
+  std::set<std::string> Reached;
+  while (!Work.empty()) {
+    std::string Name = std::move(Work.back());
+    Work.pop_back();
+    const bp::Function *F = P.findFunction(Name);
+    if (!F || Name == "main" || !Reached.insert(Name).second)
+      continue;
+    collectTargets(F->Body, /*Entries=*/false, Work);
+  }
+  std::vector<bp::Function *> Fns;
+  for (bp::Function &F : P.Functions)
+    if (Reached.count(F.Name))
+      Fns.push_back(&F);
+  return Fns;
+}
+
 } // namespace
 
 void cuba::testing::injectTaintAnnotations(bp::Program &P, uint64_t Seed) {
@@ -93,30 +131,25 @@ void cuba::testing::injectTaintAnnotations(bp::Program &P, uint64_t Seed) {
     std::swap(Vars[I], Vars[I + Rng.below(Vars.size() - I)]);
   Vars.resize(NumFacts);
 
-  Injector Inj{Rng, Vars, /*Budget=*/6};
-  for (bp::Function &F : P.Functions) {
-    if (F.Name == "main")
-      continue;
-    Inj.walk(F.Body);
-  }
+  std::vector<bp::Function *> Fns = threadReachable(P);
+  Injector Inj{Rng, Vars, /*Budget=*/6, {}};
+  for (bp::Function *F : Fns)
+    Inj.walk(F->Body);
 
-  // Guarantee the instance is meaningful: place a missing source or
-  // sink at a random boundary of a random non-main function body.
-  std::vector<bp::Function *> Fns;
-  for (bp::Function &F : P.Functions)
-    if (F.Name != "main")
-      Fns.push_back(&F);
+  // Guarantee the instance is meaningful: every fact gets a source, a
+  // sanitize and a sink (GEN, KILL and the query), each missing one at a
+  // random boundary of a random thread-reachable body.
   if (Fns.empty())
     return;
-  auto place = [&](bp::StmtKind K) {
-    std::vector<bp::StmtPtr> &Body = Fns[Rng.below(Fns.size())]->Body;
-    Body.insert(Body.begin() + Rng.below(Body.size() + 1),
-                makeTaint(K, Vars[Rng.below(Vars.size())]));
-  };
-  if (!Inj.Sources)
-    place(bp::StmtKind::Source);
-  if (!Inj.Sinks)
-    place(bp::StmtKind::Sink);
+  for (const std::string &Var : Vars)
+    for (bp::StmtKind K : {bp::StmtKind::Source, bp::StmtKind::Sanitize,
+                           bp::StmtKind::Sink}) {
+      if (Inj.Placed.count({K, Var}))
+        continue;
+      std::vector<bp::StmtPtr> &Body = Fns[Rng.below(Fns.size())]->Body;
+      Body.insert(Body.begin() + Rng.below(Body.size() + 1),
+                  makeTaint(K, Var));
+    }
 }
 
 //===----------------------------------------------------------------------===//

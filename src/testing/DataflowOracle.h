@@ -110,9 +110,11 @@ DataflowOracleReport runDataflowOracle(const bp::Program &P,
                                        const DataflowOracleOptions &Opts = {});
 
 /// Inserts seeded random source/sanitize/sink annotations over the
-/// program's shared variables into its non-main function bodies; at
-/// least one source and one sink are always placed when a shared
-/// variable and a non-main function exist.
+/// program's shared variables into the bodies of the functions some
+/// thread can run (main's thread_create targets and their transitive
+/// callees; main itself is never annotated).  When a shared variable
+/// and such a function exist, every fact gets at least one source, one
+/// sanitize and one sink.
 void injectTaintAnnotations(bp::Program &P, uint64_t Seed);
 
 /// The seed's program under the shape rotation, with seeded taint

@@ -539,6 +539,30 @@ TEST(BpCorpus, CliDataflowLeakVerdict) {
   std::remove(Path.c_str());
 }
 
+TEST(BpCorpus, CliDataflowVerdictNamesTheLeastLeakRound) {
+  // Thread 1 leaks within its first context; thread 0 must first step to
+  // its sink, so its hit comes a context later.  Hits are listed by
+  // thread, yet the verdict names the least round of any.
+  std::string Path = writeTempBp("corpus_least_round.bp",
+                                 "decl x;\n\nvoid a() {\n  skip;\n"
+                                 "  sink(x);\n}\n\nvoid b() {\n"
+                                 "  source(x);\n  sink(x);\n}\n\n"
+                                 "void main() {\n  thread_create(&a);\n"
+                                 "  thread_create(&b);\n}\n\n");
+  auto [Rc, Out] = runTool("dataflow " + Path);
+  EXPECT_EQ(Rc, 1) << Out;
+  size_t Late = Out.find("leak:      thread 0 at 'a.1' may observe tainted"
+                         " 'x' (first at k=2)");
+  size_t Early = Out.find("leak:      thread 1 at 'b.1' may observe tainted"
+                          " 'x' (first at k=1)");
+  EXPECT_NE(Late, std::string::npos) << Out;
+  EXPECT_NE(Early, std::string::npos) << Out;
+  EXPECT_LT(Late, Early) << Out;
+  EXPECT_NE(Out.find("verdict:   LEAK within 1 contexts"), std::string::npos)
+      << Out;
+  std::remove(Path.c_str());
+}
+
 TEST(BpCorpus, CliDataflowSafeVerdict) {
   // The sanitize between source and sink clears the fact on every path,
   // and no other thread can re-taint it.

@@ -25,11 +25,13 @@
 #include "core/FcrCheck.h"
 #include "core/Generators.h"
 #include "core/ObservationSequence.h"
+#include "core/SymbolicEngine.h"
 #include "core/ZOverapprox.h"
 #include "exec/ThreadPool.h"
 #include "models/Models.h"
 #include "obs/Trace.h"
 #include "pds/CpdsIO.h"
+#include "pds/ThreadSymmetry.h"
 #include "pds/VisibleSet.h"
 #include "testing/RandomCpds.h"
 
@@ -456,6 +458,323 @@ TEST(ZOverapprox, BackgroundBuildAnswersLikeTheSerialOne) {
   }
   obs::Trace::end();
   EXPECT_EQ(obs::Trace::render().find("z-overapprox"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// The word path: packed property, generator membership and coverage
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A three-thread system with 3 shared states and alphabets of 2, 3 and
+/// 1 symbols; no rules, as only its word layout matters.
+CpdsFile buildLayoutCpds() {
+  CpdsFile F;
+  Cpds &C = F.System;
+  for (const char *Q : {"a", "b", "c"})
+    C.addSharedState(Q);
+  for (unsigned Syms : {2u, 3u, 1u}) {
+    Pds &P = C.thread(C.addThread("t" + std::to_string(Syms)));
+    for (unsigned K = 0; K < Syms; ++K)
+      P.addSymbol("s" + std::to_string(K));
+  }
+  EXPECT_TRUE(static_cast<bool>(C.freeze()));
+  return F;
+}
+
+/// Every visible state of \p C's domain, in ascending order.
+std::vector<VisibleState> allVisibleStates(const Cpds &C) {
+  std::vector<VisibleState> Out = {VisibleState{0, {}}};
+  for (unsigned I = 0; I < C.numThreads(); ++I) {
+    std::vector<VisibleState> Next;
+    for (const VisibleState &V : Out)
+      for (Sym S = 0; S <= C.thread(I).numSymbols(); ++S) {
+        Next.push_back(V);
+        Next.back().Tops.push_back(S);
+      }
+    Out = std::move(Next);
+  }
+  std::vector<VisibleState> All;
+  for (QState Q = 0; Q < C.numSharedStates(); ++Q)
+    for (VisibleState V : Out) {
+      V.Q = Q;
+      All.push_back(std::move(V));
+    }
+  std::sort(All.begin(), All.end());
+  return All;
+}
+
+VisiblePattern pattern(std::optional<QState> Q,
+                       std::vector<std::optional<Sym>> Tops) {
+  return VisiblePattern{Q, std::move(Tops)};
+}
+
+/// formatTrace of core/Algorithms.cpp, for the reference loop below.
+std::string renderTrace(const Cpds &C, const std::vector<TraceStep> &Steps) {
+  std::string Out;
+  for (const TraceStep &S : Steps)
+    Out += Out.empty() ? "  initial:  " + toString(C, S.State) + "\n"
+                       : "  " + C.threadName(S.Thread) + "/" + S.Label +
+                             ": " + toString(C, S.State) + "\n";
+  return Out;
+}
+
+/// The round loop of core/Algorithms.cpp on VisibleState values alone:
+/// each round's new states sorted and tested with
+/// SafetyProperty::violatedBy, and G cap Z as the sorted result of
+/// computeGeneratorsInZ under \p ZSymmetry (on its own tracker over
+/// \p Limits) probed with visibleReached.  Scheme 1 and Alg. 3 both
+/// run; \p ZTruncated reports a G cap Z cut short by its budget.
+template <typename EngineT>
+RunResult referenceRounds(EngineT &E, const Cpds &C,
+                          const SafetyProperty &Prop,
+                          const ResourceLimits &Limits,
+                          const ThreadSymmetry &ZSymmetry,
+                          bool &ZTruncated) {
+  RunResult R;
+  ZTruncated = false;
+  auto Check = [&] {
+    if (R.BugBound || Prop.trivial())
+      return;
+    for (const VisibleState &V : E.newVisibleThisRound()) {
+      if (!Prop.violatedBy(V))
+        continue;
+      R.BugBound = E.bound();
+      R.Witness = toString(C, V);
+      if constexpr (std::is_same_v<EngineT, CbaEngine>)
+        R.Trace = renderTrace(C, E.traceToVisible(V));
+      return;
+    }
+  };
+  ObservationTracker Sizes;
+  std::optional<std::vector<VisibleState>> Pending;
+  bool Built = false;
+  std::optional<unsigned> Rk, Tk;
+  Sizes.record(E.visibleOrbits());
+  Check();
+  unsigned MaxK = Limits.MaxContexts ? Limits.MaxContexts : UINT32_MAX;
+  while (E.bound() < MaxK && !R.BugBound) {
+    if (E.advance() == EngineT::RoundStatus::Exhausted) {
+      R.Exhausted = true;
+      break;
+    }
+    Sizes.record(E.visibleOrbits());
+    Check();
+    if (!Rk && E.frontierEmpty())
+      Rk = E.bound() - 1;
+    if (!Tk && Sizes.newPlateauAtLatest()) {
+      if (!Built) {
+        LimitTracker ZLimits(Limits);
+        Pending = computeGeneratorsInZ(C, GeneratorSet(C), &ZLimits,
+                                       ZSymmetry);
+        ZTruncated = !Pending;
+        Built = true;
+      }
+      if (Pending) {
+        std::erase_if(*Pending, [&](const VisibleState &V) {
+          return E.visibleReached(V);
+        });
+        if (Pending->empty())
+          Tk = E.bound() - 1;
+      }
+    }
+    if (Rk || Tk)
+      break;
+  }
+  R.ConvergedAt = Rk ? Rk : Tk;
+  if (E.bound() >= MaxK && !R.ConvergedAt && !R.BugBound)
+    R.Exhausted = true;
+  R.KMax = E.bound();
+  return R;
+}
+
+/// The answers the word path must keep.
+std::string answers(const RunResult &R) {
+  auto Bound = [](std::optional<unsigned> K) {
+    return K ? std::to_string(*K) : std::string("-");
+  };
+  return "bug " + Bound(R.BugBound) + " converged " + Bound(R.ConvergedAt) +
+         " kmax " + std::to_string(R.KMax) + " exhausted " +
+         std::to_string(R.Exhausted) + " witness " + R.Witness +
+         "\ntrace\n" + R.Trace;
+}
+
+/// What the agreement runs covered.
+struct WordPathTally {
+  unsigned Bugs = 0, Proved = 0;
+  /// Explicit-route inputs with a thread class whose reduced and
+  /// unreduced G cap Z both completed.
+  unsigned OrbitChecks = 0;
+};
+
+/// Both drivers on \p F at jobs 1 and 4 against the reference loop, with
+/// G cap Z on the orbits the drivers use.  On the explicit route, where
+/// the engine stores every state, the unreduced G cap Z must answer the
+/// same whenever neither build is truncated.
+void expectWordPathAgrees(const CpdsFile &F, const ResourceLimits &L,
+                          exec::ThreadPool &Pool, const std::string &Name,
+                          WordPathTally &Tally) {
+  const Cpds &C = F.System;
+  const SafetyProperty &Prop = F.Property;
+  ThreadSymmetry Symmetry(C, Prop);
+  bool ZTruncated = false, FullZTruncated = false;
+  CbaEngine RefE(C, L);
+  RunResult RefRun = referenceRounds(RefE, C, Prop, L, Symmetry, ZTruncated);
+  std::string WantE = answers(RefRun);
+  Tally.Bugs += RefRun.BugBound.has_value();
+  Tally.Proved += RefRun.ConvergedAt.has_value();
+  CbaEngine FullE(C, L);
+  std::string WantFull = answers(
+      referenceRounds(FullE, C, Prop, L, ThreadSymmetry(C), FullZTruncated));
+  if (!ZTruncated && !FullZTruncated) {
+    EXPECT_EQ(WantE, WantFull) << Name << ": orbits of G cap Z";
+    Tally.OrbitChecks += !Symmetry.classes().empty();
+  }
+  SymbolicEngine RefS(C, L, Symmetry);
+  std::string WantS =
+      answers(referenceRounds(RefS, C, Prop, L, Symmetry, ZTruncated));
+  for (exec::ThreadPool *P : {static_cast<exec::ThreadPool *>(nullptr),
+                              &Pool}) {
+    RunOptions O;
+    O.Limits = L;
+    O.BuildTrace = true;
+    O.Pool = P;
+    std::string At = Name + (P ? " jobs 4" : " jobs 1");
+    EXPECT_EQ(answers(runExplicitCombined(C, Prop, O).Run), WantE)
+        << At << " explicit";
+    O.BuildTrace = false;
+    EXPECT_EQ(answers(runAlg3Symbolic(C, Prop, O).Run), WantS)
+        << At << " symbolic";
+  }
+}
+
+} // namespace
+
+TEST(VisibleWords, CompiledPropertyMatchesViolatedByOnEveryWord) {
+  CpdsFile F = buildLayoutCpds();
+  const Cpds &C = F.System;
+  VisiblePacker Packer(C);
+  ASSERT_TRUE(Packer.packable());
+  std::vector<VisibleState> All = allVisibleStates(C);
+  ASSERT_EQ(All.size(), 3u * 3 * 4 * 2);
+
+  SafetyProperty Prop;
+  // A: a Q wildcard with an EpsSym top; B: per-thread wildcards; C: a
+  // fully fixed pattern; D: a symbol past thread 2's one-bit field,
+  // which can match nothing.
+  Prop.addBadPattern(pattern(std::nullopt, {EpsSym, std::nullopt, 1}));
+  Prop.addBadPattern(pattern(2, {std::nullopt, 3, std::nullopt}));
+  Prop.addBadPattern(pattern(1, {2, EpsSym, EpsSym}));
+  Prop.addBadPattern(pattern(0, {std::nullopt, std::nullopt, 7}));
+  PackedProperty Bad(Prop, Packer);
+  ASSERT_TRUE(Bad.compiled());
+  std::vector<uint64_t> Words;
+  unsigned Violating = 0;
+  for (const VisibleState &V : All) {
+    uint64_t W = Packer.pack(V);
+    EXPECT_EQ(Bad.violatedBy(W), Prop.violatedBy(V)) << toString(C, V);
+    Violating += Prop.violatedBy(V);
+    Words.push_back(W);
+  }
+  EXPECT_EQ(Violating, 12u + 6 - 1 + 1); // A, B less their overlap, C.
+  // The least violating word is the least violating state, whatever the
+  // order of the scan.
+  auto FirstBad = std::find_if(All.begin(), All.end(), [&](const auto &V) {
+    return Prop.violatedBy(V);
+  });
+  std::reverse(Words.begin(), Words.end());
+  ASSERT_TRUE(Bad.leastViolation(Words).has_value());
+  EXPECT_EQ(Packer.unpack(*Bad.leastViolation(Words)), *FirstBad);
+  EXPECT_FALSE(Bad.leastViolation(std::span(Words).first(0)).has_value());
+
+  // The trivial property never fires; a pattern of the wrong arity does
+  // not compile, and the round loop then tests VisibleStates.
+  SafetyProperty None;
+  PackedProperty Trivial(None, Packer);
+  ASSERT_TRUE(Trivial.compiled());
+  EXPECT_FALSE(Trivial.leastViolation(Words).has_value());
+  SafetyProperty Short;
+  Short.addBadPattern(pattern(0, {1, 1}));
+  EXPECT_FALSE(PackedProperty(Short, Packer).compiled());
+  EXPECT_FALSE(PackedProperty(Prop, VisiblePacker(buildWideCpds().System))
+                   .compiled());
+}
+
+TEST(VisibleWords, GeneratorMembershipOnWordsMatchesContains) {
+  for (const CpdsFile &F : {models::buildFig1(), models::buildFig2(),
+                            models::buildBluetooth(1, 1, 1)}) {
+    const Cpds &C = F.System;
+    VisiblePacker Packer(C);
+    GeneratorSet G(C);
+    unsigned Members = 0;
+    for (const VisibleState &V : allVisibleStates(C)) {
+      EXPECT_EQ(G.containsWord(Packer.pack(V), Packer), G.contains(V))
+          << toString(C, V);
+      Members += G.contains(V);
+    }
+    EXPECT_GT(Members, 0u) << C.threadName(0);
+  }
+}
+
+TEST(VisibleWords, RoundsAgreeWithTheVisibleStatePath) {
+  // Word-level coverage and the violation scan against the loop on
+  // VisibleStates: the differential seeds (the rotation and the
+  // replicated-threads slot), the corpus, the paper models and a system
+  // too wide to pack, at jobs 1 and 4.
+  exec::ThreadPool Pool(4);
+  const ResourceLimits Quick{10'000, 1'000'000, 8, 0};
+  WordPathTally Tally;
+  for (uint64_t Seed = 1; Seed <= 240 && !HasFailure(); ++Seed)
+    expectWordPathAgrees(cuba::testing::generateRandomCpds(
+                             Seed, cuba::testing::cornerShapeOptions(Seed)),
+                         Quick, Pool, "seed " + std::to_string(Seed), Tally);
+  for (uint64_t I = 1; I <= 64 && !HasFailure(); ++I) {
+    uint64_t Seed = 8 * I + 7;
+    expectWordPathAgrees(cuba::testing::generateRandomCpds(
+                             Seed, cuba::testing::cornerShapeOptions(Seed)),
+                         Quick, Pool,
+                         "replicated seed " + std::to_string(Seed), Tally);
+  }
+
+  std::vector<std::filesystem::path> Paths;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(CUBA_CORPUS_DIR))
+    if (Entry.path().extension() == ".bp")
+      Paths.push_back(Entry.path());
+  std::sort(Paths.begin(), Paths.end());
+  ASSERT_GE(Paths.size(), 11u);
+  const ResourceLimits Corpus{200'000, 20'000'000, 12, 0};
+  for (const auto &P : Paths) {
+    std::ifstream In(P);
+    std::stringstream SS;
+    SS << In.rdbuf();
+    auto File = bp::compileBooleanProgram(SS.str());
+    ASSERT_TRUE(File) << P;
+    expectWordPathAgrees(*File, Corpus, Pool, P.filename().string(), Tally);
+  }
+
+  for (const CpdsFile &F : {models::buildFig1(), models::buildDekker(),
+                            models::buildBluetooth(1, 1, 1),
+                            models::buildBluetooth(2, 1, 2)})
+    expectWordPathAgrees(F, Corpus, Pool, F.System.threadName(0), Tally);
+  EXPECT_GT(Tally.Bugs, 50u);
+  EXPECT_GT(Tally.Proved, 50u);
+  EXPECT_GT(Tally.OrbitChecks, 30u);
+
+  // The wide system, with a property thread 1's single step violates.
+  CpdsFile Wide = buildWideCpds();
+  VisiblePattern Step = pattern(std::nullopt, std::vector<std::optional<Sym>>(
+                                                  8, std::nullopt));
+  Step.Tops[1] = Wide.System.thread(1).symbolByName("s298");
+  Wide.Property.addBadPattern(Step);
+  ASSERT_FALSE(VisiblePacker(Wide.System).packable());
+  CbaEngine E(Wide.System, Corpus);
+  bool ZTruncated = false;
+  EXPECT_TRUE(referenceRounds(E, Wide.System, Wide.Property, Corpus,
+                              ThreadSymmetry(Wide.System, Wide.Property),
+                              ZTruncated)
+                  .BugBound.has_value());
+  expectWordPathAgrees(Wide, Corpus, Pool, "wide", Tally);
 }
 
 //===----------------------------------------------------------------------===//

@@ -750,7 +750,14 @@ int runDataflow(const Options &O) {
     return 74;
 
   if (!R.Hits.empty()) {
-    std::printf("verdict:   LEAK within %u contexts\n", R.Hits.front().Round);
+    // Hits are sorted by (thread, frame, fact, round): the verdict names
+    // the least round of any.
+    unsigned First = std::min_element(R.Hits.begin(), R.Hits.end(),
+                                      [](const SinkHit &A, const SinkHit &B) {
+                                        return A.Round < B.Round;
+                                      })
+                         ->Round;
+    std::printf("verdict:   LEAK within %u contexts\n", First);
     return 1;
   }
   if (R.exhausted()) {
