@@ -9,7 +9,10 @@
 /// google-benchmark timings for the Boolean-program frontend pipeline,
 /// staged over the committed examples/corpus models: parse (lex +
 /// AST), compile (parse + sema + translate to CPDS), and verdict (the
-/// full Sec. 6 driver on the translation).  A fourth counter-style
+/// full Sec. 6 driver on the translation).  Compile also runs on the
+/// generated programs of seeds 4, 26 (128 shared valuations) and 95
+/// (256), the most translate-heavy of verifybench's randombp pool,
+/// named gen-<seed>.  A fourth counter-style
 /// benchmark measures one whole `cuba fuzz --mode bp` iteration, so the
 /// JSON tracks fuzz throughput per commit.  Emits BENCH_bp.json via
 /// --benchmark_format=json; see BUILDING.md.
@@ -26,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "bp/AstPrinter.h"
 #include "bp/Parser.h"
 #include "bp/Translate.h"
 #include "core/CubaDriver.h"
@@ -128,6 +132,14 @@ int main(int argc, char **argv) {
     benchmark::RegisterBenchmark(
         ("BM_BpVerdict/" + M.Name).c_str(),
         [M](benchmark::State &S) { BM_BpVerdict(S, M); });
+  }
+  for (uint64_t Seed : {4, 26, 95}) {
+    CorpusModel M{"gen-" + std::to_string(Seed),
+                  bp::printProgram(testing::generateRandomBp(
+                      Seed, testing::bpShapeOptions(Seed)))};
+    benchmark::RegisterBenchmark(
+        ("BM_BpCompile/" + M.Name).c_str(),
+        [M](benchmark::State &S) { BM_BpCompile(S, M); });
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv))

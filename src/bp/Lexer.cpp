@@ -7,107 +7,114 @@
 
 #include "bp/Lexer.h"
 
-#include <cctype>
+#include <algorithm>
+#include <array>
+#include <string>
+#include <utility>
 
 using namespace cuba;
 using namespace cuba::bp;
 
-static bool isIdentStart(char C) {
-  return std::isalpha(static_cast<unsigned char>(C)) || C == '_';
-}
+namespace {
 
-static bool isIdentChar(char C) {
-  return std::isalnum(static_cast<unsigned char>(C)) || C == '_';
-}
+/// Byte classes: Space, Digit and the letters of IdentStart are exactly
+/// what the C locale's isspace, isdigit and isalpha accept (no byte >=
+/// 0x80 is in any); '_' is an identifier byte too.
+enum ByteClass : uint8_t {
+  Space = 1,
+  Digit = 2,
+  IdentStart = 4, ///< A-Z, a-z, '_'.
+  IdentChar = 8,  ///< IdentStart or Digit.
+  Punct = 16,     ///< Starts an operator or delimiter token.
+};
+
+/// A byte's class and, for Punct, its token: Kind alone, or Kind2 when
+/// the next byte is Second (`:=`, `!=`, `&&`, `||`).
+struct ByteInfo {
+  uint8_t Class = 0;
+  TokKind Kind = TokKind::End;
+  char Second = 0;
+  TokKind Kind2 = TokKind::End;
+};
+
+constexpr std::array<ByteInfo, 256> Bytes = [] {
+  std::array<ByteInfo, 256> B{};
+  for (unsigned char C : {' ', '\t', '\n', '\v', '\f', '\r'})
+    B[C].Class = Space;
+  for (unsigned C = '0'; C <= '9'; ++C)
+    B[C].Class = Digit | IdentChar;
+  for (unsigned C = 'a'; C <= 'z'; ++C)
+    B[C].Class = B[C - 'a' + 'A'].Class = IdentStart | IdentChar;
+  B['_'].Class = IdentStart | IdentChar;
+  const std::pair<unsigned char, TokKind> Singles[] = {
+      {'(', TokKind::LParen}, {')', TokKind::RParen}, {'{', TokKind::LBrace},
+      {'}', TokKind::RBrace}, {',', TokKind::Comma},  {';', TokKind::Semi},
+      {'^', TokKind::Caret},  {'*', TokKind::Star},   {'=', TokKind::Eq}};
+  for (auto [C, K] : Singles)
+    B[C] = {Punct, K};
+  B[':'] = {Punct, TokKind::Colon, '=', TokKind::Assign};
+  B['!'] = {Punct, TokKind::Not, '=', TokKind::Neq};
+  B['&'] = {Punct, TokKind::Amp, '&', TokKind::Ampersand};
+  B['|'] = {Punct, TokKind::Pipe, '|', TokKind::PipePipe};
+  return B;
+}();
+
+const ByteInfo &infoOf(char C) { return Bytes[static_cast<unsigned char>(C)]; }
+
+} // namespace
 
 ErrorOr<std::vector<Token>> cuba::bp::lex(std::string_view Source) {
   std::vector<Token> Toks;
+  const size_t N = Source.size();
+  // About one token per three bytes of source.
+  Toks.reserve(N / 3 + 1);
   size_t Pos = 0;
-  unsigned Line = 1, Col = 1;
-
-  auto Advance = [&](size_t N = 1) {
-    for (size_t I = 0; I < N; ++I) {
-      if (Source[Pos] == '\n') {
-        ++Line;
-        Col = 1;
-      } else {
-        ++Col;
-      }
-      ++Pos;
-    }
-  };
+  // Line and column come from the offset of the current line's start:
+  // no token spans a newline, so one pass keeps both.
+  unsigned Line = 1;
+  size_t LineStart = 0;
+  auto Column = [&] { return static_cast<unsigned>(Pos - LineStart + 1); };
   auto Emit = [&](TokKind K, size_t Len) {
-    Toks.push_back({K, Source.substr(Pos, Len), Line, Col});
-    Advance(Len);
-  };
-  auto Starts = [&](std::string_view S) {
-    return Source.substr(Pos, S.size()) == S;
+    Toks.push_back(
+        {K, std::string_view(Source.data() + Pos, Len), Line, Column()});
+    Pos += Len;
   };
 
-  while (Pos < Source.size()) {
+  while (Pos < N) {
     char C = Source[Pos];
-    if (std::isspace(static_cast<unsigned char>(C))) {
-      Advance();
+    const ByteInfo &Info = infoOf(C);
+    if (Info.Class & Space) {
+      do {
+        if (Source[Pos] == '\n') {
+          ++Line;
+          LineStart = Pos + 1;
+        }
+        ++Pos;
+      } while (Pos < N && (infoOf(Source[Pos]).Class & Space));
       continue;
     }
-    if (Starts("//")) {
-      while (Pos < Source.size() && Source[Pos] != '\n')
-        Advance();
+    if (Info.Class & IdentChar) {
+      uint8_t Rest = Info.Class & IdentStart ? IdentChar : Digit;
+      size_t End = Pos + 1;
+      while (End < N && (infoOf(Source[End]).Class & Rest))
+        ++End;
+      Emit(Info.Class & IdentStart ? TokKind::Ident : TokKind::Number,
+           End - Pos);
       continue;
     }
-    if (isIdentStart(C)) {
-      size_t Len = 1;
-      while (Pos + Len < Source.size() && isIdentChar(Source[Pos + Len]))
-        ++Len;
-      Emit(TokKind::Ident, Len);
+    if (Info.Class & Punct) {
+      bool Two = Info.Second && Pos + 1 < N && Source[Pos + 1] == Info.Second;
+      Emit(Two ? Info.Kind2 : Info.Kind, Two ? 2 : 1);
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(C))) {
-      size_t Len = 1;
-      while (Pos + Len < Source.size() &&
-             std::isdigit(static_cast<unsigned char>(Source[Pos + Len])))
-        ++Len;
-      Emit(TokKind::Number, Len);
+    if (C == '/' && Pos + 1 < N && Source[Pos + 1] == '/') {
+      // The comment runs up to the newline, which the loop then reads.
+      Pos = std::min(Source.find('\n', Pos), N);
       continue;
     }
-    switch (C) {
-    case '(': Emit(TokKind::LParen, 1); continue;
-    case ')': Emit(TokKind::RParen, 1); continue;
-    case '{': Emit(TokKind::LBrace, 1); continue;
-    case '}': Emit(TokKind::RBrace, 1); continue;
-    case ',': Emit(TokKind::Comma, 1); continue;
-    case ';': Emit(TokKind::Semi, 1); continue;
-    case '^': Emit(TokKind::Caret, 1); continue;
-    case '*': Emit(TokKind::Star, 1); continue;
-    case '=': Emit(TokKind::Eq, 1); continue;
-    case ':':
-      if (Starts(":="))
-        Emit(TokKind::Assign, 2);
-      else
-        Emit(TokKind::Colon, 1);
-      continue;
-    case '!':
-      if (Starts("!="))
-        Emit(TokKind::Neq, 2);
-      else
-        Emit(TokKind::Not, 1);
-      continue;
-    case '&':
-      if (Starts("&&"))
-        Emit(TokKind::Ampersand, 2);
-      else
-        Emit(TokKind::Amp, 1);
-      continue;
-    case '|':
-      if (Starts("||"))
-        Emit(TokKind::PipePipe, 2);
-      else
-        Emit(TokKind::Pipe, 1);
-      continue;
-    default:
-      return Error(std::string("illegal character '") + C + "'", Line, Col);
-    }
+    return Error(std::string("illegal character '") + C + "'", Line,
+                 Column());
   }
-  Toks.push_back({TokKind::End, "", Line, Col});
+  Toks.push_back({TokKind::End, "", Line, Column()});
   return Toks;
 }

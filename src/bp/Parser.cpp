@@ -8,6 +8,7 @@
 #include "bp/Parser.h"
 
 #include "bp/Lexer.h"
+#include "obs/Trace.h"
 
 using namespace cuba;
 using namespace cuba::bp;
@@ -528,9 +529,11 @@ private:
 } // namespace
 
 ErrorOr<Program> cuba::bp::parseProgram(std::string_view Source) {
+  obs::ScopedSpan Span("parse", obs::Trace::CatDet);
   auto Toks = lex(Source);
   if (!Toks)
     return Toks.error();
+  Span.arg("tokens", Toks->size());
   Parser P(Toks.take());
   return P.run();
 }

@@ -24,7 +24,8 @@
 namespace cuba::bp {
 
 /// Parses a whole Boolean program.  Name resolution and well-formedness
-/// checks happen in analyzeProgram (Sema.h).
+/// checks happen in analyzeProgram (Sema.h).  Records a det `parse`
+/// span (lexing included) whose `tokens` argument counts the tokens.
 ErrorOr<Program> parseProgram(std::string_view Source);
 
 } // namespace cuba::bp

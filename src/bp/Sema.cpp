@@ -10,6 +10,8 @@
 #include <set>
 #include <unordered_map>
 
+#include "obs/Trace.h"
+
 using namespace cuba;
 using namespace cuba::bp;
 
@@ -336,6 +338,7 @@ private:
 } // namespace
 
 ErrorOr<SemaInfo> cuba::bp::analyzeProgram(Program &P) {
+  obs::ScopedSpan Span("sema", obs::Trace::CatDet);
   Analyzer A(P);
   return A.run();
 }

@@ -41,6 +41,7 @@ struct SemaInfo {
 
 /// Analyzes \p P in place; on success P.ThreadEntries is populated from
 /// main's thread_create statements and every Expr/Stmt is resolved.
+/// Records a det `sema` span.
 ErrorOr<SemaInfo> analyzeProgram(Program &P);
 
 } // namespace cuba::bp

@@ -8,6 +8,7 @@
 #include "bp/Translate.h"
 
 #include <bit>
+#include <charconv>
 #include <iterator>
 #include <optional>
 #include <unordered_map>
@@ -24,48 +25,27 @@ bool cuba::bp_testing::InjectDropAssignRule = false;
 
 namespace {
 
-/// The set of values an expression can take in one (shared, local)
-/// valuation; nondeterminism makes this a set.
-struct BoolSet {
-  bool Can0 = false;
-  bool Can1 = false;
+/// What an expression can evaluate to at the 64 shared valuations of
+/// one mask word, given the frame's locals: bit i of word W stands for
+/// valuation Q = 64W + i.  Nondeterminism sets both bits.
+struct Lanes {
+  uint64_t C1 = 0; ///< Can be 1.
+  uint64_t C0 = 0; ///< Can be 0.
 
-  static BoolSet of(bool V) { return V ? BoolSet{false, true}
-                                       : BoolSet{true, false}; }
-  static BoolSet both() { return {true, true}; }
-
-  /// The possible values, false first, enumerated in place.
-  struct Values {
-    bool V[2] = {false, false};
-    uint8_t N = 0;
-    const bool *begin() const { return V; }
-    const bool *end() const { return V + N; }
-    size_t size() const { return N; }
-    bool operator[](size_t I) const { return V[I]; }
-  };
-
-  Values values() const {
-    Values R;
-    if (Can0)
-      R.V[R.N++] = false;
-    if (Can1)
-      R.V[R.N++] = true;
-    return R;
-  }
+  static Lanes of(bool V) { return V ? Lanes{~0ull, 0} : Lanes{0, ~0ull}; }
+  bool can1(uint32_t Q) const { return (C1 >> (Q & 63)) & 1; }
+  bool can0(uint32_t Q) const { return (C0 >> (Q & 63)) & 1; }
 };
 
-/// Applies a binary Boolean operator pointwise over two value sets.
-template <typename FnT>
-static BoolSet combine(BoolSet A, BoolSet B, FnT Fn) {
-  BoolSet R;
-  for (bool X : A.values())
-    for (bool Y : B.values()) {
-      if (Fn(X, Y))
-        R.Can1 = true;
-      else
-        R.Can0 = true;
-    }
-  return R;
+/// Bit \p B of the shared valuations of mask word \p W: the low six bits
+/// of Q vary inside a word, the word index fixes the others.
+uint64_t sharedLanes(int B, uint32_t W) {
+  constexpr uint64_t Low[6] = {0xaaaaaaaaaaaaaaaaull, 0xccccccccccccccccull,
+                               0xf0f0f0f0f0f0f0f0ull, 0xff00ff00ff00ff00ull,
+                               0xffff0000ffff0000ull, 0xffffffff00000000ull};
+  if (B < 6)
+    return Low[B];
+  return (W >> (B - 6)) & 1 ? ~0ull : 0;
 }
 
 /// One flattened operation of a function body.
@@ -370,6 +350,7 @@ public:
                    " rule slots); reduce the number of shared variables "
                    "or threads");
     NumShared = 1u << SharedBitCount;
+    NumWords = (NumShared + 63) / 64;
 
     // One entry per possible frame: 4 bytes x pcs x 2^locals, at most
     // 4 KiB per statement under Sema's 10-local limit.
@@ -415,36 +396,60 @@ private:
     return V ? Bits | (1u << Slot) : Bits & ~(1u << Slot);
   }
 
-  BoolSet evalExpr(const Expr &E, uint32_t Q, uint32_t L) const {
+  /// The lanes of \p E at mask word \p W with locals \p L: the value
+  /// sets of every shared valuation of the word at once.
+  Lanes evalWord(const Expr &E, uint32_t W, uint32_t L) const {
     switch (E.Kind) {
     case ExprKind::Const:
-      return BoolSet::of(E.ConstValue);
+      return Lanes::of(E.ConstValue);
     case ExprKind::Nondet:
-      return BoolSet::both();
-    case ExprKind::Var:
-      return BoolSet::of(E.VarIsShared ? bit(Q, SharedBit[E.VarSlot])
-                                       : bit(L, E.VarSlot));
-    case ExprKind::Not: {
-      BoolSet A = evalExpr(*E.Lhs, Q, L);
-      return {A.Can1, A.Can0};
+      return {~0ull, ~0ull};
+    case ExprKind::Var: {
+      if (!E.VarIsShared)
+        return Lanes::of(bit(L, E.VarSlot));
+      assert(SharedBit[E.VarSlot] >= 0 && "a read variable has a bit");
+      uint64_t V = sharedLanes(SharedBit[E.VarSlot], W);
+      return {V, ~V};
     }
-    case ExprKind::And:
-      return combine(evalExpr(*E.Lhs, Q, L), evalExpr(*E.Rhs, Q, L),
-                     [](bool A, bool B) { return A && B; });
-    case ExprKind::Or:
-      return combine(evalExpr(*E.Lhs, Q, L), evalExpr(*E.Rhs, Q, L),
-                     [](bool A, bool B) { return A || B; });
+    case ExprKind::Not: {
+      Lanes A = evalWord(*E.Lhs, W, L);
+      return {A.C0, A.C1};
+    }
+    // A binary operator can yield v wherever some pair of operand values
+    // does; an operand takes at least one value at every valuation.
+    case ExprKind::And: {
+      Lanes A = evalWord(*E.Lhs, W, L), B = evalWord(*E.Rhs, W, L);
+      return {A.C1 & B.C1, A.C0 | B.C0};
+    }
+    case ExprKind::Or: {
+      Lanes A = evalWord(*E.Lhs, W, L), B = evalWord(*E.Rhs, W, L);
+      return {A.C1 | B.C1, A.C0 & B.C0};
+    }
     case ExprKind::Xor:
-      return combine(evalExpr(*E.Lhs, Q, L), evalExpr(*E.Rhs, Q, L),
-                     [](bool A, bool B) { return A != B; });
     case ExprKind::Eq:
-      return combine(evalExpr(*E.Lhs, Q, L), evalExpr(*E.Rhs, Q, L),
-                     [](bool A, bool B) { return A == B; });
-    case ExprKind::Neq:
-      return combine(evalExpr(*E.Lhs, Q, L), evalExpr(*E.Rhs, Q, L),
-                     [](bool A, bool B) { return A != B; });
+    case ExprKind::Neq: {
+      Lanes A = evalWord(*E.Lhs, W, L), B = evalWord(*E.Rhs, W, L);
+      uint64_t Same = (A.C1 & B.C1) | (A.C0 & B.C0);
+      uint64_t Differ = (A.C1 & B.C0) | (A.C0 & B.C1);
+      return E.Kind == ExprKind::Eq ? Lanes{Same, Differ}
+                                    : Lanes{Differ, Same};
+    }
     }
     cuba_unreachable("covered switch over ExprKind");
+  }
+
+  /// Evaluates \p E with locals \p L at every shared valuation into slot
+  /// \p Slot of Masks.
+  void evalInto(const Expr &E, uint32_t L, size_t Slot) {
+    if (Masks.size() < (Slot + 1) * NumWords)
+      Masks.resize((Slot + 1) * NumWords);
+    for (uint32_t W = 0; W < NumWords; ++W)
+      Masks[Slot * NumWords + W] = evalWord(E, W, L);
+  }
+
+  /// The lanes of Masks slot \p Slot that hold valuation \p Q.
+  Lanes lanes(size_t Slot, uint32_t Q) const {
+    return Masks[Slot * NumWords + (Q >> 6)];
   }
 
   /// The frame table entry of (\p Fn, \p Pc, \p Locals).
@@ -471,9 +476,13 @@ private:
 
   std::string frameName(const Frame &Fr) const {
     const FuncSlot &F = Funcs[Fr.Func];
-    std::string Name = F.Flat.F->Name + "." + std::to_string(Fr.Pc);
+    char Pc[16];
+    char *PcEnd = std::to_chars(Pc, Pc + sizeof(Pc), Fr.Pc).ptr;
+    std::string Name;
+    Name.reserve(F.Flat.F->Name.size() + (PcEnd - Pc) + F.LocalBits + 2);
+    Name.append(F.Flat.F->Name).append(1, '.').append(Pc, PcEnd);
     if (F.LocalBits) {
-      Name += ".";
+      Name += '.';
       for (unsigned B = 0; B < F.LocalBits; ++B)
         Name += (Fr.Locals >> B) & 1 ? '1' : '0';
     }
@@ -512,6 +521,7 @@ private:
     (void)Idx;
     Cur = &File.System.thread(T);
     Frames.clear();
+    Cur->reserveLabels(std::size(RuleNames));
     for (size_t R = 0; R < std::size(RuleNames); ++R)
       RuleLabels[R] = Cur->internLabel(RuleNames[R]);
 
@@ -523,8 +533,7 @@ private:
             frameSym(Fn, Pc, L);
     for (size_t I = 0; I < Frames.size() && !Refusal; ++I) {
       Frame Fr = Frames[I]; // Emission appends to Frames.
-      for (uint32_t Q = 0; Q < NumShared; ++Q)
-        emitOp(T, Fr, static_cast<Sym>(I + 1), Q);
+      emitFrame(T, Fr, static_cast<Sym>(I + 1));
     }
     if (Refusal)
       return *Refusal;
@@ -553,168 +562,228 @@ private:
                           RuleLabels[static_cast<size_t>(R)]});
   }
 
-  /// Emits the rules of frame \p Fr, whose symbol is \p Here, at shared
-  /// valuation \p Q.
-  void emitOp(unsigned T, const Frame &Fr, Sym Here, uint32_t Q) {
+  /// Emits the rules of frame \p Fr, whose symbol is \p Here: at each
+  /// shared valuation Q in ascending order, its rules in a fixed order.
+  /// The op's expressions are evaluated once, as lanes over every Q.  A
+  /// rule target's symbol is looked up at the first rule that writes it
+  /// and reused after, so frames are discovered in (Q, rule) order.
+  void emitFrame(unsigned T, const Frame &Fr, Sym Here) {
     const FlatOp &Op = Funcs[Fr.Func].Flat.Ops[Fr.Pc];
     unsigned Pc = Fr.Pc;
     uint32_t L = Fr.Locals;
-    auto Next = [&](unsigned ToPc, uint32_t L2) {
-      return frameSym(Fr.Func, ToPc, L2);
+    auto Next = [&](Sym &Cached, unsigned ToPc, uint32_t L2) {
+      if (Cached == EpsSym)
+        Cached = frameSym(Fr.Func, ToPc, L2);
+      return Cached;
     };
 
     switch (Op.Kind) {
-    case FlatOp::K::Skip:
-      addRule(Q, Here, Q, Next(Pc + 1, L), EpsSym, Rule::Skip);
+    case FlatOp::K::Skip: {
+      Sym To = EpsSym;
+      for (uint32_t Q = 0; Q < NumShared; ++Q)
+        addRule(Q, Here, Q, Next(To, Pc + 1, L), EpsSym, Rule::Skip);
       return;
+    }
     case FlatOp::K::Goto:
-      for (unsigned To : Op.Targets)
-        addRule(Q, Here, Q, Next(To, L), EpsSym, Rule::Goto);
+      for (uint32_t Q = 0; Q < NumShared; ++Q)
+        for (unsigned To : Op.Targets)
+          addRule(Q, Here, Q, frameSym(Fr.Func, To, L), EpsSym, Rule::Goto);
       return;
     case FlatOp::K::Branch: {
-      BoolSet V = evalExpr(*Op.S->Cond, Q, L);
-      if (V.Can1)
-        addRule(Q, Here, Q, Next(Op.Targets[0], L), EpsSym, Rule::Br1);
-      if (V.Can0)
-        addRule(Q, Here, Q, Next(Op.Targets[1], L), EpsSym, Rule::Br0);
-      return;
-    }
-    case FlatOp::K::Assume: {
-      if (evalExpr(*Op.S->Cond, Q, L).Can1)
-        addRule(Q, Here, Q, Next(Pc + 1, L), EpsSym, Rule::Assume);
-      return;
-    }
-    case FlatOp::K::Assert: {
-      BoolSet V = evalExpr(*Op.S->Cond, Q, L);
-      if (V.Can1)
-        addRule(Q, Here, Q, Next(Pc + 1, L), EpsSym, Rule::AssertOk);
-      if (V.Can0)
-        addRule(Q, Here, ErrState, Here, EpsSym, Rule::AssertFail);
-      return;
-    }
-    case FlatOp::K::Assign:
-      emitAssign(Fr, Op, Q, Here);
-      return;
-    case FlatOp::K::Call:
-      emitCall(Fr, Op, Q, Here);
-      return;
-    case FlatOp::K::Bind: {
-      // x := $ret at the return site of `x := call f(...)`.
-      bool Ret = RetBitBase >= 0 && bit(Q, retBit(T));
-      bool IsShared = Op.S->TargetIsShared[0];
-      int Slot = Op.S->TargetSlots[0];
-      uint32_t Q2 = IsShared ? setBit(Q, SharedBit[Slot], Ret) : Q;
-      uint32_t L2 = IsShared ? L : setBit(L, Slot, Ret);
-      addRule(Q, Here, Q2, Next(Pc + 1, L2), EpsSym, Rule::Bind);
-      return;
-    }
-    case FlatOp::K::Return: {
-      if (Op.S && Op.S->RetValue) {
-        for (bool V : evalExpr(*Op.S->RetValue, Q, L).values())
-          addRule(Q, Here, setBit(Q, retBit(T), V), EpsSym, EpsSym,
-                  Rule::Ret);
-      } else {
-        addRule(Q, Here, Q, EpsSym, EpsSym, Rule::Ret);
+      evalInto(*Op.S->Cond, L, 0);
+      Sym To1 = EpsSym, To0 = EpsSym;
+      for (uint32_t Q = 0; Q < NumShared; ++Q) {
+        Lanes V = lanes(0, Q);
+        if (V.can1(Q))
+          addRule(Q, Here, Q, Next(To1, Op.Targets[0], L), EpsSym, Rule::Br1);
+        if (V.can0(Q))
+          addRule(Q, Here, Q, Next(To0, Op.Targets[1], L), EpsSym, Rule::Br0);
       }
       return;
     }
-    case FlatOp::K::Lock:
-      if (LockBit >= 0 && !bit(Q, LockBit))
-        addRule(Q, Here, setBit(Q, LockBit, true), Next(Pc + 1, L),
-                EpsSym, Rule::Lock);
+    case FlatOp::K::Assume: {
+      evalInto(*Op.S->Cond, L, 0);
+      Sym To = EpsSym;
+      for (uint32_t Q = 0; Q < NumShared; ++Q)
+        if (lanes(0, Q).can1(Q))
+          addRule(Q, Here, Q, Next(To, Pc + 1, L), EpsSym, Rule::Assume);
       return;
-    case FlatOp::K::Unlock:
-      addRule(Q, Here, setBit(Q, LockBit, false), Next(Pc + 1, L),
-              EpsSym, Rule::Unlock);
+    }
+    case FlatOp::K::Assert: {
+      evalInto(*Op.S->Cond, L, 0);
+      Sym To = EpsSym;
+      for (uint32_t Q = 0; Q < NumShared; ++Q) {
+        Lanes V = lanes(0, Q);
+        if (V.can1(Q))
+          addRule(Q, Here, Q, Next(To, Pc + 1, L), EpsSym, Rule::AssertOk);
+        if (V.can0(Q))
+          addRule(Q, Here, ErrState, Here, EpsSym, Rule::AssertFail);
+      }
       return;
+    }
+    case FlatOp::K::Assign:
+      emitAssign(Fr, Op, Here);
+      return;
+    case FlatOp::K::Call:
+      emitCall(Fr, Op, Here);
+      return;
+    case FlatOp::K::Bind: {
+      // x := $ret at the return site of `x := call f(...)`.
+      bool IsShared = Op.S->TargetIsShared[0];
+      int Slot = Op.S->TargetSlots[0];
+      Sym To[2] = {EpsSym, EpsSym}; // By the value bound.
+      for (uint32_t Q = 0; Q < NumShared; ++Q) {
+        bool Ret = RetBitBase >= 0 && bit(Q, retBit(T));
+        uint32_t Q2 = IsShared ? setBit(Q, SharedBit[Slot], Ret) : Q;
+        uint32_t L2 = IsShared ? L : setBit(L, Slot, Ret);
+        addRule(Q, Here, Q2, Next(To[Ret], Pc + 1, L2), EpsSym, Rule::Bind);
+      }
+      return;
+    }
+    case FlatOp::K::Return:
+      if (!Op.S || !Op.S->RetValue) {
+        for (uint32_t Q = 0; Q < NumShared; ++Q)
+          addRule(Q, Here, Q, EpsSym, EpsSym, Rule::Ret);
+        return;
+      }
+      evalInto(*Op.S->RetValue, L, 0);
+      for (uint32_t Q = 0; Q < NumShared; ++Q) {
+        Lanes V = lanes(0, Q);
+        if (V.can0(Q))
+          addRule(Q, Here, setBit(Q, retBit(T), false), EpsSym, EpsSym,
+                  Rule::Ret);
+        if (V.can1(Q))
+          addRule(Q, Here, setBit(Q, retBit(T), true), EpsSym, EpsSym,
+                  Rule::Ret);
+      }
+      return;
+    case FlatOp::K::Lock: {
+      Sym To = EpsSym;
+      for (uint32_t Q = 0; Q < NumShared; ++Q)
+        if (LockBit >= 0 && !bit(Q, LockBit))
+          addRule(Q, Here, setBit(Q, LockBit, true), Next(To, Pc + 1, L),
+                  EpsSym, Rule::Lock);
+      return;
+    }
+    case FlatOp::K::Unlock: {
+      Sym To = EpsSym;
+      for (uint32_t Q = 0; Q < NumShared; ++Q)
+        addRule(Q, Here, setBit(Q, LockBit, false), Next(To, Pc + 1, L),
+                EpsSym, Rule::Unlock);
+      return;
+    }
     case FlatOp::K::Taint:
-      emitTaint(T, Op, Q, Here, Next(Pc + 1, L));
+      emitTaint(T, Op, Here, frameSym(Fr.Func, Pc + 1, L));
       return;
     }
   }
 
-  void emitTaint(unsigned T, const FlatOp &Op, uint32_t Q, Sym Here,
-                 Sym NextSym) {
+  void emitTaint(unsigned T, const FlatOp &Op, Sym Here, Sym NextSym) {
     int Fact = Op.S->TaintSlot;
     Rule Label = Op.S->Kind == StmtKind::Source     ? Rule::Source
                  : Op.S->Kind == StmtKind::Sanitize ? Rule::Sanitize
                                                     : Rule::Sink;
-    uint32_t Q2 = Q;
-    if ((Opts.FoldTaint >> Fact) & 1) {
-      // Folded facts take consecutive bits in fact order.
-      int FoldBit = FoldBitBase +
-                    std::popcount(Opts.FoldTaint & ((1u << Fact) - 1));
-      if (Op.S->Kind == StmtKind::Source)
-        Q2 = setBit(Q, FoldBit, true);
-      else if (Op.S->Kind == StmtKind::Sanitize)
-        Q2 = setBit(Q, FoldBit, false);
+    // Folded facts take consecutive bits in fact order; source sets the
+    // fact's bit and sanitize clears it.
+    int FoldBit = -1;
+    if ((Opts.FoldTaint >> Fact) & 1 && Label != Rule::Sink)
+      FoldBit = FoldBitBase +
+                std::popcount(Opts.FoldTaint & ((1u << Fact) - 1));
+    for (uint32_t Q = 0; Q < NumShared; ++Q) {
+      uint32_t Q2 = FoldBit < 0 ? Q : setBit(Q, FoldBit, Label == Rule::Source);
+      addRule(Q, Here, Q2, NextSym, EpsSym, Label);
     }
-    addRule(Q, Here, Q2, NextSym, EpsSym, Label);
-    // One sink record per (thread, frame): the emission loop visits
-    // each frame once per shared valuation Q.
-    if (Opts.Taint && Op.S->Kind == StmtKind::Sink && Q == 0)
+    // One sink record per (thread, frame).
+    if (Opts.Taint && Label == Rule::Sink)
       Opts.Taint->Sinks.push_back({T, Here, Fact});
   }
 
-  /// Calls \p Fn once per choice of one value for each of \p Exprs at
-  /// (\p Q, \p L) -- nondeterministic expressions contribute both --
-  /// with the chosen values in order, the first expression varying
-  /// fastest.  The buffers are members, reused across calls, so
-  /// emission does not allocate per rule.
-  template <typename FnT>
-  void forEachChoice(const std::vector<ExprPtr> &Exprs, uint32_t Q,
-                     uint32_t L, FnT Fn) {
-    size_t N = Exprs.size();
-    Choices.resize(N);
-    ChoiceIdx.assign(N, 0);
-    Chosen.resize(N);
-    for (size_t I = 0; I < N; ++I)
-      Choices[I] = evalExpr(*Exprs[I], Q, L).values();
-    while (true) {
-      for (size_t I = 0; I < N; ++I)
-        Chosen[I] = Choices[I][ChoiceIdx[I]];
-      Fn(Chosen);
-      size_t I = 0;
-      while (I < N && ++ChoiceIdx[I] == Choices[I].size()) {
-        ChoiceIdx[I] = 0;
-        ++I;
-      }
-      if (I == N)
-        break;
+  /// Calls \p Fn at valuation \p Q once per choice of one value for each
+  /// of the \p N expressions in Masks slots [0, N), with the choice as a
+  /// bit vector (bit I: expression I's value).  The first expression
+  /// varies fastest, false before true.
+  template <typename FnT> void forEachChoice(size_t N, uint32_t Q, FnT Fn) {
+    assert(N <= 32 && "Sema bounds assignment targets and parameters");
+    uint32_t Fixed = 0, Free = 0;
+    for (size_t I = 0; I < N; ++I) {
+      Lanes V = lanes(I, Q);
+      if (V.can0(Q) && V.can1(Q))
+        Free |= 1u << I;
+      else if (V.can1(Q))
+        Fixed |= 1u << I;
     }
+    // The subsets of Free in ascending order.
+    uint32_t Sub = 0;
+    do {
+      Fn(Fixed | Sub);
+      Sub = (Sub - Free) & Free;
+    } while (Sub != 0);
   }
 
-  void emitAssign(const Frame &Fr, const FlatOp &Op, uint32_t Q, Sym Here) {
+  void emitAssign(const Frame &Fr, const FlatOp &Op, Sym Here) {
     const Stmt &S = *Op.S;
     uint32_t L = Fr.Locals;
-    // The parallel assignment applies every chosen value to the
-    // pre-state at once.
-    forEachChoice(S.AssignValues, Q, L, [&](const std::vector<uint8_t> &V) {
-      uint32_t Q2 = Q, L2 = L;
-      for (size_t I = 0; I < V.size(); ++I) {
-        if (S.TargetIsShared[I])
-          Q2 = setBit(Q2, SharedBit[S.TargetSlots[I]], V[I]);
-        else
-          L2 = setBit(L2, S.TargetSlots[I], V[I]);
-      }
-      // `constrain e` filters on the post state.
-      if (!S.Constrain || evalExpr(*S.Constrain, Q2, L2).Can1)
-        addRule(Q, Here, Q2, frameSym(Fr.Func, Fr.Pc + 1, L2), EpsSym,
-                Rule::Assign);
-    });
+    size_t N = S.AssignValues.size();
+    // Target I writes bit TargetBit[I] of Q when TargetInQ[I], else of L.
+    int TargetBit[32];
+    assert(N <= std::size(TargetBit) && "Sema bounds assignment targets");
+    uint32_t TargetInQ = 0;
+    for (size_t I = 0; I < N; ++I) {
+      evalInto(*S.AssignValues[I], L, I);
+      bool InQ = S.TargetIsShared[I];
+      TargetBit[I] = InQ ? SharedBit[S.TargetSlots[I]] : S.TargetSlots[I];
+      TargetInQ |= static_cast<uint32_t>(InQ) << I;
+    }
+    ConstrainLocals.clear();
+    ConstrainCan1.clear();
+    for (uint32_t Q = 0; Q < NumShared; ++Q)
+      forEachChoice(N, Q, [&](uint32_t V) {
+        // The parallel assignment applies every chosen value to the
+        // pre-state at once.
+        uint32_t Q2 = Q, L2 = L;
+        for (size_t I = 0; I < N; ++I) {
+          bool B = (V >> I) & 1;
+          if ((TargetInQ >> I) & 1)
+            Q2 = setBit(Q2, TargetBit[I], B);
+          else
+            L2 = setBit(L2, TargetBit[I], B);
+        }
+        // `constrain e` filters on the post state.
+        if (!S.Constrain || constrainCan1(*S.Constrain, Q2, L2))
+          addRule(Q, Here, Q2, frameSym(Fr.Func, Fr.Pc + 1, L2), EpsSym,
+                  Rule::Assign);
+      });
   }
 
-  void emitCall(const Frame &Fr, const FlatOp &Op, uint32_t Q, Sym Here) {
+  /// Whether \p E, the current assignment's constraint, can hold at post
+  /// state (\p Q2, \p L2).  Its lanes over every shared valuation are
+  /// evaluated once per post-state locals.
+  bool constrainCan1(const Expr &E, uint32_t Q2, uint32_t L2) {
+    size_t K = 0;
+    while (K < ConstrainLocals.size() && ConstrainLocals[K] != L2)
+      ++K;
+    if (K == ConstrainLocals.size()) {
+      ConstrainLocals.push_back(L2);
+      for (uint32_t W = 0; W < NumWords; ++W)
+        ConstrainCan1.push_back(evalWord(E, W, L2).C1);
+    }
+    return (ConstrainCan1[K * NumWords + (Q2 >> 6)] >> (Q2 & 63)) & 1;
+  }
+
+  void emitCall(const Frame &Fr, const FlatOp &Op, Sym Here) {
     unsigned Callee = FuncIndex.at(Op.S->Callee);
-    uint32_t L = Fr.Locals;
-    forEachChoice(Op.S->CallArgs, Q, L, [&](const std::vector<uint8_t> &V) {
-      uint32_t CalleeLocals = 0;
-      for (size_t I = 0; I < V.size(); ++I)
-        CalleeLocals = setBit(CalleeLocals, static_cast<int>(I), V[I]);
-      Sym EntrySym = frameSym(Callee, 0, CalleeLocals);
-      Sym RetSym = frameSym(Fr.Func, Op.Targets[0], L);
-      addRule(Q, Here, Q, EntrySym, RetSym, Rule::Call);
-    });
+    size_t N = Op.S->CallArgs.size();
+    for (size_t I = 0; I < N; ++I)
+      evalInto(*Op.S->CallArgs[I], Fr.Locals, I);
+    Sym RetSym = EpsSym;
+    for (uint32_t Q = 0; Q < NumShared; ++Q)
+      forEachChoice(N, Q, [&](uint32_t V) {
+        // The arguments fill the callee's parameter slots, in order.
+        Sym EntrySym = frameSym(Callee, 0, V);
+        if (RetSym == EpsSym)
+          RetSym = frameSym(Fr.Func, Op.Targets[0], Fr.Locals);
+        addRule(Q, Here, Q, EntrySym, RetSym, Rule::Call);
+      });
   }
 
   const Program &P;
@@ -747,10 +816,14 @@ private:
   std::vector<Frame> Frames;
   std::vector<Sym> FrameTable;
   LabelId RuleLabels[std::size(RuleNames)] = {};
-  /// forEachChoice's reusable buffers.
-  std::vector<BoolSet::Values> Choices;
-  std::vector<size_t> ChoiceIdx;
-  std::vector<uint8_t> Chosen;
+  /// Mask words per expression: ceil(NumShared / 64).
+  uint32_t NumWords = 0;
+  /// The emitted op's expression lanes, NumWords per slot (evalInto).
+  std::vector<Lanes> Masks;
+  /// The current assignment's constraint: the post-state locals seen so
+  /// far, and for each the can-be-1 lanes over every shared valuation.
+  std::vector<uint32_t> ConstrainLocals;
+  std::vector<uint64_t> ConstrainCan1;
 };
 
 } // namespace

@@ -24,7 +24,11 @@
 ///   shared valuation and queues the frames those rules write, so symbol
 ///   ids follow discovery order and other threads' entries and uncalled
 ///   helpers cost nothing.  Reachability ignores the shared state, so a
-///   reached frame may still have no run that gets there.
+///   reached frame may still have no run that gets there.  A frame's
+///   expressions are evaluated once for all shared valuations, as
+///   can-be-1 / can-be-0 bit masks (64 valuations per word); its rules
+///   are then read off the masks valuation by valuation, in ascending
+///   order.
 /// * Calls push the callee's entry frame over the caller's return-site
 ///   frame (arguments are copied into the callee's parameter slots);
 ///   returns pop, with `return e` latching e into the thread's $ret bit,

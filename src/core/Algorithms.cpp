@@ -143,6 +143,17 @@ RoundsResult runRounds(EngineT &Engine, ThreadSymmetry Symmetry,
   return R;
 }
 
+/// The classes of interchangeable threads a run reduces by, reported in
+/// the det gauges symmetry.classes and symmetry.threads.
+ThreadSymmetry classifyThreads(const Cpds &C, const SafetyProperty &Prop) {
+  static obs::Gauge SymClasses("symmetry.classes");
+  static obs::Gauge SymThreads("symmetry.threads");
+  ThreadSymmetry Symmetry(C, Prop);
+  SymClasses.recordMax(Symmetry.classes().size());
+  SymThreads.recordMax(Symmetry.classifiedThreads());
+  return Symmetry;
+}
+
 /// The engine's construction allocates too, so it runs guarded along
 /// with the loop.  The engine stores every state, but G cap Z is built on
 /// orbits: class threads share their Pds and initial stack and the
@@ -155,7 +166,7 @@ RoundsResult runExplicit(const Cpds &C, const SafetyProperty &Prop,
     CbaEngine Engine(C, Opts.Limits);
     Engine.setExpandAll(Opts.ExpandAll);
     Engine.setParallel(Opts.Pool);
-    RoundsResult R = runRounds(Engine, ThreadSymmetry(C, Prop), C, Prop,
+    RoundsResult R = runRounds(Engine, classifyThreads(C, Prop), C, Prop,
                                Opts, UseScheme1, UseAlg3);
     R.Run.StatesStored = Engine.reachedSize();
     return R;
@@ -188,11 +199,7 @@ RoundsResult cuba::runAlg3Symbolic(const Cpds &C, const SafetyProperty &Prop,
     // Classes of interchangeable threads: with one, the rounds and G cap
     // Z run on orbits.  Visible counts, plateaus, generator coverage and
     // the first violation are those of the unreduced run.
-    static obs::Gauge SymClasses("symmetry.classes");
-    static obs::Gauge SymThreads("symmetry.threads");
-    ThreadSymmetry Symmetry(C, Prop);
-    SymClasses.recordMax(Symmetry.classes().size());
-    SymThreads.recordMax(Symmetry.classifiedThreads());
+    ThreadSymmetry Symmetry = classifyThreads(C, Prop);
     SymbolicEngine Engine(C, Opts.Limits, Symmetry);
     RoundsResult R = runRounds(Engine, std::move(Symmetry), C, Prop, Opts,
                                /*UseScheme1=*/true, /*UseAlg3=*/true);

@@ -29,10 +29,11 @@
 /// the paper's "fork two computational threads, return whichever
 /// terminates first" (Sec. 6) is realised: first conclusion wins.
 ///
-/// A symbolic run partitions the threads into classes of interchangeable
-/// ones (pds/ThreadSymmetry.h) and, when a class exists, explores one
-/// canonical symbolic state per orbit; the det gauges symmetry.classes
-/// and symmetry.threads report the partition.
+/// Every run partitions the threads into classes of interchangeable ones
+/// (pds/ThreadSymmetry.h); the det gauges symmetry.classes and
+/// symmetry.threads report the partition.  When a class exists, a
+/// symbolic run explores one canonical symbolic state per orbit, and
+/// both routes build G cap Z on orbits.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -10,24 +10,9 @@
 #include <algorithm>
 
 #include "support/Hashing.h"
+#include "support/SymbolTable.h"
 
 using namespace cuba;
-
-/// Finds the lowest id I with Names[I] == \p Name through \p Index,
-/// which maps a name hash to the lowest id carrying that hash.  A hash
-/// shared by two distinct names falls back to scanning past the owner,
-/// so the answer is exact either way.  Returns \p NotFound on a miss.
-static uint32_t findName(const std::vector<std::string> &Names,
-                         const FlatMap<uint64_t, uint32_t> &Index,
-                         std::string_view Name, uint32_t NotFound) {
-  const uint32_t *Owner = Index.find(hashString(Name));
-  if (!Owner)
-    return NotFound;
-  for (size_t I = *Owner; I < Names.size(); ++I)
-    if (Names[I] == Name)
-      return static_cast<uint32_t>(I);
-  return NotFound;
-}
 
 Sym Pds::addSymbol(std::string Name) {
   assert(!Frozen && "cannot add symbols after freeze()");
@@ -51,13 +36,6 @@ LabelId Pds::internLabel(std::string_view Name) {
   LabelIndex.tryEmplace(hashString(Name), L);
   LabelNames.emplace_back(Name);
   return L;
-}
-
-uint32_t Pds::addAction(const Action &A) {
-  assert(!Frozen && "cannot add actions after freeze()");
-  assert(A.Label < LabelNames.size() && "label not interned in this PDS");
-  Delta.push_back(A);
-  return static_cast<uint32_t>(Delta.size() - 1);
 }
 
 uint32_t Pds::addAction(const NamedAction &A) {

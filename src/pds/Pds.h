@@ -144,9 +144,21 @@ public:
   /// first use.  The empty name is id 0.
   LabelId internLabel(std::string_view Name);
 
+  /// Makes room for \p N more labels, so interning them reallocates
+  /// nothing.
+  void reserveLabels(size_t N) {
+    LabelNames.reserve(LabelNames.size() + N);
+    LabelIndex.reserve(LabelIndex.size() + N);
+  }
+
   /// Appends an action to Delta; returns its index.  \p A's label must
   /// come from internLabel() on this Pds.
-  uint32_t addAction(const Action &A);
+  uint32_t addAction(const Action &A) {
+    assert(!Frozen && "cannot add actions after freeze()");
+    assert(A.Label < LabelNames.size() && "label not interned in this PDS");
+    Delta.push_back(A);
+    return static_cast<uint32_t>(Delta.size() - 1);
+  }
 
   /// Appends an action whose label is given as text.
   uint32_t addAction(const NamedAction &A);

@@ -19,30 +19,49 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
+
+#include "support/FlatHash.h"
+#include "support/Hashing.h"
 
 namespace cuba {
 
-/// Bidirectional map between names and dense ids [0, size()).
+/// Finds the lowest id I with Names[I] == \p Name through \p Index,
+/// which maps a name hash (hashString) to the lowest id carrying that
+/// hash.  A hash shared by two distinct names falls back to scanning past
+/// the owner, so the answer is exact either way.  Returns \p NotFound on
+/// a miss.
+inline uint32_t findName(const std::vector<std::string> &Names,
+                         const FlatMap<uint64_t, uint32_t> &Index,
+                         std::string_view Name, uint32_t NotFound) {
+  const uint32_t *Owner = Index.find(hashString(Name));
+  if (!Owner)
+    return NotFound;
+  for (size_t I = *Owner; I < Names.size(); ++I)
+    if (Names[I] == Name)
+      return static_cast<uint32_t>(I);
+  return NotFound;
+}
+
+/// Bidirectional map between names and dense ids [0, size()).  Names are
+/// indexed by hash (findName), so interning allocates no per-name node.
 class SymbolTable {
 public:
   /// Interns \p Name, returning its id; repeated calls with the same name
   /// return the same id.
   uint32_t intern(std::string_view Name) {
-    auto It = IdByName.find(std::string(Name));
-    if (It != IdByName.end())
-      return It->second;
-    uint32_t Id = static_cast<uint32_t>(Names.size());
+    uint32_t Id = lookup(Name);
+    if (Id != UINT32_MAX)
+      return Id;
+    Id = size();
+    Index.tryEmplace(hashString(Name), Id);
     Names.emplace_back(Name);
-    IdByName.emplace(Names.back(), Id);
     return Id;
   }
 
   /// Returns the id of \p Name, or UINT32_MAX when it was never interned.
   uint32_t lookup(std::string_view Name) const {
-    auto It = IdByName.find(std::string(Name));
-    return It == IdByName.end() ? UINT32_MAX : It->second;
+    return findName(Names, Index, Name, UINT32_MAX);
   }
 
   bool contains(std::string_view Name) const {
@@ -59,7 +78,8 @@ public:
 
 private:
   std::vector<std::string> Names;
-  std::unordered_map<std::string, uint32_t> IdByName;
+  /// Name hash -> lowest id with that hash.
+  FlatMap<uint64_t, uint32_t> Index;
 };
 
 } // namespace cuba

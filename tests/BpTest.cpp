@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+#include <string_view>
+
 #include "bp/Lexer.h"
 #include "bp/Parser.h"
 #include "bp/Sema.h"
@@ -56,6 +60,48 @@ TEST(BpLexer, RejectsIllegalCharacter) {
   auto T = lex("a @ b");
   ASSERT_FALSE(T);
   EXPECT_EQ(T.error().line(), 1u);
+}
+
+TEST(BpLexer, AcceptsExactlyTheCLocaleClasses) {
+  // Whitespace, identifier and digit bytes are those of the C locale's
+  // isspace / isalnum / isdigit: CR, \v and \f separate tokens, and no
+  // byte >= 0x80 is a letter or a space.
+  auto T = lex("a\r\nb\v\fc // note\n   d");
+  ASSERT_TRUE(T) << T.error().str();
+  ASSERT_EQ(T->size(), 5u);
+  const std::pair<unsigned, unsigned> Where[] = {{1, 1}, {2, 1}, {2, 4},
+                                                 {3, 4}};
+  for (size_t I = 0; I < 4; ++I) {
+    EXPECT_EQ((*T)[I].Kind, TokKind::Ident) << I;
+    EXPECT_EQ((*T)[I].Line, Where[I].first) << I;
+    EXPECT_EQ((*T)[I].Column, Where[I].second) << I;
+  }
+  // A token after a comment keeps its column.
+  auto C = lex("x := 1; // y := 0;\n\tz");
+  ASSERT_TRUE(C) << C.error().str();
+  EXPECT_EQ((*C)[4].Text, "z");
+  EXPECT_EQ((*C)[4].Line, 2u);
+  EXPECT_EQ((*C)[4].Column, 2u);
+
+  const std::string_view Punct = "(){},;:^*=!&|/";
+  for (unsigned B = 0; B < 256; ++B) {
+    char Ch = static_cast<char>(B);
+    if (Punct.find(Ch) != std::string_view::npos)
+      continue;
+    std::string Src = std::string("a\n x") + Ch + "y";
+    auto R = lex(Src);
+    bool Space = std::isspace(static_cast<unsigned char>(B)) != 0;
+    bool Word = std::isalnum(static_cast<unsigned char>(B)) != 0 || B == '_';
+    if (!Space && !Word) {
+      ASSERT_FALSE(R) << "byte " << B << " accepted";
+      EXPECT_EQ(R.error().line(), 2u) << "byte " << B;
+      EXPECT_EQ(R.error().column(), 3u) << "byte " << B;
+      continue;
+    }
+    ASSERT_TRUE(R) << "byte " << B << ": " << R.error().str();
+    // a, then x and y split by a space byte or joined by a word byte.
+    EXPECT_EQ(R->size(), Space ? 4u : 3u) << "byte " << B;
+  }
 }
 
 //===----------------------------------------------------------------------===//

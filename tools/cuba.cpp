@@ -307,8 +307,9 @@ const Flag Flags[] = {
      "product of every fact (at most 8) projected onto that fact's bit; a "
      "disagreement exits 70"},
     {"--stats", RunCmd | FuzzCmd, &Options::Stats,
-     "dump internal statistics counters (and, for a symbolic run, the "
-     "symmetry.classes and symmetry.threads gauges); fuzz: per-seed "
+     "dump internal statistics counters and the symmetry.classes and "
+     "symmetry.threads gauges (the run's classes of identical threads); "
+     "fuzz: per-seed "
      "wall-clock / peak-bytes lines and aggregate cache-hit / truncation "
      "rates"},
     {"--trace-out", AllCmds, &Options::TraceOut,
@@ -867,16 +868,12 @@ int runVerify(const Options &O) {
 
   if (O.Stats) {
     std::printf("--- statistics ---\n");
+    // The counters, and among the gauges the run's classes of identical
+    // threads, sorted by name.
     for (const obs::InstrumentSnapshot &S : obs::Metrics::snapshot())
-      if (S.K == obs::Kind::Counter)
+      if (S.K == obs::Kind::Counter || S.Name.starts_with("symmetry."))
         std::printf("%10llu  %s\n", static_cast<unsigned long long>(S.Value),
                     S.Name.c_str());
-    // The classes of identical threads the symbolic rounds ran on.
-    if (R.Used == ApproachKind::Symbolic)
-      for (const char *Name : {"symmetry.classes", "symmetry.threads"})
-        std::printf("%10llu  %s\n",
-                    static_cast<unsigned long long>(obs::Metrics::value(Name)),
-                    Name);
   }
 
   if (!O.writeObs("run", Pool,
